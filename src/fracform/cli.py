@@ -60,6 +60,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_function_literal(text: str, step: float):
     """Grammar: indicator:a,b | plateau:a,b,rho[,profile] | bump:center,width
     | csv:path | json:path."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"grid step must be positive and finite, got {step}")
     kind, _, rest = text.partition(":")
     if kind == "indicator":
         a, b = (float(t) for t in rest.split(","))
@@ -205,14 +207,20 @@ def _cmd_capacity(cfg: RunConfig) -> int:
     return 0
 
 
+def _parse_atom(text: str) -> tuple:
+    x, sep, mass = text.partition(":")
+    if not sep:
+        raise ValueError(f"an atom is x:mass, got {text!r}")
+    return float(x), float(mass)
+
+
 def _cmd_levy(cfg: RunConfig) -> int:
     p = cfg.params
     if p.get("triplet"):
         t = LevyTriplet.from_json_dict(
             json.loads(Path(p["triplet"]).read_text(encoding="utf-8")))
     else:
-        atoms = tuple((float(a.split(":")[0]), float(a.split(":")[1]))
-                      for a in p.get("atom", []))
+        atoms = tuple(_parse_atom(a) for a in p.get("atom", []))
         density = None
         if p.get("power_alpha") is not None:
             density = PowerLawDensity(p["power_alpha"],

@@ -10,6 +10,10 @@ prefactor: for exponent alpha in (0, 2),
 The Fourier-side energy int |fhat|^2 |xi|^alpha dxi equals E(f) up to an
 alpha-dependent universal constant; that constant is never assumed, only
 measured (see ``EnergyParams.c_of_alpha``).
+
+The Gagliardo form of a grid function is exact: quadcells dots the node
+increments' autocorrelation with closed-form lag weights, with no quadrature
+and no diagonal band.  Step functions are refined through sampled grids.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from .fourier import discrete_fourier
 from .grids import GridFunction, StepFunction
+from .ladder import is_erased_function
 from .quadcells import gagliardo_of_values
 
 __all__ = [
@@ -50,17 +55,12 @@ class EnergyParams:
     ``alpha`` is the kernel exponent in (0, 2]; at alpha = 2 the Gagliardo
     path is disabled and the classical Dirichlet energy applies.
     ``c_of_alpha`` optionally stores the measured Fourier/Gagliardo ratio.
-    ``diagonal_band`` excludes lags below band*step from the quadrature
-    (default 0: the singular cell is integrated in closed form).
-    ``tail_radius`` is the lag beyond which the increment correlation is
-    treated as constant; the quadrature always covers at least the support
-    width, so the default is exact.
+    ``divergence_ratio`` is the per-refinement growth that, three times in a
+    row, flags a step function's energy as divergent.
     """
 
     alpha: float
     c_of_alpha: float | None = None
-    diagonal_band: float = 0.0
-    tail_radius: float | None = None
     divergence_ratio: float = 1.15
 
     def __post_init__(self):
@@ -68,10 +68,6 @@ class EnergyParams:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.c_of_alpha is not None and self.c_of_alpha <= 0:
             raise ValueError("c_of_alpha must be positive when given")
-        if self.diagonal_band < 0:
-            raise ValueError("diagonal_band must be >= 0")
-        if self.tail_radius is not None and self.tail_radius <= 0:
-            raise ValueError("tail_radius must be positive when given")
         if self.divergence_ratio <= 1.0:
             raise ValueError("divergence_ratio must exceed 1")
 
@@ -127,8 +123,7 @@ def _grid_energy(f: GridFunction, p: EnergyParams) -> float:
     if f.is_zero:
         return 0.0
     g = f.trimmed(margin=1)
-    skip = int(math.floor(p.diagonal_band))
-    return gagliardo_of_values(g.values, g.step, p.alpha, skip_cells=skip)
+    return gagliardo_of_values(g.values, g.step, p.alpha)
 
 
 def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
@@ -310,8 +305,6 @@ def check_erased_bound(f: GridFunction, g: GridFunction, p: EnergyParams
     Raises ErasedPreconditionError when f is not an erased function of g;
     that failure is reported distinctly from any divergence of the energies.
     """
-    from .ladder import is_erased_function
-
     ok, _ = is_erased_function(f, g)
     if not ok:
         raise ErasedPreconditionError("f is not an erased function of g")
@@ -348,6 +341,4 @@ def calibrate_c_of_alpha(p: EnergyParams, f: GridFunction | None = None
         f = GridFunction(-1.0, 1.0 / 256.0, vals)
     ratio = fourier_gagliardo_ratio(f, p)
     return EnergyParams(alpha=p.alpha, c_of_alpha=ratio,
-                        diagonal_band=p.diagonal_band,
-                        tail_radius=p.tail_radius,
                         divergence_ratio=p.divergence_ratio)

@@ -29,6 +29,12 @@ __all__ = [
 _INF = float("inf")
 
 
+def l2_norm_sq_of_samples(v: np.ndarray, step: float) -> float:
+    """Squared L2 norm of the piecewise-linear interpolant of samples v."""
+    seg = v[:-1] * v[:-1] + v[:-1] * v[1:] + v[1:] * v[1:]
+    return float(step * np.sum(seg) / 3.0)
+
+
 def _frozen_array(data, dtype=float) -> np.ndarray:
     arr = np.array(data, dtype=dtype, copy=True)
     arr.flags.writeable = False
@@ -124,9 +130,7 @@ class GridFunction:
     # -- exact integrals for the piecewise-linear interpolant --------------
 
     def l2_norm_sq(self) -> float:
-        v = self.values
-        seg = v[:-1] * v[:-1] + v[:-1] * v[1:] + v[1:] * v[1:]
-        return float(self.step * np.sum(seg) / 3.0)
+        return l2_norm_sq_of_samples(self.values, self.step)
 
     def integral(self) -> float:
         return float(self.step * (np.sum(self.values)
@@ -222,6 +226,8 @@ class GridFunction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridFunction":
+        if not isinstance(d, dict) or not {"origin", "step", "values"} <= d.keys():
+            raise ValueError("a JSON grid function needs origin, step, values")
         return cls(float(d["origin"]), float(d["step"]), d["values"])
 
     def to_csv(self) -> str:
@@ -233,6 +239,8 @@ class GridFunction:
     @classmethod
     def from_csv(cls, text: str) -> "GridFunction":
         rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
+        if any(len(r) < 2 for r in rows):
+            raise ValueError("every CSV row needs two fields x,value")
         xs = np.array([float(r[0]) for r in rows])
         vs = np.array([float(r[1]) for r in rows])
         if xs.size < 2:
@@ -468,11 +476,7 @@ class IntervalSet:
 
     @classmethod
     def from_json_list(cls, data) -> "IntervalSet":
-        def dec(v):
-            if isinstance(v, str):
-                return float(v)
-            return float(v)
-        return cls(tuple((dec(lo), dec(hi)) for lo, hi in data))
+        return cls(tuple((float(lo), float(hi)) for lo, hi in data))
 
 
 _RAMP_PROFILES = {

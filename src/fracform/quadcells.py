@@ -1,39 +1,39 @@
 """Exact evaluation of the fractional quadratic form on piecewise-linear data.
 
-For a compactly supported piecewise-linear function u with grid step h, the
-double integral over the plane of (u(x) - u(y))^2 / |x - y|^(1+alpha) reduces
-to a single integral of the increment correlation
+For a piecewise-linear u with grid step h and node increments
+d_i = u_(i+1) - u_i, the double integral of (u(x) - u(y))^2 / |x-y|^(1+alpha)
+integrates in closed form over every pair of grid cells:
 
-    rho(tau) = int (u(y + tau) - u(y))^2 dy
+    E(u) = C h^(1-alpha) sum_(i,j) d_i d_j (-delta^2 W)(i - j),
+    C = 2 / (alpha (2-alpha) (3-alpha)),
 
-against tau^(-1-alpha).  For piecewise-linear u, rho is piecewise cubic with
-breakpoints at integer multiples of h, recoverable exactly from the slope
-autocorrelation: rho''(k h) = 2 h sum_i s_i s_{i+k}.  Each lag cell is then
-integrated against the kernel either in closed form (the cell touching the
-singularity) or by fixed Gauss-Legendre rules that are exact to machine
-precision away from it, plus a closed-form constant tail.
+with delta^2 the central second difference of the regularised power
+W(k) = k^2 expm1((1-alpha) ln|k|) / (1-alpha) = (|k|^(3-alpha) - k^2)/(1-alpha),
+which is k^2 ln|k| at alpha = 1.  The k^2 removes the pole at alpha = 1 and
+drops a term proportional to (sum_i d_i)^2, so the samples must taper to 0
+at both ends.  The double sum runs over the increment autocorrelation; in
+terms of rho(tau) = int (u(y+tau) - u(y))^2 dy, whose second derivative is
+piecewise linear, int_0^inf tau^(-1-alpha) rho(tau) dtau = E(u) / 2.
 
-The same machinery yields the stiffness row of the hat (nodal) basis, whose
-entries the capacity solver assembles into a symmetric Toeplitz operator.
+The stiffness row of the hat basis is the fourth difference instead:
+k(m) = C h^(1-alpha) delta^4 W(m).  Small lags difference W directly; larger
+lags sum the binomial series of the difference of k^(3-alpha) in powers of
+1/k^2, free of the cancellation of direct differencing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+
+from .grids import l2_norm_sq_of_samples
 
 __all__ = ["RhoProfile", "rho_profile", "gagliardo_of_values", "hat_energy_row"]
 
-_GL_POINTS = 16
-
-
-@lru_cache(maxsize=None)
-def _gauss_nodes(npts: int = _GL_POINTS):
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
-    return nodes, weights
+# The series is used from lag 2*order on, where each term shrinks the
+# previous by at least 1/16, so 16 terms reach far below double rounding.
+_SERIES_TERMS = 16
 
 
 def _slope_autocorr(s: np.ndarray) -> np.ndarray:
@@ -41,10 +41,93 @@ def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     if s.size == 0:
         return np.zeros(1)
     if s.size <= 2048:
-        full = np.correlate(s, s, mode="full")
+        return np.correlate(s, s, mode="full")[s.size - 1:]
+    nfft = 1 << (2 * s.size - 2).bit_length()
+    spec = np.fft.rfft(s, nfft)
+    return np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:s.size]
+
+
+def _expm1_ratio(a: float, x):
+    """expm1(a x) / a, continued to x at a = 0."""
+    return x if a == 0.0 else np.expm1(a * x) / a
+
+
+def _lag_weights(n: int, alpha: float, order: int = 2) -> np.ndarray:
+    """Central difference delta^order W(k) of the regularised power W at the
+    lags k = 0 .. n-1, for order 2 or 4.
+
+    For alpha > 1 the second differences tend to the constant 2/(alpha-1);
+    they are returned minus their value at the last lag, which leaves the
+    form of tapered samples unchanged (it is blind to constant weights) and
+    keeps the rounding of that constant out of long sums.
+    """
+    q = 1.0 - alpha                     # p - 2 for the power p = 3 - alpha
+    near = min(n, 2 * order)
+    if order == 4:
+        # delta^4 = delta^2 delta^2 keeps the small lags accurate where
+        # differencing W itself would cancel badly.
+        f = _lag_weights(near + 1, alpha)
     else:
-        full = fftconvolve(s, s[::-1], mode="full")
-    return full[s.size - 1:]
+        ks = np.arange(1.0, near + 1.0)
+        f = np.concatenate([[0.0], ks * ks * _expm1_ratio(q, np.log(ks))])
+    f = np.concatenate([f[1:2], f])      # f is even: lag -1 mirrors lag 1
+    out = np.empty(n)
+    out[:near] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    if n == near and order == 2:
+        return out - out[-1] if alpha > 1.0 else out
+
+    # delta^(order) k^p = sum over even j of C(p, j) M_j k^(p-j), with the
+    # stencil moments M_j = sum_i c_i i^j: M_j = 2 for delta^2, and
+    # 2^(j+1) - 8 for delta^4 (M_2 = 0).  From j = 4 on, C(p, j) carries the
+    # factor p - 2 = q, divided out in b, and each p - i is formed as
+    # (3 - i) - alpha, exact for small alpha; the sum runs by Horner's rule
+    # in 1/k^2.
+    k = np.arange(near, n, dtype=float)
+    lnk = np.log(k)
+    x = 1.0 / (k * k)
+    b = (3.0 - alpha) * (2.0 - alpha) * -alpha / 24.0      # C(p, 4) / q
+    coefs = []
+    for j in range(4, 2 * _SERIES_TERMS + 4, 2):
+        coefs.append(b * (2.0 if order == 2 else 2.0 ** (j + 1) - 8.0))
+        b *= ((3.0 - j) - alpha) * ((2.0 - j) - alpha) / ((j + 1.0) * (j + 2.0))
+    tail = np.full(k.size, coefs[-1])
+    for c in reversed(coefs[:-1]):
+        tail *= x
+        tail += c
+    tail *= x * np.exp(q * lnk)
+    if order == 4:
+        out[near:] = tail
+        return out
+
+    # The j = 2 term and the k^2 of W combine to
+    # p (p-1) (k^q - 1) / q + p + 1, regular at alpha = 1.  For alpha > 1
+    # the reference lag 1 becomes the last lag K and the constant p + 1 and
+    # tail(K) drop out: p (p-1) (k^q - K^q) / q + tail(k) - tail(K).
+    head = (3.0 - alpha) * (2.0 - alpha)
+    const, ln_ref, t_ref = 4.0 - alpha, 0.0, 0.0
+    if alpha > 1.0:
+        ln_ref, t_ref = lnk[-1], tail[-1]
+        out[:near] -= head * _expm1_ratio(q, ln_ref) + const + t_ref
+        const = 0.0
+    out[near:] = (-head * np.exp(q * lnk) * _expm1_ratio(q, ln_ref - lnk)
+                  + const + tail - t_ref)
+    return out
+
+
+def _form_scale(h: float, alpha: float) -> float:
+    """C h^(1-alpha) with C = 2 / (alpha (2-alpha) (3-alpha))."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"kernel exponent alpha must lie in (0, 2), got {alpha}")
+    return 2.0 * h ** (1.0 - alpha) / (alpha * (2.0 - alpha) * (3.0 - alpha))
+
+
+def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
+    """E = C h^(1-alpha) sum_(i,j) d_i d_j (-delta^2 W)(i - j) from the
+    increment autocorrelation c_k, k >= 0, which counts each lag k > 0
+    once for each sign."""
+    scale = _form_scale(h, alpha)
+    w = _lag_weights(c.size, alpha)
+    return -scale * (2.0 * float(np.dot(c, w)) - c[0] * w[0])
 
 
 @dataclass(frozen=True)
@@ -80,80 +163,29 @@ class RhoProfile:
                        + d * t ** 3 / (6.0 * self.h))
         return out
 
-    def kernel_integral(self, alpha: float, skip_cells: int = 0) -> float:
-        """int_0^inf tau^(-1-alpha) rho(tau) dtau, optionally skipping the
-        first ``skip_cells`` lag cells (a diagonal exclusion band)."""
-        return _kernel_integral(self.h, self.r2, self.rhop, self.rho,
-                                self.rho_inf, alpha, skip_cells)
+    def kernel_integral(self, alpha: float) -> float:
+        """int_0^inf tau^(-1-alpha) rho(tau) dtau, the lag weights dotted
+        with the ``r2`` nodes (increment autocorrelation h r2 / 2)."""
+        return 0.5 * _increment_form(0.5 * self.h * self.r2, self.h, alpha)
 
 
 def rho_profile(values: np.ndarray, h: float) -> RhoProfile:
     v = np.asarray(values, dtype=float)
-    s = np.diff(v) / h
-    c = _slope_autocorr(s)
-    r2 = np.concatenate([2.0 * h * c, [0.0]])
-    rhop, rho = _integrate_r2(r2, h)
-    seg = v[:-1] * v[:-1] + v[:-1] * v[1:] + v[1:] * v[1:]
-    rho_inf = 2.0 * float(h * np.sum(seg) / 3.0)
-    return RhoProfile(h, r2, rhop, rho, rho_inf)
-
-
-def _integrate_r2(r2: np.ndarray, h: float):
-    """Exact double cumulative integral of the piecewise-linear rho''."""
-    dp = 0.5 * h * (r2[:-1] + r2[1:])
-    rhop = np.concatenate([[0.0], np.cumsum(dp)])
+    r2 = np.concatenate([2.0 * h * _slope_autocorr(np.diff(v) / h), [0.0]])
+    # exact double cumulative integral of the piecewise-linear rho''
+    rhop = np.concatenate([[0.0], np.cumsum(0.5 * h * (r2[:-1] + r2[1:]))])
     dr = h * rhop[:-1] + (h * h / 6.0) * (2.0 * r2[:-1] + r2[1:])
     rho = np.concatenate([[0.0], np.cumsum(dr)])
-    return rhop, rho
+    return RhoProfile(h, r2, rhop, rho, 2.0 * l2_norm_sq_of_samples(v, h))
 
 
-def _kernel_integral(h, r2, rhop, rho, rho_inf, alpha, skip_cells=0):
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"kernel exponent alpha must lie in (0, 2), got {alpha}")
-    n_cells = r2.size - 1
-    total = 0.0
-
-    first = max(int(skip_cells), 0)
-    if first == 0 and n_cells > 0:
-        # Singular cell: rho(0) = rho'(0) = 0, so only tau^2 and tau^3 terms.
-        d0 = r2[1] - r2[0]
-        total += (0.5 * r2[0] * h ** (2.0 - alpha) / (2.0 - alpha)
-                  + d0 * h ** (2.0 - alpha) / (6.0 * (3.0 - alpha)))
-        first = 1
-
-    if n_cells > first:
-        ks = np.arange(first, n_cells)
-        nodes, weights = _gauss_nodes()
-        t = 0.5 * h * (nodes + 1.0)          # (Q,)
-        base = ks * h                         # (K,)
-        d = r2[ks + 1] - r2[ks]
-        poly = (rho[ks, None] + rhop[ks, None] * t[None, :]
-                + 0.5 * r2[ks, None] * t[None, :] ** 2
-                + d[:, None] * t[None, :] ** 3 / (6.0 * h))
-        kern = (base[:, None] + t[None, :]) ** (-1.0 - alpha)
-        total += 0.5 * h * float(np.einsum("kq,q->", poly * kern, weights))
-
-    # Constant tail beyond the last correlated lag.
-    span = max(n_cells, first) * h
-    if rho_inf != 0.0 and span > 0.0:
-        total += rho_inf * span ** (-alpha) / alpha
-    return total
-
-
-def gagliardo_of_values(values: np.ndarray, h: float, alpha: float,
-                        skip_cells: int = 0) -> float:
+def gagliardo_of_values(values: np.ndarray, h: float, alpha: float) -> float:
     """Exact fractional seminorm (no prefactor) of the interpolant of
     ``values``; the samples must taper to exact 0 at both array ends."""
-    prof = rho_profile(values, h)
-    return 2.0 * prof.kernel_integral(alpha, skip_cells=skip_cells)
-
-
-# -- hat-basis stiffness row ---------------------------------------------------
-
-def _row_entry_from_stencil(r2_stencil, h, alpha, rho_inf):
-    r2 = np.asarray(r2_stencil, dtype=float) / h
-    rhop, rho = _integrate_r2(r2, h)
-    return 2.0 * _kernel_integral(h, r2, rhop, rho, rho_inf, alpha)
+    v = np.asarray(values, dtype=float)
+    if v.size and (v[0] != 0.0 or v[-1] != 0.0):
+        raise ValueError("samples must taper to exact 0 at both ends")
+    return _increment_form(_slope_autocorr(np.diff(v)), h, alpha)
 
 
 def hat_energy_row(n: int, h: float, alpha: float) -> np.ndarray:
@@ -164,42 +196,4 @@ def hat_energy_row(n: int, h: float, alpha: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one node")
-    row = np.zeros(n)
-    row[0] = _row_entry_from_stencil([4.0, -2.0, 0.0], h, alpha,
-                                     rho_inf=4.0 * h / 3.0)
-    if n > 1:
-        row[1] = _row_entry_from_stencil([-2.0, 2.0, -1.0, 0.0], h, alpha,
-                                         rho_inf=h / 3.0)
-    if n > 2:
-        row[2:] = _far_row_entries(np.arange(2, n), h, alpha)
-    return row
-
-
-def _far_row_entries(ms: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Entries for disjoint hats: rho'' is the (-1, 2, -1)/h tent centred at
-    lag m*h, supported on [(m-2)h, (m+2)h], with no constant tail."""
-    r2 = np.array([0.0, -1.0, 2.0, -1.0, 0.0]) / h
-    rhop, rho = _integrate_r2(r2, h)
-    nodes, weights = _gauss_nodes()
-    t = 0.5 * h * (nodes + 1.0)
-    d = r2[1:] - r2[:-1]
-    poly = (rho[:-1, None] + rhop[:-1, None] * t[None, :]
-            + 0.5 * r2[:-1, None] * t[None, :] ** 2
-            + d[:, None] * t[None, :] ** 3 / (6.0 * h))        # (4, Q)
-
-    out = np.zeros(ms.size)
-    bases = (ms[:, None] - 2 + np.arange(4)[None, :]) * h       # (M, 4)
-    kern = (bases[:, :, None] + t[None, None, :]) ** (-1.0 - alpha)
-    vals = np.einsum("mjq,jq,q->m", kern, poly, weights) * 0.5 * h
-
-    touching = ms == 2
-    if np.any(touching):
-        # The j=0 cell of m=2 touches the singularity; redo it in closed form.
-        nodes_contrib = np.einsum("q,q,q->", kern[touching][0, 0], poly[0], weights) \
-            * 0.5 * h
-        d0 = r2[1] - r2[0]
-        exact = (0.5 * r2[0] * h ** (2.0 - alpha) / (2.0 - alpha)
-                 + d0 * h ** (2.0 - alpha) / (6.0 * (3.0 - alpha)))
-        vals[touching] += exact - nodes_contrib
-    out[:] = 2.0 * vals
-    return out
+    return _form_scale(h, alpha) * _lag_weights(n, alpha, order=4)

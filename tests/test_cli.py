@@ -40,6 +40,30 @@ class TestFunctionLiterals:
             parse_function_literal("mystery:1", 0.01)
 
 
+BAD_INPUTS = {
+    "csv-short-row": ["energy", "--alpha", "0.5", "--function", "csv:{short_csv}"],
+    "json-no-step": ["energy", "--alpha", "0.5", "--function", "json:{no_step}"],
+    "zero-step": ["energy", "--alpha", "0.5", "--function", "bump:0,1",
+                  "--step", "0"],
+    "atom-without-mass": ["levy", "--atom", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_error_line(case, tmp_path):
+    short_csv = tmp_path / "short.csv"
+    short_csv.write_text("0,0\n0.1,1\n0.2\n0.3,0\n", encoding="utf-8")
+    no_step = tmp_path / "no_step.json"
+    no_step.write_text(json.dumps({"origin": 0.0, "values": [0.0, 1.0, 0.0]}),
+                       encoding="utf-8")
+    args = [a.format(short_csv=short_csv, no_step=no_step)
+            for a in BAD_INPUTS[case]]
+    out = run_cli(args + ["--out-dir", str(tmp_path)])
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
 class TestEnergyCommand:
     def test_indicator_alpha_half(self, tmp_path):
         out = run_cli(["energy", "--alpha", "0.5", "--function",

@@ -97,13 +97,6 @@ class TestGagliardo:
         with pytest.raises(ValueError):
             gagliardo_energy(f, EnergyParams(alpha=0.5))
 
-    def test_diagonal_band_reduces_value(self):
-        f = sample_bump(step=1.0 / 64.0)
-        full = gagliardo_energy(f, EnergyParams(alpha=0.5)).value
-        banded = gagliardo_energy(f, EnergyParams(alpha=0.5,
-                                                  diagonal_band=2.0)).value
-        assert 0.0 < banded < full
-
     def test_report_e1_consistency(self):
         f = sample_bump(step=1.0 / 64.0)
         rep = gagliardo_energy(f, EnergyParams(alpha=0.5))
@@ -259,8 +252,6 @@ class TestParams:
             EnergyParams(alpha=0.0)
         with pytest.raises(ValueError):
             EnergyParams(alpha=2.5)
-        with pytest.raises(ValueError):
-            EnergyParams(alpha=0.5, diagonal_band=-1.0)
 
     def test_alpha_star_derived(self):
         assert EnergyParams(alpha=1.5).alpha_star == 0.5

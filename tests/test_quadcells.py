@@ -8,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracform.quadcells import (gagliardo_of_values, hat_energy_row,
-                                rho_profile)
+from fracform.quadcells import (_lag_weights, gagliardo_of_values,
+                                hat_energy_row, rho_profile)
+
+ALPHAS = [0.01, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5, 1.9, 1.99]
 
 
 def mp_reference_energy(values, h, alpha, dps=50):
@@ -49,14 +51,76 @@ def mp_reference_energy(values, h, alpha, dps=50):
         return float(2 * total)
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("alpha", ALPHAS)
 def test_engine_matches_high_precision_reference(alpha, rng):
     vals = np.zeros(10)
     vals[1:-1] = rng.normal(size=8)
     h = 0.17
     got = gagliardo_of_values(vals, h, alpha)
     ref = mp_reference_energy(vals, h, alpha)
-    assert got == pytest.approx(ref, rel=5e-13)
+    assert got == pytest.approx(ref, rel=1e-13)
+
+
+def mp_regularised_power(k, alpha):
+    """W(k) = k^2 expm1((1-alpha) ln|k|) / (1-alpha), k^2 ln|k| at alpha = 1."""
+    k = mpmath.mpf(abs(k))
+    if k == 0:
+        return mpmath.mpf(0)
+    q = 1 - mpmath.mpf(alpha)
+    if q == 0:
+        return k * k * mpmath.log(k)
+    return k * k * mpmath.expm1(q * mpmath.log(k)) / q
+
+
+LAGS = list(range(0, 40)) + [63, 64, 65, 100, 511, 1000, 2047, 3001]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_lag_weights_match_high_precision_differences(alpha):
+    """Second and fourth central differences of W against 40-digit values,
+    from the directly differenced small lags through the series beyond,
+    for 3002 lags."""
+    d2 = _lag_weights(LAGS[-1] + 1, alpha)[LAGS]
+    d4 = _lag_weights(LAGS[-1] + 1, alpha, order=4)[LAGS]
+    with mpmath.workdps(40):
+        w = {k: mp_regularised_power(k, alpha)
+             for k in range(-2, LAGS[-1] + 3)}
+        ref2 = np.array([float(w[k + 1] - 2 * w[k] + w[k - 1])
+                         for k in LAGS])
+        ref4 = np.array([float(w[k + 2] - 4 * w[k + 1] + 6 * w[k]
+                               - 4 * w[k - 1] + w[k - 2]) for k in LAGS])
+    shift = 0.0
+    if alpha > 1.0:
+        # Returned relative to the last lag, which the form cannot see; the
+        # directly differenced lags 0-3 carry the rounding of that shift.
+        shift = ref2[-1]
+        ref2 -= shift
+    else:
+        assert d2[0] == 0.0 and ref2[0] == 0.0
+    assert np.allclose(d2, ref2, rtol=1e-14, atol=1e-14 * abs(shift))
+    # Lags below 8 come from differencing the second differences, which
+    # loses up to a few thousand ulps for alpha near 0 or 2 (still below
+    # 1e-15 of the diagonal entry); from lag 8 on the series is exact to
+    # rounding.
+    small = np.array(LAGS) < 8
+    assert np.allclose(d4[small], ref4[small], rtol=5e-12, atol=0.0)
+    assert np.allclose(d4[~small], ref4[~small], rtol=1e-14, atol=0.0)
+
+
+def test_energy_continuous_through_alpha_one(rng):
+    vals = np.zeros(300)
+    vals[1:-1] = rng.normal(size=298)
+    at_one = gagliardo_of_values(vals, 0.01, 1.0)
+    for alpha in (1.0 - 1e-9, 1.0 + 1e-9):
+        got = gagliardo_of_values(vals, 0.01, alpha)
+        assert got == pytest.approx(at_one, rel=1e-8)
+
+
+@pytest.mark.parametrize("ends", [(1.0, 0.0), (0.0, -0.5), (2.0, 2.0)])
+def test_untapered_samples_rejected(ends):
+    vals = np.array([ends[0], 1.0, 3.0, ends[1]])
+    with pytest.raises(ValueError, match="taper"):
+        gagliardo_of_values(vals, 0.1, 0.5)
 
 
 def test_rho_profile_matches_brute_correlation(rng):
