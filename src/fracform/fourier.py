@@ -8,6 +8,31 @@ piecewise-linear function on a uniform grid the transform factors exactly as
 (the hat-function transform times a discrete sum), so the values below are
 exact for the interpolant at every frequency -- there is no binning and no
 error near xi = 0.
+
+The phase sum S_k = sum_j f_j e^(i xi_k x_j) over M frequencies and N nodes
+has two evaluations:
+
+* dense: the M x N matrix of exponentials, formed in blocks of ``_CHUNK``
+  products.  It takes any frequencies and is the reference for the other.
+* chirp-z (Bluestein): on a uniform grid xi_k = xi_0 + k dxi, the identity
+  k j = (k^2 + j^2 - (k - j)^2) / 2 turns S into one linear convolution,
+  done with three power-of-two FFTs of length >= M + N - 1, in
+  O((M + N) log(M + N)) time.  Both index ranges are centred, and the large
+  chirp phases dxi h u^2 / 2 are formed as exact floats before the complex
+  exponential reduces them, so no rounding error grows with M or N: the
+  two paths agree to the dense sum's own rounding (below 1e-13 of
+  h sum |f_j| / sqrt(2 pi) in the tests) for any aspect ratio M / N.
+
+``discrete_fourier`` always builds a uniform grid and uses the chirp-z path.
+``transform_at`` uses it when the frequencies are uniform to within
+``_UNIFORM_ULPS`` units in the last place of max |xi| and the dense path would
+form more than ``_CHIRP_CROSSOVER`` products per point of the FFT length;
+otherwise it uses the dense path.  The crossover was measured on a 2-core
+x86 VM (numpy 2.4, one BLAS thread) over 2 to 10^5 nodes and 2 to 32769
+frequencies: the chirp path costs 50-100 us plus 0.1-0.3 us per FFT point,
+the dense path 30-80 ns per product, and the rule never chose a path more
+than 2.3x (2.6 ms) slower than the other.  A fixed product count would not
+do: with 2 frequencies and 10^5 nodes the chirp path is 4x slower.
 """
 
 from __future__ import annotations
@@ -22,6 +47,8 @@ from .grids import GridFunction
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
 _CHUNK = 1 << 21  # frequency-by-node products per evaluation block
+_CHIRP_CROSSOVER = 8  # dense products per FFT point above which chirp-z wins
+_UNIFORM_ULPS = 4  # tolerated deviation of a uniform grid, in ulps of max|xi|
 
 
 @dataclass(frozen=True)
@@ -48,25 +75,93 @@ class FourierTable:
                                   self.frequencies))
 
 
-def transform_at(f: GridFunction, xi) -> np.ndarray:
-    """Exact transform of the interpolant at arbitrary frequencies."""
+def _dense_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
+    """sum_j v_j e^(i xi_k x_j) by explicit phases, in blocks of _CHUNK."""
+    x = g.x
+    out = np.empty(xi.shape, dtype=complex)
+    block = max(1, _CHUNK // x.size)
+    for start in range(0, xi.size, block):
+        s = xi[start:start + block]
+        phases = np.exp(1j * s[:, None] * x[None, :])
+        out[start:start + block] = phases @ g.values
+    return out
+
+
+def _chirp_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
+    """sum_j v_j e^(i xi_k x_j) on the uniform grid from xi[0] to xi[-1], by
+    Bluestein's chirp-z convolution over centred indices k', j'.
+
+    With theta = dxi h, xi_k x_j = xi_k x_c + xi_c h j' + theta k' j' and
+    k' j' = (k'^2 + j'^2 - u^2) / 2, u = k' - j'.  theta is split into a
+    head with few enough bits that head * u^2 / 2 is exact (u^2 is a
+    quarter-integer below (M + N)^2 / 4) and a small tail, so no rounding
+    error grows with the chirp phase itself."""
+    m, n = xi.size, g.values.size
+    theta = (xi[-1] - xi[0]) / (m - 1) * g.step
+    mant, e = math.frexp(theta)
+    bits = 53 - ((m + n) ** 2).bit_length()
+    head = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
+    tail = theta - head
+
+    def chirp(u, extra):
+        """exp(i (theta u^2 / 2 + extra))"""
+        q = 0.5 * u * u
+        return np.exp(1j * (head * q)) * np.exp(1j * (tail * q + extra))
+
+    k = np.arange(m) - 0.5 * (m - 1)
+    j = np.arange(n) - 0.5 * (n - 1)
+    u = np.arange(1 - n, m) - 0.5 * (m - n)  # k' - j' for k - j = 1-n..m-1
+    size = _fft_length(m, n)
+    xi_c = 0.5 * (xi[0] + xi[-1])
+    x_c = g.origin + 0.5 * (n - 1) * g.step
+    kernel = np.zeros(size, dtype=complex)
+    w = np.conj(chirp(u, 0.0))
+    kernel[:m] = w[n - 1:]
+    kernel[size - (n - 1):] = w[:n - 1]
+    a = g.values * chirp(j, xi_c * g.step * j)
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(kernel))[:m]
+    return chirp(k, xi * x_c) * conv
+
+
+def _fft_length(m: int, n: int) -> int:
+    """The smallest power of two >= m + n - 1."""
+    return 1 << (m + n - 2).bit_length()
+
+
+def _is_uniform(xi: np.ndarray) -> bool:
+    """xi_k = xi_0 + k dxi to within _UNIFORM_ULPS ulps of max |xi|."""
+    if xi.ndim != 1 or xi.size < 2:
+        return False
+    model = xi[0] + (xi[-1] - xi[0]) / (xi.size - 1) * np.arange(xi.size)
+    dev = np.max(np.abs(xi - model))
+    return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(xi))))
+
+
+def _auto_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
+    """The chirp-z sum where it pays and applies (module notes), else dense."""
+    m, n = xi.size, g.values.size
+    if m * n > _CHIRP_CROSSOVER * _fft_length(m, n) and _is_uniform(xi):
+        return _chirp_sum(g, xi)
+    return _dense_sum(g, xi)
+
+
+def _transform(f: GridFunction, xi: np.ndarray, phase_sum) -> np.ndarray:
+    """Validation, trimming and the hat factor around a phase-sum path."""
     if not f.finite():
         raise ValueError("samples must be finite")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if f.is_zero:
         return np.zeros(xi.shape, dtype=complex)
     g = f.trimmed(margin=0)
     h = g.step
-    x = g.x
-    v = g.values
-    out = np.empty(xi.shape, dtype=complex)
-    block = max(1, _CHUNK // max(x.size, 1))
-    for start in range(0, xi.size, block):
-        s = xi[start:start + block]
-        phases = np.exp(1j * s[:, None] * x[None, :])
-        out[start:start + block] = phases @ v
     hat = np.sinc(xi * h / (2.0 * math.pi)) ** 2
-    return (h / math.sqrt(2.0 * math.pi)) * hat * out
+    return (h / math.sqrt(2.0 * math.pi)) * hat * phase_sum(g, xi)
+
+
+def transform_at(f: GridFunction, xi) -> np.ndarray:
+    """Exact transform of the interpolant at arbitrary frequencies; uniform
+    grids large enough to pay for it take the chirp-z path (module notes)."""
+    return _transform(f, np.atleast_1d(np.asarray(xi, dtype=float)),
+                      _auto_sum)
 
 
 def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
@@ -77,4 +172,4 @@ def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
     xi = np.linspace(-xi_max, xi_max, n_freq)
-    return FourierTable(xi, transform_at(f, xi))
+    return FourierTable(xi, _transform(f, xi, _chirp_sum))

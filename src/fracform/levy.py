@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .energy import DIVERGENT, EnergyReport
 from .grids import GridFunction, PlateauSpec, make_plateau
@@ -132,6 +131,9 @@ class SymbolCurve:
 def _density_symbol_integral(xi: float, alpha: float) -> float:
     """int_0^inf (1 - cos(xi x)) x^(-1-alpha) dx by series below the switch
     point min(1, 1/|xi|) and weighted adaptive quadrature above it."""
+    # imported here: scipy.integrate dominated the cost of `import fracform`
+    from scipy.integrate import quad
+
     xi = abs(xi)
     if xi == 0.0:
         return 0.0
@@ -156,18 +158,22 @@ def _density_symbol_integral(xi: float, alpha: float) -> float:
         raise ArithmeticError(
             f"symbol quadrature failed on ({x0:.3g}, {t_far:.3g}) at "
             f"frequency {xi:.6g} (error estimate {osc_err:.3g})")
-    # Far tail (T, inf): int x^(-1-alpha) dx minus an oscillatory remainder
-    # bounded by two integrations by parts.
+    # Far tail (T, inf): int x^(-1-alpha) dx minus an oscillatory remainder,
+    # three terms of its expansion by integration by parts; the first term
+    # left out is below (3 + alpha)^3 / (xi T)^3 of the first, and xi T > 1200.
     tail_plain = t_far ** (-alpha) / alpha
-    tail_osc = (math.sin(xi * t_far) * t_far ** (-1.0 - alpha) / xi
-                - (1.0 + alpha) * math.cos(xi * t_far)
-                * t_far ** (-2.0 - alpha) / xi ** 2)
+    s, c, r = math.sin(xi * t_far), math.cos(xi * t_far), 1.0 / (xi * t_far)
+    tail_osc = (t_far ** (-alpha) * r
+                * (s - (1.0 + alpha) * c * r
+                   - (1.0 + alpha) * (2.0 + alpha) * s * r * r))
     return inner + plain - osc + tail_plain + tail_osc
 
 
 def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:
     """psi(xi) = sigma xi^2 / 2 + int (1 - cos(xi x)) nu(dx): exact sums over
-    the mirrored atoms, series-plus-quadrature for the density part."""
+    the mirrored atoms; for the density c |x|^(-1-alpha), substituting
+    u = |xi| x gives 2 c |xi|^alpha I(alpha), with I(alpha) measured once per
+    call by series-plus-quadrature at xi = 1."""
     xi = np.asarray(xi_grid, dtype=float)
     psi = 0.5 * t.sigma * xi ** 2
     for x, m in t.atoms:
@@ -175,8 +181,8 @@ def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:
     if t.density is not None:
         a = t.density.alpha
         c = t.density.coefficient
-        dens = np.array([_density_symbol_integral(s, a) for s in xi])
-        psi = psi + 2.0 * c * dens
+        scale = _density_symbol_integral(1.0, a)
+        psi = psi + 2.0 * c * (scale * np.abs(xi) ** a)
     psi = np.maximum(psi, 0.0)
     return SymbolCurve(xi, psi)
 

@@ -368,6 +368,11 @@ def _e1_operator(n: int, h: float, alpha_star: float):
     return matvec
 
 
+# Largest grid a capacity solve may build: the CG solve holds about ten
+# float64 arrays of n entries and complex spectra of 2n, ~0.5 GiB at 2^22.
+_MAX_CAPACITY_NODES = 1 << 22
+
+
 def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
                       step: float, *, rtol: float = 1e-12,
                       maxiter: int | None = None) -> CapacityEstimate:
@@ -383,6 +388,12 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
         if a < lo - 1e-12 or b > hi + 1e-12:
             raise ValueError(f"target piece ({a}, {b}) escapes the domain "
                              f"({lo}, {hi})")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    nodes = (hi - lo) / step + 1
+    if not nodes <= _MAX_CAPACITY_NODES:
+        raise ValueError(f"a grid of {nodes:.4g} nodes exceeds the capacity "
+                         f"solver's limit of {_MAX_CAPACITY_NODES} nodes")
     n = int(round((hi - lo) / step)) + 1
     if n < 8:
         raise ValueError("domain too small for the requested step")

@@ -1,5 +1,6 @@
 import csv
 import json
+import resource
 import subprocess
 import sys
 
@@ -10,9 +11,16 @@ from fracform.cli import emit_table, parse_function_literal
 from fracform.verify import VerdictRecord
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "fracform.cli"] + args,
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          preexec_fn=preexec_fn)
+
+
+def _cap_address_space():
+    # 1 GiB: a missing size guard fails with MemoryError instead of
+    # allocating tens of GiB
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestFunctionLiterals:
@@ -46,6 +54,13 @@ BAD_INPUTS = {
     "zero-step": ["energy", "--alpha", "0.5", "--function", "bump:0,1",
                   "--step", "0"],
     "atom-without-mass": ["levy", "--atom", "1"],
+    "capacity-zero-step": ["capacity", "--target", "[[0.2, 0.4]]",
+                           "--alpha-star", "0.5", "--domain", "0,4",
+                           "--step", "0"],
+    # (4 - 0) / 1e-9 + 1 nodes: 29.8 GiB for the node array alone
+    "capacity-tiny-step": ["capacity", "--target", "[[0.2, 0.4]]",
+                           "--alpha-star", "0.5", "--domain", "0,4",
+                           "--step", "1e-9"],
 }
 
 
@@ -58,7 +73,8 @@ def test_bad_input_is_one_error_line(case, tmp_path):
                        encoding="utf-8")
     args = [a.format(short_csv=short_csv, no_step=no_step)
             for a in BAD_INPUTS[case]]
-    out = run_cli(args + ["--out-dir", str(tmp_path)])
+    out = run_cli(args + ["--out-dir", str(tmp_path)],
+                  preexec_fn=_cap_address_space)
     assert out.returncode == 1
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr

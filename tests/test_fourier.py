@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracform import fourier
 from fracform.fourier import discrete_fourier, transform_at
 from fracform.grids import GridFunction, StepFunction
 
@@ -62,3 +65,99 @@ def test_exactness_against_quadrature():
         brute = np.trapezoid(vals * np.exp(1j * xi * xs), xs) \
             / math.sqrt(2.0 * math.pi)
         assert transform_at(f, xi)[0] == pytest.approx(brute, abs=5e-9)
+
+
+# -- chirp-z path -------------------------------------------------------------
+
+def _random_grid_function(n, rng, origin=-0.3, span=1.3):
+    return GridFunction(origin, span / max(n - 1, 1), rng.standard_normal(n))
+
+
+def _chirp_vs_dense(f, xi):
+    """Largest |chirp - dense| in units of h sum |v| / sqrt(2 pi), the bound
+    on |fhat| that both paths share."""
+    chirp = fourier._transform(f, xi, fourier._chirp_sum)
+    dense = fourier._transform(f, xi, fourier._dense_sum)
+    scale = f.step * np.sum(np.abs(f.values)) / math.sqrt(2.0 * math.pi)
+    return float(np.max(np.abs(chirp - dense))) / scale
+
+
+GRIDS = {
+    "symmetric": (-200.0, 200.0),
+    "asymmetric": (-30.0, 170.0),
+    "offset": (100.0, 250.0),
+    "decreasing": (80.0, -40.0),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (3, 3), (3, 8), (64, 65),
+                                  (65, 64), (4096, 3), (3, 4096), (2, 4097),
+                                  (1001, 129), (2048, 1025)])
+def test_chirp_matches_dense(grid, m, n):
+    rng = np.random.default_rng([m, n])
+    f = _random_grid_function(n, rng)
+    xi = np.linspace(*GRIDS[grid], m)
+    assert _chirp_vs_dense(f, xi) <= 1e-12
+
+
+@given(m=st.integers(2, 700), n=st.integers(2, 700),
+       lo=st.floats(-300.0, 300.0), width=st.floats(-200.0, 200.0),
+       origin=st.floats(-2.0, 2.0), span=st.floats(0.01, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chirp_matches_dense_on_random_grids(m, n, lo, width, origin, span,
+                                             seed):
+    # |xi x| <= 2000, so each path's own phase rounding (eps |xi x|, the
+    # dense path's included) stays well inside the tolerance
+    f = _random_grid_function(n, np.random.default_rng(seed), origin, span)
+    xi = np.linspace(lo, lo + width, m)
+    assert _chirp_vs_dense(f, xi) <= 1e-12
+
+
+def _forbid(monkeypatch, name):
+    def fail(*args):
+        raise AssertionError(f"{name} should not run")
+    monkeypatch.setattr(fourier, name, fail)
+
+
+def _perturbed(xi):
+    out = xi.copy()
+    out[xi.size // 3] += 2 * fourier._UNIFORM_ULPS \
+        * np.spacing(np.max(np.abs(xi)))
+    return out
+
+
+@pytest.mark.parametrize("case, path", [
+    ("uniform", "_chirp_sum"),
+    ("few-products", "_dense_sum"),
+    ("two-frequencies-many-nodes", "_dense_sum"),
+    ("perturbed", "_dense_sum"),
+    ("geometric", "_dense_sum"),
+])
+def test_path_choice_and_agreement(monkeypatch, case, path):
+    rng = np.random.default_rng(7)
+    f = _random_grid_function(4097 if case.startswith("two") else 257, rng)
+    uniform = np.linspace(-150.0, 210.0, 2 if case.startswith("two") else 999)
+    xi = {"few-products": np.linspace(-5.0, 5.0, 3),
+          "perturbed": _perturbed(uniform),
+          "geometric": np.geomspace(0.5, 200.0, 999)}.get(case, uniform)
+    assert fourier._is_uniform(xi) == (case not in ("perturbed", "geometric"))
+    expected = fourier._transform(f, xi, fourier._dense_sum)
+    _forbid(monkeypatch, "_dense_sum" if path == "_chirp_sum"
+            else "_chirp_sum")
+    got = transform_at(f, xi)
+    scale = f.step * np.sum(np.abs(f.values)) / math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+def test_chirp_unit_tent_closed_form(monkeypatch):
+    # the unit tent 1 - |x| on [-1, 1] is one hat: fhat = sinc^2 / sqrt(2 pi)
+    m = 64
+    tent = GridFunction(-1.0, 1.0 / m, 1.0 - np.abs(np.linspace(-1, 1, 2 * m + 1)))
+    xi = np.linspace(-50.0, 50.0, 1001)
+    exact = np.sinc(xi / (2 * math.pi)) ** 2 / math.sqrt(2 * math.pi)
+    _forbid(monkeypatch, "_dense_sum")
+    assert np.max(np.abs(transform_at(tent, xi) - exact)) <= 1e-12
+    table = discrete_fourier(tent, 50.0, 1001)
+    assert np.max(np.abs(table.amplitudes - exact)) <= 1e-12

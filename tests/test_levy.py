@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from fracform.energy import DIVERGENT, EnergyParams, gagliardo_energy, \
 from fracform.fourier import discrete_fourier
 from fracform.grids import GridFunction, PlateauSpec, make_plateau
 from fracform.levy import (LevyTriplet, PowerLawDensity, SymbolCurve,
-                           finite_variation_test, growth_exponent_fit,
-                           levy_gagliardo_energy, levy_indicator_energy,
-                           levy_symbol, plateau_energy_bound_check)
+                           _density_symbol_integral, finite_variation_test,
+                           growth_exponent_fit, levy_gagliardo_energy,
+                           levy_indicator_energy, levy_symbol,
+                           plateau_energy_bound_check)
 
 from conftest import sample_bump
 
@@ -23,6 +26,14 @@ POWER_HALF = LevyTriplet(density=PowerLawDensity(alpha=0.5))
 def stable_symbol_constant(alpha: float) -> float:
     """int over R of (1 - cos u) / |u|^(1+alpha) du."""
     return math.pi / (gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the quadrature module is imported only when a density symbol is needed
+    code = "import sys, fracform; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSymbol:
@@ -44,6 +55,27 @@ class TestSymbol:
                             xi)
         expected = stable_symbol_constant(alpha) * xi ** alpha
         assert np.allclose(curve.psi_values, expected, rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 1.0, 1.2, 1.5, 1.9,
+                                       1.99])
+    def test_scaled_density_matches_per_frequency_integral(self, alpha):
+        # psi_density(xi) = 2 c |xi|^alpha I(alpha) against the integral
+        # evaluated afresh at every frequency, on unsorted signed input.
+        # Below |xi| ~ 1e-2 the per-frequency route cancels (its plain and
+        # oscillatory parts are O(1) while the result is O(|xi|^alpha)) and
+        # drifts to 1e-11, so the comparison starts there.
+        rng = np.random.default_rng(3)
+        mag = np.concatenate([np.geomspace(1e-2, 1e3, 61),
+                              rng.uniform(0.5, 400.0, 40)])
+        xi = rng.permutation(mag * rng.choice([-1.0, 1.0], mag.size))
+        coef = 1.7
+        curve = levy_symbol(LevyTriplet(density=PowerLawDensity(alpha, coef)),
+                            xi)
+        per_freq = np.array([2.0 * coef * _density_symbol_integral(s, alpha)
+                             for s in xi])
+        assert np.allclose(curve.psi_values, per_freq, rtol=1e-11, atol=0.0)
+        exact = coef * stable_symbol_constant(alpha) * np.abs(xi) ** alpha
+        assert np.allclose(curve.psi_values, exact, rtol=1e-12, atol=0.0)
 
     def test_symbol_invariants(self):
         xi = np.linspace(-30.0, 30.0, 121)
