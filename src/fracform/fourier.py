@@ -23,16 +23,10 @@ has two evaluations:
   two paths agree to the dense sum's own rounding (below 1e-13 of
   h sum |f_j| / sqrt(2 pi) in the tests) for any aspect ratio M / N.
 
-``discrete_fourier`` always builds a uniform grid and uses the chirp-z path.
-``transform_at`` uses it when the frequencies are uniform to within
-``_UNIFORM_ULPS`` units in the last place of max |xi| and the dense path would
-form more than ``_CHIRP_CROSSOVER`` products per point of the FFT length;
-otherwise it uses the dense path.  The crossover was measured on a 2-core
-x86 VM (numpy 2.4, one BLAS thread) over 2 to 10^5 nodes and 2 to 32769
-frequencies: the chirp path costs 50-100 us plus 0.1-0.3 us per FFT point,
-the dense path 30-80 ns per product, and the rule never chose a path more
-than 2.3x (2.6 ms) slower than the other.  A fixed product count would not
-do: with 2 frequencies and 10^5 nodes the chirp path is 4x slower.
+``transform_at`` uses the chirp-z path whenever the frequencies are uniform
+to within ``_UNIFORM_ULPS`` units in the last place of max |xi|, and the
+dense path otherwise; ``discrete_fourier`` builds a uniform grid, so it
+always takes the chirp-z path.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from .grids import GridFunction
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
 _CHUNK = 1 << 21  # frequency-by-node products per evaluation block
-_CHIRP_CROSSOVER = 8  # dense products per FFT point above which chirp-z wins
 _UNIFORM_ULPS = 4  # tolerated deviation of a uniform grid, in ulps of max|xi|
 
 
@@ -137,31 +130,19 @@ def _is_uniform(xi: np.ndarray) -> bool:
     return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(xi))))
 
 
-def _auto_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
-    """The chirp-z sum where it pays and applies (module notes), else dense."""
-    m, n = xi.size, g.values.size
-    if m * n > _CHIRP_CROSSOVER * _fft_length(m, n) and _is_uniform(xi):
-        return _chirp_sum(g, xi)
-    return _dense_sum(g, xi)
-
-
-def _transform(f: GridFunction, xi: np.ndarray, phase_sum) -> np.ndarray:
-    """Validation, trimming and the hat factor around a phase-sum path."""
+def transform_at(f: GridFunction, xi) -> np.ndarray:
+    """Exact transform of the interpolant at arbitrary frequencies; uniform
+    grids take the chirp-z path (module notes)."""
     if not f.finite():
         raise ValueError("samples must be finite")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if f.is_zero:
         return np.zeros(xi.shape, dtype=complex)
     g = f.trimmed(margin=0)
     h = g.step
     hat = np.sinc(xi * h / (2.0 * math.pi)) ** 2
+    phase_sum = _chirp_sum if _is_uniform(xi) else _dense_sum
     return (h / math.sqrt(2.0 * math.pi)) * hat * phase_sum(g, xi)
-
-
-def transform_at(f: GridFunction, xi) -> np.ndarray:
-    """Exact transform of the interpolant at arbitrary frequencies; uniform
-    grids large enough to pay for it take the chirp-z path (module notes)."""
-    return _transform(f, np.atleast_1d(np.asarray(xi, dtype=float)),
-                      _auto_sum)
 
 
 def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
@@ -172,4 +153,4 @@ def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
     xi = np.linspace(-xi_max, xi_max, n_freq)
-    return FourierTable(xi, _transform(f, xi, _chirp_sum))
+    return FourierTable(xi, transform_at(f, xi))

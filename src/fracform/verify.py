@@ -21,8 +21,9 @@ from .grids import GridFunction, IntervalSet, PlateauSpec, StepFunction, \
     make_plateau
 from .ladder import (bv_fourier_bound_check, is_erased_function,
                      ladder_decompose, step_rate_experiment)
-from .levy import (LevyTriplet, PowerLawDensity, growth_exponent_fit,
-                   levy_gagliardo_energy, levy_indicator_energy, levy_symbol,
+from .levy import (LevyTriplet, PowerLawDensity, _density_symbol_integral,
+                   growth_exponent_fit, levy_gagliardo_energy,
+                   levy_indicator_energy, levy_symbol,
                    plateau_energy_bound_check)
 from .scalecap import (FatCantorSpec, build_fat_cantor, capacity_estimate,
                        compose_scale, concentration_test,
@@ -284,7 +285,8 @@ def check_duality_pairing(rng) -> tuple:
 
 
 def check_levy_identities(rng) -> tuple:
-    """Two-atom indicator energy, plateau bound sweep, symbol slopes."""
+    """Two-atom indicator energy, plateau bound sweep, symbol slopes, and
+    the density symbol against its per-frequency integral."""
     atoms = LevyTriplet(atoms=((1.0, 1.0),))
     ind = levy_indicator_energy(0.0, 2.0, atoms)
     ind_ok = ind == 4.0
@@ -296,16 +298,24 @@ def check_levy_identities(rng) -> tuple:
         bounds.append(bound)
     bound_ok = all(b == bounds[0] for b in bounds)
 
-    slope_err = 0.0
+    slope_err = symbol_err = 0.0
+    # frequencies away from xi = 1, where levy_symbol measures I(alpha)
+    probe = np.array([-150.0, 0.3, 7.5])
     for alpha in (0.5, 1.5):
         t = LevyTriplet(density=PowerLawDensity(alpha=alpha))
         curve = levy_symbol(t, np.geomspace(1.0, 200.0, 60))
         fit = growth_exponent_fit(curve, 1.0)
         slope_err = max(slope_err, abs(fit.alpha_hat - alpha) / alpha)
-    ok = ind_ok and bound_ok and slope_err < 0.02
+        direct = np.array([2.0 * _density_symbol_integral(s, alpha)
+                           for s in probe])
+        psi = levy_symbol(t, probe).psi_values
+        symbol_err = max(symbol_err, float(np.max(np.abs(psi - direct)
+                                                  / direct)))
+    ok = ind_ok and bound_ok and slope_err < 0.02 and symbol_err < 1e-10
     status = PASS if ok else FAIL
-    return status, (ind, bounds[0], slope_err), 0.02, \
-        "indicator value, uniform bound, worst symbol-slope error"
+    return status, (ind, bounds[0], slope_err, symbol_err), 0.02, \
+        "indicator value, uniform bound, worst symbol-slope error, worst " \
+        "symbol error against per-frequency quadrature (bound 1e-10)"
 
 
 def check_plateau_dichotomy(rng) -> tuple:

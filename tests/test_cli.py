@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -11,9 +12,9 @@ from fracform.cli import emit_table, parse_function_literal
 from fracform.verify import VerdictRecord
 
 
-def run_cli(args, cwd=None, preexec_fn=None):
+def run_cli(args, cwd=None, env=None, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "fracform.cli"] + args,
-                          capture_output=True, text=True, cwd=cwd,
+                          capture_output=True, text=True, cwd=cwd, env=env,
                           preexec_fn=preexec_fn)
 
 
@@ -21,6 +22,11 @@ def _cap_address_space():
     # 1 GiB: a missing size guard fails with MemoryError instead of
     # allocating tens of GiB
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# one BLAS/OpenMP thread, so the capped address space does not depend on
+# the number of cores (each thread may reserve its own malloc arena)
+SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 class TestFunctionLiterals:
@@ -73,8 +79,12 @@ def test_bad_input_is_one_error_line(case, tmp_path):
                        encoding="utf-8")
     args = [a.format(short_csv=short_csv, no_step=no_step)
             for a in BAD_INPUTS[case]]
-    out = run_cli(args + ["--out-dir", str(tmp_path)],
-                  preexec_fn=_cap_address_space)
+    if case == "capacity-tiny-step":
+        out = run_cli(args + ["--out-dir", str(tmp_path)],
+                      env={**os.environ, **SINGLE_THREAD},
+                      preexec_fn=_cap_address_space)
+    else:
+        out = run_cli(args + ["--out-dir", str(tmp_path)])
     assert out.returncode == 1
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr

@@ -278,6 +278,12 @@ class TestCapacity:
             capacity_estimate(IntervalSet.of((0.0, 1.0)), 1.5, (-2.0, 2.0),
                               0.01)
 
+    def test_oversized_grid_rejected(self):
+        # 2^22 + 1 nodes, one past the limit: rejected before the grid exists
+        with pytest.raises(ValueError, match="limit"):
+            capacity_estimate(IntervalSet.of((0.2, 0.4)), 0.5, (0.0, 4.0),
+                              4.0 / 2 ** 22)
+
     def test_target_outside_domain_rejected(self):
         with pytest.raises(ValueError, match="escapes"):
             capacity_estimate(IntervalSet.of((3.0, 4.0)), 0.5, (-2.0, 2.0),
