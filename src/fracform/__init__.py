@@ -57,7 +57,6 @@ from .scalecap import (
     FatCantorSpec,
     ScaleFunction,
     SignedMeasure,
-    brownian_scale_admissible,
     build_fat_cantor,
     capacity_estimate,
     compose_scale,

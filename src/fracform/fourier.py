@@ -125,7 +125,7 @@ def _is_uniform(xi: np.ndarray) -> bool:
     """xi_k = xi_0 + k dxi to within _UNIFORM_ULPS ulps of max |xi|."""
     if xi.ndim != 1 or xi.size < 2:
         return False
-    model = xi[0] + (xi[-1] - xi[0]) / (xi.size - 1) * np.arange(xi.size)
+    model = np.linspace(xi[0], xi[-1], xi.size)
     dev = np.max(np.abs(xi - model))
     return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(xi))))
 

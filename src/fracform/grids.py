@@ -165,11 +165,11 @@ class GridFunction:
         return GridFunction(self.origin - k * self.step, self.step, vals)
 
     def trimmed(self, margin: int = 2) -> "GridFunction":
-        """Restrict to the support plus ``margin`` zero nodes per side."""
+        """Restrict to the support plus ``margin`` zeros per side (>= 2 nodes)."""
         if self.is_zero:
             return GridFunction(self.origin, self.step, np.zeros(2))
-        lo = max(self.support_lo - margin, 0)
-        hi = min(self.support_hi + margin, self.values.size - 1)
+        lo = min(max(self.support_lo - margin, 0), self.values.size - 2)
+        hi = max(min(self.support_hi + margin, self.values.size - 1), lo + 1)
         return GridFunction(self.origin + lo * self.step, self.step,
                             self.values[lo:hi + 1])
 
@@ -414,9 +414,6 @@ class IntervalSet:
         for lo, hi in self.intervals:
             total += max(0.0, min(hi, b) - max(lo, a))
         return total
-
-    def contains_point(self, x: float) -> bool:
-        return any(lo < x < hi for lo, hi in self.intervals)
 
     def indicator(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -260,10 +260,15 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
         w = fv[lo:hi + 1] - base
         w = np.maximum(w, 0.0)
         star_vals, t_local = _star_values(w)
-        star_full = np.zeros_like(fv)
-        star_full[lo:hi + 1] = star_vals
-        node = LadderNode(address, lo, hi, base,
-                          f.with_values(star_full).trimmed(margin=1),
+        # the full-length star trimmed(margin=1), origin by absolute index
+        nz = np.flatnonzero(star_vals)
+        if nz.size:
+            a, b = int(nz[0]), int(nz[-1])
+            star = GridFunction(f.origin + (lo + a - 1) * f.step, f.step,
+                                np.pad(star_vals[a:b + 1], 1))
+        else:
+            star = GridFunction(f.origin, f.step, np.zeros(2))
+        node = LadderNode(address, lo, hi, base, star,
                           float(f.origin + (lo + t_local) * f.step),
                           -negh)
         if root is None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import DIVERGENT, EnergyReport
 from .grids import GridFunction, PlateauSpec, make_plateau
-from .quadcells import rho_profile
+from .quadcells import gagliardo_of_values, rho_profile
 
 __all__ = [
     "PowerLawDensity",
@@ -213,8 +213,8 @@ def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
     """The jump-form energy of a grid function (no 1/2 prefactor).
 
     Atoms contribute 2 m rho(x) through the exact increment correlation of
-    the interpolant; the power-law density reuses the exact fractional cell
-    quadrature.  Consistent with 2 int |fhat|^2 psi dxi."""
+    the interpolant; a density c x^(-1-alpha) adds c times the exact
+    fractional seminorm.  Consistent with 2 int |fhat|^2 psi dxi."""
     if t.sigma > 0:
         raise ValueError("the jump form needs sigma = 0")
     if not f.finite():
@@ -226,13 +226,14 @@ def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
         return EnergyReport(value=0.0, l2_norm_sq=0.0,
                             refinement_trace=((f.n_nodes, 0.0),))
     g = f.trimmed(margin=1)
-    prof = rho_profile(g.values, g.step)
     value = 0.0
-    for x, m in t.atoms:
-        value += 2.0 * m * float(prof.value_at(x)[0])
+    if t.atoms:
+        prof = rho_profile(g.values, g.step)
+        for x, m in t.atoms:
+            value += 2.0 * m * float(prof.value_at(x)[0])
     if t.density is not None:
-        value += 2.0 * t.density.coefficient \
-            * prof.kernel_integral(t.density.alpha)
+        value += t.density.coefficient \
+            * gagliardo_of_values(g.values, g.step, t.density.alpha)
     return EnergyReport(value=value, l2_norm_sq=l2,
                         refinement_trace=((f.n_nodes, value),))
 

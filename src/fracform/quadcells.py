@@ -163,11 +163,6 @@ class RhoProfile:
                        + d * t ** 3 / (6.0 * self.h))
         return out
 
-    def kernel_integral(self, alpha: float) -> float:
-        """int_0^inf tau^(-1-alpha) rho(tau) dtau, the lag weights dotted
-        with the ``r2`` nodes (increment autocorrelation h r2 / 2)."""
-        return 0.5 * _increment_form(0.5 * self.h * self.r2, self.h, alpha)
-
 
 def rho_profile(values: np.ndarray, h: float) -> RhoProfile:
     v = np.asarray(values, dtype=float)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracform import fourier
@@ -105,6 +105,8 @@ def test_chirp_matches_dense(grid, m, n):
        origin=st.floats(-2.0, 2.0), span=st.floats(0.01, 2.0),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
+@example(m=21, n=2, lo=0.0, width=2.225073858507203e-309, origin=0.0,
+         span=1.0, seed=0)  # a subnormal span is still a uniform grid
 def test_chirp_matches_dense_on_random_grids(m, n, lo, width, origin, span,
                                              seed):
     # |xi x| <= 2000, so each path's own phase rounding (eps |xi x|, the
@@ -158,3 +160,14 @@ def test_chirp_unit_tent_closed_form(monkeypatch):
     assert np.max(np.abs(transform_at(tent, xi) - exact)) <= 1e-12
     table = discrete_fourier(tent, 50.0, 1001)
     assert np.max(np.abs(table.amplitudes - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", ["uniform", "scattered"])
+def test_single_hat_closed_form(grid):
+    # one nonzero sample is one hat of half-width 1 centred at x = 1
+    f = GridFunction(0.0, 1.0, [0.0, 1.0, 0.0])
+    xi = (np.linspace(-30.0, 30.0, 401) if grid == "uniform"
+          else np.random.default_rng(3).uniform(-30.0, 30.0, 401))
+    exact = (np.sinc(xi / (2 * math.pi)) ** 2 * np.exp(1j * xi)
+             / math.sqrt(2 * math.pi))
+    assert np.max(np.abs(transform_at(f, xi) - exact)) <= 1e-15

@@ -5,7 +5,9 @@ import pytest
 
 from fracform.energy import EnergyParams, gagliardo_energy
 from fracform.grids import GridFunction, IntervalSet
-from fracform.scalecap import (FatCantorSpec, brownian_scale_admissible,
+from fracform import scalecap
+from fracform.quadcells import hat_energy_row
+from fracform.scalecap import (CapacitySolverError, FatCantorSpec,
                                build_fat_cantor, capacity_estimate,
                                compose_scale, concentration_test,
                                duality_pairing_check, dyadic_centers,
@@ -87,14 +89,6 @@ class TestScaleFunction:
             inc = float(s(y)[0] - s(x)[0])
             signed = g.measure_between(x, y) * (1.0 if y >= x else -1.0)
             assert inc == pytest.approx(signed, abs=1e-12)
-
-    def test_admissibility_report(self):
-        s_id = scale_from_open_set(IntervalSet.real_line())
-        assert brownian_scale_admissible(s_id) == (True, 0.0)
-        g = IntervalSet.of((-math.inf, -0.25), (0.25, math.inf))
-        s = scale_from_open_set(g, density_window=(-1.0, 1.0))
-        adm, flat = brownian_scale_admissible(s, (-1.0, 1.0))
-        assert adm and flat == pytest.approx(0.5)
 
 
 class TestCompose:
@@ -289,12 +283,46 @@ class TestCapacity:
             capacity_estimate(IntervalSet.of((3.0, 4.0)), 0.5, (-2.0, 2.0),
                               0.01)
 
-    def test_solver_nonconvergence_reported_with_trace(self):
-        from fracform.scalecap import CapacitySolverError
-        with pytest.raises(CapacitySolverError) as err:
-            capacity_estimate(IntervalSet.of((-0.1, 0.1)), 0.5, (-2.0, 2.0),
-                              1.0 / 256.0, maxiter=1)
-        assert len(err.value.residual_trace) >= 1
+    def test_solver_nonconvergence_reported_with_trace(self, monkeypatch):
+        args = (IntervalSet.of((-0.1, 0.1)), 0.5, (-2.0, 2.0), 1.0 / 256.0)
+        history = capacity_estimate(*args).residual_history
+        real_cg = scalecap._cg
+        for k in (0, 1, 5, len(history) - 2):
+            # cap the solve at k iterations, short of convergence
+            monkeypatch.setattr(scalecap, "_cg",
+                                lambda mv, b, maxiter: real_cg(mv, b, k))
+            with pytest.raises(CapacitySolverError) as err:
+                capacity_estimate(*args)
+            assert err.value.residual_trace == history[:k + 1]
+
+    def test_residual_history_reaches_tolerance(self):
+        est = capacity_estimate(IntervalSet.of((-0.3, 0.1), (0.5, 0.6)), 0.9,
+                                (-2.0, 2.0), 1.0 / 128.0)
+        hist = est.residual_history
+        assert len(hist) > 2 and hist[-1] < 1e-12 * hist[0]
+        assert est.to_json_dict()["residual_history"] == list(hist)
+
+    @pytest.mark.parametrize("alpha_star", [0.3, 1.0])
+    def test_equilibrium_matches_dense_solve(self, alpha_star):
+        # 257 nodes, pinned on [-0.25, 0.25]: solve the Toeplitz stiffness
+        # plus hat mass system for the free nodes directly
+        lo, hi, n = -2.0, 2.0, 257
+        est = capacity_estimate(IntervalSet.of((-0.25, 0.25)), alpha_star,
+                                (lo, hi), (hi - lo) / (n - 1))
+        h = est.resolution
+        x = lo + h * np.arange(n)
+        row = hat_energy_row(n, h, alpha_star)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        a = row[lag] + np.where(lag == 0, 2.0 * h / 3.0,
+                                np.where(lag == 1, h / 6.0, 0.0))
+        pinned = np.abs(x) <= 0.25 + 1e-9 * h
+        free = ~pinned
+        u = pinned.astype(float)
+        u[free] = np.linalg.solve(a[np.ix_(free, free)],
+                                  -a[np.ix_(free, pinned)].sum(axis=1))
+        got = est.equilibrium.values[1:-1]
+        assert np.max(np.abs(got - u)) <= 1e-10
+        assert est.clamp_violation == 0.0
 
 
 class TestConcentration:
