@@ -57,6 +57,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _finite_numbers(tokens) -> list:
+    """The tokens as floats; nan and infinities are refused."""
+    values = [float(t) for t in tokens]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"numbers must be finite, got {','.join(tokens)}")
+    return values
+
+
 def parse_function_literal(text: str, step: float):
     """Grammar: indicator:a,b | plateau:a,b,rho[,profile] | bump:center,width
     | csv:path | json:path."""
@@ -64,15 +72,17 @@ def parse_function_literal(text: str, step: float):
         raise ValueError(f"grid step must be positive and finite, got {step}")
     kind, _, rest = text.partition(":")
     if kind == "indicator":
-        a, b = (float(t) for t in rest.split(","))
+        a, b = _finite_numbers(rest.split(","))
         return StepFunction(np.array([a, b]), np.array([1.0]))
     if kind == "plateau":
         parts = rest.split(",")
-        a, b, rho = (float(t) for t in parts[:3])
+        a, b, rho = _finite_numbers(parts[:3])
         profile = parts[3] if len(parts) > 3 else "linear"
         return make_plateau(PlateauSpec(a, b, rho, profile), step)
     if kind == "bump":
-        c, w = (float(t) for t in rest.split(","))
+        c, w = _finite_numbers(rest.split(","))
+        if not w > 0:
+            raise ValueError(f"bump width must be positive, got {w}")
         return GridFunction.from_callable(
             lambda u: np.where(np.abs(u - c) < w,
                                np.cos(np.pi * (u - c) / (2.0 * w)) ** 2, 0.0),

@@ -28,6 +28,23 @@ __all__ = [
 
 _INF = float("inf")
 
+# Largest grid built from a formula (``GridFunction.from_callable``,
+# ``make_plateau``, the capacity solve), checked before anything is
+# allocated: the capacity solve holds about ten float64 arrays of n entries
+# and complex spectra of 2n, ~0.5 GiB at 2^22.
+MAX_GRID_NODES = 1 << 22
+
+
+def check_grid_nodes(lo: float, hi: float, step: float) -> None:
+    """Refuse a step that is not positive and finite, or a grid on [lo, hi]
+    of more than MAX_GRID_NODES nodes."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"grid step must be positive and finite, got {step}")
+    nodes = (float(hi) - float(lo)) / step + 1
+    if not nodes <= MAX_GRID_NODES:
+        raise ValueError(f"a grid of {nodes:.4g} nodes exceeds the limit of "
+                         f"{MAX_GRID_NODES} nodes")
+
 
 def l2_norm_sq_of_samples(v: np.ndarray, step: float) -> float:
     """Squared L2 norm of the piecewise-linear interpolant of samples v."""
@@ -80,6 +97,7 @@ class GridFunction:
                       lo: float, hi: float, step: float,
                       pad: int = 2) -> "GridFunction":
         """Sample ``fn`` on [lo, hi] extended by ``pad`` zero nodes per side."""
+        check_grid_nodes(lo, hi, step)
         n = int(round((hi - lo) / step)) + 1
         x = lo + step * np.arange(n)
         vals = np.asarray(fn(x), dtype=float)
@@ -87,11 +105,6 @@ class GridFunction:
             vals = np.concatenate([np.zeros(pad), vals, np.zeros(pad)])
             lo = lo - pad * step
         return cls(lo, step, vals)
-
-    @classmethod
-    def zeros(cls, lo: float, hi: float, step: float) -> "GridFunction":
-        n = int(round((hi - lo) / step)) + 1
-        return cls(lo, step, np.zeros(max(n, 2)))
 
     # -- basic queries -----------------------------------------------------
 
@@ -276,8 +289,10 @@ class StepFunction:
         lv = _frozen_array(self.levels)
         if bp.size != lv.size + 1 and not (bp.size == 0 and lv.size == 0):
             raise ValueError("need K+1 breakpoints for K levels")
-        if bp.size and np.any(np.diff(bp) <= 0):
+        if bp.size and np.any(bp[1:] <= bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
+        if bp.size and not math.isfinite(float(bp[-1]) - float(bp[0])):
+            raise ValueError("breakpoints must span a finite length")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
@@ -514,6 +529,7 @@ def make_plateau(spec: PlateauSpec, step: float) -> GridFunction:
                          f"got step={step}")
     if spec.b - spec.a < 2.0 * step:
         raise ValueError("plateau top needs at least two grid nodes")
+    check_grid_nodes(spec.a - spec.rho, spec.b + spec.rho, step)
     profile = _RAMP_PROFILES[spec.ramp_profile]
     pad = 4
     left_foot = spec.a - spec.rho

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, IntervalSet
+from .grids import GridFunction, IntervalSet, check_grid_nodes
 from .quadcells import gagliardo_of_values, hat_energy_row
 
 __all__ = [
@@ -355,10 +355,6 @@ def _e1_operator(n: int, h: float, alpha_star: float):
     return matvec
 
 
-# Largest grid a capacity solve may build: the CG solve holds about ten
-# float64 arrays of n entries and complex spectra of 2n, ~0.5 GiB at 2^22.
-_MAX_CAPACITY_NODES = 1 << 22
-
 _CG_RTOL = 1e-12               # CG stops once ||r|| < _CG_RTOL ||b||
 _CG_ITERATIONS_PER_NODE = 20   # a solve needing more counts as failed
 
@@ -398,12 +394,7 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
         if a < lo - 1e-12 or b > hi + 1e-12:
             raise ValueError(f"target piece ({a}, {b}) escapes the domain "
                              f"({lo}, {hi})")
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    nodes = (hi - lo) / step + 1
-    if not nodes <= _MAX_CAPACITY_NODES:
-        raise ValueError(f"a grid of {nodes:.4g} nodes exceeds the capacity "
-                         f"solver's limit of {_MAX_CAPACITY_NODES} nodes")
+    check_grid_nodes(lo, hi, step)
     n = int(round((hi - lo) / step)) + 1
     if n < 8:
         raise ValueError("domain too small for the requested step")

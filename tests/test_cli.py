@@ -4,11 +4,15 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracform.cli import emit_table, parse_function_literal
+from fracform.grids import GridFunction, StepFunction
 from fracform.verify import VerdictRecord
 
 
@@ -54,6 +58,29 @@ class TestFunctionLiterals:
             parse_function_literal("mystery:1", 0.01)
 
 
+# tokens of the literal grammar: finite numbers small enough that an accepted
+# grid stays far below the node limit at step 1/64, then huge, subnormal,
+# non-finite and empty ones
+TOKENS = st.one_of(
+    st.floats(-100.0, 100.0).map(repr),
+    st.sampled_from(["1e12", "-1e12", "1e300", "-1e300", "1.7e308",
+                     "-1.7e308", "5e-324", "nan", "-nan", "inf", "-inf", ""]))
+
+
+@given(kind=st.sampled_from(["indicator", "plateau", "bump"]),
+       tokens=st.lists(TOKENS, min_size=0, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_literal_fuzz_returns_function_or_value_error(kind, tokens):
+    text = f"{kind}:{','.join(tokens)}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            f = parse_function_literal(text, 1.0 / 64.0)
+        except ValueError:
+            return
+    assert isinstance(f, (GridFunction, StepFunction)), text
+
+
 BAD_INPUTS = {
     "csv-short-row": ["energy", "--alpha", "0.5", "--function", "csv:{short_csv}"],
     "json-no-step": ["energy", "--alpha", "0.5", "--function", "json:{no_step}"],
@@ -67,7 +94,25 @@ BAD_INPUTS = {
     "capacity-tiny-step": ["capacity", "--target", "[[0.2, 0.4]]",
                            "--alpha-star", "0.5", "--domain", "0,4",
                            "--step", "1e-9"],
+    "bump-negative-width": ["energy", "--alpha", "0.5", "--function",
+                            "bump:0,-1"],
+    "bump-zero-width": ["energy", "--alpha", "0.5", "--function", "bump:0,0"],
+    # c + w overflows to inf
+    "bump-overflow": ["energy", "--alpha", "0.5", "--function",
+                      "bump:1e308,1e308"],
+    # ~1e12 * 256 nodes at the default step: PiB-sized grids
+    "bump-huge-width": ["energy", "--alpha", "0.5", "--function",
+                        "bump:0,1e12"],
+    "plateau-huge-top": ["energy", "--alpha", "0.5", "--function",
+                         "plateau:0,1e12,0.5"],
+    # b - a overflows to inf
+    "indicator-overflow-span": ["energy", "--alpha", "0.5", "--function",
+                                "indicator:-1e308,1e308"],
 }
+
+# cases that would allocate far more than the address-space cap
+HUGE_GRIDS = {"capacity-tiny-step", "bump-overflow", "bump-huge-width",
+              "plateau-huge-top"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -79,7 +124,7 @@ def test_bad_input_is_one_error_line(case, tmp_path):
                        encoding="utf-8")
     args = [a.format(short_csv=short_csv, no_step=no_step)
             for a in BAD_INPUTS[case]]
-    if case == "capacity-tiny-step":
+    if case in HUGE_GRIDS:
         out = run_cli(args + ["--out-dir", str(tmp_path)],
                       env={**os.environ, **SINGLE_THREAD},
                       preexec_fn=_cap_address_space)

@@ -67,18 +67,82 @@ def test_exactness_against_quadrature():
         assert transform_at(f, xi)[0] == pytest.approx(brute, abs=5e-9)
 
 
-# -- chirp-z path -------------------------------------------------------------
+# -- phase sums against the explicit M x N oracle ---------------------------
 
 def _random_grid_function(n, rng, origin=-0.3, span=1.3):
     return GridFunction(origin, span / max(n - 1, 1), rng.standard_normal(n))
 
 
+def _explicit_sum(g, xi):
+    """sum_j v_j e^(i xi_k x_j) from the full matrix of explicit phases."""
+    return np.exp(1j * xi[:, None] * g.x[None, :]) @ g.values
+
+
+def _relative_gap(a, b, f):
+    """Largest |a - b| phase-sum difference over sum |v|: a bound on the
+    transforms' difference in units of h sum |v| / sqrt(2 pi), the bound on
+    |fhat| that every path shares (the hat factor is at most 1)."""
+    return float(np.max(np.abs(a - b))) / float(np.sum(np.abs(f.values)))
+
+
+def _scattered(rng, m, f, bound=2000.0):
+    """m unsorted frequencies of both signs, |xi x| <= bound on f's grid."""
+    reach = max(abs(f.origin), abs(f.origin + f.step * (f.n_nodes - 1)))
+    return rng.uniform(-1.0, 1.0, m) * (bound / reach)
+
+
+@pytest.mark.parametrize("origin", [-0.3, 700.0])
+@pytest.mark.parametrize("m", [1, 2, 2048])
+@pytest.mark.parametrize("n", [2, 3, 17, 1024, 1025, 4097])
+def test_dense_matches_explicit(n, m, origin):
+    # prime, square and non-square node counts; the origin far from 0 makes
+    # the inner phase xi (x_0 + b h) carry almost all of |xi x|
+    rng = np.random.default_rng([n, m, int(origin)])
+    f = _random_grid_function(n, rng, origin)
+    xi = _scattered(rng, m, f)
+    got = fourier._dense_sum(f, xi)
+    assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
+
+
+@given(m=st.integers(1, 700), n=st.integers(2, 3000),
+       origin=st.floats(-500.0, 500.0), span=st.floats(0.01, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dense_matches_explicit_on_random_grids(m, n, origin, span, seed):
+    rng = np.random.default_rng(seed)
+    f = _random_grid_function(n, rng, origin, span)
+    xi = _scattered(rng, m, f)
+    got = fourier._dense_sum(f, xi)
+    assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
+
+
+def test_dense_blocks_cross_boundaries(monkeypatch):
+    # 1025 nodes give A + B = 33 + 32 exponentials per frequency, so 200 per
+    # block holds 3 frequencies: 34 blocks, the last one short
+    rng = np.random.default_rng(11)
+    f = _random_grid_function(1025, rng)
+    xi = _scattered(rng, 100, f)
+    expected = _explicit_sum(f, xi)
+    monkeypatch.setattr(fourier, "_CHUNK", 200)
+    assert _relative_gap(fourier._dense_sum(f, xi), expected, f) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [257, 513, 1025])
+def test_dense_on_benchmark_shapes(n):
+    # the spectral benchmark's scattered calls: a multibump-sized grid on
+    # [0, 1] at 2048 geometric frequencies up to 200
+    f = GridFunction(0.0, 1.0 / (n - 1),
+                     np.random.default_rng(n).standard_normal(n))
+    xi = np.geomspace(0.5, 200.0, 2048)
+    got = fourier._dense_sum(f, xi)
+    assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-14
+
+
+# -- chirp-z path -------------------------------------------------------------
+
 def _chirp_vs_dense(f, xi):
-    """Largest |chirp - dense| phase-sum difference over sum |v|: a bound on
-    the transforms' difference in units of h sum |v| / sqrt(2 pi), the
-    bound on |fhat| that both paths share (the hat factor is at most 1)."""
-    diff = fourier._chirp_sum(f, xi) - fourier._dense_sum(f, xi)
-    return float(np.max(np.abs(diff))) / float(np.sum(np.abs(f.values)))
+    return _relative_gap(fourier._chirp_sum(f, xi), fourier._dense_sum(f, xi),
+                         f)
 
 
 GRIDS = {
@@ -98,6 +162,8 @@ def test_chirp_matches_dense(grid, m, n):
     f = _random_grid_function(n, rng)
     xi = np.linspace(*GRIDS[grid], m)
     assert _chirp_vs_dense(f, xi) <= 1e-12
+    assert _relative_gap(fourier._chirp_sum(f, xi), _explicit_sum(f, xi),
+                         f) <= 1e-12
 
 
 @given(m=st.integers(2, 700), n=st.integers(2, 700),

@@ -191,6 +191,25 @@ class TestLadderDecompose:
                 assert np.all(ps.values >= prev.values)
             prev = ps
 
+    @pytest.mark.parametrize("max_nodes", [4096, 7])
+    def test_partial_sums_walk_matches_partial_sum(self, max_nodes):
+        # a rough tapered walk has one excursion per local maximum; the
+        # 7-node budget leaves pending stubs under the processed nodes
+        n = 1024
+        walk = np.cumsum(np.random.default_rng(5).standard_normal(n))
+        v = (walk - walk.min() + 1.0) * np.sin(np.pi * np.arange(n) / (n - 1))
+        v[0] = v[-1] = 0.0
+        tree = ladder_decompose(GridFunction(0.0, 1.0 / (n - 1), v),
+                                max_nodes=max_nodes, sup_tol=0.0)
+        assert tree.converged == (max_nodes > 7)
+        stubs = [c for node in tree.order for c in node.children if c.pending]
+        assert bool(stubs) == (max_nodes == 7)
+        walked = [ps.values for ps in tree.partial_sums()]
+        direct = [tree.partial_sum(k).values
+                  for k in range(1, tree.n_nodes + 1)]
+        assert len(walked) == len(direct) == tree.n_nodes
+        assert all(np.array_equal(a, b) for a, b in zip(walked, direct))
+
     def test_gap_trace_decreasing(self):
         params = ((0.5, 0.45, 1.0), (1.5, 0.5, 0.8), (2.5, 0.4, 1.2))
         f = sample_multibump(params, 1.0 / 128.0, -0.5, 3.5)
