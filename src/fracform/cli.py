@@ -205,7 +205,13 @@ def _cmd_capacity(cfg: RunConfig) -> int:
         json.loads(Path(p["target"]).read_text(encoding="utf-8"))
         if p["target"].endswith(".json")
         else json.loads(p["target"]))
-    lo, hi = (float(t) for t in p["domain"].split(","))
+    try:
+        lo, hi = _finite_numbers(p["domain"].split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not lo < hi:
+        raise ValueError(f"--domain needs two finite numbers lo < hi, got "
+                         f"{p['domain']!r}")
     est = capacity_estimate(target, p["alpha_star"], (lo, hi), p["step"])
     print(f"capacity = {_fmt(est.value)}")
     print(f"residual = {_fmt(est.residual)}")

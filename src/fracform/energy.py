@@ -119,6 +119,14 @@ def _require_compact(f: GridFunction):
         raise ValueError("function must taper to exact zero inside its window")
 
 
+def _without_overflow(value: float) -> float:
+    """Finite samples have a finite form, so a form that is not finite has
+    overflowed float64."""
+    if not math.isfinite(value):
+        raise ValueError("the energy of these samples overflows float64")
+    return value
+
+
 def _grid_energy(f: GridFunction, p: EnergyParams) -> float:
     if f.is_zero:
         return 0.0
@@ -144,8 +152,11 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
 
     if isinstance(f, GridFunction):
         _require_compact(f)
-        value = _grid_energy(f, p)
-        return EnergyReport(value=value, l2_norm_sq=f.l2_norm_sq(),
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _grid_energy(f, p)
+            l2 = f.l2_norm_sq()
+        _without_overflow(value + l2)
+        return EnergyReport(value=value, l2_norm_sq=l2,
                             refinement_trace=((f.n_nodes, value),))
 
     if not isinstance(f, StepFunction):
@@ -203,8 +214,9 @@ def indicator_energy_closed_form(a: float, b: float, alpha: float) -> float:
 def dirichlet_energy(f: GridFunction) -> float:
     """(1/2) int f'(x)^2 dx, exact for the piecewise-linear interpolant."""
     _require_compact(f)
-    s = np.diff(f.values) / f.step
-    return float(0.5 * np.sum(s * s) * f.step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.diff(f.values) / f.step
+        return _without_overflow(float(0.5 * np.sum(s * s) * f.step))
 
 
 def fourier_energy(f: GridFunction, p: EnergyParams, xi_max: float,

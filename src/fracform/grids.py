@@ -52,6 +52,16 @@ def l2_norm_sq_of_samples(v: np.ndarray, step: float) -> float:
     return float(step * np.sum(seg) / 3.0)
 
 
+def _json_float(v) -> float:
+    """A JSON number, or a string that parses as one ("inf", "-inf")."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f"expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError("number out of the float range") from None
+
+
 def _frozen_array(data, dtype=float) -> np.ndarray:
     arr = np.array(data, dtype=dtype, copy=True)
     arr.flags.writeable = False
@@ -241,7 +251,10 @@ class GridFunction:
     def from_json_dict(cls, d: dict) -> "GridFunction":
         if not isinstance(d, dict) or not {"origin", "step", "values"} <= d.keys():
             raise ValueError("a JSON grid function needs origin, step, values")
-        return cls(float(d["origin"]), float(d["step"]), d["values"])
+        if not isinstance(d["values"], list):
+            raise ValueError("JSON grid values must be a list of numbers")
+        return cls(_json_float(d["origin"]), _json_float(d["step"]),
+                   [_json_float(v) for v in d["values"]])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -258,10 +271,15 @@ class GridFunction:
         vs = np.array([float(r[1]) for r in rows])
         if xs.size < 2:
             raise ValueError("need at least two samples")
-        steps = np.diff(xs)
-        step = float(np.median(steps))
-        if np.any(np.abs(steps - step) > 1e-9 * max(step, 1.0)):
-            raise ValueError("CSV samples are not on a uniform grid")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("CSV x values must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a span beyond the float range gives an infinite step, which
+            # the constructor refuses
+            steps = np.diff(xs)
+            step = float(np.median(steps))
+            if np.any(np.abs(steps - step) > 1e-9 * max(step, 1.0)):
+                raise ValueError("CSV samples are not on a uniform grid")
         return cls(float(xs[0]), step, vs)
 
 
@@ -488,7 +506,19 @@ class IntervalSet:
 
     @classmethod
     def from_json_list(cls, data) -> "IntervalSet":
-        return cls(tuple((float(lo), float(hi)) for lo, hi in data))
+        """Pieces [lo, hi] with lo < hi; "inf" and "-inf" stand for the
+        infinite endpoints."""
+        if not isinstance(data, (list, tuple)):
+            raise ValueError("an interval set is a JSON list of [lo, hi] pairs")
+        pieces = []
+        for piece in data:
+            if not (isinstance(piece, (list, tuple)) and len(piece) == 2):
+                raise ValueError(f"an interval is a pair [lo, hi], got {piece!r}")
+            lo, hi = (_json_float(v) for v in piece)
+            if not lo < hi:
+                raise ValueError(f"an interval needs lo < hi, got [{lo}, {hi}]")
+            pieces.append((lo, hi))
+        return cls(tuple(pieces))
 
 
 _RAMP_PROFILES = {

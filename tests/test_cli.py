@@ -84,6 +84,15 @@ def test_literal_fuzz_returns_function_or_value_error(kind, tokens):
 BAD_INPUTS = {
     "csv-short-row": ["energy", "--alpha", "0.5", "--function", "csv:{short_csv}"],
     "json-no-step": ["energy", "--alpha", "0.5", "--function", "json:{no_step}"],
+    "json-null-origin": ["energy", "--alpha", "0.5", "--function",
+                         "json:{null_origin}"],
+    "json-list-step": ["energy", "--alpha", "0.5", "--function",
+                       "json:{list_step}"],
+    "json-dict-values": ["energy", "--alpha", "0.5", "--function",
+                         "json:{dict_values}"],
+    # finite samples whose energy overflows float64
+    "energy-overflow": ["energy", "--alpha", "0.5", "--function",
+                        "csv:{huge_csv}"],
     "zero-step": ["energy", "--alpha", "0.5", "--function", "bump:0,1",
                   "--step", "0"],
     "atom-without-mass": ["levy", "--atom", "1"],
@@ -94,6 +103,20 @@ BAD_INPUTS = {
     "capacity-tiny-step": ["capacity", "--target", "[[0.2, 0.4]]",
                            "--alpha-star", "0.5", "--domain", "0,4",
                            "--step", "1e-9"],
+    "capacity-null-endpoint": ["capacity", "--target", "[[0, 1], [null, 2]]",
+                               "--alpha-star", "0.5", "--domain", "0,4",
+                               "--step", "0.01"],
+    "capacity-bare-number": ["capacity", "--target", "[5]", "--alpha-star",
+                             "0.5", "--domain", "0,4", "--step", "0.01"],
+    "capacity-reversed-piece": ["capacity", "--target", "[[1, 0]]",
+                                "--alpha-star", "0.5", "--domain", "0,4",
+                                "--step", "0.01"],
+    "capacity-one-domain-number": ["capacity", "--target", "[[0.2, 0.4]]",
+                                   "--alpha-star", "0.5", "--domain=2",
+                                   "--step", "0.01"],
+    "capacity-nan-domain": ["capacity", "--target", "[[0.2, 0.4]]",
+                            "--alpha-star", "0.5", "--domain=nan,2",
+                            "--step", "0.01"],
     "bump-negative-width": ["energy", "--alpha", "0.5", "--function",
                             "bump:0,-1"],
     "bump-zero-width": ["energy", "--alpha", "0.5", "--function", "bump:0,0"],
@@ -117,13 +140,20 @@ HUGE_GRIDS = {"capacity-tiny-step", "bump-overflow", "bump-huge-width",
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_error_line(case, tmp_path):
-    short_csv = tmp_path / "short.csv"
-    short_csv.write_text("0,0\n0.1,1\n0.2\n0.3,0\n", encoding="utf-8")
-    no_step = tmp_path / "no_step.json"
-    no_step.write_text(json.dumps({"origin": 0.0, "values": [0.0, 1.0, 0.0]}),
-                       encoding="utf-8")
-    args = [a.format(short_csv=short_csv, no_step=no_step)
-            for a in BAD_INPUTS[case]]
+    grid = {"origin": 0.0, "step": 0.5, "values": [0.0, 1.0, 0.0]}
+    files = {
+        "short_csv": "0,0\n0.1,1\n0.2\n0.3,0\n",
+        "huge_csv": "0,0\n0.5,1e160\n1,0\n",
+        "no_step": json.dumps({"origin": 0.0, "values": [0.0, 1.0, 0.0]}),
+        "null_origin": json.dumps({**grid, "origin": None}),
+        "list_step": json.dumps({**grid, "step": [0.5]}),
+        "dict_values": json.dumps({**grid, "values": {"0": 1.0}}),
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    args = [a.format(**paths) for a in BAD_INPUTS[case]]
     if case in HUGE_GRIDS:
         out = run_cli(args + ["--out-dir", str(tmp_path)],
                       env={**os.environ, **SINGLE_THREAD},
@@ -133,6 +163,16 @@ def test_bad_input_is_one_error_line(case, tmp_path):
     assert out.returncode == 1
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+@pytest.mark.parametrize("domain", ["2", "nan,2", "3,1", "0,1,2", "a,b"])
+def test_capacity_domain_needs_two_ordered_numbers(domain, tmp_path):
+    out = run_cli(["capacity", "--target", "[[0.2, 0.4]]", "--alpha-star",
+                   "0.5", f"--domain={domain}", "--step", "0.01",
+                   "--out-dir", str(tmp_path)])
+    assert out.returncode == 1
+    assert out.stderr == f"error: --domain needs two finite numbers lo < hi, " \
+                         f"got {domain!r}\n"
 
 
 class TestEnergyCommand:

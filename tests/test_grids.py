@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,3 +228,65 @@ class TestIntervalSet:
             assert lo < hi
         for (a, b), (c, d) in zip(s.intervals, s.intervals[1:]):
             assert b <= c
+
+
+# -- loader fuzz: random text and random JSON trees ---------------------------
+
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 400, 10 ** 400).map(str),
+    st.sampled_from(["", " ", "x", "1e400", "-1e400", "5e-324", "1_0",
+                     "infinity", "0x10"]))
+CSV_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.lists(NUMBER_TEXT, max_size=3).map(",".join),
+             max_size=6).map("\n".join),
+    # uniform grids with extreme origins and steps
+    st.builds(lambda o, h, vs: "\n".join(f"{o + h * i!r},{v!r}"
+                                         for i, v in enumerate(vs)),
+              st.floats(-1e308, 1e308), st.floats(-1e308, 1e308),
+              st.lists(st.floats(), min_size=2, max_size=5)))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 400, 10 ** 400), st.floats(),
+    st.text(max_size=6), st.sampled_from(["inf", "-inf", "nan", "1e400"]))
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=16)
+GRID_JSON = st.one_of(
+    JSON_TREES,
+    st.fixed_dictionaries({"origin": JSON_LEAVES, "step": JSON_LEAVES,
+                           "values": st.one_of(JSON_TREES,
+                                               st.lists(JSON_LEAVES,
+                                                        max_size=6))}))
+INTERVAL_JSON = st.one_of(
+    JSON_TREES, st.lists(st.lists(JSON_LEAVES, max_size=3), max_size=5))
+
+
+def _value_or_value_error(load, data, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = load(data)
+        except ValueError:
+            return
+    assert isinstance(out, kind), data
+
+
+@given(text=CSV_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_csv_loader_fuzz_returns_function_or_value_error(text):
+    _value_or_value_error(GridFunction.from_csv, text, GridFunction)
+
+
+@given(data=GRID_JSON)
+@settings(max_examples=300, deadline=None)
+def test_json_grid_loader_fuzz_returns_function_or_value_error(data):
+    _value_or_value_error(GridFunction.from_json_dict, data, GridFunction)
+
+
+@given(data=INTERVAL_JSON)
+@settings(max_examples=300, deadline=None)
+def test_json_interval_loader_fuzz_returns_set_or_value_error(data):
+    _value_or_value_error(IntervalSet.from_json_list, data, IntervalSet)

@@ -290,7 +290,8 @@ class TestCapacity:
         for k in (0, 1, 5, len(history) - 2):
             # cap the solve at k iterations, short of convergence
             monkeypatch.setattr(scalecap, "_cg",
-                                lambda mv, b, maxiter: real_cg(mv, b, k))
+                                lambda mv, b, maxiter, precond:
+                                real_cg(mv, b, k, precond))
             with pytest.raises(CapacitySolverError) as err:
                 capacity_estimate(*args)
             assert err.value.residual_trace == history[:k + 1]
@@ -301,6 +302,43 @@ class TestCapacity:
         hist = est.residual_history
         assert len(hist) > 2 and hist[-1] < 1e-12 * hist[0]
         assert est.to_json_dict()["residual_history"] == list(hist)
+
+    @pytest.mark.parametrize("alpha_star", [0.5, 0.9, 1.0])
+    def test_preconditioned_iterations_bounded(self, alpha_star):
+        # 2047 cells; unpreconditioned CG needs 39-171 iterations on these
+        # targets, the circulant-preconditioned one 7-19 (the islands most)
+        centers = (0.0, 0.5, -0.5, 0.25, -0.25, 0.75, -0.75)
+        islands = tuple((c - 0.08 * 0.6 ** i, c + 0.08 * 0.6 ** i)
+                        for i, c in enumerate(centers))
+        targets = [(((-0.1, 0.1),), (-1.6, 1.6)),
+                   (((-0.7, -0.5), (0.5, 0.7)), (-2.0, 2.0)),
+                   (islands, (-2.0, 2.0)),
+                   (((-1.0, 1.0),), (-4.0, 4.0))]
+        for pieces, (lo, hi) in targets:
+            est = capacity_estimate(IntervalSet(pieces), alpha_star, (lo, hi),
+                                    (hi - lo) / 2047)
+            assert len(est.residual_history) - 1 <= 24, pieces
+
+    @pytest.mark.parametrize("n", [9, 257, 4001])
+    @pytest.mark.parametrize("alpha_star", [0.01, 0.25, 0.5, 0.9, 1.0])
+    def test_preconditioner_inverts_a_positive_circulant(self, n, alpha_star,
+                                                         rng):
+        # the circulant of power-of-two length whose leading block is the
+        # stiffness plus hat mass matrix, diagonalised by a complex FFT
+        h = 4.0 / (n - 1)
+        row = hat_energy_row(n, h, alpha_star)
+        row[:2] += (2.0 * h / 3.0, h / 6.0)
+        nfft = 1 << (2 * n - 2).bit_length()
+        col = np.zeros(nfft)
+        col[:n] = row
+        col[nfft - n + 1:] = row[:0:-1]
+        eig = np.fft.fft(col).real
+        assert eig.min() > 0.0
+        _, solve_circulant = scalecap._e1_operator(n, h, alpha_star)
+        u = rng.standard_normal(n)
+        want = np.fft.ifft(np.fft.fft(u, nfft) / eig).real[:n]
+        got = solve_circulant(u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha_star", [0.3, 1.0])
     def test_equilibrium_matches_dense_solve(self, alpha_star):
