@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import EnergyParams, dirichlet_energy, gagliardo_energy
 from .grids import GridFunction, IntervalSet, PlateauSpec, StepFunction, \
-    make_plateau
+    _json_float, make_plateau
 from .ladder import ladder_decompose
 from .levy import LevyTriplet, PowerLawDensity, finite_variation_test, \
     growth_exponent_fit, levy_indicator_energy, levy_symbol
@@ -177,10 +177,15 @@ def _cmd_scale(cfg: RunConfig) -> int:
     p = cfg.params
     if p.get("spec"):
         spec_data = json.loads(Path(p["spec"]).read_text(encoding="utf-8"))
-        spec = FatCantorSpec(alpha=float(spec_data["alpha"]),
-                             budget=float(spec_data["budget"]),
-                             a_log=float(spec_data.get("a_log", 2.0)))
-        n_intervals = int(spec_data.get("n_intervals", 63))
+        if not isinstance(spec_data, dict):
+            raise ValueError("a scale spec is a JSON object")
+        spec = FatCantorSpec(alpha=_json_float(spec_data.get("alpha")),
+                             budget=_json_float(spec_data.get("budget")),
+                             a_log=_json_float(spec_data.get("a_log", 2.0)))
+        n_intervals = _json_float(spec_data.get("n_intervals", 63))
+        if not n_intervals.is_integer():
+            raise ValueError(f"n_intervals must be whole, got {n_intervals}")
+        n_intervals = int(n_intervals)
     else:
         spec = FatCantorSpec(alpha=p["alpha"], budget=p["budget"])
         n_intervals = p["n_intervals"]

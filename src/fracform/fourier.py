@@ -66,9 +66,6 @@ class FourierTable:
         object.__setattr__(self, "frequencies", fr)
         object.__setattr__(self, "amplitudes", am)
 
-    def pairs(self):
-        return zip(self.frequencies, self.amplitudes)
-
     def plancherel_l2(self) -> float:
         """sum |fhat|^2 * dxi on the sampled grid (trapezoid rule)."""
         return float(np.trapezoid(np.abs(self.amplitudes) ** 2,

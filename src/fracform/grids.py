@@ -155,10 +155,6 @@ class GridFunction:
     def l2_norm_sq(self) -> float:
         return l2_norm_sq_of_samples(self.values, self.step)
 
-    def integral(self) -> float:
-        return float(self.step * (np.sum(self.values)
-                                  - 0.5 * (self.values[0] + self.values[-1])))
-
     def linf(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
@@ -180,12 +176,6 @@ class GridFunction:
 
     def shifted_by_steps(self, k: int) -> "GridFunction":
         return GridFunction(self.origin + k * self.step, self.step, self.values)
-
-    def padded(self, k: int) -> "GridFunction":
-        if k <= 0:
-            return self
-        vals = np.concatenate([np.zeros(k), self.values, np.zeros(k)])
-        return GridFunction(self.origin - k * self.step, self.step, vals)
 
     def trimmed(self, margin: int = 2) -> "GridFunction":
         """Restrict to the support plus ``margin`` zeros per side (>= 2 nodes)."""

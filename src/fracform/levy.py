@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DIVERGENT, EnergyReport
-from .grids import GridFunction, PlateauSpec, make_plateau
+from .energy import DIVERGENT, EnergyReport, _require_compact, \
+    _without_overflow
+from .grids import GridFunction, PlateauSpec, _json_float, make_plateau
 from .quadcells import gagliardo_of_values, rho_profile
 
 __all__ = [
@@ -46,8 +47,8 @@ class PowerLawDensity:
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"power-law exponent must lie in (0, 2), "
                              f"got {self.alpha}")
-        if self.coefficient <= 0:
-            raise ValueError("density coefficient must be positive")
+        if not 0.0 < self.coefficient < math.inf:
+            raise ValueError("density coefficient must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,17 @@ class LevyTriplet:
     density: PowerLawDensity | None = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("Gaussian coefficient must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("Gaussian coefficient must be finite and >= 0")
         atoms = []
         for x, m in self.atoms:
             x = float(x)
             m = float(m)
-            if x <= 0:
-                raise ValueError("atoms are stored at x > 0 and mirrored")
-            if m < 0:
-                raise ValueError("atom masses must be >= 0")
+            if not 0.0 < x < math.inf:
+                raise ValueError("atoms are stored at finite x > 0 and "
+                                 "mirrored")
+            if not 0.0 <= m < math.inf:
+                raise ValueError("atom masses must be finite and >= 0")
             atoms.append((x, m))
         object.__setattr__(self, "atoms", tuple(atoms))
 
@@ -99,16 +101,22 @@ class LevyTriplet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LevyTriplet":
+        if not isinstance(d, dict):
+            raise ValueError("a Levy triplet is a JSON object")
         dens = d.get("density")
         density = None
         if dens is not None:
-            if dens.get("type") != "power":
-                raise ValueError(f"unknown density type {dens.get('type')!r}")
-            density = PowerLawDensity(float(dens["alpha"]),
-                                      float(dens.get("coefficient", 1.0)))
-        return cls(sigma=float(d.get("sigma", 0.0)),
-                   atoms=tuple((float(x), float(m))
-                               for x, m in d.get("atoms", [])),
+            if not (isinstance(dens, dict) and dens.get("type") == "power"):
+                raise ValueError(f"unknown density {dens!r}")
+            density = PowerLawDensity(_json_float(dens.get("alpha")),
+                                      _json_float(dens.get("coefficient", 1.0)))
+        atoms = d.get("atoms", [])
+        if not (isinstance(atoms, list)
+                and all(isinstance(a, list) and len(a) == 2 for a in atoms)):
+            raise ValueError("atoms are a JSON list of [x, mass] pairs")
+        return cls(sigma=_json_float(d.get("sigma", 0.0)),
+                   atoms=tuple((_json_float(x), _json_float(m))
+                               for x, m in atoms),
                    density=density)
 
 
@@ -217,23 +225,18 @@ def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
     fractional seminorm.  Consistent with 2 int |fhat|^2 psi dxi."""
     if t.sigma > 0:
         raise ValueError("the jump form needs sigma = 0")
-    if not f.finite():
-        raise ValueError("samples must be finite")
-    if not f.has_compact_support():
-        raise ValueError("function must taper to exact zero inside its window")
-    l2 = f.l2_norm_sq()
-    if f.is_zero:
-        return EnergyReport(value=0.0, l2_norm_sq=0.0,
-                            refinement_trace=((f.n_nodes, 0.0),))
+    _require_compact(f)
     g = f.trimmed(margin=1)
     value = 0.0
-    if t.atoms:
-        prof = rho_profile(g.values, g.step)
-        for x, m in t.atoms:
-            value += 2.0 * m * float(prof.value_at(x)[0])
-    if t.density is not None:
-        value += t.density.coefficient \
-            * gagliardo_of_values(g.values, g.step, t.density.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t.atoms:
+            x, m = np.array(t.atoms).T
+            value += 2.0 * float(m @ rho_profile(g.values, g.step, x))
+        if t.density is not None:
+            value += t.density.coefficient \
+                * gagliardo_of_values(g.values, g.step, t.density.alpha)
+        l2 = f.l2_norm_sq()
+    _without_overflow(value + l2)
     return EnergyReport(value=value, l2_norm_sq=l2,
                         refinement_trace=((f.n_nodes, value),))
 

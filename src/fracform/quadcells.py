@@ -12,8 +12,14 @@ W(k) = k^2 expm1((1-alpha) ln|k|) / (1-alpha) = (|k|^(3-alpha) - k^2)/(1-alpha),
 which is k^2 ln|k| at alpha = 1.  The k^2 removes the pole at alpha = 1 and
 drops a term proportional to (sum_i d_i)^2, so the samples must taper to 0
 at both ends.  The double sum runs over the increment autocorrelation; in
-terms of rho(tau) = int (u(y+tau) - u(y))^2 dy, whose second derivative is
-piecewise linear, int_0^inf tau^(-1-alpha) rho(tau) dtau = E(u) / 2.
+terms of rho(tau) = int (u(y+tau) - u(y))^2 dy,
+int_0^inf tau^(-1-alpha) rho(tau) dtau = E(u) / 2.
+
+The autocorrelation of the unit hat of width 2h is h B(tau/h), B the centred
+cubic B-spline (de Boor, A Practical Guide to Splines, ch. IX).  So with
+a_m = sum_i u_i u_(i+m), A(tau) = int u(y+tau) u(y) dy = h sum_m a_m
+B(tau/h - m) exactly, four terms per lag: rho = 2 (A(0) - A(tau)) (see
+rho_profile), and h B(0), h B(1) are the capacity operator's Gram row.
 
 The stiffness row of the hat basis is the fourth difference instead:
 k(m) = C h^(1-alpha) delta^4 W(m).  Small lags difference W directly; larger
@@ -23,13 +29,9 @@ lags sum the binomial series of the difference of k^(3-alpha) in powers of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grids import l2_norm_sq_of_samples
-
-__all__ = ["RhoProfile", "rho_profile", "gagliardo_of_values", "hat_energy_row"]
+__all__ = ["rho_profile", "gagliardo_of_values", "hat_energy_row"]
 
 # The series is used from lag 2*order on, where each term shrinks the
 # previous by at least 1/16, so 16 terms reach far below double rounding.
@@ -130,56 +132,52 @@ def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
     return -scale * (2.0 * float(np.dot(c, w)) - c[0] * w[0])
 
 
-@dataclass(frozen=True)
-class RhoProfile:
-    """Piecewise-cubic increment correlation of a piecewise-linear function.
+def _cubic_bspline(t: np.ndarray) -> np.ndarray:
+    """Centred cubic B-spline, supported on |t| < 2: B(0) = 2/3, B(1) = 1/6."""
+    t = np.abs(t)
+    return np.where(t < 1.0, 2.0 / 3.0 - t * t * (1.0 - 0.5 * t),
+                    np.maximum(2.0 - t, 0.0) ** 3 / 6.0)
 
-    Node arrays are indexed by the lag cell k (lag tau = k*h): ``r2`` holds
-    rho''(k h), ``rhop`` rho'(k h), ``rho`` rho(k h).  Beyond the last node
-    rho is the constant ``rho_inf`` = 2 ||u||_L2^2.
+
+def _require_tapered(v: np.ndarray):
+    if v.size and (v[0] != 0.0 or v[-1] != 0.0):
+        raise ValueError("samples must taper to exact 0 at both ends")
+
+
+def rho_profile(values: np.ndarray, h: float, tau) -> np.ndarray:
+    """rho(tau) = int (u(y + tau) - u(y))^2 dy at the lags ``tau`` for the
+    interpolant u of ``values``, which must taper to exact 0 at both ends.
+
+    rho(tau) = 2 (A(0) - A(tau)) for the hat correlation A; as the B(s - m)
+    sum to 1, that is h sum_m D_m (B(tau/h - m) - B(-m)) with
+    D_m = 2 (a_0 - a_m) = sum_i (u_(i+m) - u_i)^2 over the zero-extended
+    samples, a sum of squares that does not cancel at short lags.
     """
-
-    h: float
-    r2: np.ndarray
-    rhop: np.ndarray
-    rho: np.ndarray
-    rho_inf: float
-
-    @property
-    def n_cells(self) -> int:
-        return self.r2.size - 1
-
-    def value_at(self, tau) -> np.ndarray:
-        """Evaluate rho at arbitrary nonnegative lags."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.full(tau.shape, self.rho_inf)
-        span = self.n_cells * self.h
-        inside = tau < span
-        k = np.floor(tau[inside] / self.h).astype(int)
-        t = tau[inside] - k * self.h
-        d = self.r2[k + 1] - self.r2[k]
-        out[inside] = (self.rho[k] + self.rhop[k] * t
-                       + 0.5 * self.r2[k] * t * t
-                       + d * t ** 3 / (6.0 * self.h))
-        return out
-
-
-def rho_profile(values: np.ndarray, h: float) -> RhoProfile:
     v = np.asarray(values, dtype=float)
-    r2 = np.concatenate([2.0 * h * _slope_autocorr(np.diff(v) / h), [0.0]])
-    # exact double cumulative integral of the piecewise-linear rho''
-    rhop = np.concatenate([[0.0], np.cumsum(0.5 * h * (r2[:-1] + r2[1:]))])
-    dr = h * rhop[:-1] + (h * h / 6.0) * (2.0 * r2[:-1] + r2[1:])
-    rho = np.concatenate([[0.0], np.cumsum(dr)])
-    return RhoProfile(h, r2, rhop, rho, 2.0 * l2_norm_sq_of_samples(v, h))
+    _require_tapered(v)
+    t = np.concatenate([[0.0], np.atleast_1d(np.asarray(tau, dtype=float))
+                        / h])
+    m = np.floor(t)[:, None] + np.arange(-1.0, 3.0)
+    # every lag at or beyond the last node has D_m = 2 sum_i u_i^2
+    lags, where = np.unique(np.minimum(np.abs(m), v.size).astype(int),
+                            return_inverse=True)
+    # the squares of the first and of the last k samples, summed from the ends
+    sq = v * v
+    d = (np.concatenate([[0.0], np.cumsum(sq)])[lags]
+         + np.concatenate([[0.0], np.cumsum(sq[::-1])])[lags])
+    for j, k in enumerate(lags):
+        w = v[k:] - v[:v.size - k]
+        d[j] += w @ w
+    s = h * np.sum(d[where.reshape(m.shape)] * _cubic_bspline(t[:, None] - m),
+                   axis=1)
+    return s[1:] - s[0]
 
 
 def gagliardo_of_values(values: np.ndarray, h: float, alpha: float) -> float:
     """Exact fractional seminorm (no prefactor) of the interpolant of
     ``values``; the samples must taper to exact 0 at both array ends."""
     v = np.asarray(values, dtype=float)
-    if v.size and (v[0] != 0.0 or v[-1] != 0.0):
-        raise ValueError("samples must taper to exact 0 at both ends")
+    _require_tapered(v)
     return _increment_form(_slope_autocorr(np.diff(v)), h, alpha)
 
 

@@ -6,10 +6,11 @@ Capacity of a set K inside a finite window is the minimum of the E1 form
 (fractional energy at the dual exponent plus the L2 norm) over grid functions
 pinned to 1 on the nodes of K, with the natural zero condition beyond the
 window.  The discrete form uses the same closed-form lag weights as the
-energy module, assembled as a symmetric Toeplitz operator over the hat
-basis, and the pinned-node system is solved by conjugate gradient
-preconditioned with the inverse of the circulant embedding of that operator
-(T. Chan, SIAM J. Sci. Stat. Comput. 1988; Chan and Ng, SIAM Review 1996).
+energy module plus the hat Gram row (2h/3, h/6) for the L2 part, assembled
+as one symmetric Toeplitz operator over the hat basis, and the pinned-node
+system is solved by conjugate gradient preconditioned with the inverse of
+the circulant embedding of that operator (T. Chan, SIAM J. Sci. Stat.
+Comput. 1988; Chan and Ng, SIAM Review 1996).
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ class FatCantorSpec:
         if not 1.0 <= self.alpha < 2.0:
             raise ValueError(f"fat-Cantor construction needs alpha in [1, 2), "
                              f"got {self.alpha}")
-        if self.budget <= 0:
+        if not self.budget > 0:
             raise ValueError("surrogate budget must be positive")
-        if self.a_log <= 1:
+        if not self.a_log > 1:
             raise ValueError("a_log must exceed 1")
 
     def radius(self, i: int) -> float:
@@ -340,24 +341,21 @@ class CapacityEstimate:
 
 
 def _e1_operator(n: int, h: float, alpha_star: float):
-    # K[i, j] = row[|i - j|] embedded in a circulant of power-of-two length,
-    # whose spectrum is taken once rather than on every product.  The same
-    # spectrum plus the hat mass symbol is the circulant C that solve_circulant
-    # inverts: its eigenvalues are at least the truncated row sum of K, which
-    # is positive, plus h/3 from the mass.
+    # K[i, j] = row[|i - j|] for the stiffness plus the hat Gram row
+    # (2h/3, h/6), embedded in the circulant of power-of-two length whose
+    # first column is row[|k|], k = -(n-1) .. n-1, zero-padded: an even
+    # sequence, so hfft gives its spectrum as real numbers, taken once.
+    # matvec is the Toeplitz product; the whole circulant is the C that
+    # solve_circulant inverts: its eigenvalues are at least the truncated row
+    # sum of the stiffness, which is positive, plus h/3 from the mass.
     row = hat_energy_row(n, h, alpha_star)
+    row[:2] += (2.0 * h / 3.0, h / 6.0)
     nfft = 1 << (2 * n - 2).bit_length()
-    spec = np.fft.rfft(np.concatenate([row, np.zeros(nfft - 2 * n + 1),
-                                       row[:0:-1]]))
-    theta = (2.0 * math.pi / nfft) * np.arange(spec.size)
-    inv = 1.0 / (spec.real + (2.0 * h / 3.0) + (h / 3.0) * np.cos(theta))
+    spec = np.fft.hfft(row, nfft)[:nfft // 2 + 1]
+    inv = 1.0 / spec
 
     def matvec(u):
-        ku = np.fft.irfft(np.fft.rfft(u, nfft) * spec, nfft)[:n]
-        mu = (2.0 * h / 3.0) * u
-        mu[:-1] = mu[:-1] + (h / 6.0) * u[1:]
-        mu[1:] = mu[1:] + (h / 6.0) * u[:-1]
-        return ku + mu
+        return np.fft.irfft(np.fft.rfft(u, nfft) * spec, nfft)[:n]
 
     def solve_circulant(u):
         return np.fft.irfft(np.fft.rfft(u, nfft) * inv, nfft)[:n]

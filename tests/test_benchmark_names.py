@@ -1,0 +1,45 @@
+"""The traced benchmark wraps fracform functions by name; a renamed or
+removed function would make ``perfbench/run.py --trace`` fail or drop a
+layer.  The recorder is compiled from its source, so nothing is written
+under ``perfbench/``."""
+
+from pathlib import Path
+
+import numpy as np
+
+import fracform
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing_namespace() -> dict:
+    ns = {"__name__": "perfbench_tracing"}
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
+         ns)
+    return ns
+
+
+def test_every_traced_name_resolves():
+    layers = _tracing_namespace()["_layer_functions"](fracform)
+    assert layers
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in layers
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+def test_traced_calls_record_their_layers():
+    # the two paths that reach the hat correlation: atoms and capacity
+    tracer = _tracing_namespace()["Tracer"]()
+    tracer.install(fracform)
+    try:
+        f = fracform.GridFunction(0.0, 0.25, np.array([0.0, 1.0, 2.0, 0.0]))
+        fracform.levy_gagliardo_energy(
+            f, fracform.LevyTriplet(atoms=((0.3, 1.0),)))
+        fracform.capacity_estimate(fracform.IntervalSet.of((-0.2, 0.2)), 0.5,
+                                   (-1.0, 1.0), 1.0 / 16.0)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"levy.levy_gagliardo_energy", "quadcells.rho_profile",
+            "scalecap.capacity_estimate",
+            "quadcells.hat_energy_row"} <= names

@@ -131,6 +131,14 @@ BAD_INPUTS = {
     # b - a overflows to inf
     "indicator-overflow-span": ["energy", "--alpha", "0.5", "--function",
                                 "indicator:-1e308,1e308"],
+    "scale-null-alpha": ["scale", "--spec", "{null_alpha_spec}"],
+    "scale-list-spec": ["scale", "--spec", "{list_json}"],
+    "scale-fractional-count": ["scale", "--spec", "{half_count_spec}"],
+    "levy-null-sigma": ["levy", "--triplet", "{null_sigma_triplet}"],
+    "levy-list-triplet": ["levy", "--triplet", "{list_json}"],
+    "levy-null-atom-mass": ["levy", "--triplet", "{null_mass_triplet}"],
+    "levy-nan-sigma": ["levy", "--sigma", "nan"],
+    "levy-nan-atom": ["levy", "--atom", "nan:1"],
 }
 
 # cases that would allocate far more than the address-space cap
@@ -148,6 +156,12 @@ def test_bad_input_is_one_error_line(case, tmp_path):
         "null_origin": json.dumps({**grid, "origin": None}),
         "list_step": json.dumps({**grid, "step": [0.5]}),
         "dict_values": json.dumps({**grid, "values": {"0": 1.0}}),
+        "list_json": "[1, 2]",
+        "null_alpha_spec": json.dumps({"alpha": None, "budget": 0.1}),
+        "half_count_spec": json.dumps({"alpha": 1.5, "budget": 0.1,
+                                       "n_intervals": 2.5}),
+        "null_sigma_triplet": json.dumps({"sigma": None}),
+        "null_mass_triplet": json.dumps({"atoms": [[1, None]]}),
     }
     paths = {}
     for name, text in files.items():

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fracform.levy import (LevyTriplet, PowerLawDensity, SymbolCurve,
                            levy_indicator_energy, levy_symbol,
                            plateau_energy_bound_check)
 
-from conftest import sample_bump
+from conftest import exact_rho, sample_bump
 
 TWO_ATOM = LevyTriplet(atoms=((1.0, 1.0),))
 POWER_HALF = LevyTriplet(density=PowerLawDensity(alpha=0.5))
@@ -175,6 +176,25 @@ class TestJumpFormEnergy:
         assert rep.value == pytest.approx(oracle, rel=1e-3)
         assert rep.value == pytest.approx(4.0, rel=0.05)
 
+    def test_off_grid_atoms_match_exact_correlation(self):
+        # atoms far below, between and beyond the grid step and the span
+        f = sample_bump(center=0.2, width=0.7, step=1.0 / 256.0)
+        t = LevyTriplet(atoms=((0.0013, 3.0), (0.3, 1.0),
+                               (1.0 + 1.0 / 512.0, 0.5), (5.0, 0.25)))
+        want = math.fsum(2.0 * m * exact_rho(f.values, f.step, x)
+                         for x, m in t.atoms)
+        assert levy_gagliardo_energy(f, t).value == pytest.approx(want,
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("triplet", [TWO_ATOM, POWER_HALF],
+                             ids=["two-atom", "power-half"])
+    def test_overflow_is_an_error(self, triplet):
+        f = sample_bump(height=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                levy_gagliardo_energy(f, triplet)
+
     def test_indicator_limit(self):
         # ramp width down: the jump energy approaches the closed form
         vals = []
@@ -304,3 +324,30 @@ class TestTripletValidation:
                         density=PowerLawDensity(alpha=0.7, coefficient=0.3))
         back = LevyTriplet.from_json_dict(t.to_json_dict())
         assert back == t
+
+    @pytest.mark.parametrize("make", [
+        lambda: LevyTriplet(sigma=math.nan),
+        lambda: LevyTriplet(sigma=math.inf),
+        lambda: LevyTriplet(atoms=((math.nan, 1.0),)),
+        lambda: LevyTriplet(atoms=((math.inf, 1.0),)),
+        lambda: LevyTriplet(atoms=((1.0, math.nan),)),
+        lambda: LevyTriplet(atoms=((1.0, math.inf),)),
+        lambda: PowerLawDensity(0.5, math.nan),
+        lambda: PowerLawDensity(0.5, math.inf),
+    ], ids=["sigma-nan", "sigma-inf", "atom-x-nan", "atom-x-inf",
+            "atom-mass-nan", "atom-mass-inf", "coefficient-nan",
+            "coefficient-inf"])
+    def test_non_finite_parameters_refused(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("data", [
+        [1, 2], None, {"sigma": None}, {"sigma": [0.1]}, {"sigma": "nan"},
+        {"atoms": [[1, None]]}, {"atoms": [1, 2]}, {"atoms": [[1, 2, 3]]},
+        {"atoms": {"1": 2}}, {"density": {"type": "power", "alpha": None}},
+        {"density": ["power"]}, {"density": {"type": "power", "alpha": 0.5,
+                                             "coefficient": "inf"}},
+    ])
+    def test_malformed_json_triplet_refused(self, data):
+        with pytest.raises(ValueError):
+            LevyTriplet.from_json_dict(data)

@@ -8,8 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracform.grids import l2_norm_sq_of_samples
 from fracform.quadcells import (_lag_weights, gagliardo_of_values,
                                 hat_energy_row, rho_profile)
+
+from conftest import exact_rho
 
 ALPHAS = [0.01, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5, 1.9, 1.99]
 
@@ -121,20 +124,29 @@ def test_untapered_samples_rejected(ends):
     vals = np.array([ends[0], 1.0, 3.0, ends[1]])
     with pytest.raises(ValueError, match="taper"):
         gagliardo_of_values(vals, 0.1, 0.5)
+    with pytest.raises(ValueError, match="taper"):
+        rho_profile(vals, 0.1, [0.3])
 
 
 def test_rho_profile_matches_brute_correlation(rng):
-    vals = np.zeros(30)
-    vals[1:-1] = rng.normal(size=28)
+    # against the defining integral, exact by Simpson's rule per piece: on-
+    # and off-grid lags, lags at and beyond the span (rho = 2 ||u||^2), the
+    # per-lag shift sums past 2048 nodes, and a fine smooth bump, whose
+    # a_0 - a_m cancels to ~(m h)^2 of a_0 at short lags
     h = 0.05
-    prof = rho_profile(vals, h)
-    # cover the support and every shifted copy: x and x + tau, tau <= 2
-    xs = np.linspace(-2.6, 2.1, 300001)
-    nodes = h * np.arange(30)
-    for tau in (0.01, 0.07, 0.2, 0.9, 2.0):
-        d = np.interp(xs + tau, nodes, vals) - np.interp(xs, nodes, vals)
-        brute = np.trapezoid(d * d, xs)
-        assert prof.value_at(tau)[0] == pytest.approx(brute, rel=1e-4, abs=1e-9)
+    x = np.linspace(-1.0, 1.0, 16385)
+    smooth = np.where(np.abs(x) < 0.9, np.cos(np.pi * x / 1.8) ** 2, 0.0)
+    smooth[[0, -1]] = 0.0
+    for vals in (np.pad(rng.normal(size=28), 1),
+                 np.pad(rng.normal(size=2499), 1), smooth):
+        n = vals.size
+        steps = np.array([0.0, 1.0, 7.0, n - 2.0, 0.37, 2.5, 5.5, 100.5,
+                          n / 3 + 0.25, n - 1.5, n - 1.0, 1.5 * n])
+        got = rho_profile(vals, h, h * steps)
+        want = [exact_rho(vals, h, h * s) for s in steps]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), n
+        assert got[-2:] == pytest.approx(2.0 * l2_norm_sq_of_samples(vals, h),
+                                         rel=1e-14)
 
 
 def test_row_matches_polarization(rng):
