@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .energy import EnergyParams, dirichlet_energy, gagliardo_energy
-from .grids import GridFunction, IntervalSet, PlateauSpec, StepFunction, \
-    _json_float, make_plateau
+from .grids import MAX_GRID_NODES, GridFunction, IntervalSet, PlateauSpec, \
+    StepFunction, _json_float, make_plateau
 from .ladder import ladder_decompose
 from .levy import LevyTriplet, PowerLawDensity, finite_variation_test, \
     growth_exponent_fit, levy_indicator_energy, levy_symbol
@@ -237,6 +237,12 @@ def _parse_atom(text: str) -> tuple:
 
 def _cmd_levy(cfg: RunConfig) -> int:
     p = cfg.params
+    if not 0 < p["xi_min"] < p["xi_max"] < math.inf:
+        raise ValueError(f"the frequency grid needs finite 0 < xi_min < "
+                         f"xi_max, got {p['xi_min']}, {p['xi_max']}")
+    if not 2 <= p["n_xi"] <= MAX_GRID_NODES:
+        raise ValueError(f"--n-xi must lie in 2..{MAX_GRID_NODES}, got "
+                         f"{p['n_xi']}")
     if p.get("triplet"):
         t = LevyTriplet.from_json_dict(
             json.loads(Path(p["triplet"]).read_text(encoding="utf-8")))

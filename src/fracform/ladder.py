@@ -7,6 +7,20 @@ computed by running minima (pure selection, no arithmetic), excursion
 components are maximal runs of strict inequality, and partial sums are formed
 as min(f, base level), so erasedness and constancy checks are decidable
 exactly on the grid.
+
+The excursion tree is the component tree of f's upper level sets
+(Salembier, Oliveras and Garrido, IEEE TIP 1998), found from the ranks of
+f's samples alone.  Each strict local-maximum plateau starts one excursion,
+peaked at its first sample.  Its run is where f stays above its col level,
+the higher of the two range minima between the peak and its nearest
+dominating samples; its parent's peak is the first maximum of the interval
+where f stays at or above that level.  Both are read off
+range-min/max sparse tables with power-of-two searches (Bender and
+Farach-Colton, "The LCA problem revisited", 2000): a fixed number of
+whole-array passes, with no per-node numpy call.  A scalar heap replay then
+orders the excursions largest first and forms the float levels as
+flat = max(f[col] - base, 0), height = (f[peak] - base) - flat and child
+base = base + flat; stars are built from the samples on first access.
 """
 
 from __future__ import annotations
@@ -35,15 +49,6 @@ __all__ = [
 ]
 
 
-def _strict_runs(mask: np.ndarray):
-    """Maximal runs of consecutive True entries, as (lo, hi) index pairs."""
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return []
-    splits = np.nonzero(np.diff(idx) > 1)[0]
-    return [(int(run[0]), int(run[-1])) for run in np.split(idx, splits + 1)]
-
-
 def is_erased_function(f: GridFunction, g: GridFunction):
     """Whether f <= g with f constant on each component of {f < g}.
 
@@ -58,16 +63,16 @@ def is_erased_function(f: GridFunction, g: GridFunction):
     fv, gv = fa.values, ga.values
     if np.any(fv > gv):
         return False, IntervalSet.empty()
-    components = []
+    strict = fv < gv
+    ok = not np.any(strict[1:] & strict[:-1] & (fv[1:] != fv[:-1]))
+    edge = np.diff(strict.astype(np.int8), prepend=0, append=0)
+    lo = np.flatnonzero(edge > 0)
+    hi = np.flatnonzero(edge < 0) - 1
     x = fa.x
-    ok = True
-    for lo, hi in _strict_runs(fv < gv):
-        if np.any(fv[lo:hi + 1] != fv[lo]):
-            ok = False
-        xl = x[lo - 1] if lo > 0 else x[0] - fa.step
-        xr = x[hi + 1] if hi + 1 < fv.size else x[-1] + fa.step
-        components.append((float(xl), float(xr)))
-    return ok, IntervalSet(tuple(components))
+    xl = np.where(lo > 0, x[np.maximum(lo - 1, 0)], x[0] - fa.step)
+    xr = np.where(hi + 1 < fv.size, x[np.minimum(hi + 1, fv.size - 1)],
+                  x[-1] + fa.step)
+    return ok, IntervalSet(tuple(zip(xl.tolist(), xr.tolist())))
 
 
 def skorokhod_star(g: GridFunction, a: float, b: float, rho: float
@@ -126,31 +131,51 @@ class LadderNode:
     """One excursion of the decomposition tree.
 
     ``base`` is the accumulated level below this excursion (constant on its
-    support run), ``star`` the ladder-like part of the excursion in its own
-    frame, ``height`` its sup norm.  Immutable after the tree is built.
+    support run), ``height`` its sup norm and ``star`` the ladder-like part
+    of the excursion in its own frame, built from the source samples on
+    first access.  ``pending`` marks excursions discovered but not expanded
+    (budget cut); they have no star and no peak.  Immutable after the tree
+    is built.
     """
 
-    __slots__ = ("address", "lo", "hi", "base", "star", "peak_point",
-                 "height", "children")
+    __slots__ = ("address", "lo", "hi", "base", "peak_point", "height",
+                 "children", "pending", "_source", "_star")
 
-    def __init__(self, address, lo, hi, base, star, peak_point, height):
+    def __init__(self, address, lo, hi, base, peak_point, height,
+                 source=None):
         self.address = address
         self.lo = lo
         self.hi = hi
         self.base = base
-        self.star = star
         self.peak_point = peak_point
         self.height = height
         self.children = []
+        self.pending = source is None
+        self._source = source
+        self._star = None
+
+    @property
+    def star(self):
+        """max(f - base, 0) on the run, flattened by running minima toward
+        its first maximum and trimmed to one zero per side, with its origin
+        from the absolute node index (None if pending)."""
+        if self._star is None and not self.pending:
+            f = self._source
+            w = np.maximum(f.values[self.lo:self.hi + 1] - self.base, 0.0)
+            star_vals, _ = _star_values(w)
+            nz = np.flatnonzero(star_vals)
+            if nz.size:
+                a, b = int(nz[0]), int(nz[-1])
+                self._star = GridFunction(
+                    f.origin + (self.lo + a - 1) * f.step, f.step,
+                    np.pad(star_vals[a:b + 1], 1))
+            else:
+                self._star = GridFunction(f.origin, f.step, np.zeros(2))
+        return self._star
 
     def support_interval(self, grid: GridFunction):
         return (grid.origin + self.lo * grid.step,
                 grid.origin + self.hi * grid.step)
-
-    @property
-    def pending(self) -> bool:
-        """True for excursions discovered but not expanded (budget cut)."""
-        return self.star is None
 
     def to_json_dict(self, grid: GridFunction) -> dict:
         lo_x, hi_x = self.support_interval(grid)
@@ -171,17 +196,21 @@ class LadderTree:
 
     ``order`` lists nodes in processing order (largest pending excursion
     first); ``trace`` holds (nodes_processed, sup_gap) after each step.
-    Partial sums over root-connected prefixes are produced exactly as
-    min(f, base) on the pending runs.
+    ``edges`` holds one entry per child edge, stubs included, as arrays:
+    parent rank in ``order``, child rank (K for a stub), run start, run
+    length and child base.  Partial sums over root-connected prefixes are
+    produced exactly as min(f, base) on the pending runs.
     """
 
-    def __init__(self, source, root, order, trace, converged, depth_built):
+    def __init__(self, source, root, order, trace, converged, depth_built,
+                 edges):
         self.source = source
         self.root = root
         self.order = order
         self.trace = trace
         self.converged = converged
         self.depth_built = depth_built
+        self.edges = edges
 
     @property
     def n_nodes(self) -> int:
@@ -191,19 +220,20 @@ class LadderTree:
         """Sum of the stars of the first k processed nodes (all by default).
 
         Formed exactly as min(f, base) over the runs still pending after k
-        steps, which keeps erasedness and constancy exact on the grid."""
+        steps, the edges from a processed parent to an unprocessed child,
+        whose runs are disjoint; this keeps erasedness and constancy exact
+        on the grid."""
         if k is None:
             k = len(self.order)
         if not 1 <= k <= len(self.order):
             raise ValueError(f"k must lie in 1..{len(self.order)}")
-        done = {node.address for node in self.order[:k]}
+        parent, child, lo, length, base = self.edges
+        cut = (parent < k) & (k <= child)
+        lo, length = lo[cut], length[cut]
+        idx = np.arange(int(length.sum())) + np.repeat(
+            lo - (np.cumsum(length) - length), length)
         out = self.source.values.copy()
-        for i in range(k):
-            for child in self.order[i].children:
-                if child.address in done:
-                    continue
-                seg = out[child.lo:child.hi + 1]
-                out[child.lo:child.hi + 1] = np.minimum(seg, child.base)
+        out[idx] = np.minimum(out[idx], np.repeat(base[cut], length))
         return self.source.with_values(out)
 
     def partial_sums(self):
@@ -234,6 +264,88 @@ class LadderTree:
         }
 
 
+def _sparse_table(r: np.ndarray, op) -> np.ndarray:
+    """table[k, i] = op over r[i:i + 2^k], for every block that fits."""
+    table = np.empty((r.size.bit_length(), r.size), dtype=r.dtype)
+    table[0] = r
+    for k in range(1, table.shape[0]):
+        h = 1 << (k - 1)
+        op(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
+        table[k, -h:] = table[k - 1, -h:]
+    return table
+
+
+def _walk(table, pos, x, skip, left: bool) -> np.ndarray:
+    """Move each pos over the longest run of samples that all satisfy
+    skip(sample, x), tested per power-of-two block on its table entry.
+    Leftward, pos is an exclusive end and the result is the run's first
+    index; rightward, pos is the first index tried and the result is the
+    first index not skipped (the length when all are)."""
+    n = table.shape[1]
+    for k in range(table.shape[0] - 1, -1, -1):
+        h = 1 << k
+        if left:
+            cand = pos - h
+            ok = (cand >= 0) & skip(table[k, np.maximum(cand, 0)], x)
+        else:
+            cand = pos + h
+            ok = (cand <= n) & skip(table[k, np.minimum(pos, n - 1)], x)
+        pos = np.where(ok, cand, pos)
+    return pos
+
+
+def _span(table, a, b, op) -> np.ndarray:
+    """op over the samples a..b (a <= b) from two overlapping blocks."""
+    k = np.frexp(b - a + 1)[1] - 1
+    return op(table[k, a], table[k, b - (1 << k) + 1])
+
+
+def _excursions(v: np.ndarray):
+    """Excursion structure of a root run v (positive at both ends, flanked
+    by zeros) from its exact ranks: one node per strict local-maximum
+    plateau, peaked at its first sample.
+
+    Returns per node, in position order, the peak, the run (lo, hi), the
+    col sample (where the parent's star flattens, next to the run on the
+    parent-peak side) and the parent (the root is its own); then the
+    children grouped by parent in position order, each parent's offset into
+    them, and the root's index.
+    """
+    r = np.unique(v, return_inverse=True)[1].astype(np.int32)
+    n = r.size
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    u = r[starts]
+    peaks = starts[np.r_[True, u[1:] > u[:-1]] & np.r_[u[:-1] > u[1:], True]]
+    top = _sparse_table(r, np.maximum)
+    bottom = _sparse_table(r, np.minimum)
+    x = r[peaks]
+    # dominators under argmax's first-maximum rule: an equal sample wins
+    # from the left only; the run sits above the higher of the two cols
+    left = _walk(top, peaks, x, np.less, True) - 1
+    right = _walk(top, peaks + 1, x, np.less_equal, False)
+    level = np.maximum(
+        np.where(left >= 0,
+                 _span(bottom, np.maximum(left, 0), peaks, np.minimum), -1),
+        np.where(right < n,
+                 _span(bottom, peaks, np.minimum(right, n - 1), np.minimum),
+                 -1))
+    lo = _walk(bottom, peaks, level, np.greater, True)
+    hi = _walk(bottom, peaks + 1, level, np.greater, False) - 1
+    # the parent's peak is the first maximum of the run at or above the col
+    a = _walk(bottom, peaks, level, np.greater_equal, True)
+    b = _walk(bottom, peaks + 1, level, np.greater_equal, False) - 1
+    parent_peak = _walk(top, a, _span(top, a, b, np.maximum), np.less, False)
+    del top, bottom
+    col = np.where(hi < parent_peak, hi + 1, lo - 1)
+    parent = np.searchsorted(peaks, parent_peak)
+    child = np.flatnonzero(parent != np.arange(peaks.size))
+    kids = child[np.argsort(parent[child], kind="stable")]
+    first_kid = np.r_[0, np.cumsum(np.bincount(parent[child],
+                                               minlength=peaks.size))]
+    root = int(np.searchsorted(peaks, np.argmax(r)))
+    return peaks, lo, hi, col, parent, kids, first_kid, root
+
+
 def ladder_decompose(f: GridFunction, max_nodes: int = 256,
                      sup_tol: float = 1e-9) -> LadderTree:
     """Breadth-first excursion decomposition, largest excursion first.
@@ -250,64 +362,69 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
         raise ValueError("decomposition needs compact support")
     if max_nodes < 1:
         raise ValueError("need a positive node budget")
+    if not (math.isfinite(sup_tol) and sup_tol >= 0):
+        raise ValueError(f"sup_tol must be finite and non-negative, got "
+                         f"{sup_tol}")
 
     fv = f.values
     if f.is_zero:
-        star = f.with_values(np.zeros_like(fv))
-        root = LadderNode((), 0, fv.size - 1, 0.0, star, f.origin, 0.0)
-        return LadderTree(f, root, [root], [(1, 0.0)], True, 0)
+        root = LadderNode((), 0, fv.size - 1, 0.0, f.origin, 0.0, f)
+        root._star = f.with_values(np.zeros_like(fv))
+        none = np.zeros(0, dtype=np.intp)
+        return LadderTree(f, root, [root], [(1, 0.0)], True, 0,
+                          (none, none, none, none, np.zeros(0)))
 
-    heap = []  # (-height, tiebreak, lo, hi, base, address)
+    lo0 = f.support_lo
+    peaks, lo, hi, col, parent, kids, first_kid, root = _excursions(
+        fv[lo0:f.support_hi + 1])
+    peaks, lo, hi, col = peaks + lo0, lo + lo0, hi + lo0, col + lo0
+    peak_point = (f.origin + peaks * f.step).tolist()
+    f_peak, f_col = fv[peaks].tolist(), fv[col].tolist()
+    lo_at, hi_at = lo.tolist(), hi.tolist()
+    kids, first_kid = kids.tolist(), first_kid.tolist()
+    base_of = [0.0] * len(peak_point)
+
+    # (-height, counter, node, base, address, parent node)
+    heap = [(-float(fv.max()), 0, root, 0.0, (), None)]
     counter = 0
-    heapq.heappush(heap, (-float(fv.max()), counter,
-                          f.support_lo, f.support_hi, 0.0, ()))
     order = []
+    done = []
     trace = []
-    root = None
     while heap and len(order) < max_nodes:
-        negh, _, lo, hi, base, address = heapq.heappop(heap)
-        w = fv[lo:hi + 1] - base
-        w = np.maximum(w, 0.0)
-        star_vals, t_local = _star_values(w)
-        # the full-length star trimmed(margin=1), origin by absolute index
-        nz = np.flatnonzero(star_vals)
-        if nz.size:
-            a, b = int(nz[0]), int(nz[-1])
-            star = GridFunction(f.origin + (lo + a - 1) * f.step, f.step,
-                                np.pad(star_vals[a:b + 1], 1))
-        else:
-            star = GridFunction(f.origin, f.step, np.zeros(2))
-        node = LadderNode(address, lo, hi, base, star,
-                          float(f.origin + (lo + t_local) * f.step),
-                          -negh)
-        if root is None:
-            root = node
+        negh, _, i, base, address, up = heapq.heappop(heap)
+        node = LadderNode(address, lo_at[i], hi_at[i], base, peak_point[i],
+                          -negh, f)
         order.append(node)
-        for j, (clo, chi) in enumerate(_strict_runs(w > star_vals), start=1):
-            flat = float(star_vals[clo])
-            child_height = float(np.max(w[clo:chi + 1]) - flat)
+        done.append(i)
+        if up is not None:
+            up.children.append(node)
+        for j, c in enumerate(kids[first_kid[i]:first_kid[i + 1]], start=1):
+            flat = max(f_col[c] - base, 0.0)
+            height = (f_peak[c] - base) - flat
+            base_of[c] = base + flat
             counter += 1
-            heapq.heappush(heap, (-child_height, counter, lo + clo, lo + chi,
-                                  base + flat, address + (j,)))
+            heapq.heappush(heap, (-height, counter, c, base_of[c],
+                                  address + (j,), node))
         gap = -heap[0][0] if heap else 0.0
         trace.append((len(order), float(gap)))
         if gap <= sup_tol:
             break
 
-    # Attach children links for the processed nodes (tree reporting).
-    by_address = {n.address: n for n in order}
-    for n in order:
-        if n.address and n.address[:-1] in by_address:
-            by_address[n.address[:-1]].children.append(n)
-    # Pending excursions also become (unprocessed) child stubs for partial sums.
-    for (negh, _, lo, hi, base, address) in sorted(heap, key=lambda e: e[1]):
-        if address and address[:-1] in by_address:
-            stub = LadderNode(address, lo, hi, base, None, math.nan, -negh)
-            by_address[address[:-1]].children.append(stub)
+    # pending excursions become (unprocessed) child stubs for partial sums
+    for negh, _, i, base, address, up in sorted(heap, key=lambda e: e[1]):
+        up.children.append(
+            LadderNode(address, lo_at[i], hi_at[i], base, math.nan, -negh))
 
+    rank = np.full(len(peak_point), len(order))
+    rank[done] = np.arange(len(order))
+    # every child of a processed node is an edge: processed, or a stub
+    edge = np.flatnonzero(rank[parent] < len(order))
+    edge = edge[edge != root]
+    edges = (rank[parent[edge]], rank[edge], lo[edge], (hi - lo + 1)[edge],
+             np.array(base_of)[edge])
     gap = trace[-1][1]
-    depth = max((len(n.address) for n in order), default=0)
-    return LadderTree(f, root, order, trace, gap <= sup_tol, depth)
+    depth = max(len(n.address) for n in order)
+    return LadderTree(f, order[0], order, trace, gap <= sup_tol, depth, edges)
 
 
 def arm_split(h: GridFunction):

@@ -156,7 +156,14 @@ class FatCantorSpec:
     def surrogate(self, r: float) -> float:
         if self.alpha > 1.0:
             return r ** (self.alpha - 1.0)
-        return 1.0 / math.log(self.a_log / r)
+        # 1/log(a/r) tends to 0 with r; at alpha = 1 the i-th radius
+        # underflows to 0 from i ~ 10 + log2(budget)
+        return 1.0 / math.log(self.a_log / r) if r > 0 else 0.0
+
+
+# The i-th radius shrinks like budget * 2^-i and underflows to 0 past about
+# 1074 + log2(budget) islands, so a larger count only costs memory.
+MAX_ISLANDS = 1 << 12
 
 
 def dyadic_centers(count: int):
@@ -179,9 +186,13 @@ def build_fat_cantor(spec: FatCantorSpec, n_intervals: int,
     dyadic centers, radii shrunk to stay inside (-1, 1).
 
     ``radii`` overrides the spec's geometric rule; a rule whose surrogate
-    sum exceeds the budget is rejected with the offending partial sum."""
+    sum exceeds the budget is rejected with the offending partial sum.  At
+    most MAX_ISLANDS islands are built."""
     if n_intervals < 1:
         raise ValueError("need at least one island")
+    if n_intervals > MAX_ISLANDS:
+        raise ValueError(f"{n_intervals} islands exceed the limit of "
+                         f"{MAX_ISLANDS}")
     if radii is not None and len(radii) != n_intervals:
         raise ValueError("need one radius per island")
     pieces = [(-math.inf, -1.0), (1.0, math.inf)]

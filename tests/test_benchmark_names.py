@@ -28,7 +28,8 @@ def test_every_traced_name_resolves():
 
 
 def test_traced_calls_record_their_layers():
-    # the two paths that reach the hat correlation: atoms and capacity
+    # the two paths that reach the hat correlation (atoms and capacity),
+    # and the ladder calls whose work is the node count
     tracer = _tracing_namespace()["Tracer"]()
     tracer.install(fracform)
     try:
@@ -37,9 +38,17 @@ def test_traced_calls_record_their_layers():
             f, fracform.LevyTriplet(atoms=((0.3, 1.0),)))
         fracform.capacity_estimate(fracform.IntervalSet.of((-0.2, 0.2)), 0.5,
                                    (-1.0, 1.0), 1.0 / 16.0)
+        walk = fracform.GridFunction(
+            0.0, 0.125, np.array([0.0, 2.0, 1.0, 3.0, 0.5, 1.5, 0.0]))
+        tree = fracform.ladder_decompose(walk, 8, 0.0)
+        fracform.is_erased_function(tree.partial_sum(1), walk)
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"levy.levy_gagliardo_energy", "quadcells.rho_profile",
-            "scalecap.capacity_estimate",
-            "quadcells.hat_energy_row"} <= names
+            "scalecap.capacity_estimate", "quadcells.hat_energy_row",
+            "ladder.ladder_decompose", "ladder.partial_sum",
+            "ladder.is_erased_function"} <= names
+    assert tree.n_nodes == 3
+    assert [span[5] for span in tracer.spans
+            if span[0] == "ladder.ladder_decompose"] == [tree.n_nodes]

@@ -139,11 +139,26 @@ BAD_INPUTS = {
     "levy-null-atom-mass": ["levy", "--triplet", "{null_mass_triplet}"],
     "levy-nan-sigma": ["levy", "--sigma", "nan"],
     "levy-nan-atom": ["levy", "--atom", "nan:1"],
+    "ladder-nan-sup-tol": ["ladder", "--function", "bump:0,1", "--sup-tol",
+                           "nan"],
+    "ladder-negative-sup-tol": ["ladder", "--function", "bump:0,1",
+                                "--sup-tol", "-1"],
+    "levy-nan-xi-min": ["levy", "--atom", "1:1", "--xi-min", "nan"],
+    "levy-zero-n-xi": ["levy", "--atom", "1:1", "--n-xi", "0"],
+    "levy-reversed-xi": ["levy", "--atom", "1:1", "--xi-min", "10",
+                         "--xi-max", "1"],
+    "levy-infinite-xi-max": ["levy", "--atom", "1:1", "--xi-max", "inf"],
+    # 1e10 frequencies: 149 GiB for the grid alone
+    "levy-huge-n-xi": ["levy", "--atom", "1:1", "--n-xi", "10000000000"],
+    # 1e8 islands: several GiB of Python lists
+    "scale-huge-count": ["scale", "--n-intervals", "100000000"],
+    "scale-huge-spec-count": ["scale", "--spec", "{huge_count_spec}"],
 }
 
 # cases that would allocate far more than the address-space cap
 HUGE_GRIDS = {"capacity-tiny-step", "bump-overflow", "bump-huge-width",
-              "plateau-huge-top"}
+              "plateau-huge-top", "levy-huge-n-xi", "scale-huge-count",
+              "scale-huge-spec-count"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -160,6 +175,8 @@ def test_bad_input_is_one_error_line(case, tmp_path):
         "null_alpha_spec": json.dumps({"alpha": None, "budget": 0.1}),
         "half_count_spec": json.dumps({"alpha": 1.5, "budget": 0.1,
                                        "n_intervals": 2.5}),
+        "huge_count_spec": json.dumps({"alpha": 1.5, "budget": 0.1,
+                                       "n_intervals": 1e8}),
         "null_sigma_triplet": json.dumps({"sigma": None}),
         "null_mass_triplet": json.dumps({"atoms": [[1, None]]}),
     }

@@ -1,10 +1,14 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracform.energy import EnergyParams, gagliardo_energy
-from fracform.grids import GridFunction, PlateauSpec, make_plateau
+from fracform.grids import GridFunction, IntervalSet, PlateauSpec, \
+    make_plateau
 from fracform.ladder import (arm_split, bv_fourier_bound_check,
                              is_erased_function, ladder_decompose,
                              ladder_star, skorokhod_star,
@@ -17,6 +21,145 @@ from conftest import sample_bump
 def two_bump(step=1.0 / 64.0):
     return sample_multibump(((0.5, 0.4, 1.0), (1.6, 0.4, 0.7)), step,
                             -0.2, 2.4)
+
+
+def rough_walk(n, seed):
+    """Tapered random walk with exact zeros at both ends: one excursion per
+    local maximum."""
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(n))
+    v = (walk - walk.min() + 1.0) * np.sin(np.pi * np.arange(n) / (n - 1))
+    v[0] = v[-1] = 0.0
+    return GridFunction(0.0, 1.0 / (n - 1), v)
+
+
+# -- the per-node reference: one numpy pass per excursion on f - base ------
+
+
+def _reference_runs(mask):
+    idx = np.nonzero(mask)[0]
+    if idx.size == 0:
+        return []
+    splits = np.nonzero(np.diff(idx) > 1)[0]
+    return [(int(run[0]), int(run[-1])) for run in np.split(idx, splits + 1)]
+
+
+def _reference_is_erased(f, g):
+    fa, ga = f.aligned_with(g)
+    fv, gv = fa.values, ga.values
+    if np.any(fv > gv):
+        return False, IntervalSet.empty()
+    components = []
+    x = fa.x
+    ok = True
+    for lo, hi in _reference_runs(fv < gv):
+        if np.any(fv[lo:hi + 1] != fv[lo]):
+            ok = False
+        xl = x[lo - 1] if lo > 0 else x[0] - fa.step
+        xr = x[hi + 1] if hi + 1 < fv.size else x[-1] + fa.step
+        components.append((float(xl), float(xr)))
+    return ok, IntervalSet(tuple(components))
+
+
+class _ReferenceNode:
+    def __init__(self, address, lo, hi, base, star, peak_point, height):
+        self.address, self.lo, self.hi, self.base = address, lo, hi, base
+        self.star, self.peak_point, self.height = star, peak_point, height
+        self.pending = star is None
+        self.children = []
+
+
+def _reference_decompose(f, max_nodes, sup_tol):
+    """Each excursion's star from max(f[run] - base, 0) and its children
+    from the strict runs above the star; returns (order, trace, converged,
+    depth)."""
+    fv = f.values
+    if f.is_zero:
+        root = _ReferenceNode((), 0, fv.size - 1, 0.0,
+                              f.with_values(np.zeros_like(fv)), f.origin, 0.0)
+        return [root], [(1, 0.0)], True, 0
+    heap = [(-float(fv.max()), 0, f.support_lo, f.support_hi, 0.0, ())]
+    counter = 0
+    order, trace = [], []
+    while heap and len(order) < max_nodes:
+        negh, _, lo, hi, base, address = heapq.heappop(heap)
+        w = np.maximum(fv[lo:hi + 1] - base, 0.0)
+        t = int(np.argmax(w))
+        star_vals = np.concatenate([
+            np.minimum.accumulate(w[:t + 1][::-1])[::-1],
+            np.minimum.accumulate(w[t:])[1:]])
+        nz = np.flatnonzero(star_vals)
+        if nz.size:
+            a, b = int(nz[0]), int(nz[-1])
+            star = GridFunction(f.origin + (lo + a - 1) * f.step, f.step,
+                                np.pad(star_vals[a:b + 1], 1))
+        else:
+            star = GridFunction(f.origin, f.step, np.zeros(2))
+        order.append(_ReferenceNode(address, lo, hi, base, star,
+                                    float(f.origin + (lo + t) * f.step),
+                                    -negh))
+        for j, (clo, chi) in enumerate(_reference_runs(w > star_vals), 1):
+            flat = float(star_vals[clo])
+            counter += 1
+            heapq.heappush(heap, (-float(np.max(w[clo:chi + 1]) - flat),
+                                  counter, lo + clo, lo + chi, base + flat,
+                                  address + (j,)))
+        gap = -heap[0][0] if heap else 0.0
+        trace.append((len(order), float(gap)))
+        if gap <= sup_tol:
+            break
+    by_address = {n.address: n for n in order}
+    for n in order:
+        if n.address:
+            by_address[n.address[:-1]].children.append(n)
+    for negh, _, lo, hi, base, address in sorted(heap, key=lambda e: e[1]):
+        by_address[address[:-1]].children.append(
+            _ReferenceNode(address, lo, hi, base, None, math.nan, -negh))
+    gap = trace[-1][1]
+    return order, trace, gap <= sup_tol, max(len(n.address) for n in order)
+
+
+def _reference_partial_sum(f, order, k):
+    done = {node.address for node in order[:k]}
+    out = f.values.copy()
+    for node in order[:k]:
+        for child in node.children:
+            if child.address not in done:
+                out[child.lo:child.hi + 1] = np.minimum(
+                    out[child.lo:child.hi + 1], child.base)
+    return out
+
+
+def _assert_same_node(node, ref):
+    got = (node.address, node.lo, node.hi, node.base, node.height,
+           node.pending)
+    assert got == (ref.address, ref.lo, ref.hi, ref.base, ref.height,
+                   ref.pending)
+    assert (node.peak_point == ref.peak_point
+            or math.isnan(node.peak_point) and math.isnan(ref.peak_point))
+    if not ref.pending:
+        assert (node.star.origin, node.star.step) == (ref.star.origin,
+                                                      ref.star.step)
+        assert np.array_equal(node.star.values, ref.star.values)
+    assert [c.address for c in node.children] == \
+        [c.address for c in ref.children]
+    for child, ref_child in zip(node.children, ref.children):
+        if ref_child.pending:
+            _assert_same_node(child, ref_child)
+
+
+def assert_matches_reference(f, max_nodes, sup_tol):
+    """Node by node, in order, with trace, flags and every partial sum."""
+    tree = ladder_decompose(f, max_nodes=max_nodes, sup_tol=sup_tol)
+    order, trace, converged, depth = _reference_decompose(f, max_nodes,
+                                                          sup_tol)
+    assert tree.trace == trace
+    assert (tree.converged, tree.depth_built) == (converged, depth)
+    assert len(tree.order) == len(order)
+    for node, ref in zip(tree.order, order):
+        _assert_same_node(node, ref)
+    for k in range(1, len(order) + 1):
+        assert np.array_equal(tree.partial_sum(k).values,
+                              _reference_partial_sum(f, order, k)), k
 
 
 class TestIsErased:
@@ -56,6 +199,22 @@ class TestIsErased:
         h = sample_bump(step=1.0 / 32.0)
         with pytest.raises(ValueError):
             is_erased_function(h, g)
+
+    @given(g=st.lists(st.integers(0, 3), min_size=2, max_size=40),
+           cut=st.lists(st.integers(0, 4), min_size=2, max_size=40),
+           shift=st.integers(-3, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, g, cut, shift):
+        # min(g, cut) is erased only where it stays constant; cut values
+        # above g (4) keep g, and the shift misaligns the two windows
+        gv = np.array(g, dtype=float)
+        fv = np.minimum(gv[:len(cut)], np.array(cut[:len(g)], dtype=float))
+        gf = GridFunction(-0.7, 0.1, gv)
+        ff = GridFunction(-0.7 + 0.1 * shift, 0.1, fv)
+        ok, witness = is_erased_function(ff, gf)
+        ref_ok, ref_witness = _reference_is_erased(ff, gf)
+        assert ok == ref_ok
+        assert witness.intervals == ref_witness.intervals
 
 
 def admissible_plateau(rng, a=0.0, b=1.0, rho=0.5, step=1.0 / 32.0):
@@ -195,12 +354,8 @@ class TestLadderDecompose:
     def test_partial_sums_walk_matches_partial_sum(self, max_nodes):
         # a rough tapered walk has one excursion per local maximum; the
         # 7-node budget leaves pending stubs under the processed nodes
-        n = 1024
-        walk = np.cumsum(np.random.default_rng(5).standard_normal(n))
-        v = (walk - walk.min() + 1.0) * np.sin(np.pi * np.arange(n) / (n - 1))
-        v[0] = v[-1] = 0.0
-        tree = ladder_decompose(GridFunction(0.0, 1.0 / (n - 1), v),
-                                max_nodes=max_nodes, sup_tol=0.0)
+        tree = ladder_decompose(rough_walk(1024, 5), max_nodes=max_nodes,
+                                sup_tol=0.0)
         assert tree.converged == (max_nodes > 7)
         stubs = [c for node in tree.order for c in node.children if c.pending]
         assert bool(stubs) == (max_nodes == 7)
@@ -242,6 +397,11 @@ class TestLadderDecompose:
         with pytest.raises(ValueError):
             ladder_decompose(f)
 
+    @pytest.mark.parametrize("sup_tol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected(self, sup_tol):
+        with pytest.raises(ValueError, match="sup_tol"):
+            ladder_decompose(two_bump(), sup_tol=sup_tol)
+
     def test_children_sit_on_one_side_of_the_peak(self, rng):
         # every excursion lies strictly left or right of its parent's peak
         for _ in range(10):
@@ -262,6 +422,35 @@ class TestLadderDecompose:
                 peak_idx = int(round((parent.peak_point - f.origin) / f.step))
                 assert parent.lo <= node.lo and node.hi <= parent.hi
                 assert node.hi < peak_idx or node.lo > peak_idx
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 257, 1024, 4096])
+    @pytest.mark.parametrize("budget", [1, 7, None])
+    @pytest.mark.parametrize("sup_tol", [0.0, 1e-3])
+    def test_rough_walks(self, n, budget, sup_tol):
+        f = rough_walk(n, n)
+        assert_matches_reference(f, budget or n, sup_tol)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("budget", [1, 7, None])
+    @pytest.mark.parametrize("sup_tol", [0.0, 1e-3])
+    def test_multibumps(self, seed, budget, sup_tol):
+        rng = np.random.default_rng(seed)
+        params = tuple((float(rng.uniform(0, 4)),
+                        float(rng.uniform(0.1, 0.8)),
+                        float(rng.uniform(0.2, 1.5))) for _ in range(6))
+        f = sample_multibump(params, 1.0 / 128.0, -1.0, 5.0)
+        assert_matches_reference(f, budget or f.n_nodes, sup_tol)
+
+    @given(values=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+           budget=st.sampled_from([1, 7, None]),
+           sup_tol=st.sampled_from([0.0, 1e-3]))
+    @settings(max_examples=300, deadline=None)
+    def test_small_integers(self, values, budget, sup_tol):
+        # ties, plateaus, equal peaks and interior zeros; all-zero too
+        f = GridFunction(-0.25, 0.5, [0.0] + values + [0.0])
+        assert_matches_reference(f, budget or f.n_nodes, sup_tol)
 
 
 class TestArmSplit:

@@ -51,6 +51,20 @@ class TestFatCantor:
         brute = float(np.mean(g.indicator(xs))) * 2.0
         assert g.measure_between(-1.0, 1.0) == pytest.approx(brute, abs=1e-4)
 
+    def test_island_count_limit(self):
+        spec = FatCantorSpec(alpha=1.5, budget=0.1)
+        g = build_fat_cantor(spec, scalecap.MAX_ISLANDS)
+        # islands this deep have radius 0 and are dropped
+        assert 2 < len(g) < scalecap.MAX_ISLANDS
+        with pytest.raises(ValueError, match="exceed the limit"):
+            build_fat_cantor(spec, scalecap.MAX_ISLANDS + 1)
+
+    def test_alpha_one_underflowing_radii(self):
+        # exp(-1/share) underflows to 0 from the seventh island on
+        spec = FatCantorSpec(alpha=1.0, budget=0.1)
+        g = build_fat_cantor(spec, 20)
+        assert g == build_fat_cantor(spec, 6)
+
     def test_alpha_one_log_radii(self):
         spec = FatCantorSpec(alpha=1.0, budget=0.3)
         g = build_fat_cantor(spec, 7)
