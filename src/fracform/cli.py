@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import EnergyParams, dirichlet_energy, gagliardo_energy
 from .grids import MAX_GRID_NODES, GridFunction, IntervalSet, PlateauSpec, \
-    StepFunction, _json_float, make_plateau
+    StepFunction, _json_float, check_grid_nodes, make_plateau
 from .ladder import ladder_decompose
 from .levy import LevyTriplet, PowerLawDensity, finite_variation_test, \
     growth_exponent_fit, levy_indicator_energy, levy_symbol
@@ -175,6 +175,7 @@ def _cmd_ladder(cfg: RunConfig) -> int:
 
 def _cmd_scale(cfg: RunConfig) -> int:
     p = cfg.params
+    check_grid_nodes(-1.5, 1.5, p["step"])
     if p.get("spec"):
         spec_data = json.loads(Path(p["spec"]).read_text(encoding="utf-8"))
         if not isinstance(spec_data, dict):

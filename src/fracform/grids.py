@@ -345,15 +345,6 @@ class StepFunction:
         x = a + step * np.arange(-pad, n + pad + 1)
         return GridFunction(x[0], step, self(x))
 
-    def to_json_dict(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(),
-                "levels": self.levels.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StepFunction":
-        return cls(np.asarray(d["breakpoints"], dtype=float),
-                   np.asarray(d["levels"], dtype=float))
-
 
 def snap_to_dyadic_step(f: GridFunction, n: int) -> StepFunction:
     """Left-endpoint dyadic snapping: level f(i/2^n) on (i/2^n, (i+1)/2^n]."""
@@ -426,17 +417,23 @@ class IntervalSet:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def measure(self) -> float:
-        """Total length of the finite intervals (inf if any is unbounded)."""
-        return float(sum(hi - lo for lo, hi in self.intervals))
+    def endpoints(self) -> np.ndarray:
+        """The pieces as a (len, 2) array of [lo, hi] rows."""
+        return np.array(self.intervals, dtype=float).reshape(-1, 2)
 
-    def measure_between(self, x: float, y: float) -> float:
-        """Lebesgue measure of the set intersected with (min(x,y), max(x,y))."""
-        a, b = (x, y) if x <= y else (y, x)
-        total = 0.0
-        for lo, hi in self.intervals:
-            total += max(0.0, min(hi, b) - max(lo, a))
-        return total
+    def measure_between(self, x, y):
+        """Lebesgue measure of the set intersected with (min(x,y), max(x,y)).
+
+        Broadcasts over arrays x, y (a float for scalar arguments).  Each
+        entry adds the pieces' overlaps in order, so it equals the scalar
+        call bit for bit; an overlap inf - inf (x = y = +-inf) counts 0."""
+        a, b = np.minimum(x, y), np.maximum(x, y)
+        total = np.zeros(np.shape(a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in self.intervals:
+                d = np.minimum(hi, b) - np.maximum(lo, a)
+                total += np.where(d > 0.0, d, 0.0)
+        return float(total) if total.ndim == 0 else total
 
     def indicator(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -236,19 +236,6 @@ class LadderTree:
         out[idx] = np.minimum(out[idx], np.repeat(base[cut], length))
         return self.source.with_values(out)
 
-    def partial_sums(self):
-        """partial_sum(1..K) in one walk: step k restores node k's run from f
-        and clips it at its children's bases (children follow their parent in
-        ``order`` and sibling runs are disjoint, so this is exact)."""
-        f = self.source.values
-        out = f.copy()
-        for node in self.order:
-            out[node.lo:node.hi + 1] = f[node.lo:node.hi + 1]
-            for child in node.children:
-                seg = out[child.lo:child.hi + 1]
-                np.minimum(seg, child.base, out=seg)
-            yield self.source.with_values(out)
-
     def sup_gap(self, k: int | None = None) -> float:
         if k is None:
             k = len(self.order)

@@ -181,16 +181,22 @@ def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:
     """psi(xi) = sigma xi^2 / 2 + int (1 - cos(xi x)) nu(dx): exact sums over
     the mirrored atoms; for the density c |x|^(-1-alpha), substituting
     u = |xi| x gives 2 c |xi|^alpha I(alpha), with I(alpha) measured once per
-    call by series-plus-quadrature at xi = 1."""
+    call by series-plus-quadrature at xi = 1.  Raises ValueError where psi
+    overflows."""
     xi = np.asarray(xi_grid, dtype=float)
-    psi = 0.5 * t.sigma * xi ** 2
-    for x, m in t.atoms:
-        psi = psi + 2.0 * m * (1.0 - np.cos(xi * x))
-    if t.density is not None:
-        a = t.density.alpha
-        c = t.density.coefficient
-        scale = _density_symbol_integral(1.0, a)
-        psi = psi + 2.0 * c * (scale * np.abs(xi) ** a)
+    psi = np.zeros_like(xi)
+    with np.errstate(over="ignore"):
+        if t.sigma > 0:
+            psi = psi + 0.5 * t.sigma * xi ** 2
+        for x, m in t.atoms:
+            psi = psi + 2.0 * m * (1.0 - np.cos(xi * x))
+        if t.density is not None:
+            a = t.density.alpha
+            c = t.density.coefficient
+            scale = _density_symbol_integral(1.0, a)
+            psi = psi + 2.0 * c * (scale * np.abs(xi) ** a)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("the symbol is not finite on this frequency grid")
     psi = np.maximum(psi, 0.0)
     return SymbolCurve(xi, psi)
 

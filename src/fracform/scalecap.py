@@ -2,6 +2,11 @@
 with Lipschitz functions, the distributional pairing, and Riesz capacities by
 constrained energy minimization.
 
+The scale layer rests on one primitive, the measure of G between two points
+(``IntervalSet.measure_between``, broadcast over arrays): the scale function
+interpolates it at the ends of G's pieces, and the density certificate and
+the pushforward measure are whole-array passes over the pieces and the grid.
+
 Capacity of a set K inside a finite window is the minimum of the E1 form
 (fractional energy at the dual exponent plus the L2 norm) over grid functions
 pinned to 1 on the nodes of K, with the natural zero condition beyond the
@@ -16,7 +21,7 @@ Comput. 1988; Chan and Ng, SIAM Review 1996).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,63 +50,66 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScaleFunction:
-    """s(x) = measure of G between the anchor and x, for an open set G.
+    """s(x) = measure of G between the anchor and x, for an open set G,
+    negative left of the anchor.
 
     s is 1-Lipschitz and non-decreasing with slope exactly 1 on G and 0 off
-    G.  ``density_depth`` records the deepest dyadic level of the bounded
-    complement hull at which every cell still meets G (the finite-resolution
-    density certificate); ``strictly_increasing`` is the corresponding flag.
+    G: linear between the ``breakpoints`` (the anchor and the finite ends of
+    G's pieces), where ``cumulative`` holds its values, and with slope 1
+    beyond them on a ray that G contains.  ``density_depth`` records the
+    deepest dyadic level of the window at which every cell still meets G
+    (the finite-resolution density certificate); ``strictly_increasing`` is
+    the corresponding flag.
     """
 
     g_set: IntervalSet
     anchor: float = 0.0
-    breakpoints: np.ndarray = None
-    cumulative: np.ndarray = None
     density_depth: int = -1
     strictly_increasing: bool = False
+    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = sorted({self.anchor}
-                     | {p for iv in self.g_set for p in iv if math.isfinite(p)})
-        bp = np.array(pts, dtype=float)
-        cum = np.array([self._signed_measure(x) for x in bp])
+        ends = self.g_set.endpoints()
+        bp = np.unique(np.append(ends[np.isfinite(ends)], self.anchor))
+        m = self.g_set.measure_between(self.anchor, bp)
+        cum = np.where(bp >= self.anchor, m, -m)
         bp.flags.writeable = False
         cum.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "cumulative", cum)
 
-    def _signed_measure(self, x: float) -> float:
-        m = self.g_set.measure_between(self.anchor, x)
-        return m if x >= self.anchor else -m
-
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        bp, cum = self.breakpoints, self.cumulative
-        idx = np.searchsorted(bp, x, side="right") - 1
-        out = np.empty_like(x)
-        below = idx < 0
-        out[below] = cum[0] - self.g_set.indicator(
-            0.5 * (x[below] + bp[0])) * (bp[0] - x[below])
-        inside = ~below
-        i = idx[inside]
-        mid = 0.5 * (x[inside] + bp[i])
-        slope = self.g_set.indicator(mid)
-        out[inside] = cum[i] + slope * (x[inside] - bp[i])
+        bp = self.breakpoints
+        out = np.interp(x, bp, self.cumulative)
+        pieces = self.g_set.intervals
+        if pieces and pieces[0][0] == -math.inf:
+            out += np.minimum(x - bp[0], 0.0)
+        if pieces and pieces[-1][1] == math.inf:
+            out += np.maximum(x - bp[-1], 0.0)
         return out
-
-    def measure_between(self, x: float, y: float) -> float:
-        return self.g_set.measure_between(x, y)
 
 
 def _density_depth(g: IntervalSet, window, max_depth: int = 12) -> int:
     """Deepest dyadic level of the window at which every cell meets G with
-    positive measure; -1 when even depth 0 fails."""
+    positive measure; -1 when even depth 0 fails.
+
+    The pieces are sorted and disjoint, so of those ending right of a cell's
+    start the first starts leftmost: the cell meets G exactly when that
+    piece starts before the cell's end."""
     a, b = window
+    ends = g.endpoints()
+    lo = np.append(ends[:, 0], math.inf)
     depth = -1
     for d in range(0, max_depth + 1):
         edges = np.linspace(a, b, 2 ** d + 1)
-        if all(g.measure_between(lo, hi) > 0.0
-               for lo, hi in zip(edges[:-1], edges[1:])):
+        # a cell spans its edges in either order, as in measure_between
+        # (a reversed window, or edges that round out of order)
+        start = np.minimum(edges[:-1], edges[1:])
+        end = np.maximum(edges[:-1], edges[1:])
+        first = np.searchsorted(ends[:, 1], start, side="right")
+        if np.all((lo[first] < end) & (start < end)):
             depth = d
         else:
             break
@@ -112,8 +120,9 @@ def scale_from_open_set(g: IntervalSet, anchor: float = 0.0,
                         density_window=None) -> ScaleFunction:
     """Exact piecewise-linear scale function with slope 1 on G and 0 off G."""
     if density_window is None:
-        finite = [p for iv in g for p in iv if math.isfinite(p)]
-        density_window = ((min(finite), max(finite)) if len(finite) >= 2
+        ends = g.endpoints()
+        finite = ends[np.isfinite(ends)]
+        density_window = ((finite.min(), finite.max()) if finite.size >= 2
                           else (-1.0, 1.0))
     depth = _density_depth(g, density_window)
     strict = depth >= 6 or g.complement_within(density_window).is_empty
@@ -142,15 +151,19 @@ class FatCantorSpec:
         if not 1.0 <= self.alpha < 2.0:
             raise ValueError(f"fat-Cantor construction needs alpha in [1, 2), "
                              f"got {self.alpha}")
-        if not self.budget > 0:
-            raise ValueError("surrogate budget must be positive")
-        if not self.a_log > 1:
-            raise ValueError("a_log must exceed 1")
+        if not 0 < self.budget < math.inf:
+            raise ValueError("surrogate budget must be positive and finite")
+        if not 1 < self.a_log < math.inf:
+            raise ValueError("a_log must be finite and exceed 1")
 
     def radius(self, i: int) -> float:
+        """The i-th radius; inf where it overflows (the build clips it)."""
         share = self.budget * 2.0 ** (-i)
         if self.alpha > 1.0:
-            return share ** (1.0 / (self.alpha - 1.0))
+            try:
+                return share ** (1.0 / (self.alpha - 1.0))
+            except OverflowError:
+                return math.inf
         return self.a_log * math.exp(-1.0 / share)
 
     def surrogate(self, r: float) -> float:
@@ -242,60 +255,55 @@ def compose_scale(f_lip: GridFunction, s: ScaleFunction, window,
     return Composition(GridFunction(lo, step, vals), f_lip.lipschitz(), s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedMeasure:
-    """Atoms plus piecewise-constant density segments, finite on compacts."""
+    """Density ``density[k]`` on the segment (lo[k], hi[k]); the segments
+    are disjoint, so the measure is finite on compacts."""
 
-    atoms: tuple = ()
-    density_segments: tuple = ()
+    lo: np.ndarray
+    hi: np.ndarray
+    density: np.ndarray
 
     def integrate(self, phi: GridFunction) -> float:
-        total = 0.0
-        for loc, weight in self.atoms:
-            total += weight * float(phi(np.array([loc]))[0])
-        for (lo, hi), dens in self.density_segments:
-            total += dens * _integral_on(phi, lo, hi)
-        return total
+        """Exact integral of the interpolant of phi against the measure: the
+        antiderivative of the interpolant at every segment end, from one
+        cumulative-trapezoid table over phi's nodes."""
+        ends = _antiderivative(phi, np.concatenate([self.lo, self.hi]))
+        k = self.density.size
+        return float(np.sum(self.density * (ends[k:] - ends[:k])))
+
+    def _masses(self) -> np.ndarray:
+        return self.density * (self.hi - self.lo)
 
     def positive_mass(self) -> float:
-        total = sum(w for _, w in self.atoms if w > 0)
-        total += sum(d * (hi - lo)
-                     for (lo, hi), d in self.density_segments if d > 0)
-        return total
+        return float(np.sum(np.maximum(self._masses(), 0.0)))
 
     def total_variation_mass(self) -> float:
-        total = sum(abs(w) for _, w in self.atoms)
-        total += sum(abs(d) * (hi - lo)
-                     for (lo, hi), d in self.density_segments)
-        return total
+        return float(np.sum(np.abs(self._masses())))
 
 
-def _integral_on(phi: GridFunction, lo: float, hi: float) -> float:
-    """Exact integral of the interpolant of phi over [lo, hi]."""
-    xs = phi.x
-    cuts = xs[(xs > lo) & (xs < hi)]
-    pts = np.concatenate([[lo], cuts, [hi]])
-    vals = phi(pts)
-    return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
+def _antiderivative(phi: GridFunction, x: np.ndarray) -> np.ndarray:
+    """Integral of the interpolant of phi (0 off its window) from -inf to x:
+    the cumulative trapezoid table at the cell's left node plus the exact
+    integral of the linear piece from that node to x."""
+    v, h = phi.values, phi.step
+    table = np.concatenate([[0.0], np.cumsum(0.5 * h * (v[:-1] + v[1:]))])
+    t = np.clip((x - phi.origin) / h, 0.0, v.size - 1)
+    j = np.minimum(t.astype(int), v.size - 2)
+    u = t - j
+    return table[j] + h * u * (v[j] + 0.5 * u * (v[j + 1] - v[j]))
 
 
 def pushforward_measure(f_comp: GridFunction, s: ScaleFunction
                         ) -> SignedMeasure:
     """Lebesgue-Stieltjes measure of the composed function, as density
     segments (the per-cell slope, merged over equal-slope runs)."""
-    v = f_comp.values
-    slopes = np.diff(v) / f_comp.step
+    slopes = np.diff(f_comp.values) / f_comp.step
+    starts = np.flatnonzero(np.concatenate([[True], slopes[1:] != slopes[:-1]]))
+    stops = np.append(starts[1:], slopes.size)
+    keep = slopes[starts] != 0.0
     x = f_comp.x
-    segments = []
-    i = 0
-    while i < slopes.size:
-        j = i
-        while j + 1 < slopes.size and slopes[j + 1] == slopes[i]:
-            j += 1
-        if slopes[i] != 0.0:
-            segments.append(((float(x[i]), float(x[j + 1])), float(slopes[i])))
-        i = j + 1
-    return SignedMeasure(atoms=(), density_segments=tuple(segments))
+    return SignedMeasure(x[starts[keep]], x[stops[keep]], slopes[starts[keep]])
 
 
 def duality_pairing_check(f_comp: GridFunction, s: ScaleFunction,
@@ -303,17 +311,17 @@ def duality_pairing_check(f_comp: GridFunction, s: ScaleFunction,
     """Integration-by-parts identity for the composed function.
 
     lhs = -int (f o s)(x) phi'(x) dx (the distributional pairing); rhs
-    integrates phi against the pushforward measure d(f o s).  Exact up to
-    roundoff for piecewise-linear data."""
+    integrates phi against the pushforward measure d(f o s).  Both sides
+    read phi as the interpolant of its samples zero-padded onto the common
+    grid, so the identity is exact up to roundoff."""
     if not f_comp.same_grid(phi):
         raise ValueError("pairing needs phi on the grid of the composition")
     g, ph = f_comp.aligned_with(phi)
     phi_slopes = np.diff(ph.values) / g.step
-    x = g.x
     gv = g.values
     cell_int = 0.5 * (gv[:-1] + gv[1:]) * g.step
     lhs = -float(np.sum(phi_slopes * cell_int))
-    rhs = pushforward_measure(f_comp, s).integrate(phi)
+    rhs = pushforward_measure(f_comp, s).integrate(ph)
     return lhs, rhs
 
 

@@ -188,11 +188,12 @@ def check_ladder_convergence(rng) -> tuple:
     f = sample_multibump(params, step, -0.5, 4.5)
     tree = ladder_decompose(f, max_nodes=64, sup_tol=1e-3)
     gap = tree.sup_gap()
-    erased_ok = all(is_erased_function(ps, f)[0] for ps in tree.partial_sums())
+    sums = [tree.partial_sum(k) for k in range(1, tree.n_nodes + 1)]
+    erased_ok = all(is_erased_function(ps, f)[0] for ps in sums)
     ratios = []
     for alpha in (0.5, 1.5):
         p = EnergyParams(alpha=alpha)
-        norms = [gagliardo_energy(ps, p).e1_norm for ps in tree.partial_sums()]
+        norms = [gagliardo_energy(ps, p).e1_norm for ps in sums]
         ratios.append(max(norms) / min(norms))
     ok = (tree.converged and gap < 1e-3 and erased_ok
           and all(r < 3.0 for r in ratios))

@@ -153,12 +153,19 @@ BAD_INPUTS = {
     # 1e8 islands: several GiB of Python lists
     "scale-huge-count": ["scale", "--n-intervals", "100000000"],
     "scale-huge-spec-count": ["scale", "--spec", "{huge_count_spec}"],
+    "scale-zero-step": ["scale", "--step", "0"],
+    "scale-negative-step": ["scale", "--step", "-1"],
+    # 3e12 nodes on [-1.5, 1.5]: 21.8 TiB for the grid alone
+    "scale-tiny-step": ["scale", "--step", "1e-12"],
+    "scale-infinite-budget": ["scale", "--budget", "inf"],
+    # sigma xi^2 / 2 overflows at xi = 1e300
+    "levy-overflowing-symbol": ["levy", "--sigma", "1", "--xi-max", "1e300"],
 }
 
 # cases that would allocate far more than the address-space cap
 HUGE_GRIDS = {"capacity-tiny-step", "bump-overflow", "bump-huge-width",
               "plateau-huge-top", "levy-huge-n-xi", "scale-huge-count",
-              "scale-huge-spec-count"}
+              "scale-huge-spec-count", "scale-tiny-step"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -369,6 +376,23 @@ class TestOtherCommands:
                        "--out-dir", str(tmp_path)])
         assert out.returncode == 0
         assert "finite_variation = True" in out.stdout
+
+    def test_scale_overflowing_radii_are_clipped(self, tmp_path):
+        # share ** 2 overflows for the first islands at budget 1e308
+        out = run_cli(["scale", "--budget", "1e308", "--n-intervals", "4096",
+                       "--out-dir", str(tmp_path)])
+        assert out.returncode == 0 and out.stderr == ""
+        assert "islands = 3" in out.stdout
+
+    def test_levy_symbol_finite_on_extreme_frequencies(self, tmp_path):
+        # atoms keep psi bounded at xi = 1e300; sigma = 0 adds nothing
+        out = run_cli(["levy", "--atom", "1:1", "--xi-min", "1e-300",
+                       "--xi-max", "1e300", "--n-xi", "50",
+                       "--out-dir", str(tmp_path)],
+                      env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert out.returncode == 0 and out.stderr == ""
+        assert "nan" not in out.stdout
+        assert "growth_fit" in out.stdout
 
     def test_scale_spec_file(self, tmp_path):
         spec = {"alpha": 1.5, "budget": 0.2, "n_intervals": 7}

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracform.energy import EnergyParams, gagliardo_energy
 from fracform.grids import GridFunction, IntervalSet
@@ -64,6 +67,22 @@ class TestFatCantor:
         spec = FatCantorSpec(alpha=1.0, budget=0.1)
         g = build_fat_cantor(spec, 20)
         assert g == build_fat_cantor(spec, 6)
+
+    @pytest.mark.parametrize("kwargs", [{"budget": math.inf},
+                                        {"budget": math.nan},
+                                        {"budget": 0.1, "a_log": math.inf}])
+    def test_non_finite_spec_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            FatCantorSpec(alpha=1.5, **kwargs)
+
+    def test_overflowing_radius_is_clipped(self):
+        # share ** 2 overflows at alpha = 1.5 for shares above ~1e154
+        spec = FatCantorSpec(alpha=1.5, budget=1e308)
+        assert spec.radius(7) == math.inf
+        # each island is clipped to half its centre's distance to +-1
+        g = build_fat_cantor(spec, 7)
+        assert g.intervals == ((-math.inf, -1.0), (-0.875, 0.875),
+                               (1.0, math.inf))
 
     def test_alpha_one_log_radii(self):
         spec = FatCantorSpec(alpha=1.0, budget=0.3)
@@ -175,7 +194,7 @@ class TestPushforwardAndPairing:
         const = GridFunction(0.1, 1.0 / 64.0, np.full(52, 0.37))
         mu = pushforward_measure(const, s)
         assert mu.total_variation_mass() == pytest.approx(0.0, abs=1e-12)
-        assert mu.density_segments == ()
+        assert mu.density.size == 0
 
     def test_identity_upslope_density(self):
         s = scale_from_open_set(IntervalSet.real_line())
@@ -186,8 +205,8 @@ class TestPushforwardAndPairing:
         vals = np.clip(np.where(x < 0, 0.0, np.where(x > 1, 0.0, vals)), 0, 1)
         f = GridFunction(-0.5, step, vals)
         mu = pushforward_measure(f, s)
-        ups = [seg for seg in mu.density_segments if seg[1] > 0]
-        assert ups and all(d == pytest.approx(2.0) for _, d in ups)
+        ups = mu.density[mu.density > 0]
+        assert ups.size and all(d == pytest.approx(2.0) for d in ups)
 
     def test_positive_mass_bounded_by_lip_times_measure(self):
         g = build_fat_cantor(FatCantorSpec(alpha=1.5, budget=0.5), 15)
@@ -214,6 +233,19 @@ class TestPushforwardAndPairing:
         lhs, rhs = duality_pairing_check(comp.function, s, phi)
         assert lhs == pytest.approx(0.0, abs=1e-13)
         assert rhs == pytest.approx(0.0, abs=1e-13)
+
+    def test_pairing_with_phi_nonzero_at_its_window_ends(self):
+        # phi's window ends inside the composition's support; both sides
+        # see phi ramp to 0 over the next cell
+        s = scale_from_open_set(IntervalSet.real_line())
+        f = GridFunction.from_callable(
+            lambda u: np.clip(1.0 - np.abs(u), 0.0, None),
+            -1.0, 1.0, 1.0 / 128.0, pad=4)
+        comp = compose_scale(f, s, (-1.5, 1.5), step=1.0 / 128.0)
+        phi = GridFunction.from_callable(np.exp, -0.5, 0.7, 1.0 / 128.0,
+                                         pad=0)
+        lhs, rhs = duality_pairing_check(comp.function, s, phi)
+        assert lhs == pytest.approx(rhs, abs=1e-13 * (1.0 + abs(lhs)))
 
     def test_pairing_identity_scale(self):
         s = scale_from_open_set(IntervalSet.real_line())
@@ -391,3 +423,202 @@ class TestConcentration:
             ratios.append(ratio)
         assert ratios[0] >= ratios[1] >= ratios[2]
         assert ratios[2] < 0.9
+
+
+# -- oracles: the per-element formulas the array code replaced ------------------
+
+
+def _oracle_measure(g, x, y):
+    """Per-piece overlap sum in Python floats."""
+    a, b = (x, y) if x <= y else (y, x)
+    total = 0.0
+    for lo, hi in g:
+        total += max(0.0, min(hi, b) - max(lo, a))
+    return total
+
+
+def _oracle_scale(g, anchor, x):
+    """s from the measure at each breakpoint plus the slope read from the
+    indicator at the midpoint of x and the breakpoint below it."""
+    pts = sorted({anchor} | {p for iv in g for p in iv if math.isfinite(p)})
+    bp = np.array(pts)
+    cum = np.array([_oracle_measure(g, anchor, p) * (1.0 if p >= anchor
+                                                      else -1.0)
+                    for p in pts])
+    idx = np.searchsorted(bp, x, side="right") - 1
+    out = np.empty_like(x)
+    below = idx < 0
+    out[below] = cum[0] - g.indicator(0.5 * (x[below] + bp[0])) \
+        * (bp[0] - x[below])
+    i = idx[~below]
+    xi = x[~below]
+    out[~below] = cum[i] + g.indicator(0.5 * (xi + bp[i])) * (xi - bp[i])
+    return out
+
+
+def _oracle_depth(g, window, max_depth=12):
+    a, b = window
+    depth = -1
+    for d in range(max_depth + 1):
+        edges = np.linspace(a, b, 2 ** d + 1)
+        if all(_oracle_measure(g, lo, hi) > 0.0
+               for lo, hi in zip(edges[:-1], edges[1:])):
+            depth = d
+        else:
+            break
+    return depth
+
+
+def _oracle_integral_on(phi, lo, hi):
+    """Trapezoid sum of the interpolant over the nodes inside (lo, hi)."""
+    xs = phi.x
+    pts = np.concatenate([[lo], xs[(xs > lo) & (xs < hi)], [hi]])
+    vals = phi(pts)
+    return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
+
+
+def _oracle_segments(f_comp):
+    """Equal-slope runs of the per-cell slopes, by a scan."""
+    slopes = np.diff(f_comp.values) / f_comp.step
+    x = f_comp.x
+    segments = []
+    i = 0
+    while i < slopes.size:
+        j = i
+        while j + 1 < slopes.size and slopes[j + 1] == slopes[i]:
+            j += 1
+        if slopes[i] != 0.0:
+            segments.append((float(x[i]), float(x[j + 1]), float(slopes[i])))
+        i = j + 1
+    return segments
+
+
+def _random_fat_cantor(seed):
+    rng = np.random.default_rng(seed)
+    spec = FatCantorSpec(alpha=float(rng.uniform(1.05, 1.95)),
+                         budget=float(rng.uniform(0.05, 2.0)))
+    return build_fat_cantor(spec, int(rng.integers(1, 201))), rng
+
+
+HAND_BUILT = {
+    "empty": IntervalSet.empty(),
+    "real-line": IntervalSet.real_line(),
+    "left-ray": IntervalSet.of((-math.inf, 0.3)),
+    "right-ray": IntervalSet.of((-0.2, math.inf)),
+    "touching": IntervalSet.of((-0.6, 0.0), (0.0, 0.4), (0.4, 0.5),
+                               (0.9, 1.7)),
+    "touching-rays": IntervalSet.of((-math.inf, -1.0), (-1.0, 0.5),
+                                    (0.5, math.inf)),
+    "outside-window": IntervalSet.of((-3.0, -2.0), (0.25, 0.5),
+                                     (2.0, 5.0)),
+    # the gap [0.5, 0.75] is a dyadic cell of (-1, 1) at depth 3: its
+    # start is a piece's right end, its end the next piece's left end
+    "gap-on-dyadics": IntervalSet.of((-math.inf, 0.5), (0.75, math.inf)),
+}
+
+
+def _check_against_oracles(g, anchor, window, rng):
+    s = scale_from_open_set(g, anchor, window)
+    if window is None:
+        finite = [p for iv in g for p in iv if math.isfinite(p)]
+        window = (min(finite), max(finite)) if len(finite) >= 2 \
+            else (-1.0, 1.0)
+    assert s.density_depth == _oracle_depth(g, window)
+
+    x = np.concatenate([rng.uniform(-3.0, 3.0, 400), s.breakpoints,
+                        [-1e6, 1e6]])
+    want = _oracle_scale(g, anchor, x)
+    assert np.all(np.abs(s(x) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    for a, b in rng.uniform(-3.0, 3.0, (50, 2)):
+        assert g.measure_between(a, b) == _oracle_measure(g, a, b)
+
+    span = float(s(1.4)[0] - s(-1.4)[0])
+    if span < 1e-3:
+        return
+    step = 1.0 / 512.0
+    c = float(s(-1.4)[0]) + span * float(rng.uniform(0.4, 0.6))
+    w = span * float(rng.uniform(0.05, 0.1))
+    lip = GridFunction.from_callable(
+        lambda u: np.clip(1.0 - np.abs((u - c) / w), 0.0, None),
+        c - 2.0 * w, c + 2.0 * w, w / 64.0, pad=4)
+    comp = compose_scale(lip, s, (-1.5, 1.5), step=step)
+    cphi = float(rng.uniform(-1.0, 1.0))
+    phi = GridFunction.from_callable(
+        lambda u: np.exp(-6.0 * (u - cphi) ** 2) * np.cos(3.0 * u)
+        * np.clip(1.0 - np.abs(u / 1.45), 0.0, None),
+        -1.5, 1.5, step, pad=0)
+    mu = pushforward_measure(comp.function, s)
+    segments = _oracle_segments(comp.function)
+    assert list(zip(mu.lo.tolist(), mu.hi.tolist(),
+                    mu.density.tolist())) == segments
+    lhs, rhs = duality_pairing_check(comp.function, s, phi)
+    want_rhs = sum(d * _oracle_integral_on(phi, lo, hi)
+                   for lo, hi, d in segments)
+    assert abs(rhs - want_rhs) <= 1e-13 * (1.0 + abs(lhs))
+
+
+class TestAgainstPerElementOracles:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_fat_cantor(self, seed):
+        g, rng = _random_fat_cantor(seed)
+        anchor = 0.0 if seed % 2 else float(rng.uniform(-1.5, 1.5))
+        _check_against_oracles(g, anchor, (-1.0, 1.0), rng)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_fat_cantor_default_window(self, seed):
+        g, rng = _random_fat_cantor(100 + seed)
+        _check_against_oracles(g, float(rng.uniform(-0.5, 0.5)), None, rng)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    @pytest.mark.parametrize("anchor", [0.0, -0.45, 1.2])
+    def test_hand_built(self, name, anchor):
+        rng = np.random.default_rng(len(name))
+        _check_against_oracles(HAND_BUILT[name], anchor, None, rng)
+        _check_against_oracles(HAND_BUILT[name], anchor, (-1.0, 1.0), rng)
+
+    @pytest.mark.parametrize("window", [(0.0, 1e-321), (1.0, -1.0)])
+    def test_degenerate_and_reversed_windows(self, window, rng):
+        # over ~200 subnormal steps the dyadic edges repeat and fall out of
+        # order from depth 7 on; an empty cell carries no measure even
+        # inside G, a reversed one spans its edges in either order
+        for g in (IntervalSet.real_line(), HAND_BUILT["gap-on-dyadics"]):
+            _check_against_oracles(g, 0.0, window, rng)
+        assert 6 <= scale_from_open_set(IntervalSet.real_line(), 0.0,
+                                        (0.0, 1e-321)).density_depth < 12
+
+    def test_integrate_off_node_segments(self, rng):
+        # segment ends between phi's nodes, where the antiderivative uses
+        # the quadratic part of the cell integral
+        phi = GridFunction.from_callable(
+            lambda u: np.sin(5.0 * u) * (1.0 - u * u), -1.0, 1.0, 0.01,
+            pad=0)
+        ends = np.sort(rng.uniform(-1.0, 1.0, (200, 2)), axis=1)
+        dens = rng.uniform(-3.0, 3.0, 200)
+        mu = scalecap.SignedMeasure(ends[:, 0], ends[:, 1], dens)
+        want = sum(d * _oracle_integral_on(phi, lo, hi)
+                   for (lo, hi), d in zip(ends, dens))
+        assert mu.integrate(phi) == pytest.approx(want, abs=1e-13
+                                                  * np.sum(np.abs(dens)))
+
+
+_ENDPOINT = st.one_of(st.floats(allow_nan=False),
+                      st.sampled_from([-math.inf, math.inf, 0.0, -0.0]))
+
+
+@given(pieces=st.lists(st.tuples(_ENDPOINT, _ENDPOINT), max_size=8),
+       xy=st.lists(st.tuples(_ENDPOINT, _ENDPOINT), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_array_measure_matches_scalar_calls(pieces, xy):
+    g = IntervalSet(tuple(pieces))
+    x, y = (np.array(v) for v in zip(*xy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g.measure_between(x, y)
+        scalar = [g.measure_between(a, b) for a, b in xy]
+    oracle = [_oracle_measure(g, a, b) for a, b in xy]
+    assert got.shape == x.shape
+    # bit for bit, the sign of zero included
+    assert got.view(np.uint64).tolist() \
+        == np.array(scalar).view(np.uint64).tolist() \
+        == np.array(oracle).view(np.uint64).tolist()
