@@ -66,11 +66,6 @@ class FourierTable:
         object.__setattr__(self, "frequencies", fr)
         object.__setattr__(self, "amplitudes", am)
 
-    def plancherel_l2(self) -> float:
-        """sum |fhat|^2 * dxi on the sampled grid (trapezoid rule)."""
-        return float(np.trapezoid(np.abs(self.amplitudes) ** 2,
-                                  self.frequencies))
-
 
 def _dense_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
     """sum_j v_j e^(i xi_k x_j) at any frequencies by factored phases."""

@@ -174,9 +174,6 @@ class GridFunction:
     def scaled(self, c: float) -> "GridFunction":
         return self.with_values(c * self.values)
 
-    def shifted_by_steps(self, k: int) -> "GridFunction":
-        return GridFunction(self.origin + k * self.step, self.step, self.values)
-
     def trimmed(self, margin: int = 2) -> "GridFunction":
         """Restrict to the support plus ``margin`` zeros per side (>= 2 nodes)."""
         if self.is_zero:
@@ -185,17 +182,6 @@ class GridFunction:
         hi = max(min(self.support_hi + margin, self.values.size - 1), lo + 1)
         return GridFunction(self.origin + lo * self.step, self.step,
                             self.values[lo:hi + 1])
-
-    def refined(self, factor: int) -> "GridFunction":
-        """Resample on a grid with step/factor; exact for the interpolant."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        if factor == 1:
-            return self
-        n_new = (self.values.size - 1) * factor + 1
-        xs = self.origin + (self.step / factor) * np.arange(n_new)
-        vals = np.interp(xs, self.x, self.values)
-        return GridFunction(self.origin, self.step / factor, vals)
 
     # -- grid compatibility --------------------------------------------------
 
@@ -435,13 +421,6 @@ class IntervalSet:
                 total += np.where(d > 0.0, d, 0.0)
         return float(total) if total.ndim == 0 else total
 
-    def indicator(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for lo, hi in self.intervals:
-            out[(x > lo) & (x < hi)] = 1.0
-        return out
-
     # -- set algebra --------------------------------------------------------------
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
@@ -455,9 +434,6 @@ class IntervalSet:
 
     def intersect_window(self, window) -> "IntervalSet":
         return self.intersect(IntervalSet.of(tuple(window)))
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
 
     def complement_within(self, window) -> "IntervalSet":
         """Open gaps of the set inside the open window (a, b)."""
@@ -475,10 +451,6 @@ class IntervalSet:
         if cursor < b:
             gaps.append((cursor, b))
         return IntervalSet(tuple(gaps))
-
-    def max_gap_within(self, window) -> float:
-        gaps = self.complement_within(window)
-        return max((hi - lo for lo, hi in gaps), default=0.0)
 
     # -- serialization ---------------------------------------------------------------
 

@@ -8,6 +8,9 @@ are mirrored, the optional radial density is a power law c x^(-1-alpha) on
 1/2 prefactor:
 
     E(f) = int int (f(x) - f(y))^2 nu(dx - y) dy = 2 int |fhat|^2 psi dxi.
+
+Every symbol is in closed form, so this module needs no quadrature; the
+verify suite compares the density part with per-frequency quadrature.
 """
 
 from __future__ import annotations
@@ -136,53 +139,18 @@ class SymbolCurve:
         object.__setattr__(self, "psi_values", pv)
 
 
-def _density_symbol_integral(xi: float, alpha: float) -> float:
-    """int_0^inf (1 - cos(xi x)) x^(-1-alpha) dx by series below the switch
-    point min(1, 1/|xi|) and weighted adaptive quadrature above it."""
-    # imported here: scipy.integrate dominated the cost of `import fracform`
-    from scipy.integrate import quad
-
-    xi = abs(xi)
-    if xi == 0.0:
-        return 0.0
-    x0 = min(1.0, 1.0 / xi)
-
-    # Series on (0, x0]: sum (-1)^(k+1) xi^(2k) x0^(2k-alpha) / ((2k)! (2k-alpha))
-    inner = 0.0
-    term_base = 1.0  # holds (xi x0)^(2k) / (2k)! across iterations
-    for k in range(1, 60):
-        term_base *= (xi * x0) ** 2 / ((2 * k) * (2 * k - 1))
-        term = ((-1.0) ** (k + 1)) * term_base * x0 ** (-alpha) / (2 * k - alpha)
-        inner += term
-        if abs(term) < 1e-17 * max(abs(inner), 1e-300):
-            break
-
-    # Outer (x0, T]: split 1 and cos parts; cos via weighted quadrature.
-    t_far = x0 + max(200.0 * 2.0 * math.pi / xi, 50.0)
-    plain = (x0 ** (-alpha) - t_far ** (-alpha)) / alpha
-    osc, osc_err = quad(lambda x: x ** (-1.0 - alpha), x0, t_far,
-                        weight="cos", wvar=xi, limit=400)
-    if not math.isfinite(osc) or osc_err > 1e-6 * max(plain, 1.0):
-        raise ArithmeticError(
-            f"symbol quadrature failed on ({x0:.3g}, {t_far:.3g}) at "
-            f"frequency {xi:.6g} (error estimate {osc_err:.3g})")
-    # Far tail (T, inf): int x^(-1-alpha) dx minus an oscillatory remainder,
-    # three terms of its expansion by integration by parts; the first term
-    # left out is below (3 + alpha)^3 / (xi T)^3 of the first, and xi T > 1200.
-    tail_plain = t_far ** (-alpha) / alpha
-    s, c, r = math.sin(xi * t_far), math.cos(xi * t_far), 1.0 / (xi * t_far)
-    tail_osc = (t_far ** (-alpha) * r
-                * (s - (1.0 + alpha) * c * r
-                   - (1.0 + alpha) * (2.0 + alpha) * s * r * r))
-    return inner + plain - osc + tail_plain + tail_osc
-
-
 def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:
     """psi(xi) = sigma xi^2 / 2 + int (1 - cos(xi x)) nu(dx): exact sums over
     the mirrored atoms; for the density c |x|^(-1-alpha), substituting
-    u = |xi| x gives 2 c |xi|^alpha I(alpha), with I(alpha) measured once per
-    call by series-plus-quadrature at xi = 1.  Raises ValueError where psi
-    overflows."""
+    u = |xi| x gives 2 c |xi|^alpha I(alpha) with the stable constant
+
+        I(alpha) = int_0^inf (1 - cos u) u^(-1-alpha) du
+                 = Gamma(2 - alpha) sin(pi (1 - alpha) / 2) / (alpha (1 - alpha)),
+
+    pi/2 at alpha = 1 (Sato, Levy Processes and Infinitely Divisible
+    Distributions, 1999, section 14).  This form keeps full precision near
+    alpha = 1, where Gamma(1 - alpha) cos(pi alpha / 2) / alpha cancels.
+    Raises ValueError where psi overflows."""
     xi = np.asarray(xi_grid, dtype=float)
     psi = np.zeros_like(xi)
     with np.errstate(over="ignore"):
@@ -193,7 +161,9 @@ def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:
         if t.density is not None:
             a = t.density.alpha
             c = t.density.coefficient
-            scale = _density_symbol_integral(1.0, a)
+            u = 1.0 - a
+            scale = (math.pi / 2.0 if u == 0.0 else math.gamma(2.0 - a)
+                     * math.sin(0.5 * math.pi * u) / (a * u))
             psi = psi + 2.0 * c * (scale * np.abs(xi) ** a)
     if not np.all(np.isfinite(psi)):
         raise ValueError("the symbol is not finite on this frequency grid")

@@ -294,8 +294,7 @@ def _antiderivative(phi: GridFunction, x: np.ndarray) -> np.ndarray:
     return table[j] + h * u * (v[j] + 0.5 * u * (v[j + 1] - v[j]))
 
 
-def pushforward_measure(f_comp: GridFunction, s: ScaleFunction
-                        ) -> SignedMeasure:
+def pushforward_measure(f_comp: GridFunction) -> SignedMeasure:
     """Lebesgue-Stieltjes measure of the composed function, as density
     segments (the per-cell slope, merged over equal-slope runs)."""
     slopes = np.diff(f_comp.values) / f_comp.step
@@ -313,7 +312,9 @@ def duality_pairing_check(f_comp: GridFunction, s: ScaleFunction,
     lhs = -int (f o s)(x) phi'(x) dx (the distributional pairing); rhs
     integrates phi against the pushforward measure d(f o s).  Both sides
     read phi as the interpolant of its samples zero-padded onto the common
-    grid, so the identity is exact up to roundoff."""
+    grid, so the identity is exact up to roundoff.  The scale function s is
+    not read: f_comp already carries it, and s stays in the signature for
+    positional callers."""
     if not f_comp.same_grid(phi):
         raise ValueError("pairing needs phi on the grid of the composition")
     g, ph = f_comp.aligned_with(phi)
@@ -321,7 +322,7 @@ def duality_pairing_check(f_comp: GridFunction, s: ScaleFunction,
     gv = g.values
     cell_int = 0.5 * (gv[:-1] + gv[1:]) * g.step
     lhs = -float(np.sum(phi_slopes * cell_int))
-    rhs = pushforward_measure(f_comp, s).integrate(ph)
+    rhs = pushforward_measure(f_comp).integrate(ph)
     return lhs, rhs
 
 

@@ -21,9 +21,8 @@ from .grids import GridFunction, IntervalSet, PlateauSpec, StepFunction, \
     make_plateau
 from .ladder import (bv_fourier_bound_check, is_erased_function,
                      ladder_decompose, step_rate_experiment)
-from .levy import (LevyTriplet, PowerLawDensity, _density_symbol_integral,
-                   growth_exponent_fit, levy_gagliardo_energy,
-                   levy_indicator_energy, levy_symbol,
+from .levy import (LevyTriplet, PowerLawDensity, growth_exponent_fit,
+                   levy_gagliardo_energy, levy_indicator_energy, levy_symbol,
                    plateau_energy_bound_check)
 from .scalecap import (FatCantorSpec, build_fat_cantor, capacity_estimate,
                        compose_scale, concentration_test,
@@ -285,6 +284,47 @@ def check_duality_pairing(rng) -> tuple:
     return status, (worst,), 1e-4, "max scaled pairing defect over 20 triples"
 
 
+def _density_symbol_integral(xi: float, alpha: float) -> float:
+    """int_0^inf (1 - cos(xi x)) x^(-1-alpha) dx by series below the switch
+    point min(1, 1/|xi|) and weighted adaptive quadrature above it."""
+    # imported here: scipy.integrate dominated the cost of `import fracform`
+    from scipy.integrate import quad
+
+    xi = abs(xi)
+    if xi == 0.0:
+        return 0.0
+    x0 = min(1.0, 1.0 / xi)
+
+    # Series on (0, x0]: sum (-1)^(k+1) xi^(2k) x0^(2k-alpha) / ((2k)! (2k-alpha))
+    inner = 0.0
+    term_base = 1.0  # holds (xi x0)^(2k) / (2k)! across iterations
+    for k in range(1, 60):
+        term_base *= (xi * x0) ** 2 / ((2 * k) * (2 * k - 1))
+        term = ((-1.0) ** (k + 1)) * term_base * x0 ** (-alpha) / (2 * k - alpha)
+        inner += term
+        if abs(term) < 1e-17 * max(abs(inner), 1e-300):
+            break
+
+    # Outer (x0, T]: split 1 and cos parts; cos via weighted quadrature.
+    t_far = x0 + max(200.0 * 2.0 * math.pi / xi, 50.0)
+    plain = (x0 ** (-alpha) - t_far ** (-alpha)) / alpha
+    osc, osc_err = quad(lambda x: x ** (-1.0 - alpha), x0, t_far,
+                        weight="cos", wvar=xi, limit=400)
+    if not math.isfinite(osc) or osc_err > 1e-6 * max(plain, 1.0):
+        raise ArithmeticError(
+            f"symbol quadrature failed on ({x0:.3g}, {t_far:.3g}) at "
+            f"frequency {xi:.6g} (error estimate {osc_err:.3g})")
+    # Far tail (T, inf): int x^(-1-alpha) dx minus an oscillatory remainder,
+    # three terms of its expansion by integration by parts; the first term
+    # left out is below (3 + alpha)^3 / (xi T)^3 of the first, and xi T > 1200.
+    tail_plain = t_far ** (-alpha) / alpha
+    s, c, r = math.sin(xi * t_far), math.cos(xi * t_far), 1.0 / (xi * t_far)
+    tail_osc = (t_far ** (-alpha) * r
+                * (s - (1.0 + alpha) * c * r
+                   - (1.0 + alpha) * (2.0 + alpha) * s * r * r))
+    return inner + plain - osc + tail_plain + tail_osc
+
+
 def check_levy_identities(rng) -> tuple:
     """Two-atom indicator energy, plateau bound sweep, symbol slopes, and
     the density symbol against its per-frequency integral."""
@@ -300,8 +340,7 @@ def check_levy_identities(rng) -> tuple:
     bound_ok = all(b == bounds[0] for b in bounds)
 
     slope_err = symbol_err = 0.0
-    # frequencies away from xi = 1, where levy_symbol measures I(alpha)
-    probe = np.array([-150.0, 0.3, 7.5])
+    probe = np.array([-150.0, 0.3, 1.0, 7.5])
     for alpha in (0.5, 1.5):
         t = LevyTriplet(density=PowerLawDensity(alpha=alpha))
         curve = levy_symbol(t, np.geomspace(1.0, 200.0, 60))

@@ -28,6 +28,13 @@ def sample_bump(center=0.0, width=1.0, height=1.0, step=1.0 / 256.0):
                                       pad=4)
 
 
+def indicator(g, x):
+    """1.0 on the open pieces of the interval set g, 0.0 elsewhere."""
+    x = np.asarray(x, dtype=float)[..., None]
+    e = g.endpoints()
+    return np.any((x > e[:, 0]) & (x < e[:, 1]), axis=-1).astype(float)
+
+
 def exact_rho(values, h, tau):
     """rho(tau) = int (u(y + tau) - u(y))^2 dy for the interpolant u of the
     samples, by Simpson's rule on the merged breakpoints of u and

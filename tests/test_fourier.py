@@ -29,7 +29,7 @@ def test_indicator_matches_analytic_modulus():
 
 def test_translation_leaves_modulus_invariant():
     f = sample_bump(step=1.0 / 128.0)
-    g = f.shifted_by_steps(128)  # translate by exactly 1
+    g = GridFunction(f.origin + 128 * f.step, f.step, f.values)  # by 1
     xi = np.linspace(-20.0, 20.0, 301)
     assert np.allclose(np.abs(transform_at(f, xi)), np.abs(transform_at(g, xi)),
                        atol=1e-13)
@@ -38,7 +38,8 @@ def test_translation_leaves_modulus_invariant():
 def test_plancherel_within_one_percent():
     f = sample_bump(width=0.7, step=1.0 / 256.0)
     table = discrete_fourier(f, 400.0, 8001)
-    assert table.plancherel_l2() == pytest.approx(f.l2_norm_sq(), rel=0.01)
+    l2 = np.trapezoid(np.abs(table.amplitudes) ** 2, table.frequencies)
+    assert l2 == pytest.approx(f.l2_norm_sq(), rel=0.01)
 
 
 def test_nonfinite_samples_rejected():

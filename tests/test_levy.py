@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -13,10 +14,10 @@ from fracform.energy import DIVERGENT, EnergyParams, gagliardo_energy, \
 from fracform.fourier import discrete_fourier
 from fracform.grids import GridFunction, PlateauSpec, make_plateau
 from fracform.levy import (LevyTriplet, PowerLawDensity, SymbolCurve,
-                           _density_symbol_integral, finite_variation_test,
-                           growth_exponent_fit, levy_gagliardo_energy,
-                           levy_indicator_energy, levy_symbol,
-                           plateau_energy_bound_check)
+                           finite_variation_test, growth_exponent_fit,
+                           levy_gagliardo_energy, levy_indicator_energy,
+                           levy_symbol, plateau_energy_bound_check)
+from fracform.verify import _density_symbol_integral
 
 from conftest import exact_rho, sample_bump
 
@@ -29,14 +30,20 @@ def stable_symbol_constant(alpha: float) -> float:
     return math.pi / (gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # no scipy module at all: the quadrature module is imported only when a
-    # density symbol is needed, and the capacity solve is plain numpy
-    code = ("import sys, fracform; "
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # no scipy module at all, not even after a density symbol and the levy
+    # subcommand: the symbol is closed form and the capacity solve is numpy
+    code = ("import sys, fracform\n"
+            "from fracform.cli import main\n"
+            "from fracform.levy import LevyTriplet, PowerLawDensity, "
+            "levy_symbol\n"
+            "levy_symbol(LevyTriplet(density=PowerLawDensity(0.5)), [2.0])\n"
+            "assert main(['levy', '--power-alpha', '0.5']) == 0\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, FSL_OUT_DIR=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+                         text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestSymbol:
@@ -59,8 +66,9 @@ class TestSymbol:
         expected = stable_symbol_constant(alpha) * xi ** alpha
         assert np.allclose(curve.psi_values, expected, rtol=1e-8)
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 1.0, 1.2, 1.5, 1.9,
-                                       1.99])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 1.0 - 1e-9, 0.999999,
+                                       1.0, 1.000001, 1.0 + 1e-9, 1.2, 1.5,
+                                       1.9, 1.99])
     def test_scaled_density_matches_per_frequency_integral(self, alpha):
         # psi_density(xi) = 2 c |xi|^alpha I(alpha) against the integral
         # evaluated afresh at every frequency, on unsorted signed input.
@@ -79,6 +87,13 @@ class TestSymbol:
         assert np.allclose(curve.psi_values, per_freq, rtol=1e-11, atol=0.0)
         exact = coef * stable_symbol_constant(alpha) * np.abs(xi) ** alpha
         assert np.allclose(curve.psi_values, exact, rtol=1e-12, atol=0.0)
+        # I(alpha) = psi(1) / 2 at c = 1, against the quadrature at xi = 1
+        i_alpha = levy_symbol(LevyTriplet(density=PowerLawDensity(alpha)),
+                              [1.0]).psi_values[0] / 2.0
+        assert i_alpha == pytest.approx(_density_symbol_integral(1.0, alpha),
+                                        rel=1e-12, abs=0.0)
+        if abs(alpha - 1.0) < 1e-8:
+            assert abs(i_alpha - math.pi / 2.0) <= 1e-8
 
     def test_symbol_invariants(self):
         xi = np.linspace(-30.0, 30.0, 121)
