@@ -17,17 +17,16 @@ dominating samples; its parent's peak is the first maximum of the interval
 where f stays at or above that level.  Both are read off
 range-min/max sparse tables with power-of-two searches (Bender and
 Farach-Colton, "The LCA problem revisited", 2000): a fixed number of
-whole-array passes, with no per-node numpy call.  A scalar heap replay then
-orders the excursions largest first and forms the float levels as
-flat = max(f[col] - base, 0), height = (f[peak] - base) - flat and child
-base = base + flat; stars are built from the samples on first access.
+whole-array passes, with no per-node numpy call.  A child's base is f at
+its col and its height f at its peak minus that base; one lexsort orders
+the excursions largest first, and nodes and stars are built on access.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,8 +129,8 @@ def ladder_star(f: GridFunction):
 class LadderNode:
     """One excursion of the decomposition tree.
 
-    ``base`` is the accumulated level below this excursion (constant on its
-    support run), ``height`` its sup norm and ``star`` the ladder-like part
+    ``base`` is the level below this excursion, f at its col (0 for the
+    root), ``height`` its sup norm above it and ``star`` the ladder-like part
     of the excursion in its own frame, built from the source samples on
     first access.  ``pending`` marks excursions discovered but not expanded
     (budget cut); they have no star and no peak.  Immutable after the tree
@@ -169,8 +168,8 @@ class LadderNode:
                 self._star = GridFunction(
                     f.origin + (self.lo + a - 1) * f.step, f.step,
                     np.pad(star_vals[a:b + 1], 1))
-            else:
-                self._star = GridFunction(f.origin, f.step, np.zeros(2))
+            else:  # the zero function's root
+                self._star = f.with_values(np.zeros_like(f.values))
         return self._star
 
     def support_interval(self, grid: GridFunction):
@@ -194,27 +193,58 @@ class LadderNode:
 class LadderTree:
     """Excursion tree of a non-negative grid function.
 
-    ``order`` lists nodes in processing order (largest pending excursion
-    first); ``trace`` holds (nodes_processed, sup_gap) after each step.
-    ``edges`` holds one entry per child edge, stubs included, as arrays:
-    parent rank in ``order``, child rank (K for a stub), run start, run
-    length and child base.  Partial sums over root-connected prefixes are
-    produced exactly as min(f, base) on the pending runs.
+    ``order`` lists the processed nodes largest first, built on access from
+    per-excursion arrays; ``trace`` holds (nodes_processed, sup_gap) after
+    each step.  ``edges`` holds one entry per child edge, stubs included,
+    as arrays: parent rank in ``order``, child rank (K for a stub), run
+    start, run length and child base.  Partial sums over root-connected
+    prefixes are produced exactly as min(f, base) on the pending runs.
     """
 
-    def __init__(self, source, root, order, trace, converged, depth_built,
-                 edges):
+    def __init__(self, source, excursions, rank, gaps, converged,
+                 depth_built, edges):
         self.source = source
-        self.root = root
-        self.order = order
-        self.trace = trace
+        self._excursions = excursions
+        self._rank = rank
+        self._gaps = gaps
+        self.n_nodes = gaps.size
         self.converged = converged
         self.depth_built = depth_built
         self.edges = edges
 
+    @cached_property
+    def trace(self) -> list:
+        return list(zip(range(1, self.n_nodes + 1), self._gaps.tolist()))
+
+    @cached_property
+    def order(self) -> list:
+        """Processed nodes by rank; each node's children are its processed
+        ones by rank, then its pending ones (stubs) in position order."""
+        f, k, rank = self.source, self.n_nodes, self._rank
+        peak, lo, hi, base, height, parent = self._excursions
+        group = np.where(parent == np.arange(parent.size), -1, parent)
+        sib = np.empty_like(parent)  # 1 + position among the siblings
+        sib[np.argsort(group, kind="stable")] = np.arange(1, sib.size + 1)
+        sib -= np.searchsorted(np.sort(group), group)
+        ids = np.r_[np.argsort(rank)[:k],
+                    np.flatnonzero((rank == k) & (rank[parent] < k))]
+        peak_point = np.where(rank < k, f.origin + peak * f.step, math.nan)
+        lo, hi, base, peak_point, height, parent, sib = (
+            a.tolist() for a in (lo, hi, base, peak_point, height, parent,
+                                 sib))
+        built = {}
+        for j, i in enumerate(ids.tolist()):
+            up = built.get(parent[i])
+            built[i] = LadderNode(() if up is None else up.address + (sib[i],),
+                                  lo[i], hi[i], base[i], peak_point[i],
+                                  height[i], f if j < k else None)
+            if up is not None:
+                up.children.append(built[i])
+        return [built[i] for i in ids[:k].tolist()]
+
     @property
-    def n_nodes(self) -> int:
-        return len(self.order)
+    def root(self) -> LadderNode:
+        return self.order[0]
 
     def partial_sum(self, k: int | None = None) -> GridFunction:
         """Sum of the stars of the first k processed nodes (all by default).
@@ -223,10 +253,7 @@ class LadderTree:
         steps, the edges from a processed parent to an unprocessed child,
         whose runs are disjoint; this keeps erasedness and constancy exact
         on the grid."""
-        if k is None:
-            k = len(self.order)
-        if not 1 <= k <= len(self.order):
-            raise ValueError(f"k must lie in 1..{len(self.order)}")
+        k = self._step(k)
         parent, child, lo, length, base = self.edges
         cut = (parent < k) & (k <= child)
         lo, length = lo[cut], length[cut]
@@ -237,9 +264,17 @@ class LadderTree:
         return self.source.with_values(out)
 
     def sup_gap(self, k: int | None = None) -> float:
+        """Largest height still pending after k steps (all by default)."""
+        return float(self._gaps[self._step(k) - 1])
+
+    def _step(self, k):
+        n = self.n_nodes
         if k is None:
-            k = len(self.order)
-        return self.trace[k - 1][1]
+            return n
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+                or not 1 <= k <= n:
+            raise ValueError(f"k must be an integer in 1..{n}")
+        return k
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,7 +282,7 @@ class LadderTree:
             "depth_built": self.depth_built,
             "n_nodes": self.n_nodes,
             "trace": [[int(n), float(g)] for n, g in self.trace],
-            "root": self.root.to_json_dict(self.source) if self.root else None,
+            "root": self.root.to_json_dict(self.source),
         }
 
 
@@ -294,9 +329,8 @@ def _excursions(v: np.ndarray):
 
     Returns per node, in position order, the peak, the run (lo, hi), the
     col sample (where the parent's star flattens, next to the run on the
-    parent-peak side) and the parent (the root is its own); then the
-    children grouped by parent in position order, each parent's offset into
-    them, and the root's index.
+    parent-peak side; a zero outside the run for the root) and the parent
+    (the root is its own).  An all-zero v gives one node over all of v.
     """
     r = np.unique(v, return_inverse=True)[1].astype(np.int32)
     n = r.size
@@ -324,22 +358,18 @@ def _excursions(v: np.ndarray):
     parent_peak = _walk(top, a, _span(top, a, b, np.maximum), np.less, False)
     del top, bottom
     col = np.where(hi < parent_peak, hi + 1, lo - 1)
-    parent = np.searchsorted(peaks, parent_peak)
-    child = np.flatnonzero(parent != np.arange(peaks.size))
-    kids = child[np.argsort(parent[child], kind="stable")]
-    first_kid = np.r_[0, np.cumsum(np.bincount(parent[child],
-                                               minlength=peaks.size))]
-    root = int(np.searchsorted(peaks, np.argmax(r)))
-    return peaks, lo, hi, col, parent, kids, first_kid, root
+    return peaks, lo, hi, col, np.searchsorted(peaks, parent_peak)
 
 
 def ladder_decompose(f: GridFunction, max_nodes: int = 256,
                      sup_tol: float = 1e-9) -> LadderTree:
-    """Breadth-first excursion decomposition, largest excursion first.
+    """Excursion decomposition, largest excursion first: nodes rank by
+    (-height, depth, peak index), so every prefix is root-connected.
 
-    Stops when the pending sup gap falls below ``sup_tol`` or the node budget
-    is exhausted; in the latter case the tree carries converged=False rather
-    than raising (infinitely branching inputs are legitimate).
+    Stops when the pending sup gap falls to ``sup_tol`` or the integer node
+    budget ``max_nodes`` is spent; in the latter case the tree carries
+    converged=False rather than raising (infinitely branching inputs are
+    legitimate).
     """
     if not f.finite():
         raise ValueError("samples must be finite")
@@ -347,71 +377,38 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
         raise ValueError("decomposition needs a non-negative function")
     if not f.has_compact_support():
         raise ValueError("decomposition needs compact support")
-    if max_nodes < 1:
-        raise ValueError("need a positive node budget")
+    if isinstance(max_nodes, bool) or not isinstance(
+            max_nodes, (int, np.integer)) or max_nodes < 1:
+        raise ValueError(f"the node budget must be a positive integer, got "
+                         f"{max_nodes!r}")
     if not (math.isfinite(sup_tol) and sup_tol >= 0):
         raise ValueError(f"sup_tol must be finite and non-negative, got "
                          f"{sup_tol}")
 
     fv = f.values
-    if f.is_zero:
-        root = LadderNode((), 0, fv.size - 1, 0.0, f.origin, 0.0, f)
-        root._star = f.with_values(np.zeros_like(fv))
-        none = np.zeros(0, dtype=np.intp)
-        return LadderTree(f, root, [root], [(1, 0.0)], True, 0,
-                          (none, none, none, none, np.zeros(0)))
-
-    lo0 = f.support_lo
-    peaks, lo, hi, col, parent, kids, first_kid, root = _excursions(
-        fv[lo0:f.support_hi + 1])
+    lo0, hi0 = (0, fv.size - 1) if f.is_zero else (f.support_lo,
+                                                    f.support_hi)
+    peaks, lo, hi, col, parent = _excursions(fv[lo0:hi0 + 1])
     peaks, lo, hi, col = peaks + lo0, lo + lo0, hi + lo0, col + lo0
-    peak_point = (f.origin + peaks * f.step).tolist()
-    f_peak, f_col = fv[peaks].tolist(), fv[col].tolist()
-    lo_at, hi_at = lo.tolist(), hi.tolist()
-    kids, first_kid = kids.tolist(), first_kid.tolist()
-    base_of = [0.0] * len(peak_point)
-
-    # (-height, counter, node, base, address, parent node)
-    heap = [(-float(fv.max()), 0, root, 0.0, (), None)]
-    counter = 0
-    order = []
-    done = []
-    trace = []
-    while heap and len(order) < max_nodes:
-        negh, _, i, base, address, up = heapq.heappop(heap)
-        node = LadderNode(address, lo_at[i], hi_at[i], base, peak_point[i],
-                          -negh, f)
-        order.append(node)
-        done.append(i)
-        if up is not None:
-            up.children.append(node)
-        for j, c in enumerate(kids[first_kid[i]:first_kid[i + 1]], start=1):
-            flat = max(f_col[c] - base, 0.0)
-            height = (f_peak[c] - base) - flat
-            base_of[c] = base + flat
-            counter += 1
-            heapq.heappush(heap, (-height, counter, c, base_of[c],
-                                  address + (j,), node))
-        gap = -heap[0][0] if heap else 0.0
-        trace.append((len(order), float(gap)))
-        if gap <= sup_tol:
-            break
-
-    # pending excursions become (unprocessed) child stubs for partial sums
-    for negh, _, i, base, address, up in sorted(heap, key=lambda e: e[1]):
-        up.children.append(
-            LadderNode(address, lo_at[i], hi_at[i], base, math.nan, -negh))
-
-    rank = np.full(len(peak_point), len(order))
-    rank[done] = np.arange(len(order))
+    base = fv[col]  # a zero sample for the root
+    height = fv[peaks] - base
+    child = parent != np.arange(parent.size)
+    depth, up = child.astype(np.intp), parent
+    while np.any(up[up] != up):  # pointer jumping toward the root
+        depth, up = depth + depth[up], up[up]
+    ranked = np.lexsort((peaks, depth, -height))
+    # heights never grow from parent to child: the gaps do not increase
+    gaps = np.append(height[ranked[1:]], 0.0)
+    n_done = min(int(max_nodes), 1 + int(np.count_nonzero(gaps > sup_tol)))
+    rank = np.full(peaks.size, n_done)
+    rank[ranked[:n_done]] = np.arange(n_done)
     # every child of a processed node is an edge: processed, or a stub
-    edge = np.flatnonzero(rank[parent] < len(order))
-    edge = edge[edge != root]
+    edge = np.flatnonzero(child & (rank[parent] < n_done))
     edges = (rank[parent[edge]], rank[edge], lo[edge], (hi - lo + 1)[edge],
-             np.array(base_of)[edge])
-    gap = trace[-1][1]
-    depth = max(len(n.address) for n in order)
-    return LadderTree(f, order[0], order, trace, gap <= sup_tol, depth, edges)
+             base[edge])
+    return LadderTree(f, (peaks, lo, hi, base, height, parent), rank,
+                      gaps[:n_done], bool(gaps[n_done - 1] <= sup_tol),
+                      int(depth[ranked[:n_done]].max()), edges)
 
 
 def arm_split(h: GridFunction):

@@ -68,32 +68,90 @@ class _ReferenceNode:
         self.children = []
 
 
+def _reference_star(f, lo, hi, base):
+    """The star of max(f[lo..hi] - base, 0) in its own frame, with w, the
+    star values and the index of the first maximum in the run."""
+    w = np.maximum(f.values[lo:hi + 1] - base, 0.0)
+    t = int(np.argmax(w))
+    star_vals = np.concatenate([
+        np.minimum.accumulate(w[:t + 1][::-1])[::-1],
+        np.minimum.accumulate(w[t:])[1:]])
+    nz = np.flatnonzero(star_vals)
+    a, b = int(nz[0]), int(nz[-1])
+    star = GridFunction(f.origin + (lo + a - 1) * f.step, f.step,
+                        np.pad(star_vals[a:b + 1], 1))
+    return w, star_vals, t, star
+
+
+def _reference_zero(f):
+    root = _ReferenceNode((), 0, f.n_nodes - 1, 0.0,
+                          f.with_values(np.zeros_like(f.values)), f.origin,
+                          0.0)
+    return [root], [(1, 0.0)], True, 0
+
+
 def _reference_decompose(f, max_nodes, sup_tol):
     """Each excursion's star from max(f[run] - base, 0) and its children
-    from the strict runs above the star; returns (order, trace, converged,
-    depth)."""
+    from the strict runs above the star.  A child's base is the sample of f
+    at its col, next to its run on the parent-peak side; its height is f at
+    its peak minus that base; the heap pops by (-height, depth, peak index).
+    Returns (order, trace, converged, depth)."""
     fv = f.values
     if f.is_zero:
-        root = _ReferenceNode((), 0, fv.size - 1, 0.0,
-                              f.with_values(np.zeros_like(fv)), f.origin, 0.0)
-        return [root], [(1, 0.0)], True, 0
+        return _reference_zero(f)
+    top = int(np.argmax(fv))
+    heap = [(-float(fv[top]), 0, top, f.support_lo, f.support_hi, 0.0, ())]
+    order, trace = [], []
+    while heap and len(order) < max_nodes:
+        negh, depth, _, lo, hi, base, address = heapq.heappop(heap)
+        w, star_vals, t, star = _reference_star(f, lo, hi, base)
+        order.append(_ReferenceNode(address, lo, hi, base, star,
+                                    float(f.origin + (lo + t) * f.step),
+                                    -negh))
+        for j, (clo, chi) in enumerate(_reference_runs(w > star_vals), 1):
+            col = lo + (chi + 1 if chi < t else clo - 1)
+            peak = lo + clo + int(np.argmax(w[clo:chi + 1]))
+            child_base = float(fv[col])
+            heapq.heappush(heap, (-float(fv[peak] - child_base), depth + 1,
+                                  peak, lo + clo, lo + chi, child_base,
+                                  address + (j,)))
+        gap = -heap[0][0] if heap else 0.0
+        trace.append((len(order), float(gap)))
+        if gap <= sup_tol:
+            break
+    _attach(order, [(lo, hi, base, -negh, address)
+                    for negh, _, _, lo, hi, base, address in heap])
+    gap = trace[-1][1]
+    return order, trace, gap <= sup_tol, max(len(n.address) for n in order)
+
+
+def _attach(order, pending):
+    """Processed children by rank, then the pending (lo, hi, base, height,
+    address) stubs by (parent rank, sibling index)."""
+    by_address = {n.address: n for n in order}
+    rank = {n.address: i for i, n in enumerate(order)}
+    for n in order:
+        if n.address:
+            by_address[n.address[:-1]].children.append(n)
+    for lo, hi, base, height, address in sorted(
+            pending, key=lambda e: (rank[e[4][:-1]], e[4][-1])):
+        by_address[address[:-1]].children.append(
+            _ReferenceNode(address, lo, hi, base, None, math.nan, height))
+
+
+def _chain_decompose(f, max_nodes, sup_tol):
+    """The earlier float chain: a child's base is base + max(f[col] - base,
+    0) read off the parent's star, its height max(f - base) over its run
+    minus that flat, and the heap pops by (-height, push counter)."""
+    fv = f.values
+    if f.is_zero:
+        return _reference_zero(f)
     heap = [(-float(fv.max()), 0, f.support_lo, f.support_hi, 0.0, ())]
     counter = 0
     order, trace = [], []
     while heap and len(order) < max_nodes:
         negh, _, lo, hi, base, address = heapq.heappop(heap)
-        w = np.maximum(fv[lo:hi + 1] - base, 0.0)
-        t = int(np.argmax(w))
-        star_vals = np.concatenate([
-            np.minimum.accumulate(w[:t + 1][::-1])[::-1],
-            np.minimum.accumulate(w[t:])[1:]])
-        nz = np.flatnonzero(star_vals)
-        if nz.size:
-            a, b = int(nz[0]), int(nz[-1])
-            star = GridFunction(f.origin + (lo + a - 1) * f.step, f.step,
-                                np.pad(star_vals[a:b + 1], 1))
-        else:
-            star = GridFunction(f.origin, f.step, np.zeros(2))
+        w, star_vals, t, star = _reference_star(f, lo, hi, base)
         order.append(_ReferenceNode(address, lo, hi, base, star,
                                     float(f.origin + (lo + t) * f.step),
                                     -negh))
@@ -107,13 +165,8 @@ def _reference_decompose(f, max_nodes, sup_tol):
         trace.append((len(order), float(gap)))
         if gap <= sup_tol:
             break
-    by_address = {n.address: n for n in order}
-    for n in order:
-        if n.address:
-            by_address[n.address[:-1]].children.append(n)
-    for negh, _, lo, hi, base, address in sorted(heap, key=lambda e: e[1]):
-        by_address[address[:-1]].children.append(
-            _ReferenceNode(address, lo, hi, base, None, math.nan, -negh))
+    _attach(order, [(lo, hi, base, -negh, address)
+                    for negh, _, lo, hi, base, address in heap])
     gap = trace[-1][1]
     return order, trace, gap <= sup_tol, max(len(n.address) for n in order)
 
@@ -388,6 +441,25 @@ class TestLadderDecompose:
         with pytest.raises(ValueError, match="sup_tol"):
             ladder_decompose(two_bump(), sup_tol=sup_tol)
 
+    @pytest.mark.parametrize("max_nodes", [2.5, 2.0, True, np.float64(3)])
+    def test_non_integer_budget_rejected(self, max_nodes):
+        with pytest.raises(ValueError, match="integer"):
+            ladder_decompose(two_bump(), max_nodes=max_nodes)
+
+    def test_numpy_integer_budget_accepted(self):
+        tree = ladder_decompose(rough_walk(257, 1), max_nodes=np.int64(5))
+        assert tree.n_nodes == 5
+
+    def test_step_checked(self):
+        tree = ladder_decompose(rough_walk(257, 1), max_nodes=5, sup_tol=0.0)
+        assert tree.sup_gap() == tree.sup_gap(5) == tree.trace[-1][1]
+        assert tree.sup_gap(np.int64(1)) == tree.trace[0][1]
+        for k in (0, -1, 6, 1.5, True):
+            with pytest.raises(ValueError, match="1..5"):
+                tree.sup_gap(k)
+            with pytest.raises(ValueError, match="1..5"):
+                tree.partial_sum(k)
+
     def test_children_sit_on_one_side_of_the_peak(self, rng):
         # every excursion lies strictly left or right of its parent's peak
         for _ in range(10):
@@ -437,6 +509,83 @@ class TestAgainstReference:
         # ties, plateaus, equal peaks and interior zeros; all-zero too
         f = GridFunction(-0.25, 0.5, [0.0] + values + [0.0])
         assert_matches_reference(f, budget or f.n_nodes, sup_tol)
+
+
+class TestAgainstFloatChain:
+    """Against the earlier float chain, whose bases and heights carry the
+    rounding of one subtraction and addition per level."""
+
+    @pytest.mark.parametrize("n", [64, 257, 1024, 4096])
+    def test_rough_walks(self, n):
+        self.assert_close(rough_walk(n, n))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multibumps(self, seed):
+        rng = np.random.default_rng(seed)
+        params = tuple((float(rng.uniform(0, 4)),
+                        float(rng.uniform(0.1, 0.8)),
+                        float(rng.uniform(0.2, 1.5))) for _ in range(6))
+        self.assert_close(sample_multibump(params, 1.0 / 128.0, -1.0, 5.0))
+
+    @staticmethod
+    def assert_close(f):
+        # the same excursions, with bases and heights within depth * eps *
+        # max f; at most 0.43 eps * max f was seen, on rough walks of 3 to
+        # 2^14 nodes and on multibumps
+        tree = ladder_decompose(f, max_nodes=f.n_nodes, sup_tol=0.0)
+        chain = {n.address: n
+                 for n in _chain_decompose(f, f.n_nodes, 0.0)[0]}
+        assert {n.address for n in tree.order} == chain.keys()
+        tol = np.finfo(float).eps * f.linf()
+        for node in tree.order:
+            ref = chain[node.address]
+            assert (node.lo, node.hi) == (ref.lo, ref.hi)
+            bound = len(node.address) * tol
+            assert abs(node.base - ref.base) <= bound
+            assert abs(node.height - ref.height) <= bound
+
+
+class TestTreeProperties:
+    """Prefix connectivity, trace, bases on samples and exact partial sums,
+    with and without a budget or tolerance cut."""
+
+    @given(n=st.integers(3, 600), seed=st.integers(0, 2 ** 32 - 1),
+           budget=st.sampled_from([1, 7, None]),
+           sup_tol=st.sampled_from([0.0, 1e-3, 0.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_rough_walks(self, n, seed, budget, sup_tol):
+        self.assert_properties(rough_walk(n, seed), budget, sup_tol)
+
+    @given(values=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+           budget=st.sampled_from([1, 7, None]),
+           sup_tol=st.sampled_from([0.0, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_small_integers(self, values, budget, sup_tol):
+        f = GridFunction(-0.25, 0.5, [0.0] + values + [0.0])
+        self.assert_properties(f, budget, sup_tol)
+
+    @staticmethod
+    def assert_properties(f, budget, sup_tol):
+        fv = f.values
+        tree = ladder_decompose(f, max_nodes=budget or f.n_nodes,
+                                sup_tol=sup_tol)
+        order = tree.order
+        assert order[0].address == () and order[0].base == 0.0
+        seen = set()
+        for node in order:
+            assert not node.address or node.address[:-1] in seen
+            seen.add(node.address)
+        stubs = [c for node in order for c in node.children if c.pending]
+        heights = [n.height for n in order[1:]]
+        heights.append(max((c.height for c in stubs), default=0.0))
+        gaps = [g for _, g in tree.trace]
+        assert [k for k, _ in tree.trace] == list(range(1, len(order) + 1))
+        assert gaps == heights
+        assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+        bases = np.array([n.base for n in order + stubs])
+        assert np.all(np.isin(bases, fv))
+        for k in range(1, tree.n_nodes + 1):
+            assert np.all(np.isin(tree.partial_sum(k).values, fv)), k
 
 
 class TestArmSplit:
