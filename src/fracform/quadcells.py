@@ -96,7 +96,8 @@ def _lag_weights(n: int, alpha: float, order: int = 2) -> np.ndarray:
     for c in reversed(coefs[:-1]):
         tail *= x
         tail += c
-    tail *= x * np.exp(q * lnk)
+    kq = np.exp(q * lnk)
+    tail *= x * kq
     if order == 4:
         out[near:] = tail
         return out
@@ -111,7 +112,7 @@ def _lag_weights(n: int, alpha: float, order: int = 2) -> np.ndarray:
         ln_ref, t_ref = lnk[-1], tail[-1]
         out[:near] -= head * _expm1_ratio(q, ln_ref) + const + t_ref
         const = 0.0
-    out[near:] = (-head * np.exp(q * lnk) * _expm1_ratio(q, ln_ref - lnk)
+    out[near:] = (-head * kq * _expm1_ratio(q, ln_ref - lnk)
                   + const + tail - t_ref)
     return out
 

@@ -8,7 +8,7 @@ from fracform.energy import (DIVERGENT, EnergyParams, EnergyReport,
                              ErasedPreconditionError, check_erased_bound,
                              dirichlet_energy, fourier_energy,
                              fourier_gagliardo_ratio, gagliardo_energy,
-                             hardy_boundary_identity,
+                             hardy_boundary_identity, _gauss_segments,
                              indicator_energy_closed_form)
 from fracform.grids import GridFunction, PlateauSpec, StepFunction, \
     make_plateau
@@ -104,6 +104,20 @@ class TestGagliardo:
         assert rep.e1_value == rep.value + rep.l2_norm_sq
         assert rep.e1_norm == math.sqrt(rep.e1_value)
 
+    @pytest.mark.parametrize("name", ["base_cells", "refine_levels"])
+    @pytest.mark.parametrize("count", [0, -1, True, 2.0, "4", None])
+    def test_bad_refinement_count_rejected(self, name, count):
+        ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match=name):
+            gagliardo_energy(ind, EnergyParams(alpha=0.5), **{name: count})
+
+    def test_single_refinement_level(self):
+        ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+        rep = gagliardo_energy(ind, EnergyParams(alpha=0.5), base_cells=1,
+                               refine_levels=np.int64(1))
+        assert len(rep.refinement_trace) == 1
+        assert rep.value == rep.refinement_trace[0][1] > 0
+
 
 class TestClosedForm:
     def test_unit_interval_alpha_half(self):
@@ -182,6 +196,28 @@ class TestFourierEnergy:
         assert measured == pytest.approx(p.c_of_alpha, rel=0.02)
 
 
+def _reference_exterior_kernel(x, a, b, alpha):
+    """The exterior integral of |x - y|^(-1-alpha) over y outside (a, b),
+    by graded Gauss panels placed per node x: the rule that the library
+    applies once per edge at unit distance."""
+    far = 8.0 * (b - a)
+    total = np.zeros_like(x)
+    for edge in (a, b):
+        dist0 = np.abs(x - edge)
+        t = np.geomspace(1.0, 1.0 + far / dist0.min(), 48)
+        for lo_f, hi_f in zip(t[:-1], t[1:]):
+            ylo = dist0 * lo_f
+            yhi = dist0 * hi_f
+            nodes, weights = np.polynomial.legendre.leggauss(6)
+            mid = 0.5 * (ylo + yhi)
+            half = 0.5 * (yhi - ylo)
+            for nd, wt in zip(nodes, weights):
+                d = mid + half * nd
+                total += wt * half * d ** (-1.0 - alpha)
+        total += (dist0 * t[-1]) ** (-alpha) / alpha
+    return total
+
+
 class TestHardyIdentity:
     def test_zero_function(self):
         f = GridFunction(0.3, 0.01, [0.0, 0.0, 0.0])
@@ -227,6 +263,59 @@ class TestHardyIdentity:
         f = sample_bump(center=0.5, width=0.3, step=1.0 / 64.0)
         with pytest.raises(ValueError):
             hardy_boundary_identity(f, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.3, 1.5, 1.9])
+    @pytest.mark.parametrize("a, b, center, width", [
+        (0.0, 1.0, 0.5, 0.3), (0.0, 1.0, 0.3, 0.2),
+        (-0.3, 1.0, 0.6, 0.25), (0.1, 3.0, 0.8, 0.5), (0.1, 3.0, 2.2, 0.6)])
+    def test_matches_per_node_panels(self, alpha, a, b, center, width):
+        f = sample_bump(center=center, width=width, step=1.0 / 256.0)
+        lhs, rhs = hardy_boundary_identity(f, a, b, alpha)
+        slo, shi = f.support_interval()
+        xq, wq = _gauss_segments(slo - f.step, shi + f.step, n_panels=max(
+            64, f.support_hi - f.support_lo + 2))
+        ref = float(np.sum(wq * f(xq) ** 2
+                           * _reference_exterior_kernel(xq, a, b, alpha)))
+        assert lhs == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert lhs == pytest.approx(rhs, rel=1e-6)
+
+    def test_window_off_the_unit_interval(self):
+        # the kernel integral over the exterior of (a, b) is the closed form
+        # (1/alpha) [(x-a)^(-alpha) + (b-x)^(-alpha)], checked by quad
+        alpha, a, b = 0.7, -0.3, 2.0
+        f = sample_bump(center=1.4, width=0.4, step=1.0 / 256.0)
+        lhs, rhs = hardy_boundary_identity(f, a, b, alpha)
+
+        def inner(x):
+            left, _ = quad(lambda y: (x - y) ** (-1.0 - alpha), -np.inf, a)
+            right, _ = quad(lambda y: (y - x) ** (-1.0 - alpha), b, np.inf)
+            return left + right
+
+        xs = np.linspace(1.0, 1.8, 1601)
+        brute = np.trapezoid(f(xs) ** 2 * np.array([inner(x) for x in xs]), xs)
+        assert lhs == pytest.approx(brute, rel=1e-3)
+        assert rhs == pytest.approx(brute, rel=1e-3)
+        assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (0.0, np.inf),
+                                      (np.nan, 1.0), (0.0, np.nan),
+                                      (-1e308, 1e308)])
+    def test_nonfinite_window_rejected(self, a, b):
+        f = sample_bump(center=0.5, width=0.3, step=1.0 / 64.0)
+        with pytest.raises(ValueError, match="finite"):
+            hardy_boundary_identity(f, a, b, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            hardy_boundary_identity(f.with_values(np.zeros_like(f.values)),
+                                    a, b, 0.5)
+
+    def test_support_touching_the_edge(self):
+        # the interpolant of these samples is nonzero on (0.1, 0.4)
+        f = GridFunction(0.0, 0.1, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+        lhs, rhs = hardy_boundary_identity(f, 0.1, 0.4, 0.5)
+        assert math.isfinite(lhs) and lhs == pytest.approx(rhs, rel=1e-9)
+        for a, b in ((0.12, 1.0), (0.0, 0.38)):
+            with pytest.raises(ValueError, match="support"):
+                hardy_boundary_identity(f, a, b, 0.5)
 
 
 class TestErasedBound:
