@@ -1,6 +1,6 @@
 """Quadratic forms on the line: the fractional (Gagliardo) double-integral
 seminorm, the Fourier-side energy, the classical Dirichlet energy, closed-form
-identities for indicators, and divergence detection for indicator-type inputs.
+identities for indicators, and the jump rule for step functions.
 
 Conventions.  The fractional form is computed WITHOUT any normalizing
 prefactor: for exponent alpha in (0, 2),
@@ -13,7 +13,9 @@ measured (see ``EnergyParams.c_of_alpha``).
 
 The Gagliardo form of a grid function is exact: quadcells dots the node
 increments' autocorrelation with closed-form lag weights, with no quadrature
-and no diagonal band.  Step functions are refined through sampled grids.
+and no diagonal band.  A nonzero step function has a jump, and a jump has
+finite energy exactly when alpha < 1: for alpha >= 1 the energy is DIVERGENT
+by that rule, and for alpha < 1 it is refined through sampled grids.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .fourier import discrete_fourier
-from .grids import GridFunction, StepFunction
+from .grids import MAX_GRID_NODES, GridFunction, StepFunction
 from .ladder import is_erased_function
 from .quadcells import gagliardo_of_values
 
@@ -47,6 +49,10 @@ __all__ = [
 #: Sentinel value for a quadratic form that fails to converge.
 DIVERGENT = float("inf")
 
+#: Refinement level k samples a step function at 4 * 2^k cells; up to this
+#: many levels the finest sample and its padding fit in MAX_GRID_NODES (20).
+_MAX_REFINE_LEVELS = (MAX_GRID_NODES // 4).bit_length() - 1
+
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -55,21 +61,18 @@ class EnergyParams:
     ``alpha`` is the kernel exponent in (0, 2]; at alpha = 2 the Gagliardo
     path is disabled and the classical Dirichlet energy applies.
     ``c_of_alpha`` optionally stores the measured Fourier/Gagliardo ratio.
-    ``divergence_ratio`` is the per-refinement growth that, three times in a
-    row, flags a step function's energy as divergent.
+    Whether a jump carries finite energy is decided by alpha alone (finite
+    exactly for alpha < 1), so no divergence threshold is stored.
     """
 
     alpha: float
     c_of_alpha: float | None = None
-    divergence_ratio: float = 1.15
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.c_of_alpha is not None and self.c_of_alpha <= 0:
             raise ValueError("c_of_alpha must be positive when given")
-        if self.divergence_ratio <= 1.0:
-            raise ValueError("divergence_ratio must exceed 1")
 
     @property
     def alpha_star(self) -> float:
@@ -135,26 +138,23 @@ def _grid_energy(f: GridFunction, p: EnergyParams) -> float:
 
 
 def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
-                     *, base_cells: int = 4, refine_levels: int = 10
-                     ) -> EnergyReport:
+                     *, refine_levels: int = 10) -> EnergyReport:
     """The fractional double integral of f (no prefactor).
 
     Grid functions are piecewise linear, so their energy is evaluated exactly
-    in one pass.  Step functions are bridged by sampling at dyadically
-    refined steps: the trace of estimates either converges (the reported
-    value is the Richardson limit of the trace) or grows geometrically, in
-    which case the report is flagged divergent.  The divergence test fires
-    when three successive refinements each grow the estimate by at least
-    ``p.divergence_ratio``.
+    in one pass.  A nonzero step function has a jump, whose energy is finite
+    exactly when alpha < 1: for alpha >= 1 the report is DIVERGENT with an
+    empty trace and nothing is sampled.  For alpha < 1 the step function is
+    sampled at ``refine_levels`` dyadically refined steps and the reported
+    value is the Richardson limit of that trace.
     """
     if p.alpha >= 2.0:
         raise ValueError("alpha = 2 has no Gagliardo form; use dirichlet_energy")
-    for name, count in (("base_cells", base_cells),
-                        ("refine_levels", refine_levels)):
-        if isinstance(count, bool) or not isinstance(
-                count, (int, np.integer)) or count < 1:
-            raise ValueError(f"{name} must be a positive integer, got "
-                             f"{count!r}")
+    if isinstance(refine_levels, bool) or not isinstance(
+            refine_levels, (int, np.integer)) \
+            or not 1 <= refine_levels <= _MAX_REFINE_LEVELS:
+        raise ValueError(f"refine_levels must be an integer in 1.."
+                         f"{_MAX_REFINE_LEVELS}, got {refine_levels!r}")
 
     if isinstance(f, GridFunction):
         _require_compact(f)
@@ -170,26 +170,15 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
     if f.is_zero:
         return EnergyReport(value=0.0, l2_norm_sq=0.0,
                             refinement_trace=((0, 0.0),))
+    if p.alpha >= 1.0:
+        return EnergyReport(value=DIVERGENT, l2_norm_sq=f.l2_norm_sq(),
+                            divergent=True)
 
     a, b = f.span()
-    trace = []
-    consecutive = 0
-    for level in range(refine_levels):
-        cells = base_cells * 2 ** level
-        step = (b - a) / cells
-        sampled = f.sample(step)
-        est = _grid_energy(sampled, p)
-        trace.append((cells, est))
-        if len(trace) >= 2 and trace[-2][1] > 0:
-            ratio = est / trace[-2][1]
-            consecutive = consecutive + 1 if ratio >= p.divergence_ratio else 0
-            if consecutive >= 3:
-                return EnergyReport(value=DIVERGENT, l2_norm_sq=f.l2_norm_sq(),
-                                    divergent=True,
-                                    refinement_trace=tuple(trace))
-    value = _richardson(trace)
-    return EnergyReport(value=value, l2_norm_sq=f.l2_norm_sq(),
-                        refinement_trace=tuple(trace))
+    cells = [4 * 2 ** k for k in range(refine_levels)]
+    trace = tuple((c, _grid_energy(f.sample((b - a) / c), p)) for c in cells)
+    return EnergyReport(value=_richardson(trace), l2_norm_sq=f.l2_norm_sq(),
+                        refinement_trace=trace)
 
 
 def _richardson(trace) -> float:
@@ -217,8 +206,11 @@ def indicator_energy_closed_form(a: float, b: float, alpha: float) -> float:
     return 4.0 / (alpha * (1.0 - alpha)) * (b - a) ** (1.0 - alpha)
 
 
-def dirichlet_energy(f: GridFunction) -> float:
-    """(1/2) int f'(x)^2 dx, exact for the piecewise-linear interpolant."""
+def dirichlet_energy(f: Union[GridFunction, StepFunction]) -> float:
+    """(1/2) int f'(x)^2 dx, exact for the piecewise-linear interpolant; a
+    nonzero step function has a jump and so is DIVERGENT."""
+    if isinstance(f, StepFunction):
+        return 0.0 if f.is_zero else DIVERGENT
     _require_compact(f)
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.diff(f.values) / f.step
@@ -277,8 +269,8 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     f^2, so the defect measures only the panel rule: it is not an
     independent route to the identity.
     """
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise ValueError("alpha must lie in (0,1) or (1,2)")
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     far = 8.0 * (b - a)
     if not math.isfinite(far):
         raise ValueError(f"the window (a, b) must be finite, got ({a}, {b})")
@@ -350,5 +342,4 @@ def calibrate_c_of_alpha(p: EnergyParams, f: GridFunction | None = None
         vals[0] = vals[-1] = 0.0
         f = GridFunction(-1.0, 1.0 / 256.0, vals)
     ratio = fourier_gagliardo_ratio(f, p)
-    return EnergyParams(alpha=p.alpha, c_of_alpha=ratio,
-                        divergence_ratio=p.divergence_ratio)
+    return EnergyParams(alpha=p.alpha, c_of_alpha=ratio)

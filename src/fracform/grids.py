@@ -29,9 +29,9 @@ __all__ = [
 _INF = float("inf")
 
 # Largest grid built from a formula (``GridFunction.from_callable``,
-# ``make_plateau``, the capacity solve), checked before anything is
-# allocated: the capacity solve holds about ten float64 arrays of n entries
-# and complex spectra of 2n, ~0.5 GiB at 2^22.
+# ``make_plateau``, ``StepFunction.sample``, the capacity solve), checked
+# before anything is allocated: the capacity solve holds about ten float64
+# arrays of n entries and complex spectra of 2n, ~0.5 GiB at 2^22.
 MAX_GRID_NODES = 1 << 22
 
 
@@ -327,6 +327,7 @@ class StepFunction:
         if self.breakpoints.size == 0:
             return GridFunction(0.0, step, np.zeros(2))
         a, b = self.span()
+        check_grid_nodes(a - pad * step, b + (pad + 1) * step, step)
         n = int(math.ceil((b - a) / step)) + 1
         x = a + step * np.arange(-pad, n + pad + 1)
         return GridFunction(x[0], step, self(x))

@@ -442,10 +442,11 @@ class StepRateResult:
     slope: float
 
 
-def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int, n_hi: int,
-                         *, fine_step: float | None = None) -> StepRateResult:
+def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int,
+                         n_hi: int) -> StepRateResult:
     """Energy of f minus its dyadic left-endpoint step approximant, for
     depths n_lo..n_hi, with the least-squares slope of log2(error) vs n.
+    The differences are sampled at step min(f.step, 2^-n_hi / 16).
 
     Valid for alpha in (0, 1) only (indicator-type discontinuities carry
     finite energy there)."""
@@ -457,8 +458,7 @@ def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int, n_hi: int,
         entries = tuple((n, 0.0) for n in range(n_lo, n_hi + 1))
         return StepRateResult(entries, float("nan"))
 
-    if fine_step is None:
-        fine_step = min(f.step, 2.0 ** (-n_hi) / 16.0)
+    fine_step = min(f.step, 2.0 ** (-n_hi) / 16.0)
     lo, hi = f.support_interval()
     pad = 4 * fine_step
     n_fine = int(math.ceil((hi - lo + 2 * pad) / fine_step)) + 1

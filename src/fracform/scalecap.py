@@ -193,26 +193,21 @@ def dyadic_centers(count: int):
     return centers[:count]
 
 
-def build_fat_cantor(spec: FatCantorSpec, n_intervals: int,
-                     radii=None) -> IntervalSet:
+def build_fat_cantor(spec: FatCantorSpec, n_intervals: int) -> IntervalSet:
     """The open set: everything outside [-1, 1] plus n symmetric islands at
     dyadic centers, radii shrunk to stay inside (-1, 1).
 
-    ``radii`` overrides the spec's geometric rule; a rule whose surrogate
-    sum exceeds the budget is rejected with the offending partial sum.  At
-    most MAX_ISLANDS islands are built."""
+    A radius rule whose surrogate sum exceeds the budget is rejected with the
+    offending partial sum.  At most MAX_ISLANDS islands are built."""
     if n_intervals < 1:
         raise ValueError("need at least one island")
     if n_intervals > MAX_ISLANDS:
         raise ValueError(f"{n_intervals} islands exceed the limit of "
                          f"{MAX_ISLANDS}")
-    if radii is not None and len(radii) != n_intervals:
-        raise ValueError("need one radius per island")
     pieces = [(-math.inf, -1.0), (1.0, math.inf)]
     surrogate_sum = 0.0
     for i, c in enumerate(dyadic_centers(n_intervals), start=1):
-        r = spec.radius(i) if radii is None else float(radii[i - 1])
-        r = min(r, 0.5 * (1.0 - abs(c)))
+        r = min(spec.radius(i), 0.5 * (1.0 - abs(c)))
         surrogate_sum += spec.surrogate(r)
         if surrogate_sum > spec.budget * (1.0 + 1e-9):
             raise ValueError(f"radius rule exceeds the surrogate budget: "
@@ -475,14 +470,15 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
 
 
 def concentration_test(g: IntervalSet, alpha_star: float, window,
-                       step: float, *, domain_factor: float = 4.0):
-    """Capacity of G inside the window versus capacity of the window.
+                       step: float):
+    """Capacity of G inside the window versus capacity of the window, both
+    solved on the domain four window lengths wide about the window's centre.
 
     A ratio strictly below 1 certifies, at this resolution, that the window
     carries capacity off G; a ratio near 1 is inconclusive and never read as
     a negative certificate."""
     a, b = float(window[0]), float(window[1])
-    half = 0.5 * domain_factor * (b - a)
+    half = 2.0 * (b - a)
     mid = 0.5 * (a + b)
     domain = (mid - half, mid + half)
     cap_win = capacity_estimate(IntervalSet.of((a, b)), alpha_star, domain,

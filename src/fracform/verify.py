@@ -101,7 +101,7 @@ def check_indicator_closed_form(rng) -> tuple:
         p = EnergyParams(alpha=alpha)
         for length in (0.5, 1.0, 2.0):
             ind = StepFunction(np.array([0.0, length]), np.array([1.0]))
-            rep = gagliardo_energy(ind, p, base_cells=4, refine_levels=10)
+            rep = gagliardo_energy(ind, p)
             exact = indicator_energy_closed_form(0.0, length, alpha)
             worst = max(worst, abs(rep.value - exact) / exact)
     status = PASS if worst < 0.01 else FAIL
@@ -109,18 +109,26 @@ def check_indicator_closed_form(rng) -> tuple:
 
 
 def check_indicator_divergence(rng) -> tuple:
-    """Refinement ratio test must flag the indicator for alpha >= 1."""
+    """Jump rule flags the indicator for alpha >= 1, and its samples grow.
+
+    Second route: the energies sampled at 4 * 2^k cells grow by 15% or more
+    at three refinements running, the rule's geometric symptom."""
+    ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
     refinements = []
     ok = True
     for alpha in (1.0, 1.5):
-        ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
-        rep = gagliardo_energy(ind, EnergyParams(alpha=alpha),
-                               base_cells=4, refine_levels=10)
-        used = len(rep.refinement_trace) - 1
+        p = EnergyParams(alpha=alpha)
+        rep = gagliardo_energy(ind, p)
+        ests = [gagliardo_energy(ind.sample(1.0 / (4 * 2 ** k)), p).value
+                for k in range(7)]
+        grew = [b / a >= 1.15 for a, b in zip(ests, ests[1:])]
+        used = next((k + 3 for k in range(len(grew) - 2)
+                     if all(grew[k:k + 3])), len(ests))
         refinements.append(float(used))
-        ok = ok and rep.divergent and used <= 6
+        ok = ok and rep.divergent and rep.refinement_trace == () and used <= 6
     status = DIVERGENT_EXPECTED if ok else FAIL
-    return status, tuple(refinements), 6.0, "refinements until the ratio test fired"
+    return status, tuple(refinements), 6.0, \
+        "refinements until the sampled energies grew 15% three times running"
 
 
 def check_hardy_identity(rng) -> tuple:

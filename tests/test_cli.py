@@ -131,6 +131,9 @@ BAD_INPUTS = {
     # b - a overflows to inf
     "indicator-overflow-span": ["energy", "--alpha", "0.5", "--function",
                                 "indicator:-1e308,1e308"],
+    # 1e9 cells: 7.45 GiB for the sampled step function alone
+    "ladder-tiny-step": ["ladder", "--function", "indicator:0,1", "--step",
+                         "1e-9"],
     "scale-null-alpha": ["scale", "--spec", "{null_alpha_spec}"],
     "scale-list-spec": ["scale", "--spec", "{list_json}"],
     "scale-fractional-count": ["scale", "--spec", "{half_count_spec}"],
@@ -165,7 +168,7 @@ BAD_INPUTS = {
 # cases that would allocate far more than the address-space cap
 HUGE_GRIDS = {"capacity-tiny-step", "bump-overflow", "bump-huge-width",
               "plateau-huge-top", "levy-huge-n-xi", "scale-huge-count",
-              "scale-huge-spec-count", "scale-tiny-step"}
+              "scale-huge-spec-count", "scale-tiny-step", "ladder-tiny-step"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -226,6 +229,20 @@ class TestEnergyCommand:
                        "indicator:0,1", "--out-dir", str(tmp_path)])
         assert out.returncode == 0
         assert "DIVERGENT" in out.stdout
+
+    def test_indicator_just_below_one_is_finite(self, tmp_path):
+        out = run_cli(["energy", "--alpha", "0.99", "--function",
+                       "indicator:0,1", "--out-dir", str(tmp_path)])
+        assert out.returncode == 0
+        value = float(out.stdout.split("energy = ")[1].splitlines()[0])
+        assert 0.0 < value <= 404.05
+        assert "DIVERGENT" not in out.stdout
+
+    def test_dirichlet_energy_of_a_jump_diverges(self, tmp_path):
+        out = run_cli(["energy", "--alpha", "2", "--function",
+                       "indicator:0,1", "--out-dir", str(tmp_path)])
+        assert out.returncode == 0
+        assert out.stdout == "dirichlet_energy = divergent\n"
 
     def test_json_report_written(self, tmp_path):
         out = run_cli(["energy", "--alpha", "0.5", "--function", "bump:0,1",
@@ -366,6 +383,32 @@ class TestOtherCommands:
         assert out.returncode == 0
         assert "PROPER-SUBSPACES-EXIST" in out.stdout
         assert "theorem-backed" in out.stdout
+
+    @pytest.mark.parametrize("args, evidence", [
+        (["--power-alpha", "0.98"], None),
+        (["--power-alpha", "0.99"], None),
+        (["--power-alpha", repr(1.0 - 1e-9)], None),
+        (["--power-alpha", "1"], "density exponent = 1 >= 1"),
+        (["--power-alpha", "1.5"], "density exponent = 1.5 >= 1"),
+        (["--sigma", "1"], "sigma = 1 > 0"),
+        (["--atom", "1:1", "--atom", "0.3:2"], None),
+        # the window fit is unreliable here (r2 ~ 0.18), the triplet is not
+        (["--power-alpha", "1.5", "--atom", "1:1000"],
+         "density exponent = 1.5 >= 1"),
+    ])
+    def test_levy_verdict_read_from_the_triplet(self, args, evidence,
+                                                tmp_path):
+        out = run_cli(["levy", *args, "--out-dir", str(tmp_path)])
+        assert out.returncode == 0
+        verdicts = [line for line in out.stdout.splitlines()
+                    if line.startswith("verdict:")]
+        if evidence is None:
+            assert verdicts == []
+        else:
+            assert verdicts == [
+                "verdict: PROPER-SUBSPACES-EXIST (theorem-backed; exact "
+                f"growth psi(xi) >= c|xi| from the triplet: {evidence})"]
+        assert "growth_fit" in out.stdout
 
     def test_levy_triplet_file(self, tmp_path):
         spec = {"sigma": 0.0, "atoms": [[1.0, 1.0]],

@@ -34,6 +34,18 @@ def oracle_gagliardo(f: GridFunction, alpha: float) -> float:
     return 2.0 * (main + tail)
 
 
+def jump_sum_oracle(f: StepFunction, alpha: float) -> float:
+    """Exact energy of a step function for alpha < 1, summed over pairs of
+    its jumps J_i at t_i: -(2/(alpha(1-alpha))) sum_{i != j} J_i J_j
+    |t_i - t_j|^(1-alpha)."""
+    t = f.breakpoints
+    jumps = np.diff(np.concatenate([[0.0], f.levels, [0.0]]))
+    dist = np.abs(t[:, None] - t[None, :])
+    pairs = np.outer(jumps, jumps) * dist ** (1.0 - alpha)
+    np.fill_diagonal(pairs, 0.0)
+    return -2.0 / (alpha * (1.0 - alpha)) * float(pairs.sum())
+
+
 class TestGagliardo:
     def test_zero_function(self):
         f = GridFunction(0.0, 1.0, [0.0, 0.0, 0.0])
@@ -73,11 +85,39 @@ class TestGagliardo:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_indicator_divergence(self, alpha):
+        # decided by the jump rule: nothing is sampled
         ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
         rep = gagliardo_energy(ind, EnergyParams(alpha=alpha))
         assert rep.divergent
         assert rep.value == DIVERGENT
-        assert len(rep.refinement_trace) - 1 <= 6
+        assert rep.refinement_trace == ()
+        assert rep.l2_norm_sq == 1.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.001])
+    @pytest.mark.parametrize("bps", [[0.0, 0.3, 0.6, 0.9],
+                                     [-0.2, 0.11, 0.57, 1.3]])
+    def test_plateau_divergent_from_alpha_one(self, alpha, bps):
+        plateau = StepFunction(np.array(bps), np.array([0.5, 1.0, 0.5]))
+        rep = gagliardo_energy(plateau, EnergyParams(alpha=alpha))
+        assert rep.divergent and rep.value == DIVERGENT
+        assert rep.refinement_trace == ()
+
+    @pytest.mark.parametrize("alpha", [0.98, 0.99, 0.999])
+    def test_indicator_finite_below_one(self, alpha):
+        # the sampled energies approach the limit only like h^(1 - alpha),
+        # so near 1 the value is far below it, but never flagged
+        ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+        rep = gagliardo_energy(ind, EnergyParams(alpha=alpha))
+        assert not rep.divergent
+        assert 0.0 < rep.value <= indicator_energy_closed_form(0.0, 1.0, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    def test_signed_step_matches_jump_sum(self, alpha):
+        f = StepFunction(np.array([0.641, 0.694, 1.307, 1.542, 1.676]),
+                         np.array([-1.018, 1.074, -1.153, 1.325]))
+        rep = gagliardo_energy(f, EnergyParams(alpha=alpha))
+        assert not rep.divergent
+        assert rep.value == pytest.approx(jump_sum_oracle(f, alpha), rel=0.01)
 
     def test_closed_form_agreement_grid(self):
         # sharpened indicators converge to the closed form from below
@@ -104,8 +144,11 @@ class TestGagliardo:
         assert rep.e1_value == rep.value + rep.l2_norm_sq
         assert rep.e1_norm == math.sqrt(rep.e1_value)
 
-    @pytest.mark.parametrize("name", ["base_cells", "refine_levels"])
-    @pytest.mark.parametrize("count", [0, -1, True, 2.0, "4", None])
+    # 21 levels would sample 2^22 cells, past MAX_GRID_NODES: refused
+    # before anything is sampled
+    @pytest.mark.parametrize("name", ["refine_levels"])
+    @pytest.mark.parametrize("count", [0, -1, True, 2.0, "4", None, 21,
+                                       10 ** 9])
     def test_bad_refinement_count_rejected(self, name, count):
         ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match=name):
@@ -113,7 +156,7 @@ class TestGagliardo:
 
     def test_single_refinement_level(self):
         ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
-        rep = gagliardo_energy(ind, EnergyParams(alpha=0.5), base_cells=1,
+        rep = gagliardo_energy(ind, EnergyParams(alpha=0.5),
                                refine_levels=np.int64(1))
         assert len(rep.refinement_trace) == 1
         assert rep.value == rep.refinement_trace[0][1] > 0
@@ -161,6 +204,12 @@ class TestDirichlet:
         f = sample_bump(step=1.0 / 64.0)
         assert dirichlet_energy(f.scaled(2.0)) == pytest.approx(
             4.0 * dirichlet_energy(f), rel=1e-12)
+
+    def test_step_function_has_a_jump(self):
+        ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+        assert dirichlet_energy(ind) == DIVERGENT
+        zero = StepFunction(np.array([0.0, 1.0]), np.array([0.0]))
+        assert dirichlet_energy(zero) == 0.0
 
 
 class TestFourierEnergy:
@@ -239,7 +288,7 @@ class TestHardyIdentity:
         assert deficits[-1] < deficits[0] / 2.0
         assert 8.0 - deficits[-1] == pytest.approx(8.0, rel=0.05)
 
-    @pytest.mark.parametrize("alpha", [0.3, 1.5])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
     def test_against_brute_force(self, alpha):
         f = sample_bump(center=0.5, width=0.3, step=1.0 / 256.0)
         lhs, rhs = hardy_boundary_identity(f, 0.0, 1.0, alpha)
@@ -259,12 +308,7 @@ class TestHardyIdentity:
         with pytest.raises(ValueError):
             hardy_boundary_identity(f, 0.0, 1.0, 0.5)
 
-    def test_alpha_one_rejected(self):
-        f = sample_bump(center=0.5, width=0.3, step=1.0 / 64.0)
-        with pytest.raises(ValueError):
-            hardy_boundary_identity(f, 0.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.3, 1.5, 1.9])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.3, 1.5, 1.9])
     @pytest.mark.parametrize("a, b, center, width", [
         (0.0, 1.0, 0.5, 0.3), (0.0, 1.0, 0.3, 0.2),
         (-0.3, 1.0, 0.6, 0.25), (0.1, 3.0, 0.8, 0.5), (0.1, 3.0, 2.2, 0.6)])

@@ -180,6 +180,13 @@ class TestStepFunction:
         assert f(-0.5) == 0.0
         assert f.total_variation() == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("step", [1e-9, 2.0 ** -22, 0.0, -1.0, math.nan])
+    def test_sample_past_the_node_limit_rejected(self, step):
+        # 2^22 cells plus padding, or 1e9 cells (7.45 GiB), or no grid at all
+        s = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="grid"):
+            s.sample(step)
+
 
 class TestIntervalSet:
     def test_normalization_merges_overlaps_only(self):

@@ -35,11 +35,6 @@ class TestFatCantor:
         total = sum((0.5 * (hi - lo)) ** 0.5 for lo, hi in islands)
         assert total <= 0.25 + 1e-12
 
-    def test_custom_radii_exceeding_budget_rejected(self):
-        spec = FatCantorSpec(alpha=1.5, budget=0.1)
-        with pytest.raises(ValueError, match="partial sum"):
-            build_fat_cantor(spec, 4, radii=[0.25, 0.25, 0.25, 0.25])
-
     def test_islands_inside_unit_interval(self):
         g = build_fat_cantor(FatCantorSpec(alpha=1.5, budget=0.5), 63)
         for lo, hi in g:
