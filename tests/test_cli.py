@@ -234,8 +234,8 @@ class TestEnergyCommand:
         out = run_cli(["energy", "--alpha", "0.99", "--function",
                        "indicator:0,1", "--out-dir", str(tmp_path)])
         assert out.returncode == 0
-        value = float(out.stdout.split("energy = ")[1].splitlines()[0])
-        assert 0.0 < value <= 404.05
+        # the closed form 4 / (alpha (1 - alpha)) to the printed 12 digits
+        assert "energy = 404.04040404\n" in out.stdout
         assert "DIVERGENT" not in out.stdout
 
     def test_dirichlet_energy_of_a_jump_diverges(self, tmp_path):

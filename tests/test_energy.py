@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fracform.energy import (DIVERGENT, EnergyParams, EnergyReport,
@@ -40,10 +41,26 @@ def jump_sum_oracle(f: StepFunction, alpha: float) -> float:
     |t_i - t_j|^(1-alpha)."""
     t = f.breakpoints
     jumps = np.diff(np.concatenate([[0.0], f.levels, [0.0]]))
-    dist = np.abs(t[:, None] - t[None, :])
-    pairs = np.outer(jumps, jumps) * dist ** (1.0 - alpha)
-    np.fill_diagonal(pairs, 0.0)
+    # one K x K array, updated in place; its diagonal is 0^(1-alpha) = 0
+    pairs = np.abs(np.subtract.outer(t, t))
+    np.power(pairs, 1.0 - alpha, out=pairs)
+    pairs *= jumps[:, None]
+    pairs *= jumps[None, :]
     return -2.0 / (alpha * (1.0 - alpha)) * float(pairs.sum())
+
+
+def aligned_extrapolation(f: StepFunction, alpha: float, step: float) -> float:
+    """The energies of f sampled at steps h and h/2, extrapolated with the
+    known rate: for breakpoints on the grid the sampled energy falls short of
+    the limit like h^(1-alpha), so r = 2^-(1-alpha)."""
+    e1, e2 = (gagliardo_energy(f.sample(h), EnergyParams(alpha=alpha)).value
+              for h in (step, step / 2.0))
+    r = 2.0 ** (alpha - 1.0)
+    return (e2 - r * e1) / (1.0 - r)
+
+
+PLATEAU = StepFunction(np.array([0.0, 0.3, 0.6, 0.9]),
+                       np.array([0.5, 1.0, 0.5]))
 
 
 class TestGagliardo:
@@ -77,11 +94,11 @@ class TestGagliardo:
     def test_indicator_bridge_alpha_half(self):
         ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
         rep = gagliardo_energy(ind, EnergyParams(alpha=0.5))
-        assert rep.value == pytest.approx(16.0, rel=0.01)
-        # the refinement trace approaches the limit monotonically from below
+        assert rep.value == pytest.approx(16.0, rel=1e-14)
+        # the sampled trace approaches the limit monotonically from below
         ests = [e for _, e in rep.refinement_trace]
         assert all(a < b for a, b in zip(ests, ests[1:]))
-        assert ests[-1] < rep.value <= 16.0
+        assert ests[-1] < 16.0
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_indicator_divergence(self, alpha):
@@ -104,12 +121,13 @@ class TestGagliardo:
 
     @pytest.mark.parametrize("alpha", [0.98, 0.99, 0.999])
     def test_indicator_finite_below_one(self, alpha):
-        # the sampled energies approach the limit only like h^(1 - alpha),
-        # so near 1 the value is far below it, but never flagged
+        # exact although the sampled energies approach the limit only like
+        # h^(1 - alpha), so slowly that near 1 the trace is far below it
         ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
         rep = gagliardo_energy(ind, EnergyParams(alpha=alpha))
         assert not rep.divergent
-        assert 0.0 < rep.value <= indicator_energy_closed_form(0.0, 1.0, alpha)
+        assert rep.value == pytest.approx(
+            indicator_energy_closed_form(0.0, 1.0, alpha), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.7])
     def test_signed_step_matches_jump_sum(self, alpha):
@@ -117,17 +135,61 @@ class TestGagliardo:
                          np.array([-1.018, 1.074, -1.153, 1.325]))
         rep = gagliardo_energy(f, EnergyParams(alpha=alpha))
         assert not rep.divergent
-        assert rep.value == pytest.approx(jump_sum_oracle(f, alpha), rel=0.01)
+        assert rep.value == pytest.approx(jump_sum_oracle(f, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, expected", [
+        (0.3, None), (0.5, 7.80061631611), (0.7, None),
+        (0.95, 42.1627920425)])
+    def test_off_grid_plateau_matches_jump_sum(self, alpha, expected):
+        # the dyadic refinement steps 0.9 / (4 * 2^k) never contain 0.3 or
+        # 0.6, so no sampled grid is aligned with these breakpoints
+        rep = gagliardo_energy(PLATEAU, EnergyParams(alpha=alpha))
+        assert rep.value == pytest.approx(jump_sum_oracle(PLATEAU, alpha),
+                                          rel=1e-12)
+        if expected is not None:
+            assert rep.value == pytest.approx(expected, rel=1e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(start=st.integers(-64, 64),
+           gaps=st.lists(st.integers(4, 32), min_size=1, max_size=6),
+           levels=st.lists(st.floats(-2.0, 2.0).filter(
+               lambda v: v == 0.0 or abs(v) >= 1e-3), min_size=6, max_size=6),
+           alpha=st.floats(0.05, 0.95))
+    def test_matches_aligned_sampled_route(self, start, gaps, levels, alpha):
+        # breakpoints on a 1/64 grid are nodes of every sampled grid of step
+        # 2^-12 and 2^-13, so the sampled energies converge at the known
+        # rate.  What the extrapolation leaves is O((h / gap)^2): about 2e-5
+        # at gaps of 1/64, so gaps are at least 4/64.
+        t = (start + np.cumsum([0] + gaps)) / 64.0
+        f = StepFunction(t, np.array(levels[:len(gaps)]))
+        rep = gagliardo_energy(f, EnergyParams(alpha=alpha), refine_levels=1)
+        if f.is_zero:
+            assert rep.value == 0.0
+            return
+        oracle = aligned_extrapolation(f, alpha, 2.0 ** -12)
+        assert rep.value == pytest.approx(oracle, rel=1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_many_jumps_match_outer_product(self, alpha):
+        rng = np.random.default_rng(7)
+        t = np.cumsum(rng.uniform(0.5, 1.5, 5001)) / 500.0
+        f = StepFunction(t, rng.normal(size=5000))
+        rep = gagliardo_energy(f, EnergyParams(alpha=alpha), refine_levels=1)
+        assert rep.value == pytest.approx(jump_sum_oracle(f, alpha), rel=1e-10)
+
+    def test_overflowing_levels_refused(self):
+        f = StepFunction(np.array([0.0, 1.0]), np.array([1e200]))
+        with pytest.raises(ValueError, match="overflows"):
+            gagliardo_energy(f, EnergyParams(alpha=0.5))
 
     def test_closed_form_agreement_grid(self):
-        # sharpened indicators converge to the closed form from below
         for alpha in (0.3, 0.5, 0.7):
             p = EnergyParams(alpha=alpha)
             for length in (0.5, 1.0, 2.0):
                 ind = StepFunction(np.array([0.0, length]), np.array([1.0]))
                 rep = gagliardo_energy(ind, p)
                 exact = indicator_energy_closed_form(0.0, length, alpha)
-                assert rep.value == pytest.approx(exact, rel=0.01)
+                assert rep.value == pytest.approx(exact, rel=1e-12)
 
     def test_alpha_two_rejected(self):
         with pytest.raises(ValueError):
@@ -159,7 +221,8 @@ class TestGagliardo:
         rep = gagliardo_energy(ind, EnergyParams(alpha=0.5),
                                refine_levels=np.int64(1))
         assert len(rep.refinement_trace) == 1
-        assert rep.value == rep.refinement_trace[0][1] > 0
+        # the value does not depend on how much is sampled
+        assert 0 < rep.refinement_trace[0][1] < rep.value == 16.0
 
 
 class TestClosedForm:
@@ -396,5 +459,7 @@ class TestParams:
                            refinement_trace=((4, 1.5), (8, 2.0)))
         d = rep.to_json_dict()
         assert d["value"] == 2.0 and d["e1"] == 3.0
-        div = EnergyReport(value=DIVERGENT, l2_norm_sq=1.0, divergent=True)
+        div = EnergyReport(value=DIVERGENT, l2_norm_sq=1.0)
         assert div.to_json_dict()["value"] == "divergent"
+        # derived from the value, so a finite report cannot claim divergence
+        assert div.divergent and not rep.divergent

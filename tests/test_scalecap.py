@@ -27,13 +27,22 @@ class TestFatCantor:
         assert g.intervals == ((-math.inf, -1.0), (-0.1, 0.1),
                                (1.0, math.inf))
 
-    def test_geometric_surrogate_sum_within_budget(self):
-        spec = FatCantorSpec(alpha=1.5, budget=0.25)
-        g = build_fat_cantor(spec, 31)
-        islands = [(lo, hi) for lo, hi in g
-                   if math.isfinite(lo) and math.isfinite(hi)]
-        total = sum((0.5 * (hi - lo)) ** 0.5 for lo, hi in islands)
-        assert total <= 0.25 + 1e-12
+    @pytest.mark.parametrize("alpha, budget, n", [
+        (1.0, 0.3, 31), (1.5, 0.25, 31), (1.99, 0.25, 31),
+        # the first two radii overflow; the first three are clipped
+        (1.001, 10.0, 31),
+        (1.5, 0.5, 63), (1.0, 0.3, scalecap.MAX_ISLANDS),
+        (1.5, 0.1, scalecap.MAX_ISLANDS)])
+    def test_geometric_surrogate_sum_within_budget(self, alpha, budget, n):
+        spec = FatCantorSpec(alpha=alpha, budget=budget)
+        g = build_fat_cantor(spec, n)
+        radii = [0.5 * (hi - lo) for lo, hi in g
+                 if math.isfinite(lo) and math.isfinite(hi)]
+        if alpha > 1.0:
+            total = sum(r ** (alpha - 1.0) for r in radii)
+        else:
+            total = sum(1.0 / math.log(spec.a_log / r) for r in radii)
+        assert 0.0 < total <= budget * (1.0 + 1e-12)
 
     def test_islands_inside_unit_interval(self):
         g = build_fat_cantor(FatCantorSpec(alpha=1.5, budget=0.5), 63)
