@@ -29,7 +29,7 @@ import numpy as np
 from .fourier import discrete_fourier
 from .grids import MAX_GRID_NODES, GridFunction, StepFunction
 from .ladder import is_erased_function
-from .quadcells import gagliardo_of_values
+from .quadcells import _increment_form
 
 __all__ = [
     "DIVERGENT",
@@ -132,8 +132,7 @@ def _without_overflow(value: float) -> float:
 def _grid_energy(f: GridFunction, p: EnergyParams) -> float:
     if f.is_zero:
         return 0.0
-    g = f.trimmed(margin=1)
-    return gagliardo_of_values(g.values, g.step, p.alpha)
+    return _increment_form(f.increment_autocorr, f.step, p.alpha)
 
 
 def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,

@@ -12,9 +12,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
+
+from . import quadcells
 
 __all__ = [
     "GridFunction",
@@ -75,6 +78,11 @@ class GridFunction:
     The function is 0 outside the grid window.  ``support_lo``/``support_hi``
     are the indices of the first and last nonzero sample (-1/-1 for the zero
     function); samples outside that range are exactly 0.
+
+    ``increment_autocorr`` is computed on first use and kept with the
+    function, 8 bytes per support node, for as long as the function lives;
+    the samples are a read-only copy, so it cannot go stale, and every
+    derived function starts without it.
     """
 
     origin: float
@@ -149,6 +157,15 @@ class GridFunction:
 
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
+
+    @cached_property
+    def increment_autocorr(self) -> np.ndarray:
+        """Read-only c_k = sum_i d_i d_(i+k) of the node increments of
+        ``trimmed(margin=1)``: the part of the fractional form that is the
+        same for every exponent."""
+        c = quadcells.increment_autocorr(self.trimmed(margin=1).values)
+        c.flags.writeable = False
+        return c
 
     # -- exact integrals for the piecewise-linear interpolant --------------
 

@@ -23,7 +23,7 @@ import numpy as np
 from .energy import DIVERGENT, EnergyReport, _require_compact, \
     _without_overflow
 from .grids import GridFunction, PlateauSpec, _json_float, make_plateau
-from .quadcells import gagliardo_of_values, rho_profile
+from .quadcells import _increment_form, rho_profile
 
 __all__ = [
     "PowerLawDensity",
@@ -202,15 +202,15 @@ def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
     if t.sigma > 0:
         raise ValueError("the jump form needs sigma = 0")
     _require_compact(f)
-    g = f.trimmed(margin=1)
     value = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         if t.atoms:
             x, m = np.array(t.atoms).T
-            value += 2.0 * float(m @ rho_profile(g.values, g.step, x))
+            value += 2.0 * float(m @ rho_profile(f.trimmed(margin=1).values,
+                                                 f.step, x))
         if t.density is not None:
-            value += t.density.coefficient \
-                * gagliardo_of_values(g.values, g.step, t.density.alpha)
+            value += t.density.coefficient * _increment_form(
+                f.increment_autocorr, f.step, t.density.alpha)
         l2 = f.l2_norm_sq()
     _without_overflow(value + l2)
     return EnergyReport(value=value, l2_norm_sq=l2,

@@ -21,32 +21,53 @@ a_m = sum_i u_i u_(i+m), A(tau) = int u(y+tau) u(y) dy = h sum_m a_m
 B(tau/h - m) exactly, four terms per lag: rho = 2 (A(0) - A(tau)) (see
 rho_profile), and h B(0), h B(1) are the capacity operator's Gram row.
 
+The form splits in two.  increment_autocorr gives c_k = sum_i d_i d_(i+k),
+which does not depend on alpha (direct up to _DIRECT_MAX_SLOPES increments,
+a zero-padded FFT beyond); _increment_form dots c with one alpha's lag
+weights.  GridFunction.increment_autocorr keeps c, so a function evaluated
+at several exponents correlates once.
+
 The stiffness row of the hat basis is the fourth difference instead:
 k(m) = C h^(1-alpha) delta^4 W(m).  Small lags difference W directly; larger
 lags sum the binomial series of the difference of k^(3-alpha) in powers of
-1/k^2, free of the cancellation of direct differencing.
+1/k^2, free of the cancellation of direct differencing.  Term t of that
+series falls below 2^-53 of the first term from lag 2^(1 + 27/t) on, so
+from lag 2^14.5 on only the first two terms are summed: at 2^20 lags three
+whole-array passes remain of thirty.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rho_profile", "gagliardo_of_values", "hat_energy_row"]
+__all__ = ["rho_profile", "increment_autocorr", "gagliardo_of_values",
+           "hat_energy_row"]
 
 # The series is used from lag 2*order on, where each term shrinks the
 # previous by at least 1/16, so 16 terms reach far below double rounding.
 _SERIES_TERMS = 16
+
+# Term t's coefficient is within 2^(2t+1) of the first term's, so from lag
+# 2^(1 + 27/t) on, where k^(-2t) <= 2^(-2t-54), term t is below 2^-53 of
+# the first.  From t = 2's lag, 2^14.5, on only terms 0 and 1 count.
+_TWO_TERM_LAG = 23171                   # ceil(2^14.5)
+
+# Where direct correlation of the increments stops being cheaper than the
+# FFT route: both take ~40 us at 400 slopes on a 2-core x86-64 machine
+# (numpy 2.4 pocketfft).
+_DIRECT_MAX_SLOPES = 400
 
 
 def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     """c_k = sum_i s_i s_{i+k} for k = 0 .. len(s)-1."""
     if s.size == 0:
         return np.zeros(1)
-    if s.size <= 2048:
-        return np.correlate(s, s, mode="full")[s.size - 1:]
+    # copies, so the result does not keep the longer buffer alive
+    if s.size <= _DIRECT_MAX_SLOPES:
+        return np.correlate(s, s, mode="full")[s.size - 1:].copy()
     nfft = 1 << (2 * s.size - 2).bit_length()
     spec = np.fft.rfft(s, nfft)
-    return np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:s.size]
+    return np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:s.size].copy()
 
 
 def _expm1_ratio(a: float, x):
@@ -92,10 +113,16 @@ def _lag_weights(n: int, alpha: float, order: int = 2) -> np.ndarray:
     for j in range(4, 2 * _SERIES_TERMS + 4, 2):
         coefs.append(b * (2.0 if order == 2 else 2.0 ** (j + 1) - 8.0))
         b *= ((3.0 - j) - alpha) * ((2.0 - j) - alpha) / ((j + 1.0) * (j + 2.0))
-    tail = np.full(k.size, coefs[-1])
-    for c in reversed(coefs[:-1]):
-        tail *= x
-        tail += c
+    m = min(max(_TWO_TERM_LAG - near, 0), k.size)   # lags below it
+    tail = np.empty(k.size)
+    head, x_head = tail[:m], x[:m]
+    head.fill(coefs[-1])
+    for c in reversed(coefs[1:-1]):
+        head *= x_head
+        head += c
+    tail[m:] = coefs[1]
+    tail *= x
+    tail += coefs[0]
     kq = np.exp(q * lnk)
     tail *= x * kq
     if order == 4:
@@ -174,12 +201,19 @@ def rho_profile(values: np.ndarray, h: float, tau) -> np.ndarray:
     return s[1:] - s[0]
 
 
+def increment_autocorr(values: np.ndarray) -> np.ndarray:
+    """c_k = sum_i d_i d_(i+k), k >= 0, of the increments d = diff(values),
+    which must taper to exact 0 at both array ends; the same for every
+    alpha."""
+    v = np.asarray(values, dtype=float)
+    _require_tapered(v)
+    return _slope_autocorr(np.diff(v))
+
+
 def gagliardo_of_values(values: np.ndarray, h: float, alpha: float) -> float:
     """Exact fractional seminorm (no prefactor) of the interpolant of
     ``values``; the samples must taper to exact 0 at both array ends."""
-    v = np.asarray(values, dtype=float)
-    _require_tapered(v)
-    return _increment_form(_slope_autocorr(np.diff(v)), h, alpha)
+    return _increment_form(increment_autocorr(values), h, alpha)
 
 
 def hat_energy_row(n: int, h: float, alpha: float) -> np.ndarray:

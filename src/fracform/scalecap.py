@@ -401,8 +401,12 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
     """Riesz capacity of the target inside the domain window.
 
     Minimizes the E1 form over grid functions equal to 1 on the target nodes
-    (equality constraints; the minimizer obeys 0 <= u <= 1 by the discrete
-    maximum principle, which is verified and reported)."""
+    (equality constraints).  The minimizer need not obey 0 <= u <= 1: for
+    small alpha_star the stiffness row is positive at lag 1, so the E1 matrix
+    is not a Z-matrix and the discrete maximum principle fails; how far u
+    leaves [0, 1] is reported as ``clamp_violation``.  The value is E1 of u
+    clipped to [0, 1], which is still admissible, so the value is still an
+    upper bound, though not then the Galerkin minimum."""
     if not 0.0 < alpha_star <= 1.0:
         raise ValueError(f"capacity exponent must lie in (0, 1], got {alpha_star}")
     lo, hi = float(domain[0]), float(domain[1])

@@ -28,12 +28,14 @@ def test_every_traced_name_resolves():
 
 
 def test_traced_calls_record_their_layers():
-    # the two paths that reach the hat correlation (atoms and capacity),
-    # the density symbol, and the ladder calls whose work is the node count
+    # the grid energy, the two paths that reach the hat correlation (atoms
+    # and capacity), the density symbol, and the ladder calls whose work is
+    # the node count
     tracer = _tracing_namespace()["Tracer"]()
     tracer.install(fracform)
     try:
         f = fracform.GridFunction(0.0, 0.25, np.array([0.0, 1.0, 2.0, 0.0]))
+        fracform.gagliardo_energy(f, fracform.EnergyParams(0.5))
         fracform.levy_gagliardo_energy(
             f, fracform.LevyTriplet(atoms=((0.3, 1.0),)))
         fracform.levy_symbol(fracform.LevyTriplet(
@@ -47,7 +49,8 @@ def test_traced_calls_record_their_layers():
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"levy.levy_gagliardo_energy", "levy.levy_symbol.density",
+    assert {"energy.gagliardo_energy.grid",
+            "levy.levy_gagliardo_energy", "levy.levy_symbol.density",
             "quadcells.rho_profile",
             "scalecap.capacity_estimate", "quadcells.hat_energy_row",
             "ladder.ladder_decompose", "ladder.partial_sum",

@@ -11,8 +11,10 @@ from fracform.energy import (DIVERGENT, EnergyParams, EnergyReport,
                              fourier_gagliardo_ratio, gagliardo_energy,
                              hardy_boundary_identity, _gauss_segments,
                              indicator_energy_closed_form)
+from fracform import quadcells
 from fracform.grids import GridFunction, PlateauSpec, StepFunction, \
     make_plateau
+from fracform.levy import LevyTriplet, PowerLawDensity, levy_gagliardo_energy
 
 from conftest import sample_bump
 
@@ -223,6 +225,36 @@ class TestGagliardo:
         assert len(rep.refinement_trace) == 1
         # the value does not depend on how much is sampled
         assert 0 < rep.refinement_trace[0][1] < rep.value == 16.0
+
+
+class TestAutocorrelationMemo:
+    # the exponents of the energies benchmark's sweep
+    ALPHAS = (0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95)
+
+    def test_one_autocorrelation_for_every_exponent(self, monkeypatch):
+        calls = []
+        slope_autocorr = quadcells._slope_autocorr
+
+        def counted(s):
+            calls.append(s.size)
+            return slope_autocorr(s)
+
+        monkeypatch.setattr(quadcells, "_slope_autocorr", counted)
+        f = sample_bump(step=1.0 / 512.0)
+        levy = LevyTriplet(atoms=((3.0 * f.step, 0.5),),
+                           density=PowerLawDensity(0.6, 1.3))
+        values = [gagliardo_energy(f, EnergyParams(a)).value
+                  for a in self.ALPHAS]
+        levy_value = levy_gagliardo_energy(f, levy).value
+        assert len(calls) == 1
+
+        def fresh():
+            return GridFunction(f.origin, f.step, f.values)
+        trimmed = f.trimmed(margin=1).values
+        for a, value in zip(self.ALPHAS, values):
+            assert value == gagliardo_energy(fresh(), EnergyParams(a)).value
+            assert value == quadcells.gagliardo_of_values(trimmed, f.step, a)
+        assert levy_value == levy_gagliardo_energy(fresh(), levy).value
 
 
 class TestClosedForm:

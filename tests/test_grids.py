@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -51,6 +52,21 @@ class TestGridFunction:
             GridFunction(0.0, 0.0, [0.0, 1.0])
         with pytest.raises(ValueError):
             GridFunction(0.0, 1.0, [1.0])
+
+    @pytest.mark.parametrize("step", [1.0 / 64.0, 1.0 / 512.0])
+    def test_autocorrelation_memo_is_read_only_and_not_inherited(self, step):
+        # 137 and 1033 nodes: the direct and the FFT correlation
+        f = sample_bump(step=step)
+        c = f.increment_autocorr
+        assert f.increment_autocorr is c
+        assert not c.flags.writeable and c.base is None
+        with pytest.raises(ValueError):
+            c[0] = 0.0
+        for g in (f.with_values(f.values), f.scaled(1.0), f.trimmed(),
+                  dataclasses.replace(f)):
+            assert "increment_autocorr" not in vars(g)
+            assert g.increment_autocorr is not c
+            assert np.array_equal(g.increment_autocorr, c)
 
 
 class TestEpsilonContraction:

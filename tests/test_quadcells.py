@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracform import quadcells
 from fracform.grids import l2_norm_sq_of_samples
 from fracform.quadcells import (_lag_weights, gagliardo_of_values,
                                 hat_energy_row, rho_profile)
@@ -108,6 +109,38 @@ def test_lag_weights_match_high_precision_differences(alpha):
     small = np.array(LAGS) < 8
     assert np.allclose(d4[small], ref4[small], rtol=5e-12, atol=0.0)
     assert np.allclose(d4[~small], ref4[~small], rtol=1e-14, atol=0.0)
+
+
+SERIES_ALPHAS = [0.001, 0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95, 1.999]
+
+
+@pytest.fixture
+def full_horner(monkeypatch):
+    """_lag_weights summing all 16 series terms at every lag, as before the
+    series was cut to two terms past _TWO_TERM_LAG."""
+    def weights(n, alpha, order):
+        with monkeypatch.context() as m:
+            m.setattr(quadcells, "_TWO_TERM_LAG", math.inf)
+            return _lag_weights(n, alpha, order)
+    return weights
+
+
+def _rel_err(got, ref):
+    nz = ref != 0.0
+    assert np.array_equal(got[~nz], ref[~nz])
+    return float(np.max(np.abs(got[nz] - ref[nz]) / np.abs(ref[nz]),
+                        initial=0.0))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_two_term_series_matches_full_horner(alpha, order, full_horner):
+    """Every lag below 2^20 against the full series, and arrays whose last
+    lag sits on either side of the cut."""
+    edge = quadcells._TWO_TERM_LAG
+    for n in (edge, edge + 1, 1 << 20):
+        assert _rel_err(_lag_weights(n, alpha, order),
+                        full_horner(n, alpha, order)) <= 1e-15
 
 
 def test_energy_continuous_through_alpha_one(rng):

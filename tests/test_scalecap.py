@@ -279,6 +279,25 @@ class TestCapacity:
         assert est.residual < 1e-8
         assert est.clamp_violation < 1e-9
 
+    def test_clipped_equilibrium_for_small_exponents(self):
+        # the stiffness row is positive at lag 1, so the E1 matrix is not a
+        # Z-matrix and the minimiser may leave [0, 1]
+        assert hat_energy_row(4, 0.002, 0.1)[1] == pytest.approx(
+            0.0200291, rel=1e-5)
+        est = capacity_estimate(IntervalSet.of((-0.5, 0.5)), 0.05,
+                                (-8.0, 8.0), 0.002)
+        assert est.clamp_violation == pytest.approx(0.0657, abs=1e-4)
+        # the value is E1 of the clipped u, which is still admissible
+        u = est.equilibrium
+        v = u.values
+        assert np.all((v >= 0.0) & (v <= 1.0))
+        assert np.all(u(np.linspace(-0.5, 0.5, 101)) == 1.0)
+        row = hat_energy_row(v.size, u.step, 0.05)
+        kv = np.convolve(v, np.concatenate([row[:0:-1], row]))[
+            v.size - 1:2 * v.size - 1]
+        assert est.value == pytest.approx(v @ kv + u.l2_norm_sq(), rel=1e-12)
+        assert est.value == pytest.approx(84.97252062, rel=1e-9)
+
     def test_monotone_in_the_target(self, rng):
         for _ in range(20):
             r1 = float(rng.uniform(0.05, 0.15))
