@@ -1,20 +1,22 @@
 """Paired benchmark runs of two commits, written to BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --parent REF --number N [--pairs 10] \
-        [--first-seed 100]
+    python3 tools/bench_pairs.py --parent REF --number N --first-seed S
 
 Run from the root of the repository.  The parent REF and the change, HEAD,
 are exported with ``git archive`` into fresh directories outside the
 repository, so each side runs on its committed files only.  For every
 workload in BENCHMARK.json the script runs ``perfbench/run.py --trace 0``
-for its ``run_seconds`` in alternating pairs, the parent first on odd pairs
-and the change first on even ones; pair i uses seed first_seed + i - 1 on
-both sides.  It writes ``BENCH_<n>.json`` at the repository root with,
-per side and workload, the median and quartiles of every end-to-end metric,
-the failed share of the operations, the ``info:`` machine line and the
-``src/`` line count, and per workload the number of pairs each metric won
-for the change.  Standard library only; nothing under ``perfbench/`` is
-touched.
+for its ``run_seconds`` in ten alternating pairs, the parent first on odd
+pairs and the change first on even ones; pair i uses seed S + i - 1 on both
+sides.  Choose seeds that were not used while writing the change.  It
+writes ``BENCH_<n>.json`` at the repository root with, per side and
+workload, the median and quartiles of every end-to-end metric, the failed
+share of the operations, the ``info:`` machine line and the ``src/`` line
+count, and per workload the number of pairs each metric won for the
+change.  Each side also records the git tree ids of its ``src`` and
+``perfbench`` directories, which stay the same when only documents change,
+so a record can be checked against a later commit.  Standard library only;
+nothing under ``perfbench/`` is touched.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# A gain is claimed only when the change wins at least nine of ten pairs.
+PAIRS = 10
+MEASURED = ("src", "perfbench")
 
 
 def git(*args) -> bytes:
@@ -64,10 +69,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def summary(values: list) -> dict:
     """Median and quartiles (inclusive method) of the runs, in run order."""
-    if len(values) == 1:
-        q1 = median = q3 = values[0]
-    else:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -75,8 +77,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--number", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=100)
+    ap.add_argument("--first-seed", type=int, required=True)
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -88,20 +89,22 @@ def main(argv=None) -> int:
         dirs = {side: work / side for side in SIDES}
         commits = {side: export(refs[side], dirs[side]) for side in SIDES}
         runs = {side: {w: [] for w in workloads} for side in SIDES}
-        for i in range(1, args.pairs + 1):
+        for i in range(1, PAIRS + 1):
             order = SIDES if i % 2 else SIDES[::-1]
             for w in workloads:
                 for side in order:
                     runs[side][w].append(run_once(
                         dirs[side], w, args.first_seed + i - 1,
                         spec["run_seconds"]))
-                print(f"pair {i}/{args.pairs} {w} done", file=sys.stderr,
+                print(f"pair {i}/{PAIRS} {w} done", file=sys.stderr,
                       flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     def side_record(side):
         out = {"ref": refs[side], "commit": commits[side],
+               "trees": {d: git("rev-parse", f"{commits[side]}:{d}")
+                         .decode().strip() for d in MEASURED},
                "info": runs[side][workloads[0]][0]["info"], "workloads": {}}
         out["src_loc"] = out["info"]["src_loc"]
         for w in workloads:
@@ -118,8 +121,8 @@ def main(argv=None) -> int:
             }
         return out
 
-    record = {"pairs": args.pairs, "seconds": spec["run_seconds"],
-              "seeds": [args.first_seed + i for i in range(args.pairs)],
+    record = {"pairs": PAIRS, "seconds": spec["run_seconds"],
+              "seeds": [args.first_seed + i for i in range(PAIRS)],
               **{side: side_record(side) for side in SIDES}, "wins": {}}
     for w in workloads:
         record["wins"][w] = {}
