@@ -239,9 +239,9 @@ def fourier_energy(f: GridFunction, p: EnergyParams, xi_max: float,
     return main + tail
 
 
-def _gauss_segments(lo: float, hi: float, n_panels: int, n_pts: int = 12):
-    nodes, weights = np.polynomial.legendre.leggauss(n_pts)
-    edges = np.linspace(lo, hi, n_panels + 1)
+def _gauss_segments(edges):
+    """12-point Gauss-Legendre nodes and weights on the panels between edges."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -275,8 +275,8 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     if not (a <= lo + 1e-9 * f.step and hi - 1e-9 * f.step <= b):
         raise ValueError("support must lie inside (a, b)")
 
-    xq, wq = _gauss_segments(lo, hi,
-                             n_panels=max(64, f.support_hi - f.support_lo + 2))
+    xq, wq = _gauss_segments(np.linspace(
+        lo, hi, max(64, f.support_hi - f.support_lo + 2) + 1))
     fx2 = f(xq) ** 2
     da, db = (xq - a) ** (-alpha), (b - xq) ** (-alpha)
     rhs = float(np.sum(wq * fx2 * ((da + db) / alpha)))

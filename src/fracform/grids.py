@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -88,8 +88,8 @@ class GridFunction:
     origin: float
     step: float
     values: np.ndarray
-    support_lo: int = -1
-    support_hi: int = -1
+    support_lo: int = field(init=False)
+    support_hi: int = field(init=False)
 
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):
@@ -101,12 +101,9 @@ class GridFunction:
             raise ValueError("a grid function needs a 1-d array of at least 2 samples")
         object.__setattr__(self, "values", vals)
         nz = np.nonzero(vals)[0]
-        if nz.size:
-            object.__setattr__(self, "support_lo", int(nz[0]))
-            object.__setattr__(self, "support_hi", int(nz[-1]))
-        else:
-            object.__setattr__(self, "support_lo", -1)
-            object.__setattr__(self, "support_hi", -1)
+        lo, hi = (int(nz[0]), int(nz[-1])) if nz.size else (-1, -1)
+        object.__setattr__(self, "support_lo", lo)
+        object.__setattr__(self, "support_hi", hi)
 
     # -- construction -----------------------------------------------------
 
@@ -339,11 +336,12 @@ class StepFunction:
                                 [-self.levels[-1]]])
         return float(np.sum(np.abs(jumps)))
 
-    def sample(self, step: float, pad: int = 4) -> GridFunction:
+    def sample(self, step: float) -> GridFunction:
         """Sample on a uniform grid; the jumps become one-cell ramps."""
         if self.breakpoints.size == 0:
             return GridFunction(0.0, step, np.zeros(2))
         a, b = self.span()
+        pad = 4
         check_grid_nodes(a - pad * step, b + (pad + 1) * step, step)
         n = int(math.ceil((b - a) / step)) + 1
         x = a + step * np.arange(-pad, n + pad + 1)

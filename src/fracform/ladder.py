@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import transform_at
-from .grids import GridFunction, IntervalSet, snap_to_dyadic_step
+from .grids import (GridFunction, IntervalSet, check_grid_nodes,
+                    snap_to_dyadic_step)
 from .quadcells import gagliardo_of_values
 
 __all__ = [
@@ -461,6 +462,7 @@ def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int,
     fine_step = min(f.step, 2.0 ** (-n_hi) / 16.0)
     lo, hi = f.support_interval()
     pad = 4 * fine_step
+    check_grid_nodes(lo - pad, hi + pad, fine_step)
     n_fine = int(math.ceil((hi - lo + 2 * pad) / fine_step)) + 1
     x = (lo - pad) + fine_step * np.arange(n_fine)
     f_fine = f(x)

@@ -228,6 +228,7 @@ def compose_scale(f_lip: GridFunction, s: ScaleFunction, window,
     lo, hi = float(window[0]), float(window[1])
     if step is None:
         step = f_lip.step
+    check_grid_nodes(lo, hi, step)
     supp = f_lip.support_interval()
     if supp is not None:
         s_lo, s_hi = float(s(lo)[0]), float(s(hi)[0])

@@ -3,10 +3,11 @@ prints one pass/fail line.
 
 The step-approximation-rate check is a strict expected failure: the stated
 slope band asserts that the upper-bound decay rate is tight, but the measured
-energy of the dyadic step defect decays strictly faster (two independent
-quadrature routes agree on this); the check runs unmodified and reports the
-measured slope.  See tests/test_ladder.py for the one-sided rate property
-that does hold.
+energy of the dyadic step defect decays strictly faster: step_rate_experiment
+fits a slope of -1.685 at its default fine step (2^-12 here), a fit that
+still moves with that step (-1.646 at 2^-14, -1.619 at 2^-18).  The check
+runs unmodified and reports the measured slope.  See tests/test_ladder.py for
+the one-sided rate property that does hold.
 """
 
 import subprocess

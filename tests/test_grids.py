@@ -20,6 +20,9 @@ class TestGridFunction:
         assert (f.support_lo, f.support_hi) == (2, 3)
         assert f.support_interval() == (1.0, 1.5)
         assert GridFunction(0.0, 1.0, [0.0, 0.0]).is_zero
+        # the support is read from the samples; it cannot be passed in
+        with pytest.raises(TypeError):
+            GridFunction(0.0, 1.0, [0.0, 1.0, 0.0], 5, 7)
 
     def test_eval_interpolates_and_vanishes_outside(self):
         f = GridFunction(0.0, 1.0, [0.0, 2.0, 0.0])

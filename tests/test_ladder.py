@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracform.energy import EnergyParams, gagliardo_energy
-from fracform.grids import GridFunction, IntervalSet, PlateauSpec, \
-    make_plateau
+from fracform.grids import MAX_GRID_NODES, GridFunction, IntervalSet, \
+    PlateauSpec, make_plateau
 from fracform.ladder import (arm_split, bv_fourier_bound_check,
                              is_erased_function, ladder_decompose,
                              ladder_star, skorokhod_star,
@@ -637,6 +637,15 @@ class TestStepRate:
         f = sample_bump(step=1.0 / 64.0)
         with pytest.raises(ValueError):
             step_rate_experiment(f, 1.0, 3, 5)
+
+    def test_fine_grid_past_the_node_limit_rejected(self):
+        # depth n_hi samples at step 2^-(n_hi + 4), 4 steps of padding per
+        # side: a support MAX_GRID_NODES - 8 steps long is one node too many
+        n_hi = int(math.log2(MAX_GRID_NODES)) - 4
+        width = (MAX_GRID_NODES - 8) * 2.0 ** -(n_hi + 4)
+        f = GridFunction(0.0, width, np.array([0.0, 1.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            step_rate_experiment(f, 0.5, n_hi, n_hi)
 
 
 class TestBvFourierBound:

@@ -31,19 +31,22 @@ def stable_symbol_constant(alpha: float) -> float:
 
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # no scipy module at all, not even after a density symbol and the levy
-    # subcommand: the symbol is closed form and the capacity solve is numpy
+    # no scipy module at all, not even after a density symbol, the levy
+    # subcommand and check 11: the symbol is closed form, the capacity solve
+    # is numpy and check 11's per-frequency integral uses Gauss panels
     code = ("import sys, fracform\n"
             "from fracform.cli import main\n"
             "from fracform.levy import LevyTriplet, PowerLawDensity, "
             "levy_symbol\n"
+            "from fracform.verify import run_check\n"
             "levy_symbol(LevyTriplet(density=PowerLawDensity(0.5)), [2.0])\n"
             "assert main(['levy', '--power-alpha', '0.5']) == 0\n"
+            "print(run_check('jump-form-identities', 0).status)\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = dict(os.environ, FSL_OUT_DIR=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert out.stdout.strip().splitlines()[-2:] == ["PASS", "[]"]
 
 
 class TestSymbol:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracform.energy import EnergyParams, gagliardo_energy
-from fracform.grids import GridFunction, IntervalSet
+from fracform.grids import MAX_GRID_NODES, GridFunction, IntervalSet
 from fracform import scalecap
 from fracform.quadcells import hat_energy_row
 from fracform.scalecap import (CapacitySolverError, FatCantorSpec,
@@ -175,6 +175,17 @@ class TestCompose:
             -4.0, 4.0, 1.0 / 16.0, pad=4)
         with pytest.raises(ValueError):
             compose_scale(f, s, (-1.0, 2.0), step=1.0 / 16.0)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan,
+                                      2.0 / MAX_GRID_NODES])
+    def test_bad_step_rejected_before_allocating(self, step):
+        # the last step puts one node past the limit on a window of length 2
+        s = scale_from_open_set(IntervalSet.real_line())
+        f = GridFunction.from_callable(
+            lambda u: np.clip(1.0 - np.abs(4.0 * u), 0.0, None),
+            -0.3, 0.3, 1.0 / 128.0, pad=4)
+        with pytest.raises(ValueError):
+            compose_scale(f, s, (-1.0, 1.0), step=step)
 
     def test_composition_energy_stable_under_refinement(self):
         # Lipschitz targets compose to finite-energy functions at alpha > 1,
