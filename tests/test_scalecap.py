@@ -184,7 +184,7 @@ class TestCompose:
         f = GridFunction.from_callable(
             lambda u: np.clip(1.0 - np.abs(4.0 * u), 0.0, None),
             -0.3, 0.3, 1.0 / 128.0, pad=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid"):
             compose_scale(f, s, (-1.0, 1.0), step=step)
 
     def test_composition_energy_stable_under_refinement(self):
