@@ -124,7 +124,7 @@ def _cmd_energy(cfg: RunConfig) -> int:
     if alpha == 2.0:
         print(f"dirichlet_energy = {_fmt(dirichlet_energy(f))}")
         return 0
-    rep = gagliardo_energy(f, EnergyParams(alpha=alpha))
+    rep = gagliardo_energy(f, EnergyParams(alpha=alpha), refine_levels=10)
     print(f"alpha = {_fmt(alpha)}")
     print(f"energy = {_fmt(rep.value)}"
           + (" (DIVERGENT)" if rep.divergent else ""))

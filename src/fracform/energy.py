@@ -49,8 +49,9 @@ __all__ = [
 #: Sentinel value for a quadratic form that fails to converge.
 DIVERGENT = float("inf")
 
-#: Refinement level k samples a step function at 4 * 2^k cells; up to this
-#: many levels the finest sample and its padding fit in MAX_GRID_NODES (20).
+#: A step function's sampled trace is opt-in: level k samples it at 4 * 2^k
+#: cells, and up to this many levels the finest sample and its padding fit
+#: in MAX_GRID_NODES (20).  The default, 0, samples nothing.
 _MAX_REFINE_LEVELS = (MAX_GRID_NODES // 4).bit_length() - 1
 
 
@@ -82,7 +83,12 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Result of an energy computation, with its refinement history."""
+    """Result of an energy computation.
+
+    ``refinement_trace`` holds (cells, energy) pairs: the single grid for a
+    grid function, ((0, 0.0),) for the zero step function, and for a nonzero
+    step function the sampled energies its caller asked for, empty by
+    default."""
 
     value: float
     l2_norm_sq: float
@@ -136,7 +142,7 @@ def _grid_energy(f: GridFunction, p: EnergyParams) -> float:
 
 
 def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
-                     *, refine_levels: int = 10) -> EnergyReport:
+                     *, refine_levels: int = 0) -> EnergyReport:
     """The fractional double integral of f (no prefactor).
 
     Grid functions are piecewise linear, so their energy is evaluated exactly
@@ -144,15 +150,17 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
     exactly when alpha < 1: for alpha >= 1 the report is DIVERGENT with an
     empty trace and nothing is sampled.  For alpha < 1 the value is exact:
     -(2/(alpha(1-alpha))) sum_{i != j} J_i J_j |t_i - t_j|^(1-alpha) over the
-    jumps J_i at t_i.  The trace is sampled evidence beside it: the energies
-    of f sampled with 4 * 2^k cells over its span, k < ``refine_levels``.
+    jumps J_i at t_i.  The value samples nothing.  The trace is sampled
+    evidence beside it, computed only on request: the energies of f sampled
+    with 4 * 2^k cells over its span, k < ``refine_levels`` (default 0, an
+    empty trace).
     """
     if p.alpha >= 2.0:
         raise ValueError("alpha = 2 has no Gagliardo form; use dirichlet_energy")
     if isinstance(refine_levels, bool) or not isinstance(
             refine_levels, (int, np.integer)) \
-            or not 1 <= refine_levels <= _MAX_REFINE_LEVELS:
-        raise ValueError(f"refine_levels must be an integer in 1.."
+            or not 0 <= refine_levels <= _MAX_REFINE_LEVELS:
+        raise ValueError(f"refine_levels must be an integer in 0.."
                          f"{_MAX_REFINE_LEVELS}, got {refine_levels!r}")
 
     if isinstance(f, GridFunction):

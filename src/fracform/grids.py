@@ -360,6 +360,7 @@ def snap_to_dyadic_step(f: GridFunction, n: int) -> StepFunction:
     i1 = math.ceil(hi * scale)
     if i1 <= i0:
         i1 = i0 + 1
+    check_grid_nodes(i0 / scale, i1 / scale, 1.0 / scale)
     bps = np.arange(i0, i1 + 1) / scale
     levels = f(bps[:-1])
     return StepFunction(bps, levels)

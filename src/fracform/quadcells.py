@@ -54,9 +54,9 @@ _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 
 # Where direct correlation of the increments stops being cheaper than the
 # FFT route: both take ~40 us at 400 slopes on a 2-core x86-64 machine
-# (numpy 2.4 pocketfft).  Both paths are timed by the energies benchmark:
-# the sampled refinement traces of its step functions correlate 5 to 257
-# slopes, its grid sweep 511 to 4095.
+# (numpy 2.4 pocketfft).  The energies benchmark's grid sweep times the FFT
+# path at 511 to 4095 slopes; below the switch only its warm-up's sampled
+# step trace (5 to 17 slopes) reaches the direct path.
 _DIRECT_MAX_SLOPES = 400
 
 

@@ -106,7 +106,7 @@ def check_indicator_closed_form(rng) -> tuple:
         r = 2.0 ** (alpha - 1.0)
         for length in (0.5, 1.0, 2.0):
             ind = StepFunction(np.array([0.0, length]), np.array([1.0]))
-            rep = gagliardo_energy(ind, p)
+            rep = gagliardo_energy(ind, p, refine_levels=10)
             (_, e1), (_, e2) = rep.refinement_trace[-2:]
             exact = indicator_energy_closed_form(0.0, length, alpha)
             for value in (rep.value, (e2 - r * e1) / (1.0 - r)):

@@ -1,9 +1,21 @@
 import math
+import resource
 
 import numpy as np
 import pytest
 
 from fracform.grids import GridFunction
+
+
+def _cap_address_space():
+    # 1 GiB: a missing size guard fails with MemoryError instead of
+    # allocating tens of GiB
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# one BLAS/OpenMP thread, so the capped address space does not depend on
+# the number of cores (each thread may reserve its own malloc arena)
+SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 @pytest.fixture

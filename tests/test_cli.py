@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import resource
 import subprocess
 import sys
 import warnings
@@ -15,22 +14,13 @@ from fracform.cli import emit_table, parse_function_literal
 from fracform.grids import GridFunction, StepFunction
 from fracform.verify import VerdictRecord
 
+from conftest import SINGLE_THREAD, _cap_address_space
+
 
 def run_cli(args, cwd=None, env=None, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "fracform.cli"] + args,
                           capture_output=True, text=True, cwd=cwd, env=env,
                           preexec_fn=preexec_fn)
-
-
-def _cap_address_space():
-    # 1 GiB: a missing size guard fails with MemoryError instead of
-    # allocating tens of GiB
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
-# one BLAS/OpenMP thread, so the capped address space does not depend on
-# the number of cores (each thread may reserve its own malloc arena)
-SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 class TestFunctionLiterals:
@@ -250,6 +240,22 @@ class TestEnergyCommand:
         assert out.returncode == 0
         data = json.loads((tmp_path / "report.json").read_text())
         assert set(data) == {"value", "l2", "e1", "trace"}
+
+    def test_step_function_trace_has_ten_levels(self, tmp_path):
+        # the library samples nothing by default; the command asks for the
+        # ten levels of sampled evidence, at 4 .. 2048 cells
+        out = run_cli(["energy", "--alpha", "0.5", "--function",
+                       "indicator:0,1", "--out", "report.json",
+                       "--out-dir", str(tmp_path)])
+        assert out.returncode == 0
+        trace = [line.split() for line in out.stdout.splitlines()
+                 if line.startswith("trace ")]
+        assert [int(cells) for _, cells, _ in trace] == \
+            [4 * 2 ** k for k in range(10)]
+        assert " ".join(trace[0]) == "trace 4 11.7123343053"
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert [cells for cells, _ in data["trace"]] == \
+            [4 * 2 ** k for k in range(10)]
 
 
 class TestVerifyCommand:

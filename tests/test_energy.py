@@ -95,7 +95,7 @@ class TestGagliardo:
 
     def test_indicator_bridge_alpha_half(self):
         ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
-        rep = gagliardo_energy(ind, EnergyParams(alpha=0.5))
+        rep = gagliardo_energy(ind, EnergyParams(alpha=0.5), refine_levels=10)
         assert rep.value == pytest.approx(16.0, rel=1e-14)
         # the sampled trace approaches the limit monotonically from below
         ests = [e for _, e in rep.refinement_trace]
@@ -211,7 +211,7 @@ class TestGagliardo:
     # 21 levels would sample 2^22 cells, past MAX_GRID_NODES: refused
     # before anything is sampled
     @pytest.mark.parametrize("name", ["refine_levels"])
-    @pytest.mark.parametrize("count", [0, -1, True, 2.0, "4", None, 21,
+    @pytest.mark.parametrize("count", [-1, True, 2.0, "4", None, 21,
                                        10 ** 9])
     def test_bad_refinement_count_rejected(self, name, count):
         ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
@@ -225,6 +225,39 @@ class TestGagliardo:
         assert len(rep.refinement_trace) == 1
         # the value does not depend on how much is sampled
         assert 0 < rep.refinement_trace[0][1] < rep.value == 16.0
+
+    def test_zero_refinement_levels(self):
+        ind = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+        rep = gagliardo_energy(ind, EnergyParams(alpha=0.5), refine_levels=0)
+        assert rep.refinement_trace == ()
+        assert rep.value == 16.0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("f", [StepFunction(np.array([0.0, 1.0]),
+                                                np.array([1.0])), PLATEAU],
+                             ids=["indicator", "plateau"])
+    def test_default_samples_nothing(self, f, alpha, monkeypatch):
+        def refuse(self, step):
+            raise AssertionError("sampled a step function")
+
+        monkeypatch.setattr(StepFunction, "sample", refuse)
+        rep = gagliardo_energy(f, EnergyParams(alpha=alpha))
+        assert rep.refinement_trace == ()
+        assert rep.value == pytest.approx(jump_sum_oracle(f, alpha), rel=1e-12)
+
+    def test_value_independent_of_refinement_levels(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            k = int(rng.integers(1, 9))
+            t = np.cumsum(rng.uniform(0.05, 1.0, k + 1)) + rng.uniform(-2, 2)
+            f = StepFunction(t, rng.normal(size=k))
+            p = EnergyParams(alpha=float(rng.uniform(0.05, 0.95)))
+            reps = [gagliardo_energy(f, p, refine_levels=n)
+                    for n in (0, 1, 10)]
+            assert [len(r.refinement_trace) for r in reps] == [0, 1, 10]
+            assert reps[0].value == reps[1].value == reps[2].value
+            assert reps[0].l2_norm_sq == reps[1].l2_norm_sq \
+                == reps[2].l2_norm_sq
 
 
 class TestAutocorrelationMemo:

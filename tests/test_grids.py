@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +14,8 @@ from fracform.grids import (GridFunction, IntervalSet, PlateauSpec,
                             StepFunction, epsilon_contraction, make_plateau,
                             snap_to_dyadic_step)
 
-from conftest import indicator, sample_bump
+from conftest import SINGLE_THREAD, _cap_address_space, indicator, \
+    sample_bump
 
 
 class TestGridFunction:
@@ -177,6 +181,31 @@ class TestSnapToDyadic:
                 errors.append(err)
             for e1, e2 in zip(errors[:-1], errors[1:]):
                 assert 0.45 * e1 <= e2 <= 0.55 * e1
+
+    # the support (0.25, 0.5) has 2^(n-2) dyadic cells at depth n: 2^22 + 1
+    # breakpoints at depth 24, one past MAX_GRID_NODES, and 64 GiB of them
+    # at depth 35
+    TENT = GridFunction(0.0, 0.25, [0.0, 1.0, 1.0, 0.0])
+
+    def test_depth_past_the_node_limit_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            snap_to_dyadic_step(self.TENT, 24)
+
+    def test_deep_snap_rejected_before_allocating(self):
+        # under a 1 GiB address-space cap a missing guard is a MemoryError
+        code = ("from fracform.grids import GridFunction, "
+                "snap_to_dyadic_step\n"
+                "try:\n"
+                "    snap_to_dyadic_step(GridFunction(0.0, 0.25, "
+                "[0.0, 1.0, 1.0, 0.0]), 35)\n"
+                "except ValueError as e:\n"
+                "    print(f'ValueError: {e}')\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True,
+                             env={**os.environ, **SINGLE_THREAD},
+                             preexec_fn=_cap_address_space)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("ValueError: a grid of"), out.stdout
 
 
 class TestStepFunction:
