@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import EnergyParams, dirichlet_energy, gagliardo_energy
 from .grids import MAX_GRID_NODES, GridFunction, IntervalSet, PlateauSpec, \
-    StepFunction, _json_float, check_grid_nodes, make_plateau
+    StepFunction, _json_float, grid_nodes, make_plateau
 from .ladder import ladder_decompose
 from .levy import LevyTriplet, PowerLawDensity, finite_variation_test, \
     growth_exponent_fit, levy_indicator_energy, levy_symbol
@@ -172,7 +172,7 @@ def _cmd_ladder(cfg: RunConfig) -> int:
 
 def _cmd_scale(cfg: RunConfig) -> int:
     p = cfg.params
-    check_grid_nodes(-1.5, 1.5, p["step"])
+    xs = grid_nodes(-1.5, 1.5, p["step"])
     if p.get("spec"):
         spec_data = json.loads(Path(p["spec"]).read_text(encoding="utf-8"))
         if not isinstance(spec_data, dict):
@@ -193,7 +193,6 @@ def _cmd_scale(cfg: RunConfig) -> int:
     print(f"measure_in_unit_window = {_fmt(g.measure_between(-1.0, 1.0))}")
     print(f"density_depth = {s.density_depth}")
     _write_json(g.to_json_list(), cfg.out_dir / p["set_out"])
-    xs = np.arange(-1.5, 1.5 + p["step"] / 2, p["step"])
     sv = s(xs)
     with (cfg.out_dir / p["scale_out"]).open("w", encoding="utf-8",
                                              newline="\n") as fh:

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .fourier import discrete_fourier
-from .grids import MAX_GRID_NODES, GridFunction, StepFunction
+from .grids import MAX_GRID_NODES, GridFunction, StepFunction, grid_nodes
 from .ladder import is_erased_function
 from .quadcells import _increment_form
 
@@ -338,7 +338,7 @@ def calibrate_c_of_alpha(p: EnergyParams, f: GridFunction | None = None
     it is measured on a reference bump (or the supplied function), never
     assumed."""
     if f is None:
-        x = np.arange(-1.0, 1.0 + 1e-12, 1.0 / 256.0)
+        x = grid_nodes(-1.0, 1.0, 1.0 / 256.0)
         vals = np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 2, 0.0)
         vals[0] = vals[-1] = 0.0
         f = GridFunction(-1.0, 1.0 / 256.0, vals)

@@ -31,22 +31,35 @@ __all__ = [
 
 _INF = float("inf")
 
-# Largest grid built from a formula (``GridFunction.from_callable``,
-# ``make_plateau``, ``StepFunction.sample``, the capacity solve), checked
-# before anything is allocated: the capacity solve holds about ten float64
-# arrays of n entries and complex spectra of 2n, ~0.5 GiB at 2^22.
+# Largest uniform grid, zero padding included, that a builder allocates:
+# ``GridFunction.from_callable`` (so ``StepFunction.sample``),
+# ``make_plateau``, ``snap_to_dyadic_step``, ``compose_scale``, the capacity
+# solve, ``step_rate_experiment`` and the CLI's scale grid take their nodes
+# from ``grid_nodes``.  The capacity solve holds about ten float64 arrays of
+# n entries and complex spectra of 2n, ~0.5 GiB at 2^22.
 MAX_GRID_NODES = 1 << 22
 
 
-def check_grid_nodes(lo: float, hi: float, step: float) -> None:
-    """Refuse a step that is not positive and finite, or a grid on [lo, hi]
-    of more than MAX_GRID_NODES nodes."""
+def grid_size(lo: float, hi: float, step: float) -> int:
+    """The node count of ``grid_nodes(lo, hi, step)``, after the same
+    refusals, without building the nodes."""
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"grid step must be positive and finite, got {step}")
-    nodes = (float(hi) - float(lo)) / step + 1
-    if not nodes <= MAX_GRID_NODES:
-        raise ValueError(f"a grid of {nodes:.4g} nodes exceeds the limit of "
-                         f"{MAX_GRID_NODES} nodes")
+    cells = (float(hi) - float(lo)) / step
+    if not cells >= -0.5:
+        raise ValueError(f"a grid on [{lo}, {hi}] has no nodes")
+    if not cells < MAX_GRID_NODES - 0.5:
+        raise ValueError(f"a grid of {cells + 1:.4g} nodes exceeds the limit "
+                         f"of {MAX_GRID_NODES} nodes")
+    return round(cells) + 1
+
+
+def grid_nodes(lo: float, hi: float, step: float) -> np.ndarray:
+    """The uniform grid lo + k * step, k = 0..round((hi - lo) / step),
+    anchored at lo.  Refused with ValueError before anything is allocated:
+    a step that is not positive and finite, ends that leave no node (NaN, or
+    hi more than half a step below lo) and more than MAX_GRID_NODES nodes."""
+    return lo + step * np.arange(grid_size(lo, hi, step))
 
 
 def l2_norm_sq_of_samples(v: np.ndarray, step: float) -> float:
@@ -111,11 +124,9 @@ class GridFunction:
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray],
                       lo: float, hi: float, step: float,
                       pad: int = 2) -> "GridFunction":
-        """Sample ``fn`` on [lo, hi] extended by ``pad`` zero nodes per side."""
-        check_grid_nodes(lo, hi, step)
-        n = int(round((hi - lo) / step)) + 1
-        x = lo + step * np.arange(n)
-        vals = np.asarray(fn(x), dtype=float)
+        """Sample ``fn`` at ``grid_nodes(lo, hi, step)``, with ``pad`` zero
+        nodes added per side."""
+        vals = np.asarray(fn(grid_nodes(lo, hi, step)), dtype=float)
         if pad > 0:
             vals = np.concatenate([np.zeros(pad), vals, np.zeros(pad)])
             lo = lo - pad * step
@@ -337,15 +348,12 @@ class StepFunction:
         return float(np.sum(np.abs(jumps)))
 
     def sample(self, step: float) -> GridFunction:
-        """Sample on a uniform grid; the jumps become one-cell ramps."""
+        """Sample from the first breakpoint on, with four zero nodes per
+        side; the jumps become one-cell ramps."""
         if self.breakpoints.size == 0:
             return GridFunction(0.0, step, np.zeros(2))
         a, b = self.span()
-        pad = 4
-        check_grid_nodes(a - pad * step, b + (pad + 1) * step, step)
-        n = int(math.ceil((b - a) / step)) + 1
-        x = a + step * np.arange(-pad, n + pad + 1)
-        return GridFunction(x[0], step, self(x))
+        return GridFunction.from_callable(self, a, b, step, pad=4)
 
 
 def snap_to_dyadic_step(f: GridFunction, n: int) -> StepFunction:
@@ -357,13 +365,9 @@ def snap_to_dyadic_step(f: GridFunction, n: int) -> StepFunction:
     lo, hi = f.support_interval()
     scale = 2.0 ** n
     i0 = math.floor(lo * scale)
-    i1 = math.ceil(hi * scale)
-    if i1 <= i0:
-        i1 = i0 + 1
-    check_grid_nodes(i0 / scale, i1 / scale, 1.0 / scale)
-    bps = np.arange(i0, i1 + 1) / scale
-    levels = f(bps[:-1])
-    return StepFunction(bps, levels)
+    i1 = max(math.ceil(hi * scale), i0 + 1)
+    bps = grid_nodes(i0 / scale, i1 / scale, 1.0 / scale)
+    return StepFunction(bps, f(bps[:-1]))
 
 
 @dataclass(frozen=True)
@@ -526,23 +530,22 @@ class PlateauSpec:
 def make_plateau(spec: PlateauSpec, step: float) -> GridFunction:
     """Sample a plateau function; exact 1 on [a, b], exact 0 off the ramps.
 
-    The left ramp foot sits exactly on a grid node; the right foot is snapped
-    to the last node <= b + rho, so the interpolant never spills outside
-    (a - rho, b + rho).  Total variation of the result is exactly 2.
+    The left ramp foot sits exactly on a grid node; the right foot is the
+    last node <= b + rho (to 1e-12 steps), so the interpolant never spills
+    outside (a - rho, b + rho).  Total variation of the result is exactly 2.
     """
     if spec.rho <= 2.0 * step:
         raise ValueError(f"degenerate plateau: rho={spec.rho} needs step < rho/2, "
                          f"got step={step}")
     if spec.b - spec.a < 2.0 * step:
         raise ValueError("plateau top needs at least two grid nodes")
-    check_grid_nodes(spec.a - spec.rho, spec.b + spec.rho, step)
     profile = _RAMP_PROFILES[spec.ramp_profile]
     pad = 4
     left_foot = spec.a - spec.rho
-    n_right = int(math.floor((spec.b + spec.rho - left_foot) / step + 1e-12))
-    idx = np.arange(-pad, n_right + pad + 1)
-    x = left_foot + step * idx
-    right_foot = left_foot + step * n_right
+    x = grid_nodes(left_foot, spec.b + spec.rho, step)
+    if x[-1] > spec.b + spec.rho + 1e-12 * step:
+        x = x[:-1]
+    right_foot = x[-1]
 
     vals = np.zeros_like(x)
     on_top = (x >= spec.a) & (x <= spec.b)
@@ -551,4 +554,5 @@ def make_plateau(spec: PlateauSpec, step: float) -> GridFunction:
     vals[up] = profile((x[up] - left_foot) / (spec.a - left_foot))
     down = (x > spec.b) & (x < right_foot)
     vals[down] = profile((right_foot - x[down]) / (right_foot - spec.b))
-    return GridFunction(x[0], step, vals)
+    return GridFunction(left_foot - pad * step, step,
+                        np.concatenate([np.zeros(pad), vals, np.zeros(pad)]))

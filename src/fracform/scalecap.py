@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction, IntervalSet, check_grid_nodes
+from .grids import GridFunction, IntervalSet, grid_nodes, grid_size
 from .quadcells import gagliardo_of_values, hat_energy_row
 
 __all__ = [
@@ -228,14 +228,12 @@ def compose_scale(f_lip: GridFunction, s: ScaleFunction, window,
     lo, hi = float(window[0]), float(window[1])
     if step is None:
         step = f_lip.step
-    check_grid_nodes(lo, hi, step)
+    x = grid_nodes(lo, hi, step)
     supp = f_lip.support_interval()
     if supp is not None:
         s_lo, s_hi = float(s(lo)[0]), float(s(hi)[0])
         if not (s_lo < supp[0] and supp[1] < s_hi):
             raise ValueError("support of f escapes the image of the window")
-    n = int(round((hi - lo) / step)) + 1
-    x = lo + step * np.arange(n)
     vals = f_lip(s(x))
     vals[0] = 0.0
     vals[-1] = 0.0
@@ -415,12 +413,11 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
         if a < lo - 1e-12 or b > hi + 1e-12:
             raise ValueError(f"target piece ({a}, {b}) escapes the domain "
                              f"({lo}, {hi})")
-    check_grid_nodes(lo, hi, step)
-    n = int(round((hi - lo) / step)) + 1
+    n = grid_size(lo, hi, step)
     if n < 8:
         raise ValueError("domain too small for the requested step")
     h = (hi - lo) / (n - 1)
-    x = lo + h * np.arange(n)
+    x = grid_nodes(lo, hi, h)
 
     mask = np.zeros(n, dtype=bool)
     for a, b in target:

@@ -19,7 +19,7 @@ from .energy import (EnergyParams, _gauss_segments, check_erased_bound,
                      gagliardo_energy, hardy_boundary_identity,
                      indicator_energy_closed_form)
 from .grids import GridFunction, IntervalSet, PlateauSpec, StepFunction, \
-    make_plateau
+    grid_nodes, make_plateau
 from .ladder import (bv_fourier_bound_check, is_erased_function,
                      ladder_decompose, step_rate_experiment)
 from .levy import (LevyTriplet, PowerLawDensity, growth_exponent_fit,
@@ -58,9 +58,8 @@ class VerdictRecord:
 
 def sample_multibump(params, step, lo, hi) -> GridFunction:
     """Sum of raised-cosine bumps with exact zeros outside each support."""
-    n = int(round((hi - lo) / step)) + 1
-    x = lo + step * np.arange(n)
-    vals = np.zeros(n)
+    x = grid_nodes(lo, hi, step)
+    vals = np.zeros(x.size)
     for c, w, h in params:
         mask = np.abs(x - c) < w
         vals[mask] += h * np.cos(np.pi * (x[mask] - c) / (2.0 * w)) ** 2
