@@ -240,6 +240,14 @@ def _cmd_levy(cfg: RunConfig) -> int:
     if not 2 <= p["n_xi"] <= MAX_GRID_NODES:
         raise ValueError(f"--n-xi must lie in 2..{MAX_GRID_NODES}, got "
                          f"{p['n_xi']}")
+    if p.get("indicator"):
+        try:
+            a, b = _finite_numbers(p["indicator"].split(","))
+        except ValueError:
+            a = b = math.nan
+        if not a < b:
+            raise ValueError(f"--indicator needs two finite numbers a < b, "
+                             f"got {p['indicator']!r}")
     if p.get("triplet"):
         t = LevyTriplet.from_json_dict(
             json.loads(Path(p["triplet"]).read_text(encoding="utf-8")))
@@ -255,7 +263,6 @@ def _cmd_levy(cfg: RunConfig) -> int:
     print(f"finite_variation = {finite}"
           + (f" (integral = {_fmt(value)})" if finite else ""))
     if p.get("indicator"):
-        a, b = (float(x) for x in p["indicator"].split(","))
         e = levy_indicator_energy(a, b, t)
         print(f"indicator_energy = {_fmt(e)}")
     xi = np.geomspace(p["xi_min"], p["xi_max"], p["n_xi"])

@@ -27,7 +27,8 @@ from typing import Union
 import numpy as np
 
 from .fourier import discrete_fourier
-from .grids import MAX_GRID_NODES, GridFunction, StepFunction, grid_nodes
+from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, grid_nodes,
+                    is_count)
 from .ladder import is_erased_function
 from .quadcells import _increment_form
 
@@ -157,9 +158,8 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
     """
     if p.alpha >= 2.0:
         raise ValueError("alpha = 2 has no Gagliardo form; use dirichlet_energy")
-    if isinstance(refine_levels, bool) or not isinstance(
-            refine_levels, (int, np.integer)) \
-            or not 0 <= refine_levels <= _MAX_REFINE_LEVELS:
+    if not (is_count(refine_levels)
+            and 0 <= refine_levels <= _MAX_REFINE_LEVELS):
         raise ValueError(f"refine_levels must be an integer in 0.."
                          f"{_MAX_REFINE_LEVELS}, got {refine_levels!r}")
 

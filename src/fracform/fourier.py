@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import MAX_GRID_NODES, GridFunction, is_count
 
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
@@ -153,8 +153,9 @@ def transform_at(f: GridFunction, xi) -> np.ndarray:
 def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
                      ) -> FourierTable:
     """Transform sampled on the symmetric grid [-xi_max, xi_max]."""
-    if n_freq < 2:
-        raise ValueError("need at least two frequencies")
+    if not (is_count(n_freq) and 2 <= n_freq <= MAX_GRID_NODES):
+        raise ValueError(f"n_freq must be an integer in 2..{MAX_GRID_NODES}, "
+                         f"got {n_freq!r}")
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
     xi = np.linspace(-xi_max, xi_max, n_freq)

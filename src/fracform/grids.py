@@ -35,9 +35,16 @@ _INF = float("inf")
 # ``GridFunction.from_callable`` (so ``StepFunction.sample``),
 # ``make_plateau``, ``snap_to_dyadic_step``, ``compose_scale``, the capacity
 # solve, ``step_rate_experiment`` and the CLI's scale grid take their nodes
-# from ``grid_nodes``.  The capacity solve holds about ten float64 arrays of
-# n entries and complex spectra of 2n, ~0.5 GiB at 2^22.
+# from ``grid_nodes``, and ``discrete_fourier`` caps its frequency count here.
+# The capacity solve holds about ten float64 arrays of n entries and complex
+# spectra of 2n, ~0.5 GiB at 2^22.
 MAX_GRID_NODES = 1 << 22
+
+
+def is_count(v) -> bool:
+    """True for an int or a numpy integer; a bool or a whole float is not a
+    count, size or depth."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def grid_size(lo: float, hi: float, step: float) -> int:
@@ -125,7 +132,11 @@ class GridFunction:
                       lo: float, hi: float, step: float,
                       pad: int = 2) -> "GridFunction":
         """Sample ``fn`` at ``grid_nodes(lo, hi, step)``, with ``pad`` zero
-        nodes added per side."""
+        nodes added per side; the padding counts towards the node limit."""
+        if not (is_count(pad) and pad >= 0):
+            raise ValueError(f"pad must be a non-negative integer, got "
+                             f"{pad!r}")
+        grid_size(lo - pad * step, hi + pad * step, step)
         vals = np.asarray(fn(grid_nodes(lo, hi, step)), dtype=float)
         if pad > 0:
             vals = np.concatenate([np.zeros(pad), vals, np.zeros(pad)])
@@ -358,15 +369,21 @@ class StepFunction:
 
 def snap_to_dyadic_step(f: GridFunction, n: int) -> StepFunction:
     """Left-endpoint dyadic snapping: level f(i/2^n) on (i/2^n, (i+1)/2^n]."""
-    if n < 1 or n != int(n):
-        raise ValueError("dyadic depth must be a positive integer")
+    if not (is_count(n) and n >= 1):
+        raise ValueError(f"dyadic depth must be a positive integer, got {n!r}")
     if f.is_zero:
         return StepFunction(np.array([]), np.array([]))
     lo, hi = f.support_interval()
-    scale = 2.0 ** n
-    i0 = math.floor(lo * scale)
-    i1 = max(math.ceil(hi * scale), i0 + 1)
-    bps = grid_nodes(i0 / scale, i1 / scale, 1.0 / scale)
+    step = 0.5 ** n
+    # the support's own grid first: it refuses a depth past the node limit
+    # (and a step that underflows to 0) before lo / step can overflow
+    grid_size(lo, hi, step)
+    i0 = np.floor(lo / step)
+    i1 = max(np.ceil(hi / step), i0 + 1)
+    bps = grid_nodes(i0 * step, i1 * step, step)
+    if bps.size < 2:
+        raise ValueError(f"dyadic cells of depth {n} are finer than the "
+                         f"float spacing at {lo}")
     return StepFunction(bps, f(bps[:-1]))
 
 
@@ -542,6 +559,7 @@ def make_plateau(spec: PlateauSpec, step: float) -> GridFunction:
     profile = _RAMP_PROFILES[spec.ramp_profile]
     pad = 4
     left_foot = spec.a - spec.rho
+    grid_size(left_foot - pad * step, spec.b + spec.rho + pad * step, step)
     x = grid_nodes(left_foot, spec.b + spec.rho, step)
     if x[-1] > spec.b + spec.rho + 1e-12 * step:
         x = x[:-1]

@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import transform_at
-from .grids import GridFunction, IntervalSet, grid_nodes, snap_to_dyadic_step
+from .grids import (GridFunction, IntervalSet, grid_nodes, is_count,
+                    snap_to_dyadic_step)
 from .quadcells import gagliardo_of_values
 
 __all__ = [
@@ -271,8 +272,7 @@ class LadderTree:
         n = self.n_nodes
         if k is None:
             return n
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
-                or not 1 <= k <= n:
+        if not (is_count(k) and 1 <= k <= n):
             raise ValueError(f"k must be an integer in 1..{n}")
         return k
 
@@ -377,8 +377,7 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
         raise ValueError("decomposition needs a non-negative function")
     if not f.has_compact_support():
         raise ValueError("decomposition needs compact support")
-    if isinstance(max_nodes, bool) or not isinstance(
-            max_nodes, (int, np.integer)) or max_nodes < 1:
+    if not (is_count(max_nodes) and max_nodes >= 1):
         raise ValueError(f"the node budget must be a positive integer, got "
                          f"{max_nodes!r}")
     if not (math.isfinite(sup_tol) and sup_tol >= 0):
@@ -452,8 +451,9 @@ def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int,
     finite energy there)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("the rate experiment needs alpha in (0, 1)")
-    if n_hi < n_lo or n_lo < 1:
-        raise ValueError("need 1 <= n_lo <= n_hi")
+    if not (is_count(n_lo) and is_count(n_hi) and 1 <= n_lo <= n_hi):
+        raise ValueError(f"need integer depths 1 <= n_lo <= n_hi, got "
+                         f"{n_lo!r}, {n_hi!r}")
     if f.is_zero:
         entries = tuple((n, 0.0) for n in range(n_lo, n_hi + 1))
         return StepRateResult(entries, float("nan"))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction, IntervalSet, grid_nodes, grid_size
+from .grids import GridFunction, IntervalSet, grid_nodes, grid_size, is_count
 from .quadcells import gagliardo_of_values, hat_energy_row
 
 __all__ = [
@@ -195,8 +195,9 @@ def build_fat_cantor(spec: FatCantorSpec, n_intervals: int) -> IntervalSet:
 
     The spec's radii keep the surrogate sum below its budget, and shrinking
     them only lowers it.  At most MAX_ISLANDS islands are built."""
-    if n_intervals < 1:
-        raise ValueError("need at least one island")
+    if not (is_count(n_intervals) and n_intervals >= 1):
+        raise ValueError(f"the island count must be a positive integer, got "
+                         f"{n_intervals!r}")
     if n_intervals > MAX_ISLANDS:
         raise ValueError(f"{n_intervals} islands exceed the limit of "
                          f"{MAX_ISLANDS}")

@@ -132,6 +132,8 @@ BAD_INPUTS = {
     "levy-null-atom-mass": ["levy", "--triplet", "{null_mass_triplet}"],
     "levy-nan-sigma": ["levy", "--sigma", "nan"],
     "levy-nan-atom": ["levy", "--atom", "nan:1"],
+    "levy-one-indicator-number": ["levy", "--atom", "1:1", "--indicator",
+                                  "0"],
     "ladder-nan-sup-tol": ["ladder", "--function", "bump:0,1", "--sup-tol",
                            "nan"],
     "ladder-negative-sup-tol": ["ladder", "--function", "bump:0,1",
@@ -382,6 +384,15 @@ class TestOtherCommands:
         assert (tmp_path / "psi.csv").exists()
         # bounded symbol: no growth verdict line
         assert "PROPER-SUBSPACES-EXIST" not in out.stdout
+
+    @pytest.mark.parametrize("indicator", ["0", "0,1,2", "nan,1", "1,0",
+                                           "a,b"])
+    def test_levy_indicator_refused_before_output(self, indicator, tmp_path):
+        out = run_cli(["levy", "--atom", "1:1", "--indicator", indicator,
+                       "--out-dir", str(tmp_path)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: --indicator needs"), out.stderr
 
     def test_levy_growth_verdict(self, tmp_path):
         out = run_cli(["levy", "--power-alpha", "1.5",
