@@ -156,7 +156,7 @@ def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
     if not (is_count(n_freq) and 2 <= n_freq <= MAX_GRID_NODES):
         raise ValueError(f"n_freq must be an integer in 2..{MAX_GRID_NODES}, "
                          f"got {n_freq!r}")
-    if not xi_max > 0:
-        raise ValueError("xi_max must be positive")
+    if not 0 < xi_max < math.inf:
+        raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
     xi = np.linspace(-xi_max, xi_max, n_freq)
     return FourierTable(xi, transform_at(f, xi))

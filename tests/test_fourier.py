@@ -56,6 +56,13 @@ def test_grid_validation():
         discrete_fourier(f, -1.0, 16)
 
 
+@pytest.mark.parametrize("xi_max", [0.0, math.nan, math.inf])
+def test_frequency_window_must_be_finite(xi_max):
+    # an infinite window gave NaN frequencies and amplitudes
+    with pytest.raises(ValueError, match="xi_max"):
+        discrete_fourier(sample_bump(), xi_max, 16)
+
+
 def test_exactness_against_quadrature():
     # the closed-form transform of the interpolant agrees with brute-force
     # quadrature of the same interpolant
