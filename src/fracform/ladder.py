@@ -445,7 +445,9 @@ def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int,
                          n_hi: int) -> StepRateResult:
     """Energy of f minus its dyadic left-endpoint step approximant, for
     depths n_lo..n_hi, with the least-squares slope of log2(error) vs n.
-    The differences are sampled at step min(f.step, 2^-n_hi / 16).
+    The differences are sampled at step min(f.step, 2^-n_hi / 16) on a
+    window that holds f's outer ramps and the coarsest approximant's cells
+    plus four fine steps, so they taper to exact zeros inside it.
 
     Valid for alpha in (0, 1) only (indicator-type discontinuities carry
     finite energy there)."""
@@ -460,16 +462,16 @@ def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int,
 
     fine_step = min(f.step, 2.0 ** (-n_hi) / 16.0)
     lo, hi = f.support_interval()
+    # the coarsest approximant's cells hold every finer one's
+    a, b = snap_to_dyadic_step(f, n_lo).span()
     pad = 4 * fine_step
-    x = grid_nodes(lo - pad, hi + pad, fine_step)
+    x = grid_nodes(min(lo - f.step, a) - pad, max(hi + f.step, b) + pad,
+                   fine_step)
     f_fine = f(x)
 
     entries = []
     for n in range(n_lo, n_hi + 1):
-        approx = snap_to_dyadic_step(f, n)
-        d = f_fine - approx(x)
-        d[0] = 0.0
-        d[-1] = 0.0
+        d = f_fine - snap_to_dyadic_step(f, n)(x)
         e = gagliardo_of_values(d, fine_step, alpha)
         entries.append((n, float(e)))
     ns = np.array([n for n, _ in entries], dtype=float)
@@ -488,7 +490,7 @@ def bv_fourier_bound_check(f: GridFunction, xi_grid) -> float:
     if abs(f.total_variation() - 2.0) > 1e-9:
         raise ValueError("plateau-family input needs total variation 2")
     xi = np.asarray(xi_grid, dtype=float)
-    mask = np.abs(xi) >= 1.0
+    mask = ~(np.abs(xi) < 1.0)  # keeps NaN, which transform_at refuses
     if not np.any(mask):
         raise ValueError("frequency grid has no points with |xi| >= 1")
     amps = transform_at(f, xi[mask])

@@ -1,10 +1,12 @@
 """The library's bad-input contract and the node grid of every builder.
 
 Every exported callable that takes a step, size, count or depth refuses a
-bad value with ValueError before it allocates.  The table runs in one
-subprocess under a 1 GiB address-space cap with one BLAS thread, so a
-missing guard fails fast with MemoryError (or shows as another error)
-instead of allocating tens of GiB; each case is reported as its own test.
+bad value with ValueError before it allocates; the transforms refuse a
+frequency that is not finite, or whose phase xi x on the grid is not.  The
+table runs in one subprocess under a 1 GiB address-space cap with one BLAS
+thread, so a missing guard fails fast with MemoryError (or shows as another
+error) instead of allocating tens of GiB; each case is reported as its own
+test.
 
 Every builder takes its nodes from ``grids.grid_nodes``; the pins below fix
 each one's node count and first and last node on fixed inputs.
@@ -23,12 +25,12 @@ import pytest
 import fracform.energy
 import fracform.ladder
 from fracform import (FatCantorSpec, GridFunction, IntervalSet, PlateauSpec,
-                      StepFunction, build_fat_cantor, calibrate_c_of_alpha,
-                      capacity_estimate, compose_scale, concentration_test,
-                      discrete_fourier, fourier_energy,
+                      StepFunction, build_fat_cantor, bv_fourier_bound_check,
+                      calibrate_c_of_alpha, capacity_estimate, compose_scale,
+                      concentration_test, discrete_fourier, fourier_energy,
                       fourier_gagliardo_ratio, ladder_decompose, make_plateau,
                       scale_from_open_set, snap_to_dyadic_step,
-                      step_rate_experiment)
+                      step_rate_experiment, transform_at)
 from fracform.cli import main
 from fracform.energy import EnergyParams
 from fracform.grids import MAX_GRID_NODES, grid_nodes, grid_size
@@ -46,6 +48,8 @@ COUNTS = {"zero": 0, "negative": -3, "nan": math.nan, "inf": math.inf,
           "bool": True, "fraction": 2.5, "whole-float": 4.0,
           "huge": 10 ** 10}
 DEPTHS = {**COUNTS, "huge": 10 ** 9, "past-float-range": 1100}
+# NaN and inf gave NaN amplitudes with RuntimeWarnings
+FREQUENCIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
 def _scale():
@@ -106,6 +110,13 @@ CALLS = {
     "build_fat_cantor-n_intervals": (COUNTS, lambda v: build_fat_cantor(
         FatCantorSpec(alpha=1.5, budget=0.1), v)),
     "LadderTree.partial_sum-k": (COUNTS, lambda v: _tree().partial_sum(v)),
+    "transform_at-xi": (FREQUENCIES, lambda v: transform_at(TENT, [1.0, v])),
+    # a finite frequency whose phase xi x overflows at the grid's end x = 6
+    "transform_at-xi-phase": ({"overflow": 1e308}, lambda v: transform_at(
+        GridFunction(0.0, 2.0, [0.0, 1.0, 1.0, 0.0]), [1.0, v])),
+    # the tent has values in [0, 1] and total variation 2
+    "bv_fourier_bound_check-xi": (
+        FREQUENCIES, lambda v: bv_fourier_bound_check(TENT, [-2.0, 1.0, v])),
 }
 
 CASES = sorted(f"{name}[{label}]" for name, (values, _) in CALLS.items()
@@ -240,17 +251,20 @@ class TestNodesPerSite:
                                             2.0123076923076924)
 
     @pytest.mark.parametrize("width, n", [
-        (0.25, 41),
-        # 46.4 fine steps from lo - pad to hi + pad: 48 nodes by the old
-        # ceil count
-        (0.3, 47)])
+        # f's ramps span [0, 0.75], past the depth-2 cells [0.25, 0.5]: 96
+        # fine steps plus the pad; the window cut at the nonzero nodes,
+        # [0.25 - pad, 0.5 + pad], had 41 nodes
+        (0.25, 105),
+        # the ramps end at 0.9: 123.2 fine steps (the cut window had 47)
+        (0.3, 124),
+        # the depth-2 cells [0, 0.25] reach past the ramps' end 3/16
+        (1 / 16, 41)])
     def test_step_rate_fine_grid(self, monkeypatch, width, n):
         grids = _spy(monkeypatch, fracform.ladder)
         f = GridFunction(0.0, width, [0.0, 1.0, 1.0, 0.0])
         step_rate_experiment(f, 0.5, 2, 3)
         fine = 2.0 ** -7
-        assert _ends(grids[0]) == (n, width - 4 * fine,
-                                   width - 4 * fine + (n - 1) * fine)
+        assert _ends(grids[0]) == (n, -4 * fine, -4 * fine + (n - 1) * fine)
 
     def test_calibration_reference_bump(self, monkeypatch):
         grids = _spy(monkeypatch, fracform.energy)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from fracform import fourier
 from fracform.fourier import discrete_fourier, transform_at
 from fracform.grids import GridFunction, StepFunction
+from fracform.verify import random_bump_params, sample_multibump
 
 from conftest import sample_bump
 
@@ -99,40 +101,67 @@ def _scattered(rng, m, f, bound=2000.0):
     return rng.uniform(-1.0, 1.0, m) * (bound / reach)
 
 
+# The scattered-frequency path, Gaussian gridding (``_grid_sum``), against
+# the explicit sum.  The test names predate it: they tested the factored
+# dense sum it replaced and keep their ids.
+
 @pytest.mark.parametrize("origin", [-0.3, 700.0])
 @pytest.mark.parametrize("m", [1, 2, 2048])
 @pytest.mark.parametrize("n", [2, 3, 17, 1024, 1025, 4097])
 def test_dense_matches_explicit(n, m, origin):
-    # prime, square and non-square node counts; the origin far from 0 makes
-    # the inner phase xi (x_0 + b h) carry almost all of |xi x|
+    # prime, power-of-two and other node counts; the origin far from 0 makes
+    # the centring phase xi x_c carry almost all of |xi x|
     rng = np.random.default_rng([n, m, int(origin)])
     f = _random_grid_function(n, rng, origin)
     xi = _scattered(rng, m, f)
-    got = fourier._dense_sum(f, xi)
+    got = fourier._grid_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
 
 
 @given(m=st.integers(1, 700), n=st.integers(2, 3000),
        origin=st.floats(-500.0, 500.0), span=st.floats(0.01, 2.0),
-       seed=st.integers(0, 2 ** 32 - 1))
+       zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_dense_matches_explicit_on_random_grids(m, n, origin, span, seed):
+@example(m=9, n=2, origin=0.0, span=1.0, zero=True, seed=1)
+@example(m=9, n=3, origin=-0.5, span=1.0, zero=True, seed=2)
+@example(m=1, n=2, origin=3.0, span=0.01, zero=True, seed=3)
+def test_dense_matches_explicit_on_random_grids(m, n, origin, span, zero,
+                                               seed):
+    # frequencies of both signs with |xi h| up to 2000 / (n - 1) rad, so at
+    # small n they wrap around 2 pi many times; ``zero`` puts xi = 0 first
     rng = np.random.default_rng(seed)
     f = _random_grid_function(n, rng, origin, span)
     xi = _scattered(rng, m, f)
-    got = fourier._dense_sum(f, xi)
+    if zero:
+        xi[0] = 0.0
+    got = fourier._grid_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
 
 
-def test_dense_blocks_cross_boundaries(monkeypatch):
-    # 1025 nodes give A + B = 33 + 32 exponentials per frequency, so 200 per
-    # block holds 3 frequencies: 34 blocks, the last one short
-    rng = np.random.default_rng(11)
-    f = _random_grid_function(1025, rng)
-    xi = _scattered(rng, 100, f)
-    expected = _explicit_sum(f, xi)
-    monkeypatch.setattr(fourier, "_CHUNK", 200)
-    assert _relative_gap(fourier._dense_sum(f, xi), expected, f) <= 1e-12
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_grid_at_zero_mixed_signs_and_wrapped_phases(n):
+    # xi h at 0, at and around +-pi and 2 pi, and many turns past them;
+    # power-of-two n sit at the least oversampling, K = 4 n
+    rng = np.random.default_rng(n)
+    f = _random_grid_function(n, rng, origin=0.25, span=1.0)
+    turns = np.array([0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 2.5, 7.25, 300.1])
+    xi = np.concatenate([turns, -turns]) * math.pi / f.step
+    got = fourier._grid_sum(f, xi)
+    assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
+    assert got[0] == pytest.approx(np.sum(f.values), abs=1e-13)
+
+
+def test_grid_reduces_huge_phases():
+    # xi h = 1e300 is reduced mod 2 pi before the tap index is taken, so the
+    # index cast does not overflow (numpy warns when it does) and the sum
+    # stays within |S| <= sum |v|
+    f = _random_grid_function(17, np.random.default_rng(5))
+    xi = np.array([1e300, -1e300, 1e200, 5e15])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fourier._grid_sum(f, xi)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got) <= np.sum(np.abs(f.values)) * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("n", [257, 513, 1025])
@@ -142,15 +171,43 @@ def test_dense_on_benchmark_shapes(n):
     f = GridFunction(0.0, 1.0 / (n - 1),
                      np.random.default_rng(n).standard_normal(n))
     xi = np.geomspace(0.5, 200.0, 2048)
-    got = fourier._dense_sum(f, xi)
+    got = fourier._grid_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-14
+
+
+def _cellwise_transform(f, xi):
+    """fhat of the interpolant by an 8-point Gauss-Legendre rule on every
+    grid cell, a route to the same integral that shares no code with
+    fourier.py: e^(i xi (x_c + h s_q)) = e^(i xi x_c) e^(i xi h s_q) for
+    cell c's left node x_c and the rule's points s_q in [0, 1]."""
+    t, w = np.polynomial.legendre.leggauss(8)
+    s = 0.5 * (t + 1.0)
+    v, h = f.values, f.step
+    left = f.origin + h * np.arange(v.size - 1)
+    # the interpolant at each cell's points, times the rule's weights
+    wq = 0.5 * h * w * ((1.0 - s) * v[:-1, None] + s * v[1:, None])
+    cells = np.exp(1j * np.outer(xi, left)) @ wq
+    return np.sum(cells * np.exp(1j * np.outer(xi, h * s)), axis=1) \
+        / math.sqrt(2 * math.pi)
+
+
+@pytest.mark.parametrize("n", [257, 513, 1025])
+def test_transform_matches_cellwise_quadrature(n):
+    # the spectral benchmark's gate on its scattered calls, at all of the
+    # sweep's 2048 geometric frequencies: <= 1e-10 h sum |v|
+    params = random_bump_params(np.random.default_rng(n), 4, (0.15, 0.85),
+                                (0.05, 0.15), (-1.0, 1.0))
+    f = sample_multibump(params, 1.0 / (n - 1), 0.0, 1.0)
+    assert f.n_nodes == n
+    xi = np.geomspace(0.5, 200.0, 2048)
+    err = np.max(np.abs(transform_at(f, xi) - _cellwise_transform(f, xi)))
+    assert err <= 1e-10 * f.step * np.sum(np.abs(f.values))
 
 
 # -- chirp-z path -------------------------------------------------------------
 
-def _chirp_vs_dense(f, xi):
-    return _relative_gap(fourier._chirp_sum(f, xi), fourier._dense_sum(f, xi),
-                         f)
+def _chirp_gap(f, xi):
+    return _relative_gap(fourier._chirp_sum(f, xi), _explicit_sum(f, xi), f)
 
 
 GRIDS = {
@@ -161,6 +218,7 @@ GRIDS = {
 }
 
 
+# ``dense`` in the next two names is the explicit M x N sum
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (3, 3), (3, 8), (64, 65),
                                   (65, 64), (4096, 3), (3, 4096), (2, 4097),
@@ -169,9 +227,7 @@ def test_chirp_matches_dense(grid, m, n):
     rng = np.random.default_rng([m, n])
     f = _random_grid_function(n, rng)
     xi = np.linspace(*GRIDS[grid], m)
-    assert _chirp_vs_dense(f, xi) <= 1e-12
-    assert _relative_gap(fourier._chirp_sum(f, xi), _explicit_sum(f, xi),
-                         f) <= 1e-12
+    assert _chirp_gap(f, xi) <= 1e-12
 
 
 @given(m=st.integers(2, 700), n=st.integers(2, 700),
@@ -183,12 +239,12 @@ def test_chirp_matches_dense(grid, m, n):
          span=1.0, seed=0)  # a subnormal span is still a uniform grid
 def test_chirp_matches_dense_on_random_grids(m, n, lo, width, origin, span,
                                              seed):
-    # |xi x| <= 2000, so each path's own phase rounding (eps |xi x|, the
-    # dense path's included) stays well inside the tolerance
+    # |xi x| <= 2000, so each sum's own phase rounding (eps |xi x|, the
+    # explicit sum's included) stays well inside the tolerance
     f = _random_grid_function(n, np.random.default_rng(seed), origin, span)
     xi = np.linspace(lo, lo + width, m)
     assert fourier._is_uniform(xi)
-    assert _chirp_vs_dense(f, xi) <= 1e-12
+    assert _chirp_gap(f, xi) <= 1e-12
 
 
 def _forbid(monkeypatch, name):
@@ -217,23 +273,27 @@ def test_path_choice_and_agreement(monkeypatch, case):
     assert fourier._is_uniform(xi) == chirp
     h = f.step
     hat = np.sinc(xi * h / (2.0 * math.pi)) ** 2
-    expected = h / math.sqrt(2.0 * math.pi) * hat * fourier._dense_sum(f, xi)
-    _forbid(monkeypatch, "_dense_sum" if chirp else "_chirp_sum")
+    expected = h / math.sqrt(2.0 * math.pi) * hat * _explicit_sum(f, xi)
+    _forbid(monkeypatch, "_grid_sum" if chirp else "_chirp_sum")
     got = transform_at(f, xi)
     scale = h * np.sum(np.abs(f.values)) / math.sqrt(2.0 * math.pi)
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
-def test_chirp_unit_tent_closed_form(monkeypatch):
-    # the unit tent 1 - |x| on [-1, 1] is one hat: fhat = sinc^2 / sqrt(2 pi)
+@pytest.mark.parametrize("grid", ["uniform", "scattered"])
+def test_unit_tent_closed_form(monkeypatch, grid):
+    # the unit tent 1 - |x| on [-1, 1] is one hat: fhat = sinc^2 / sqrt(2 pi);
+    # the grids and the bound are the spectral benchmark's
     m = 64
     tent = GridFunction(-1.0, 1.0 / m, 1.0 - np.abs(np.linspace(-1, 1, 2 * m + 1)))
-    xi = np.linspace(-50.0, 50.0, 1001)
+    xi = (np.linspace(-50.0, 50.0, 1001) if grid == "uniform"
+          else np.geomspace(0.01, 500.0, 1001))
     exact = np.sinc(xi / (2 * math.pi)) ** 2 / math.sqrt(2 * math.pi)
-    _forbid(monkeypatch, "_dense_sum")
+    _forbid(monkeypatch, "_grid_sum" if grid == "uniform" else "_chirp_sum")
     assert np.max(np.abs(transform_at(tent, xi) - exact)) <= 1e-12
-    table = discrete_fourier(tent, 50.0, 1001)
-    assert np.max(np.abs(table.amplitudes - exact)) <= 1e-12
+    if grid == "uniform":
+        table = discrete_fourier(tent, 50.0, 1001)
+        assert np.max(np.abs(table.amplitudes - exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("grid", ["uniform", "scattered"])

@@ -152,6 +152,23 @@ def test_energy_continuous_through_alpha_one(rng):
         assert got == pytest.approx(at_one, rel=1e-8)
 
 
+@pytest.mark.parametrize("size", [1, 2, 399, 400, 401, 1023, 1024, 1025,
+                                  "random"])
+def test_direct_and_fft_autocorrelation_agree(monkeypatch, size):
+    # the switch at _DIRECT_MAX_SLOPES slopes, forced each way
+    rng = np.random.default_rng(7 if size == "random" else size)
+    sizes = rng.integers(1, 3000, 6) if size == "random" else [size]
+    for m in sizes:
+        s = rng.standard_normal(m)
+        got = {}
+        for branch, limit in (("direct", m), ("fft", 0)):
+            monkeypatch.setattr(quadcells, "_DIRECT_MAX_SLOPES", limit)
+            got[branch] = quadcells._slope_autocorr(s)
+        assert got["direct"].shape == got["fft"].shape == (m,)
+        assert np.max(np.abs(got["direct"] - got["fft"])) \
+            <= 1e-12 * got["direct"][0]
+
+
 @pytest.mark.parametrize("ends", [(1.0, 0.0), (0.0, -0.5), (2.0, 2.0)])
 def test_untapered_samples_rejected(ends):
     vals = np.array([ends[0], 1.0, 3.0, ends[1]])
