@@ -24,14 +24,14 @@ has two evaluations:
   Sci. Comput. 14, 1993; Greengard and Lee, SIAM Review 46, 2004) at any
   frequencies.  With j' = j - N // 2 and x_c = x_(N // 2),
   S_k = e^(i xi_k x_c) F(xi_k h mod 2 pi) for F(t) = sum_j' f_j' e^(i j' t).
-  The samples are divided by the
-  Fourier coefficients sqrt(tau / pi) e^(-tau j'^2) of the periodic
-  Gaussian exp(-t^2 / (4 tau)), one FFT samples the quotient at the K
-  points 2 pi m / K, and convolving with the Gaussian, by the trapezoid
-  sum over the ``_TAPS`` = 24 points nearest each t_k, gives F(t_k) back.
-  K is the smallest power of two >= max(3 N, 2 * _TAPS), so at least 3x
-  oversampling.  With tau = 24 pi / (K (2K - N)) the aliased spectrum and
-  the omitted taps both weigh e^(-12 pi (K - N) / (K - N / 2)) <=
+  The samples are divided by the Fourier coefficients
+  sqrt(tau / pi) e^(-tau j'^2) of the periodic Gaussian exp(-t^2 / (4 tau)),
+  one FFT samples the quotient at the K points 2 pi m / K, and convolving
+  with the Gaussian, by the trapezoid sum over the ``_TAPS`` = 24 points
+  nearest each t_k, gives F(t_k) back.  K is the smallest power of two
+  >= max(3 N, 2 * _TAPS), so at least 3x oversampling.  With
+  tau = 24 pi / (K (2K - N)) the aliased spectrum and the omitted taps,
+  12 or more grid steps away, both weigh e^(-12 pi (K - N) / (K - N / 2)) <=
   e^(-9.6 pi) ~ 8e-14 of sum |f_j|; at exactly 2x (K = 2N) 24 taps reach
   only ~1e-11.  Measured against the explicit sum, max |difference| /
   sum |f_j| is ~1e-15 on the benchmark's shapes and at most ~3e-13 for
@@ -82,7 +82,7 @@ def _grid_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
     n = g.values.size
     j0 = n // 2
     size = 1 << (max(3 * n, 2 * _TAPS) - 1).bit_length()
-    tau = 24.0 * math.pi / (size * (2 * size - n))
+    tau = _TAPS * math.pi / (size * (2 * size - n))
     j = np.arange(-j0, n - j0)
     fine = np.zeros(size)
     fine[j % size] = g.values * np.exp(tau * j * j)
