@@ -73,8 +73,10 @@ class EnergyParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.c_of_alpha is not None and self.c_of_alpha <= 0:
-            raise ValueError("c_of_alpha must be positive when given")
+        if self.c_of_alpha is not None \
+                and not 0.0 < self.c_of_alpha < math.inf:
+            raise ValueError(f"c_of_alpha must be positive and finite when "
+                             f"given, got {self.c_of_alpha}")
 
     @property
     def alpha_star(self) -> float:

@@ -10,38 +10,27 @@ those of the interpolant at every frequency, up to the phase sum's stated
 error -- there is no binning and no error near xi = 0.
 
 The phase sum S_k = sum_j f_j e^(i xi_k x_j) over M frequencies and N nodes
-has two evaluations:
-
-* chirp-z (Bluestein): on a uniform grid xi_k = xi_0 + k dxi, the identity
-  k j = (k^2 + j^2 - (k - j)^2) / 2 turns S into one linear convolution,
-  done with three power-of-two FFTs of length >= M + N - 1, in
-  O((M + N) log(M + N)) time.  Both index ranges are centred, and the large
-  chirp phases dxi h u^2 / 2 are formed as exact floats before the complex
-  exponential reduces them, so no rounding error grows with M or N: it
-  agrees with the explicit M x N sum to that sum's own rounding (below
-  1e-13 of h sum |f_j| / sqrt(2 pi) in the tests) for any aspect ratio.
-* Gaussian gridding (a type-2 nonuniform FFT; Dutt and Rokhlin, SIAM J.
-  Sci. Comput. 14, 1993; Greengard and Lee, SIAM Review 46, 2004) at any
-  frequencies.  With j' = j - N // 2 and x_c = x_(N // 2),
-  S_k = e^(i xi_k x_c) F(xi_k h mod 2 pi) for F(t) = sum_j' f_j' e^(i j' t).
-  The samples are divided by the Fourier coefficients
-  sqrt(tau / pi) e^(-tau j'^2) of the periodic Gaussian exp(-t^2 / (4 tau)),
-  one FFT samples the quotient at the K points 2 pi m / K, and convolving
-  with the Gaussian, by the trapezoid sum over the ``_TAPS`` = 24 points
-  nearest each t_k, gives F(t_k) back.  K is the smallest power of two
-  >= max(3 N, 2 * _TAPS), so at least 3x oversampling.  With
-  tau = 24 pi / (K (2K - N)) the aliased spectrum and the omitted taps,
-  12 or more grid steps away, both weigh e^(-12 pi (K - N) / (K - N / 2)) <=
-  e^(-9.6 pi) ~ 8e-14 of sum |f_j|; at exactly 2x (K = 2N) 24 taps reach
-  only ~1e-11.  Measured against the explicit sum, max |difference| /
-  sum |f_j| is ~1e-15 on the benchmark's shapes and at most ~3e-13 for
-  |xi x| <= 2000, where that sum's own phase rounding (eps |xi x|)
-  dominates.  It takes O(K log K + 24 M) time and O(K + M) memory.
-
-``transform_at`` uses the chirp-z path whenever the frequencies are uniform
-to within ``_UNIFORM_ULPS`` units in the last place of max |xi|, and the
-gridding path otherwise; ``discrete_fourier`` builds a uniform grid, so it
-always takes the chirp-z path.
+is evaluated by Gaussian gridding (a type-2 nonuniform FFT; Dutt and
+Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard and Lee, SIAM Review 46,
+2004) at any frequencies, uniform grids included.  With j' = j - N // 2 and
+x_c = x_(N // 2), S_k = e^(i xi_k x_c) F(xi_k h mod 2 pi) for
+F(t) = sum_j' f_j' e^(i j' t).  The samples are divided by the Fourier
+coefficients sqrt(tau / pi) e^(-tau j'^2) of the periodic Gaussian
+exp(-t^2 / (4 tau)), one FFT samples the quotient at the K points
+2 pi m / K, and convolving with the Gaussian, by the trapezoid sum over the
+``_TAPS`` = 24 points nearest each t_k, gives F(t_k) back.  K is the
+smallest power of two >= max(3 N, 2 * _TAPS), so at least 3x oversampling.
+With tau = 24 pi / (K (2K - N)) the aliased spectrum and the omitted taps,
+12 or more grid steps away, both weigh e^(-12 pi (K - N) / (K - N / 2)) <=
+e^(-9.6 pi) ~ 8e-14 of sum |f_j|; at exactly 2x (K = 2N) 24 taps reach only
+~1e-11.  Measured against the explicit sum, max |difference| / sum |f_j| is
+~1e-15 on the benchmark's sweep shapes, at most ~1e-13 at its 4097-node x
+32769-frequency solve, and at most ~3e-13 for |xi x| <= 2000, where that
+sum's own phase rounding (eps |xi x|) dominates.  It takes
+O(K log K + 24 M) time and O(K + M) memory; the tap loop's numpy calls add a
+fixed ~0.15-0.25 ms per call on a 2-core x86-64 machine.  Every frequency's value is computed elementwise from the
+same K-point grid, so it does not depend on which other frequencies are
+requested or in what order.
 """
 
 from __future__ import annotations
@@ -56,7 +45,6 @@ from .grids import MAX_GRID_NODES, GridFunction, is_count
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
 _TAPS = 24  # Gaussian gridding taps per frequency
-_UNIFORM_ULPS = 4  # tolerated deviation of a uniform grid, in ulps of max|xi|
 
 
 @dataclass(frozen=True)
@@ -93,66 +81,28 @@ def _grid_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
     frac = pos - cell
     k = cell.astype(np.intp) - _TAPS // 2
     c = math.pi ** 2 / (size * size * tau)  # (2 pi / K)^2 / (4 tau)
+    # one weight and one tap buffer for the whole loop: fresh M-sized
+    # temporaries per tap are returned to the system and faulted back in
+    # (4097 nodes x 32769 frequencies, fresh process: ~6400 minor faults
+    # and ~15 ms per call, against ~1200 and ~10 ms with the buffers)
     acc = np.zeros(xi.shape, dtype=complex)
+    tap = np.empty_like(acc)
+    w = np.empty(xi.shape)
     for t in range(1 - _TAPS // 2, _TAPS // 2 + 1):
         k += 1
-        acc += np.exp(-c * (frac - t) ** 2) * grid.take(k, mode="wrap")
+        np.subtract(frac, t, out=w)
+        w *= w
+        w *= -c
+        np.exp(w, out=w)
+        grid.take(k, mode="wrap", out=tap)
+        tap *= w
+        acc += tap
     return np.exp(1j * (xi * (g.origin + j0 * g.step))) * acc
 
 
-def _chirp_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
-    """sum_j v_j e^(i xi_k x_j) on the uniform grid from xi[0] to xi[-1], by
-    Bluestein's chirp-z convolution over centred indices k', j'.
-
-    With theta = dxi h, xi_k x_j = xi_k x_c + xi_c h j' + theta k' j' and
-    k' j' = (k'^2 + j'^2 - u^2) / 2, u = k' - j'.  theta is split into a
-    head with few enough bits that head * u^2 / 2 is exact (u^2 is a
-    quarter-integer below (M + N)^2 / 4) and a small tail, so no rounding
-    error grows with the chirp phase itself."""
-    m, n = xi.size, g.values.size
-    theta = (xi[-1] - xi[0]) / (m - 1) * g.step
-    mant, e = math.frexp(theta)
-    bits = 53 - ((m + n) ** 2).bit_length()
-    head = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
-    tail = theta - head
-
-    def chirp(u, extra):
-        """exp(i (theta u^2 / 2 + extra))"""
-        q = 0.5 * u * u
-        return np.exp(1j * (head * q)) * np.exp(1j * (tail * q + extra))
-
-    k = np.arange(m) - 0.5 * (m - 1)
-    j = np.arange(n) - 0.5 * (n - 1)
-    u = np.arange(1 - n, m) - 0.5 * (m - n)  # k' - j' for k - j = 1-n..m-1
-    size = _fft_length(m, n)
-    xi_c = 0.5 * (xi[0] + xi[-1])
-    x_c = g.origin + 0.5 * (n - 1) * g.step
-    kernel = np.zeros(size, dtype=complex)
-    w = np.conj(chirp(u, 0.0))
-    kernel[:m] = w[n - 1:]
-    kernel[size - (n - 1):] = w[:n - 1]
-    a = g.values * chirp(j, xi_c * g.step * j)
-    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(kernel))[:m]
-    return chirp(k, xi * x_c) * conv
-
-
-def _fft_length(m: int, n: int) -> int:
-    """The smallest power of two >= m + n - 1."""
-    return 1 << (m + n - 2).bit_length()
-
-
-def _is_uniform(xi: np.ndarray) -> bool:
-    """xi_k = xi_0 + k dxi to within _UNIFORM_ULPS ulps of max |xi|."""
-    if xi.ndim != 1 or xi.size < 2:
-        return False
-    model = np.linspace(xi[0], xi[-1], xi.size)
-    dev = np.max(np.abs(xi - model))
-    return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(xi))))
-
-
 def transform_at(f: GridFunction, xi) -> np.ndarray:
-    """Transform of the interpolant at arbitrary frequencies; uniform grids
-    take the chirp-z path, all others Gaussian gridding (module notes)."""
+    """Transform of the interpolant at arbitrary frequencies, by Gaussian
+    gridding (module notes)."""
     if not f.finite():
         raise ValueError("samples must be finite")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -167,8 +117,7 @@ def transform_at(f: GridFunction, xi) -> np.ndarray:
     g = f.trimmed(margin=0)
     h = g.step
     hat = np.sinc(xi * h / (2.0 * math.pi)) ** 2
-    phase_sum = _chirp_sum if _is_uniform(xi) else _grid_sum
-    return (h / math.sqrt(2.0 * math.pi)) * hat * phase_sum(g, xi)
+    return (h / math.sqrt(2.0 * math.pi)) * hat * _grid_sum(g, xi)
 
 
 def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int

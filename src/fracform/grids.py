@@ -535,10 +535,11 @@ class PlateauSpec:
     ramp_profile: str = "linear"
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
-        if self.rho <= 0:
-            raise ValueError(f"ramp width must be positive, got {self.rho}")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"ramp width must be positive and finite, got "
+                             f"{self.rho}")
         if self.ramp_profile not in _RAMP_PROFILES:
             raise ValueError(f"unknown ramp profile {self.ramp_profile!r}; "
                              f"choose from {sorted(_RAMP_PROFILES)}")

@@ -22,10 +22,10 @@ B(tau/h - m) exactly, four terms per lag: rho = 2 (A(0) - A(tau)) (see
 rho_profile), and h B(0), h B(1) are the capacity operator's Gram row.
 
 The form splits in two.  increment_autocorr gives c_k = sum_i d_i d_(i+k),
-which does not depend on alpha (direct up to _DIRECT_MAX_SLOPES increments,
-a zero-padded FFT beyond); _increment_form dots c with one alpha's lag
-weights.  GridFunction.increment_autocorr keeps c, so a function evaluated
-at several exponents correlates once.
+which does not depend on alpha (one zero-padded real FFT at every size);
+_increment_form dots c with one alpha's lag weights.
+GridFunction.increment_autocorr keeps c, so a function evaluated at several
+exponents correlates once.
 
 The stiffness row of the hat basis is the fourth difference instead:
 k(m) = C h^(1-alpha) delta^4 W(m).  Small lags difference W directly; larger
@@ -52,21 +52,12 @@ _SERIES_TERMS = 16
 # the first.  From t = 2's lag, 2^14.5, on only terms 0 and 1 count.
 _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 
-# Where direct correlation of the increments stops being cheaper than the
-# FFT route: both take ~40 us at 400 slopes on a 2-core x86-64 machine
-# (numpy 2.4 pocketfft).  The energies benchmark's grid sweep times the FFT
-# path at 511 to 4095 slopes; below the switch only its warm-up's sampled
-# step trace (5 to 17 slopes) reaches the direct path.
-_DIRECT_MAX_SLOPES = 400
-
 
 def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     """c_k = sum_i s_i s_{i+k} for k = 0 .. len(s)-1."""
     if s.size == 0:
         return np.zeros(1)
     # copies, so the result does not keep the longer buffer alive
-    if s.size <= _DIRECT_MAX_SLOPES:
-        return np.correlate(s, s, mode="full")[s.size - 1:].copy()
     nfft = 1 << (2 * s.size - 2).bit_length()
     spec = np.fft.rfft(s, nfft)
     return np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:s.size].copy()

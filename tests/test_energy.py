@@ -197,6 +197,12 @@ class TestGagliardo:
         with pytest.raises(ValueError):
             gagliardo_energy(sample_bump(), EnergyParams(alpha=2.0))
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_c_of_alpha_rejected(self, c):
+        # NaN and inf were accepted
+        with pytest.raises(ValueError, match="c_of_alpha"):
+            EnergyParams(alpha=0.5, c_of_alpha=c)
+
     def test_noncompact_support_rejected(self):
         f = GridFunction(0.0, 1.0, [0.0, 1.0, 1.0])
         with pytest.raises(ValueError):

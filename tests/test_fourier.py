@@ -101,9 +101,9 @@ def _scattered(rng, m, f, bound=2000.0):
     return rng.uniform(-1.0, 1.0, m) * (bound / reach)
 
 
-# The scattered-frequency path, Gaussian gridding (``_grid_sum``), against
-# the explicit sum.  The test names predate it: they tested the factored
-# dense sum it replaced and keep their ids.
+# The phase sum, Gaussian gridding (``_grid_sum``), against the explicit
+# sum.  In the test names, ``dense`` means the explicit sum and ``chirp`` a
+# uniform frequency grid.
 
 @pytest.mark.parametrize("origin", [-0.3, 700.0])
 @pytest.mark.parametrize("m", [1, 2, 2048])
@@ -204,10 +204,10 @@ def test_transform_matches_cellwise_quadrature(n):
     assert err <= 1e-10 * f.step * np.sum(np.abs(f.values))
 
 
-# -- chirp-z path -------------------------------------------------------------
+# -- uniform frequency grids --------------------------------------------------
 
-def _chirp_gap(f, xi):
-    return _relative_gap(fourier._chirp_sum(f, xi), _explicit_sum(f, xi), f)
+def _uniform_gap(f, xi):
+    return _relative_gap(fourier._grid_sum(f, xi), _explicit_sum(f, xi), f)
 
 
 GRIDS = {
@@ -218,7 +218,6 @@ GRIDS = {
 }
 
 
-# ``dense`` in the next two names is the explicit M x N sum
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 7), (3, 3), (3, 8), (64, 65),
                                   (65, 64), (4096, 3), (3, 4096), (2, 4097),
@@ -227,7 +226,7 @@ def test_chirp_matches_dense(grid, m, n):
     rng = np.random.default_rng([m, n])
     f = _random_grid_function(n, rng)
     xi = np.linspace(*GRIDS[grid], m)
-    assert _chirp_gap(f, xi) <= 1e-12
+    assert _uniform_gap(f, xi) <= 1e-12
 
 
 @given(m=st.integers(2, 700), n=st.integers(2, 700),
@@ -236,52 +235,43 @@ def test_chirp_matches_dense(grid, m, n):
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 @example(m=21, n=2, lo=0.0, width=2.225073858507203e-309, origin=0.0,
-         span=1.0, seed=0)  # a subnormal span is still a uniform grid
+         span=1.0, seed=0)  # a grid of subnormal width
 def test_chirp_matches_dense_on_random_grids(m, n, lo, width, origin, span,
                                              seed):
     # |xi x| <= 2000, so each sum's own phase rounding (eps |xi x|, the
     # explicit sum's included) stays well inside the tolerance
     f = _random_grid_function(n, np.random.default_rng(seed), origin, span)
     xi = np.linspace(lo, lo + width, m)
-    assert fourier._is_uniform(xi)
-    assert _chirp_gap(f, xi) <= 1e-12
-
-
-def _forbid(monkeypatch, name):
-    def fail(*args):
-        raise AssertionError(f"{name} should not run")
-    monkeypatch.setattr(fourier, name, fail)
+    assert _uniform_gap(f, xi) <= 1e-12
 
 
 def _perturbed(xi):
+    """xi with one frequency moved by 8 ulps of max |xi|."""
     out = xi.copy()
-    out[xi.size // 3] += 2 * fourier._UNIFORM_ULPS \
-        * np.spacing(np.max(np.abs(xi)))
+    out[xi.size // 3] += 8 * np.spacing(np.max(np.abs(xi)))
     return out
 
 
 @pytest.mark.parametrize("case", ["uniform", "two-frequencies", "perturbed",
                                   "geometric"])
-def test_path_choice_and_agreement(monkeypatch, case):
+def test_path_choice_and_agreement(case):
+    # uniform, nearly uniform and scattered frequencies take the one path
     rng = np.random.default_rng(7)
     f = _random_grid_function(257, rng)
     uniform = np.linspace(-150.0, 210.0, 999)
     xi = {"two-frequencies": np.array([-3.0, 5.0]),
           "perturbed": _perturbed(uniform),
           "geometric": np.geomspace(0.5, 200.0, 999)}.get(case, uniform)
-    chirp = case in ("uniform", "two-frequencies")
-    assert fourier._is_uniform(xi) == chirp
     h = f.step
     hat = np.sinc(xi * h / (2.0 * math.pi)) ** 2
     expected = h / math.sqrt(2.0 * math.pi) * hat * _explicit_sum(f, xi)
-    _forbid(monkeypatch, "_grid_sum" if chirp else "_chirp_sum")
     got = transform_at(f, xi)
     scale = h * np.sum(np.abs(f.values)) / math.sqrt(2.0 * math.pi)
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("grid", ["uniform", "scattered"])
-def test_unit_tent_closed_form(monkeypatch, grid):
+def test_unit_tent_closed_form(grid):
     # the unit tent 1 - |x| on [-1, 1] is one hat: fhat = sinc^2 / sqrt(2 pi);
     # the grids and the bound are the spectral benchmark's
     m = 64
@@ -289,7 +279,6 @@ def test_unit_tent_closed_form(monkeypatch, grid):
     xi = (np.linspace(-50.0, 50.0, 1001) if grid == "uniform"
           else np.geomspace(0.01, 500.0, 1001))
     exact = np.sinc(xi / (2 * math.pi)) ** 2 / math.sqrt(2 * math.pi)
-    _forbid(monkeypatch, "_grid_sum" if grid == "uniform" else "_chirp_sum")
     assert np.max(np.abs(transform_at(tent, xi) - exact)) <= 1e-12
     if grid == "uniform":
         table = discrete_fourier(tent, 50.0, 1001)
@@ -305,3 +294,20 @@ def test_single_hat_closed_form(grid):
     exact = (np.sinc(xi / (2 * math.pi)) ** 2 * np.exp(1j * xi)
              / math.sqrt(2 * math.pi))
     assert np.max(np.abs(transform_at(f, xi) - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 17, 257, 1025, 4097])
+def test_amplitude_independent_of_the_other_frequencies(n):
+    # a frequency's amplitude is the same bits whichever other frequencies
+    # are requested with it, in whatever order: permuted, a sorted subset
+    # of a uniform grid, and one frequency at a time
+    rng = np.random.default_rng(n)
+    f = _random_grid_function(n, rng)
+    xi = np.linspace(-150.0, 210.0, 999)
+    full = transform_at(f, xi)
+    perm = rng.permutation(xi.size)
+    assert np.array_equal(transform_at(f, xi[perm]), full[perm])
+    subset = np.sort(rng.choice(xi.size, 100, replace=False))
+    assert np.array_equal(transform_at(f, xi[subset]), full[subset])
+    for k in rng.choice(xi.size, 5, replace=False):
+        assert transform_at(f, xi[k])[0] == full[k]

@@ -150,6 +150,16 @@ class TestMakePlateau:
         with pytest.raises(ValueError):
             PlateauSpec(0.0, 1.0, 0.5, "cubic")
 
+    # NaN or inf rho and infinite ends were accepted, and make_plateau then
+    # failed with a misleading grid message
+    @pytest.mark.parametrize("a, b, rho", [
+        (0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (-math.inf, 1.0, 0.5),
+        (0.0, math.inf, 0.5), (-math.inf, math.inf, 0.5),
+        (math.nan, 1.0, 0.5), (0.0, math.nan, 0.5)])
+    def test_nonfinite_spec_rejected(self, a, b, rho):
+        with pytest.raises(ValueError, match="finite"):
+            PlateauSpec(a, b, rho)
+
 
 class TestSnapToDyadic:
     def test_zero_function_empty(self):

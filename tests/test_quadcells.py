@@ -154,19 +154,16 @@ def test_energy_continuous_through_alpha_one(rng):
 
 @pytest.mark.parametrize("size", [1, 2, 399, 400, 401, 1023, 1024, 1025,
                                   "random"])
-def test_direct_and_fft_autocorrelation_agree(monkeypatch, size):
-    # the switch at _DIRECT_MAX_SLOPES slopes, forced each way
+def test_direct_and_fft_autocorrelation_agree(size):
+    # the FFT autocorrelation against direct correlation written here
     rng = np.random.default_rng(7 if size == "random" else size)
     sizes = rng.integers(1, 3000, 6) if size == "random" else [size]
     for m in sizes:
         s = rng.standard_normal(m)
-        got = {}
-        for branch, limit in (("direct", m), ("fft", 0)):
-            monkeypatch.setattr(quadcells, "_DIRECT_MAX_SLOPES", limit)
-            got[branch] = quadcells._slope_autocorr(s)
-        assert got["direct"].shape == got["fft"].shape == (m,)
-        assert np.max(np.abs(got["direct"] - got["fft"])) \
-            <= 1e-12 * got["direct"][0]
+        direct = np.correlate(s, s, mode="full")[m - 1:]
+        got = quadcells._slope_autocorr(s)
+        assert got.shape == direct.shape == (m,)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
 
 
 @pytest.mark.parametrize("ends", [(1.0, 0.0), (0.0, -0.5), (2.0, 2.0)])
