@@ -24,13 +24,13 @@ With tau = 24 pi / (K (2K - N)) the aliased spectrum and the omitted taps,
 12 or more grid steps away, both weigh e^(-12 pi (K - N) / (K - N / 2)) <=
 e^(-9.6 pi) ~ 8e-14 of sum |f_j|; at exactly 2x (K = 2N) 24 taps reach only
 ~1e-11.  Measured against the explicit sum, max |difference| / sum |f_j| is
-~1e-15 on the benchmark's sweep shapes, at most ~1e-13 at its 4097-node x
-32769-frequency solve, and at most ~3e-13 for |xi x| <= 2000, where that
-sum's own phase rounding (eps |xi x|) dominates.  It takes
+~1e-15 on the benchmark's sweep shapes and at most ~3e-13 at its 4097-node
+x 32769-frequency solve and for |xi x| <= 2000, the order of one phase's
+rounding, eps |xi x|.  It takes
 O(K log K + 24 M) time and O(K + M) memory; the tap loop's numpy calls add a
-fixed ~0.15-0.25 ms per call on a 2-core x86-64 machine.  Every frequency's value is computed elementwise from the
-same K-point grid, so it does not depend on which other frequencies are
-requested or in what order.
+fixed ~0.15-0.25 ms per call on a 2-core x86-64 machine.  Every frequency's
+value is computed elementwise from the same K-point grid, so it does not
+depend on which other frequencies are requested or in what order.
 """
 
 from __future__ import annotations
