@@ -20,6 +20,7 @@ by that rule, and for alpha < 1 it is an exact sum over pairs of jumps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -71,6 +72,9 @@ class EnergyParams:
     c_of_alpha: float | None = None
 
     def __post_init__(self):
+        for name in ("alpha", "c_of_alpha"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.c_of_alpha is not None \
@@ -249,9 +253,18 @@ def fourier_energy(f: GridFunction, p: EnergyParams, xi_max: float,
     return main + tail
 
 
+@functools.cache
+def _gauss_legendre(points: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed on
+    first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_segments(edges):
     """12-point Gauss-Legendre nodes and weights on the panels between edges."""
-    nodes, weights = np.polynomial.legendre.leggauss(12)
+    nodes, weights = _gauss_legendre(12)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -292,7 +305,7 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     rhs = float(np.sum(wq * fx2 * ((da + db) / alpha)))
 
     # panel ends in units of the distance to the edge, one column per edge
-    nodes, weights = np.polynomial.legendre.leggauss(6)
+    nodes, weights = _gauss_legendre(6)
     t = np.geomspace(1.0, 1.0 + far / np.array([(xq - a).min(),
                                                 (b - xq).min()]), 48)
     half = 0.5 * (t[1:] - t[:-1])

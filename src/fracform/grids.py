@@ -99,10 +99,10 @@ class GridFunction:
     are the indices of the first and last nonzero sample (-1/-1 for the zero
     function); samples outside that range are exactly 0.
 
-    ``increment_autocorr`` is computed on first use and kept with the
-    function, 8 bytes per support node, for as long as the function lives;
-    the samples are a read-only copy, so it cannot go stale, and every
-    derived function starts without it.
+    ``increment_autocorr`` (8 bytes per support node), ``l2_norm_sq()`` and
+    ``finite()`` are computed on first use and kept with the function for
+    as long as it lives; the samples are a read-only copy, so they cannot go
+    stale, and every derived function starts without them.
     """
 
     origin: float
@@ -175,6 +175,10 @@ class GridFunction:
                                 and self.support_hi < self.values.size - 1)
 
     def finite(self) -> bool:
+        return self._finite
+
+    @cached_property
+    def _finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 
     @cached_property
@@ -189,6 +193,10 @@ class GridFunction:
     # -- exact integrals for the piecewise-linear interpolant --------------
 
     def l2_norm_sq(self) -> float:
+        return self._l2_norm_sq
+
+    @cached_property
+    def _l2_norm_sq(self) -> float:
         return l2_norm_sq_of_samples(self.values, self.step)
 
     def linf(self) -> float:

@@ -25,7 +25,12 @@ The form splits in two.  increment_autocorr gives c_k = sum_i d_i d_(i+k),
 which does not depend on alpha (one zero-padded real FFT at every size);
 _increment_form dots c with one alpha's lag weights.
 GridFunction.increment_autocorr keeps c, so a function evaluated at several
-exponents correlates once.
+exponents correlates once.  The lag weights depend only on the lag count,
+alpha and the order, not on the data: _lag_weights keeps the read-only
+tables of up to 2^13 lags in one least-recently-used cache of 128 tables,
+so a repeated (lag count, alpha, order) skips the table and the cache holds
+at most 128 * 2^13 * 8 bytes = 8 MiB.  Longer tables, such as the rows of
+the 2^15-node capacity solve, are computed on every call and never kept.
 
 The stiffness row of the hat basis is the fourth difference instead:
 k(m) = C h^(1-alpha) delta^4 W(m).  Small lags difference W directly; larger
@@ -37,6 +42,8 @@ whole-array passes remain of thirty.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -51,6 +58,11 @@ _SERIES_TERMS = 16
 # 2^(1 + 27/t) on, where k^(-2t) <= 2^(-2t-54), term t is below 2^-53 of
 # the first.  From t = 2's lag, 2^14.5, on only terms 0 and 1 count.
 _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
+
+# Lag-weight tables of up to _KEPT_LAGS lags are kept, at most _KEPT_TABLES
+# of them: 8 MiB of float64 in the worst case.
+_KEPT_LAGS = 1 << 13
+_KEPT_TABLES = 128
 
 
 def _slope_autocorr(s: np.ndarray) -> np.ndarray:
@@ -69,6 +81,21 @@ def _expm1_ratio(a: float, x):
 
 
 def _lag_weights(n: int, alpha: float, order: int = 2) -> np.ndarray:
+    """_lag_weight_table(n, alpha, order), kept and read-only for up to
+    _KEPT_LAGS lags, computed afresh beyond."""
+    if n > _KEPT_LAGS:
+        return _lag_weight_table(n, alpha, order)
+    return _kept_lag_weights(n, alpha, order)
+
+
+@functools.lru_cache(maxsize=_KEPT_TABLES)
+def _kept_lag_weights(n: int, alpha: float, order: int) -> np.ndarray:
+    w = _lag_weight_table(n, alpha, order)
+    w.flags.writeable = False
+    return w
+
+
+def _lag_weight_table(n: int, alpha: float, order: int) -> np.ndarray:
     """Central difference delta^order W(k) of the regularised power W at the
     lags k = 0 .. n-1, for order 2 or 4.
 
@@ -82,7 +109,7 @@ def _lag_weights(n: int, alpha: float, order: int = 2) -> np.ndarray:
     if order == 4:
         # delta^4 = delta^2 delta^2 keeps the small lags accurate where
         # differencing W itself would cancel badly.
-        f = _lag_weights(near + 1, alpha)
+        f = _lag_weight_table(near + 1, alpha, 2)
     else:
         ks = np.arange(1.0, near + 1.0)
         f = np.concatenate([[0.0], ks * ks * _expm1_ratio(q, np.log(ks))])

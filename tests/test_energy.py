@@ -203,6 +203,14 @@ class TestGagliardo:
         with pytest.raises(ValueError, match="c_of_alpha"):
             EnergyParams(alpha=0.5, c_of_alpha=c)
 
+    @pytest.mark.parametrize("value", [True, np.True_],
+                             ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("name", ["alpha", "c_of_alpha"])
+    def test_boolean_params_rejected(self, name, value):
+        # True was accepted and stored, and used as 1
+        with pytest.raises(ValueError, match=name):
+            EnergyParams(**{"alpha": 0.5, name: value})
+
     def test_noncompact_support_rejected(self):
         f = GridFunction(0.0, 1.0, [0.0, 1.0, 1.0])
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracform.grids import (GridFunction, IntervalSet, PlateauSpec,
-                            StepFunction, epsilon_contraction, make_plateau,
+                            StepFunction, epsilon_contraction,
+                            l2_norm_sq_of_samples, make_plateau,
                             snap_to_dyadic_step)
 
 from conftest import SINGLE_THREAD, _cap_address_space, indicator, \
@@ -69,11 +70,27 @@ class TestGridFunction:
         assert not c.flags.writeable and c.base is None
         with pytest.raises(ValueError):
             c[0] = 0.0
+        f.l2_norm_sq(), f.finite()
+        zero = f.scaled(0.0)
         for g in (f.with_values(f.values), f.scaled(1.0), f.trimmed(),
-                  dataclasses.replace(f)):
-            assert "increment_autocorr" not in vars(g)
+                  dataclasses.replace(f), f + zero, f - zero):
+            assert not {"increment_autocorr", "_l2_norm_sq",
+                        "_finite"} & vars(g).keys()
             assert g.increment_autocorr is not c
             assert np.array_equal(g.increment_autocorr, c)
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
+    def test_kept_scalars_match_the_samples(self, rng, bad):
+        vals = rng.normal(size=257)
+        if bad is not None:
+            vals[100] = bad
+        f = GridFunction(0.0, 0.01, vals)
+        with np.errstate(invalid="ignore"):
+            want = l2_norm_sq_of_samples(vals, 0.01)
+            assert f.l2_norm_sq() == want or math.isnan(want) \
+                and math.isnan(f.l2_norm_sq())
+        assert f.finite() is bool(np.isfinite(vals).all())
+        assert {"_l2_norm_sq", "_finite"} <= vars(f).keys()
 
 
 class TestEpsilonContraction:

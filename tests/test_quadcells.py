@@ -143,6 +143,48 @@ def test_two_term_series_matches_full_horner(alpha, order, full_horner):
                         full_horner(n, alpha, order)) <= 1e-15
 
 
+KEPT = quadcells._KEPT_LAGS
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.95])
+def test_kept_tables_equal_fresh_ones(alpha, order):
+    for n in (1, 9, 512, KEPT - 1, KEPT, KEPT + 1, 1 << 15):
+        fresh = quadcells._lag_weight_table(n, alpha, order)
+        first = _lag_weights(n, alpha, order)
+        again = _lag_weights(n, alpha, order)
+        assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
+        if n <= KEPT:
+            assert again is first and not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0.0
+        else:
+            assert again is not first
+
+
+def test_hat_energy_row_is_fresh_and_writable():
+    # the capacity operator adds the mass row into it in place
+    first = hat_energy_row(16, 0.1, 0.7)
+    want = first.copy()
+    first[:2] += (1.0, 2.0)
+    again = hat_energy_row(16, 0.1, 0.7)
+    assert again.flags.writeable and np.array_equal(again, want)
+
+
+def test_kept_tables_stay_within_eight_mib():
+    kept = quadcells._kept_lag_weights
+    tables = kept.cache_parameters()["maxsize"]
+    assert tables * KEPT * 8 <= 8 << 20
+    kept.cache_clear()
+    _lag_weights(1 << 17, 0.5)
+    hat_energy_row(1 << 17, 1.0, 0.5)
+    gagliardo_of_values(np.pad(np.ones(KEPT + 1), 1), 0.1, 0.5)
+    assert kept.cache_info().currsize == 0
+    for i in range(tables + 3):
+        _lag_weights(KEPT, 0.01 * (i + 1))
+    assert kept.cache_info().currsize == tables
+
+
 def test_energy_continuous_through_alpha_one(rng):
     vals = np.zeros(300)
     vals[1:-1] = rng.normal(size=298)
