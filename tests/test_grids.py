@@ -70,7 +70,7 @@ class TestGridFunction:
         assert not c.flags.writeable and c.base is None
         with pytest.raises(ValueError):
             c[0] = 0.0
-        f.l2_norm_sq(), f.finite()
+        assert f.finite() and f.l2_norm_sq() > 0.0
         zero = f.scaled(0.0)
         for g in (f.with_values(f.values), f.scaled(1.0), f.trimmed(),
                   dataclasses.replace(f), f + zero, f - zero):
