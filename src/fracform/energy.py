@@ -29,7 +29,7 @@ import numpy as np
 
 from .fourier import discrete_fourier
 from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, grid_nodes,
-                    is_count)
+                    is_boolean, is_count)
 from .ladder import is_erased_function
 from .quadcells import _increment_form
 
@@ -73,7 +73,7 @@ class EnergyParams:
 
     def __post_init__(self):
         for name in ("alpha", "c_of_alpha"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
+            if is_boolean(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, not a boolean")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
@@ -229,6 +229,11 @@ def fourier_energy(f: GridFunction, p: EnergyParams, xi_max: float,
     """int over |xi| <= xi_max of |fhat|^2 |xi|^alpha, plus an analytic bound
     on the tail.  The tail uses |fhat| <= TV(f)/(sqrt(2 pi) |xi|) where that
     integrates, and the second-order bound TV(f')/(sqrt(2 pi) xi^2) otherwise.
+
+    Only the weight |xi|^alpha and the tail depend on alpha: the sampled
+    transform is ``discrete_fourier``'s table kept with f, so calls at
+    several exponents on one function (and ``fourier_gagliardo_ratio`` and
+    ``calibrate_c_of_alpha``, which call this) transform it once.
     """
     _require_compact(f)
     table = discrete_fourier(f, xi_max, n_freq)
@@ -345,6 +350,16 @@ def fourier_gagliardo_ratio(f: GridFunction, p: EnergyParams,
     return fourier_energy(f, p, xi_max, n_freq) / gag
 
 
+@functools.cache
+def _reference_bump() -> GridFunction:
+    """cos^2(pi x / 2) on [-1, 1] with step 1/256, built once, so every
+    default calibration reads one kept Fourier table."""
+    x = grid_nodes(-1.0, 1.0, 1.0 / 256.0)
+    vals = np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 2, 0.0)
+    vals[0] = vals[-1] = 0.0
+    return GridFunction(-1.0, 1.0 / 256.0, vals)
+
+
 def calibrate_c_of_alpha(p: EnergyParams, f: GridFunction | None = None
                          ) -> EnergyParams:
     """New params with the measured Fourier/Gagliardo ratio stored.
@@ -353,9 +368,6 @@ def calibrate_c_of_alpha(p: EnergyParams, f: GridFunction | None = None
     it is measured on a reference bump (or the supplied function), never
     assumed."""
     if f is None:
-        x = grid_nodes(-1.0, 1.0, 1.0 / 256.0)
-        vals = np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 2, 0.0)
-        vals[0] = vals[-1] = 0.0
-        f = GridFunction(-1.0, 1.0 / 256.0, vals)
+        f = _reference_bump()
     ratio = fourier_gagliardo_ratio(f, p)
     return EnergyParams(alpha=p.alpha, c_of_alpha=ratio)

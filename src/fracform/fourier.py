@@ -100,18 +100,27 @@ def _grid_sum(g: GridFunction, xi: np.ndarray) -> np.ndarray:
     return np.exp(1j * (xi * (g.origin + j0 * g.step))) * acc
 
 
-def transform_at(f: GridFunction, xi) -> np.ndarray:
-    """Transform of the interpolant at arbitrary frequencies, by Gaussian
-    gridding (module notes)."""
+def _checked_frequencies(f: GridFunction, xi) -> np.ndarray:
+    """xi as a float array, after the guards every transform shares: finite
+    samples, and finite frequencies whose phases xi x on the grid are
+    finite too."""
     if not f.finite():
         raise ValueError("samples must be finite")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     reach = max(abs(f.origin), abs(f.origin + f.step * (f.n_nodes - 1)),
                 f.step)
-    bad = ~np.isfinite(xi * reach)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(xi * reach)
     if np.any(bad):
         raise ValueError(f"frequencies must be finite, and so must their "
                          f"phases xi x on the grid; got {xi[bad][0]}")
+    return xi
+
+
+def transform_at(f: GridFunction, xi) -> np.ndarray:
+    """Transform of the interpolant at arbitrary frequencies, by Gaussian
+    gridding (module notes)."""
+    xi = _checked_frequencies(f, xi)
     if f.is_zero:
         return np.zeros(xi.shape, dtype=complex)
     g = f.trimmed(margin=0)
@@ -122,11 +131,23 @@ def transform_at(f: GridFunction, xi) -> np.ndarray:
 
 def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
                      ) -> FourierTable:
-    """Transform sampled on the symmetric grid [-xi_max, xi_max]."""
+    """Transform sampled on the symmetric grid [-xi_max, xi_max].
+
+    The table is kept with ``f`` under the key (xi_max, n_freq), one window
+    per function, and a repeat call returns the same read-only table; a
+    different key replaces it.  Every guard runs before the kept table is
+    looked up."""
     if not (is_count(n_freq) and 2 <= n_freq <= MAX_GRID_NODES):
         raise ValueError(f"n_freq must be an integer in 2..{MAX_GRID_NODES}, "
                          f"got {n_freq!r}")
     if not 0 < xi_max < math.inf:
         raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
-    xi = np.linspace(-xi_max, xi_max, n_freq)
-    return FourierTable(xi, transform_at(f, xi))
+    xi = _checked_frequencies(f, np.linspace(-xi_max, xi_max, n_freq))
+    key = (xi_max, n_freq)
+    kept = f.__dict__.get("_fourier_table")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    table = FourierTable(xi, transform_at(f, xi))
+    # the function is frozen; like cached_property, fill its __dict__
+    f.__dict__["_fourier_table"] = (key, table)
+    return table

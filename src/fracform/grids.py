@@ -47,6 +47,11 @@ def is_count(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def is_boolean(v) -> bool:
+    """True for a bool or a numpy bool, which no real parameter accepts."""
+    return isinstance(v, (bool, np.bool_))
+
+
 def grid_size(lo: float, hi: float, step: float) -> int:
     """The node count of ``grid_nodes(lo, hi, step)``, after the same
     refusals, without building the nodes."""
@@ -101,8 +106,10 @@ class GridFunction:
 
     ``increment_autocorr`` (8 bytes per support node), ``l2_norm_sq()`` and
     ``finite()`` are computed on first use and kept with the function for
-    as long as it lives; the samples are a read-only copy, so they cannot go
-    stale, and every derived function starts without them.
+    as long as it lives, and so is the last table of ``discrete_fourier``
+    (n_freq x 24 bytes, one (xi_max, n_freq) window per function); the
+    samples are a read-only copy, so they cannot go stale, and every derived
+    function starts without them.
     """
 
     origin: float
@@ -305,8 +312,9 @@ class GridFunction:
 
 def epsilon_contraction(h: GridFunction, eps: float) -> GridFunction:
     """Remove the band |h| <= eps: sign(h) * (|h| - eps)+ at every node."""
-    if eps < 0:
-        raise ValueError(f"contraction level must be >= 0, got {eps}")
+    if not 0 <= eps < _INF:
+        raise ValueError(f"contraction level must be finite and >= 0, got "
+                         f"{eps}")
     v = h.values
     return h.with_values(np.sign(v) * np.maximum(np.abs(v) - eps, 0.0))
 

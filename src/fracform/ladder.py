@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import transform_at
-from .grids import (GridFunction, IntervalSet, grid_nodes, is_count,
-                    snap_to_dyadic_step)
+from .grids import (GridFunction, IntervalSet, grid_nodes, is_boolean,
+                    is_count, snap_to_dyadic_step)
 from .quadcells import gagliardo_of_values
 
 __all__ = [
@@ -380,9 +380,9 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
     if not (is_count(max_nodes) and max_nodes >= 1):
         raise ValueError(f"the node budget must be a positive integer, got "
                          f"{max_nodes!r}")
-    if not (math.isfinite(sup_tol) and sup_tol >= 0):
-        raise ValueError(f"sup_tol must be finite and non-negative, got "
-                         f"{sup_tol}")
+    if is_boolean(sup_tol) or not (math.isfinite(sup_tol) and sup_tol >= 0):
+        raise ValueError(f"sup_tol must be a finite non-negative number, got "
+                         f"{sup_tol!r}")
 
     fv = f.values
     lo0, hi0 = (0, fv.size - 1) if f.is_zero else (f.support_lo,

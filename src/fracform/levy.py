@@ -150,8 +150,12 @@ def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:
     pi/2 at alpha = 1 (Sato, Levy Processes and Infinitely Divisible
     Distributions, 1999, section 14).  This form keeps full precision near
     alpha = 1, where Gamma(1 - alpha) cos(pi alpha / 2) / alpha cancels.
-    Raises ValueError where psi overflows."""
+    Raises ValueError, before evaluating anything, for a frequency that is
+    not finite, and where psi overflows."""
     xi = np.asarray(xi_grid, dtype=float)
+    bad = ~np.isfinite(xi)
+    if np.any(bad):
+        raise ValueError(f"frequencies must be finite, got {xi[bad][0]}")
     psi = np.zeros_like(xi)
     with np.errstate(over="ignore"):
         if t.sigma > 0:

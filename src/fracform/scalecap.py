@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction, IntervalSet, grid_nodes, grid_size, is_count
+from .grids import (GridFunction, IntervalSet, grid_nodes, grid_size,
+                    is_boolean, is_count)
 from .quadcells import gagliardo_of_values, hat_energy_row
 
 __all__ = [
@@ -70,6 +71,8 @@ class ScaleFunction:
     cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.anchor):
+            raise ValueError(f"anchor must be finite, got {self.anchor}")
         ends = self.g_set.endpoints()
         bp = np.unique(np.append(ends[np.isfinite(ends)], self.anchor))
         m = self.g_set.measure_between(self.anchor, bp)
@@ -407,8 +410,9 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
     leaves [0, 1] is reported as ``clamp_violation``.  The value is E1 of u
     clipped to [0, 1], which is still admissible, so the value is still an
     upper bound, though not then the Galerkin minimum."""
-    if not 0.0 < alpha_star <= 1.0:
-        raise ValueError(f"capacity exponent must lie in (0, 1], got {alpha_star}")
+    if is_boolean(alpha_star) or not 0.0 < alpha_star <= 1.0:
+        raise ValueError(f"capacity exponent must be a number in (0, 1], "
+                         f"got {alpha_star!r}")
     lo, hi = float(domain[0]), float(domain[1])
     for a, b in target:
         if a < lo - 1e-12 or b > hi + 1e-12:

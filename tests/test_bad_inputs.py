@@ -2,7 +2,9 @@
 
 Every exported callable that takes a step, size, count or depth refuses a
 bad value with ValueError before it allocates; the transforms refuse a
-frequency that is not finite, or whose phase xi x on the grid is not.  The
+frequency that is not finite, or whose phase xi x on the grid is not; a real
+parameter refuses a boolean, and the scale anchor and the contraction level
+refuse NaN and infinities.  The
 table runs in one subprocess under a 1 GiB address-space cap with one BLAS
 thread, so a missing guard fails fast with MemoryError (or shows as another
 error) instead of allocating tens of GiB; each case is reported as its own
@@ -27,7 +29,8 @@ import fracform.ladder
 from fracform import (FatCantorSpec, GridFunction, IntervalSet, PlateauSpec,
                       StepFunction, build_fat_cantor, bv_fourier_bound_check,
                       calibrate_c_of_alpha, capacity_estimate, compose_scale,
-                      concentration_test, discrete_fourier, fourier_energy,
+                      concentration_test, discrete_fourier,
+                      epsilon_contraction, fourier_energy,
                       fourier_gagliardo_ratio, ladder_decompose, make_plateau,
                       scale_from_open_set, snap_to_dyadic_step,
                       step_rate_experiment, transform_at)
@@ -50,6 +53,8 @@ COUNTS = {"zero": 0, "negative": -3, "nan": math.nan, "inf": math.inf,
 DEPTHS = {**COUNTS, "huge": 10 ** 9, "past-float-range": 1100}
 # NaN and inf gave NaN amplitudes with RuntimeWarnings
 FREQUENCIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+# a real parameter refuses booleans, as EnergyParams does: True was read as 1
+BOOLEANS = {"bool": True, "numpy-bool": np.bool_(True)}
 
 
 def _scale():
@@ -90,6 +95,16 @@ CALLS = {
         IntervalSet.of((-0.1, 0.1)), 0.5, (-2.0, 2.0), v)),
     "concentration_test-step": (STEPS, lambda v: concentration_test(
         IntervalSet.of((-0.1, 0.1)), 0.5, (-0.5, 0.5), v)),
+    "capacity_estimate-alpha_star": (BOOLEANS, lambda v: capacity_estimate(
+        IntervalSet.of((-0.1, 0.1)), v, (-2.0, 2.0), 0.125)),
+    "concentration_test-alpha_star": (BOOLEANS, lambda v: concentration_test(
+        IntervalSet.of((-0.1, 0.1)), v, (-0.5, 0.5), 0.125)),
+    # NaN gave NaN values and inf gave -inf
+    "scale_from_open_set-anchor": (FREQUENCIES, lambda v: scale_from_open_set(
+        IntervalSet.real_line(), v)),
+    # NaN gave NaN samples and inf the zero function
+    "epsilon_contraction-eps": (FREQUENCIES,
+                                lambda v: epsilon_contraction(TENT, v)),
     "step_rate_experiment-n_lo": (DEPTHS, lambda v: step_rate_experiment(
         TENT, 0.5, v, 4)),
     "step_rate_experiment-n_hi": (DEPTHS, lambda v: step_rate_experiment(
@@ -107,6 +122,8 @@ CALLS = {
     "ladder_decompose-max_nodes": (
         {k: v for k, v in COUNTS.items() if k != "huge"},
         lambda v: ladder_decompose(_bump(), max_nodes=v)),
+    "ladder_decompose-sup_tol": (BOOLEANS,
+                                 lambda v: ladder_decompose(_bump(), 8, v)),
     "build_fat_cantor-n_intervals": (COUNTS, lambda v: build_fat_cantor(
         FatCantorSpec(alpha=1.5, budget=0.1), v)),
     "LadderTree.partial_sum-k": (COUNTS, lambda v: _tree().partial_sum(v)),
@@ -267,6 +284,8 @@ class TestNodesPerSite:
         assert _ends(grids[0]) == (n, -4 * fine, -4 * fine + (n - 1) * fine)
 
     def test_calibration_reference_bump(self, monkeypatch):
+        # the bump is built once per process: rebuild it under the spy
+        fracform.energy._reference_bump.cache_clear()
         grids = _spy(monkeypatch, fracform.energy)
         calibrate_c_of_alpha(EnergyParams(alpha=0.5))
         assert _ends(grids[0]) == (513, -1.0, 1.0)

@@ -46,6 +46,9 @@ def test_traced_calls_record_their_layers():
             0.0, 0.125, np.array([0.0, 2.0, 1.0, 3.0, 0.5, 1.5, 0.0]))
         tree = fracform.ladder_decompose(walk, 8, 0.0)
         fracform.is_erased_function(tree.partial_sum(1), walk)
+        # the second calibration reads the table kept by the first
+        for a in (0.5, 1.5):
+            fracform.calibrate_c_of_alpha(fracform.EnergyParams(a), f)
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
@@ -54,7 +57,12 @@ def test_traced_calls_record_their_layers():
             "quadcells.rho_profile",
             "scalecap.capacity_estimate", "quadcells.hat_energy_row",
             "ladder.ladder_decompose", "ladder.partial_sum",
-            "ladder.is_erased_function"} <= names
+            "ladder.is_erased_function", "energy.calibrate_c_of_alpha",
+            "energy.fourier_energy", "fourier.discrete_fourier",
+            "fourier.transform_at.uniform"} <= names
+    calls = [span[0] for span in tracer.spans]
+    assert calls.count("fourier.discrete_fourier") == 2
+    assert calls.count("fourier.transform_at.uniform") == 1
     assert tree.n_nodes == 3
     assert [span[5] for span in tracer.spans
             if span[0] == "ladder.ladder_decompose"] == [tree.n_nodes]

@@ -65,6 +65,134 @@ def test_frequency_window_must_be_finite(xi_max):
         discrete_fourier(sample_bump(), xi_max, 16)
 
 
+class TestKeptTable:
+    """discrete_fourier keeps its last table with the function."""
+
+    def test_kept_table_equals_a_fresh_transform(self):
+        f = sample_bump(step=1.0 / 128.0)
+        table = discrete_fourier(f, 64.0, 513)
+        assert discrete_fourier(f, 64.0, 513) is table
+        assert np.array_equal(table.frequencies, np.linspace(-64.0, 64.0, 513))
+        assert np.array_equal(table.amplitudes,
+                              transform_at(f, table.frequencies))
+        for arr in (table.frequencies, table.amplitudes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # derived functions start without it
+        assert "_fourier_table" not in vars(f.scaled(1.0))
+
+    def test_another_window_replaces_it(self):
+        f = sample_bump(step=1.0 / 128.0)
+        first = discrete_fourier(f, 64.0, 513)
+        for xi_max, n_freq in ((32.0, 513), (64.0, 257)):
+            other = discrete_fourier(f, xi_max, n_freq)
+            assert other is not first
+            assert discrete_fourier(f, xi_max, n_freq) is other
+            assert np.array_equal(other.amplitudes,
+                                  transform_at(f, other.frequencies))
+        again = discrete_fourier(f, 64.0, 513)
+        assert again is not first
+        assert np.array_equal(again.amplitudes, first.amplitudes)
+
+    def test_one_transform_for_every_exponent(self, monkeypatch):
+        from fracform.energy import (EnergyParams, calibrate_c_of_alpha,
+                                     fourier_energy, fourier_gagliardo_ratio)
+        f = sample_bump(step=1.0 / 128.0)
+        fresh = GridFunction(f.origin, f.step, f.values)
+        sums = []
+        grid_sum = fourier._grid_sum
+        monkeypatch.setattr(fourier, "_grid_sum",
+                            lambda g, xi: (sums.append(xi.size),
+                                           grid_sum(g, xi))[1])
+        for a in (0.25, 1.0, 1.9):
+            p = EnergyParams(a)
+            want = fourier_energy(GridFunction(f.origin, f.step, f.values), p,
+                                  512.0, 8192)
+            assert fourier_energy(f, p, 512.0, 8192) == want
+            assert fourier_gagliardo_ratio(f, p) == \
+                fourier_gagliardo_ratio(fresh, p)
+            calibrate_c_of_alpha(p, f)
+        # one transform of f, one of fresh and one per exponent for the
+        # functions built inside the loop
+        assert sums == [8192] * 5
+
+    def test_default_calibrations_share_one_bump(self, monkeypatch):
+        from fracform.energy import (EnergyParams, _reference_bump,
+                                     calibrate_c_of_alpha)
+        assert _reference_bump() is _reference_bump()
+        calibrate_c_of_alpha(EnergyParams(0.5))
+        sums = []
+        grid_sum = fourier._grid_sum
+        monkeypatch.setattr(fourier, "_grid_sum",
+                            lambda g, xi: (sums.append(xi.size),
+                                           grid_sum(g, xi))[1])
+        for a in (0.25, 1.5):
+            calibrate_c_of_alpha(EnergyParams(a))
+        assert sums == []
+
+    @pytest.mark.parametrize("call", [
+        lambda f: discrete_fourier(f, 0.0, 513),
+        lambda f: discrete_fourier(f, math.nan, 513),
+        lambda f: discrete_fourier(f, math.inf, 513),
+        lambda f: discrete_fourier(f, 64.0, 1),
+        lambda f: discrete_fourier(f, 64.0, True),
+        lambda f: discrete_fourier(f, 64.0, 513.0)],
+        ids=["xi_max-zero", "xi_max-nan", "xi_max-inf", "n_freq-one",
+             "n_freq-bool", "n_freq-float"])
+    def test_guards_run_before_the_kept_table(self, call):
+        f = sample_bump(step=1.0 / 128.0)
+        discrete_fourier(f, 64.0, 513)
+        with pytest.raises(ValueError) as fresh:
+            call(GridFunction(f.origin, f.step, f.values))
+        with pytest.raises(ValueError) as kept:
+            call(f)
+        assert str(kept.value) == str(fresh.value)
+
+    def test_threads_sharing_a_function_get_their_own_window(self):
+        # a table kept under one key must never answer another; racing
+        # threads may each transform, but every table matches its request
+        import sys
+        import threading
+        f = sample_bump(step=1.0 / 32.0)
+        keys = [(16.0, 33), (24.0, 33), (16.0, 65)]
+        want = {k: transform_at(f, np.linspace(-k[0], k[0], k[1]))
+                for k in keys}
+        wrong = []
+
+        def work(seed):
+            for i in range(150):
+                k = keys[(seed + i * (seed + 1)) % len(keys)]
+                table = discrete_fourier(f, *k)
+                if not np.array_equal(table.amplitudes, want[k]):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,))
+                       for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_non_compact_function_refused_with_a_kept_table(self):
+        from fracform.energy import EnergyParams, fourier_energy
+        f = GridFunction(0.0, 0.25, [1.0, 2.0, 1.0, 0.0])
+        discrete_fourier(f, 64.0, 513)
+        msgs = []
+        for g in (GridFunction(f.origin, f.step, f.values), f):
+            with pytest.raises(ValueError, match="taper") as err:
+                fourier_energy(g, EnergyParams(0.5), 64.0, 513)
+            msgs.append(str(err.value))
+        assert msgs[0] == msgs[1]
+
+
 def test_exactness_against_quadrature():
     # the closed-form transform of the interpolant agrees with brute-force
     # quadrature of the same interpolant

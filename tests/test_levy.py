@@ -108,6 +108,18 @@ class TestSymbol:
             assert np.allclose(psi, psi[::-1], rtol=1e-12)  # even
             assert np.all(psi >= 0.0)
 
+    @pytest.mark.parametrize("triplet", [
+        TWO_ATOM, POWER_HALF, LevyTriplet(sigma=0.3, atoms=((0.5, 2.0),))],
+        ids=["two-atom", "power-half", "sigma-atom"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_frequency_refused_before_evaluating(self, triplet,
+                                                           bad):
+        # np.cos(inf) warned before the symbol's own ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="frequencies must be finite"):
+                levy_symbol(triplet, [1.0, bad])
+
     def test_quadrature_against_direct_oracle(self):
         # one-off brute-force check of the density integral path; the naive
         # oracle warns about the oscillatory tail it resolves to ~1e-4
