@@ -140,8 +140,10 @@ def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
     if not (is_count(n_freq) and 2 <= n_freq <= MAX_GRID_NODES):
         raise ValueError(f"n_freq must be an integer in 2..{MAX_GRID_NODES}, "
                          f"got {n_freq!r}")
-    if not 0 < xi_max < math.inf:
-        raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
+    # the grid spans 2 xi_max, which overflows from ~9e307 on
+    if not (0 < xi_max and 2.0 * float(xi_max) < math.inf):
+        raise ValueError(f"xi_max must be positive with a finite span "
+                         f"2 xi_max, got {xi_max}")
     xi = _checked_frequencies(f, np.linspace(-xi_max, xi_max, n_freq))
     key = (xi_max, n_freq)
     kept = f.__dict__.get("_fourier_table")

@@ -37,7 +37,10 @@ _INF = float("inf")
 # solve, ``step_rate_experiment`` and the CLI's scale grid take their nodes
 # from ``grid_nodes``, and ``discrete_fourier`` caps its frequency count here.
 # The capacity solve holds about ten float64 arrays of n entries and complex
-# spectra of 2n, ~0.5 GiB at 2^22.
+# spectra of 2n, ~0.5 GiB at 2^22.  A first grid energy peaks at ~40 bytes
+# per support node above the samples (the increments, the 2n-point FFT
+# buffer and its spectrum), ~0.16 GiB at 2^22, and keeps 8 bytes per node;
+# a later exponent adds ~0.6 MiB of lag-weight blocks at any size.
 MAX_GRID_NODES = 1 << 22
 
 
@@ -119,6 +122,9 @@ class GridFunction:
     support_hi: int = field(init=False)
 
     def __post_init__(self):
+        if is_boolean(self.origin) or is_boolean(self.step):
+            raise ValueError(f"grid origin and step must be numbers, not "
+                             f"booleans; got {self.origin!r}, {self.step!r}")
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError(f"grid step must be positive and finite, got {self.step}")
         if not math.isfinite(self.origin):
@@ -191,9 +197,9 @@ class GridFunction:
     @cached_property
     def increment_autocorr(self) -> np.ndarray:
         """Read-only c_k = sum_i d_i d_(i+k) of the node increments of
-        ``trimmed(margin=1)``: the part of the fractional form that is the
-        same for every exponent."""
-        c = quadcells.increment_autocorr(self.trimmed(margin=1).values)
+        ``support_values(margin=1)``: the part of the fractional form that
+        is the same for every exponent."""
+        c = quadcells.increment_autocorr(self.support_values(margin=1))
         c.flags.writeable = False
         return c
 
@@ -225,14 +231,23 @@ class GridFunction:
     def scaled(self, c: float) -> "GridFunction":
         return self.with_values(c * self.values)
 
-    def trimmed(self, margin: int = 2) -> "GridFunction":
-        """Restrict to the support plus ``margin`` zeros per side (>= 2 nodes)."""
-        if self.is_zero:
-            return GridFunction(self.origin, self.step, np.zeros(2))
+    def _support_range(self, margin: int) -> slice:
+        """The samples of the support plus ``margin`` zeros per side, at
+        least 2 nodes (the first two for the zero function)."""
         lo = min(max(self.support_lo - margin, 0), self.values.size - 2)
         hi = max(min(self.support_hi + margin, self.values.size - 1), lo + 1)
-        return GridFunction(self.origin + lo * self.step, self.step,
-                            self.values[lo:hi + 1])
+        return slice(lo, hi + 1)
+
+    def support_values(self, margin: int = 2) -> np.ndarray:
+        """``trimmed(margin).values`` as a read-only view of the samples,
+        without building the function."""
+        return self.values[self._support_range(margin)]
+
+    def trimmed(self, margin: int = 2) -> "GridFunction":
+        """Restrict to the support plus ``margin`` zeros per side (>= 2 nodes)."""
+        r = self._support_range(margin)
+        return GridFunction(self.origin + r.start * self.step, self.step,
+                            self.values[r])
 
     # -- grid compatibility --------------------------------------------------
 

@@ -210,7 +210,7 @@ def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
     with np.errstate(over="ignore", invalid="ignore"):
         if t.atoms:
             x, m = np.array(t.atoms).T
-            value += 2.0 * float(m @ rho_profile(f.trimmed(margin=1).values,
+            value += 2.0 * float(m @ rho_profile(f.support_values(margin=1),
                                                  f.step, x))
         if t.density is not None:
             value += t.density.coefficient * _increment_form(

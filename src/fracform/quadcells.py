@@ -22,15 +22,21 @@ B(tau/h - m) exactly, four terms per lag: rho = 2 (A(0) - A(tau)) (see
 rho_profile), and h B(0), h B(1) are the capacity operator's Gram row.
 
 The form splits in two.  increment_autocorr gives c_k = sum_i d_i d_(i+k),
-which does not depend on alpha (one zero-padded real FFT at every size);
-_increment_form dots c with one alpha's lag weights.
-GridFunction.increment_autocorr keeps c, so a function evaluated at several
-exponents correlates once.  The lag weights depend only on the lag count,
-alpha and the order, not on the data: _lag_weights keeps the read-only
-tables of up to 2^13 lags in one least-recently-used cache of 128 tables,
-so a repeated (lag count, alpha, order) skips the table and the cache holds
-at most 128 * 2^13 * 8 bytes = 8 MiB.  Longer tables, such as the rows of
-the 2^15-node capacity solve, are computed on every call and never kept.
+which does not depend on alpha (one zero-padded real FFT at every size,
+its power spectrum squared in place); _increment_form dots c with one
+alpha's lag weights.  GridFunction.increment_autocorr keeps c, so a
+function evaluated at several exponents correlates once.  The lag weights
+depend only on the lag count, alpha and the order, not on the data: the
+read-only tables of up to 2^13 lags are kept in one least-recently-used
+cache of 128 tables, so a repeated (lag count, alpha, order) skips the
+table and the cache holds at most 128 * 2^13 * 8 bytes = 8 MiB.  A longer
+table is never kept: the form takes it in blocks of 2^13 lags (64 KiB),
+each computed and dotted with its slice of c while it sits in cache, so
+an energy at a new alpha allocates a few blocks beyond c.  A first energy
+of n support nodes peaks at about 40 bytes per node above the samples
+(the increments, the 2n-point FFT buffer and its spectrum), and c keeps 8.
+Only hat_energy_row, whose capacity solve needs the whole row, builds a
+long table whole.
 
 The stiffness row of the hat basis is the fourth difference instead:
 k(m) = C h^(1-alpha) delta^4 W(m).  Small lags difference W directly; larger
@@ -60,7 +66,8 @@ _SERIES_TERMS = 16
 _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 
 # Lag-weight tables of up to _KEPT_LAGS lags are kept, at most _KEPT_TABLES
-# of them: 8 MiB of float64 in the worst case.
+# of them: 8 MiB of float64 in the worst case.  The form takes longer tables
+# in blocks of _KEPT_LAGS lags.
 _KEPT_LAGS = 1 << 13
 _KEPT_TABLES = 128
 
@@ -69,10 +76,22 @@ def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     """c_k = sum_i s_i s_{i+k} for k = 0 .. len(s)-1."""
     if s.size == 0:
         return np.zeros(1)
-    # copies, so the result does not keep the longer buffer alive
+    # the zero padding is written here, so numpy makes no padded copy; the
+    # power spectrum is formed in place and transformed back into the buffer
     nfft = 1 << (2 * s.size - 2).bit_length()
-    spec = np.fft.rfft(s, nfft)
-    return np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:s.size].copy()
+    buf = np.zeros(nfft)
+    buf[:s.size] = s
+    spec = np.fft.rfft(buf)
+    re, im = spec.real, spec.imag
+    re *= re
+    im *= im
+    re += im
+    im[:] = 0.0
+    np.fft.irfft(spec, nfft, out=buf)
+    # the spectrum goes before the copy, so the copy does not raise the peak
+    # of buffer and spectrum; the copy does not keep the buffer alive
+    del spec, re, im
+    return buf[:s.size].copy()
 
 
 def _expm1_ratio(a: float, x):
@@ -95,37 +114,20 @@ def _kept_lag_weights(n: int, alpha: float, order: int) -> np.ndarray:
     return w
 
 
-def _lag_weight_table(n: int, alpha: float, order: int) -> np.ndarray:
-    """Central difference delta^order W(k) of the regularised power W at the
-    lags k = 0 .. n-1, for order 2 or 4.
+def _series(start: int, stop: int, alpha: float, order: int):
+    """(ln k, k^(1-alpha), tail) at the lags k = start .. stop-1, all at
+    least 2 order, where tail is the part of delta^order k^(3-alpha) beyond
+    its first two series terms (below).
 
-    For alpha > 1 the second differences tend to the constant 2/(alpha-1);
-    they are returned minus their value at the last lag, which leaves the
-    form of tapered samples unchanged (it is blind to constant weights) and
-    keeps the rounding of that constant out of long sums.
+    delta^(order) k^p = sum over even j of C(p, j) M_j k^(p-j), with the
+    stencil moments M_j = sum_i c_i i^j: M_j = 2 for delta^2, and
+    2^(j+1) - 8 for delta^4 (M_2 = 0).  From j = 4 on, C(p, j) carries the
+    factor p - 2 = 1 - alpha, divided out in b, and each p - i is formed as
+    (3 - i) - alpha, exact for small alpha; the sum runs by Horner's rule
+    in 1/k^2.  Every lag is computed on its own, so a block of lags equals
+    the same lags of a longer run bit for bit.
     """
-    q = 1.0 - alpha                     # p - 2 for the power p = 3 - alpha
-    near = min(n, 2 * order)
-    if order == 4:
-        # delta^4 = delta^2 delta^2 keeps the small lags accurate where
-        # differencing W itself would cancel badly.
-        f = _lag_weight_table(near + 1, alpha, 2)
-    else:
-        ks = np.arange(1.0, near + 1.0)
-        f = np.concatenate([[0.0], ks * ks * _expm1_ratio(q, np.log(ks))])
-    f = np.concatenate([f[1:2], f])      # f is even: lag -1 mirrors lag 1
-    out = np.empty(n)
-    out[:near] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    if n == near and order == 2:
-        return out - out[-1] if alpha > 1.0 else out
-
-    # delta^(order) k^p = sum over even j of C(p, j) M_j k^(p-j), with the
-    # stencil moments M_j = sum_i c_i i^j: M_j = 2 for delta^2, and
-    # 2^(j+1) - 8 for delta^4 (M_2 = 0).  From j = 4 on, C(p, j) carries the
-    # factor p - 2 = q, divided out in b, and each p - i is formed as
-    # (3 - i) - alpha, exact for small alpha; the sum runs by Horner's rule
-    # in 1/k^2.
-    k = np.arange(near, n, dtype=float)
+    k = np.arange(start, stop, dtype=float)
     lnk = np.log(k)
     x = 1.0 / (k * k)
     b = (3.0 - alpha) * (2.0 - alpha) * -alpha / 24.0      # C(p, 4) / q
@@ -133,7 +135,7 @@ def _lag_weight_table(n: int, alpha: float, order: int) -> np.ndarray:
     for j in range(4, 2 * _SERIES_TERMS + 4, 2):
         coefs.append(b * (2.0 if order == 2 else 2.0 ** (j + 1) - 8.0))
         b *= ((3.0 - j) - alpha) * ((2.0 - j) - alpha) / ((j + 1.0) * (j + 2.0))
-    m = min(max(_TWO_TERM_LAG - near, 0), k.size)   # lags below it
+    m = min(max(_TWO_TERM_LAG - start, 0), k.size)   # lags below it
     tail = np.empty(k.size)
     head, x_head = tail[:m], x[:m]
     head.fill(coefs[-1])
@@ -143,24 +145,59 @@ def _lag_weight_table(n: int, alpha: float, order: int) -> np.ndarray:
     tail[m:] = coefs[1]
     tail *= x
     tail += coefs[0]
-    kq = np.exp(q * lnk)
+    kq = np.exp((1.0 - alpha) * lnk)
     tail *= x * kq
+    return lnk, kq, tail
+
+
+def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
+                      hi: int | None = None) -> np.ndarray:
+    """Central difference delta^order W(k) of the regularised power W at the
+    lags k = lo .. hi-1 (by default all n lags) of the n-lag table, for
+    order 2 or 4.  Blocks of lags concatenate to the whole table bit for
+    bit.
+
+    For alpha > 1 the second differences tend to the constant 2/(alpha-1);
+    they are returned minus their value at the last lag n-1, which leaves
+    the form of tapered samples unchanged (it is blind to constant weights)
+    and keeps the rounding of that constant out of long sums.
+    """
+    hi = n if hi is None else hi
+    q = 1.0 - alpha                     # p - 2 for the power p = 3 - alpha
+    near = min(n, 2 * order)
+    cut = min(max(lo, near), hi)        # the block's first series lag
+    out = np.empty(hi - lo)
+    if lo < near:
+        if order == 4:
+            # delta^4 = delta^2 delta^2 keeps the small lags accurate where
+            # differencing W itself would cancel badly.
+            f = _lag_weight_table(near + 1, alpha, 2)
+        else:
+            ks = np.arange(1.0, near + 1.0)
+            f = np.concatenate([[0.0], ks * ks * _expm1_ratio(q, np.log(ks))])
+        f = np.concatenate([f[1:2], f])  # f is even: lag -1 mirrors lag 1
+        d = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        if n == near and order == 2:
+            return (d - d[-1] if alpha > 1.0 else d)[lo:hi]
+        out[:cut - lo] = d[lo:cut]
+    lnk, kq, tail = _series(cut, hi, alpha, order)
     if order == 4:
-        out[near:] = tail
+        out[cut - lo:] = tail
         return out
 
     # The j = 2 term and the k^2 of W combine to
     # p (p-1) (k^q - 1) / q + p + 1, regular at alpha = 1.  For alpha > 1
-    # the reference lag 1 becomes the last lag K and the constant p + 1 and
-    # tail(K) drop out: p (p-1) (k^q - K^q) / q + tail(k) - tail(K).
+    # the reference lag 1 becomes the last lag K = n-1, and the constant
+    # p + 1 and tail(K) drop out: p (p-1) (k^q - K^q) / q + tail(k) - tail(K).
     head = (3.0 - alpha) * (2.0 - alpha)
     const, ln_ref, t_ref = 4.0 - alpha, 0.0, 0.0
     if alpha > 1.0:
-        ln_ref, t_ref = lnk[-1], tail[-1]
-        out[:near] -= head * _expm1_ratio(q, ln_ref) + const + t_ref
+        ln_ks, _, t_ks = _series(n - 1, n, alpha, 2)
+        ln_ref, t_ref = ln_ks[0], t_ks[0]
+        out[:cut - lo] -= head * _expm1_ratio(q, ln_ref) + const + t_ref
         const = 0.0
-    out[near:] = (-head * kq * _expm1_ratio(q, ln_ref - lnk)
-                  + const + tail - t_ref)
+    out[cut - lo:] = (-head * kq * _expm1_ratio(q, ln_ref - lnk)
+                      + const + tail - t_ref)
     return out
 
 
@@ -174,10 +211,22 @@ def _form_scale(h: float, alpha: float) -> float:
 def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
     """E = C h^(1-alpha) sum_(i,j) d_i d_j (-delta^2 W)(i - j) from the
     increment autocorrelation c_k, k >= 0, which counts each lag k > 0
-    once for each sign."""
+    once for each sign.
+
+    The lag weights come in blocks of _KEPT_LAGS lags, each dotted with its
+    slice of c: a table of up to _KEPT_LAGS lags is the kept one, and no
+    longer table is built whole."""
     scale = _form_scale(h, alpha)
-    w = _lag_weights(c.size, alpha)
-    return -scale * (2.0 * float(np.dot(c, w)) - c[0] * w[0])
+    n = c.size
+    dot = -0.0                          # x + -0.0 is x, so one block is its dot
+    for lo in range(0, n, _KEPT_LAGS):
+        hi = min(lo + _KEPT_LAGS, n)
+        w = (_kept_lag_weights(n, alpha, 2) if n <= _KEPT_LAGS
+             else _lag_weight_table(n, alpha, 2, lo, hi))
+        if lo == 0:
+            w0 = w[0]
+        dot += float(np.dot(c[lo:hi], w))
+    return -scale * (2.0 * dot - c[0] * w0)
 
 
 def _cubic_bspline(t: np.ndarray) -> np.ndarray:

@@ -95,6 +95,10 @@ CALLS = {
         IntervalSet.of((-0.1, 0.1)), 0.5, (-2.0, 2.0), v)),
     "concentration_test-step": (STEPS, lambda v: concentration_test(
         IntervalSet.of((-0.1, 0.1)), 0.5, (-0.5, 0.5), v)),
+    "GridFunction-origin": (BOOLEANS, lambda v: GridFunction(
+        v, 0.25, [0.0, 1.0, 0.0])),
+    "GridFunction-step": (BOOLEANS, lambda v: GridFunction(
+        0.0, v, [0.0, 1.0, 0.0])),
     "capacity_estimate-alpha_star": (BOOLEANS, lambda v: capacity_estimate(
         IntervalSet.of((-0.1, 0.1)), v, (-2.0, 2.0), 0.125)),
     "concentration_test-alpha_star": (BOOLEANS, lambda v: concentration_test(

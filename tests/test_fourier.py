@@ -58,11 +58,23 @@ def test_grid_validation():
         discrete_fourier(f, -1.0, 16)
 
 
-@pytest.mark.parametrize("xi_max", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("xi_max", [0.0, math.nan, math.inf, 9e307, 1e308,
+                                    np.finfo(float).max])
 def test_frequency_window_must_be_finite(xi_max):
-    # an infinite window gave NaN frequencies and amplitudes
-    with pytest.raises(ValueError, match="xi_max"):
-        discrete_fourier(sample_bump(), xi_max, 16)
+    # an infinite window gave NaN frequencies and amplitudes; from 9e307 on
+    # the span 2 xi_max overflowed, and np.linspace warned twice before the
+    # phase guard raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="xi_max"):
+            discrete_fourier(sample_bump(), xi_max, 16)
+
+
+def test_largest_finite_span_is_accepted():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = discrete_fourier(sample_bump(), 8.98e307, 16)
+    assert np.all(np.isfinite(table.frequencies))
 
 
 class TestKeptTable:

@@ -79,6 +79,17 @@ class TestGridFunction:
             assert g.increment_autocorr is not c
             assert np.array_equal(g.increment_autocorr, c)
 
+    @pytest.mark.parametrize("vals", [
+        [0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0], [0.0, 3.0], [0.0, 1.0, 0.0]],
+        ids=["inside", "at-the-left-end", "zero", "two-nodes", "one-node"])
+    @pytest.mark.parametrize("margin", [0, 1, 2])
+    def test_support_values_view_the_trimmed_samples(self, vals, margin):
+        f = GridFunction(0.5, 0.25, vals)
+        view = f.support_values(margin)
+        assert np.shares_memory(view, f.values) and not view.flags.writeable
+        assert np.array_equal(view, f.trimmed(margin).values)
+
     @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
     def test_kept_scalars_match_the_samples(self, rng, bad):
         vals = rng.normal(size=257)

@@ -185,6 +185,70 @@ def test_kept_tables_stay_within_eight_mib():
     assert kept.cache_info().currsize == tables
 
 
+BLOCKED_LAGS = [KEPT - 1, KEPT + 1, 2 * KEPT - 1, 2 * KEPT + 1,
+                quadcells._TWO_TERM_LAG - 1, quadcells._TWO_TERM_LAG + 1,
+                1 << 17]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_blocks_concatenate_to_the_table(alpha, order):
+    """Blocks of KEPT lags, as the form takes them, rebuild the whole
+    table bit for bit: the direct lags, both sides of the two-term cut and,
+    for alpha > 1, the shift by the last lag."""
+    for n in BLOCKED_LAGS:
+        whole = quadcells._lag_weight_table(n, alpha, order)
+        blocks = [quadcells._lag_weight_table(n, alpha, order, lo,
+                                              min(lo + KEPT, n))
+                  for lo in range(0, n, KEPT)]
+        assert np.array_equal(np.concatenate(blocks).view(np.int64),
+                              whole.view(np.int64)), n
+
+
+def _cos2_bump(n):
+    """n samples on [-1, 1] of a cos^2 bump, zero only at the two ends."""
+    x = np.linspace(-1.0, 1.0, n)
+    return np.where(np.abs(x) < 0.999, np.cos(np.pi * x / 1.998) ** 2, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95])
+def test_blocked_form_matches_one_table_dot(alpha):
+    c = quadcells.increment_autocorr(_cos2_bump((1 << 17) + 1))
+    assert c.size == 1 << 17
+    h = 2.0 / (1 << 17)
+    w = quadcells._lag_weight_table(c.size, alpha, 2)
+    whole = -quadcells._form_scale(h, alpha) * (2.0 * float(c @ w)
+                                               - c[0] * w[0])
+    assert quadcells._increment_form(c, h, alpha) == pytest.approx(
+        whole, rel=1e-13, abs=0.0)
+
+
+def test_energy_peak_memory_per_node():
+    """A first exponent peaks at most 56 bytes per node above the samples
+    (88 when the whole lag-weight table and the padded FFT copies were
+    built); a second adds lag-weight blocks only, at most 2 MiB (20 MiB
+    when it rebuilt the whole table)."""
+    import tracemalloc
+
+    from fracform.energy import EnergyParams, gagliardo_energy
+    from fracform.grids import GridFunction
+
+    n = 1 << 18
+    f = GridFunction(-1.0, 2.0 / (n - 1), _cos2_bump(n))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for alpha in (0.5, 1.5):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            gagliardo_energy(f, EnergyParams(alpha))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 56 * n, peaks[0] / n
+    assert peaks[1] <= 2 << 20, peaks[1]
+
+
 def test_energy_continuous_through_alpha_one(rng):
     vals = np.zeros(300)
     vals[1:-1] = rng.normal(size=298)
