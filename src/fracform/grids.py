@@ -133,8 +133,11 @@ class GridFunction:
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("a grid function needs a 1-d array of at least 2 samples")
         object.__setattr__(self, "values", vals)
-        nz = np.nonzero(vals)[0]
-        lo, hi = (int(nz[0]), int(nz[-1])) if nz.size else (-1, -1)
+        # two argmax scans of one mask: np.nonzero builds an index array
+        nz = vals != 0.0
+        lo = int(nz.argmax())
+        lo, hi = ((lo, vals.size - 1 - int(nz[::-1].argmax())) if nz[lo]
+                  else (-1, -1))
         object.__setattr__(self, "support_lo", lo)
         object.__setattr__(self, "support_hi", hi)
 

@@ -150,8 +150,15 @@ def _series(start: int, stop: int, alpha: float, order: int):
     return lnk, kq, tail
 
 
+def _reference_terms(n: int, alpha: float) -> tuple[float, float]:
+    """(ln K, tail(K)) at the last lag K = n-1 of an n-lag table."""
+    ln_ks, _, t_ks = _series(n - 1, n, alpha, 2)
+    return ln_ks[0], t_ks[0]
+
+
 def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
-                      hi: int | None = None) -> np.ndarray:
+                      hi: int | None = None,
+                      ref: tuple[float, float] | None = None) -> np.ndarray:
     """Central difference delta^order W(k) of the regularised power W at the
     lags k = lo .. hi-1 (by default all n lags) of the n-lag table, for
     order 2 or 4.  Blocks of lags concatenate to the whole table bit for
@@ -160,7 +167,9 @@ def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
     For alpha > 1 the second differences tend to the constant 2/(alpha-1);
     they are returned minus their value at the last lag n-1, which leaves
     the form of tapered samples unchanged (it is blind to constant weights)
-    and keeps the rounding of that constant out of long sums.
+    and keeps the rounding of that constant out of long sums.  ``ref``, if
+    given, is ``_reference_terms(n, alpha)``, so blocks of one table need
+    not recompute it.
     """
     hi = n if hi is None else hi
     q = 1.0 - alpha                     # p - 2 for the power p = 3 - alpha
@@ -192,8 +201,7 @@ def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
     head = (3.0 - alpha) * (2.0 - alpha)
     const, ln_ref, t_ref = 4.0 - alpha, 0.0, 0.0
     if alpha > 1.0:
-        ln_ks, _, t_ks = _series(n - 1, n, alpha, 2)
-        ln_ref, t_ref = ln_ks[0], t_ks[0]
+        ln_ref, t_ref = ref or _reference_terms(n, alpha)
         out[:cut - lo] -= head * _expm1_ratio(q, ln_ref) + const + t_ref
         const = 0.0
     out[cut - lo:] = (-head * kq * _expm1_ratio(q, ln_ref - lnk)
@@ -218,11 +226,13 @@ def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
     longer table is built whole."""
     scale = _form_scale(h, alpha)
     n = c.size
+    ref = (_reference_terms(n, alpha) if n > _KEPT_LAGS and alpha > 1.0
+           else None)
     dot = -0.0                          # x + -0.0 is x, so one block is its dot
     for lo in range(0, n, _KEPT_LAGS):
         hi = min(lo + _KEPT_LAGS, n)
         w = (_kept_lag_weights(n, alpha, 2) if n <= _KEPT_LAGS
-             else _lag_weight_table(n, alpha, 2, lo, hi))
+             else _lag_weight_table(n, alpha, 2, lo, hi, ref))
         if lo == 0:
             w0 = w[0]
         dot += float(np.dot(c[lo:hi], w))

@@ -49,6 +49,10 @@ def test_traced_calls_record_their_layers():
         # the second calibration reads the table kept by the first
         for a in (0.5, 1.5):
             fracform.calibrate_c_of_alpha(fracform.EnergyParams(a), f)
+        # the second transform reads the kept plan, still through the
+        # public function
+        xi = np.geomspace(0.5, 5.0, 16)
+        twice = [fracform.transform_at(f, xi) for _ in range(2)]
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
@@ -63,6 +67,8 @@ def test_traced_calls_record_their_layers():
     calls = [span[0] for span in tracer.spans]
     assert calls.count("fourier.discrete_fourier") == 2
     assert calls.count("fourier.transform_at.uniform") == 1
+    assert calls.count("fourier.transform_at.scattered") == 2
+    assert np.array_equal(twice[0], twice[1])
     assert tree.n_nodes == 3
     assert [span[5] for span in tracer.spans
             if span[0] == "ladder.ladder_decompose"] == [tree.n_nodes]

@@ -115,8 +115,8 @@ class TestKeptTable:
         sums = []
         grid_sum = fourier._grid_sum
         monkeypatch.setattr(fourier, "_grid_sum",
-                            lambda g, xi: (sums.append(xi.size),
-                                           grid_sum(g, xi))[1])
+                            lambda g, plan: (sums.append(plan.hat.size),
+                                             grid_sum(g, plan))[1])
         for a in (0.25, 1.0, 1.9):
             p = EnergyParams(a)
             want = fourier_energy(GridFunction(f.origin, f.step, f.values), p,
@@ -137,8 +137,8 @@ class TestKeptTable:
         sums = []
         grid_sum = fourier._grid_sum
         monkeypatch.setattr(fourier, "_grid_sum",
-                            lambda g, xi: (sums.append(xi.size),
-                                           grid_sum(g, xi))[1])
+                            lambda g, plan: (sums.append(plan.hat.size),
+                                             grid_sum(g, plan))[1])
         for a in (0.25, 1.5):
             calibrate_c_of_alpha(EnergyParams(a))
         assert sums == []
@@ -205,6 +205,164 @@ class TestKeptTable:
         assert msgs[0] == msgs[1]
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.fixture
+def plans():
+    fourier._plans.cache_clear()
+    yield fourier._plans
+    fourier._plans.cache_clear()
+
+
+# 24 weight rows, tap starts, hat factors and the key's frequency bytes of 8
+# bytes, phases of 16, per frequency; 8 plans of at most 2^12 frequencies
+PLAN_BYTES_PER_FREQ = 24 * 8 + 8 + 16 + 8 + 8
+KEPT_PLAN_BOUND = 8 * (1 << 12) * PLAN_BYTES_PER_FREQ
+
+
+class TestKeptPlan:
+    """transform_at keeps the frequency side of the gridding sum of a
+    (trimmed grid, frequency set) pair seen twice."""
+
+    @pytest.mark.parametrize("n", [257, 513, 1025])
+    def test_calls_are_bit_identical_kept_or_not(self, plans, n):
+        f = _random_grid_function(n, np.random.default_rng(n))
+        for xi in (np.linspace(-200.0, 200.0, 2048),
+                   np.geomspace(0.5, 200.0, 2048)):
+            plans.cache_clear()
+            first = transform_at(f, xi)         # no weight rows
+            second = transform_at(f, xi)        # kept, rows built
+            third = transform_at(f, xi)         # read from the kept plan
+            assert plans.cache_info()[:3] == (1, 2, 1)
+            plans.cache_clear()
+            for again in (second, third, transform_at(f, xi)):
+                assert _same_bits(again, first)
+
+    def test_counters_follow_the_calls(self, plans):
+        f = sample_bump(step=1.0 / 64.0)
+        xi = np.linspace(-20.0, 20.0, 33)
+        seen = []
+        for call in (xi, xi, xi, np.linspace(-20.0, 20.0, 4097),
+                     np.linspace(-20.0, 20.0, 4097), xi):
+            transform_at(f, call)
+            seen.append(plans.cache_info())
+        assert [i[:3] for i in seen] == [(0, 1, 0), (0, 2, 1), (1, 2, 1),
+                                         (1, 3, 1), (1, 4, 1), (2, 4, 1)]
+        assert seen[-1].kept_bytes == 33 * PLAN_BYTES_PER_FREQ
+        transform_at(f.scaled(0.0), xi)         # the zero function: no plan
+        assert plans.cache_info() == seen[-1]
+        plans.cache_clear()
+        assert plans.cache_info() == (0, 0, 0, 0)
+
+    def test_kept_arrays_are_read_only(self, plans):
+        f = sample_bump(step=1.0 / 64.0)
+        g, xi = f.trimmed(margin=0), np.linspace(-20.0, 20.0, 33)
+        plans.plan(g, xi)
+        plan = plans.plan(g, xi)
+        assert plans.plan(g, xi) is plan
+        for a in (plan.rows, plan.start, plan.phase, plan.hat):
+            assert not a.flags.writeable
+
+    def test_mutated_frequencies_get_their_own_plan(self, plans):
+        f = sample_bump(step=1.0 / 64.0)
+        xi = np.linspace(-20.0, 20.0, 33)
+        want = transform_at(f, 2.0 * xi)
+        for _ in range(3):
+            transform_at(f, xi)
+        xi *= 2.0                               # the caller's own array
+        assert _same_bits(transform_at(f, xi), want)
+        assert _same_bits(transform_at(f, xi), want)
+
+    def test_grids_differing_in_one_key_share_no_plan(self, plans):
+        f = _random_grid_function(65, np.random.default_rng(1))
+        xi = np.geomspace(0.5, 60.0, 300)
+        others = (GridFunction(f.origin + 0.125, f.step, f.values),
+                  GridFunction(f.origin, 2.0 * f.step, f.values),
+                  GridFunction(f.origin, f.step, np.append(f.values, 1.0)))
+        want = []
+        for g in others:
+            want.append(transform_at(g, xi))
+        plans.cache_clear()
+        for _ in range(2):
+            transform_at(f, xi)
+        for g, w in zip(others, want):
+            for _ in range(3):
+                assert _same_bits(transform_at(g, xi), w)
+        assert plans.cache_info().kept == 4
+
+    def test_one_shot_keys_are_never_kept(self, plans):
+        f = sample_bump(step=1.0 / 32.0)
+        grid = np.linspace(-20.0, 20.0, 1 << 12)
+        for i in range(50):
+            transform_at(f, grid + i)
+        assert plans.cache_info()[1:] == (50, 0, 0)
+        for i in range(50):
+            for _ in range(2):
+                transform_at(f, grid - i)
+        info = plans.cache_info()
+        assert info.kept == 8
+        assert info.kept_bytes == KEPT_PLAN_BOUND
+        assert KEPT_PLAN_BOUND < 7.3 * 2 ** 20
+
+    def test_large_sets_build_no_weight_table(self, plans):
+        import tracemalloc
+        f = _random_grid_function(4097, np.random.default_rng(4))
+        xi = np.linspace(-500.0, 500.0, 32769)
+        transform_at(f, xi)
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                transform_at(f, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 24 weight rows alone would be 192 bytes per frequency; the
+        # call measures ~118 (FFT grid, buffers, plan and result)
+        assert peak <= 150 * xi.size
+        assert plans.cache_info()[1:] == (3, 0, 0)
+
+    def test_threads_get_the_one_thread_arrays(self, plans):
+        # 12 keys against 8 kept plans, so threads also race evictions
+        import sys
+        import threading
+        rng = np.random.default_rng(7)
+        fs = [_random_grid_function(n, rng) for n in (65, 129, 257)]
+        sets = [np.linspace(-50.0, 50.0, 256), np.geomspace(0.5, 50.0, 256),
+                np.linspace(-30.0, 40.0, 200), rng.uniform(-40.0, 40.0, 300)]
+        pairs = [(i, j) for i in range(len(fs)) for j in range(len(sets))]
+        want = {}
+        for i, j in pairs:
+            plans.cache_clear()
+            want[i, j] = transform_at(fs[i], sets[j])
+        plans.cache_clear()
+        wrong = []
+
+        def work(seed):
+            for k in range(60):
+                i, j = pairs[(seed + k * (seed + 1)) % len(pairs)]
+                if not _same_bits(transform_at(fs[i], sets[j]), want[i, j]):
+                    wrong.append((i, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,))
+                       for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        info = plans.cache_info()
+        assert info.hits + info.misses == 240 and info.kept <= 8
+
+
 def test_exactness_against_quadrature():
     # the closed-form transform of the interpolant agrees with brute-force
     # quadrature of the same interpolant
@@ -221,6 +379,11 @@ def test_exactness_against_quadrature():
 
 def _random_grid_function(n, rng, origin=-0.3, span=1.3):
     return GridFunction(origin, span / max(n - 1, 1), rng.standard_normal(n))
+
+
+def _phase_sum(f, xi):
+    """sum_j v_j e^(i xi_k x_j) by the gridding sum, through f's plan."""
+    return fourier._grid_sum(f, fourier._plans.plan(f, xi))
 
 
 def _explicit_sum(g, xi):
@@ -254,7 +417,7 @@ def test_dense_matches_explicit(n, m, origin):
     rng = np.random.default_rng([n, m, int(origin)])
     f = _random_grid_function(n, rng, origin)
     xi = _scattered(rng, m, f)
-    got = fourier._grid_sum(f, xi)
+    got = _phase_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
 
 
@@ -274,7 +437,7 @@ def test_dense_matches_explicit_on_random_grids(m, n, origin, span, zero,
     xi = _scattered(rng, m, f)
     if zero:
         xi[0] = 0.0
-    got = fourier._grid_sum(f, xi)
+    got = _phase_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
 
 
@@ -286,7 +449,7 @@ def test_grid_at_zero_mixed_signs_and_wrapped_phases(n):
     f = _random_grid_function(n, rng, origin=0.25, span=1.0)
     turns = np.array([0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 2.5, 7.25, 300.1])
     xi = np.concatenate([turns, -turns]) * math.pi / f.step
-    got = fourier._grid_sum(f, xi)
+    got = _phase_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-12
     assert got[0] == pytest.approx(np.sum(f.values), abs=1e-13)
 
@@ -299,7 +462,7 @@ def test_grid_reduces_huge_phases():
     xi = np.array([1e300, -1e300, 1e200, 5e15])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = fourier._grid_sum(f, xi)
+        got = _phase_sum(f, xi)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got) <= np.sum(np.abs(f.values)) * (1 + 1e-12))
 
@@ -311,7 +474,7 @@ def test_dense_on_benchmark_shapes(n):
     f = GridFunction(0.0, 1.0 / (n - 1),
                      np.random.default_rng(n).standard_normal(n))
     xi = np.geomspace(0.5, 200.0, 2048)
-    got = fourier._grid_sum(f, xi)
+    got = _phase_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-14
 
 
@@ -347,7 +510,7 @@ def test_transform_matches_cellwise_quadrature(n):
 # -- uniform frequency grids --------------------------------------------------
 
 def _uniform_gap(f, xi):
-    return _relative_gap(fourier._grid_sum(f, xi), _explicit_sum(f, xi), f)
+    return _relative_gap(_phase_sum(f, xi), _explicit_sum(f, xi), f)
 
 
 GRIDS = {

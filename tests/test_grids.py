@@ -29,6 +29,21 @@ class TestGridFunction:
         with pytest.raises(TypeError):
             GridFunction(0.0, 1.0, [0.0, 1.0, 0.0], 5, 7)
 
+    @pytest.mark.parametrize("vals", [
+        [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0], [-2.0, 0.0, 0.0, 5e-324], [0.0, math.nan, 0.0],
+        [math.nan, -0.0, math.nan], [-0.0, 1.0, -0.0, 2.0, -0.0],
+        [0.0, math.inf, -math.inf, 0.0]],
+        ids=["all-zero", "signed-zeros", "left-end", "right-end",
+             "both-ends", "nan-inside", "nan-at-the-ends",
+             "negative-zero-margins", "infinities"])
+    def test_support_indices_match_nonzero(self, vals):
+        # NaN counts as nonzero and -0.0 as zero, as for np.nonzero
+        nz = np.nonzero(np.array(vals))[0]
+        want = (int(nz[0]), int(nz[-1])) if nz.size else (-1, -1)
+        f = GridFunction(0.0, 0.5, vals)
+        assert (f.support_lo, f.support_hi) == want
+
     def test_eval_interpolates_and_vanishes_outside(self):
         f = GridFunction(0.0, 1.0, [0.0, 2.0, 0.0])
         assert f(0.5) == 1.0

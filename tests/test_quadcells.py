@@ -367,3 +367,30 @@ def test_contraction_decreases_energy(rng):
             ef = gagliardo_of_values(f.values, f.step, alpha)
             eg = gagliardo_of_values(g.values, g.step, alpha)
             assert eg <= ef + 1e-12
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.95])
+def test_form_computes_the_reference_terms_once(alpha, monkeypatch):
+    """For alpha > 1 the form takes ln K and tail(K) at the last lag from
+    one one-lag series call, not one per block; blocks given them equal
+    blocks that compute them, bit for bit."""
+    n = 4 * KEPT + 3
+    c = quadcells.increment_autocorr(_cos2_bump(n + 1))
+    assert c.size == n
+    series = quadcells._series
+    one_lag = []
+
+    def spy(start, stop, *args):
+        if stop - start == 1:
+            one_lag.append(start)
+        return series(start, stop, *args)
+
+    monkeypatch.setattr(quadcells, "_series", spy)
+    quadcells._increment_form(c, 2.0 / n, alpha)
+    assert one_lag == ([n - 1] if alpha > 1.0 else [])
+    if alpha > 1.0:
+        ref = quadcells._reference_terms(n, alpha)
+        for lo in range(0, n, KEPT):
+            hi = min(lo + KEPT, n)
+            given = quadcells._lag_weight_table(n, alpha, 2, lo, hi, ref)
+            fresh = quadcells._lag_weight_table(n, alpha, 2, lo, hi)
+            assert np.array_equal(given.view(np.int64), fresh.view(np.int64))
