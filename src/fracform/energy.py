@@ -29,7 +29,7 @@ import numpy as np
 
 from .fourier import discrete_fourier
 from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, grid_nodes,
-                    is_boolean, is_count)
+                    is_count, refuse_booleans)
 from .ladder import is_erased_function
 from .quadcells import _increment_form
 
@@ -72,9 +72,7 @@ class EnergyParams:
     c_of_alpha: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "c_of_alpha"):
-            if is_boolean(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, not a boolean")
+        refuse_booleans(alpha=self.alpha, c_of_alpha=self.c_of_alpha)
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.c_of_alpha is not None \

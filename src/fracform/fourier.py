@@ -35,23 +35,22 @@ Everything but the deconvolution, the FFT and the tap loop depends on the
 trimmed grid and the frequencies only, not on the samples: K, tau, each
 frequency's first tap, its phase e^(i xi x_c) and hat factor
 (h / sqrt(2 pi)) sinc^2(xi h / 2), and the 24 M tap weights.  Together they
-make a frequency plan.  A plan is kept the second time its key (trimmed node
-count, step, origin, frequency bytes) is seen, for sets of at most 2^12
-frequencies, at most 8 plans, the least recently used going first: 232
-bytes per frequency with its weight rows, ~0.9 MiB per plan and 7.25 MiB at
-most.  Any other plan is built for its one call without weight rows, and its
-tap loop computes each tap's weights into one M-sized buffer.  On a 2-core
-x86-64 machine a 2048-frequency call on 257-1025 nodes takes ~0.25-0.4 ms
-from a kept plan and ~0.5-0.8 ms without one; the results are the same bits
+make a frequency plan.  Plans of sets of at most 2^11 frequencies are kept
+in a plain least-recently-used cache of 16 plans, keyed by (trimmed node
+count, step, origin, frequency shape and bytes): 232 bytes per frequency
+with the weight rows, ~0.45 MiB per plan and 7.25 MiB at most.  A larger
+set gets a plan for its one call without weight rows, and its tap loop
+computes each tap's weights into one M-sized buffer.  On a 2-core x86-64
+machine a 2048-frequency call on 257-1025 nodes takes ~0.25-0.4 ms from a
+kept plan and ~0.5-0.8 ms without one; the results are the same bits
 either way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +64,8 @@ _TAPS = 24  # Gaussian gridding taps per frequency
 # Plans of up to _PLAN_FREQS frequencies are kept, at most _KEPT_PLANS: 232
 # bytes per frequency (24 weight rows, tap starts, hat factors and the key's
 # frequency bytes of 8 bytes, phases of 16), so 7.25 MiB in the worst case.
-# The last _SEEN_KEYS keys seen once are remembered by hash.
-_PLAN_FREQS = 1 << 12
-_KEPT_PLANS = 8
-_SEEN_KEYS = 64
+_PLAN_FREQS = 1 << 11
+_KEPT_PLANS = 16
 
 
 @dataclass(frozen=True)
@@ -88,30 +85,30 @@ class FourierTable:
 
 
 class _FrequencyPlan:
-    """The frequency side of the gridding sum for one trimmed grid and one
-    frequency array (module notes): the FFT size K and Gaussian width tau,
-    the first tap's grid point floor(xi h mod 2 pi * K / 2 pi) - 11 mod K,
-    the phase and the hat factor.  A kept plan also holds the ``_TAPS``
+    """The frequency side of the gridding sum for one frequency array and
+    one trimmed grid of n nodes from ``origin`` with ``step`` h (module
+    notes): the FFT size K and Gaussian width tau, the first tap's grid
+    point floor(xi h mod 2 pi * K / 2 pi) - 11 mod K, the phase and the hat
+    factor.  A kept plan also holds the ``_TAPS``
     weight rows; any other computes each tap's row when the tap loop
     reaches it.  Every array is read-only."""
 
-    def __init__(self, g: GridFunction, xi: np.ndarray, keep: bool):
-        n = g.values.size
+    def __init__(self, n: int, step: float, origin: float, xi: np.ndarray,
+                 keep: bool):
         j0 = n // 2
         self.size = 1 << (max(3 * n, 2 * _TAPS) - 1).bit_length()
         self.tau = _TAPS * math.pi / (self.size * (2 * self.size - n))
         # xi h is reduced before the floor, so no finite xi overflows the index
-        pos = np.mod(xi * g.step, 2.0 * math.pi) * (self.size
-                                                     / (2.0 * math.pi))
+        pos = np.mod(xi * step, 2.0 * math.pi) * (self.size
+                                                   / (2.0 * math.pi))
         cell = np.floor(pos)
         self._frac = pos - cell
         # (2 pi / K)^2 / (4 tau)
         self._c = math.pi ** 2 / (self.size * self.size * self.tau)
         self.start = (cell.astype(np.intp) - (_TAPS // 2 - 1)) % self.size
-        self.phase = np.exp(1j * (xi * (g.origin + j0 * g.step)))
-        h = g.step
-        self.hat = (h / math.sqrt(2.0 * math.pi)) * np.sinc(
-            xi * h / (2.0 * math.pi)) ** 2
+        self.phase = np.exp(1j * (xi * (origin + j0 * step)))
+        self.hat = (step / math.sqrt(2.0 * math.pi)) * np.sinc(
+            xi * step / (2.0 * math.pi)) ** 2
         self.rows = None
         if keep:
             self.rows = np.empty((_TAPS,) + xi.shape)
@@ -141,65 +138,14 @@ class _FrequencyPlan:
                                               _TAPS))
 
 
-_PlanCacheInfo = namedtuple("_PlanCacheInfo",
-                            "hits misses kept kept_bytes")
-
-
-class _PlanCache:
-    """Frequency plans kept by (trimmed node count, step, origin, frequency
-    shape and bytes): a plan of at most _PLAN_FREQS frequencies is kept the
-    second time its key is seen, and at most _KEPT_PLANS are kept, the
-    least recently used going first.  A plan not kept is built for its one
-    call without weight rows."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.cache_clear()
-
-    def plan(self, g: GridFunction, xi: np.ndarray) -> _FrequencyPlan:
-        if xi.size > _PLAN_FREQS:
-            with self._lock:
-                self._misses += 1
-            return _FrequencyPlan(g, xi, keep=False)
-        key = (g.values.size, g.step, g.origin, xi.shape, xi.tobytes())
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self._hits += 1
-                return plan
-            self._misses += 1
-            seen = hash(key)
-            keep = self._seen.pop(seen, False)
-            if not keep:
-                self._seen[seen] = True
-                if len(self._seen) > _SEEN_KEYS:
-                    self._seen.popitem(last=False)
-        plan = _FrequencyPlan(g, xi, keep)
-        if keep:
-            with self._lock:
-                self._plans[key] = plan
-                self._plans.move_to_end(key)
-                if len(self._plans) > _KEPT_PLANS:
-                    self._plans.popitem(last=False)
-        return plan
-
-    def cache_info(self) -> _PlanCacheInfo:
-        with self._lock:
-            return _PlanCacheInfo(
-                self._hits, self._misses, len(self._plans),
-                sum(len(k[-1]) + p.rows.nbytes + p.start.nbytes
-                    + p.phase.nbytes + p.hat.nbytes
-                    for k, p in self._plans.items()))
-
-    def cache_clear(self):
-        with self._lock:
-            self._plans = OrderedDict()
-            self._seen = OrderedDict()
-            self._hits = self._misses = 0
-
-
-_plans = _PlanCache()
+@functools.lru_cache(maxsize=_KEPT_PLANS)
+def _kept_plan(n: int, step: float, origin: float, shape: tuple,
+               xi_bytes: bytes) -> _FrequencyPlan:
+    """The plan with weight rows of the frequencies ``xi_bytes`` (float64, of
+    ``shape``) on the trimmed grid of n nodes from ``origin`` with
+    ``step``."""
+    xi = np.frombuffer(xi_bytes).reshape(shape)
+    return _FrequencyPlan(n, step, origin, xi, keep=True)
 
 
 def _grid_sum(g: GridFunction, plan: _FrequencyPlan) -> np.ndarray:
@@ -253,7 +199,11 @@ def transform_at(f: GridFunction, xi) -> np.ndarray:
     if f.is_zero:
         return np.zeros(xi.shape, dtype=complex)
     g = f.trimmed(margin=0)
-    plan = _plans.plan(g, xi)
+    grid = (g.values.size, g.step, g.origin)
+    if xi.size <= _PLAN_FREQS:
+        plan = _kept_plan(*grid, xi.shape, xi.tobytes())
+    else:
+        plan = _FrequencyPlan(*grid, xi, keep=False)
     return plan.hat * _grid_sum(g, plan)
 
 

@@ -55,6 +55,13 @@ def is_boolean(v) -> bool:
     return isinstance(v, (bool, np.bool_))
 
 
+def refuse_booleans(**values):
+    """Raise ValueError naming the first real parameter given a boolean."""
+    for name, v in values.items():
+        if is_boolean(v):
+            raise ValueError(f"{name} must be a number, not a boolean")
+
+
 def grid_size(lo: float, hi: float, step: float) -> int:
     """The node count of ``grid_nodes(lo, hi, step)``, after the same
     refusals, without building the nodes."""
@@ -122,9 +129,7 @@ class GridFunction:
     support_hi: int = field(init=False)
 
     def __post_init__(self):
-        if is_boolean(self.origin) or is_boolean(self.step):
-            raise ValueError(f"grid origin and step must be numbers, not "
-                             f"booleans; got {self.origin!r}, {self.step!r}")
+        refuse_booleans(origin=self.origin, step=self.step)
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError(f"grid step must be positive and finite, got {self.step}")
         if not math.isfinite(self.origin):

@@ -22,7 +22,8 @@ import numpy as np
 
 from .energy import DIVERGENT, EnergyReport, _require_compact, \
     _without_overflow
-from .grids import GridFunction, PlateauSpec, _json_float, make_plateau
+from .grids import (GridFunction, PlateauSpec, _json_float, make_plateau,
+                    refuse_booleans)
 from .quadcells import _increment_form, rho_profile
 
 __all__ = [
@@ -47,6 +48,7 @@ class PowerLawDensity:
     coefficient: float = 1.0
 
     def __post_init__(self):
+        refuse_booleans(alpha=self.alpha, coefficient=self.coefficient)
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"power-law exponent must lie in (0, 2), "
                              f"got {self.alpha}")
@@ -65,10 +67,12 @@ class LevyTriplet:
     density: PowerLawDensity | None = None
 
     def __post_init__(self):
+        refuse_booleans(sigma=self.sigma)
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("Gaussian coefficient must be finite and >= 0")
         atoms = []
         for x, m in self.atoms:
+            refuse_booleans(atom_position=x, atom_mass=m)
             x = float(x)
             m = float(m)
             if not 0.0 < x < math.inf:

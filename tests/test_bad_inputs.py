@@ -26,8 +26,9 @@ import pytest
 
 import fracform.energy
 import fracform.ladder
-from fracform import (FatCantorSpec, GridFunction, IntervalSet, PlateauSpec,
-                      StepFunction, build_fat_cantor, bv_fourier_bound_check,
+from fracform import (FatCantorSpec, GridFunction, IntervalSet, LevyTriplet,
+                      PlateauSpec, PowerLawDensity, StepFunction,
+                      build_fat_cantor, bv_fourier_bound_check,
                       calibrate_c_of_alpha, capacity_estimate, compose_scale,
                       concentration_test, discrete_fourier,
                       epsilon_contraction, fourier_energy,
@@ -128,6 +129,19 @@ CALLS = {
         lambda v: ladder_decompose(_bump(), max_nodes=v)),
     "ladder_decompose-sup_tol": (BOOLEANS,
                                  lambda v: ladder_decompose(_bump(), 8, v)),
+    # True was read as 1, a valid alpha, budget, coefficient, sigma, atom
+    # position and mass (a_log = 1 was refused only by its range)
+    "FatCantorSpec-alpha": (BOOLEANS, lambda v: FatCantorSpec(v, 0.1)),
+    "FatCantorSpec-budget": (BOOLEANS, lambda v: FatCantorSpec(1.5, v)),
+    "FatCantorSpec-a_log": (BOOLEANS, lambda v: FatCantorSpec(1.0, 0.1, v)),
+    "PowerLawDensity-alpha": (BOOLEANS, lambda v: PowerLawDensity(v)),
+    "PowerLawDensity-coefficient": (BOOLEANS,
+                                    lambda v: PowerLawDensity(0.5, v)),
+    "LevyTriplet-sigma": (BOOLEANS, lambda v: LevyTriplet(sigma=v)),
+    "LevyTriplet-atom-position": (BOOLEANS,
+                                  lambda v: LevyTriplet(atoms=((v, 1.0),))),
+    "LevyTriplet-atom-mass": (BOOLEANS,
+                              lambda v: LevyTriplet(atoms=((1.0, v),))),
     "build_fat_cantor-n_intervals": (COUNTS, lambda v: build_fat_cantor(
         FatCantorSpec(alpha=1.5, budget=0.1), v)),
     "LadderTree.partial_sum-k": (COUNTS, lambda v: _tree().partial_sum(v)),

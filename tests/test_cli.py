@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import traceback
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,14 +161,9 @@ BAD_INPUTS = {
     "levy-overflowing-symbol": ["levy", "--sigma", "1", "--xi-max", "1e300"],
 }
 
-# cases that would allocate far more than the address-space cap
-HUGE_GRIDS = {"capacity-tiny-step", "bump-overflow", "bump-huge-width",
-              "plateau-huge-top", "levy-huge-n-xi", "scale-huge-count",
-              "scale-huge-spec-count", "scale-tiny-step", "ladder-tiny-step"}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_is_one_error_line(case, tmp_path):
+def _bad_input_files(root) -> dict:
+    """Write the input files of the BAD_INPUTS cases into ``root``; return
+    name -> path."""
     grid = {"origin": 0.0, "step": 0.5, "values": [0.0, 1.0, 0.0]}
     files = {
         "short_csv": "0,0\n0.1,1\n0.2\n0.3,0\n",
@@ -184,18 +183,70 @@ def test_bad_input_is_one_error_line(case, tmp_path):
     }
     paths = {}
     for name, text in files.items():
-        paths[name] = tmp_path / name
+        paths[name] = Path(root) / name
         paths[name].write_text(text, encoding="utf-8")
-    args = [a.format(**paths) for a in BAD_INPUTS[case]]
-    if case in HUGE_GRIDS:
-        out = run_cli(args + ["--out-dir", str(tmp_path)],
-                      env={**os.environ, **SINGLE_THREAD},
-                      preexec_fn=_cap_address_space)
-    else:
-        out = run_cli(args + ["--out-dir", str(tmp_path)])
-    assert out.returncode == 1
-    lines = out.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    return paths
+
+
+def _run_main(args) -> tuple:
+    """(exit code, stderr, name of an escaped exception or None) of
+    ``fracform.cli.main(args)`` in this process, as a fresh
+    ``python -m fracform.cli`` would give them: an escaped exception exits
+    with 1 and a traceback.  Warnings are shown afresh for each call."""
+    from fracform.cli import main
+    err = io.StringIO()
+    escaped = None
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        try:
+            code = main(args)
+        except SystemExit as exc:                      # argparse
+            code = exc.code
+        except BaseException as exc:                   # noqa: BLE001
+            escaped = type(exc).__name__
+            traceback.print_exc()
+            code = 1
+    return code or 0, err.getvalue(), escaped
+
+
+def bad_input_outcomes(root) -> dict:
+    """Case -> ``_run_main`` of every BAD_INPUTS case, with the input files
+    and one out-dir per case under ``root``."""
+    paths = _bad_input_files(root)
+    out = {}
+    for case, template in BAD_INPUTS.items():
+        out_dir = Path(root) / "out" / case
+        out_dir.mkdir(parents=True)
+        args = [a.format(**paths) for a in template]
+        out[case] = _run_main(args + ["--out-dir", str(out_dir)])
+    return out
+
+
+@pytest.fixture(scope="module")
+def bad_input_runs(tmp_path_factory):
+    """Every BAD_INPUTS case, run in one child process under the 1 GiB
+    address-space cap with one BLAS thread, so that a case that would
+    allocate tens of GiB fails fast with MemoryError."""
+    root = tmp_path_factory.mktemp("bad-inputs")
+    here = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, test_cli\n"
+            "print(json.dumps(test_cli.bad_input_outcomes(sys.argv[1])))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(root)],
+                          capture_output=True, text=True,
+                          env={**os.environ, **SINGLE_THREAD,
+                               "PYTHONPATH": path},
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_error_line(case, bad_input_runs):
+    code, stderr, escaped = bad_input_runs[case]
+    assert code == 1, escaped
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
 
 
 @pytest.mark.parametrize("domain", ["2", "nan,2", "3,1", "0,1,2", "a,b"])

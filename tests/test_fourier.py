@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -212,20 +213,36 @@ def _same_bits(a, b):
 
 @pytest.fixture
 def plans():
-    fourier._plans.cache_clear()
-    yield fourier._plans
-    fourier._plans.cache_clear()
+    fourier._kept_plan.cache_clear()
+    yield fourier._kept_plan
+    fourier._kept_plan.cache_clear()
+
+
+def _rowless_transform(f, xi):
+    """transform_at through a plan built for the one call, without weight
+    rows, as for a set too large to keep."""
+    g = f.trimmed(margin=0)
+    plan = fourier._FrequencyPlan(g.values.size, g.step, g.origin, xi,
+                                  keep=False)
+    return plan.hat * fourier._grid_sum(g, plan)
+
+
+def _kept_plans():
+    """The plans alive once every other reference is gone: the kept ones."""
+    gc.collect()
+    return [o for o in gc.get_objects()
+            if isinstance(o, fourier._FrequencyPlan)]
 
 
 # 24 weight rows, tap starts, hat factors and the key's frequency bytes of 8
-# bytes, phases of 16, per frequency; 8 plans of at most 2^12 frequencies
+# bytes, phases of 16, per frequency; 16 plans of at most 2^11 frequencies
 PLAN_BYTES_PER_FREQ = 24 * 8 + 8 + 16 + 8 + 8
-KEPT_PLAN_BOUND = 8 * (1 << 12) * PLAN_BYTES_PER_FREQ
+KEPT_PLAN_BOUND = 16 * (1 << 11) * PLAN_BYTES_PER_FREQ
 
 
 class TestKeptPlan:
     """transform_at keeps the frequency side of the gridding sum of a
-    (trimmed grid, frequency set) pair seen twice."""
+    (trimmed grid, frequency set) pair in a least-recently-used cache."""
 
     @pytest.mark.parametrize("n", [257, 513, 1025])
     def test_calls_are_bit_identical_kept_or_not(self, plans, n):
@@ -233,36 +250,57 @@ class TestKeptPlan:
         for xi in (np.linspace(-200.0, 200.0, 2048),
                    np.geomspace(0.5, 200.0, 2048)):
             plans.cache_clear()
-            first = transform_at(f, xi)         # no weight rows
-            second = transform_at(f, xi)        # kept, rows built
-            third = transform_at(f, xi)         # read from the kept plan
-            assert plans.cache_info()[:3] == (1, 2, 1)
-            plans.cache_clear()
-            for again in (second, third, transform_at(f, xi)):
-                assert _same_bits(again, first)
+            first = transform_at(f, xi)         # kept, rows built
+            second = transform_at(f, xi)        # read from the kept plan
+            third = transform_at(f, xi)
+            assert plans.cache_info()[:2] == (2, 1)
+            want = _rowless_transform(f, xi)
+            for got in (first, second, third):
+                assert _same_bits(got, want)
 
-    def test_counters_follow_the_calls(self, plans):
-        f = sample_bump(step=1.0 / 64.0)
-        xi = np.linspace(-20.0, 20.0, 33)
-        seen = []
-        for call in (xi, xi, xi, np.linspace(-20.0, 20.0, 4097),
-                     np.linspace(-20.0, 20.0, 4097), xi):
-            transform_at(f, call)
-            seen.append(plans.cache_info())
-        assert [i[:3] for i in seen] == [(0, 1, 0), (0, 2, 1), (1, 2, 1),
-                                         (1, 3, 1), (1, 4, 1), (2, 4, 1)]
-        assert seen[-1].kept_bytes == 33 * PLAN_BYTES_PER_FREQ
-        transform_at(f.scaled(0.0), xi)         # the zero function: no plan
-        assert plans.cache_info() == seen[-1]
-        plans.cache_clear()
-        assert plans.cache_info() == (0, 0, 0, 0)
+    def test_sweep_traffic_keeps_its_repeated_keys(self, plans):
+        # a spectral sweep round: 6 repeated keys (3 grids, each with a
+        # uniform and a scattered 2048-frequency set), then 3 one-shot bv
+        # keys at a random origin and step with 400 frequencies
+        rng = np.random.default_rng(11)
+        fs = [_random_grid_function(n, rng) for n in (257, 513, 1025)]
+        sets = (np.linspace(-200.0, 200.0, 2048),
+                np.geomspace(0.5, 200.0, 2048))
+        bv = np.concatenate([-np.geomspace(1.0, 200.0, 200)[::-1],
+                             np.geomspace(1.0, 200.0, 200)])
+        for sweep in range(5):
+            for f in fs:
+                for xi in sets:
+                    hits = plans.cache_info().hits
+                    transform_at(f, xi)
+                    assert plans.cache_info().hits == hits + (sweep > 0)
+            for _ in range(3):
+                g = GridFunction(rng.uniform(-1.0, 1.0),
+                                 rng.uniform(0.005, 0.02),
+                                 rng.standard_normal(200))
+                transform_at(g, bv)
+        assert plans.cache_info()[:2] == (24, 21)
+        assert plans.cache_info().currsize == 16
+
+    def test_kept_plans_stay_within_their_bound(self, plans):
+        assert KEPT_PLAN_BOUND <= 7.25 * 2 ** 20
+        f = sample_bump(step=1.0 / 32.0)
+        grid = np.linspace(-20.0, 20.0, 1 << 11)
+        for i in range(40):
+            transform_at(f, grid + i)
+        assert plans.cache_info()[1:] == (40, 16, 16)
+        kept = _kept_plans()
+        assert len(kept) == 16
+        kept_bytes = sum(p.rows.nbytes + p.start.nbytes + p.phase.nbytes
+                         + p.hat.nbytes + 8 * p.start.size for p in kept)
+        assert kept_bytes <= KEPT_PLAN_BOUND
 
     def test_kept_arrays_are_read_only(self, plans):
         f = sample_bump(step=1.0 / 64.0)
         g, xi = f.trimmed(margin=0), np.linspace(-20.0, 20.0, 33)
-        plans.plan(g, xi)
-        plan = plans.plan(g, xi)
-        assert plans.plan(g, xi) is plan
+        key = (g.values.size, g.step, g.origin, xi.shape, xi.tobytes())
+        plan = plans(*key)
+        assert plans(*key) is plan
         for a in (plan.rows, plan.start, plan.phase, plan.hat):
             assert not a.flags.writeable
 
@@ -282,30 +320,13 @@ class TestKeptPlan:
         others = (GridFunction(f.origin + 0.125, f.step, f.values),
                   GridFunction(f.origin, 2.0 * f.step, f.values),
                   GridFunction(f.origin, f.step, np.append(f.values, 1.0)))
-        want = []
-        for g in others:
-            want.append(transform_at(g, xi))
-        plans.cache_clear()
+        want = [_rowless_transform(g, xi) for g in others]
         for _ in range(2):
             transform_at(f, xi)
         for g, w in zip(others, want):
             for _ in range(3):
                 assert _same_bits(transform_at(g, xi), w)
-        assert plans.cache_info().kept == 4
-
-    def test_one_shot_keys_are_never_kept(self, plans):
-        f = sample_bump(step=1.0 / 32.0)
-        grid = np.linspace(-20.0, 20.0, 1 << 12)
-        for i in range(50):
-            transform_at(f, grid + i)
-        assert plans.cache_info()[1:] == (50, 0, 0)
-        for i in range(50):
-            for _ in range(2):
-                transform_at(f, grid - i)
-        info = plans.cache_info()
-        assert info.kept == 8
-        assert info.kept_bytes == KEPT_PLAN_BOUND
-        assert KEPT_PLAN_BOUND < 7.3 * 2 ** 20
+        assert plans.cache_info().currsize == 4
 
     def test_large_sets_build_no_weight_table(self, plans):
         import tracemalloc
@@ -322,22 +343,18 @@ class TestKeptPlan:
         # the 24 weight rows alone would be 192 bytes per frequency; the
         # call measures ~118 (FFT grid, buffers, plan and result)
         assert peak <= 150 * xi.size
-        assert plans.cache_info()[1:] == (3, 0, 0)
+        assert plans.cache_info() == (0, 0, 16, 0)
 
     def test_threads_get_the_one_thread_arrays(self, plans):
-        # 12 keys against 8 kept plans, so threads also race evictions
+        # 20 keys against 16 kept plans, so threads also race evictions
         import sys
         import threading
         rng = np.random.default_rng(7)
-        fs = [_random_grid_function(n, rng) for n in (65, 129, 257)]
+        fs = [_random_grid_function(n, rng) for n in (33, 65, 129, 257, 513)]
         sets = [np.linspace(-50.0, 50.0, 256), np.geomspace(0.5, 50.0, 256),
                 np.linspace(-30.0, 40.0, 200), rng.uniform(-40.0, 40.0, 300)]
         pairs = [(i, j) for i in range(len(fs)) for j in range(len(sets))]
-        want = {}
-        for i, j in pairs:
-            plans.cache_clear()
-            want[i, j] = transform_at(fs[i], sets[j])
-        plans.cache_clear()
+        want = {(i, j): _rowless_transform(fs[i], sets[j]) for i, j in pairs}
         wrong = []
 
         def work(seed):
@@ -360,7 +377,7 @@ class TestKeptPlan:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         info = plans.cache_info()
-        assert info.hits + info.misses == 240 and info.kept <= 8
+        assert info.hits + info.misses == 240 and info.currsize <= 16
 
 
 def test_exactness_against_quadrature():
@@ -382,8 +399,11 @@ def _random_grid_function(n, rng, origin=-0.3, span=1.3):
 
 
 def _phase_sum(f, xi):
-    """sum_j v_j e^(i xi_k x_j) by the gridding sum, through f's plan."""
-    return fourier._grid_sum(f, fourier._plans.plan(f, xi))
+    """sum_j v_j e^(i xi_k x_j) by the gridding sum, through a plan for f's
+    grid built for the one call."""
+    plan = fourier._FrequencyPlan(f.values.size, f.step, f.origin, xi,
+                                  keep=False)
+    return fourier._grid_sum(f, plan)
 
 
 def _explicit_sum(g, xi):
