@@ -89,9 +89,9 @@ class _FrequencyPlan:
     one trimmed grid of n nodes from ``origin`` with ``step`` h (module
     notes): the FFT size K and Gaussian width tau, the first tap's grid
     point floor(xi h mod 2 pi * K / 2 pi) - 11 mod K, the phase and the hat
-    factor.  A kept plan also holds the ``_TAPS``
-    weight rows; any other computes each tap's row when the tap loop
-    reaches it.  Every array is read-only."""
+    factor.  A kept plan also holds the ``_TAPS`` weight rows; any other
+    computes each tap's row when the tap loop reaches it.  Every array is
+    read-only."""
 
     def __init__(self, n: int, step: float, origin: float, xi: np.ndarray,
                  keep: bool):

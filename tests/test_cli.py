@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracform.cli import emit_table, parse_function_literal
+from fracform.cli import emit_table, main, parse_function_literal
 from fracform.grids import GridFunction, StepFunction
 from fracform.verify import VerdictRecord
 
@@ -193,7 +193,6 @@ def _run_main(args) -> tuple:
     ``fracform.cli.main(args)`` in this process, as a fresh
     ``python -m fracform.cli`` would give them: an escaped exception exits
     with 1 and a traceback.  Warnings are shown afresh for each call."""
-    from fracform.cli import main
     err = io.StringIO()
     escaped = None
     with contextlib.redirect_stdout(io.StringIO()), \

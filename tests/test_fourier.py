@@ -289,6 +289,8 @@ class TestKeptPlan:
         for i in range(40):
             transform_at(f, grid + i)
         assert plans.cache_info()[1:] == (40, 16, 16)
+        transform_at(f, np.linspace(-20.0, 20.0, (1 << 11) + 1))
+        assert plans.cache_info()[1:] == (40, 16, 16)   # too large to keep
         kept = _kept_plans()
         assert len(kept) == 16
         kept_bytes = sum(p.rows.nbytes + p.start.nbytes + p.phase.nbytes
