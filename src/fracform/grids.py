@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
@@ -38,9 +39,10 @@ _INF = float("inf")
 # from ``grid_nodes``, and ``discrete_fourier`` caps its frequency count here.
 # The capacity solve holds about ten float64 arrays of n entries and complex
 # spectra of 2n, ~0.5 GiB at 2^22.  A first grid energy peaks at ~40 bytes
-# per support node above the samples (the increments, the 2n-point FFT
-# buffer and its spectrum), ~0.16 GiB at 2^22, and keeps 8 bytes per node;
-# a later exponent adds ~0.6 MiB of lag-weight blocks at any size.
+# per support node above the samples (the increments, and the FFT buffers
+# of the two halves of the increments, n points each, with their spectra),
+# ~0.16 GiB at 2^22, and keeps 8 bytes per node; a later exponent adds
+# ~0.6 MiB of lag-weight blocks at any size.
 MAX_GRID_NODES = 1 << 22
 
 
@@ -60,6 +62,16 @@ def refuse_booleans(**values):
     for name, v in values.items():
         if is_boolean(v):
             raise ValueError(f"{name} must be a number, not a boolean")
+
+
+def real_number(name: str, v) -> float:
+    """v as a Python float; ValueError naming ``name`` for a boolean and for
+    anything but a real number (an int or float, Python or numpy): a
+    string, an array, a complex number."""
+    refuse_booleans(**{name: v})
+    if not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 def grid_size(lo: float, hi: float, step: float) -> int:

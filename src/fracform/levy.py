@@ -23,7 +23,7 @@ import numpy as np
 from .energy import DIVERGENT, EnergyReport, _require_compact, \
     _without_overflow
 from .grids import (GridFunction, PlateauSpec, _json_float, make_plateau,
-                    refuse_booleans)
+                    real_number, refuse_booleans)
 from .quadcells import _increment_form, rho_profile
 
 __all__ = [
@@ -71,10 +71,14 @@ class LevyTriplet:
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("Gaussian coefficient must be finite and >= 0")
         atoms = []
-        for x, m in self.atoms:
-            refuse_booleans(atom_position=x, atom_mass=m)
-            x = float(x)
-            m = float(m)
+        for atom in self.atoms:
+            # a string would unpack character by character
+            pair = () if isinstance(atom, (str, bytes)) else atom
+            try:
+                x, m = (real_number("atom", v) for v in pair)
+            except (TypeError, ValueError):
+                raise ValueError(f"an atom is a pair (position, mass) of real "
+                                 f"numbers, got {atom!r}") from None
             if not 0.0 < x < math.inf:
                 raise ValueError("atoms are stored at finite x > 0 and "
                                  "mirrored")

@@ -22,10 +22,15 @@ B(tau/h - m) exactly, four terms per lag: rho = 2 (A(0) - A(tau)) (see
 rho_profile), and h B(0), h B(1) are the capacity operator's Gram row.
 
 The form splits in two.  increment_autocorr gives c_k = sum_i d_i d_(i+k),
-which does not depend on alpha (one zero-padded real FFT at every size,
-its power spectrum squared in place); _increment_form dots c with one
-alpha's lag weights.  GridFunction.increment_autocorr keeps c, so a
-function evaluated at several exponents correlates once.  The lag weights
+which does not depend on alpha; _increment_form dots c with one alpha's
+lag weights.  Up to 2^13 increments c is one zero-padded real FFT, its
+power spectrum squared in place.  Beyond, it is correlated by halves
+(Stockham's sectioned correlation, AFIPS 1966): the two halves' FFTs of
+half the size run side by side, one on a helper thread started and joined
+within the call (numpy's FFT releases the GIL), or both on the caller's
+thread when one core is usable; the bits are the same either way.
+GridFunction.increment_autocorr keeps c, so a function evaluated at
+several exponents correlates once.  The lag weights
 depend only on the lag count, alpha and the order, not on the data: the
 read-only tables of up to 2^13 lags are kept in one least-recently-used
 cache of 128 tables, so a repeated (lag count, alpha, order) skips the
@@ -34,7 +39,8 @@ table is never kept: the form takes it in blocks of 2^13 lags (64 KiB),
 each computed and dotted with its slice of c while it sits in cache, so
 an energy at a new alpha allocates a few blocks beyond c.  A first energy
 of n support nodes peaks at about 40 bytes per node above the samples
-(the increments, the 2n-point FFT buffer and its spectrum), and c keeps 8.
+(the increments, the FFT buffers and their spectra: one 2n-point buffer,
+or two n-point ones for the halves), and c keeps 8.
 Only hat_energy_row, whose capacity solve needs the whole row, builds a
 long table whole.
 
@@ -50,6 +56,8 @@ whole-array passes remain of thirty.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 
 import numpy as np
 
@@ -67,13 +75,16 @@ _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 
 # Lag-weight tables of up to _KEPT_LAGS lags are kept, at most _KEPT_TABLES
 # of them: 8 MiB of float64 in the worst case.  The form takes longer tables
-# in blocks of _KEPT_LAGS lags.
+# in blocks of _KEPT_LAGS lags, and more than _KEPT_LAGS slopes are
+# correlated by halves (_split_autocorr).
 _KEPT_LAGS = 1 << 13
 _KEPT_TABLES = 128
 
 
 def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     """c_k = sum_i s_i s_{i+k} for k = 0 .. len(s)-1."""
+    if s.size > _KEPT_LAGS:
+        return _split_autocorr(s)
     if s.size == 0:
         return np.zeros(1)
     # the zero padding is written here, so numpy makes no padded copy; the
@@ -92,6 +103,86 @@ def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     # of buffer and spectrum; the copy does not keep the buffer alive
     del spec, re, im
     return buf[:s.size].copy()
+
+
+def _split_autocorr(s: np.ndarray) -> np.ndarray:
+    """_slope_autocorr from the halves s1 = s[:h] and s2 = s[h:],
+    h = ceil(m/2) of m slopes, each zero-padded to N = 2^ceil(log2(2h-1))
+    points, half the size of one whole transform (Stockham's sectioned
+    correlation).  With S1, S2 their spectra, irfft(|S1|^2 + |S2|^2) is the
+    halves' autocorrelations summed, a_k at lags 0 .. h-1, and
+    irfft(conj(S1) S2) holds x_j = sum_i s1_i s2_(i+j) at index j mod N for
+    -(h-1) <= j <= m-h-1, which N >= m - 1 keeps from wrapping; so
+    c_k = a_k + x_(k-h).  The halves' forward transforms run side by side,
+    and so do their inverses.
+
+    Every buffer is allocated on this thread.  The pads hold the power
+    spectrum's scratch and then the inverses, so the peak is the two pads
+    and two spectra, as large as one whole transform's buffer and spectrum:
+    32 bytes per slope at m = 2^k - 1, 64 just above 2^k.
+    """
+    m = s.size
+    h = (m + 1) // 2
+    nfft = 1 << (2 * h - 2).bit_length()
+    pads = np.zeros((2, nfft))
+    pads[0, :h] = s[:h]
+    pads[1, :m - h] = s[h:]
+    specs = np.empty((2, nfft // 2 + 1), dtype=complex)
+    _side_by_side(functools.partial(np.fft.rfft, pads[0], out=specs[0]),
+                  functools.partial(np.fft.rfft, pads[1], out=specs[1]))
+    s1, s2 = specs
+    sq, tmp = pads[:, :s1.size]
+    np.multiply(s2.real, s2.real, out=sq)
+    np.multiply(s2.imag, s2.imag, out=tmp)
+    sq += tmp
+    np.conjugate(s1, out=s1)
+    s2 *= s1                            # conj(S1) S2
+    re, im = s1.real, s1.imag
+    re *= re
+    im *= im
+    re += im
+    re += sq                            # |S1|^2 + |S2|^2
+    im[:] = 0.0
+    _side_by_side(functools.partial(np.fft.irfft, s1, nfft, out=pads[0]),
+                  functools.partial(np.fft.irfft, s2, nfft, out=pads[1]))
+    del specs, s1, s2, re, im           # so the copy does not raise the peak
+    a, x = pads
+    a[h:m] = x[:m - h]
+    a[1:h] += x[nfft - h + 1:]
+    return a[:m].copy()
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _side_by_side(first, second):
+    """Run first() on a helper thread while this thread runs second(), or
+    both here when only one core is usable.  The helper is joined, and an
+    exception it raised is raised here, before this returns."""
+    if _usable_cores() < 2:
+        first()
+        second()
+        return
+    failed = []
+
+    def helper():
+        try:
+            first()
+        except BaseException as exc:    # noqa: BLE001 - raised on the caller
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        second()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _expm1_ratio(a: float, x):

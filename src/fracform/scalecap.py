@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (GridFunction, IntervalSet, grid_nodes, grid_size,
-                    is_boolean, is_count, refuse_booleans)
+                    is_boolean, is_count, real_number)
 from .quadcells import gagliardo_of_values, hat_energy_row
 
 __all__ = [
@@ -152,8 +152,9 @@ class FatCantorSpec:
     a_log: float = 2.0
 
     def __post_init__(self):
-        refuse_booleans(alpha=self.alpha, budget=self.budget,
-                        a_log=self.a_log)
+        for name in ("alpha", "budget", "a_log"):
+            object.__setattr__(self, name,
+                               real_number(name, getattr(self, name)))
         if not 1.0 <= self.alpha < 2.0:
             raise ValueError(f"fat-Cantor construction needs alpha in [1, 2), "
                              f"got {self.alpha}")

@@ -56,6 +56,14 @@ DEPTHS = {**COUNTS, "huge": 10 ** 9, "past-float-range": 1100}
 FREQUENCIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 # a real parameter refuses booleans, as EnergyParams does: True was read as 1
 BOOLEANS = {"bool": True, "numpy-bool": np.bool_(True)}
+# a one-element array passed the range checks and was stored as the array
+NON_SCALARS = {**BOOLEANS, "one-element-array": np.array([1.5])}
+# a string atom was unpacked digit by digit, a string coordinate went
+# through float() and bytes unpacked to character codes
+ATOMS = {"string": "12", "bytes": b"12", "string-mass": (0.5, "2"),
+         "string-position": ("1", 2.0),
+         "array-position": (np.array([1.0]), 1.0),
+         "boolean-position": (True, 1.0), "three-numbers": (1.0, 2.0, 3.0)}
 
 
 def _scale():
@@ -131,9 +139,10 @@ CALLS = {
                                  lambda v: ladder_decompose(_bump(), 8, v)),
     # True was read as 1, a valid alpha, budget, coefficient, sigma, atom
     # position and mass (a_log = 1 was refused only by its range)
-    "FatCantorSpec-alpha": (BOOLEANS, lambda v: FatCantorSpec(v, 0.1)),
-    "FatCantorSpec-budget": (BOOLEANS, lambda v: FatCantorSpec(1.5, v)),
-    "FatCantorSpec-a_log": (BOOLEANS, lambda v: FatCantorSpec(1.0, 0.1, v)),
+    "FatCantorSpec-alpha": (NON_SCALARS, lambda v: FatCantorSpec(v, 0.1)),
+    "FatCantorSpec-budget": (NON_SCALARS, lambda v: FatCantorSpec(1.5, v)),
+    "FatCantorSpec-a_log": (NON_SCALARS,
+                            lambda v: FatCantorSpec(1.0, 0.1, v)),
     "PowerLawDensity-alpha": (BOOLEANS, lambda v: PowerLawDensity(v)),
     "PowerLawDensity-coefficient": (BOOLEANS,
                                     lambda v: PowerLawDensity(0.5, v)),
@@ -142,6 +151,7 @@ CALLS = {
                                   lambda v: LevyTriplet(atoms=((v, 1.0),))),
     "LevyTriplet-atom-mass": (BOOLEANS,
                               lambda v: LevyTriplet(atoms=((1.0, v),))),
+    "LevyTriplet-atom": (ATOMS, lambda v: LevyTriplet(atoms=(v,))),
     "build_fat_cantor-n_intervals": (COUNTS, lambda v: build_fat_cantor(
         FatCantorSpec(alpha=1.5, budget=0.1), v)),
     "LadderTree.partial_sum-k": (COUNTS, lambda v: _tree().partial_sum(v)),

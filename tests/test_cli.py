@@ -189,13 +189,13 @@ def _bad_input_files(root) -> dict:
 
 
 def _run_main(args) -> tuple:
-    """(exit code, stderr, name of an escaped exception or None) of
+    """(exit code, stdout, stderr, name of an escaped exception or None) of
     ``fracform.cli.main(args)`` in this process, as a fresh
     ``python -m fracform.cli`` would give them: an escaped exception exits
     with 1 and a traceback.  Warnings are shown afresh for each call."""
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     escaped = None
-    with contextlib.redirect_stdout(io.StringIO()), \
+    with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err), warnings.catch_warnings():
         try:
             code = main(args)
@@ -205,7 +205,7 @@ def _run_main(args) -> tuple:
             escaped = type(exc).__name__
             traceback.print_exc()
             code = 1
-    return code or 0, err.getvalue(), escaped
+    return code or 0, out.getvalue(), err.getvalue(), escaped
 
 
 def bad_input_outcomes(root) -> dict:
@@ -242,7 +242,7 @@ def bad_input_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_error_line(case, bad_input_runs):
-    code, stderr, escaped = bad_input_runs[case]
+    code, _, stderr, escaped = bad_input_runs[case]
     assert code == 1, escaped
     lines = stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
@@ -250,12 +250,12 @@ def test_bad_input_is_one_error_line(case, bad_input_runs):
 
 @pytest.mark.parametrize("domain", ["2", "nan,2", "3,1", "0,1,2", "a,b"])
 def test_capacity_domain_needs_two_ordered_numbers(domain, tmp_path):
-    out = run_cli(["capacity", "--target", "[[0.2, 0.4]]", "--alpha-star",
-                   "0.5", f"--domain={domain}", "--step", "0.01",
-                   "--out-dir", str(tmp_path)])
-    assert out.returncode == 1
-    assert out.stderr == f"error: --domain needs two finite numbers lo < hi, " \
-                         f"got {domain!r}\n"
+    code, _, stderr, _ = _run_main(
+        ["capacity", "--target", "[[0.2, 0.4]]", "--alpha-star", "0.5",
+         f"--domain={domain}", "--step", "0.01", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert stderr == f"error: --domain needs two finite numbers lo < hi, " \
+                     f"got {domain!r}\n"
 
 
 class TestEnergyCommand:
@@ -438,11 +438,12 @@ class TestOtherCommands:
     @pytest.mark.parametrize("indicator", ["0", "0,1,2", "nan,1", "1,0",
                                            "a,b"])
     def test_levy_indicator_refused_before_output(self, indicator, tmp_path):
-        out = run_cli(["levy", "--atom", "1:1", "--indicator", indicator,
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 1
-        assert out.stdout == ""
-        assert out.stderr.startswith("error: --indicator needs"), out.stderr
+        code, stdout, stderr, _ = _run_main(
+            ["levy", "--atom", "1:1", "--indicator", indicator,
+             "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: --indicator needs"), stderr
 
     def test_levy_growth_verdict(self, tmp_path):
         out = run_cli(["levy", "--power-alpha", "1.5",

@@ -49,6 +49,17 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     assert out.stdout.strip().splitlines()[-2:] == ["PASS", "[]"]
 
 
+def test_import_starts_no_thread():
+    # the long autocorrelation starts its helper thread per call, from the
+    # threading module that the import loads anyway, and keeps no pool
+    code = ("import sys, threading, fracform\n"
+            "print(threading.active_count(), "
+            "[m for m in sys.modules if m.split('.')[0] == 'concurrent'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "1 []"
+
+
 class TestSymbol:
     def test_pure_gaussian(self):
         xi = np.linspace(-5.0, 5.0, 41)
@@ -344,6 +355,12 @@ class TestTripletValidation:
             LevyTriplet(atoms=((-1.0, 1.0),))
         with pytest.raises(ValueError):
             LevyTriplet(atoms=((1.0, -1.0),))
+
+    def test_numpy_atoms_are_stored_as_floats(self):
+        t = LevyTriplet(atoms=(np.array([0.5, 2.0]),
+                               (np.int64(1), np.float32(0.25))))
+        assert t.atoms == ((0.5, 2.0), (1.0, 0.25))
+        assert all(type(v) is float for atom in t.atoms for v in atom)
 
     def test_rejects_bad_density(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ reference values, polarization consistency, and the closed-form stiffness
 row."""
 
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -270,6 +272,103 @@ def test_direct_and_fft_autocorrelation_agree(size):
         got = quadcells._slope_autocorr(s)
         assert got.shape == direct.shape == (m,)
         assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
+
+
+def _split_sizes():
+    # three sizes drawn log-uniformly in (2^13, 2^16], one odd, one even
+    m = (2.0 ** np.random.default_rng(13).uniform(13.0, 16.0, 3)).astype(int)
+    return [KEPT, KEPT + 1, KEPT + 2, 2 * KEPT + 3,
+            int(m[0]) | 1, int(m[1]) & ~1, int(m[2])]
+
+
+@pytest.mark.parametrize("m", _split_sizes())
+def test_split_autocorrelation_matches_direct(m):
+    # above KEPT slopes the halves' correlations are added; at KEPT the one
+    # whole transform runs, so the boundary is pinned from both sides
+    s = np.random.default_rng(m).standard_normal(m)
+    direct = np.correlate(s, s, mode="full")[m - 1:]
+    got = quadcells._slope_autocorr(s)
+    assert got.shape == direct.shape == (m,)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
+
+
+def test_split_starts_above_the_kept_lags(monkeypatch):
+    split = quadcells._split_autocorr
+    sizes = []
+
+    def spy(s):
+        sizes.append(s.size)
+        return split(s)
+
+    monkeypatch.setattr(quadcells, "_split_autocorr", spy)
+    for m in (1, KEPT - 1, KEPT, KEPT + 1):
+        quadcells._slope_autocorr(np.ones(m))
+    assert sizes == [KEPT + 1]
+
+
+@pytest.mark.parametrize("m", [KEPT + 1, 2 * KEPT + 3])
+def test_split_is_the_same_bits_on_one_core(m, monkeypatch):
+    s = np.random.default_rng(3).standard_normal(m)
+    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 2)
+    threaded = quadcells._slope_autocorr(s)
+    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 1)
+    inline = quadcells._slope_autocorr(s)
+    assert np.array_equal(threaded.view(np.int64), inline.view(np.int64))
+
+
+def test_split_from_concurrent_callers(monkeypatch):
+    # more callers than cores, each with its own helper: every call's halves
+    # write only its own buffers, so each gets the inline bits
+    s = np.random.default_rng(4).standard_normal(KEPT + 5)
+    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 1)
+    want = quadcells._slope_autocorr(s)
+    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 2)
+    got = [None] * 6
+
+    def call(i):
+        for _ in range(5):
+            got[i] = quadcells._slope_autocorr(s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(g.view(np.int64), want.view(np.int64))
+               for g in got)
+
+
+class _HalfFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_helper", [True, False])
+def test_split_raises_a_failed_half_and_leaves_no_thread(on_helper,
+                                                         monkeypatch):
+    rfft = np.fft.rfft
+    raised = []
+
+    def failing(*args, **kwargs):
+        here = threading.current_thread() is threading.main_thread()
+        if here != on_helper:
+            raised.append(threading.current_thread().name)
+            raise _HalfFailed
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(np.fft, "rfft", failing)
+    before = threading.active_count()
+    with pytest.raises(_HalfFailed):
+        quadcells._slope_autocorr(np.ones(KEPT + 1))
+    assert threading.active_count() == before
+    assert len(raised) == 1
 
 
 @pytest.mark.parametrize("ends", [(1.0, 0.0), (0.0, -0.5), (2.0, 2.0)])

@@ -81,6 +81,12 @@ class TestFatCantor:
         with pytest.raises(ValueError):
             FatCantorSpec(alpha=1.5, **kwargs)
 
+    def test_numpy_scalars_are_stored_as_floats(self):
+        spec = FatCantorSpec(np.float64(1.5), np.int64(1), np.float32(3.0))
+        assert (spec.alpha, spec.budget, spec.a_log) == (1.5, 1.0, 3.0)
+        assert {type(spec.alpha), type(spec.budget), type(spec.a_log)} \
+            == {float}
+
     def test_overflowing_radius_is_clipped(self):
         # share ** 2 overflows at alpha = 1.5 for shares above ~1e154
         spec = FatCantorSpec(alpha=1.5, budget=1e308)
