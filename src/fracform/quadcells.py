@@ -28,7 +28,7 @@ power spectrum squared in place.  Beyond, it is correlated by halves
 (Stockham's sectioned correlation, AFIPS 1966): the two halves' FFTs of
 half the size run side by side, one on a helper thread started and joined
 within the call (numpy's FFT releases the GIL), or both on the caller's
-thread when one core is usable; the bits are the same either way.
+thread when no thread can be started; the bits are the same either way.
 GridFunction.increment_autocorr keeps c, so a function evaluated at
 several exponents correlates once.  The lag weights
 depend only on the lag count, alpha and the order, not on the data: the
@@ -56,7 +56,6 @@ whole-array passes remain of thirty.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 
 import numpy as np
@@ -75,15 +74,20 @@ _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 
 # Lag-weight tables of up to _KEPT_LAGS lags are kept, at most _KEPT_TABLES
 # of them: 8 MiB of float64 in the worst case.  The form takes longer tables
-# in blocks of _KEPT_LAGS lags, and more than _KEPT_LAGS slopes are
-# correlated by halves (_split_autocorr).
+# in blocks of _KEPT_LAGS lags.
 _KEPT_LAGS = 1 << 13
 _KEPT_TABLES = 128
+
+# More slopes than this are correlated by halves (_split_autocorr).  The
+# split was measured faster only at 2^18 - 2^20 slopes; the switch stays
+# above every sweep-size energy, capacity sweep value and verify output, so
+# those keep the single transform's bits.
+_SPLIT_SLOPES = 1 << 13
 
 
 def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     """c_k = sum_i s_i s_{i+k} for k = 0 .. len(s)-1."""
-    if s.size > _KEPT_LAGS:
+    if s.size > _SPLIT_SLOPES:
         return _split_autocorr(s)
     if s.size == 0:
         return np.zeros(1)
@@ -152,21 +156,11 @@ def _split_autocorr(s: np.ndarray) -> np.ndarray:
     return a[:m].copy()
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:              # no affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _side_by_side(first, second):
-    """Run first() on a helper thread while this thread runs second(), or
-    both here when only one core is usable.  The helper is joined, and an
-    exception it raised is raised here, before this returns."""
-    if _usable_cores() < 2:
-        first()
-        second()
-        return
+    """Run first() on a helper thread while this thread runs second().  The
+    helper is joined, and an exception it raised is raised here, before this
+    returns.  When no thread can be started (a process or address-space
+    limit), both run here, with the same bits."""
     failed = []
 
     def helper():
@@ -176,7 +170,12 @@ def _side_by_side(first, second):
             failed.append(exc)
 
     thread = threading.Thread(target=helper)
-    thread.start()
+    try:
+        thread.start()
+    except RuntimeError:                # "can't start new thread"
+        first()
+        second()
+        return
     try:
         second()
     finally:

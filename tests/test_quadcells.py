@@ -146,6 +146,7 @@ def test_two_term_series_matches_full_horner(alpha, order, full_horner):
 
 
 KEPT = quadcells._KEPT_LAGS
+SPLIT = quadcells._SPLIT_SLOPES
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -277,13 +278,13 @@ def test_direct_and_fft_autocorrelation_agree(size):
 def _split_sizes():
     # three sizes drawn log-uniformly in (2^13, 2^16], one odd, one even
     m = (2.0 ** np.random.default_rng(13).uniform(13.0, 16.0, 3)).astype(int)
-    return [KEPT, KEPT + 1, KEPT + 2, 2 * KEPT + 3,
+    return [SPLIT, SPLIT + 1, SPLIT + 2, 2 * SPLIT + 3,
             int(m[0]) | 1, int(m[1]) & ~1, int(m[2])]
 
 
 @pytest.mark.parametrize("m", _split_sizes())
 def test_split_autocorrelation_matches_direct(m):
-    # above KEPT slopes the halves' correlations are added; at KEPT the one
+    # above SPLIT slopes the halves' correlations are added; at SPLIT the one
     # whole transform runs, so the boundary is pinned from both sides
     s = np.random.default_rng(m).standard_normal(m)
     direct = np.correlate(s, s, mode="full")[m - 1:]
@@ -292,7 +293,7 @@ def test_split_autocorrelation_matches_direct(m):
     assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
 
 
-def test_split_starts_above_the_kept_lags(monkeypatch):
+def test_split_starts_above_its_threshold(monkeypatch):
     split = quadcells._split_autocorr
     sizes = []
 
@@ -301,28 +302,31 @@ def test_split_starts_above_the_kept_lags(monkeypatch):
         return split(s)
 
     monkeypatch.setattr(quadcells, "_split_autocorr", spy)
-    for m in (1, KEPT - 1, KEPT, KEPT + 1):
+    for m in (1, SPLIT - 1, SPLIT, SPLIT + 1):
         quadcells._slope_autocorr(np.ones(m))
-    assert sizes == [KEPT + 1]
+    assert sizes == [SPLIT + 1]
 
 
-@pytest.mark.parametrize("m", [KEPT + 1, 2 * KEPT + 3])
-def test_split_is_the_same_bits_on_one_core(m, monkeypatch):
+def _no_thread_starts(self):
+    raise RuntimeError("can't start new thread")
+
+
+@pytest.mark.parametrize("m", [SPLIT + 1, 2 * SPLIT + 3])
+def test_split_is_the_same_bits_when_no_thread_starts(m, monkeypatch):
     s = np.random.default_rng(3).standard_normal(m)
-    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 2)
     threaded = quadcells._slope_autocorr(s)
-    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 1)
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", _no_thread_starts)
     inline = quadcells._slope_autocorr(s)
+    assert threading.active_count() == before
     assert np.array_equal(threaded.view(np.int64), inline.view(np.int64))
 
 
-def test_split_from_concurrent_callers(monkeypatch):
+def test_split_from_concurrent_callers():
     # more callers than cores, each with its own helper: every call's halves
-    # write only its own buffers, so each gets the inline bits
-    s = np.random.default_rng(4).standard_normal(KEPT + 5)
-    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 1)
+    # write only its own buffers, so each gets the one-caller bits
+    s = np.random.default_rng(4).standard_normal(SPLIT + 5)
     want = quadcells._slope_autocorr(s)
-    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 2)
     got = [None] * 6
 
     def call(i):
@@ -362,11 +366,10 @@ def test_split_raises_a_failed_half_and_leaves_no_thread(on_helper,
             raise _HalfFailed
         return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(quadcells, "_usable_cores", lambda: 2)
     monkeypatch.setattr(np.fft, "rfft", failing)
     before = threading.active_count()
     with pytest.raises(_HalfFailed):
-        quadcells._slope_autocorr(np.ones(KEPT + 1))
+        quadcells._slope_autocorr(np.ones(SPLIT + 1))
     assert threading.active_count() == before
     assert len(raised) == 1
 
