@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import EnergyParams, dirichlet_energy, gagliardo_energy
 from .grids import MAX_GRID_NODES, GridFunction, IntervalSet, PlateauSpec, \
-    StepFunction, _json_float, grid_nodes, make_plateau
+    StepFunction, _json_float, grid_nodes, make_plateau, positive_number
 from .ladder import ladder_decompose
 from .levy import LevyTriplet, PowerLawDensity, finite_variation_test, \
     growth_exponent_fit, levy_indicator_energy, levy_symbol
@@ -68,8 +68,7 @@ def _finite_numbers(tokens) -> list:
 def parse_function_literal(text: str, step: float):
     """Grammar: indicator:a,b | plateau:a,b,rho[,profile] | bump:center,width
     | csv:path | json:path."""
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"grid step must be positive and finite, got {step}")
+    step = positive_number("grid step", step)
     kind, _, rest = text.partition(":")
     if kind == "indicator":
         a, b = _finite_numbers(rest.split(","))
@@ -81,8 +80,7 @@ def parse_function_literal(text: str, step: float):
         return make_plateau(PlateauSpec(a, b, rho, profile), step)
     if kind == "bump":
         c, w = _finite_numbers(rest.split(","))
-        if not w > 0:
-            raise ValueError(f"bump width must be positive, got {w}")
+        w = positive_number("bump width", w)
         return GridFunction.from_callable(
             lambda u: np.where(np.abs(u - c) < w,
                                np.cos(np.pi * (u - c) / (2.0 * w)) ** 2, 0.0),
@@ -177,10 +175,12 @@ def _cmd_scale(cfg: RunConfig) -> int:
         spec_data = json.loads(Path(p["spec"]).read_text(encoding="utf-8"))
         if not isinstance(spec_data, dict):
             raise ValueError("a scale spec is a JSON object")
-        spec = FatCantorSpec(alpha=_json_float(spec_data.get("alpha")),
-                             budget=_json_float(spec_data.get("budget")),
-                             a_log=_json_float(spec_data.get("a_log", 2.0)))
-        n_intervals = _json_float(spec_data.get("n_intervals", 63))
+        spec = FatCantorSpec(
+            alpha=_json_float("alpha", spec_data.get("alpha")),
+            budget=_json_float("budget", spec_data.get("budget")),
+            a_log=_json_float("a_log", spec_data.get("a_log", 2.0)))
+        n_intervals = _json_float("n_intervals",
+                                  spec_data.get("n_intervals", 63))
         if not n_intervals.is_integer():
             raise ValueError(f"n_intervals must be whole, got {n_intervals}")
         n_intervals = int(n_intervals)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fourier import discrete_fourier
 from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, grid_nodes,
-                    is_count, refuse_booleans)
+                    is_count, kernel_exponent, positive_number, real_number)
 from .ladder import is_erased_function
 from .quadcells import _increment_form
 
@@ -72,13 +72,12 @@ class EnergyParams:
     c_of_alpha: float | None = None
 
     def __post_init__(self):
-        refuse_booleans(alpha=self.alpha, c_of_alpha=self.c_of_alpha)
+        object.__setattr__(self, "alpha", real_number("alpha", self.alpha))
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.c_of_alpha is not None \
-                and not 0.0 < self.c_of_alpha < math.inf:
-            raise ValueError(f"c_of_alpha must be positive and finite when "
-                             f"given, got {self.c_of_alpha}")
+        if self.c_of_alpha is not None:
+            object.__setattr__(self, "c_of_alpha",
+                               positive_number("c_of_alpha", self.c_of_alpha))
 
     @property
     def alpha_star(self) -> float:
@@ -202,10 +201,10 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
 def indicator_energy_closed_form(a: float, b: float, alpha: float) -> float:
     """Fractional energy of the indicator of (a, b): 4/(alpha(1-alpha)) *
     (b-a)^(1-alpha) for alpha in (0,1); DIVERGENT (inf) for alpha >= 1."""
+    a, b = real_number("a", a), real_number("b", b)
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    alpha = kernel_exponent("alpha", alpha)
     if alpha >= 1.0:
         return DIVERGENT
     return 4.0 / (alpha * (1.0 - alpha)) * (b - a) ** (1.0 - alpha)
@@ -233,6 +232,7 @@ def fourier_energy(f: GridFunction, p: EnergyParams, xi_max: float,
     several exponents on one function (and ``fourier_gagliardo_ratio`` and
     ``calibrate_c_of_alpha``, which call this) transform it once.
     """
+    xi_max = real_number("xi_max", xi_max)
     _require_compact(f)
     table = discrete_fourier(f, xi_max, n_freq)
     amp2 = np.abs(table.amplitudes) ** 2
@@ -288,8 +288,8 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     f^2, so the defect measures only the panel rule: it is not an
     independent route to the identity.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    a, b = real_number("a", a), real_number("b", b)
+    alpha = kernel_exponent("alpha", alpha)
     far = 8.0 * (b - a)
     if not math.isfinite(far):
         raise ValueError(f"the window (a, b) must be finite, got ({a}, {b})")

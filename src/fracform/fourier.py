@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import MAX_GRID_NODES, GridFunction, is_count
+from .grids import MAX_GRID_NODES, GridFunction, is_count, real_number
 
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
@@ -219,7 +219,8 @@ def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
         raise ValueError(f"n_freq must be an integer in 2..{MAX_GRID_NODES}, "
                          f"got {n_freq!r}")
     # the grid spans 2 xi_max, which overflows from ~9e307 on
-    if not (0 < xi_max and 2.0 * float(xi_max) < math.inf):
+    xi_max = real_number("xi_max", xi_max)
+    if not (0 < xi_max and 2.0 * xi_max < math.inf):
         raise ValueError(f"xi_max must be positive with a finite span "
                          f"2 xi_max, got {xi_max}")
     xi = _checked_frequencies(f, np.linspace(-xi_max, xi_max, n_freq))

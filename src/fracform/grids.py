@@ -52,33 +52,51 @@ def is_count(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def is_boolean(v) -> bool:
-    """True for a bool or a numpy bool, which no real parameter accepts."""
-    return isinstance(v, (bool, np.bool_))
-
-
-def refuse_booleans(**values):
-    """Raise ValueError naming the first real parameter given a boolean."""
-    for name, v in values.items():
-        if is_boolean(v):
-            raise ValueError(f"{name} must be a number, not a boolean")
-
-
 def real_number(name: str, v) -> float:
-    """v as a Python float; ValueError naming ``name`` for a boolean and for
-    anything but a real number (an int or float, Python or numpy): a
-    string, an array, a complex number."""
-    refuse_booleans(**{name: v})
-    if not isinstance(v, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    """The one type gate of a real parameter: v as a Python float for an int
+    or float, Python or numpy.  Anything else raises ValueError naming
+    ``name``: a bool or numpy bool, a string, a complex number, a numpy
+    array of any shape (0-d included), and an int past the float range."""
+    if type(v) is float:                 # the common case, and a fast one
+        return v
+    if type(v) is np.float64 or (isinstance(v, numbers.Real)
+                                 and not isinstance(v, bool)):
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError(f"{name} is a number out of the float "
+                             f"range") from None
+    raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
+def positive_number(name: str, v) -> float:
+    """real_number(name, v), refused unless positive and finite."""
+    v = real_number(name, v)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+    return v
+
+
+def nonnegative_number(name: str, v) -> float:
+    """real_number(name, v), refused unless finite and >= 0."""
+    v = real_number(name, v)
+    if not 0.0 <= v < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {v}")
+    return v
+
+
+def kernel_exponent(name: str, v) -> float:
+    """real_number(name, v), refused unless 0 < v < 2."""
+    v = real_number(name, v)
+    if not 0.0 < v < 2.0:
+        raise ValueError(f"kernel exponent {name} must lie in (0, 2), got {v}")
+    return v
 
 
 def grid_size(lo: float, hi: float, step: float) -> int:
     """The node count of ``grid_nodes(lo, hi, step)``, after the same
     refusals, without building the nodes."""
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"grid step must be positive and finite, got {step}")
+    step = positive_number("grid step", step)
     cells = (float(hi) - float(lo)) / step
     if not cells >= -0.5:
         raise ValueError(f"a grid on [{lo}, {hi}] has no nodes")
@@ -102,18 +120,13 @@ def l2_norm_sq_of_samples(v: np.ndarray, step: float) -> float:
     return float(step * np.sum(seg) / 3.0)
 
 
-def _json_float(v) -> float:
-    """A JSON number, or a string that parses as one ("inf", "-inf")."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        raise ValueError(f"expected a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ValueError("number out of the float range") from None
+def _json_float(name: str, v) -> float:
+    """A string that parses as a number ("inf"), else real_number(name, v)."""
+    return float(v) if isinstance(v, str) else real_number(name, v)
 
 
-def _frozen_array(data, dtype=float) -> np.ndarray:
-    arr = np.array(data, dtype=dtype, copy=True)
+def _frozen_array(data) -> np.ndarray:
+    arr = np.array(data, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
 
@@ -141,9 +154,8 @@ class GridFunction:
     support_hi: int = field(init=False)
 
     def __post_init__(self):
-        refuse_booleans(origin=self.origin, step=self.step)
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise ValueError(f"grid step must be positive and finite, got {self.step}")
+        object.__setattr__(self, "step", positive_number("grid step", self.step))
+        object.__setattr__(self, "origin", real_number("origin", self.origin))
         if not math.isfinite(self.origin):
             raise ValueError("grid origin must be finite")
         vals = _frozen_array(self.values)
@@ -166,6 +178,8 @@ class GridFunction:
                       pad: int = 2) -> "GridFunction":
         """Sample ``fn`` at ``grid_nodes(lo, hi, step)``, with ``pad`` zero
         nodes added per side; the padding counts towards the node limit."""
+        lo, hi = real_number("lo", lo), real_number("hi", hi)
+        step = positive_number("grid step", step)
         if not (is_count(pad) and pad >= 0):
             raise ValueError(f"pad must be a non-negative integer, got "
                              f"{pad!r}")
@@ -233,14 +247,12 @@ class GridFunction:
         return l2_norm_sq_of_samples(self.values, self.step)
 
     def linf(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        return float(np.max(np.abs(self.values)))
 
     def total_variation(self) -> float:
         return float(np.sum(np.abs(np.diff(self.values))))
 
     def lipschitz(self) -> float:
-        if self.values.size < 2:
-            return 0.0
         return float(np.max(np.abs(np.diff(self.values))) / self.step)
 
     # -- transforms ---------------------------------------------------------
@@ -249,7 +261,7 @@ class GridFunction:
         return GridFunction(self.origin, self.step, values)
 
     def scaled(self, c: float) -> "GridFunction":
-        return self.with_values(c * self.values)
+        return self.with_values(real_number("c", c) * self.values)
 
     def _support_range(self, margin: int) -> slice:
         """The samples of the support plus ``margin`` zeros per side, at
@@ -315,8 +327,9 @@ class GridFunction:
             raise ValueError("a JSON grid function needs origin, step, values")
         if not isinstance(d["values"], list):
             raise ValueError("JSON grid values must be a list of numbers")
-        return cls(_json_float(d["origin"]), _json_float(d["step"]),
-                   [_json_float(v) for v in d["values"]])
+        return cls(_json_float("origin", d["origin"]),
+                   _json_float("step", d["step"]),
+                   [_json_float("value", v) for v in d["values"]])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -347,9 +360,7 @@ class GridFunction:
 
 def epsilon_contraction(h: GridFunction, eps: float) -> GridFunction:
     """Remove the band |h| <= eps: sign(h) * (|h| - eps)+ at every node."""
-    if not 0 <= eps < _INF:
-        raise ValueError(f"contraction level must be finite and >= 0, got "
-                         f"{eps}")
+    eps = nonnegative_number("eps", eps)
     v = h.values
     return h.with_values(np.sign(v) * np.maximum(np.abs(v) - eps, 0.0))
 
@@ -397,10 +408,7 @@ class StepFunction:
         return out
 
     def l2_norm_sq(self) -> float:
-        if self.levels.size == 0:
-            return 0.0
-        widths = np.diff(self.breakpoints)
-        return float(np.sum(self.levels ** 2 * widths))
+        return float(np.sum(self.levels ** 2 * np.diff(self.breakpoints)))
 
     def total_variation(self) -> float:
         if self.levels.size == 0:
@@ -451,8 +459,8 @@ class IntervalSet:
     def __post_init__(self):
         cleaned = []
         for lo, hi in self.intervals:
-            lo = float(lo)
-            hi = float(hi)
+            lo = real_number("interval end", lo)
+            hi = real_number("interval end", hi)
             if math.isnan(lo) or math.isnan(hi):
                 raise ValueError("interval endpoints must not be NaN")
             if lo < hi:
@@ -544,13 +552,9 @@ class IntervalSet:
     # -- serialization ---------------------------------------------------------------
 
     def to_json_list(self) -> list:
-        def enc(v):
-            if v == _INF:
-                return "inf"
-            if v == -_INF:
-                return "-inf"
-            return v
-        return [[enc(lo), enc(hi)] for lo, hi in self.intervals]
+        as_json = {_INF: "inf", -_INF: "-inf"}
+        return [[as_json.get(lo, lo), as_json.get(hi, hi)]
+                for lo, hi in self.intervals]
 
     @classmethod
     def from_json_list(cls, data) -> "IntervalSet":
@@ -562,7 +566,7 @@ class IntervalSet:
         for piece in data:
             if not (isinstance(piece, (list, tuple)) and len(piece) == 2):
                 raise ValueError(f"an interval is a pair [lo, hi], got {piece!r}")
-            lo, hi = (_json_float(v) for v in piece)
+            lo, hi = (_json_float("interval end", v) for v in piece)
             if not lo < hi:
                 raise ValueError(f"an interval needs lo < hi, got [{lo}, {hi}]")
             pieces.append((lo, hi))
@@ -586,11 +590,11 @@ class PlateauSpec:
     ramp_profile: str = "linear"
 
     def __post_init__(self):
+        object.__setattr__(self, "a", real_number("a", self.a))
+        object.__setattr__(self, "b", real_number("b", self.b))
+        object.__setattr__(self, "rho", positive_number("rho", self.rho))
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(f"ramp width must be positive and finite, got "
-                             f"{self.rho}")
         if self.ramp_profile not in _RAMP_PROFILES:
             raise ValueError(f"unknown ramp profile {self.ramp_profile!r}; "
                              f"choose from {sorted(_RAMP_PROFILES)}")
@@ -603,6 +607,7 @@ def make_plateau(spec: PlateauSpec, step: float) -> GridFunction:
     last node <= b + rho (to 1e-12 steps), so the interpolant never spills
     outside (a - rho, b + rho).  Total variation of the result is exactly 2.
     """
+    step = positive_number("grid step", step)
     if spec.rho <= 2.0 * step:
         raise ValueError(f"degenerate plateau: rho={spec.rho} needs step < rho/2, "
                          f"got step={step}")

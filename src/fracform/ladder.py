@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import transform_at
-from .grids import (GridFunction, IntervalSet, grid_nodes, is_boolean,
-                    is_count, snap_to_dyadic_step)
+from .grids import (GridFunction, IntervalSet, grid_nodes, is_count,
+                    nonnegative_number, real_number, snap_to_dyadic_step)
 from .quadcells import gagliardo_of_values
 
 __all__ = [
@@ -83,6 +83,7 @@ def skorokhod_star(g: GridFunction, a: float, b: float, rho: float
     inf over [b, x]; 1 on [a, b] and 0 outside, like the input.  The output
     is an erased function of g and lies in the same plateau family.
     """
+    a, b, rho = map(real_number, ("a", "b", "rho"), (a, b, rho))
     tol = 1e-12
     v = g.values
     x = g.x
@@ -380,9 +381,7 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
     if not (is_count(max_nodes) and max_nodes >= 1):
         raise ValueError(f"the node budget must be a positive integer, got "
                          f"{max_nodes!r}")
-    if is_boolean(sup_tol) or not (math.isfinite(sup_tol) and sup_tol >= 0):
-        raise ValueError(f"sup_tol must be a finite non-negative number, got "
-                         f"{sup_tol!r}")
+    sup_tol = nonnegative_number("sup_tol", sup_tol)
 
     fv = f.values
     lo0, hi0 = (0, fv.size - 1) if f.is_zero else (f.support_lo,
@@ -451,6 +450,7 @@ def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int,
 
     Valid for alpha in (0, 1) only (indicator-type discontinuities carry
     finite energy there)."""
+    alpha = real_number("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError("the rate experiment needs alpha in (0, 1)")
     if not (is_count(n_lo) and is_count(n_hi) and 1 <= n_lo <= n_hi):

@@ -22,8 +22,9 @@ import numpy as np
 
 from .energy import DIVERGENT, EnergyReport, _require_compact, \
     _without_overflow
-from .grids import (GridFunction, PlateauSpec, _json_float, make_plateau,
-                    real_number, refuse_booleans)
+from .grids import (GridFunction, PlateauSpec, _json_float, kernel_exponent,
+                    make_plateau, nonnegative_number, positive_number,
+                    real_number)
 from .quadcells import _increment_form, rho_profile
 
 __all__ = [
@@ -48,12 +49,9 @@ class PowerLawDensity:
     coefficient: float = 1.0
 
     def __post_init__(self):
-        refuse_booleans(alpha=self.alpha, coefficient=self.coefficient)
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"power-law exponent must lie in (0, 2), "
-                             f"got {self.alpha}")
-        if not 0.0 < self.coefficient < math.inf:
-            raise ValueError("density coefficient must be positive and finite")
+        object.__setattr__(self, "alpha", kernel_exponent("alpha", self.alpha))
+        object.__setattr__(self, "coefficient",
+                           positive_number("coefficient", self.coefficient))
 
 
 @dataclass(frozen=True)
@@ -67,29 +65,25 @@ class LevyTriplet:
     density: PowerLawDensity | None = None
 
     def __post_init__(self):
-        refuse_booleans(sigma=self.sigma)
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError("Gaussian coefficient must be finite and >= 0")
+        object.__setattr__(self, "sigma", nonnegative_number("sigma", self.sigma))
         atoms = []
         for atom in self.atoms:
             # a string would unpack character by character
             pair = () if isinstance(atom, (str, bytes)) else atom
             try:
-                x, m = (real_number("atom", v) for v in pair)
+                x, m = pair
             except (TypeError, ValueError):
-                raise ValueError(f"an atom is a pair (position, mass) of real "
-                                 f"numbers, got {atom!r}") from None
-            if not 0.0 < x < math.inf:
-                raise ValueError("atoms are stored at finite x > 0 and "
-                                 "mirrored")
-            if not 0.0 <= m < math.inf:
-                raise ValueError("atom masses must be finite and >= 0")
-            atoms.append((x, m))
+                raise ValueError(f"an atom is a pair (position, mass), got "
+                                 f"{atom!r}") from None
+            # stored at x > 0 and mirrored
+            atoms.append((positive_number("atom position", x),
+                          nonnegative_number("atom mass", m)))
         object.__setattr__(self, "atoms", tuple(atoms))
 
     def truncated_mass(self, lam: float) -> float:
         """int (lam ^ |x|) nu(dx) over the full two-sided measure; inf when
         the density is not integrable against |x| near 0 (alpha >= 1)."""
+        lam = real_number("lam", lam)
         if lam <= 0:
             raise ValueError("need a positive truncation level")
         total = 2.0 * sum(m * min(lam, x) for x, m in self.atoms)
@@ -119,14 +113,16 @@ class LevyTriplet:
         if dens is not None:
             if not (isinstance(dens, dict) and dens.get("type") == "power"):
                 raise ValueError(f"unknown density {dens!r}")
-            density = PowerLawDensity(_json_float(dens.get("alpha")),
-                                      _json_float(dens.get("coefficient", 1.0)))
+            density = PowerLawDensity(
+                _json_float("alpha", dens.get("alpha")),
+                _json_float("coefficient", dens.get("coefficient", 1.0)))
         atoms = d.get("atoms", [])
         if not (isinstance(atoms, list)
                 and all(isinstance(a, list) and len(a) == 2 for a in atoms)):
             raise ValueError("atoms are a JSON list of [x, mass] pairs")
-        return cls(sigma=_json_float(d.get("sigma", 0.0)),
-                   atoms=tuple((_json_float(x), _json_float(m))
+        return cls(sigma=_json_float("sigma", d.get("sigma", 0.0)),
+                   atoms=tuple((_json_float("atom position", x),
+                                _json_float("atom mass", m))
                                for x, m in atoms),
                    density=density)
 
@@ -195,6 +191,7 @@ def finite_variation_test(t: LevyTriplet):
 def levy_indicator_energy(a: float, b: float, t: LevyTriplet) -> float:
     """Jump energy of the indicator of [a, b]: 2 int ((b-a) ^ |x|) nu(dx);
     DIVERGENT exactly when the finite-variation integral diverges."""
+    a, b = real_number("a", a), real_number("b", b)
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if t.sigma > 0:
@@ -267,7 +264,7 @@ def growth_exponent_fit(curve: SymbolCurve, xi_min: float) -> GrowthFit:
     """Least-squares fit of log psi against log |xi| on the tail |xi| >=
     xi_min; at least 10 tail points are required and psi must be positive
     there."""
-    mask = np.abs(curve.xi_grid) >= xi_min
+    mask = np.abs(curve.xi_grid) >= real_number("xi_min", xi_min)
     if int(mask.sum()) < 10:
         raise ValueError("need at least 10 tail points with |xi| >= xi_min")
     psi = curve.psi_values[mask]

@@ -60,6 +60,8 @@ import threading
 
 import numpy as np
 
+from . import grids  # imports quadcells: its rules are read at call time
+
 __all__ = ["rho_profile", "increment_autocorr", "gagliardo_of_values",
            "hat_energy_row"]
 
@@ -301,8 +303,7 @@ def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
 
 def _form_scale(h: float, alpha: float) -> float:
     """C h^(1-alpha) with C = 2 / (alpha (2-alpha) (3-alpha))."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"kernel exponent alpha must lie in (0, 2), got {alpha}")
+    alpha = grids.kernel_exponent("alpha", alpha)
     return 2.0 * h ** (1.0 - alpha) / (alpha * (2.0 - alpha) * (3.0 - alpha))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (GridFunction, IntervalSet, grid_nodes, grid_size,
-                    is_boolean, is_count, real_number)
+                    is_count, positive_number, real_number)
 from .quadcells import gagliardo_of_values, hat_energy_row
 
 __all__ = [
@@ -71,6 +71,7 @@ class ScaleFunction:
     cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "anchor", real_number("anchor", self.anchor))
         if not math.isfinite(self.anchor):
             raise ValueError(f"anchor must be finite, got {self.anchor}")
         ends = self.g_set.endpoints()
@@ -152,14 +153,12 @@ class FatCantorSpec:
     a_log: float = 2.0
 
     def __post_init__(self):
-        for name in ("alpha", "budget", "a_log"):
-            object.__setattr__(self, name,
-                               real_number(name, getattr(self, name)))
+        object.__setattr__(self, "alpha", real_number("alpha", self.alpha))
+        object.__setattr__(self, "budget", positive_number("budget", self.budget))
+        object.__setattr__(self, "a_log", real_number("a_log", self.a_log))
         if not 1.0 <= self.alpha < 2.0:
             raise ValueError(f"fat-Cantor construction needs alpha in [1, 2), "
                              f"got {self.alpha}")
-        if not 0 < self.budget < math.inf:
-            raise ValueError("surrogate budget must be positive and finite")
         if not 1 < self.a_log < math.inf:
             raise ValueError("a_log must be finite and exceed 1")
 
@@ -413,7 +412,8 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
     leaves [0, 1] is reported as ``clamp_violation``.  The value is E1 of u
     clipped to [0, 1], which is still admissible, so the value is still an
     upper bound, though not then the Galerkin minimum."""
-    if is_boolean(alpha_star) or not 0.0 < alpha_star <= 1.0:
+    alpha_star = real_number("alpha_star", alpha_star)
+    if not 0.0 < alpha_star <= 1.0:
         raise ValueError(f"capacity exponent must be a number in (0, 1], "
                          f"got {alpha_star!r}")
     lo, hi = float(domain[0]), float(domain[1])

@@ -69,13 +69,9 @@ def sample_multibump(params, step, lo, hi) -> GridFunction:
 
 
 def random_bump_params(rng, n_bumps, center_range, width_range, height_range):
-    out = []
-    for _ in range(n_bumps):
-        c = rng.uniform(*center_range)
-        w = rng.uniform(*width_range)
-        h = rng.uniform(*height_range)
-        out.append((float(c), float(w), float(h)))
-    return tuple(out)
+    return tuple((float(rng.uniform(*center_range)),
+                  float(rng.uniform(*width_range)),
+                  float(rng.uniform(*height_range))) for _ in range(n_bumps))
 
 
 def _erased_pair(family_rng, step):

@@ -2,18 +2,24 @@
 
 Every exported callable that takes a step, size, count or depth refuses a
 bad value with ValueError before it allocates; the transforms refuse a
-frequency that is not finite, or whose phase xi x on the grid is not; a real
-parameter refuses a boolean, and the scale anchor and the contraction level
-refuse NaN and infinities.  The
-table runs in one subprocess under a 1 GiB address-space cap with one BLAS
-thread, so a missing guard fails fast with MemoryError (or shows as another
-error) instead of allocating tens of GiB; each case is reported as its own
-test.
+frequency that is not finite, or whose phase xi x on the grid is not; the
+scale anchor and the contraction level refuse NaN and infinities.  Every
+real parameter (each one annotated ``float`` of an exported callable, the
+ends of an interval and the position and mass of a Levy atom) goes through
+``grids.real_number``: a bool, a numpy bool or a numpy array of any shape,
+0-d included, is refused with a ValueError that names the parameter, and
+``test_every_real_parameter_is_gated`` keeps a case here for each such
+parameter.  The table runs in one subprocess under a 1 GiB
+address-space cap with one BLAS thread, so a missing guard fails fast with
+MemoryError (or shows as another error) instead of allocating tens of GiB;
+each case is reported as its own test.
 
 Every builder takes its nodes from ``grids.grid_nodes``; the pins below fix
 each one's node count and first and last node on fixed inputs.
 """
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -24,17 +30,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracform
 import fracform.energy
 import fracform.ladder
 from fracform import (FatCantorSpec, GridFunction, IntervalSet, LevyTriplet,
-                      PlateauSpec, PowerLawDensity, StepFunction,
-                      build_fat_cantor, bv_fourier_bound_check,
+                      PlateauSpec, PowerLawDensity, ScaleFunction,
+                      StepFunction, build_fat_cantor, bv_fourier_bound_check,
                       calibrate_c_of_alpha, capacity_estimate, compose_scale,
                       concentration_test, discrete_fourier,
                       epsilon_contraction, fourier_energy,
-                      fourier_gagliardo_ratio, ladder_decompose, make_plateau,
-                      scale_from_open_set, snap_to_dyadic_step,
-                      step_rate_experiment, transform_at)
+                      fourier_gagliardo_ratio, growth_exponent_fit,
+                      hardy_boundary_identity, indicator_energy_closed_form,
+                      ladder_decompose, levy_indicator_energy, levy_symbol,
+                      make_plateau, plateau_energy_bound_check,
+                      scale_from_open_set, skorokhod_star,
+                      snap_to_dyadic_step, step_rate_experiment, transform_at)
 from fracform.cli import main
 from fracform.energy import EnergyParams
 from fracform.grids import MAX_GRID_NODES, grid_nodes, grid_size
@@ -54,10 +64,11 @@ COUNTS = {"zero": 0, "negative": -3, "nan": math.nan, "inf": math.inf,
 DEPTHS = {**COUNTS, "huge": 10 ** 9, "past-float-range": 1100}
 # NaN and inf gave NaN amplitudes with RuntimeWarnings
 FREQUENCIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
-# a real parameter refuses booleans, as EnergyParams does: True was read as 1
-BOOLEANS = {"bool": True, "numpy-bool": np.bool_(True)}
-# a one-element array passed the range checks and was stored as the array
-NON_SCALARS = {**BOOLEANS, "one-element-array": np.array([1.5])}
+# every real parameter refuses these: True was read as 1, and an array
+# passed the range checks and was stored or computed with as the array
+NON_SCALARS = {"bool": True, "numpy-bool": np.bool_(True),
+               "one-element-array": np.array([1.5]),
+               "zero-d-array": np.array(0.5)}
 # a string atom was unpacked digit by digit, a string coordinate went
 # through float() and bytes unpacked to character codes
 ATOMS = {"string": "12", "bytes": b"12", "string-mass": (0.5, "2"),
@@ -78,16 +89,42 @@ def _tree():
     return ladder_decompose(sample_bump(0.0, 1.0, step=1.0 / 64.0))
 
 
+def _plateau():
+    return make_plateau(PlateauSpec(0.0, 1.0, 0.5), 0.125)
+
+
+# one atom of mass 1 at x = 1: finite variation, no Gaussian part
+ATOM = LevyTriplet(atoms=((1.0, 1.0),))
+
+
+def _symbol():
+    return levy_symbol(LevyTriplet(density=PowerLawDensity(1.5)),
+                       np.linspace(0.1, 100.0, 64))
+
+
+# result records: the library fills their fields from what it computed
+RESULT_RECORDS = {name: "a result record, built from computed values"
+                  for name in ("CapacityEstimate", "Composition",
+                               "EnergyReport", "GrowthFit")}
+
+
 # name -> (bad values, call taking one)
 CALLS = {
-    "from_callable-step": (STEPS, lambda v: GridFunction.from_callable(
-        np.cos, 0.0, 1.0, v)),
+    "from_callable-step": ({**STEPS, **NON_SCALARS},
+                           lambda v: GridFunction.from_callable(
+                               np.cos, 0.0, 1.0, v)),
+    "from_callable-lo": (NON_SCALARS, lambda v: GridFunction.from_callable(
+        np.cos, v, 2.0, 0.25)),
+    "from_callable-hi": (NON_SCALARS, lambda v: GridFunction.from_callable(
+        np.cos, 0.0, v, 0.25)),
     # pad=0 is valid: no zero nodes added
     "from_callable-pad": ({k: v for k, v in COUNTS.items() if k != "zero"},
                           lambda v: GridFunction.from_callable(
                               np.cos, 0.0, 1.0, 0.25, pad=v)),
-    "StepFunction.sample-step": (STEPS, lambda v: StepFunction(
-        np.array([0.0, 1.0]), np.array([1.0])).sample(v)),
+    "StepFunction.sample-step": ({**STEPS, **NON_SCALARS},
+                                 lambda v: StepFunction(
+                                     np.array([0.0, 1.0]),
+                                     np.array([1.0])).sample(v)),
     "snap_to_dyadic_step-depth": (DEPTHS,
                                   lambda v: snap_to_dyadic_step(TENT, v)),
     # one support node: its one dyadic cell passes the node limit at any
@@ -96,28 +133,84 @@ CALLS = {
     "snap_to_dyadic_step-depth-one-node": (
         {"below-float-spacing": 60, "past-float-range": 1030},
         lambda v: snap_to_dyadic_step(GridFunction(0.0, 0.25, [0, 1, 0]), v)),
-    "make_plateau-step": (STEPS, lambda v: make_plateau(
+    "make_plateau-step": ({**STEPS, **NON_SCALARS}, lambda v: make_plateau(
         PlateauSpec(0.0, 1.0, 0.5), v)),
-    "compose_scale-step": (STEPS, lambda v: compose_scale(
+    "plateau_energy_bound_check-step": (
+        NON_SCALARS, lambda v: plateau_energy_bound_check(
+            PlateauSpec(0.0, 1.0, 0.5), ATOM, v)),
+    "compose_scale-step": ({**STEPS, **NON_SCALARS}, lambda v: compose_scale(
         _bump(), _scale(), (-1.0, 1.0), step=v)),
-    "capacity_estimate-step": (STEPS, lambda v: capacity_estimate(
-        IntervalSet.of((-0.1, 0.1)), 0.5, (-2.0, 2.0), v)),
-    "concentration_test-step": (STEPS, lambda v: concentration_test(
-        IntervalSet.of((-0.1, 0.1)), 0.5, (-0.5, 0.5), v)),
-    "GridFunction-origin": (BOOLEANS, lambda v: GridFunction(
+    "capacity_estimate-step": ({**STEPS, **NON_SCALARS},
+                               lambda v: capacity_estimate(
+                                   IntervalSet.of((-0.1, 0.1)), 0.5,
+                                   (-2.0, 2.0), v)),
+    "concentration_test-step": ({**STEPS, **NON_SCALARS},
+                                lambda v: concentration_test(
+                                    IntervalSet.of((-0.1, 0.1)), 0.5,
+                                    (-0.5, 0.5), v)),
+    "GridFunction-origin": (NON_SCALARS, lambda v: GridFunction(
         v, 0.25, [0.0, 1.0, 0.0])),
-    "GridFunction-step": (BOOLEANS, lambda v: GridFunction(
+    "GridFunction-step": (NON_SCALARS, lambda v: GridFunction(
         0.0, v, [0.0, 1.0, 0.0])),
-    "capacity_estimate-alpha_star": (BOOLEANS, lambda v: capacity_estimate(
+    "GridFunction.scaled-c": (NON_SCALARS, lambda v: TENT.scaled(v)),
+    "IntervalSet-end": (NON_SCALARS, lambda v: IntervalSet.of((v, 2.0))),
+    "PlateauSpec-a": (NON_SCALARS, lambda v: PlateauSpec(v, 2.0, 0.5)),
+    "PlateauSpec-b": (NON_SCALARS, lambda v: PlateauSpec(0.0, v, 0.5)),
+    "PlateauSpec-rho": (NON_SCALARS, lambda v: PlateauSpec(0.0, 1.0, v)),
+    "skorokhod_star-a": (NON_SCALARS, lambda v: skorokhod_star(
+        _plateau(), v, 1.0, 0.5)),
+    "skorokhod_star-b": (NON_SCALARS, lambda v: skorokhod_star(
+        _plateau(), 0.0, v, 0.5)),
+    "skorokhod_star-rho": (NON_SCALARS, lambda v: skorokhod_star(
+        _plateau(), 0.0, 1.0, v)),
+    "capacity_estimate-alpha_star": (NON_SCALARS, lambda v: capacity_estimate(
         IntervalSet.of((-0.1, 0.1)), v, (-2.0, 2.0), 0.125)),
-    "concentration_test-alpha_star": (BOOLEANS, lambda v: concentration_test(
-        IntervalSet.of((-0.1, 0.1)), v, (-0.5, 0.5), 0.125)),
+    "concentration_test-alpha_star": (NON_SCALARS,
+                                      lambda v: concentration_test(
+                                          IntervalSet.of((-0.1, 0.1)), v,
+                                          (-0.5, 0.5), 0.125)),
     # NaN gave NaN values and inf gave -inf
-    "scale_from_open_set-anchor": (FREQUENCIES, lambda v: scale_from_open_set(
+    "scale_from_open_set-anchor": ({**FREQUENCIES, **NON_SCALARS},
+                                   lambda v: scale_from_open_set(
+                                       IntervalSet.real_line(), v)),
+    "ScaleFunction-anchor": (NON_SCALARS, lambda v: ScaleFunction(
         IntervalSet.real_line(), v)),
     # NaN gave NaN samples and inf the zero function
-    "epsilon_contraction-eps": (FREQUENCIES,
+    "epsilon_contraction-eps": ({**FREQUENCIES, **NON_SCALARS},
                                 lambda v: epsilon_contraction(TENT, v)),
+    "EnergyParams-alpha": (NON_SCALARS, lambda v: EnergyParams(v)),
+    "EnergyParams-c_of_alpha": (NON_SCALARS,
+                                lambda v: EnergyParams(0.5, v)),
+    # True was read as alpha = 1: a divergent indicator
+    "indicator_energy_closed_form-a": (
+        NON_SCALARS, lambda v: indicator_energy_closed_form(v, 2.0, 0.5)),
+    "indicator_energy_closed_form-b": (
+        NON_SCALARS, lambda v: indicator_energy_closed_form(0.0, v, 0.5)),
+    "indicator_energy_closed_form-alpha": (
+        NON_SCALARS, lambda v: indicator_energy_closed_form(0.0, 1.0, v)),
+    "hardy_boundary_identity-a": (NON_SCALARS, lambda v: (
+        hardy_boundary_identity(TENT, v, 1.0, 0.5))),
+    "hardy_boundary_identity-b": (NON_SCALARS, lambda v: (
+        hardy_boundary_identity(TENT, 0.0, v, 0.5))),
+    "hardy_boundary_identity-alpha": (NON_SCALARS, lambda v: (
+        hardy_boundary_identity(TENT, 0.0, 1.0, v))),
+    "step_rate_experiment-alpha": (NON_SCALARS, lambda v: (
+        step_rate_experiment(TENT, v, 2, 3))),
+    "discrete_fourier-xi_max": (NON_SCALARS,
+                                lambda v: discrete_fourier(TENT, v, 64)),
+    "fourier_energy-xi_max": (NON_SCALARS, lambda v: fourier_energy(
+        _bump(), EnergyParams(alpha=0.5), v, 64)),
+    "fourier_gagliardo_ratio-xi_max": (
+        NON_SCALARS, lambda v: fourier_gagliardo_ratio(
+            _bump(), EnergyParams(alpha=0.5), v, 64)),
+    "LevyTriplet.truncated_mass-lam": (NON_SCALARS,
+                                       lambda v: ATOM.truncated_mass(v)),
+    "levy_indicator_energy-a": (NON_SCALARS, lambda v: (
+        levy_indicator_energy(v, 2.0, ATOM))),
+    "levy_indicator_energy-b": (NON_SCALARS, lambda v: (
+        levy_indicator_energy(0.0, v, ATOM))),
+    "growth_exponent_fit-xi_min": (NON_SCALARS, lambda v: (
+        growth_exponent_fit(_symbol(), v))),
     "step_rate_experiment-n_lo": (DEPTHS, lambda v: step_rate_experiment(
         TENT, 0.5, v, 4)),
     "step_rate_experiment-n_hi": (DEPTHS, lambda v: step_rate_experiment(
@@ -135,7 +228,7 @@ CALLS = {
     "ladder_decompose-max_nodes": (
         {k: v for k, v in COUNTS.items() if k != "huge"},
         lambda v: ladder_decompose(_bump(), max_nodes=v)),
-    "ladder_decompose-sup_tol": (BOOLEANS,
+    "ladder_decompose-sup_tol": (NON_SCALARS,
                                  lambda v: ladder_decompose(_bump(), 8, v)),
     # True was read as 1, a valid alpha, budget, coefficient, sigma, atom
     # position and mass (a_log = 1 was refused only by its range)
@@ -143,13 +236,13 @@ CALLS = {
     "FatCantorSpec-budget": (NON_SCALARS, lambda v: FatCantorSpec(1.5, v)),
     "FatCantorSpec-a_log": (NON_SCALARS,
                             lambda v: FatCantorSpec(1.0, 0.1, v)),
-    "PowerLawDensity-alpha": (BOOLEANS, lambda v: PowerLawDensity(v)),
-    "PowerLawDensity-coefficient": (BOOLEANS,
+    "PowerLawDensity-alpha": (NON_SCALARS, lambda v: PowerLawDensity(v)),
+    "PowerLawDensity-coefficient": (NON_SCALARS,
                                     lambda v: PowerLawDensity(0.5, v)),
-    "LevyTriplet-sigma": (BOOLEANS, lambda v: LevyTriplet(sigma=v)),
-    "LevyTriplet-atom-position": (BOOLEANS,
+    "LevyTriplet-sigma": (NON_SCALARS, lambda v: LevyTriplet(sigma=v)),
+    "LevyTriplet-atom-position": (NON_SCALARS,
                                   lambda v: LevyTriplet(atoms=((v, 1.0),))),
-    "LevyTriplet-atom-mass": (BOOLEANS,
+    "LevyTriplet-atom-mass": (NON_SCALARS,
                               lambda v: LevyTriplet(atoms=((1.0, v),))),
     "LevyTriplet-atom": (ATOMS, lambda v: LevyTriplet(atoms=(v,))),
     "build_fat_cantor-n_intervals": (COUNTS, lambda v: build_fat_cantor(
@@ -198,8 +291,60 @@ def capped_outcomes():
 
 @pytest.mark.parametrize("case", CASES)
 def test_bad_value_raises_value_error(case, capped_outcomes):
-    assert capped_outcomes[case].startswith("ValueError: "), \
-        capped_outcomes[case]
+    outcome = capped_outcomes[case]
+    assert outcome.startswith("ValueError: "), outcome
+    name, label = case[:-1].split("[")
+    if label in NON_SCALARS and NON_SCALARS.keys() <= CALLS[name][0].keys():
+        # a real parameter: refused by the type gate, which names it
+        param = name.split("-", 1)[1].replace("-", " ")
+        assert f"{param} must be a real number" in outcome, outcome
+
+
+def _annotations(obj) -> list:
+    """(name, annotation) of a dataclass's init fields, or of a callable's
+    parameters."""
+    if dataclasses.is_dataclass(obj):
+        return [(f.name, f.type) for f in dataclasses.fields(obj) if f.init]
+    return [(p.name, p.annotation)
+            for p in inspect.signature(obj).parameters.values()]
+
+
+def _real_parameters():
+    """(callable, parameter) for every parameter annotated float or
+    float | None of the package's exported functions and classes: dataclass
+    fields, an __init__ of the class's own, and public methods."""
+    for name, obj in vars(fracform).items():
+        if name.startswith("_") or not (inspect.isclass(obj)
+                                        or inspect.isfunction(obj)):
+            continue
+        members = {name: obj}
+        if inspect.isclass(obj):
+            members = {f"{name}.{attr}": getattr(obj, attr)
+                       for attr, v in vars(obj).items()
+                       if not attr.startswith("_") and (
+                           inspect.isfunction(v)
+                           or isinstance(v, (classmethod, staticmethod)))}
+            if dataclasses.is_dataclass(obj) or "__init__" in vars(obj):
+                members[name] = obj
+        for qual, fn in members.items():
+            for param, annotation in _annotations(fn):
+                if "float" in str(annotation).split(" | "):
+                    yield qual, param
+
+
+def test_every_real_parameter_is_gated():
+    missing, records = [], set()
+    for qual, param in _real_parameters():
+        if qual in RESULT_RECORDS:
+            records.add(qual)
+            continue
+        keys = [k for k in (f"{qual}-{param}",
+                            f"{qual.rsplit('.', 1)[-1]}-{param}")
+                if k in CALLS]
+        if not (keys and NON_SCALARS.keys() <= CALLS[keys[0]][0].keys()):
+            missing.append(f"{qual}({param})")
+    assert missing == []
+    assert records == set(RESULT_RECORDS)
 
 
 def test_huge_node_budget_is_valid():
