@@ -188,14 +188,14 @@ CALLS = {
         NON_SCALARS, lambda v: indicator_energy_closed_form(0.0, v, 0.5)),
     "indicator_energy_closed_form-alpha": (
         NON_SCALARS, lambda v: indicator_energy_closed_form(0.0, 1.0, v)),
-    "hardy_boundary_identity-a": (NON_SCALARS, lambda v: (
-        hardy_boundary_identity(TENT, v, 1.0, 0.5))),
-    "hardy_boundary_identity-b": (NON_SCALARS, lambda v: (
-        hardy_boundary_identity(TENT, 0.0, v, 0.5))),
-    "hardy_boundary_identity-alpha": (NON_SCALARS, lambda v: (
-        hardy_boundary_identity(TENT, 0.0, 1.0, v))),
-    "step_rate_experiment-alpha": (NON_SCALARS, lambda v: (
-        step_rate_experiment(TENT, v, 2, 3))),
+    "hardy_boundary_identity-a": (
+        NON_SCALARS, lambda v: hardy_boundary_identity(TENT, v, 1.0, 0.5)),
+    "hardy_boundary_identity-b": (
+        NON_SCALARS, lambda v: hardy_boundary_identity(TENT, 0.0, v, 0.5)),
+    "hardy_boundary_identity-alpha": (
+        NON_SCALARS, lambda v: hardy_boundary_identity(TENT, 0.0, 1.0, v)),
+    "step_rate_experiment-alpha": (NON_SCALARS, lambda v: step_rate_experiment(
+        TENT, v, 2, 3)),
     "discrete_fourier-xi_max": (NON_SCALARS,
                                 lambda v: discrete_fourier(TENT, v, 64)),
     "fourier_energy-xi_max": (NON_SCALARS, lambda v: fourier_energy(
@@ -205,12 +205,12 @@ CALLS = {
             _bump(), EnergyParams(alpha=0.5), v, 64)),
     "LevyTriplet.truncated_mass-lam": (NON_SCALARS,
                                        lambda v: ATOM.truncated_mass(v)),
-    "levy_indicator_energy-a": (NON_SCALARS, lambda v: (
-        levy_indicator_energy(v, 2.0, ATOM))),
-    "levy_indicator_energy-b": (NON_SCALARS, lambda v: (
-        levy_indicator_energy(0.0, v, ATOM))),
-    "growth_exponent_fit-xi_min": (NON_SCALARS, lambda v: (
-        growth_exponent_fit(_symbol(), v))),
+    "levy_indicator_energy-a": (NON_SCALARS, lambda v: levy_indicator_energy(
+        v, 2.0, ATOM)),
+    "levy_indicator_energy-b": (NON_SCALARS, lambda v: levy_indicator_energy(
+        0.0, v, ATOM)),
+    "growth_exponent_fit-xi_min": (NON_SCALARS, lambda v: growth_exponent_fit(
+        _symbol(), v)),
     "step_rate_experiment-n_lo": (DEPTHS, lambda v: step_rate_experiment(
         TENT, 0.5, v, 4)),
     "step_rate_experiment-n_hi": (DEPTHS, lambda v: step_rate_experiment(
