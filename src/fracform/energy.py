@@ -204,7 +204,7 @@ def indicator_energy_closed_form(a: float, b: float, alpha: float) -> float:
     a, b = real_number("a", a), real_number("b", b)
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    alpha = kernel_exponent("alpha", alpha)
+    alpha = kernel_exponent(alpha)
     if alpha >= 1.0:
         return DIVERGENT
     return 4.0 / (alpha * (1.0 - alpha)) * (b - a) ** (1.0 - alpha)
@@ -289,7 +289,7 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     independent route to the identity.
     """
     a, b = real_number("a", a), real_number("b", b)
-    alpha = kernel_exponent("alpha", alpha)
+    alpha = kernel_exponent(alpha)
     far = 8.0 * (b - a)
     if not math.isfinite(far):
         raise ValueError(f"the window (a, b) must be finite, got ({a}, {b})")

@@ -85,12 +85,12 @@ def nonnegative_number(name: str, v) -> float:
     return v
 
 
-def kernel_exponent(name: str, v) -> float:
-    """real_number(name, v), refused unless 0 < v < 2."""
-    v = real_number(name, v)
-    if not 0.0 < v < 2.0:
-        raise ValueError(f"kernel exponent {name} must lie in (0, 2), got {v}")
-    return v
+def kernel_exponent(alpha) -> float:
+    """real_number("alpha", alpha), refused unless 0 < alpha < 2."""
+    alpha = real_number("alpha", alpha)
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"kernel exponent alpha must lie in (0, 2), got {alpha}")
+    return alpha
 
 
 def grid_size(lo: float, hi: float, step: float) -> int:

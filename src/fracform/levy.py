@@ -49,7 +49,7 @@ class PowerLawDensity:
     coefficient: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", kernel_exponent("alpha", self.alpha))
+        object.__setattr__(self, "alpha", kernel_exponent(self.alpha))
         object.__setattr__(self, "coefficient",
                            positive_number("coefficient", self.coefficient))
 

@@ -303,7 +303,7 @@ def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
 
 def _form_scale(h: float, alpha: float) -> float:
     """C h^(1-alpha) with C = 2 / (alpha (2-alpha) (3-alpha))."""
-    alpha = grids.kernel_exponent("alpha", alpha)
+    alpha = grids.kernel_exponent(alpha)
     return 2.0 * h ** (1.0 - alpha) / (alpha * (2.0 - alpha) * (3.0 - alpha))
 
 
