@@ -22,7 +22,8 @@ import numpy as np
 
 from .energy import EnergyParams, dirichlet_energy, gagliardo_energy
 from .grids import MAX_GRID_NODES, GridFunction, IntervalSet, PlateauSpec, \
-    StepFunction, _json_float, grid_nodes, make_plateau, positive_number
+    StepFunction, _json_float, count, grid_nodes, make_plateau, \
+    positive_number, window
 from .ladder import ladder_decompose
 from .levy import LevyTriplet, PowerLawDensity, finite_variation_test, \
     growth_exponent_fit, levy_indicator_energy, levy_symbol
@@ -57,34 +58,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _finite_numbers(tokens) -> list:
-    """The tokens as floats; nan and infinities are refused."""
-    values = [float(t) for t in tokens]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"numbers must be finite, got {','.join(tokens)}")
-    return values
-
-
 def parse_function_literal(text: str, step: float):
     """Grammar: indicator:a,b | plateau:a,b,rho[,profile] | bump:center,width
-    | csv:path | json:path."""
+    | csv:path | json:path.  The library's gates refuse the numbers: the
+    indicator's (a, b) and the bump's support (c - w, c + w) are windows."""
     step = positive_number("grid step", step)
     kind, _, rest = text.partition(":")
     if kind == "indicator":
-        a, b = _finite_numbers(rest.split(","))
+        a, b = window("indicator", [float(t) for t in rest.split(",")])
         return StepFunction(np.array([a, b]), np.array([1.0]))
     if kind == "plateau":
         parts = rest.split(",")
-        a, b, rho = _finite_numbers(parts[:3])
+        a, b, rho = (float(t) for t in parts[:3])
         profile = parts[3] if len(parts) > 3 else "linear"
         return make_plateau(PlateauSpec(a, b, rho, profile), step)
     if kind == "bump":
-        c, w = _finite_numbers(rest.split(","))
+        c, w = (float(t) for t in rest.split(","))
         w = positive_number("bump width", w)
+        lo, hi = window("bump support (c - w, c + w)", (c - w, c + w))
         return GridFunction.from_callable(
             lambda u: np.where(np.abs(u - c) < w,
                                np.cos(np.pi * (u - c) / (2.0 * w)) ** 2, 0.0),
-            c - w, c + w, step, pad=4)
+            lo, hi, step, pad=4)
     if kind == "csv":
         return GridFunction.from_csv(Path(rest).read_text(encoding="utf-8"))
     if kind == "json":
@@ -179,11 +174,11 @@ def _cmd_scale(cfg: RunConfig) -> int:
             alpha=_json_float("alpha", spec_data.get("alpha")),
             budget=_json_float("budget", spec_data.get("budget")),
             a_log=_json_float("a_log", spec_data.get("a_log", 2.0)))
+        # a whole number counts; build_fat_cantor refuses anything else
         n_intervals = _json_float("n_intervals",
                                   spec_data.get("n_intervals", 63))
-        if not n_intervals.is_integer():
-            raise ValueError(f"n_intervals must be whole, got {n_intervals}")
-        n_intervals = int(n_intervals)
+        if n_intervals.is_integer():
+            n_intervals = int(n_intervals)
     else:
         spec = FatCantorSpec(alpha=p["alpha"], budget=p["budget"])
         n_intervals = p["n_intervals"]
@@ -208,12 +203,10 @@ def _cmd_capacity(cfg: RunConfig) -> int:
         if p["target"].endswith(".json")
         else json.loads(p["target"]))
     try:
-        lo, hi = _finite_numbers(p["domain"].split(","))
+        lo, hi = window("domain", [float(t) for t in p["domain"].split(",")])
     except ValueError:
-        lo = hi = math.nan
-    if not lo < hi:
         raise ValueError(f"--domain needs two finite numbers lo < hi, got "
-                         f"{p['domain']!r}")
+                         f"{p['domain']!r}") from None
     est = capacity_estimate(target, p["alpha_star"], (lo, hi), p["step"])
     print(f"capacity = {_fmt(est.value)}")
     print(f"residual = {_fmt(est.residual)}")
@@ -237,17 +230,14 @@ def _cmd_levy(cfg: RunConfig) -> int:
     if not 0 < p["xi_min"] < p["xi_max"] < math.inf:
         raise ValueError(f"the frequency grid needs finite 0 < xi_min < "
                          f"xi_max, got {p['xi_min']}, {p['xi_max']}")
-    if not 2 <= p["n_xi"] <= MAX_GRID_NODES:
-        raise ValueError(f"--n-xi must lie in 2..{MAX_GRID_NODES}, got "
-                         f"{p['n_xi']}")
+    count("--n-xi", p["n_xi"], 2, MAX_GRID_NODES)
     if p.get("indicator"):
         try:
-            a, b = _finite_numbers(p["indicator"].split(","))
+            a, b = window("indicator", [float(t) for t in
+                                        p["indicator"].split(",")])
         except ValueError:
-            a = b = math.nan
-        if not a < b:
             raise ValueError(f"--indicator needs two finite numbers a < b, "
-                             f"got {p['indicator']!r}")
+                             f"got {p['indicator']!r}") from None
     if p.get("triplet"):
         t = LevyTriplet.from_json_dict(
             json.loads(Path(p["triplet"]).read_text(encoding="utf-8")))

@@ -28,8 +28,9 @@ from typing import Union
 import numpy as np
 
 from .fourier import discrete_fourier
-from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, grid_nodes,
-                    is_count, kernel_exponent, positive_number, real_number)
+from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, count,
+                    grid_nodes, kernel_exponent, positive_number, real_number,
+                    window)
 from .ladder import is_erased_function
 from .quadcells import _increment_form
 
@@ -161,10 +162,8 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
     """
     if p.alpha >= 2.0:
         raise ValueError("alpha = 2 has no Gagliardo form; use dirichlet_energy")
-    if not (is_count(refine_levels)
-            and 0 <= refine_levels <= _MAX_REFINE_LEVELS):
-        raise ValueError(f"refine_levels must be an integer in 0.."
-                         f"{_MAX_REFINE_LEVELS}, got {refine_levels!r}")
+    refine_levels = count("refine_levels", refine_levels, 0,
+                          _MAX_REFINE_LEVELS)
 
     if isinstance(f, GridFunction):
         _require_compact(f)
@@ -289,6 +288,7 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     independent route to the identity.
     """
     a, b = real_number("a", a), real_number("b", b)
+    window("the window (a, b)", (a, b))
     alpha = kernel_exponent(alpha)
     far = 8.0 * (b - a)
     if not math.isfinite(far):

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import MAX_GRID_NODES, GridFunction, is_count, real_number
+from .grids import MAX_GRID_NODES, GridFunction, count, real_number
 
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
@@ -215,9 +215,7 @@ def discrete_fourier(f: GridFunction, xi_max: float, n_freq: int
     per function, and a repeat call returns the same read-only table; a
     different key replaces it.  Every guard runs before the kept table is
     looked up."""
-    if not (is_count(n_freq) and 2 <= n_freq <= MAX_GRID_NODES):
-        raise ValueError(f"n_freq must be an integer in 2..{MAX_GRID_NODES}, "
-                         f"got {n_freq!r}")
+    n_freq = count("n_freq", n_freq, 2, MAX_GRID_NODES)
     # the grid spans 2 xi_max, which overflows from ~9e307 on
     xi_max = real_number("xi_max", xi_max)
     if not (0 < xi_max and 2.0 * xi_max < math.inf):

@@ -46,12 +46,6 @@ _INF = float("inf")
 MAX_GRID_NODES = 1 << 22
 
 
-def is_count(v) -> bool:
-    """True for an int or a numpy integer; a bool or a whole float is not a
-    count, size or depth."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def real_number(name: str, v) -> float:
     """The one type gate of a real parameter: v as a Python float for an int
     or float, Python or numpy.  Anything else raises ValueError naming
@@ -67,6 +61,33 @@ def real_number(name: str, v) -> float:
             raise ValueError(f"{name} is a number out of the float "
                              f"range") from None
     raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
+def count(name: str, v, lo: int, hi: int | None = None) -> int:
+    """The one gate of a count, size, depth or index: v as a Python int for
+    an int or numpy integer in lo..hi (hi None: no upper end).  Anything
+    else, a bool or a whole float too, raises ValueError naming ``name``."""
+    if (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and lo <= v and (hi is None or v <= hi)):
+        return int(v)
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise ValueError(f"{name} must be an integer {span}, got {v!r}")
+
+
+def window(name: str, pair, finite: bool = True) -> tuple:
+    """The one gate of a window or domain: exactly two real numbers lo < hi,
+    both finite, as Python floats; anything else raises ValueError naming
+    ``name``.  The set algebra reads its windows with finite=False: infinite
+    ends pass there, and lo = hi is an empty window."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair (lo, hi), got {pair!r}") from None
+    lo, hi = real_number(f"{name} end", lo), real_number(f"{name} end", hi)
+    if not (-math.inf < lo < hi < math.inf if finite else lo <= hi):
+        rule = "finite ends lo < hi" if finite else "ends lo <= hi"
+        raise ValueError(f"{name} needs {rule}, got ({lo}, {hi})")
+    return lo, hi
 
 
 def positive_number(name: str, v) -> float:
@@ -180,9 +201,7 @@ class GridFunction:
         nodes added per side; the padding counts towards the node limit."""
         lo, hi = real_number("lo", lo), real_number("hi", hi)
         step = positive_number("grid step", step)
-        if not (is_count(pad) and pad >= 0):
-            raise ValueError(f"pad must be a non-negative integer, got "
-                             f"{pad!r}")
+        pad = count("pad", pad, 0)
         grid_size(lo - pad * step, hi + pad * step, step)
         vals = np.asarray(fn(grid_nodes(lo, hi, step)), dtype=float)
         if pad > 0:
@@ -266,6 +285,7 @@ class GridFunction:
     def _support_range(self, margin: int) -> slice:
         """The samples of the support plus ``margin`` zeros per side, at
         least 2 nodes (the first two for the zero function)."""
+        margin = count("margin", margin, 0)
         lo = min(max(self.support_lo - margin, 0), self.values.size - 2)
         hi = max(min(self.support_hi + margin, self.values.size - 1), lo + 1)
         return slice(lo, hi + 1)
@@ -428,8 +448,7 @@ class StepFunction:
 
 def snap_to_dyadic_step(f: GridFunction, n: int) -> StepFunction:
     """Left-endpoint dyadic snapping: level f(i/2^n) on (i/2^n, (i+1)/2^n]."""
-    if not (is_count(n) and n >= 1):
-        raise ValueError(f"dyadic depth must be a positive integer, got {n!r}")
+    n = count("dyadic depth", n, 1)
     if f.is_zero:
         return StepFunction(np.array([]), np.array([]))
     lo, hi = f.support_interval()
@@ -529,25 +548,20 @@ class IntervalSet:
                     pieces.append((lo, hi))
         return IntervalSet(tuple(pieces))
 
-    def intersect_window(self, window) -> "IntervalSet":
-        return self.intersect(IntervalSet.of(tuple(window)))
+    _window = staticmethod(window)    # the methods' parameter shadows it
 
-    def complement_within(self, window) -> "IntervalSet":
-        """Open gaps of the set inside the open window (a, b)."""
-        a, b = float(window[0]), float(window[1])
-        gaps = []
-        cursor = a
-        for lo, hi in self.intervals:
-            if hi <= a or lo >= b:
-                continue
-            if lo > cursor:
-                gaps.append((cursor, min(lo, b)))
-            cursor = max(cursor, hi)
-            if cursor >= b:
-                break
-        if cursor < b:
-            gaps.append((cursor, b))
-        return IntervalSet(tuple(gaps))
+    def intersect_window(self, window: tuple[float, float]) -> "IntervalSet":
+        return self.intersect(IntervalSet.of(
+            self._window("window", window, finite=False)))
+
+    def complement_within(self, window: tuple[float, float]) -> "IntervalSet":
+        """Open gaps of the set inside the open window (a, b): between a, the
+        ends of the pieces that meet the window, and b; the constructor drops
+        the reversed pair that a piece reaching past a or b leaves."""
+        a, b = self._window("window", window, finite=False)
+        ends = [a, *(end for piece in self.intervals
+                     if piece[0] < b and a < piece[1] for end in piece), b]
+        return IntervalSet(tuple(zip(ends[::2], ends[1::2])))
 
     # -- serialization ---------------------------------------------------------------
 
@@ -593,8 +607,7 @@ class PlateauSpec:
         object.__setattr__(self, "a", real_number("a", self.a))
         object.__setattr__(self, "b", real_number("b", self.b))
         object.__setattr__(self, "rho", positive_number("rho", self.rho))
-        if not -math.inf < self.a < self.b < math.inf:
-            raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
+        window("the plateau top (a, b)", (self.a, self.b))
         if self.ramp_profile not in _RAMP_PROFILES:
             raise ValueError(f"unknown ramp profile {self.ramp_profile!r}; "
                              f"choose from {sorted(_RAMP_PROFILES)}")

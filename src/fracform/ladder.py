@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import transform_at
-from .grids import (GridFunction, IntervalSet, grid_nodes, is_count,
+from .grids import (GridFunction, IntervalSet, count, grid_nodes,
                     nonnegative_number, real_number, snap_to_dyadic_step)
 from .quadcells import gagliardo_of_values
 
@@ -270,12 +270,7 @@ class LadderTree:
         return float(self._gaps[self._step(k) - 1])
 
     def _step(self, k):
-        n = self.n_nodes
-        if k is None:
-            return n
-        if not (is_count(k) and 1 <= k <= n):
-            raise ValueError(f"k must be an integer in 1..{n}")
-        return k
+        return self.n_nodes if k is None else count("k", k, 1, self.n_nodes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,9 +373,7 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
         raise ValueError("decomposition needs a non-negative function")
     if not f.has_compact_support():
         raise ValueError("decomposition needs compact support")
-    if not (is_count(max_nodes) and max_nodes >= 1):
-        raise ValueError(f"the node budget must be a positive integer, got "
-                         f"{max_nodes!r}")
+    max_nodes = count("max_nodes", max_nodes, 1)
     sup_tol = nonnegative_number("sup_tol", sup_tol)
 
     fv = f.values
@@ -397,7 +390,7 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
     ranked = np.lexsort((peaks, depth, -height))
     # heights never grow from parent to child: the gaps do not increase
     gaps = np.append(height[ranked[1:]], 0.0)
-    n_done = min(int(max_nodes), 1 + int(np.count_nonzero(gaps > sup_tol)))
+    n_done = min(max_nodes, 1 + int(np.count_nonzero(gaps > sup_tol)))
     rank = np.full(peaks.size, n_done)
     rank[ranked[:n_done]] = np.arange(n_done)
     # every child of a processed node is an edge: processed, or a stub
@@ -453,9 +446,7 @@ def step_rate_experiment(f: GridFunction, alpha: float, n_lo: int,
     alpha = real_number("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError("the rate experiment needs alpha in (0, 1)")
-    if not (is_count(n_lo) and is_count(n_hi) and 1 <= n_lo <= n_hi):
-        raise ValueError(f"need integer depths 1 <= n_lo <= n_hi, got "
-                         f"{n_lo!r}, {n_hi!r}")
+    n_lo, n_hi = count("n_lo", n_lo, 1), count("n_hi", n_hi, n_lo)
     if f.is_zero:
         entries = tuple((n, 0.0) for n in range(n_lo, n_hi + 1))
         return StepRateResult(entries, float("nan"))

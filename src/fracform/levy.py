@@ -84,8 +84,9 @@ class LevyTriplet:
         """int (lam ^ |x|) nu(dx) over the full two-sided measure; inf when
         the density is not integrable against |x| near 0 (alpha >= 1)."""
         lam = real_number("lam", lam)
-        if lam <= 0:
-            raise ValueError("need a positive truncation level")
+        if not lam > 0:
+            raise ValueError(f"the truncation level lam must be positive, "
+                             f"got {lam}")
         total = 2.0 * sum(m * min(lam, x) for x, m in self.atoms)
         if self.density is not None:
             a = self.density.alpha

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import grids
 from .grids import (GridFunction, IntervalSet, grid_nodes, grid_size,
-                    is_count, positive_number, real_number)
+                    positive_number, real_number)
 from .quadcells import gagliardo_of_values, hat_energy_row
 
 __all__ = [
@@ -74,6 +75,8 @@ class ScaleFunction:
         object.__setattr__(self, "anchor", real_number("anchor", self.anchor))
         if not math.isfinite(self.anchor):
             raise ValueError(f"anchor must be finite, got {self.anchor}")
+        object.__setattr__(self, "density_depth", grids.count(
+            "density_depth", self.density_depth, -1))
         ends = self.g_set.endpoints()
         bp = np.unique(np.append(ends[np.isfinite(ends)], self.anchor))
         m = self.g_set.measure_between(self.anchor, bp)
@@ -108,8 +111,8 @@ def _density_depth(g: IntervalSet, window, max_depth: int = 12) -> int:
     depth = -1
     for d in range(0, max_depth + 1):
         edges = np.linspace(a, b, 2 ** d + 1)
-        # a cell spans its edges in either order, as in measure_between
-        # (a reversed window, or edges that round out of order)
+        # a cell spans its edges in either order, as in measure_between:
+        # on a window a few hundred subnormals long they round out of order
         start = np.minimum(edges[:-1], edges[1:])
         end = np.maximum(edges[:-1], edges[1:])
         first = np.searchsorted(ends[:, 1], start, side="right")
@@ -121,13 +124,16 @@ def _density_depth(g: IntervalSet, window, max_depth: int = 12) -> int:
 
 
 def scale_from_open_set(g: IntervalSet, anchor: float = 0.0,
-                        density_window=None) -> ScaleFunction:
+                        density_window: tuple[float, float] | None = None
+                        ) -> ScaleFunction:
     """Exact piecewise-linear scale function with slope 1 on G and 0 off G."""
     if density_window is None:
         ends = g.endpoints()
         finite = ends[np.isfinite(ends)]
         density_window = ((finite.min(), finite.max()) if finite.size >= 2
                           else (-1.0, 1.0))
+    else:
+        density_window = grids.window("density_window", density_window)
     depth = _density_depth(g, density_window)
     strict = depth >= 6 or g.complement_within(density_window).is_empty
     return ScaleFunction(g, anchor, density_depth=depth,
@@ -164,7 +170,7 @@ class FatCantorSpec:
 
     def radius(self, i: int) -> float:
         """The i-th radius; inf where it overflows (the build clips it)."""
-        share = self.budget * 2.0 ** (-i)
+        share = self.budget * 2.0 ** -grids.count("i", i, 1)
         if self.alpha > 1.0:
             try:
                 return share ** (1.0 / (self.alpha - 1.0))
@@ -200,9 +206,7 @@ def build_fat_cantor(spec: FatCantorSpec, n_intervals: int) -> IntervalSet:
 
     The spec's radii keep the surrogate sum below its budget, and shrinking
     them only lowers it.  At most MAX_ISLANDS islands are built."""
-    if not (is_count(n_intervals) and n_intervals >= 1):
-        raise ValueError(f"the island count must be a positive integer, got "
-                         f"{n_intervals!r}")
+    n_intervals = grids.count("n_intervals", n_intervals, 1)
     if n_intervals > MAX_ISLANDS:
         raise ValueError(f"{n_intervals} islands exceed the limit of "
                          f"{MAX_ISLANDS}")
@@ -225,13 +229,14 @@ class Composition:
     scale: ScaleFunction
 
 
-def compose_scale(f_lip: GridFunction, s: ScaleFunction, window,
+def compose_scale(f_lip: GridFunction, s: ScaleFunction,
+                  window: tuple[float, float],
                   step: float | None = None) -> Composition:
     """Sample f(s(x)) on the window; f lives on the range of s.
 
     The recorded constant makes |f(s(x)) - f(s(y))| <= lip |s(x) - s(y)|
     hold at every node pair."""
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = grids.window("window", window)
     if step is None:
         step = f_lip.step
     x = grid_nodes(lo, hi, step)
@@ -401,7 +406,8 @@ def _cg(matvec, b: np.ndarray, maxiter: int, precond):
     return x, tuple(history)
 
 
-def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
+def capacity_estimate(target: IntervalSet, alpha_star: float,
+                      domain: tuple[float, float],
                       step: float) -> CapacityEstimate:
     """Riesz capacity of the target inside the domain window.
 
@@ -416,7 +422,7 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
     if not 0.0 < alpha_star <= 1.0:
         raise ValueError(f"capacity exponent must be a number in (0, 1], "
                          f"got {alpha_star!r}")
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = grids.window("domain", domain)
     for a, b in target:
         if a < lo - 1e-12 or b > hi + 1e-12:
             raise ValueError(f"target piece ({a}, {b}) escapes the domain "
@@ -470,15 +476,15 @@ def capacity_estimate(target: IntervalSet, alpha_star: float, domain,
     return CapacityEstimate(value, eq, residual, h, clamp_violation, history)
 
 
-def concentration_test(g: IntervalSet, alpha_star: float, window,
-                       step: float):
+def concentration_test(g: IntervalSet, alpha_star: float,
+                       window: tuple[float, float], step: float):
     """Capacity of G inside the window versus capacity of the window, both
     solved on the domain four window lengths wide about the window's centre.
 
     A ratio strictly below 1 certifies, at this resolution, that the window
     carries capacity off G; a ratio near 1 is inconclusive and never read as
     a negative certificate."""
-    a, b = float(window[0]), float(window[1])
+    a, b = grids.window("window", window)
     half = 2.0 * (b - a)
     mid = 0.5 * (a + b)
     domain = (mid - half, mid + half)

@@ -3,16 +3,28 @@
 Every exported callable that takes a step, size, count or depth refuses a
 bad value with ValueError before it allocates; the transforms refuse a
 frequency that is not finite, or whose phase xi x on the grid is not; the
-scale anchor and the contraction level refuse NaN and infinities.  Every
-real parameter (each one annotated ``float`` of an exported callable, the
-ends of an interval and the position and mass of a Levy atom) goes through
-``grids.real_number``: a bool, a numpy bool or a numpy array of any shape,
-0-d included, is refused with a ValueError that names the parameter, and
-``test_every_real_parameter_is_gated`` keeps a case here for each such
-parameter.  The table runs in one subprocess under a 1 GiB
-address-space cap with one BLAS thread, so a missing guard fails fast with
-MemoryError (or shows as another error) instead of allocating tens of GiB;
-each case is reported as its own test.
+scale anchor and the contraction level refuse NaN and infinities.  Each
+kind of parameter has one gate in ``grids``, which names the parameter in
+its ValueError:
+
+- a real parameter (each one annotated ``float`` of an exported callable,
+  the ends of an interval and the position and mass of a Levy atom) goes
+  through ``grids.real_number``, which refuses a bool, a numpy bool and a
+  numpy array of any shape, 0-d included;
+- a count, size, depth or index (each parameter annotated ``int``) goes
+  through ``grids.count``, which refuses a bool, a float (a whole one too)
+  and a value out of its range;
+- a window or domain (each parameter annotated ``tuple[float, float]``)
+  goes through ``grids.window``: exactly two real numbers, both finite,
+  with lo < hi.  The set algebra's windows (``IntervalSet.complement_within``
+  and ``intersect_window``) take infinite ends but refuse NaN and reversed
+  ones.
+
+The ``test_every_*_is_gated`` sweeps walk the exported signatures and keep
+a case here for each such parameter.  The table runs in one subprocess
+under a 1 GiB address-space cap with one BLAS thread, so a missing guard
+fails fast with MemoryError (or shows as another error) instead of
+allocating tens of GiB; each case is reported as its own test.
 
 Every builder takes its nodes from ``grids.grid_nodes``; the pins below fix
 each one's node count and first and last node on fixed inputs.
@@ -39,10 +51,11 @@ from fracform import (FatCantorSpec, GridFunction, IntervalSet, LevyTriplet,
                       calibrate_c_of_alpha, capacity_estimate, compose_scale,
                       concentration_test, discrete_fourier,
                       epsilon_contraction, fourier_energy,
-                      fourier_gagliardo_ratio, growth_exponent_fit,
-                      hardy_boundary_identity, indicator_energy_closed_form,
-                      ladder_decompose, levy_indicator_energy, levy_symbol,
-                      make_plateau, plateau_energy_bound_check,
+                      fourier_gagliardo_ratio, gagliardo_energy,
+                      growth_exponent_fit, hardy_boundary_identity,
+                      indicator_energy_closed_form, ladder_decompose,
+                      levy_indicator_energy, levy_symbol, make_plateau,
+                      plateau_energy_bound_check,
                       scale_from_open_set, skorokhod_star,
                       snap_to_dyadic_step, step_rate_experiment, transform_at)
 from fracform.cli import main
@@ -61,6 +74,33 @@ STEPS = {"zero": 0.0, "negative": -0.25, "nan": math.nan, "inf": math.inf,
 COUNTS = {"zero": 0, "negative": -3, "nan": math.nan, "inf": math.inf,
           "bool": True, "fraction": 2.5, "whole-float": 4.0,
           "huge": 10 ** 10}
+# the COUNTS labels that the count gate refuses by type, naming the parameter
+COUNT_TYPES = ("nan", "inf", "bool", "fraction", "whole-float")
+# per parameter, the COUNTS labels that are valid values there, and why
+VALID_COUNTS = {
+    "from_callable-pad": {"zero": "no zero nodes added"},
+    "gagliardo_energy-refine_levels": {"zero": "an empty trace"},
+    "GridFunction.trimmed-margin": {
+        "zero": "the support alone",
+        "huge": "a margin past the grid keeps the whole window"},
+    "GridFunction.support_values-margin": {
+        "zero": "the support alone",
+        "huge": "a margin past the grid keeps the whole window"},
+    # test_huge_node_budget_is_valid
+    "ladder_decompose-max_nodes": {"huge": "a node budget allocates nothing"},
+    "FatCantorSpec.radius-i": {"huge": "the radius underflows to 0"},
+    "ScaleFunction-density_depth": {
+        "zero": "a certificate at depth 0",
+        "huge": "a recorded depth allocates nothing"},
+}
+
+
+def counts(key) -> dict:
+    """COUNTS without the labels that are valid for the parameter ``key``."""
+    return {k: v for k, v in COUNTS.items()
+            if k not in VALID_COUNTS.get(key, {})}
+
+
 DEPTHS = {**COUNTS, "huge": 10 ** 9, "past-float-range": 1100}
 # NaN and inf gave NaN amplitudes with RuntimeWarnings
 FREQUENCIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -75,6 +115,13 @@ ATOMS = {"string": "12", "bytes": b"12", "string-mass": (0.5, "2"),
          "string-position": ("1", 2.0),
          "array-position": (np.array([1.0]), 1.0),
          "boolean-position": (True, 1.0), "three-numbers": (1.0, 2.0, 3.0)}
+# every window or domain refuses these: True was read as 1.0, an array end
+# raised TypeError, and NaN or reversed ends ran on a wrong window or
+# certified a set that is not dense as strictly increasing
+WINDOWS = {"bool-end": (-0.5, True), "numpy-bool-end": (-0.5, np.True_),
+           "one-element-array-end": (-0.5, np.array([0.5])),
+           "nan-end": (math.nan, 0.5), "reversed": (0.5, -0.5),
+           "three-tuple": (-0.5, 0.0, 0.5)}
 
 
 def _scale():
@@ -117,10 +164,14 @@ CALLS = {
         np.cos, v, 2.0, 0.25)),
     "from_callable-hi": (NON_SCALARS, lambda v: GridFunction.from_callable(
         np.cos, 0.0, v, 0.25)),
-    # pad=0 is valid: no zero nodes added
-    "from_callable-pad": ({k: v for k, v in COUNTS.items() if k != "zero"},
+    "from_callable-pad": (counts("from_callable-pad"),
                           lambda v: GridFunction.from_callable(
                               np.cos, 0.0, 1.0, 0.25, pad=v)),
+    "GridFunction.trimmed-margin": (counts("GridFunction.trimmed-margin"),
+                                    lambda v: TENT.trimmed(v)),
+    "GridFunction.support_values-margin": (
+        counts("GridFunction.support_values-margin"),
+        lambda v: TENT.support_values(v)),
     "StepFunction.sample-step": ({**STEPS, **NON_SCALARS},
                                  lambda v: StepFunction(
                                      np.array([0.0, 1.0]),
@@ -203,7 +254,8 @@ CALLS = {
     "fourier_gagliardo_ratio-xi_max": (
         NON_SCALARS, lambda v: fourier_gagliardo_ratio(
             _bump(), EnergyParams(alpha=0.5), v, 64)),
-    "LevyTriplet.truncated_mass-lam": (NON_SCALARS,
+    # NaN gave a NaN mass
+    "LevyTriplet.truncated_mass-lam": ({**NON_SCALARS, "nan": math.nan},
                                        lambda v: ATOM.truncated_mass(v)),
     "levy_indicator_energy-a": (NON_SCALARS, lambda v: levy_indicator_energy(
         v, 2.0, ATOM)),
@@ -223,11 +275,14 @@ CALLS = {
                                        lambda v: fourier_gagliardo_ratio(
                                            _bump(), EnergyParams(alpha=0.5),
                                            64.0, v)),
-    # a node budget allocates nothing: any positive integer is valid
-    # (test_huge_node_budget_is_valid)
     "ladder_decompose-max_nodes": (
-        {k: v for k, v in COUNTS.items() if k != "huge"},
+        counts("ladder_decompose-max_nodes"),
         lambda v: ladder_decompose(_bump(), max_nodes=v)),
+    "gagliardo_energy-refine_levels": (
+        counts("gagliardo_energy-refine_levels"),
+        lambda v: gagliardo_energy(StepFunction([0.0, 1.0], [1.0]),
+                                   EnergyParams(alpha=0.5),
+                                   refine_levels=v)),
     "ladder_decompose-sup_tol": (NON_SCALARS,
                                  lambda v: ladder_decompose(_bump(), 8, v)),
     # True was read as 1, a valid alpha, budget, coefficient, sigma, atom
@@ -247,7 +302,27 @@ CALLS = {
     "LevyTriplet-atom": (ATOMS, lambda v: LevyTriplet(atoms=(v,))),
     "build_fat_cantor-n_intervals": (COUNTS, lambda v: build_fat_cantor(
         FatCantorSpec(alpha=1.5, budget=0.1), v)),
+    "FatCantorSpec.radius-i": (counts("FatCantorSpec.radius-i"),
+                               lambda v: FatCantorSpec(1.5, 0.1).radius(v)),
+    "ScaleFunction-density_depth": (
+        counts("ScaleFunction-density_depth"),
+        lambda v: ScaleFunction(IntervalSet.real_line(), 0.0, v)),
     "LadderTree.partial_sum-k": (COUNTS, lambda v: _tree().partial_sum(v)),
+    "LadderTree.sup_gap-k": (COUNTS, lambda v: _tree().sup_gap(v)),
+    # the target (-0.1, 0.1) lies inside every valid window here
+    "capacity_estimate-domain": (WINDOWS, lambda v: capacity_estimate(
+        IntervalSet.of((-0.1, 0.1)), 0.5, v, 0.125)),
+    "concentration_test-window": (WINDOWS, lambda v: concentration_test(
+        IntervalSet.of((-0.1, 0.1)), 0.5, v, 0.125)),
+    "compose_scale-window": (WINDOWS, lambda v: compose_scale(
+        _bump(), _scale(), v)),
+    "scale_from_open_set-density_window": (
+        WINDOWS, lambda v: scale_from_open_set(IntervalSet.of((0.0, 1.0)),
+                                               0.0, v)),
+    "IntervalSet.complement_within-window": (
+        WINDOWS, lambda v: IntervalSet.real_line().complement_within(v)),
+    "IntervalSet.intersect_window-window": (
+        WINDOWS, lambda v: IntervalSet.real_line().intersect_window(v)),
     "transform_at-xi": (FREQUENCIES, lambda v: transform_at(TENT, [1.0, v])),
     # a finite frequency whose phase xi x overflows at the grid's end x = 6
     "transform_at-xi-phase": ({"overflow": 1e308}, lambda v: transform_at(
@@ -256,6 +331,9 @@ CALLS = {
     "bv_fourier_bound_check-xi": (
         FREQUENCIES, lambda v: bv_fourier_bound_check(TENT, [-2.0, 1.0, v])),
 }
+
+# cases named after what the parameter is rather than its name
+CASE_NAMES = {"snap_to_dyadic_step-n": "snap_to_dyadic_step-depth"}
 
 CASES = sorted(f"{name}[{label}]" for name, (values, _) in CALLS.items()
                for label in values)
@@ -294,10 +372,15 @@ def test_bad_value_raises_value_error(case, capped_outcomes):
     outcome = capped_outcomes[case]
     assert outcome.startswith("ValueError: "), outcome
     name, label = case[:-1].split("[")
-    if label in NON_SCALARS and NON_SCALARS.keys() <= CALLS[name][0].keys():
+    values = CALLS[name][0]
+    param = name.split("-", 1)[1].replace("-", " ")
+    if label in NON_SCALARS and NON_SCALARS.keys() <= values.keys():
         # a real parameter: refused by the type gate, which names it
-        param = name.split("-", 1)[1].replace("-", " ")
         assert f"{param} must be a real number" in outcome, outcome
+    if label in COUNT_TYPES and counts(name).keys() <= values.keys():
+        assert f"{param} must be an integer" in outcome, outcome
+    if WINDOWS.keys() <= values.keys():
+        assert f"ValueError: {param} " in outcome, outcome
 
 
 def _annotations(obj) -> list:
@@ -309,10 +392,10 @@ def _annotations(obj) -> list:
             for p in inspect.signature(obj).parameters.values()]
 
 
-def _real_parameters():
-    """(callable, parameter) for every parameter annotated float or
-    float | None of the package's exported functions and classes: dataclass
-    fields, an __init__ of the class's own, and public methods."""
+def _parameters():
+    """(callable, parameter, annotation as a list of its ``|`` parts) of the
+    package's exported functions and classes: dataclass fields, an __init__
+    of the class's own, and public methods."""
     for name, obj in vars(fracform).items():
         if name.startswith("_") or not (inspect.isclass(obj)
                                         or inspect.isfunction(obj)):
@@ -328,23 +411,52 @@ def _real_parameters():
                 members[name] = obj
         for qual, fn in members.items():
             for param, annotation in _annotations(fn):
-                if "float" in str(annotation).split(" | "):
-                    yield qual, param
+                yield qual, param, str(annotation).split(" | ")
 
 
-def test_every_real_parameter_is_gated():
+def _ungated(annotated: str, labels) -> tuple:
+    """The parameters annotated ``annotated`` or ``annotated | None`` whose
+    case in CALLS lacks one of ``labels(key)``, and the result records met
+    on the way."""
     missing, records = [], set()
-    for qual, param in _real_parameters():
+    for qual, param, kinds in _parameters():
+        if annotated not in kinds:
+            continue
         if qual in RESULT_RECORDS:
             records.add(qual)
             continue
-        keys = [k for k in (f"{qual}-{param}",
-                            f"{qual.rsplit('.', 1)[-1]}-{param}")
-                if k in CALLS]
-        if not (keys and NON_SCALARS.keys() <= CALLS[keys[0]][0].keys()):
+        keys = [CASE_NAMES.get(k, k)
+                for k in (f"{qual}-{param}",
+                          f"{qual.rsplit('.', 1)[-1]}-{param}")
+                if CASE_NAMES.get(k, k) in CALLS]
+        if not (keys and labels(keys[0]) <= CALLS[keys[0]][0].keys()):
             missing.append(f"{qual}({param})")
+    return missing, records
+
+
+def test_every_real_parameter_is_gated():
+    missing, records = _ungated("float", lambda key: NON_SCALARS.keys())
     assert missing == []
     assert records == set(RESULT_RECORDS)
+
+
+def test_every_count_parameter_is_gated():
+    missing, _ = _ungated("int", lambda key: counts(key).keys())
+    assert missing == []
+    # a valid label names a parameter and a label that exist
+    assert {k for k in VALID_COUNTS if k not in CALLS} == set()
+    assert set().union(*VALID_COUNTS.values()) <= COUNTS.keys()
+
+
+def test_every_window_parameter_is_gated():
+    # a window or domain says so in its annotation, which the walk reads
+    unannotated = [f"{qual}({param})" for qual, param, kinds in _parameters()
+                   if (param in ("window", "domain")
+                       or param.endswith("_window"))
+                   and "tuple[float, float]" not in kinds]
+    assert unannotated == []
+    missing, _ = _ungated("tuple[float, float]", lambda key: WINDOWS.keys())
+    assert missing == []
 
 
 def test_huge_node_budget_is_valid():

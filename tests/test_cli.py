@@ -21,10 +21,13 @@ from fracform.verify import VerdictRecord
 from conftest import SINGLE_THREAD, _cap_address_space
 
 
-def run_cli(args, cwd=None, env=None, preexec_fn=None):
+def run_cli(args, env=None):
+    """A fresh ``python -m fracform.cli`` process.  Tests whose subject is
+    the process use it: one run per subcommand, the byte-identical
+    ``verify`` pair and the FSL_OUT_DIR fallback; the others call ``main``
+    in this process through ``_run_main``."""
     return subprocess.run([sys.executable, "-m", "fracform.cli"] + args,
-                          capture_output=True, text=True, cwd=cwd, env=env,
-                          preexec_fn=preexec_fn)
+                          capture_output=True, text=True, env=env)
 
 
 class TestFunctionLiterals:
@@ -260,31 +263,35 @@ def test_capacity_domain_needs_two_ordered_numbers(domain, tmp_path):
 
 class TestEnergyCommand:
     def test_indicator_alpha_half(self, tmp_path):
-        out = run_cli(["energy", "--alpha", "0.5", "--function",
-                       "indicator:0,1", "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        value = float(out.stdout.split("energy = ")[1].splitlines()[0])
+        code, stdout, _, _ = _run_main(["energy", "--alpha", "0.5",
+                                        "--function", "indicator:0,1",
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        value = float(stdout.split("energy = ")[1].splitlines()[0])
         assert value == pytest.approx(16.0, rel=0.01)
 
     def test_divergent_flagged(self, tmp_path):
-        out = run_cli(["energy", "--alpha", "1.5", "--function",
-                       "indicator:0,1", "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        assert "DIVERGENT" in out.stdout
+        code, stdout, _, _ = _run_main(["energy", "--alpha", "1.5",
+                                        "--function", "indicator:0,1",
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "DIVERGENT" in stdout
 
     def test_indicator_just_below_one_is_finite(self, tmp_path):
-        out = run_cli(["energy", "--alpha", "0.99", "--function",
-                       "indicator:0,1", "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
+        code, stdout, _, _ = _run_main(["energy", "--alpha", "0.99",
+                                        "--function", "indicator:0,1",
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
         # the closed form 4 / (alpha (1 - alpha)) to the printed 12 digits
-        assert "energy = 404.04040404\n" in out.stdout
-        assert "DIVERGENT" not in out.stdout
+        assert "energy = 404.04040404\n" in stdout
+        assert "DIVERGENT" not in stdout
 
     def test_dirichlet_energy_of_a_jump_diverges(self, tmp_path):
-        out = run_cli(["energy", "--alpha", "2", "--function",
-                       "indicator:0,1", "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        assert out.stdout == "dirichlet_energy = divergent\n"
+        code, stdout, _, _ = _run_main(["energy", "--alpha", "2",
+                                        "--function", "indicator:0,1",
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert stdout == "dirichlet_energy = divergent\n"
 
     def test_json_report_written(self, tmp_path):
         out = run_cli(["energy", "--alpha", "0.5", "--function", "bump:0,1",
@@ -296,11 +303,12 @@ class TestEnergyCommand:
     def test_step_function_trace_has_ten_levels(self, tmp_path):
         # the library samples nothing by default; the command asks for the
         # ten levels of sampled evidence, at 4 .. 2048 cells
-        out = run_cli(["energy", "--alpha", "0.5", "--function",
-                       "indicator:0,1", "--out", "report.json",
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        trace = [line.split() for line in out.stdout.splitlines()
+        code, stdout, _, _ = _run_main(["energy", "--alpha", "0.5",
+                                        "--function", "indicator:0,1",
+                                        "--out", "report.json",
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        trace = [line.split() for line in stdout.splitlines()
                  if line.startswith("trace ")]
         assert [int(cells) for _, cells, _ in trace] == \
             [4 * 2 ** k for k in range(10)]
@@ -325,22 +333,23 @@ class TestVerifyCommand:
         assert strip(rows_a) == strip(rows_b)
 
     def test_full_suite_exit_code_flags_failures(self, tmp_path):
-        out = run_cli(["verify", "--suite", "all", "--seed", "7",
-                       "--out-dir", str(tmp_path)])
+        code, stdout, _, _ = _run_main(["verify", "--suite", "all", "--seed",
+                                        "7", "--out-dir", str(tmp_path)])
         # the step-rate criterion is a documented failure, so exit code 2
-        assert out.returncode == 2
-        assert "step-approximation-rate: FAIL" in out.stdout
+        assert code == 2
+        assert "step-approximation-rate: FAIL" in stdout
         rows = (tmp_path / "verdicts.csv").read_text().splitlines()
         assert len(rows) == 13  # header plus one record per criterion
 
     def test_list_enumerates_checks(self, tmp_path):
-        out = run_cli(["verify", "--list", "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        assert len(out.stdout.strip().splitlines()) == 12
+        code, stdout, _, _ = _run_main(["verify", "--list", "--out-dir",
+                                        str(tmp_path)])
+        assert code == 0
+        assert len(stdout.strip().splitlines()) == 12
 
     def test_usage_error_exits_one(self):
-        out = run_cli(["verify", "--suite", "bogus"])
-        assert out.returncode == 1
+        code, _, _, _ = _run_main(["verify", "--suite", "bogus"])
+        assert code == 1
 
 
 class TestEmitTable:
@@ -388,11 +397,11 @@ class TestOtherCommands:
         g = f.with_values(f.values + extra)
         path = tmp_path / "g.csv"
         path.write_text(g.to_csv(), encoding="utf-8")
-        out = run_cli(["ladder", "--function", f"csv:{path}",
-                       "--max-nodes", "1", "--sup-tol", "1e-9",
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        assert "NOT_CONVERGED" in out.stdout
+        code, stdout, _, _ = _run_main(["ladder", "--function", f"csv:{path}",
+                                        "--max-nodes", "1", "--sup-tol",
+                                        "1e-9", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "NOT_CONVERGED" in stdout
         tree = json.loads((tmp_path / "ladder_tree.json").read_text())
         kids = tree["positive"]["root"]["children"]
         assert any(c["pending"] for c in kids)
@@ -402,9 +411,9 @@ class TestOtherCommands:
         g = f.with_values(np.where(f.x < 0, -f.values, f.values))
         path = tmp_path / "g.csv"
         path.write_text(g.to_csv(), encoding="utf-8")
-        out = run_cli(["ladder", "--function", f"csv:{path}",
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
+        code, _, _, _ = _run_main(["ladder", "--function", f"csv:{path}",
+                                   "--out-dir", str(tmp_path)])
+        assert code == 0
         tree = json.loads((tmp_path / "ladder_tree.json").read_text())
         assert set(tree) == {"positive", "negative"}
 
@@ -446,11 +455,11 @@ class TestOtherCommands:
         assert stderr.startswith("error: --indicator needs"), stderr
 
     def test_levy_growth_verdict(self, tmp_path):
-        out = run_cli(["levy", "--power-alpha", "1.5",
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        assert "PROPER-SUBSPACES-EXIST" in out.stdout
-        assert "theorem-backed" in out.stdout
+        code, stdout, _, _ = _run_main(["levy", "--power-alpha", "1.5",
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "PROPER-SUBSPACES-EXIST" in stdout
+        assert "theorem-backed" in stdout
 
     @pytest.mark.parametrize("args, evidence", [
         (["--power-alpha", "0.98"], None),
@@ -466,9 +475,10 @@ class TestOtherCommands:
     ])
     def test_levy_verdict_read_from_the_triplet(self, args, evidence,
                                                 tmp_path):
-        out = run_cli(["levy", *args, "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        verdicts = [line for line in out.stdout.splitlines()
+        code, stdout, _, _ = _run_main(["levy", *args,
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        verdicts = [line for line in stdout.splitlines()
                     if line.startswith("verdict:")]
         if evidence is None:
             assert verdicts == []
@@ -476,43 +486,46 @@ class TestOtherCommands:
             assert verdicts == [
                 "verdict: PROPER-SUBSPACES-EXIST (theorem-backed; exact "
                 f"growth psi(xi) >= c|xi| from the triplet: {evidence})"]
-        assert "growth_fit" in out.stdout
+        assert "growth_fit" in stdout
 
     def test_levy_triplet_file(self, tmp_path):
         spec = {"sigma": 0.0, "atoms": [[1.0, 1.0]],
                 "density": {"type": "power", "alpha": 0.5}}
         path = tmp_path / "t.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
-        out = run_cli(["levy", "--triplet", str(path),
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        assert "finite_variation = True" in out.stdout
+        code, stdout, _, _ = _run_main(["levy", "--triplet", str(path),
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "finite_variation = True" in stdout
 
     def test_scale_overflowing_radii_are_clipped(self, tmp_path):
         # share ** 2 overflows for the first islands at budget 1e308
-        out = run_cli(["scale", "--budget", "1e308", "--n-intervals", "4096",
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 0 and out.stderr == ""
-        assert "islands = 3" in out.stdout
+        code, stdout, stderr, _ = _run_main(["scale", "--budget", "1e308",
+                                             "--n-intervals", "4096",
+                                             "--out-dir", str(tmp_path)])
+        assert code == 0 and stderr == ""
+        assert "islands = 3" in stdout
 
     def test_levy_symbol_finite_on_extreme_frequencies(self, tmp_path):
-        # atoms keep psi bounded at xi = 1e300; sigma = 0 adds nothing
-        out = run_cli(["levy", "--atom", "1:1", "--xi-min", "1e-300",
-                       "--xi-max", "1e300", "--n-xi", "50",
-                       "--out-dir", str(tmp_path)],
-                      env={**os.environ, "PYTHONWARNINGS": "error"})
-        assert out.returncode == 0 and out.stderr == ""
-        assert "nan" not in out.stdout
-        assert "growth_fit" in out.stdout
+        # atoms keep psi bounded at xi = 1e300; sigma = 0 adds nothing.
+        # Warnings are errors, which escape main and fail the run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr, _ = _run_main(
+                ["levy", "--atom", "1:1", "--xi-min", "1e-300", "--xi-max",
+                 "1e300", "--n-xi", "50", "--out-dir", str(tmp_path)])
+        assert code == 0 and stderr == ""
+        assert "nan" not in stdout
+        assert "growth_fit" in stdout
 
     def test_scale_spec_file(self, tmp_path):
         spec = {"alpha": 1.5, "budget": 0.2, "n_intervals": 7}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
-        out = run_cli(["scale", "--spec", str(path),
-                       "--out-dir", str(tmp_path)])
-        assert out.returncode == 0
-        assert "islands =" in out.stdout
+        code, stdout, _, _ = _run_main(["scale", "--spec", str(path),
+                                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "islands =" in stdout
 
     def test_json_function_literal(self, tmp_path):
         f = parse_function_literal("bump:0,1", 1.0 / 64.0)
@@ -522,12 +535,8 @@ class TestOtherCommands:
         assert np.array_equal(g.values, f.values)
 
     def test_out_dir_env_fallback(self, tmp_path):
-        import os
-        import subprocess
         env = dict(os.environ, FSL_OUT_DIR=str(tmp_path))
-        out = subprocess.run(
-            [sys.executable, "-m", "fracform.cli", "verify", "--suite",
-             "properness", "--seed", "3"],
-            capture_output=True, text=True, env=env)
+        out = run_cli(["verify", "--suite", "properness", "--seed", "3"],
+                      env=env)
         assert out.returncode == 0
         assert (tmp_path / "verdicts.csv").exists()

@@ -289,6 +289,27 @@ class TestStepFunction:
             s.sample(step)
 
 
+_SET_END = st.one_of(st.floats(-10, 10),
+                     st.sampled_from([-math.inf, math.inf, 0.0, -0.0]))
+
+
+def _cursor_gaps(s, a, b):
+    """The gaps of s inside (a, b) by a scan with a cursor at the right end
+    of the pieces seen so far."""
+    gaps, cursor = [], a
+    for lo, hi in s.intervals:
+        if hi <= a or lo >= b:
+            continue
+        if lo > cursor:
+            gaps.append((cursor, min(lo, b)))
+        cursor = max(cursor, hi)
+        if cursor >= b:
+            break
+    if cursor < b:
+        gaps.append((cursor, b))
+    return IntervalSet(tuple(gaps))
+
+
 class TestIntervalSet:
     def test_normalization_merges_overlaps_only(self):
         s = IntervalSet.of((0.0, 2.0), (1.0, 3.0), (4.0, 5.0), (5.0, 6.0))
@@ -308,6 +329,16 @@ class TestIntervalSet:
         s = IntervalSet.of((0.2, 0.4), (0.6, 0.7))
         gaps = s.complement_within((0.0, 1.0))
         assert gaps.intervals == ((0.0, 0.2), (0.4, 0.6), (0.7, 1.0))
+
+    def test_set_windows_take_infinite_and_empty_ends(self):
+        # unlike a domain, a window of the set algebra may be a half-line,
+        # the whole line or empty
+        s = IntervalSet.of((0.2, 0.4))
+        assert s.complement_within((-math.inf, math.inf)).intervals == \
+            ((-math.inf, 0.2), (0.4, math.inf))
+        assert s.intersect_window((0.3, math.inf)).intervals == ((0.3, 0.4),)
+        assert s.complement_within((0.5, 0.5)).is_empty
+        assert s.intersect_window((0.3, 0.3)).is_empty
 
     def test_intersect(self):
         a = IntervalSet.of((0.0, 2.0), (3.0, 4.0))
@@ -329,6 +360,19 @@ class TestIntervalSet:
             assert lo < hi
         for (a, b), (c, d) in zip(s.intervals, s.intervals[1:]):
             assert b <= c
+
+    @given(pairs=st.lists(st.tuples(_SET_END, _SET_END), max_size=8),
+           window=st.tuples(_SET_END, _SET_END).map(sorted))
+    @settings(max_examples=200, deadline=None)
+    def test_complement_matches_a_cursor_scan(self, pairs, window):
+        s = IntervalSet(tuple(pairs))
+        got = s.complement_within(window)
+        want = _cursor_gaps(s, *window)
+        # bit for bit, the sign of zero included
+        assert np.array(got.intervals).view(np.uint64).tolist() \
+            == np.array(want.intervals).view(np.uint64).tolist()
+
+
 
 
 # -- loader fuzz: random text and random JSON trees ---------------------------

@@ -196,6 +196,15 @@ class TestIndicatorEnergy:
         with pytest.raises(ValueError):
             levy_indicator_energy(1.0, 1.0, TWO_ATOM)
 
+    def test_half_line_is_a_valid_indicator(self):
+        # the indicator of a half-line jumps once: finite atom energy, a
+        # divergent fractional one, and the truncation at lam = inf counts
+        # every atom at its full position
+        assert levy_indicator_energy(-math.inf, 0.0, TWO_ATOM) \
+            == 2.0 * TWO_ATOM.truncated_mass(math.inf) \
+            == levy_indicator_energy(0.0, 1e6, TWO_ATOM)
+        assert indicator_energy_closed_form(0.0, math.inf, 0.5) == DIVERGENT
+
     def test_gaussian_part_rejected(self):
         with pytest.raises(ValueError):
             levy_indicator_energy(0.0, 1.0, LevyTriplet(sigma=1.0))

@@ -616,15 +616,23 @@ class TestAgainstPerElementOracles:
         _check_against_oracles(HAND_BUILT[name], anchor, None, rng)
         _check_against_oracles(HAND_BUILT[name], anchor, (-1.0, 1.0), rng)
 
-    @pytest.mark.parametrize("window", [(0.0, 1e-321), (1.0, -1.0)])
-    def test_degenerate_and_reversed_windows(self, window, rng):
+    def test_degenerate_window(self, rng):
         # over ~200 subnormal steps the dyadic edges repeat and fall out of
         # order from depth 7 on; an empty cell carries no measure even
         # inside G, a reversed one spans its edges in either order
         for g in (IntervalSet.real_line(), HAND_BUILT["gap-on-dyadics"]):
-            _check_against_oracles(g, 0.0, window, rng)
+            _check_against_oracles(g, 0.0, (0.0, 1e-321), rng)
         assert 6 <= scale_from_open_set(IntervalSet.real_line(), 0.0,
                                         (0.0, 1e-321)).density_depth < 12
+
+    @pytest.mark.parametrize("window", [(1.0, -1.0), (math.nan, 1.0),
+                                        (0.0, math.inf), (0.5, 0.5)])
+    def test_window_outside_the_rule_refused(self, window):
+        # a reversed and a NaN window certified a set that is not dense
+        # in (-1, 1) as strictly increasing
+        with pytest.raises(ValueError, match="density_window"):
+            scale_from_open_set(IntervalSet.of((0.0, 1.0)),
+                                density_window=window)
 
     def test_integrate_off_node_segments(self, rng):
         # segment ends between phi's nodes, where the antiderivative uses

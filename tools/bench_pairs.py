@@ -15,8 +15,11 @@ share of the operations, the ``info:`` machine line and the ``src/`` line
 count, and per workload the number of pairs each metric won for the
 change.  Each side also records the git tree ids of its ``src`` and
 ``perfbench`` directories, which stay the same when only documents change,
-so a record can be checked against a later commit.  Standard library only;
-nothing under ``perfbench/`` is touched.
+so a record can be checked against a later commit.  After the pairs, each
+side runs the tier-1 test suite once in its checkout, and its ``info``
+records that run's wall time and its passed, failed and xfailed counts:
+one run per side is too noisy for a bound, so this is reported and never
+compared.  Standard library only; nothing under ``perfbench/`` is touched.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +43,8 @@ SIDES = ("parent", "change")
 # A gain is claimed only when the change wins at least nine of ten pairs.
 PAIRS = 10
 MEASURED = ("src", "perfbench")
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
 
 
 def git(*args) -> bytes:
@@ -65,6 +73,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     info = next(json.loads(line[len("info: "):]) for line in lines
                 if line.startswith("info: "))
     return {"info": info, "result": json.loads(lines[-1])}
+
+
+def tier1(checkout: Path) -> dict:
+    """Wall time, exit code and outcome counts of one tier-1 run of the
+    test suite in ``checkout``, read from pytest's closing summary line."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    wall = time.monotonic() - start
+    lines = proc.stdout.strip().splitlines()
+    last = lines[-1] if lines else ""
+    counts = {word: 0 for word in ("passed", "failed", "xfailed")}
+    for n, word in re.findall(r"(\d+) (passed|failed|xfailed)\b", last):
+        counts[word] = int(n)
+    return {"wall_s": round(wall, 2), "exit_code": proc.returncode,
+            **counts, "summary": last}
 
 
 def summary(values: list) -> dict:
@@ -98,6 +125,7 @@ def main(argv=None) -> int:
                         spec["run_seconds"]))
                 print(f"pair {i}/{PAIRS} {w} done", file=sys.stderr,
                       flush=True)
+        tier1_runs = {side: tier1(dirs[side]) for side in SIDES}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -105,7 +133,9 @@ def main(argv=None) -> int:
         out = {"ref": refs[side], "commit": commits[side],
                "trees": {d: git("rev-parse", f"{commits[side]}:{d}")
                          .decode().strip() for d in MEASURED},
-               "info": runs[side][workloads[0]][0]["info"], "workloads": {}}
+               "info": {**runs[side][workloads[0]][0]["info"],
+                        "tier1": tier1_runs[side]},
+               "workloads": {}}
         out["src_loc"] = out["info"]["src_loc"]
         for w in workloads:
             res = [r["result"] for r in runs[side][w]]
