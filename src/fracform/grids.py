@@ -64,10 +64,10 @@ def real_number(name: str, v) -> float:
 
 
 def count(name: str, v, lo: int, hi: int | None = None) -> int:
-    """The one gate of a count, size, depth or index: v as a Python int for
-    an int or numpy integer in lo..hi (hi None: no upper end).  Anything
+    """The one gate of a count, size, depth or index: an exact int or numpy
+    integer in lo..hi (hi None: no upper end), as a Python int.  Anything
     else, a bool or a whole float too, raises ValueError naming ``name``."""
-    if (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if ((type(v) is int or isinstance(v, np.integer))
             and lo <= v and (hi is None or v <= hi)):
         return int(v)
     span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
