@@ -373,8 +373,6 @@ class TestIntervalSet:
             == np.array(want.intervals).view(np.uint64).tolist()
 
 
-
-
 # -- loader fuzz: random text and random JSON trees ---------------------------
 
 NUMBER_TEXT = st.one_of(
