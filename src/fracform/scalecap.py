@@ -130,7 +130,9 @@ def scale_from_open_set(g: IntervalSet, anchor: float = 0.0,
     if density_window is None:
         ends = g.endpoints()
         finite = ends[np.isfinite(ends)]
-        density_window = ((finite.min(), finite.max()) if finite.size >= 2
+        # fewer than two distinct finite ends span no proper interval
+        density_window = ((finite.min(), finite.max())
+                          if finite.size and finite.min() < finite.max()
                           else (-1.0, 1.0))
     else:
         density_window = grids.window("density_window", density_window)
@@ -488,6 +490,9 @@ def concentration_test(g: IntervalSet, alpha_star: float,
     half = 2.0 * (b - a)
     mid = 0.5 * (a + b)
     domain = (mid - half, mid + half)
+    if not all(map(math.isfinite, domain)):
+        raise ValueError(f"window ({a}, {b}) gives a domain four window "
+                         f"lengths wide that overflows float64")
     cap_win = capacity_estimate(IntervalSet.of((a, b)), alpha_star, domain,
                                 step)
     cap_g = capacity_estimate(g.intersect_window((a, b)), alpha_star, domain,

@@ -312,8 +312,12 @@ CALLS = {
     # the target (-0.1, 0.1) lies inside every valid window here
     "capacity_estimate-domain": (WINDOWS, lambda v: capacity_estimate(
         IntervalSet.of((-0.1, 0.1)), 0.5, v, 0.125)),
-    "concentration_test-window": (WINDOWS, lambda v: concentration_test(
-        IntervalSet.of((-0.1, 0.1)), 0.5, v, 0.125)),
+    # the domain four window lengths wide overflowed to (-inf, inf) and was
+    # refused under the name "domain"
+    "concentration_test-window": (
+        {**WINDOWS, "overflowing-span": (-1e308, 1e308)},
+        lambda v: concentration_test(IntervalSet.of((-0.1, 0.1)), 0.5, v,
+                                     0.125)),
     "compose_scale-window": (WINDOWS, lambda v: compose_scale(
         _bump(), _scale(), v)),
     "scale_from_open_set-density_window": (

@@ -1,5 +1,7 @@
 import heapq
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -586,6 +588,134 @@ class TestTreeProperties:
         assert np.all(np.isin(bases, fv))
         for k in range(1, tree.n_nodes + 1):
             assert np.all(np.isin(tree.partial_sum(k).values, fv)), k
+
+
+def _separated_walks():
+    """Two rough walks apart: the root spans the zeros between them, so the
+    second walk's excursion has base 0 and early partial sums lose it."""
+    v = np.concatenate([rough_walk(300, 11).values, np.zeros(5),
+                        rough_walk(200, 12).values])
+    return GridFunction(0.0, 1.0 / 512.0, v)
+
+
+def _overlapping_bumps():
+    rng = np.random.default_rng(13)
+    params = tuple((float(rng.uniform(0, 4)), float(rng.uniform(0.1, 0.8)),
+                    float(rng.uniform(0.2, 1.5))) for _ in range(12))
+    f = sample_multibump(params, 1.0 / 128.0, -1.0, 5.0)
+    # a ripple on the bumps' support gives each bump many excursions
+    ripple = 1.0 + 0.05 * np.sin(np.arange(f.n_nodes) * 0.7)
+    return f.with_values(f.values * ripple)
+
+
+# name -> (function, max_nodes); "cut" stops at 40 nodes, leaving stubs
+KEPT_SUM_INPUTS = {
+    "rough": (lambda: rough_walk(512, 5), None),
+    "cut": (lambda: rough_walk(512, 6), 40),
+    "bumps": (_overlapping_bumps, None),
+    "separated": (_separated_walks, None),
+}
+
+
+@pytest.fixture(scope="module")
+def kept_sum_cases():
+    """name -> (f, max_nodes, {k: (fresh tree's sum, reference samples)})."""
+    out = {}
+    for name, (make, budget) in KEPT_SUM_INPUTS.items():
+        f = make()
+        budget = budget or f.n_nodes
+        order = ladder_decompose(f, budget, 0.0).order
+        want = {k: (ladder_decompose(f, budget, 0.0).partial_sum(k),
+                    _reference_partial_sum(f, order, k))
+                for k in range(1, len(order) + 1)}
+        out[name] = (f, budget, want)
+    return out
+
+
+class TestKeptPartialSum:
+    """A tree steps forward from its last partial sum and rebuilds the
+    others; every result must match a fresh tree's first call and the
+    node-by-node reference bit for bit, in every call order."""
+
+    @staticmethod
+    def assert_same(got, want, ref):
+        assert (got.origin, got.step) == (want.origin, want.step)
+        assert got.values.tobytes() == want.values.tobytes() == ref.tobytes()
+        assert (got.support_lo, got.support_hi) == (want.support_lo,
+                                                    want.support_hi)
+
+    @staticmethod
+    def orders(n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        ks = np.arange(1, n_nodes + 1)
+        return {
+            "ascending": ks,
+            "descending": ks[::-1],
+            "random": rng.permutation(ks),
+            "repeated": np.repeat(ks, 2),
+            "random-repeats": rng.integers(1, n_nodes + 1, 2 * n_nodes),
+            # jumps past the step budget rebuild
+            "strided": np.r_[ks[::37], ks[::5], ks[::-3]],
+        }
+
+    @pytest.mark.parametrize("name", KEPT_SUM_INPUTS)
+    def test_call_orders(self, name, kept_sum_cases):
+        f, budget, want = kept_sum_cases[name]
+        assert len(want) >= 40
+        for label, ks in self.orders(len(want)).items():
+            tree = ladder_decompose(f, budget, 0.0)
+            for k in ks.tolist():
+                self.assert_same(tree.partial_sum(k), *want[k])
+            final = tree.partial_sum()
+            self.assert_same(final, *want[tree.n_nodes])
+            if label == "ascending":
+                assert "_step_tables" in vars(tree)  # the steps ran
+                assert np.array_equal(final.values, f.values) \
+                    == tree.converged
+
+    def test_two_trees_interleaved(self, kept_sum_cases):
+        (f, bf, wf), (g, bg, wg) = (kept_sum_cases[name]
+                                    for name in ("rough", "separated"))
+        tf, tg = ladder_decompose(f, bf, 0.0), ladder_decompose(g, bg, 0.0)
+        rng = np.random.default_rng(3)
+        for _ in range(2 * max(len(wf), len(wg))):
+            k = int(rng.integers(1, len(wf) + 1))
+            self.assert_same(tf.partial_sum(k), *wf[k])
+            j = min(len(wg), k + int(rng.integers(0, 3)))
+            self.assert_same(tg.partial_sum(j), *wg[j])
+
+    @pytest.mark.parametrize("name", ["rough", "cut"])
+    def test_threads_walk_one_tree(self, name, kept_sum_cases):
+        # ascending, descending and random walks, one thread each, so more
+        # threads than a two-core machine has cores
+        f, budget, want = kept_sum_cases[name]
+        tree = ladder_decompose(f, budget, 0.0)
+        ks = np.arange(1, len(want) + 1)
+        walks = [ks.tolist() * 3, ks[::-1].tolist() * 3,
+                 np.random.default_rng(1).permutation(np.tile(ks, 3))
+                 .tolist()]
+        got = [[] for _ in walks]
+        start = threading.Barrier(len(walks))
+
+        def walk(i):
+            start.wait()
+            got[i].extend((k, tree.partial_sum(k)) for k in walks[i])
+
+        threads = [threading.Thread(target=walk, args=(i,))
+                   for i in range(len(walks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the calls
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(g) for g in got] == [len(w) for w in walks]
+        for k, ps in (pair for g in got for pair in g):
+            self.assert_same(ps, *want[k])
 
 
 class TestArmSplit:

@@ -113,6 +113,15 @@ class TestScaleFunction:
         assert np.allclose(s(xs), xs, atol=1e-14)
         assert s.strictly_increasing
 
+    def test_one_finite_end_falls_back_to_the_default_window(self):
+        # G's finite ends (0.5, 0.5) span no interval: the window they gave
+        # read depth -1 beside strictly_increasing = True
+        g = IntervalSet(((-math.inf, 0.5), (0.5, math.inf)))
+        s = scale_from_open_set(g)
+        ref = scale_from_open_set(g, density_window=(-1.0, 1.0))
+        assert (s.density_depth, s.strictly_increasing) == \
+            (ref.density_depth, ref.strictly_increasing) == (12, True)
+
     def test_flat_piece_measure(self):
         g = IntervalSet.of((-math.inf, 0.0), (0.4, 0.6), (1.0, math.inf))
         s = scale_from_open_set(g)

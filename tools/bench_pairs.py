@@ -19,7 +19,11 @@ so a record can be checked against a later commit.  After the pairs, each
 side runs the tier-1 test suite once in its checkout, and its ``info``
 records that run's wall time and its passed, failed and xfailed counts:
 one run per side is too noisy for a bound, so this is reported and never
-compared.  Standard library only; nothing under ``perfbench/`` is touched.
+compared.  Each side then runs ``fracform verify --suite all`` three times
+at seed 0, the sides alternating, and once at seed 7; its ``info.verify``
+records the median wall time of the seed-0 runs and whether each seed's
+stdout is byte-identical between the sides.  This too is reported, never
+gated.  Standard library only; nothing under ``perfbench/`` is touched.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ PAIRS = 10
 MEASURED = ("src", "perfbench")
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+VERIFY = ["-m", "fracform.cli", "verify", "--suite", "all", "--seed"]
+VERIFY_SEEDS = (0, 7)
+VERIFY_TIMED_RUNS = 3  # at the first seed
 
 
 def git(*args) -> bytes:
@@ -75,16 +82,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"info": info, "result": json.loads(lines[-1])}
 
 
-def tier1(checkout: Path) -> dict:
-    """Wall time, exit code and outcome counts of one tier-1 run of the
-    test suite in ``checkout``, read from pytest's closing summary line."""
+def run_python(checkout: Path, args: list, text: bool = True):
+    """Run ``python args`` in ``checkout`` on its own ``src``; return the
+    finished process and its wall time in seconds."""
     path = os.pathsep.join(filter(None, [str(checkout / "src"),
                                          os.environ.get("PYTHONPATH")]))
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout,
-                          capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *args], cwd=checkout,
+                          capture_output=True, text=text,
                           env={**os.environ, "PYTHONPATH": path})
-    wall = time.monotonic() - start
+    return proc, time.monotonic() - start
+
+
+def tier1(checkout: Path) -> dict:
+    """Wall time, exit code and outcome counts of one tier-1 run of the
+    test suite in ``checkout``, read from pytest's closing summary line."""
+    proc, wall = run_python(checkout, TIER1)
     lines = proc.stdout.strip().splitlines()
     last = lines[-1] if lines else ""
     counts = {word: 0 for word in ("passed", "failed", "xfailed")}
@@ -92,6 +105,30 @@ def tier1(checkout: Path) -> dict:
         counts[word] = int(n)
     return {"wall_s": round(wall, 2), "exit_code": proc.returncode,
             **counts, "summary": last}
+
+
+def verify_runs(dirs: dict) -> dict:
+    """Per side, the wall times and exit codes of ``verify --suite all``:
+    VERIFY_TIMED_RUNS runs at the first seed, the sides alternating, then
+    one at each other seed, with whether each seed's stdout is
+    byte-identical between the sides."""
+    runs = {side: [] for side in SIDES}
+    stdout = {side: {} for side in SIDES}
+    seeds = [VERIFY_SEEDS[0]] * VERIFY_TIMED_RUNS + list(VERIFY_SEEDS[1:])
+    for i, seed in enumerate(seeds):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            proc, wall = run_python(dirs[side], [*VERIFY, str(seed)],
+                                    text=False)
+            runs[side].append((seed, round(wall, 3), proc.returncode))
+            stdout[side].setdefault(seed, proc.stdout)
+    same = {str(seed): stdout["parent"][seed] == stdout["change"][seed]
+            for seed in VERIFY_SEEDS}
+    return {side: {"wall_s": statistics.median(
+                       w for _, w, _ in runs[side][:VERIFY_TIMED_RUNS]),
+                   "stdout_identical": same,
+                   "runs": [{"seed": seed, "wall_s": w, "exit_code": code}
+                            for seed, w, code in runs[side]]}
+            for side in SIDES}
 
 
 def summary(values: list) -> dict:
@@ -126,6 +163,7 @@ def main(argv=None) -> int:
                 print(f"pair {i}/{PAIRS} {w} done", file=sys.stderr,
                       flush=True)
         tier1_runs = {side: tier1(dirs[side]) for side in SIDES}
+        verify_info = verify_runs(dirs)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -134,7 +172,8 @@ def main(argv=None) -> int:
                "trees": {d: git("rev-parse", f"{commits[side]}:{d}")
                          .decode().strip() for d in MEASURED},
                "info": {**runs[side][workloads[0]][0]["info"],
-                        "tier1": tier1_runs[side]},
+                        "tier1": tier1_runs[side],
+                        "verify": verify_info[side]},
                "workloads": {}}
         out["src_loc"] = out["info"]["src_loc"]
         for w in workloads:
