@@ -211,7 +211,8 @@ class LadderTree:
     forward from a copy of it: k >= k0 restores f on the runs of the nodes
     ranked k0..k-1 and writes each base on those nodes' child runs still
     pending, where f exceeds it, so the base is min(f, base).  The step
-    tables, built on the first step, are a few K- and E-length int arrays.
+    tables, built on the first step within the budget, are a few K- and
+    E-length int arrays.
     The first call, a smaller k and a jump of more than ``_STEP_BUDGET``
     nodes plus child edges rebuild the sum from ``edges`` instead.  The kept
     samples are the returned function's read-only ones, replaced whole, so
@@ -219,9 +220,9 @@ class LadderTree:
     """
 
     # nodes plus child edges of the longest forward step.  On tapered
-    # random walks (2-core x86-64, numpy 2.4) a step costs ~6 us plus ~1 us
-    # per node or edge, and breaks even with the rebuild at 26-49 nodes plus
-    # edges on 2^10-2^12 samples and at 116-335 on 2^14-2^15
+    # random walks (2-core x86-64, numpy 2.4) a step costs 5-16 us plus
+    # 0.5-1 us per node or edge, and breaks even with the rebuild at 20-47
+    # on 2^10-2^12 samples and at 125-442 on 2^14-2^15
     _STEP_BUDGET = 64
 
     def __init__(self, source, excursions, rank, gaps, converged,
@@ -297,18 +298,24 @@ class LadderTree:
         return out
 
     @cached_property
+    def _first_edge(self):
+        """Offset of each parent rank's first child edge, and E last, in the
+        edges grouped by parent rank: all a step's budget test reads."""
+        counts = np.bincount(self.edges[0], minlength=self.n_nodes)
+        return np.r_[0, np.cumsum(counts)]
+
+    @cached_property
     def _step_tables(self):
         """The runs (start, length) of the processed nodes by rank, and the
-        child edges (child rank, start, length, base) grouped by parent rank
-        with the offset of each parent's first edge."""
+        child edges (child rank, start, length, base) grouped by parent
+        rank."""
         parent, child, lo, length, base = self.edges
         done = child < self.n_nodes
         run_lo = np.zeros(self.n_nodes, dtype=lo.dtype)
         run_len = np.zeros(self.n_nodes, dtype=length.dtype)
         run_lo[child[done]], run_len[child[done]] = lo[done], length[done]
         by_parent = np.argsort(parent, kind="stable")
-        first = np.searchsorted(parent[by_parent], np.arange(self.n_nodes + 1))
-        return (run_lo, run_len, first,
+        return (run_lo, run_len,
                 *(a[by_parent] for a in (child, lo, length, base)))
 
     def _step_forward(self, k):
@@ -318,10 +325,11 @@ class LadderTree:
         if kept is None or kept[0] > k:
             return None
         k0, samples = kept
-        run_lo, run_len, first, child, lo, length, base = self._step_tables
+        first = self._first_edge
         a, b = int(first[k0]), int(first[k])
         if (k - k0) + (b - a) > self._STEP_BUDGET:
             return None
+        run_lo, run_len, child, lo, length, base = self._step_tables
         fv, out = self.source.values, samples.copy()
         for i, n in zip(run_lo[k0:k].tolist(), run_len[k0:k].tolist()):
             out[i:i + n] = fv[i:i + n]
