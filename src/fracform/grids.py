@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -158,21 +158,20 @@ class GridFunction:
 
     The function is 0 outside the grid window.  ``support_lo``/``support_hi``
     are the indices of the first and last nonzero sample (-1/-1 for the zero
-    function); samples outside that range are exactly 0.
+    function); samples outside that range are exactly 0.  They are read from
+    the samples on first use.
 
     ``increment_autocorr`` (8 bytes per support node), ``l2_norm_sq()`` and
     ``finite()`` are computed on first use and kept with the function for
-    as long as it lives, and so is the last table of ``discrete_fourier``
-    (n_freq x 24 bytes, one (xi_max, n_freq) window per function); the
-    samples are a read-only copy, so they cannot go stale, and every derived
-    function starts without them.
+    as long as it lives, and so are the support ends and the last table of
+    ``discrete_fourier`` (n_freq x 24 bytes, one (xi_max, n_freq) window per
+    function); the samples are a read-only copy, so they cannot go stale,
+    and every derived function starts without them.
     """
 
     origin: float
     step: float
     values: np.ndarray
-    support_lo: int = field(init=False)
-    support_hi: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "step", positive_number("grid step", self.step))
@@ -183,13 +182,40 @@ class GridFunction:
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("a grid function needs a 1-d array of at least 2 samples")
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _made(cls, origin: float, step: float,
+              values: np.ndarray) -> "GridFunction":
+        """A function on the grid of an existing one, which adopts
+        ``values``: a fresh 1-d float64 array of at least 2 samples that the
+        caller gives up.  It is made read-only in place, not copied, and the
+        origin and step are not gated again; only a non-finite origin, which
+        a shifted window can reach, is refused as by the constructor."""
+        if values.dtype != np.float64 or values.ndim != 1 or values.size < 2:
+            raise ValueError("a grid function needs a 1-d array of at least 2 samples")
+        if not math.isfinite(origin):
+            raise ValueError("grid origin must be finite")
+        values.flags.writeable = False
+        f = object.__new__(cls)
+        vars(f).update(origin=origin, step=step, values=values)
+        return f
+
+    @cached_property
+    def _support(self) -> tuple:
         # two argmax scans of one mask: np.nonzero builds an index array
+        vals = self.values
         nz = vals != 0.0
         lo = int(nz.argmax())
-        lo, hi = ((lo, vals.size - 1 - int(nz[::-1].argmax())) if nz[lo]
-                  else (-1, -1))
-        object.__setattr__(self, "support_lo", lo)
-        object.__setattr__(self, "support_hi", hi)
+        return ((lo, vals.size - 1 - int(nz[::-1].argmax())) if nz[lo]
+                else (-1, -1))
+
+    @property
+    def support_lo(self) -> int:
+        return self._support[0]
+
+    @property
+    def support_hi(self) -> int:
+        return self._support[1]
 
     # -- construction -----------------------------------------------------
 
@@ -280,7 +306,10 @@ class GridFunction:
         return GridFunction(self.origin, self.step, values)
 
     def scaled(self, c: float) -> "GridFunction":
-        return self.with_values(real_number("c", c) * self.values)
+        c = real_number("c", c)
+        if not math.isfinite(c):
+            raise ValueError(f"c must be finite, got {c}")
+        return self.with_values(c * self.values)
 
     def _support_range(self, margin: int) -> slice:
         """The samples of the support plus ``margin`` zeros per side, at

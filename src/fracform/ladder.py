@@ -108,7 +108,7 @@ def skorokhod_star(g: GridFunction, a: float, b: float, rho: float
     out = v.copy()
     out[:ia + 1] = np.minimum.accumulate(v[:ia + 1][::-1])[::-1]
     out[ib:] = np.minimum.accumulate(v[ib:])
-    return g.with_values(out)
+    return GridFunction._made(g.origin, g.step, out)
 
 
 def _star_values(w: np.ndarray):
@@ -130,7 +130,8 @@ def ladder_star(f: GridFunction):
     if f.is_zero:
         raise ValueError("ladder star of the zero function is undefined")
     star, t = _star_values(f.values)
-    return f.with_values(star), float(f.origin + t * f.step)
+    return (GridFunction._made(f.origin, f.step, star),
+            float(f.origin + t * f.step))
 
 
 class LadderNode:
@@ -172,11 +173,12 @@ class LadderNode:
             nz = np.flatnonzero(star_vals)
             if nz.size:
                 a, b = int(nz[0]), int(nz[-1])
-                self._star = GridFunction(
+                self._star = GridFunction._made(
                     f.origin + (self.lo + a - 1) * f.step, f.step,
                     np.pad(star_vals[a:b + 1], 1))
             else:  # the zero function's root
-                self._star = f.with_values(np.zeros_like(f.values))
+                self._star = GridFunction._made(f.origin, f.step,
+                                                np.zeros(f.n_nodes))
         return self._star
 
     def support_interval(self, grid: GridFunction):
@@ -214,9 +216,10 @@ class LadderTree:
     tables, built on the first step within the budget, are a few K- and
     E-length int arrays.
     The first call, a smaller k and a jump of more than ``_STEP_BUDGET``
-    nodes plus child edges rebuild the sum from ``edges`` instead.  The kept
-    samples are the returned function's read-only ones, replaced whole, so
-    threads may share a tree.
+    nodes plus child edges rebuild the sum from ``edges`` instead.  Either
+    way the fresh samples are adopted, not copied: made read-only in place,
+    they are both the returned function's samples and the kept ones,
+    replaced whole, so threads may share a tree.
     """
 
     # nodes plus child edges of the longest forward step.  On tapered
@@ -283,8 +286,9 @@ class LadderTree:
         out = self._step_forward(k)
         if out is None:
             out = self._rebuild(k)
-        result = self.source.with_values(out)
-        self._kept = (k, result.values)
+        f = self.source
+        result = GridFunction._made(f.origin, f.step, out)  # freezes out
+        self._kept = (k, out)
         return result
 
     def _rebuild(self, k):
@@ -496,7 +500,8 @@ def arm_split(h: GridFunction):
     idx = np.arange(v.size)
     left = np.where(idx < t, v, m)
     right = left - v
-    return h.with_values(left), h.with_values(right)
+    return (GridFunction._made(h.origin, h.step, left),
+            GridFunction._made(h.origin, h.step, right))
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,9 @@ CALLS = {
         v, 0.25, [0.0, 1.0, 0.0])),
     "GridFunction-step": (NON_SCALARS, lambda v: GridFunction(
         0.0, v, [0.0, 1.0, 0.0])),
-    "GridFunction.scaled-c": (NON_SCALARS, lambda v: TENT.scaled(v)),
+    # NaN gave NaN samples and inf NaN at the zero samples, with warnings
+    "GridFunction.scaled-c": ({**FREQUENCIES, **NON_SCALARS},
+                              lambda v: TENT.scaled(v)),
     "IntervalSet-end": (NON_SCALARS, lambda v: IntervalSet.of((v, 2.0))),
     "PlateauSpec-a": (NON_SCALARS, lambda v: PlateauSpec(v, 2.0, 0.5)),
     "PlateauSpec-b": (NON_SCALARS, lambda v: PlateauSpec(0.0, v, 0.5)),

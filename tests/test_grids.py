@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -117,6 +118,104 @@ class TestGridFunction:
                 and math.isnan(f.l2_norm_sq())
         assert f.finite() is bool(np.isfinite(vals).all())
         assert {"_l2_norm_sq", "_finite"} <= vars(f).keys()
+
+
+def _eager_support(origin, step, vals):
+    """The support queries from one np.nonzero scan of the samples."""
+    vals = np.asarray(vals, dtype=float)
+    nz = np.nonzero(vals)[0]
+    if not nz.size:
+        return (-1, -1), True, True, None
+    lo, hi = int(nz[0]), int(nz[-1])
+    return ((lo, hi), False, lo > 0 and hi < vals.size - 1,
+            (origin + step * lo, origin + step * hi))
+
+
+def _support_queries(f):
+    return ((f.support_lo, f.support_hi), f.is_zero,
+            f.has_compact_support(), f.support_interval())
+
+
+class TestLazySupport:
+    """The support ends are read from the samples on first use, for a
+    function from the constructor and one adopting fresh samples."""
+
+    CASES = {
+        "all-zero": [0.0, 0.0, 0.0, 0.0],
+        "left-end": [3.0, 0.0, 0.0, 0.0],
+        "right-end": [0.0, 0.0, 0.0, -3.0],
+        "negative-zeros": [-0.0, 0.0, -0.0, 1.0, -0.0],
+        "all-negative-zeros": [-0.0, -0.0, -0.0],
+        "nan-inside": [0.0, math.nan, 0.0, 0.0],
+        "nan-at-the-ends": [math.nan, -0.0, 0.0, math.nan],
+    }
+    MAKERS = {
+        "constructor": lambda vals: GridFunction(-0.5, 0.25, vals),
+        "adopted": lambda vals: GridFunction._made(
+            -0.5, 0.25, np.array(vals, dtype=float)),
+    }
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_an_eager_scan(self, case, maker):
+        vals = self.CASES[case]
+        f = self.MAKERS[maker](vals)
+        assert "_support" not in vars(f)
+        assert _support_queries(f) == _eager_support(-0.5, 0.25, vals)
+        assert "_support" in vars(f)
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_pickle_round_trip_keeps_the_support(self, case, maker):
+        vals = self.CASES[case]
+        want = _eager_support(-0.5, 0.25, vals)
+        f = self.MAKERS[maker](vals)
+        before = pickle.loads(pickle.dumps(f))  # not read yet
+        assert "_support" not in vars(before)
+        assert _support_queries(f) == want
+        after = pickle.loads(pickle.dumps(f))  # carries the read ends
+        assert "_support" in vars(after)
+        for g in (before, after):
+            assert (g.origin, g.step) == (f.origin, f.step)
+            assert g.values.tobytes() == f.values.tobytes()
+            assert _support_queries(g) == want
+
+    def test_init_fields_are_the_grid_and_the_samples(self):
+        # the gate sweeps of test_bad_inputs read these
+        assert [f.name for f in dataclasses.fields(GridFunction)
+                if f.init] == ["origin", "step", "values"]
+
+    def test_adopted_samples_are_frozen_in_place(self):
+        vals = np.array([0.0, 1.0, 2.0, 0.0])
+        f = GridFunction._made(0.0, 0.5, vals)
+        assert f.values is vals and not vals.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[1] = 5.0
+        assert (f.origin, f.step) == (0.0, 0.5)
+
+    def test_public_constructors_still_copy(self):
+        vals = np.array([0.0, 1.0, 2.0, 0.0])
+        f = GridFunction(0.0, 0.5, vals)
+        g = f.with_values(vals)
+        for h in (f, g):
+            assert not np.shares_memory(h.values, vals)
+            assert not h.values.flags.writeable
+        assert vals.flags.writeable
+        vals[1] = 7.0  # the functions keep their own samples
+        assert f.values[1] == g.values[1] == 1.0
+
+    @pytest.mark.parametrize("vals", [
+        np.zeros(4, dtype=np.float32), np.zeros((2, 2)), np.zeros(1),
+        np.zeros(4, dtype=np.int64)],
+        ids=["float32", "two-d", "one-sample", "int64"])
+    def test_adopting_refuses_other_arrays(self, vals):
+        with pytest.raises(ValueError, match="1-d array"):
+            GridFunction._made(0.0, 0.5, vals)
+        assert vals.flags.writeable
+
+    def test_adopting_refuses_a_non_finite_origin(self):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridFunction._made(math.inf, 0.5, np.zeros(3))
 
 
 class TestEpsilonContraction:

@@ -718,6 +718,63 @@ class TestKeptPartialSum:
             self.assert_same(ps, *want[k])
 
 
+class TestAdoptedSamples:
+    """Partial sums, stars and arms adopt their fresh samples instead of
+    copying them: each must equal the public constructor's function on the
+    same samples, and its samples, kept ones included, must be read-only."""
+
+    @staticmethod
+    def assert_as_constructed(got):
+        want = GridFunction(got.origin, got.step, got.values.copy())
+        assert type(got) is GridFunction
+        assert [float.hex(x) for x in (got.origin, got.step)] \
+            == [float.hex(x) for x in (want.origin, want.step)]
+        assert [float.hex(x) for x in got.values.tolist()] \
+            == [float.hex(x) for x in want.values.tolist()]
+        assert (got.support_lo, got.support_hi) == (want.support_lo,
+                                                    want.support_hi)
+        assert not got.values.flags.writeable
+        with pytest.raises(ValueError):
+            got.values[0] = 1.0
+
+    @pytest.mark.parametrize("name", KEPT_SUM_INPUTS)
+    def test_partial_sums(self, name, kept_sum_cases):
+        f, budget, want = kept_sum_cases[name]
+        stepped, rebuilt = (ladder_decompose(f, budget, 0.0)
+                            for _ in range(2))
+        for k in range(1, len(want) + 1):
+            # ascending calls step forward; descending ones rebuild
+            for tree, j in ((stepped, k), (rebuilt, len(want) + 1 - k)):
+                got = tree.partial_sum(j)
+                self.assert_as_constructed(got)
+                assert got.values.tobytes() == want[j][0].values.tobytes()
+                kept_k, kept = tree._kept
+                assert kept_k == j and kept is got.values
+                with pytest.raises(ValueError):
+                    kept[0] = 1.0
+        assert "_step_tables" in vars(stepped)
+
+    @pytest.mark.parametrize("name", KEPT_SUM_INPUTS)
+    def test_stars_and_arms(self, name, kept_sum_cases):
+        f, budget, _ = kept_sum_cases[name]
+        star, _ = ladder_star(f)
+        self.assert_as_constructed(star)
+        for node in ladder_decompose(f, budget, 0.0).order:
+            self.assert_as_constructed(node.star)
+            for arm in arm_split(node.star):
+                self.assert_as_constructed(arm)
+        # f scaled to a peak of exactly 1 is a plateau on its peak node
+        t = int(np.argmax(f.values))
+        g = f.with_values(f.values / f.values[t])
+        x = float(g.x[t])
+        self.assert_as_constructed(skorokhod_star(g, x, x, 2.0 * f.n_nodes
+                                                  * f.step))
+
+    def test_the_zero_root_star(self):
+        z = GridFunction(0.0, 0.5, np.zeros(5))
+        self.assert_as_constructed(ladder_decompose(z).root.star)
+
+
 class TestArmSplit:
     def test_symmetric_triangle(self):
         h = GridFunction(-1.0, 0.5, [0.0, 0.5, 1.0, 0.5, 0.0])

@@ -22,7 +22,9 @@ one run per side is too noisy for a bound, so this is reported and never
 compared.  Each side then runs ``fracform verify --suite all`` three times
 at seed 0, the sides alternating, and once at seed 7; its ``info.verify``
 records the median wall time of the seed-0 runs and whether each seed's
-stdout is byte-identical between the sides.  This too is reported, never
+stdout is byte-identical between the sides.  Last, each side runs a cold
+``python -c "import fracform"`` five times, the sides alternating, and its
+``info.import`` records the median wall time.  Both are reported, never
 gated.  Standard library only; nothing under ``perfbench/`` is touched.
 """
 
@@ -52,6 +54,8 @@ TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
 VERIFY = ["-m", "fracform.cli", "verify", "--suite", "all", "--seed"]
 VERIFY_SEEDS = (0, 7)
 VERIFY_TIMED_RUNS = 3  # at the first seed
+IMPORT = ["-c", "import fracform"]
+IMPORT_RUNS = 5
 
 
 def git(*args) -> bytes:
@@ -131,6 +135,22 @@ def verify_runs(dirs: dict) -> dict:
             for side in SIDES}
 
 
+def import_runs(dirs: dict) -> dict:
+    """Per side, the median wall time of IMPORT_RUNS cold ``import
+    fracform`` runs, each in a fresh interpreter, the sides alternating,
+    with every run's wall time and exit code."""
+    runs = {side: [] for side in SIDES}
+    for i in range(IMPORT_RUNS):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            proc, wall = run_python(dirs[side], IMPORT)
+            runs[side].append({"wall_s": round(wall, 4),
+                               "exit_code": proc.returncode})
+    return {side: {"wall_s": statistics.median(r["wall_s"]
+                                               for r in runs[side]),
+                   "runs": runs[side]}
+            for side in SIDES}
+
+
 def summary(values: list) -> dict:
     """Median and quartiles (inclusive method) of the runs, in run order."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -164,6 +184,7 @@ def main(argv=None) -> int:
                       flush=True)
         tier1_runs = {side: tier1(dirs[side]) for side in SIDES}
         verify_info = verify_runs(dirs)
+        import_info = import_runs(dirs)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -173,7 +194,8 @@ def main(argv=None) -> int:
                          .decode().strip() for d in MEASURED},
                "info": {**runs[side][workloads[0]][0]["info"],
                         "tier1": tier1_runs[side],
-                        "verify": verify_info[side]},
+                        "verify": verify_info[side],
+                        "import": import_info[side]},
                "workloads": {}}
         out["src_loc"] = out["info"]["src_loc"]
         for w in workloads:
