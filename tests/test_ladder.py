@@ -774,6 +774,15 @@ class TestAdoptedSamples:
         z = GridFunction(0.0, 0.5, np.zeros(5))
         self.assert_as_constructed(ladder_decompose(z).root.star)
 
+    def test_a_star_origin_past_the_float_range_is_refused(self):
+        # the child's star starts at node 2, x = 2e308, which overflows
+        f = GridFunction(0.0, 1e308, [0.0, 2.0, 0.5, 1.0, 0.0])
+        with np.errstate(over="ignore"):
+            root, child = ladder_decompose(f).order
+        assert root.star.origin == 0.0
+        with pytest.raises(ValueError, match="origin must be finite"):
+            child.star
+
 
 class TestArmSplit:
     def test_symmetric_triangle(self):
