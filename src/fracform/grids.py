@@ -152,7 +152,7 @@ def _frozen_array(data) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real function sampled on a uniform grid, interpolated linearly.
 
@@ -166,7 +166,12 @@ class GridFunction:
     as long as it lives, and so are the support ends and the last table of
     ``discrete_fourier`` (n_freq x 24 bytes, one (xi_max, n_freq) window per
     function); the samples are a read-only copy, so they cannot go stale,
-    and every derived function starts without them.
+    and every derived function starts without them.  A pickle or copy
+    carries the grid and the samples only and rebuilds through ``_made``:
+    its samples are read-only again and every cache starts afresh.
+
+    ``==`` and ``hash`` are by identity: two functions with equal samples
+    are still two objects.
     """
 
     origin: float
@@ -199,6 +204,9 @@ class GridFunction:
         f = object.__new__(cls)
         vars(f).update(origin=origin, step=step, values=values)
         return f
+
+    def __reduce__(self):
+        return type(self)._made, (self.origin, self.step, self.values)
 
     @cached_property
     def _support(self) -> tuple:

@@ -37,7 +37,8 @@ import numpy as np
 
 from .fourier import transform_at
 from .grids import (GridFunction, IntervalSet, count, grid_nodes,
-                    nonnegative_number, real_number, snap_to_dyadic_step)
+                    nonnegative_number, positive_number, real_number,
+                    snap_to_dyadic_step)
 from .quadcells import gagliardo_of_values
 
 __all__ = [
@@ -88,7 +89,8 @@ def skorokhod_star(g: GridFunction, a: float, b: float, rho: float
     inf over [b, x]; 1 on [a, b] and 0 outside, like the input.  The output
     is an erased function of g and lies in the same plateau family.
     """
-    a, b, rho = map(real_number, ("a", "b", "rho"), (a, b, rho))
+    a, b = map(real_number, ("a", "b"), (a, b))
+    rho = positive_number("rho", rho)
     tol = 1e-12
     v = g.values
     x = g.x
@@ -239,6 +241,15 @@ class LadderTree:
         self.depth_built = depth_built
         self.edges = edges
         self._kept = None  # (k, the read-only samples of its partial sum)
+
+    def __getstate__(self):
+        """The tree without its caches: a pickle carries neither the kept
+        partial sum nor the cached properties, which are rebuilt on use."""
+        state = {name: v for name, v in vars(self).items()
+                 if not isinstance(getattr(type(self), name, None),
+                                   cached_property)}
+        state["_kept"] = None
+        return state
 
     @cached_property
     def trace(self) -> list:

@@ -31,13 +31,14 @@ within the call (numpy's FFT releases the GIL), or both on the caller's
 thread when no thread can be started; the bits are the same either way.
 GridFunction.increment_autocorr keeps c, so a function evaluated at
 several exponents correlates once.  The lag weights
-depend only on the lag count, alpha and the order, not on the data: the
-read-only tables of up to 2^13 lags are kept in one least-recently-used
-cache of 128 tables, so a repeated (lag count, alpha, order) skips the
-table and the cache holds at most 128 * 2^13 * 8 bytes = 8 MiB.  A longer
-table is never kept: the form takes it in blocks of 2^13 lags (64 KiB),
-each computed and dotted with its slice of c while it sits in cache, so
-an energy at a new alpha allocates a few blocks beyond c.  A first energy
+depend only on alpha and the order, not on the data, and a table of n lags
+is the first n lags of any longer one.  One read-only table of 2^13 lags is
+kept per (alpha, order), in a least-recently-used cache of 128 tables (at
+most 128 * 2^13 * 8 bytes = 8 MiB), and up to 2^13 lags are read as a view
+of it, so functions of any size at one alpha share it.  Lags beyond are
+never kept: the form takes them in blocks of 2^13 lags (64 KiB), each
+computed and dotted with its slice of c while it sits in cache, so an
+energy at a new alpha allocates a few blocks beyond c.  A first energy
 of n support nodes peaks at about 40 bytes per node above the samples
 (the increments, the FFT buffers and their spectra: one 2n-point buffer,
 or two n-point ones for the halves), and c keeps 8.
@@ -74,11 +75,15 @@ _SERIES_TERMS = 16
 # the first.  From t = 2's lag, 2^14.5, on only terms 0 and 1 count.
 _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 
-# Lag-weight tables of up to _KEPT_LAGS lags are kept, at most _KEPT_TABLES
-# of them: 8 MiB of float64 in the worst case.  The form takes longer tables
-# in blocks of _KEPT_LAGS lags.
+# One table of the first _KEPT_LAGS lags is kept per (alpha, order), at most
+# _KEPT_TABLES of them: 8 MiB of float64 in the worst case.  The form takes
+# the lags beyond in blocks of _KEPT_LAGS lags.
 _KEPT_LAGS = 1 << 13
 _KEPT_TABLES = 128
+
+# For alpha > 1 the second differences are shifted by the regular part of
+# their value at this lag, the kept table's last; see _lag_weight_table.
+_REF_LAG = _KEPT_LAGS - 1
 
 # More slopes than this are correlated by halves (_split_autocorr).  The
 # split was measured faster only at 2^18 - 2^20 slopes; the switch stays
@@ -191,17 +196,17 @@ def _expm1_ratio(a: float, x):
     return x if a == 0.0 else np.expm1(a * x) / a
 
 
-def _lag_weights(n: int, alpha: float, order: int = 2) -> np.ndarray:
-    """_lag_weight_table(n, alpha, order), kept and read-only for up to
-    _KEPT_LAGS lags, computed afresh beyond."""
-    if n > _KEPT_LAGS:
-        return _lag_weight_table(n, alpha, order)
-    return _kept_lag_weights(n, alpha, order)
+def _lag_weights(alpha: float, order: int, lo: int, hi: int) -> np.ndarray:
+    """Lags lo .. hi-1 of the lag weights: a read-only view of the kept
+    table when hi <= _KEPT_LAGS, a fresh block beyond."""
+    if hi <= _KEPT_LAGS:
+        return _kept_lag_weights(alpha, order)[lo:hi]
+    return _lag_weight_table(alpha, order, lo, hi)
 
 
 @functools.lru_cache(maxsize=_KEPT_TABLES)
-def _kept_lag_weights(n: int, alpha: float, order: int) -> np.ndarray:
-    w = _lag_weight_table(n, alpha, order)
+def _kept_lag_weights(alpha: float, order: int) -> np.ndarray:
+    w = _lag_weight_table(alpha, order, 0, _KEPT_LAGS)
     w.flags.writeable = False
     return w
 
@@ -242,44 +247,34 @@ def _series(start: int, stop: int, alpha: float, order: int):
     return lnk, kq, tail
 
 
-def _reference_terms(n: int, alpha: float) -> tuple[float, float]:
-    """(ln K, tail(K)) at the last lag K = n-1 of an n-lag table."""
-    ln_ks, _, t_ks = _series(n - 1, n, alpha, 2)
-    return ln_ks[0], t_ks[0]
-
-
-def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
-                      hi: int | None = None,
-                      ref: tuple[float, float] | None = None) -> np.ndarray:
+def _lag_weight_table(alpha: float, order: int, lo: int,
+                      hi: int) -> np.ndarray:
     """Central difference delta^order W(k) of the regularised power W at the
-    lags k = lo .. hi-1 (by default all n lags) of the n-lag table, for
-    order 2 or 4.  Blocks of lags concatenate to the whole table bit for
-    bit.
+    lags k = lo .. hi-1, for order 2 or 4.  Every lag is computed on its
+    own, so any block of lags equals the same lags of a longer table bit
+    for bit.
 
     For alpha > 1 the second differences tend to the constant 2/(alpha-1);
-    they are returned minus their value at the last lag n-1, which leaves
-    the form of tapered samples unchanged (it is blind to constant weights)
-    and keeps the rounding of that constant out of long sums.  ``ref``, if
-    given, is ``_reference_terms(n, alpha)``, so blocks of one table need
-    not recompute it.
+    they are returned minus the regular part of their value at the fixed
+    lag _REF_LAG, which leaves the form of tapered samples unchanged (it is
+    blind to constant weights) and keeps most of that constant's rounding
+    out of long sums.  The reference lag is finite, so the shift stays
+    finite as alpha falls to 1 and the form stays continuous there.
     """
-    hi = n if hi is None else hi
     q = 1.0 - alpha                     # p - 2 for the power p = 3 - alpha
-    near = min(n, 2 * order)
+    near = 2 * order                    # lags below it are differenced
     cut = min(max(lo, near), hi)        # the block's first series lag
     out = np.empty(hi - lo)
     if lo < near:
         if order == 4:
             # delta^4 = delta^2 delta^2 keeps the small lags accurate where
             # differencing W itself would cancel badly.
-            f = _lag_weight_table(near + 1, alpha, 2)
+            f = _lag_weight_table(alpha, 2, 0, near + 1)
         else:
             ks = np.arange(1.0, near + 1.0)
             f = np.concatenate([[0.0], ks * ks * _expm1_ratio(q, np.log(ks))])
         f = np.concatenate([f[1:2], f])  # f is even: lag -1 mirrors lag 1
         d = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        if n == near and order == 2:
-            return (d - d[-1] if alpha > 1.0 else d)[lo:hi]
         out[:cut - lo] = d[lo:cut]
     lnk, kq, tail = _series(cut, hi, alpha, order)
     if order == 4:
@@ -288,16 +283,15 @@ def _lag_weight_table(n: int, alpha: float, order: int, lo: int = 0,
 
     # The j = 2 term and the k^2 of W combine to
     # p (p-1) (k^q - 1) / q + p + 1, regular at alpha = 1.  For alpha > 1
-    # the reference lag 1 becomes the last lag K = n-1, and the constant
-    # p + 1 and tail(K) drop out: p (p-1) (k^q - K^q) / q + tail(k) - tail(K).
+    # the reference lag 1 becomes R = _REF_LAG and the constant p + 1 drops
+    # out: p (p-1) (k^q - R^q) / q + tail(k).
     head = (3.0 - alpha) * (2.0 - alpha)
-    const, ln_ref, t_ref = 4.0 - alpha, 0.0, 0.0
+    const, ln_ref = 4.0 - alpha, 0.0
     if alpha > 1.0:
-        ln_ref, t_ref = ref or _reference_terms(n, alpha)
-        out[:cut - lo] -= head * _expm1_ratio(q, ln_ref) + const + t_ref
+        ln_ref = np.log(_REF_LAG)
+        out[:cut - lo] -= head * _expm1_ratio(q, ln_ref) + const
         const = 0.0
-    out[cut - lo:] = (-head * kq * _expm1_ratio(q, ln_ref - lnk)
-                      + const + tail - t_ref)
+    out[cut - lo:] = -head * kq * _expm1_ratio(q, ln_ref - lnk) + const + tail
     return out
 
 
@@ -313,17 +307,13 @@ def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
     once for each sign.
 
     The lag weights come in blocks of _KEPT_LAGS lags, each dotted with its
-    slice of c: a table of up to _KEPT_LAGS lags is the kept one, and no
-    longer table is built whole."""
+    slice of c: the first is a view of the kept table, and no longer table
+    is built whole."""
     scale = _form_scale(h, alpha)
-    n = c.size
-    ref = (_reference_terms(n, alpha) if n > _KEPT_LAGS and alpha > 1.0
-           else None)
     dot = -0.0                          # x + -0.0 is x, so one block is its dot
-    for lo in range(0, n, _KEPT_LAGS):
-        hi = min(lo + _KEPT_LAGS, n)
-        w = (_kept_lag_weights(n, alpha, 2) if n <= _KEPT_LAGS
-             else _lag_weight_table(n, alpha, 2, lo, hi, ref))
+    for lo in range(0, c.size, _KEPT_LAGS):
+        hi = min(lo + _KEPT_LAGS, c.size)
+        w = _lag_weights(alpha, 2, lo, hi)
         if lo == 0:
             w0 = w[0]
         dot += float(np.dot(c[lo:hi], w))
@@ -394,4 +384,4 @@ def hat_energy_row(n: int, h: float, alpha: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one node")
-    return _form_scale(h, alpha) * _lag_weights(n, alpha, order=4)
+    return _form_scale(h, alpha) * _lag_weights(alpha, 4, 0, n)

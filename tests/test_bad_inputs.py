@@ -214,8 +214,10 @@ CALLS = {
         _plateau(), v, 1.0, 0.5)),
     "skorokhod_star-b": (NON_SCALARS, lambda v: skorokhod_star(
         _plateau(), 0.0, v, 0.5)),
-    "skorokhod_star-rho": (NON_SCALARS, lambda v: skorokhod_star(
-        _plateau(), 0.0, 1.0, v)),
+    # NaN and inf returned a function; 0 and below failed a precondition
+    # that did not name rho
+    "skorokhod_star-rho": ({**FREQUENCIES, **NON_SCALARS},
+                           lambda v: skorokhod_star(_plateau(), 0.0, 1.0, v)),
     "capacity_estimate-alpha_star": (NON_SCALARS, lambda v: capacity_estimate(
         IntervalSet.of((-0.1, 0.1)), v, (-2.0, 2.0), 0.125)),
     "concentration_test-alpha_star": (NON_SCALARS,

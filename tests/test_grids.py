@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -171,14 +172,37 @@ class TestLazySupport:
         want = _eager_support(-0.5, 0.25, vals)
         f = self.MAKERS[maker](vals)
         before = pickle.loads(pickle.dumps(f))  # not read yet
-        assert "_support" not in vars(before)
         assert _support_queries(f) == want
-        after = pickle.loads(pickle.dumps(f))  # carries the read ends
-        assert "_support" in vars(after)
+        after = pickle.loads(pickle.dumps(f))  # the read ends stay behind
         for g in (before, after):
+            assert "_support" not in vars(g)
             assert (g.origin, g.step) == (f.origin, f.step)
             assert g.values.tobytes() == f.values.tobytes()
+            assert not g.values.flags.writeable
             assert _support_queries(g) == want
+
+    def test_pickles_and_copies_carry_no_cache(self):
+        from fracform.energy import EnergyParams, fourier_energy, gagliardo_energy
+
+        f = sample_bump()
+        fresh = len(pickle.dumps(f))
+        gagliardo_energy(f, EnergyParams(0.5))
+        fourier_energy(f, EnergyParams(0.5), 40.0, 64)
+        assert f.finite() and f.support_lo > 0
+        assert len(pickle.dumps(f)) == fresh
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f),
+                  copy.deepcopy(f)):
+            assert vars(g).keys() == {"origin", "step", "values"}
+            assert g.values.tobytes() == f.values.tobytes()
+            with pytest.raises(ValueError):
+                g.values[1] = 0.0
+            assert g.l2_norm_sq() == f.l2_norm_sq()
+
+    def test_equality_and_hash_are_by_identity(self):
+        f = GridFunction(0.0, 0.5, [0.0, 1.0, 0.0])
+        g = GridFunction(0.0, 0.5, [0.0, 1.0, 0.0])
+        assert f == f and f != g and not (f == g)
+        assert hash(f) == hash(f) and len({f, g, f}) == 2
 
     def test_init_fields_are_the_grid_and_the_samples(self):
         # the gate sweeps of test_bad_inputs read these

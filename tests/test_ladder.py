@@ -1,5 +1,6 @@
 import heapq
 import math
+import pickle
 import sys
 import threading
 
@@ -337,6 +338,13 @@ class TestSkorokhodStar:
             skorokhod_star(g.scaled(0.9), 0.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="vanish"):
             skorokhod_star(g, 0.25, 0.75, 0.1)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, math.nan, math.inf,
+                                     -math.inf])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        g = make_plateau(PlateauSpec(0.0, 1.0, 0.5), 1.0 / 64.0)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            skorokhod_star(g, 0.0, 1.0, rho)
 
 
 class TestLadderStar:
@@ -683,6 +691,24 @@ class TestKeptPartialSum:
             self.assert_same(tf.partial_sum(k), *wf[k])
             j = min(len(wg), k + int(rng.integers(0, 3)))
             self.assert_same(tg.partial_sum(j), *wg[j])
+
+    def test_pickle_drops_the_caches(self, kept_sum_cases):
+        f, budget, want = kept_sum_cases["rough"]
+        tree = ladder_decompose(f, budget, 0.0)
+        fresh = len(pickle.dumps(tree))
+        for k in (1, 2, 3):
+            tree.partial_sum(k)
+        assert tree.order and tree.trace and "_step_tables" in vars(tree)
+        assert len(pickle.dumps(tree)) == fresh
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy._kept is None
+        assert not {"order", "trace", "_first_edge",
+                    "_step_tables"} & vars(copy).keys()
+        assert not copy.source.values.flags.writeable
+        for k in (3, 4, 1, len(want)):
+            self.assert_same(copy.partial_sum(k), *want[k])
+        assert [n.address for n in copy.order] == [n.address
+                                                   for n in tree.order]
 
     @pytest.mark.parametrize("name", ["rough", "cut"])
     def test_threads_walk_one_tree(self, name, kept_sum_cases):

@@ -12,8 +12,9 @@ import pytest
 
 from fracform import quadcells
 from fracform.grids import l2_norm_sq_of_samples
-from fracform.quadcells import (_lag_weights, gagliardo_of_values,
-                                hat_energy_row, rho_profile)
+from fracform.quadcells import (_lag_weight_table, _lag_weights,
+                                gagliardo_of_values, hat_energy_row,
+                                rho_profile)
 
 from conftest import exact_rho
 
@@ -86,22 +87,27 @@ def test_lag_weights_match_high_precision_differences(alpha):
     """Second and fourth central differences of W against 40-digit values,
     from the directly differenced small lags through the series beyond,
     for 3002 lags."""
-    d2 = _lag_weights(LAGS[-1] + 1, alpha)[LAGS]
-    d4 = _lag_weights(LAGS[-1] + 1, alpha, order=4)[LAGS]
+    d2 = _lag_weights(alpha, 2, 0, LAGS[-1] + 1)[LAGS]
+    d4 = _lag_weights(alpha, 4, 0, LAGS[-1] + 1)[LAGS]
     with mpmath.workdps(40):
         w = {k: mp_regularised_power(k, alpha)
              for k in range(-2, LAGS[-1] + 3)}
-        ref2 = np.array([float(w[k + 1] - 2 * w[k] + w[k - 1])
-                         for k in LAGS])
+        d2_mp = [w[k + 1] - 2 * w[k] + w[k - 1] for k in LAGS]
         ref4 = np.array([float(w[k + 2] - 4 * w[k + 1] + 6 * w[k]
                                - 4 * w[k - 1] + w[k - 2]) for k in LAGS])
-    shift = 0.0
-    if alpha > 1.0:
-        # Returned relative to the last lag, which the form cannot see; the
-        # directly differenced lags 0-3 carry the rounding of that shift.
-        shift = ref2[-1]
-        ref2 -= shift
-    else:
+        shift = mpmath.mpf(0)
+        if alpha > 1.0:
+            # Returned minus the regular part p (p-1) (R^q - 1) / q + p + 1
+            # of the value at the reference lag R, a constant the form
+            # cannot see; the directly differenced lags 0-3 carry the
+            # rounding of that shift.
+            a = mpmath.mpf(alpha)
+            p, q = 3 - a, 1 - a
+            shift = (p * (p - 1) * mpmath.expm1(q * mpmath.log(quadcells._REF_LAG))
+                     / q + p + 1)
+        ref2 = np.array([float(d - shift) for d in d2_mp])
+        shift = float(shift)
+    if alpha <= 1.0:
         assert d2[0] == 0.0 and ref2[0] == 0.0
     assert np.allclose(d2, ref2, rtol=1e-14, atol=1e-14 * abs(shift))
     # Lags below 8 come from differencing the second differences, which
@@ -123,7 +129,7 @@ def full_horner(monkeypatch):
     def weights(n, alpha, order):
         with monkeypatch.context() as m:
             m.setattr(quadcells, "_TWO_TERM_LAG", math.inf)
-            return _lag_weights(n, alpha, order)
+            return _lag_weight_table(alpha, order, 0, n)
     return weights
 
 
@@ -141,7 +147,7 @@ def test_two_term_series_matches_full_horner(alpha, order, full_horner):
     lag sits on either side of the cut."""
     edge = quadcells._TWO_TERM_LAG
     for n in (edge, edge + 1, 1 << 20):
-        assert _rel_err(_lag_weights(n, alpha, order),
+        assert _rel_err(_lag_weights(alpha, order, 0, n),
                         full_horner(n, alpha, order)) <= 1e-15
 
 
@@ -153,16 +159,45 @@ SPLIT = quadcells._SPLIT_SLOPES
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.95])
 def test_kept_tables_equal_fresh_ones(alpha, order):
     for n in (1, 9, 512, KEPT - 1, KEPT, KEPT + 1, 1 << 15):
-        fresh = quadcells._lag_weight_table(n, alpha, order)
-        first = _lag_weights(n, alpha, order)
-        again = _lag_weights(n, alpha, order)
+        fresh = _lag_weight_table(alpha, order, 0, n)
+        first = _lag_weights(alpha, order, 0, n)
+        again = _lag_weights(alpha, order, 0, n)
         assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
         if n <= KEPT:
-            assert again is first and not first.flags.writeable
+            kept = quadcells._kept_lag_weights(alpha, order)
+            assert first.base is kept and again.base is kept
+            assert not first.flags.writeable
             with pytest.raises(ValueError):
                 first[0] = 0.0
         else:
             assert again is not first
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.001, 1.5, 1.95])
+def test_tables_are_prefixes_of_longer_ones(alpha, order):
+    """An n-lag table is the first n lags of the kept table and of a
+    2^17-lag table, bit for bit: no weight depends on the table's length."""
+    long = _lag_weight_table(alpha, order, 0, 1 << 17).view(np.int64)
+    kept = quadcells._kept_lag_weights(alpha, order).view(np.int64)
+    assert kept.size == KEPT
+    for n in (1, 7, 8, 9, 512, KEPT - 1, KEPT, KEPT + 1):
+        table = _lag_weight_table(alpha, order, 0, n).view(np.int64)
+        assert np.array_equal(table, long[:n]), n
+        assert np.array_equal(table[:KEPT], kept[:n]), n
+
+
+@pytest.mark.parametrize("alpha", [0.4321, 1.2345])
+def test_energies_of_two_lengths_build_one_table(alpha):
+    from fracform.energy import EnergyParams, gagliardo_energy
+    from fracform.grids import GridFunction
+
+    kept = quadcells._kept_lag_weights
+    kept.cache_clear()
+    for n in (9, 1000):
+        f = GridFunction(-1.0, 2.0 / (n - 1), _cos2_bump(n))
+        gagliardo_energy(f, EnergyParams(alpha))
+    assert kept.cache_info().misses == 1
 
 
 def test_hat_energy_row_is_fresh_and_writable():
@@ -179,12 +214,15 @@ def test_kept_tables_stay_within_eight_mib():
     tables = kept.cache_parameters()["maxsize"]
     assert tables * KEPT * 8 <= 8 << 20
     kept.cache_clear()
-    _lag_weights(1 << 17, 0.5)
+    _lag_weights(0.5, 2, KEPT, 1 << 17)
     hat_energy_row(1 << 17, 1.0, 0.5)
-    gagliardo_of_values(np.pad(np.ones(KEPT + 1), 1), 0.1, 0.5)
     assert kept.cache_info().currsize == 0
+    # the form reads its first block from the kept table, only the first
+    gagliardo_of_values(np.pad(np.ones(3 * KEPT), 1), 0.1, 0.5)
+    assert kept.cache_info().currsize == 1
+    assert kept(0.5, 2).shape == (KEPT,)
     for i in range(tables + 3):
-        _lag_weights(KEPT, 0.01 * (i + 1))
+        _lag_weights(0.01 * (i + 1), 2, 0, KEPT)
     assert kept.cache_info().currsize == tables
 
 
@@ -198,11 +236,10 @@ BLOCKED_LAGS = [KEPT - 1, KEPT + 1, 2 * KEPT - 1, 2 * KEPT + 1,
 def test_blocks_concatenate_to_the_table(alpha, order):
     """Blocks of KEPT lags, as the form takes them, rebuild the whole
     table bit for bit: the direct lags, both sides of the two-term cut and,
-    for alpha > 1, the shift by the last lag."""
+    for alpha > 1, the shift by the reference lag."""
     for n in BLOCKED_LAGS:
-        whole = quadcells._lag_weight_table(n, alpha, order)
-        blocks = [quadcells._lag_weight_table(n, alpha, order, lo,
-                                              min(lo + KEPT, n))
+        whole = _lag_weight_table(alpha, order, 0, n)
+        blocks = [_lag_weight_table(alpha, order, lo, min(lo + KEPT, n))
                   for lo in range(0, n, KEPT)]
         assert np.array_equal(np.concatenate(blocks).view(np.int64),
                               whole.view(np.int64)), n
@@ -219,7 +256,7 @@ def test_blocked_form_matches_one_table_dot(alpha):
     c = quadcells.increment_autocorr(_cos2_bump((1 << 17) + 1))
     assert c.size == 1 << 17
     h = 2.0 / (1 << 17)
-    w = quadcells._lag_weight_table(c.size, alpha, 2)
+    w = _lag_weight_table(alpha, 2, 0, c.size)
     whole = -quadcells._form_scale(h, alpha) * (2.0 * float(c @ w)
                                                - c[0] * w[0])
     assert quadcells._increment_form(c, h, alpha) == pytest.approx(
@@ -469,30 +506,3 @@ def test_contraction_decreases_energy(rng):
             ef = gagliardo_of_values(f.values, f.step, alpha)
             eg = gagliardo_of_values(g.values, g.step, alpha)
             assert eg <= ef + 1e-12
-
-@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.95])
-def test_form_computes_the_reference_terms_once(alpha, monkeypatch):
-    """For alpha > 1 the form takes ln K and tail(K) at the last lag from
-    one one-lag series call, not one per block; blocks given them equal
-    blocks that compute them, bit for bit."""
-    n = 4 * KEPT + 3
-    c = quadcells.increment_autocorr(_cos2_bump(n + 1))
-    assert c.size == n
-    series = quadcells._series
-    one_lag = []
-
-    def spy(start, stop, *args):
-        if stop - start == 1:
-            one_lag.append(start)
-        return series(start, stop, *args)
-
-    monkeypatch.setattr(quadcells, "_series", spy)
-    quadcells._increment_form(c, 2.0 / n, alpha)
-    assert one_lag == ([n - 1] if alpha > 1.0 else [])
-    if alpha > 1.0:
-        ref = quadcells._reference_terms(n, alpha)
-        for lo in range(0, n, KEPT):
-            hi = min(lo + KEPT, n)
-            given = quadcells._lag_weight_table(n, alpha, 2, lo, hi, ref)
-            fresh = quadcells._lag_weight_table(n, alpha, 2, lo, hi)
-            assert np.array_equal(given.view(np.int64), fresh.view(np.int64))

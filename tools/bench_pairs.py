@@ -21,8 +21,10 @@ records that run's wall time and its passed, failed and xfailed counts:
 one run per side is too noisy for a bound, so this is reported and never
 compared.  Each side then runs ``fracform verify --suite all`` three times
 at seed 0, the sides alternating, and once at seed 7; its ``info.verify``
-records the median wall time of the seed-0 runs and whether each seed's
-stdout is byte-identical between the sides.  Last, each side runs a cold
+records the median wall time of the seed-0 runs, whether each seed's
+stdout is byte-identical between the sides and, for a seed where it is
+not, the pairs of lines that differ, so a record shows which printed value
+moved.  Last, each side runs a cold
 ``python -c "import fracform"`` five times, the sides alternating, and its
 ``info.import`` records the median wall time.  Both are reported, never
 gated.  Standard library only; nothing under ``perfbench/`` is touched.
@@ -31,7 +33,9 @@ gated.  Standard library only; nothing under ``perfbench/`` is touched.
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
+import itertools
 import json
 import os
 import re
@@ -111,11 +115,27 @@ def tier1(checkout: Path) -> dict:
             **counts, "summary": last}
 
 
+def differing_lines(parent: bytes, change: bytes) -> list:
+    """The [parent line, change line] pairs where two outputs differ, in
+    order, decoded as UTF-8.  Lines are matched by difflib; a line present
+    on one side only is paired with None."""
+    a = parent.decode("utf-8", "replace").splitlines()
+    b = change.decode("utf-8", "replace").splitlines()
+    pairs = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            pairs.extend([x, y] for x, y in
+                         itertools.zip_longest(a[i1:i2], b[j1:j2]))
+    return pairs
+
+
 def verify_runs(dirs: dict) -> dict:
     """Per side, the wall times and exit codes of ``verify --suite all``:
     VERIFY_TIMED_RUNS runs at the first seed, the sides alternating, then
     one at each other seed, with whether each seed's stdout is
-    byte-identical between the sides."""
+    byte-identical between the sides and the differing line pairs of each
+    seed whose stdout is not."""
     runs = {side: [] for side in SIDES}
     stdout = {side: {} for side in SIDES}
     seeds = [VERIFY_SEEDS[0]] * VERIFY_TIMED_RUNS + list(VERIFY_SEEDS[1:])
@@ -127,9 +147,13 @@ def verify_runs(dirs: dict) -> dict:
             stdout[side].setdefault(seed, proc.stdout)
     same = {str(seed): stdout["parent"][seed] == stdout["change"][seed]
             for seed in VERIFY_SEEDS}
+    moved = {str(seed): differing_lines(stdout["parent"][seed],
+                                        stdout["change"][seed])
+             for seed in VERIFY_SEEDS if not same[str(seed)]}
     return {side: {"wall_s": statistics.median(
                        w for _, w, _ in runs[side][:VERIFY_TIMED_RUNS]),
                    "stdout_identical": same,
+                   "differing_lines": moved,
                    "runs": [{"seed": seed, "wall_s": w, "exit_code": code}
                             for seed, w, code in runs[side]]}
             for side in SIDES}
