@@ -5,6 +5,10 @@ All numeric output is printed with 12 significant digits and no timestamps,
 so a run with a fixed configuration and seed reproduces its stdout byte for
 byte.  Verdict tables additionally carry wall-clock runtimes in their CSV
 column; everything else in the table is deterministic.
+
+``main`` is the one error boundary: a ValueError or OSError from making the
+output directory or from a subcommand ends in one ``error:`` line on stderr
+and exit status 1.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import csv
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,23 +35,13 @@ from .scalecap import FatCantorSpec, build_fat_cantor, capacity_estimate, \
     scale_from_open_set
 from .verify import SUITES, list_checks, run_suite
 
-__all__ = ["RunConfig", "main", "run", "emit_table"]
+__all__ = ["main", "emit_table"]
 
 
 def _fmt(v) -> str:
     if isinstance(v, float) and math.isinf(v):
         return "divergent"
     return f"{v:.12g}"
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation: the command, its parameters, and run context."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    out_dir: Path = field(default_factory=Path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,59 +77,75 @@ def parse_function_literal(text: str, step: float):
     if kind == "csv":
         return GridFunction.from_csv(Path(rest).read_text(encoding="utf-8"))
     if kind == "json":
-        data = json.loads(Path(rest).read_text(encoding="utf-8"))
-        return GridFunction.from_json_dict(data)
+        return GridFunction.from_json_dict(_read_json(rest))
     raise ValueError(f"unknown function literal {text!r}")
 
 
-def emit_table(records, path) -> None:
-    """Verdict table with the fixed column schema."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["check_id", "status", "measured", "tolerance",
-                         "runtime_ms"])
-        for rec in records:
-            writer.writerow([
-                rec.check_id, rec.status,
-                ";".join(_fmt(m) for m in rec.measured),
-                _fmt(rec.tolerance), rec.runtime_ms,
-            ])
+# a finite decimal literal as float() reads it, PEP 515 underscores and
+# surrounding whitespace included; "inf", "nan" and other text do not match
+_DECIMAL = re.compile(r"\s*[-+]?(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?"
+                      r"|\.\d(?:_?\d)*)(?:[eE][-+]?\d(?:_?\d)*)?\s*")
+
+
+def _pair(option: str, text: str, ends: str) -> tuple:
+    """The two finite numbers lo < hi of an option's "lo,hi"; anything else
+    is one ValueError that names the option and repeats its text."""
+    nums = [float(t) if _DECIMAL.fullmatch(t) else math.nan
+            for t in text.split(",")]
+    if len(nums) != 2 or not -math.inf < nums[0] < nums[1] < math.inf:
+        raise ValueError(f"{option} needs two finite numbers {ends}, got "
+                         f"{text!r}")
+    return nums[0], nums[1]
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-# -- subcommand implementations ----------------------------------------------------
+def _write_csv(path, rows) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _cmd_energy(cfg: RunConfig) -> int:
-    p = cfg.params
-    f = parse_function_literal(p["function"], p["step"])
-    alpha = p["alpha"]
-    if alpha == 2.0:
+def emit_table(records, path) -> None:
+    """Verdict table with the fixed column schema."""
+    _write_csv(path, [["check_id", "status", "measured", "tolerance",
+                       "runtime_ms"]]
+               + [[rec.check_id, rec.status,
+                   ";".join(_fmt(m) for m in rec.measured),
+                   _fmt(rec.tolerance), rec.runtime_ms] for rec in records])
+
+
+# -- subcommand implementations: each reads the parsed arguments -------------
+
+
+def _cmd_energy(args, out_dir: Path) -> int:
+    f = parse_function_literal(args.function, args.step)
+    if args.alpha == 2.0:
         print(f"dirichlet_energy = {_fmt(dirichlet_energy(f))}")
         return 0
-    rep = gagliardo_energy(f, EnergyParams(alpha=alpha), refine_levels=10)
-    print(f"alpha = {_fmt(alpha)}")
+    rep = gagliardo_energy(f, EnergyParams(alpha=args.alpha),
+                           refine_levels=10)
+    print(f"alpha = {_fmt(args.alpha)}")
     print(f"energy = {_fmt(rep.value)}"
           + (" (DIVERGENT)" if rep.divergent else ""))
     print(f"l2_norm_sq = {_fmt(rep.l2_norm_sq)}")
     print(f"e1 = {_fmt(rep.e1_value)}")
     for res, est in rep.refinement_trace:
         print(f"trace {res} {_fmt(est)}")
-    out = p.get("out")
-    if out:
-        _write_json(rep.to_json_dict(), cfg.out_dir / out)
+    if args.out:
+        _write_json(rep.to_json_dict(), out_dir / args.out)
     return 0
 
 
-def _cmd_ladder(cfg: RunConfig) -> int:
-    p = cfg.params
-    f = parse_function_literal(p["function"], p["step"])
+def _cmd_ladder(args, out_dir: Path) -> int:
+    f = parse_function_literal(args.function, args.step)
     if isinstance(f, StepFunction):
-        f = f.sample(p["step"])
+        f = f.sample(args.step)
     # the decomposition wants non-negative input; split signed functions
     vals = f.values
     parts = {}
@@ -144,30 +154,24 @@ def _cmd_ladder(cfg: RunConfig) -> int:
     if np.any(vals < 0):
         parts["negative"] = f.with_values(np.maximum(-vals, 0.0))
     result = {}
-    trace_rows = []
+    trace_rows = [["part", "nodes", "sup_gap"]]
     for name, part in parts.items():
-        tree = ladder_decompose(part, max_nodes=p["max_nodes"],
-                                sup_tol=p["sup_tol"])
+        tree = ladder_decompose(part, max_nodes=args.max_nodes,
+                                sup_tol=args.sup_tol)
         result[name] = tree.to_json_dict()
         flag = "converged" if tree.converged else "NOT_CONVERGED"
         print(f"{name}: nodes = {tree.n_nodes}, gap = {_fmt(tree.sup_gap())}, "
               f"{flag}")
-        for n, gap in tree.trace:
-            trace_rows.append([name, n, _fmt(gap)])
-    _write_json(result, cfg.out_dir / p["tree_out"])
-    with (cfg.out_dir / p["trace_out"]).open("w", encoding="utf-8",
-                                             newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["part", "nodes", "sup_gap"])
-        writer.writerows(trace_rows)
+        trace_rows += ([name, n, _fmt(gap)] for n, gap in tree.trace)
+    _write_json(result, out_dir / args.tree_out)
+    _write_csv(out_dir / args.trace_out, trace_rows)
     return 0
 
 
-def _cmd_scale(cfg: RunConfig) -> int:
-    p = cfg.params
-    xs = grid_nodes(-1.5, 1.5, p["step"])
-    if p.get("spec"):
-        spec_data = json.loads(Path(p["spec"]).read_text(encoding="utf-8"))
+def _cmd_scale(args, out_dir: Path) -> int:
+    xs = grid_nodes(-1.5, 1.5, args.step)
+    if args.spec:
+        spec_data = _read_json(args.spec)
         if not isinstance(spec_data, dict):
             raise ValueError("a scale spec is a JSON object")
         spec = FatCantorSpec(
@@ -180,41 +184,30 @@ def _cmd_scale(cfg: RunConfig) -> int:
         if n_intervals.is_integer():
             n_intervals = int(n_intervals)
     else:
-        spec = FatCantorSpec(alpha=p["alpha"], budget=p["budget"])
-        n_intervals = p["n_intervals"]
+        spec = FatCantorSpec(alpha=args.alpha, budget=args.budget)
+        n_intervals = args.n_intervals
     g = build_fat_cantor(spec, n_intervals)
     s = scale_from_open_set(g, density_window=(-1.0, 1.0))
     print(f"islands = {len(g)}")
     print(f"measure_in_unit_window = {_fmt(g.measure_between(-1.0, 1.0))}")
     print(f"density_depth = {s.density_depth}")
-    _write_json(g.to_json_list(), cfg.out_dir / p["set_out"])
-    sv = s(xs)
-    with (cfg.out_dir / p["scale_out"]).open("w", encoding="utf-8",
-                                             newline="\n") as fh:
-        for x, v in zip(xs, sv):
-            fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+    _write_json(g.to_json_list(), out_dir / args.set_out)
+    _write_csv(out_dir / args.scale_out, zip(map(_fmt, xs), map(_fmt, s(xs))))
     return 0
 
 
-def _cmd_capacity(cfg: RunConfig) -> int:
-    p = cfg.params
+def _cmd_capacity(args, out_dir: Path) -> int:
     target = IntervalSet.from_json_list(
-        json.loads(Path(p["target"]).read_text(encoding="utf-8"))
-        if p["target"].endswith(".json")
-        else json.loads(p["target"]))
-    try:
-        lo, hi = window("domain", [float(t) for t in p["domain"].split(",")])
-    except ValueError:
-        raise ValueError(f"--domain needs two finite numbers lo < hi, got "
-                         f"{p['domain']!r}") from None
-    est = capacity_estimate(target, p["alpha_star"], (lo, hi), p["step"])
+        _read_json(args.target) if args.target.endswith(".json")
+        else json.loads(args.target))
+    domain = _pair("--domain", args.domain, "lo < hi")
+    est = capacity_estimate(target, args.alpha_star, domain, args.step)
     print(f"capacity = {_fmt(est.value)}")
     print(f"residual = {_fmt(est.residual)}")
     print(f"resolution = {_fmt(est.resolution)}")
     print(f"clamp_violation = {_fmt(est.clamp_violation)}")
-    out = p.get("out")
-    if out:
-        _write_json(est.to_json_dict(), cfg.out_dir / out)
+    if args.out:
+        _write_json(est.to_json_dict(), out_dir / args.out)
     return 0
 
 
@@ -225,47 +218,35 @@ def _parse_atom(text: str) -> tuple:
     return float(x), float(mass)
 
 
-def _cmd_levy(cfg: RunConfig) -> int:
-    p = cfg.params
-    if not 0 < p["xi_min"] < p["xi_max"] < math.inf:
+def _cmd_levy(args, out_dir: Path) -> int:
+    if not 0 < args.xi_min < args.xi_max < math.inf:
         raise ValueError(f"the frequency grid needs finite 0 < xi_min < "
-                         f"xi_max, got {p['xi_min']}, {p['xi_max']}")
-    count("--n-xi", p["n_xi"], 2, MAX_GRID_NODES)
-    if p.get("indicator"):
-        try:
-            a, b = window("indicator", [float(t) for t in
-                                        p["indicator"].split(",")])
-        except ValueError:
-            raise ValueError(f"--indicator needs two finite numbers a < b, "
-                             f"got {p['indicator']!r}") from None
-    if p.get("triplet"):
-        t = LevyTriplet.from_json_dict(
-            json.loads(Path(p["triplet"]).read_text(encoding="utf-8")))
+                         f"xi_max, got {args.xi_min}, {args.xi_max}")
+    count("--n-xi", args.n_xi, 2, MAX_GRID_NODES)
+    if args.indicator:
+        a, b = _pair("--indicator", args.indicator, "a < b")
+    if args.triplet:
+        t = LevyTriplet.from_json_dict(_read_json(args.triplet))
     else:
-        atoms = tuple(_parse_atom(a) for a in p.get("atom", []))
+        atoms = tuple(_parse_atom(text) for text in args.atom)
         density = None
-        if p.get("power_alpha") is not None:
-            density = PowerLawDensity(p["power_alpha"],
-                                      p.get("power_coef", 1.0))
-        t = LevyTriplet(sigma=p.get("sigma", 0.0), atoms=atoms,
-                        density=density)
+        if args.power_alpha is not None:
+            density = PowerLawDensity(args.power_alpha, args.power_coef)
+        t = LevyTriplet(sigma=args.sigma, atoms=atoms, density=density)
     finite, value = finite_variation_test(t)
     print(f"finite_variation = {finite}"
           + (f" (integral = {_fmt(value)})" if finite else ""))
-    if p.get("indicator"):
-        e = levy_indicator_energy(a, b, t)
-        print(f"indicator_energy = {_fmt(e)}")
-    xi = np.geomspace(p["xi_min"], p["xi_max"], p["n_xi"])
+    if args.indicator:
+        print(f"indicator_energy = {_fmt(levy_indicator_energy(a, b, t))}")
+    xi = np.geomspace(args.xi_min, args.xi_max, args.n_xi)
     xi = np.concatenate([-xi[::-1], xi])
     curve = levy_symbol(t, xi)
-    out = p.get("symbol_out")
-    if out:
-        with (cfg.out_dir / out).open("w", encoding="utf-8", newline="\n") as fh:
-            for x, v in zip(curve.xi_grid, curve.psi_values):
-                fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+    if args.symbol_out:
+        _write_csv(out_dir / args.symbol_out,
+                   zip(map(_fmt, curve.xi_grid), map(_fmt, curve.psi_values)))
     # the fit is an observation on a finite window; it decides nothing
     try:
-        fit = growth_exponent_fit(curve, max(1.0, p["xi_min"]))
+        fit = growth_exponent_fit(curve, max(1.0, args.xi_min))
         rel = "reliable" if fit.reliable else "unreliable"
         print(f"growth_fit alpha_hat = {_fmt(fit.alpha_hat)} "
               f"c_hat = {_fmt(fit.c_hat)} r2 = {_fmt(fit.r_squared)} ({rel})")
@@ -285,27 +266,25 @@ def _cmd_levy(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    p = cfg.params
-    if p.get("list"):
+def _cmd_verify(args, out_dir: Path) -> int:
+    if args.list:
         for cid, num, doc in list_checks():
             print(f"{num:2d}  {cid}: {doc}")
         return 0
-    suite = p["suite"]
-    records = run_suite(suite, cfg.seed)
-    print(f"suite = {suite}")
-    print(f"seed = {cfg.seed}")
+    records = run_suite(args.suite, args.seed)
+    print(f"suite = {args.suite}")
+    print(f"seed = {args.seed}")
     for rec in records:
         measured = ", ".join(_fmt(m) for m in rec.measured)
         print(f"{rec.check_id}: {rec.status} (measured = [{measured}], "
               f"tolerance = {_fmt(rec.tolerance)})")
-    if suite == "properness":
+    if args.suite == "properness":
         ratio = records[0].measured[0]
         if records[0].status == "PASS" and ratio < 0.9:
             print(f"PROPER (ratio={_fmt(ratio)})")
         else:
             print(f"INCONCLUSIVE (ratio={_fmt(ratio)})")
-    emit_table(records, cfg.out_dir / p["table_out"])
+    emit_table(records, out_dir / args.table_out)
     n_fail = sum(1 for rec in records if not rec.passed)
     print(f"passed {len(records) - n_fail} / {len(records)}")
     return 2 if n_fail else 0
@@ -319,15 +298,6 @@ _COMMANDS = {
     "levy": _cmd_levy,
     "verify": _cmd_verify,
 }
-
-
-def run(cfg: RunConfig) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _build_parser() -> _Parser:
@@ -395,16 +365,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "seed", "out_dir")}
-    out_dir = args.out_dir or os.environ.get("FSL_OUT_DIR") or "."
-    cfg = RunConfig(command=args.command, params=params, seed=args.seed,
-                    out_dir=Path(out_dir))
+    args = _build_parser().parse_args(argv)
+    out_dir = Path(args.out_dir or os.environ.get("FSL_OUT_DIR") or ".")
     try:
-        return run(cfg)
-    except ValueError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args, out_dir)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

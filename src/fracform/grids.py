@@ -5,6 +5,8 @@ zero outside the sampled window; this keeps fractional energies finite and
 makes total-variation bookkeeping exact.  Every object here is an immutable
 value: transforms return new objects, so everything is safe to share across
 threads and to map over parameter grids.
+
+The README's "Caches" paragraph lists every cache, its key and its bound.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import resource
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,16 @@ def _cap_address_space():
     # 1 GiB: a missing size guard fails with MemoryError instead of
     # allocating tens of GiB
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def load_tool(name):
+    """The module ``tools/<name>.py`` of this repository, which is a script
+    directory, not a package."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # one BLAS/OpenMP thread, so the capped address space does not depend on

@@ -1,14 +1,18 @@
-"""The line pairing that ``tools/bench_pairs.py`` records when the two
-sides' ``verify`` outputs differ."""
+"""The parts of ``tools/bench_pairs.py`` that a record's comparisons rest
+on: the line pairing recorded when the two sides' outputs differ, the
+README command lines both sides run, and the runtime mask of verdict
+CSVs."""
 
-import importlib.util
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+from conftest import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 differing_lines = bench_pairs.differing_lines
+mask_runtimes = bench_pairs.mask_runtimes
+readme_examples = bench_pairs.readme_examples
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_identical_outputs_have_no_pairs():
@@ -29,3 +33,58 @@ def test_lines_on_one_side_only_pair_with_none():
     assert differing_lines(parent, change) == [["b", "x"], [None, "e"]]
     assert differing_lines(b"a\nb\n", b"a\n") == [["b", None]]
 
+
+_DOC = """# Title
+
+```sh
+fracform not-this-block
+```
+
+## Command line
+
+Some text.
+
+```sh
+fracform energy --alpha 0.5 \\
+    --function "indicator:0,1"   # a comment with --flags
+  fracform verify --list
+pip install nothing
+# fracform commented-out
+```
+
+```sh
+fracform a-later-block
+```
+"""
+
+
+def test_extractor_joins_continuations_and_drops_comments():
+    assert readme_examples(_DOC) == [
+        ["fracform", "energy", "--alpha", "0.5", "--function",
+         "indicator:0,1"],
+        ["fracform", "verify", "--list"]]
+
+
+def test_extractor_reads_the_readmes_ten_lines_as_nine_commands():
+    # the capacity example is continued on a second line
+    lines = readme_examples(README.read_text(encoding="utf-8"))
+    assert [argv[1] for argv in lines] == [
+        "energy", "energy", "ladder", "scale", "capacity", "levy", "verify",
+        "verify", "verify"]
+    assert lines[4] == ["fracform", "capacity", "--target", "[[-0.1, 0.1]]",
+                        "--alpha-star", "0.5", "--domain=-2,2", "--step",
+                        "0.002", "--out", "cap.json"]
+    assert all("#" not in arg for argv in lines for arg in argv)
+
+
+def test_mask_blanks_only_the_runtime_column():
+    table = (b"check_id,status,measured,tolerance,runtime_ms\n"
+             b"a,PASS,1;2,0.1,3.25\n"
+             b"b,FAIL,,1e-06,0.5\n")
+    assert mask_runtimes(table) == (
+        b"check_id,status,measured,tolerance,runtime_ms\n"
+        b"a,PASS,1;2,0.1,*\n"
+        b"b,FAIL,,1e-06,*\n")
+    other = b"part,nodes,sup_gap\npositive,1,0.5\n"
+    assert mask_runtimes(other) == other
+    assert mask_runtimes(b"") == b""

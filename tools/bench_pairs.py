@@ -24,10 +24,17 @@ at seed 0, the sides alternating, and once at seed 7; its ``info.verify``
 records the median wall time of the seed-0 runs, whether each seed's
 stdout is byte-identical between the sides and, for a seed where it is
 not, the pairs of lines that differ, so a record shows which printed value
-moved.  Last, each side runs a cold
+moved.  Each side then runs every ``fracform`` line of the ``sh`` block
+under the change's README heading "Command line" as ``python -m
+fracform.cli``, each in a fresh temporary working directory; its
+``info.cli`` records, per line, the exit code, whether the exit code,
+stdout, stderr and every written file are byte-identical between the sides
+(the ``runtime_ms`` column of verdict CSVs masked) and the differing line
+pairs of each output that is not.  Last, each side runs a cold
 ``python -c "import fracform"`` five times, the sides alternating, and its
-``info.import`` records the median wall time.  Both are reported, never
-gated.  Standard library only; nothing under ``perfbench/`` is touched.
+``info.import`` records the median wall time.  All three are reported,
+never gated.  Every run leaves ``FSL_OUT_DIR`` unset.  Standard library
+only; nothing under ``perfbench/`` is touched.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -55,7 +63,8 @@ PAIRS = 10
 MEASURED = ("src", "perfbench")
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
-VERIFY = ["-m", "fracform.cli", "verify", "--suite", "all", "--seed"]
+CLI = ["-m", "fracform.cli"]
+VERIFY = [*CLI, "verify", "--suite", "all", "--seed"]
 VERIFY_SEEDS = (0, 7)
 VERIFY_TIMED_RUNS = 3  # at the first seed
 IMPORT = ["-c", "import fracform"]
@@ -90,15 +99,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"info": info, "result": json.loads(lines[-1])}
 
 
-def run_python(checkout: Path, args: list, text: bool = True):
-    """Run ``python args`` in ``checkout`` on its own ``src``; return the
-    finished process and its wall time in seconds."""
+def run_python(checkout: Path, args: list, text: bool = True, cwd=None):
+    """Run ``python args`` on ``checkout``'s own ``src``, in ``cwd`` (by
+    default ``checkout``), without ``FSL_OUT_DIR``; return the finished
+    process and its wall time in seconds."""
     path = os.pathsep.join(filter(None, [str(checkout / "src"),
                                          os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "FSL_OUT_DIR"}
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, *args], cwd=checkout,
+    proc = subprocess.run([sys.executable, *args], cwd=cwd or checkout,
                           capture_output=True, text=text,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**env, "PYTHONPATH": path})
     return proc, time.monotonic() - start
 
 
@@ -159,6 +170,76 @@ def verify_runs(dirs: dict) -> dict:
             for side in SIDES}
 
 
+def readme_examples(text: str) -> list:
+    """The ``fracform`` command lines of the ``sh`` block under the README
+    heading "Command line", as argument lists: a line that ends in a
+    backslash goes on in the next, and a trailing ``# ...`` comment is
+    dropped."""
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", text,
+                      re.M | re.S).group(1)
+    lines = re.sub(r"\\\n", " ", block).splitlines()
+    return [argv for argv in (shlex.split(line, comments=True)
+                              for line in lines) if argv[:1] == ["fracform"]]
+
+
+def mask_runtimes(data: bytes) -> bytes:
+    """A CSV whose header names a ``runtime_ms`` column, with that column
+    read as ``*`` in every row of the header's width; other bytes as
+    they are."""
+    lines = data.split(b"\n")
+    header = lines[0].split(b",")
+    if b"runtime_ms" not in header:
+        return data
+    col = header.index(b"runtime_ms")
+    for i, line in enumerate(lines[1:], 1):
+        fields = line.split(b",")
+        if len(fields) == len(header):
+            fields[col] = b"*"
+            lines[i] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+def cli_outputs(checkout: Path, args: list) -> dict:
+    """Exit code, stdout, stderr and written files (relative path ->
+    bytes, runtimes masked) of ``python -m fracform.cli args`` on
+    ``checkout``'s ``src``, in a fresh temporary working directory."""
+    with tempfile.TemporaryDirectory(prefix="cli-") as cwd:
+        proc, _ = run_python(checkout, [*CLI, *args], text=False, cwd=cwd)
+        files = {str(p.relative_to(cwd)): mask_runtimes(p.read_bytes())
+                 for p in sorted(Path(cwd).rglob("*")) if p.is_file()}
+    return {"exit_code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr, "files": files}
+
+
+def cli_runs(dirs: dict) -> dict:
+    """Per side and README example line, the exit code, the files written,
+    whether each output is byte-identical between the sides and the
+    differing line pairs of each output that is not."""
+    readme = (dirs["change"] / "README.md").read_text(encoding="utf-8")
+    out = {side: {} for side in SIDES}
+    for argv in readme_examples(readme):
+        res = {side: cli_outputs(dirs[side], argv[1:]) for side in SIDES}
+        p, c = res["parent"], res["change"]
+        names = sorted(set(p["files"]) | set(c["files"]))
+        outputs = {"stdout": (p["stdout"], c["stdout"]),
+                   "stderr": (p["stderr"], c["stderr"]),
+                   **{name: (p["files"].get(name), c["files"].get(name))
+                      for name in names}}
+        # a file written on one side only is compared with an empty one
+        moved = {name: differing_lines(x or b"", y or b"")
+                 for name, (x, y) in outputs.items() if x != y}
+        identical = {"exit_code": p["exit_code"] == c["exit_code"],
+                     "stdout": "stdout" not in moved,
+                     "stderr": "stderr" not in moved,
+                     "files": not set(moved) - {"stdout", "stderr"}}
+        for side in SIDES:
+            out[side][shlex.join(argv)] = {
+                "exit_code": res[side]["exit_code"],
+                "files": sorted(res[side]["files"]),
+                "identical": identical, "differing_lines": moved}
+    return out
+
+
 def import_runs(dirs: dict) -> dict:
     """Per side, the median wall time of IMPORT_RUNS cold ``import
     fracform`` runs, each in a fresh interpreter, the sides alternating,
@@ -208,6 +289,7 @@ def main(argv=None) -> int:
                       flush=True)
         tier1_runs = {side: tier1(dirs[side]) for side in SIDES}
         verify_info = verify_runs(dirs)
+        cli_info = cli_runs(dirs)
         import_info = import_runs(dirs)
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -219,6 +301,7 @@ def main(argv=None) -> int:
                "info": {**runs[side][workloads[0]][0]["info"],
                         "tier1": tier1_runs[side],
                         "verify": verify_info[side],
+                        "cli": cli_info[side],
                         "import": import_info[side]},
                "workloads": {}}
         out["src_loc"] = out["info"]["src_loc"]
