@@ -31,7 +31,7 @@ from .fourier import discrete_fourier
 from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, count,
                     grid_nodes, kernel_exponent, positive_number, real_number,
                     window)
-from .ladder import is_erased_function
+from .ladder import _erasure
 from .quadcells import _increment_form
 
 __all__ = [
@@ -326,8 +326,7 @@ def check_erased_bound(f: GridFunction, g: GridFunction, p: EnergyParams
     Raises ErasedPreconditionError when f is not an erased function of g;
     that failure is reported distinctly from any divergence of the energies.
     """
-    ok, _ = is_erased_function(f, g)
-    if not ok:
+    if not _erasure(f, g)[0]:  # the verdict alone, without the witness
         raise ErasedPreconditionError("f is not an erased function of g")
     rep_f = gagliardo_energy(f, p)
     rep_g = gagliardo_energy(g, p)

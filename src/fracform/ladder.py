@@ -17,14 +17,19 @@ dominating samples; its parent's peak is the first maximum of the interval
 where f stays at or above that level.  Both are read off
 range-min/max sparse tables with power-of-two searches (Bender and
 Farach-Colton, "The LCA problem revisited", 2000): a fixed number of
-whole-array passes, with no per-node numpy call.  A child's base is f at
-its col and its height f at its peak minus that base; one lexsort orders
-the excursions largest first, and nodes and stars are built on access.
+whole-array passes, with no per-node numpy call.  With few peaks (P peaks
+times n samples at most ``_FEW_PEAKS``) the same walks skip both tables:
+each compares every sample with every peak's level, one P x n array, and
+takes one argmin per peak.  A child's base is f at its col and its height
+f at its peak minus that base; one lexsort orders the excursions largest
+first, and nodes and stars are built on access.
 
 A tree keeps its last partial sum and steps forward from it, writing only
 the runs of the newly processed nodes and of their pending children, so
 walking k = 1..K no longer reads every edge per call; other calls rebuild
-the sum from all the edges, with the same bits.
+the sum from all the edges, with the same bits.  A step reads each rank's
+run and child edges as Python numbers, converted 64 ranks at a time on
+first use.
 """
 
 from __future__ import annotations
@@ -63,22 +68,32 @@ def is_erased_function(f: GridFunction, g: GridFunction):
     where the witness holds the component intervals (the open span between
     the flanking equality nodes).
     """
+    ok, fa, strict = _erasure(f, g)
+    if strict is None:
+        return False, IntervalSet.empty()
+    edge = np.diff(strict.astype(np.int8), prepend=0, append=0)
+    lo = np.flatnonzero(edge > 0)
+    hi = np.flatnonzero(edge < 0) - 1
+    x = fa.x
+    n = strict.size
+    xl = np.where(lo > 0, x[np.maximum(lo - 1, 0)], x[0] - fa.step)
+    xr = np.where(hi + 1 < n, x[np.minimum(hi + 1, n - 1)], x[-1] + fa.step)
+    return ok, IntervalSet(tuple(zip(xl.tolist(), xr.tolist())))
+
+
+def _erasure(f: GridFunction, g: GridFunction):
+    """The verdict of ``is_erased_function`` without its witness: (ok, f on
+    the common grid, the mask f < g there), the mask None when f > g
+    somewhere."""
     if not f.same_grid(g):
         raise ValueError("grid mismatch between candidate and source")
     fa, ga = f.aligned_with(g)
     fv, gv = fa.values, ga.values
     if np.any(fv > gv):
-        return False, IntervalSet.empty()
+        return False, fa, None
     strict = fv < gv
-    ok = not np.any(strict[1:] & strict[:-1] & (fv[1:] != fv[:-1]))
-    edge = np.diff(strict.astype(np.int8), prepend=0, append=0)
-    lo = np.flatnonzero(edge > 0)
-    hi = np.flatnonzero(edge < 0) - 1
-    x = fa.x
-    xl = np.where(lo > 0, x[np.maximum(lo - 1, 0)], x[0] - fa.step)
-    xr = np.where(hi + 1 < fv.size, x[np.minimum(hi + 1, fv.size - 1)],
-                  x[-1] + fa.step)
-    return ok, IntervalSet(tuple(zip(xl.tolist(), xr.tolist())))
+    return (not np.any(strict[1:] & strict[:-1] & (fv[1:] != fv[:-1])), fa,
+            strict)
 
 
 def skorokhod_star(g: GridFunction, a: float, b: float, rho: float
@@ -212,11 +227,15 @@ class LadderTree:
     prefixes are produced exactly as min(f, base) on the pending runs.
 
     The tree keeps its last partial sum, one n-sample array, and steps
-    forward from a copy of it: k >= k0 restores f on the runs of the nodes
-    ranked k0..k-1 and writes each base on those nodes' child runs still
+    forward from a copy of it: k >= k0 restores f on the run of each node
+    ranked k0..k-1 and writes its base on that node's child runs still
     pending, where f exceeds it, so the base is min(f, base).  The step
     tables, built on the first step within the budget, are a few K- and
-    E-length int arrays.
+    E-length int arrays; a step reads them through ``_rank_steps``, each
+    rank's run and child edges as Python numbers, filled in blocks of
+    ``_STEP_BUDGET`` ranks on first use, so a walk converts each rank once
+    and a step, which passes at most that many ranks, fills at most two
+    blocks, not all K ranks.
     The first call, a smaller k and a jump of more than ``_STEP_BUDGET``
     nodes plus child edges rebuild the sum from ``edges`` instead.  Either
     way the fresh samples are adopted, not copied: made read-only in place,
@@ -225,9 +244,10 @@ class LadderTree:
     """
 
     # nodes plus child edges of the longest forward step.  On tapered
-    # random walks (2-core x86-64, numpy 2.4) a step costs 5-16 us plus
-    # 0.5-1 us per node or edge, and breaks even with the rebuild at 20-47
-    # on 2^10-2^12 samples and at 125-442 on 2^14-2^15
+    # random walks (2-core x86-64, numpy 2.4, three seeds) a step with its
+    # ranks converted costs 3-18 us plus 0.4-0.8 us per node or edge, the
+    # slice writes, and breaks even with the rebuild at 8-81 on 2^10-2^12
+    # samples and at 100-630 on 2^14-2^15
     _STEP_BUDGET = 64
 
     def __init__(self, source, excursions, rank, gaps, converged,
@@ -333,6 +353,31 @@ class LadderTree:
         return (run_lo, run_len,
                 *(a[by_parent] for a in (child, lo, length, base)))
 
+    @cached_property
+    def _rank_steps(self) -> list:
+        """Per rank, None until its block is filled: the node's run (start,
+        length) and its child edges [(child rank, start, length, base)], as
+        Python numbers."""
+        return [None] * self.n_nodes
+
+    def _fill_steps(self, j):
+        """Fill the step data of the block of _STEP_BUDGET ranks holding
+        rank j from the step tables, one tolist per table; return rank
+        j's."""
+        run_lo, run_len, child, lo, length, base = self._step_tables
+        first = self._first_edge
+        j0 = j - j % self._STEP_BUDGET
+        j1 = min(j0 + self._STEP_BUDGET, self.n_nodes)
+        a, b = int(first[j0]), int(first[j1])
+        edges = list(zip(child[a:b].tolist(), lo[a:b].tolist(),
+                         length[a:b].tolist(), base[a:b].tolist()))
+        cut = (first[j0:j1 + 1] - a).tolist()
+        steps = self._rank_steps
+        for t, run in enumerate(zip(run_lo[j0:j1].tolist(),
+                                    run_len[j0:j1].tolist())):
+            steps[j0 + t] = (*run, edges[cut[t]:cut[t + 1]])
+        return steps[j]
+
     def _step_forward(self, k):
         """A copy of the kept sum stepped forward to k; None when none is
         kept at or below k or the step passes the budget."""
@@ -341,17 +386,16 @@ class LadderTree:
             return None
         k0, samples = kept
         first = self._first_edge
-        a, b = int(first[k0]), int(first[k])
-        if (k - k0) + (b - a) > self._STEP_BUDGET:
+        if (k - k0) + int(first[k] - first[k0]) > self._STEP_BUDGET:
             return None
-        run_lo, run_len, child, lo, length, base = self._step_tables
+        steps = self._rank_steps
         fv, out = self.source.values, samples.copy()
-        for i, n in zip(run_lo[k0:k].tolist(), run_len[k0:k].tolist()):
+        for j in range(k0, k):
+            i, n, edges = steps[j] or self._fill_steps(j)
             out[i:i + n] = fv[i:i + n]
-        for c, i, n, v in zip(child[a:b].tolist(), lo[a:b].tolist(),
-                              length[a:b].tolist(), base[a:b].tolist()):
-            if c >= k:  # f exceeds the base on the run: min(f, base)
-                out[i:i + n] = v
+            for c, i, n, v in edges:
+                if c >= k:  # f exceeds the base on the run: min(f, base)
+                    out[i:i + n] = v
         return out
 
     def sup_gap(self, k: int | None = None) -> float:
@@ -371,6 +415,15 @@ class LadderTree:
         }
 
 
+# peaks times samples at or below which the walks compare every sample with
+# every peak instead of searching the sparse tables.  On tapered random
+# walks (2-core x86-64, numpy 2.4) the comparisons took 0.5-0.8 of the
+# tables' time up to P n = 13500 and 1.1 of it at 22000; with 1-4 peaks
+# on 1000-16000 samples, where the tables cost more per peak, 0.4-0.5 of
+# it up to P n = 48000
+_FEW_PEAKS = 1 << 14
+
+
 def _sparse_table(r: np.ndarray, op) -> np.ndarray:
     """table[k, i] = op over r[i:i + 2^k], for every block that fits."""
     table = np.empty((r.size.bit_length(), r.size), dtype=r.dtype)
@@ -387,16 +440,17 @@ def _walk(table, pos, x, skip, left: bool) -> np.ndarray:
     skip(sample, x), tested per power-of-two block on its table entry.
     Leftward, pos is an exclusive end and the result is the run's first
     index; rightward, pos is the first index tried and the result is the
-    first index not skipped (the length when all are)."""
-    n = table.shape[1]
+    first index not skipped (the length when all are).  The table's last
+    sample is a pad that no walk skips: every block past the end holds it,
+    and a block before the start reads it at index -1."""
     for k in range(table.shape[0] - 1, -1, -1):
         h = 1 << k
         if left:
             cand = pos - h
-            ok = (cand >= 0) & skip(table[k, np.maximum(cand, 0)], x)
+            ok = skip(table[k, np.maximum(cand, -1)], x)
         else:
             cand = pos + h
-            ok = (cand <= n) & skip(table[k, np.minimum(pos, n - 1)], x)
+            ok = skip(table[k, pos], x)
         pos = np.where(ok, cand, pos)
     return pos
 
@@ -405,6 +459,25 @@ def _span(table, a, b, op) -> np.ndarray:
     """op over the samples a..b (a <= b) from two overlapping blocks."""
     k = np.frexp(b - a + 1)[1] - 1
     return op(table[k, a], table[k, b - (1 << k) + 1])
+
+
+def _scan(padded, pos, x, skip, left: bool) -> np.ndarray:
+    """_walk on the samples themselves, padded by one sample per side that
+    no walk skips: one comparison of every sample with every x, and one
+    argmin per walk for the first sample not skipped."""
+    cols = np.arange(padded.size)  # a sample's index plus one
+    if left:
+        run = skip(padded, x[:, None]) | (cols > pos[:, None])
+        return padded.size - 1 - np.argmin(run[:, ::-1], axis=1)
+    run = skip(padded, x[:, None]) | (cols <= pos[:, None])
+    return np.argmin(run, axis=1) - 1
+
+
+def _scan_span(padded, a, b, op) -> np.ndarray:
+    """_span on the padded samples: one reduceat over the runs a..b."""
+    ends = np.empty(2 * a.size, dtype=np.intp)
+    ends[::2], ends[1::2] = a + 1, b + 2
+    return op.reduceat(padded, ends)[::2]
 
 
 def _excursions(v: np.ndarray):
@@ -416,31 +489,52 @@ def _excursions(v: np.ndarray):
     col sample (where the parent's star flattens, next to the run on the
     parent-peak side; a zero outside the run for the root) and the parent
     (the root is its own).  An all-zero v gives one node over all of v.
+
+    Five walks find every stopping point: on range-min/max sparse tables
+    for many peaks, on the samples themselves for few (P n at most
+    ``_FEW_PEAKS``).  Ranks are exact integers, so both give the same
+    arrays.
     """
     r = np.unique(v, return_inverse=True)[1].astype(np.int32)
     n = r.size
-    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
     u = r[starts]
-    peaks = starts[np.r_[True, u[1:] > u[:-1]] & np.r_[u[:-1] > u[1:], True]]
-    top = _sparse_table(r, np.maximum)
-    bottom = _sparse_table(r, np.minimum)
+    up = u[1:] > u[:-1]  # neighbouring plateaus differ
+    peaks = starts[np.concatenate(([True], up))
+                   & np.concatenate((~up, [True]))]
+    # a pad at each end stops every walk: above all ranks for the max
+    # walks, at -2 for the min walks, whose lowest level is the root's -1
+    # less one
+    top = np.full(n + 2, n, dtype=r.dtype)
+    top[1:-1] = r
+    bottom = top.copy()
+    bottom[[0, -1]] = -2
+    if peaks.size * n <= _FEW_PEAKS:
+        walk, span = _scan, _scan_span
+    else:  # the tables count from the first sample and keep the end pad
+        top = _sparse_table(top[1:], np.maximum)
+        bottom = _sparse_table(bottom[1:], np.minimum)
+        walk, span = _walk, _span
     x = r[peaks]
     # dominators under argmax's first-maximum rule: an equal sample wins
     # from the left only; the run sits above the higher of the two cols
-    left = _walk(top, peaks, x, np.less, True) - 1
-    right = _walk(top, peaks + 1, x, np.less_equal, False)
+    left = walk(top, peaks, x, np.less, True) - 1
+    right = walk(top, peaks + 1, x, np.less_equal, False)
     level = np.maximum(
         np.where(left >= 0,
-                 _span(bottom, np.maximum(left, 0), peaks, np.minimum), -1),
+                 span(bottom, np.maximum(left, 0), peaks, np.minimum), -1),
         np.where(right < n,
-                 _span(bottom, peaks, np.minimum(right, n - 1), np.minimum),
+                 span(bottom, peaks, np.minimum(right, n - 1), np.minimum),
                  -1))
-    lo = _walk(bottom, peaks, level, np.greater, True)
-    hi = _walk(bottom, peaks + 1, level, np.greater, False) - 1
-    # the parent's peak is the first maximum of the run at or above the col
-    a = _walk(bottom, peaks, level, np.greater_equal, True)
-    b = _walk(bottom, peaks + 1, level, np.greater_equal, False) - 1
-    parent_peak = _walk(top, a, _span(top, a, b, np.maximum), np.less, False)
+    # the run is above the col level, and the parent's peak is the first
+    # maximum of the wider run at or above it: on integer ranks r >= level
+    # is r > level - 1, so each side takes one walk for both
+    twice = np.concatenate((peaks, peaks))
+    levels = np.concatenate((level, level - 1))
+    lo, a = walk(bottom, twice, levels, np.greater, True).reshape(2, -1)
+    hi, b = walk(bottom, twice + 1, levels, np.greater,
+                 False).reshape(2, -1) - 1
+    parent_peak = walk(top, a, span(top, a, b, np.maximum), np.less, False)
     del top, bottom
     col = np.where(hi < parent_peak, hi + 1, lo - 1)
     return peaks, lo, hi, col, np.searchsorted(peaks, parent_peak)

@@ -1,13 +1,16 @@
 """The parts of ``tools/bench_pairs.py`` that a record's comparisons rest
 on: the line pairing recorded when the two sides' outputs differ, the
-README command lines both sides run, and the runtime mask of verdict
-CSVs."""
+README command lines both sides run, the runtime mask of verdict CSVs and
+the per-check runtimes read from them."""
 
 from pathlib import Path
 
 from conftest import load_tool
+from fracform.cli import emit_table
+from fracform.verify import VerdictRecord
 
 bench_pairs = load_tool("bench_pairs")
+check_runtimes = bench_pairs.check_runtimes
 differing_lines = bench_pairs.differing_lines
 mask_runtimes = bench_pairs.mask_runtimes
 readme_examples = bench_pairs.readme_examples
@@ -88,3 +91,17 @@ def test_mask_blanks_only_the_runtime_column():
     other = b"part,nodes,sup_gap\npositive,1,0.5\n"
     assert mask_runtimes(other) == other
     assert mask_runtimes(b"") == b""
+
+
+def test_check_runtimes_read_the_verdict_table(tmp_path):
+    records = [VerdictRecord("indicator-closed-form", "PASS", (4.9e-08,),
+                             0.01, 18),
+               VerdictRecord("erased-bound-family", "PASS",
+                             (1.0004, 5.46e-07), 0.1, 169),
+               VerdictRecord("step-approximation-rate", "FAIL", (), 0.1, 0)]
+    emit_table(records, tmp_path / "verdicts.csv")
+    assert check_runtimes((tmp_path / "verdicts.csv").read_bytes()) == {
+        "indicator-closed-form": 18, "erased-bound-family": 169,
+        "step-approximation-rate": 0}
+    assert check_runtimes(b"check_id,status,measured,tolerance,runtime_ms\n"
+                          b"a,PASS,1;2,0.1,3.25\n") == {"a": 3.25}

@@ -3,16 +3,18 @@ import math
 import pickle
 import sys
 import threading
+from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracform import ladder
 from fracform.energy import EnergyParams, gagliardo_energy
 from fracform.grids import MAX_GRID_NODES, GridFunction, IntervalSet, \
     PlateauSpec, make_plateau
-from fracform.ladder import (arm_split, bv_fourier_bound_check,
+from fracform.ladder import (LadderTree, arm_split, bv_fourier_bound_check,
                              is_erased_function, ladder_decompose,
                              ladder_star, skorokhod_star,
                              step_rate_experiment)
@@ -269,7 +271,7 @@ class TestIsErased:
         ff = GridFunction(-0.7 + 0.1 * shift, 0.1, fv)
         ok, witness = is_erased_function(ff, gf)
         ref_ok, ref_witness = _reference_is_erased(ff, gf)
-        assert ok == ref_ok
+        assert ok == ref_ok == ladder._erasure(ff, gf)[0]
         assert witness.intervals == ref_witness.intervals
 
 
@@ -598,6 +600,65 @@ class TestTreeProperties:
             assert np.all(np.isin(tree.partial_sum(k).values, fv)), k
 
 
+def _root_run(samples):
+    """The samples _excursions reads: the support of 0, samples, 0, or all
+    of it for the zero function."""
+    f = GridFunction(0.0, 1.0, [0.0, *samples, 0.0])
+    return f.values if f.is_zero else f.values[f.support_lo:f.support_hi + 1]
+
+
+class TestFewPeakWalks:
+    """The walks over the samples themselves (P peaks times n samples at
+    most ``_FEW_PEAKS``) and over the sparse tables give bit-identical
+    excursion arrays, on inputs from either side of the switch."""
+
+    @staticmethod
+    def assert_paths_agree(v):
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, bound in (("tables", -1), ("samples", 1 << 62)):
+                mp.setattr(ladder, "_FEW_PEAKS", bound)
+                out[name] = ladder._excursions(v)
+        for got, want in zip(out["samples"], out["tables"]):
+            assert got.dtype.kind == want.dtype.kind == "i"
+            assert np.array_equal(got, want)
+        return out["tables"][0].size
+
+    @given(values=st.lists(st.integers(0, 3), min_size=1, max_size=80))
+    @example(values=[1, 2, 2, 2, 1])  # a flat-top plateau peak
+    @example(values=[1, 3, 1, 3, 1])  # equal twin peaks, an equal col
+    @example(values=[0, 0, 0])  # the zero function
+    @example(values=[0, 2, 0])  # a one-sample support
+    @example(values=[3, 1, 2, 1, 3])  # peaks at both support ends
+    @example(values=[2, 2, 0, 0, 2, 2])  # flat ends apart, zeros between
+    @settings(max_examples=300, deadline=None)
+    def test_small_integers(self, values):
+        self.assert_paths_agree(_root_run(values))
+
+    @given(n=st.integers(3, 700), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_rough_walks(self, n, seed):
+        self.assert_paths_agree(_root_run(rough_walk(n, seed).values[1:-1]))
+
+    def test_both_sides_of_the_switch(self):
+        # rough walks whose P n lies below and above the bound, unforced,
+        # give the trees of the tables alone
+        sides = set()
+        for n in (64, 128, 256, 512, 1024):
+            f = rough_walk(n, n)
+            v = _root_run(f.values[1:-1])
+            sides.add(self.assert_paths_agree(v) * v.size
+                      <= ladder._FEW_PEAKS)
+            tree = ladder_decompose(f, n, 0.0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ladder, "_FEW_PEAKS", -1)
+                tables = ladder_decompose(f, n, 0.0)
+            for got, want in zip((*tree.edges, tree._gaps, tree._rank),
+                                 (*tables.edges, tables._gaps, tables._rank)):
+                assert got.tobytes() == want.tobytes()
+        assert sides == {True, False}
+
+
 def _separated_walks():
     """Two rough walks apart: the root spans the zeros between them, so the
     second walk's excursion has base 0 and early partial sums lose it."""
@@ -702,8 +763,12 @@ class TestKeptPartialSum:
         assert len(pickle.dumps(tree)) == fresh
         copy = pickle.loads(pickle.dumps(tree))
         assert copy._kept is None
-        assert not {"order", "trace", "_first_edge",
-                    "_step_tables"} & vars(copy).keys()
+        # every cached property, a new one too, is filled here and dropped
+        cached = {name for name, v in vars(LadderTree).items()
+                  if isinstance(v, cached_property)}
+        assert {"order", "trace", "_first_edge", "_step_tables",
+                "_rank_steps"} <= cached <= vars(tree).keys()
+        assert not cached & vars(copy).keys()
         assert not copy.source.values.flags.writeable
         for k in (3, 4, 1, len(want)):
             self.assert_same(copy.partial_sum(k), *want[k])
@@ -742,6 +807,30 @@ class TestKeptPartialSum:
         assert [len(g) for g in got] == [len(w) for w in walks]
         for k, ps in (pair for g in got for pair in g):
             self.assert_same(ps, *want[k])
+
+    @given(n=st.integers(3, 700), seed=st.integers(0, 2 ** 32 - 1),
+           budget=st.sampled_from([5, 40, None]),
+           moves=st.lists(st.tuples(st.sampled_from(["forward", "backward",
+                                                     "over-budget"]),
+                                    st.integers(0, 2 ** 16)),
+                          min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_steps_equal_the_rebuild(self, n, seed, budget, moves):
+        # forward steps within the budget, smaller k and jumps past it, in
+        # any order: every sum must equal the rebuild from all the edges
+        f = rough_walk(n, seed)
+        tree = ladder_decompose(f, budget or n, 0.0)
+        big, k = tree._STEP_BUDGET, 1
+        for kind, draw in moves:
+            if kind == "forward":
+                k += draw % (big // 4 + 1)
+            elif kind == "backward":
+                k -= draw % k
+            else:
+                k += big + 1 + draw % big
+            k = min(max(k, 1), tree.n_nodes)
+            got = tree.partial_sum(k).values
+            assert got.tobytes() == tree._rebuild(k).tobytes(), (kind, k)
 
 
 class TestAdoptedSamples:

@@ -21,16 +21,18 @@ records that run's wall time and its passed, failed and xfailed counts:
 one run per side is too noisy for a bound, so this is reported and never
 compared.  Each side then runs ``fracform verify --suite all`` three times
 at seed 0, the sides alternating, and once at seed 7; its ``info.verify``
-records the median wall time of the seed-0 runs, whether each seed's
-stdout is byte-identical between the sides and, for a seed where it is
-not, the pairs of lines that differ, so a record shows which printed value
-moved.  Each side then runs every ``fracform`` line of the ``sh`` block
-under the change's README heading "Command line" as ``python -m
-fracform.cli``, each in a fresh temporary working directory; its
-``info.cli`` records, per line, the exit code, whether the exit code,
-stdout, stderr and every written file are byte-identical between the sides
-(the ``runtime_ms`` column of verdict CSVs masked) and the differing line
-pairs of each output that is not.  Last, each side runs a cold
+records the median wall time of the seed-0 runs, each check's median
+in-process ``runtime_ms`` over those runs, read from each run's verdict
+CSV in a temporary output directory, whether each seed's stdout is
+byte-identical between the sides and, for a seed where it is not, the
+pairs of lines that differ, so a record shows which printed value moved.
+Each side then runs every ``fracform`` line of the ``sh`` block under the
+change's README heading "Command line" as ``python -m fracform.cli``, each
+in a fresh temporary working directory; its ``info.cli`` records, per
+line, the exit code, whether the exit code, stdout, stderr and every
+written file are byte-identical between the sides (the ``runtime_ms``
+column of verdict CSVs masked) and the differing line pairs of each output
+that is not.  Last, each side runs a cold
 ``python -c "import fracform"`` five times, the sides alternating, and its
 ``info.import`` records the median wall time.  All three are reported,
 never gated.  Every run leaves ``FSL_OUT_DIR`` unset.  Standard library
@@ -40,6 +42,7 @@ only; nothing under ``perfbench/`` is touched.
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import io
 import itertools
@@ -141,19 +144,35 @@ def differing_lines(parent: bytes, change: bytes) -> list:
     return pairs
 
 
+def check_runtimes(data: bytes) -> dict:
+    """Check id -> ``runtime_ms`` of a verdict CSV, as written by
+    ``verify``: a header naming ``check_id`` and ``runtime_ms``, then one
+    row per check."""
+    rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
+    return {row["check_id"]: float(row["runtime_ms"]) for row in rows}
+
+
 def verify_runs(dirs: dict) -> dict:
     """Per side, the wall times and exit codes of ``verify --suite all``:
     VERIFY_TIMED_RUNS runs at the first seed, the sides alternating, then
-    one at each other seed, with whether each seed's stdout is
-    byte-identical between the sides and the differing line pairs of each
-    seed whose stdout is not."""
+    one at each other seed, with each check's median ``runtime_ms`` over
+    the timed runs, whether each seed's stdout is byte-identical between
+    the sides and the differing line pairs of each seed whose stdout is
+    not."""
     runs = {side: [] for side in SIDES}
     stdout = {side: {} for side in SIDES}
+    checks = {side: {} for side in SIDES}  # check id -> timed runtimes
     seeds = [VERIFY_SEEDS[0]] * VERIFY_TIMED_RUNS + list(VERIFY_SEEDS[1:])
     for i, seed in enumerate(seeds):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            proc, wall = run_python(dirs[side], [*VERIFY, str(seed)],
-                                    text=False)
+            with tempfile.TemporaryDirectory(prefix="verify-") as out:
+                proc, wall = run_python(
+                    dirs[side], [*VERIFY, str(seed), "--out-dir", out],
+                    text=False)
+                table = Path(out, "verdicts.csv")
+                if i < VERIFY_TIMED_RUNS and table.is_file():
+                    for cid, ms in check_runtimes(table.read_bytes()).items():
+                        checks[side].setdefault(cid, []).append(ms)
             runs[side].append((seed, round(wall, 3), proc.returncode))
             stdout[side].setdefault(seed, proc.stdout)
     same = {str(seed): stdout["parent"][seed] == stdout["change"][seed]
@@ -163,6 +182,9 @@ def verify_runs(dirs: dict) -> dict:
              for seed in VERIFY_SEEDS if not same[str(seed)]}
     return {side: {"wall_s": statistics.median(
                        w for _, w, _ in runs[side][:VERIFY_TIMED_RUNS]),
+                   "check_runtime_ms": {
+                       cid: statistics.median(ms)
+                       for cid, ms in checks[side].items()},
                    "stdout_identical": same,
                    "differing_lines": moved,
                    "runs": [{"seed": seed, "wall_s": w, "exit_code": code}
