@@ -29,8 +29,7 @@ import numpy as np
 
 from .fourier import discrete_fourier
 from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, count,
-                    grid_nodes, kernel_exponent, positive_number, real_number,
-                    window)
+                    kernel_exponent, positive_number, real_number, window)
 from .ladder import _erasure
 from .quadcells import _increment_form
 
@@ -347,24 +346,11 @@ def fourier_gagliardo_ratio(f: GridFunction, p: EnergyParams,
     return fourier_energy(f, p, xi_max, n_freq) / gag
 
 
-@functools.cache
-def _reference_bump() -> GridFunction:
-    """cos^2(pi x / 2) on [-1, 1] with step 1/256, built once, so every
-    default calibration reads one kept Fourier table."""
-    x = grid_nodes(-1.0, 1.0, 1.0 / 256.0)
-    vals = np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 2, 0.0)
-    vals[0] = vals[-1] = 0.0
-    return GridFunction(-1.0, 1.0 / 256.0, vals)
-
-
-def calibrate_c_of_alpha(p: EnergyParams, f: GridFunction | None = None
-                         ) -> EnergyParams:
+def calibrate_c_of_alpha(p: EnergyParams,
+                         f: GridFunction) -> EnergyParams:
     """New params with the measured Fourier/Gagliardo ratio stored.
 
     The normalization between the two energy routes depends only on alpha;
-    it is measured on a reference bump (or the supplied function), never
-    assumed."""
-    if f is None:
-        f = _reference_bump()
+    it is measured on the supplied function, never assumed."""
     ratio = fourier_gagliardo_ratio(f, p)
     return EnergyParams(alpha=p.alpha, c_of_alpha=ratio)

@@ -12,10 +12,11 @@ Capacity of a set K inside a finite window is the minimum of the E1 form
 pinned to 1 on the nodes of K, with the natural zero condition beyond the
 window.  The discrete form uses the same closed-form lag weights as the
 energy module plus the hat Gram row (2h/3, h/6) for the L2 part, assembled
-as one symmetric Toeplitz operator over the hat basis, and the pinned-node
-system is solved by conjugate gradient preconditioned with the inverse of
-the circulant embedding of that operator (T. Chan, SIAM J. Sci. Stat.
-Comput. 1988; Chan and Ng, SIAM Review 1996).
+as one symmetric Toeplitz operator over the hat basis.  The pin is a mask:
+conjugate gradient runs on whole-grid vectors whose pinned entries the
+operator and its preconditioner, the inverse of the circulant embedding of
+that operator, hold at 0 (T. Chan, SIAM J. Sci. Stat. Comput. 1988; Chan
+and Ng, SIAM Review 1996).
 """
 
 from __future__ import annotations
@@ -358,27 +359,17 @@ class CapacityEstimate:
         }
 
 
-def _e1_operator(n: int, h: float, alpha_star: float):
+def _e1_spectrum(n: int, h: float, alpha_star: float) -> np.ndarray:
     # K[i, j] = row[|i - j|] for the stiffness plus the hat Gram row
     # (2h/3, h/6), embedded in the circulant of power-of-two length whose
     # first column is row[|k|], k = -(n-1) .. n-1, zero-padded: an even
-    # sequence, so hfft gives its spectrum as real numbers, taken once.
-    # matvec is the Toeplitz product; the whole circulant is the C that
-    # solve_circulant inverts: its eigenvalues are at least the truncated row
+    # sequence, so its eigenvalues are real; hfft gives the nfft // 2 + 1 of
+    # them that an rfft product reads.  They are at least the truncated row
     # sum of the stiffness, which is positive, plus h/3 from the mass.
     row = hat_energy_row(n, h, alpha_star)
     row[:2] += (2.0 * h / 3.0, h / 6.0)
     nfft = 1 << (2 * n - 2).bit_length()
-    spec = np.fft.hfft(row, nfft)[:nfft // 2 + 1]
-    inv = 1.0 / spec
-
-    def matvec(u):
-        return np.fft.irfft(np.fft.rfft(u, nfft) * spec, nfft)[:n]
-
-    def solve_circulant(u):
-        return np.fft.irfft(np.fft.rfft(u, nfft) * inv, nfft)[:n]
-
-    return matvec, solve_circulant
+    return np.fft.hfft(row, nfft)[:nfft // 2 + 1]
 
 
 _CG_RTOL = 1e-12               # CG stops once ||r|| < _CG_RTOL ||b||
@@ -389,8 +380,11 @@ def _cg(matvec, b: np.ndarray, maxiter: int, precond):
     """Preconditioned conjugate gradient (Hestenes and Stiefel, 1952) for
     A x = b from x = 0, with ``precond`` applying an SPD approximation of
     A^-1; returns x and the residual norm ||r|| of every iterate, ||b|| first
-    (the stopping rule reads ||r||, never the preconditioned r.z)."""
+    (the stopping rule reads ||r||, never the preconditioned r.z).  A zero b
+    is solved by x = 0 with no iterate: the history is empty."""
     x, p, r = np.zeros_like(b), np.zeros_like(b), b.copy()
+    if not r.any():
+        return x, ()
     rho = math.inf                            # beta = 0: p = z on step one
     history = [math.sqrt(np.dot(r, r))]
     for _ in range(maxiter):
@@ -414,12 +408,14 @@ def capacity_estimate(target: IntervalSet, alpha_star: float,
     """Riesz capacity of the target inside the domain window.
 
     Minimizes the E1 form over grid functions equal to 1 on the target nodes
-    (equality constraints).  The minimizer need not obey 0 <= u <= 1: for
-    small alpha_star the stiffness row is positive at lag 1, so the E1 matrix
-    is not a Z-matrix and the discrete maximum principle fails; how far u
-    leaves [0, 1] is reported as ``clamp_violation``.  The value is E1 of u
-    clipped to [0, 1], which is still admissible, so the value is still an
-    upper bound, though not then the Galerkin minimum."""
+    (equality constraints): u = 1_K + z, with z a whole-grid vector whose
+    pinned entries the operator and the preconditioner hold at 0 (a mask).
+    The minimizer need not obey 0 <= u <= 1: for small alpha_star the
+    stiffness row is positive at lag 1, so the E1 matrix is not a Z-matrix
+    and the discrete maximum principle fails; how far u leaves [0, 1] is
+    reported as ``clamp_violation``.  The value is E1 of u clipped to
+    [0, 1], which is still admissible, so the value is still an upper
+    bound, though not then the Galerkin minimum."""
     alpha_star = real_number("alpha_star", alpha_star)
     if not 0.0 < alpha_star <= 1.0:
         raise ValueError(f"capacity exponent must be a number in (0, 1], "
@@ -442,33 +438,35 @@ def capacity_estimate(target: IntervalSet, alpha_star: float,
         zero = GridFunction(lo, h, np.zeros(n))
         return CapacityEstimate(0.0, zero, 0.0, h)
 
-    matvec_full, solve_circulant = _e1_operator(n, h, alpha_star)
-    free = ~mask
+    def apply(u, spectrum):
+        # the circulant with this spectrum (or its inverse) times u, cut to
+        # the grid, with the pinned entries held at 0
+        nfft = 2 * spectrum.size - 2
+        v = np.fft.irfft(np.fft.rfft(u, nfft) * spectrum, nfft)[:n]
+        v[mask] = 0.0
+        return v
+
     uc = mask.astype(float)
-    b_rhs = -matvec_full(uc)[free]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = _e1_spectrum(n, h, alpha_star)
+        b_rhs = -apply(uc, spectrum)
+        b_norm_sq = np.dot(b_rhs, b_rhs)
+    # CG's stopping rule compares against ||b||, read from ||b||^2, which
+    # overflows from alpha_star ~ 1e-157 down
+    if not (np.isfinite(spectrum).all() and math.isfinite(b_norm_sq)):
+        raise ValueError(f"the E1 system at alpha_star={alpha_star!r} "
+                         f"overflows float64")
+    inverse = 1.0 / spectrum
 
-    if not free.any():
-        u, residual, history = uc, 0.0, ()
-    else:
-        def restricted(op):
-            # P op P^T for the restriction P to the free nodes
-            def apply(z):
-                full = np.zeros(n)
-                full[free] = z
-                return op(full)[free]
-            return apply
-
-        mv = restricted(matvec_full)
-        z, history = _cg(mv, b_rhs, _CG_ITERATIONS_PER_NODE * n,
-                         restricted(solve_circulant))
-        residual = float(np.linalg.norm(mv(z) - b_rhs)
-                         / max(1.0, np.linalg.norm(b_rhs)))
-        if not history[-1] < _CG_RTOL * history[0]:
-            raise CapacitySolverError(
-                f"conjugate gradient stopped after {len(history) - 1} "
-                f"iterations, residual={residual:.3e}", history)
-        u = uc.copy()
-        u[free] = z
+    z, history = _cg(lambda p: apply(p, spectrum), b_rhs,
+                     _CG_ITERATIONS_PER_NODE * n, lambda r: apply(r, inverse))
+    residual = float(np.linalg.norm(apply(z, spectrum) - b_rhs)
+                     / max(1.0, math.sqrt(b_norm_sq)))
+    if history and not history[-1] < _CG_RTOL * history[0]:
+        raise CapacitySolverError(
+            f"conjugate gradient stopped after {len(history) - 1} "
+            f"iterations, residual={residual:.3e}", history)
+    u = uc + z
 
     clamp_violation = float(max(0.0, -u.min(), u.max() - 1.0))
     u = np.clip(u, 0.0, 1.0)

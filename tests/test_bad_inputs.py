@@ -43,12 +43,11 @@ import numpy as np
 import pytest
 
 import fracform
-import fracform.energy
 import fracform.ladder
 from fracform import (FatCantorSpec, GridFunction, IntervalSet, LevyTriplet,
                       PlateauSpec, PowerLawDensity, ScaleFunction,
                       StepFunction, build_fat_cantor, bv_fourier_bound_check,
-                      calibrate_c_of_alpha, capacity_estimate, compose_scale,
+                      capacity_estimate, compose_scale,
                       concentration_test, discrete_fourier,
                       epsilon_contraction, fourier_energy,
                       fourier_gagliardo_ratio, gagliardo_energy,
@@ -575,13 +574,6 @@ class TestNodesPerSite:
         step_rate_experiment(f, 0.5, 2, 3)
         fine = 2.0 ** -7
         assert _ends(grids[0]) == (n, -4 * fine, -4 * fine + (n - 1) * fine)
-
-    def test_calibration_reference_bump(self, monkeypatch):
-        # the bump is built once per process: rebuild it under the spy
-        fracform.energy._reference_bump.cache_clear()
-        grids = _spy(monkeypatch, fracform.energy)
-        calibrate_c_of_alpha(EnergyParams(alpha=0.5))
-        assert _ends(grids[0]) == (513, -1.0, 1.0)
 
     def test_sample_multibump(self):
         f = sample_multibump([(0.5, 0.1, 1.0)], 1.0 / 512.0, 0.05, 0.95)

@@ -117,6 +117,10 @@ BAD_INPUTS = {
     "capacity-nan-domain": ["capacity", "--target", "[[0.2, 0.4]]",
                             "--alpha-star", "0.5", "--domain=nan,2",
                             "--step", "0.01"],
+    # ||b||^2 of the E1 system overflows float64 below alpha_star ~ 1e-157
+    "capacity-tiny-alpha-star": ["capacity", "--target", "[[-0.1, 0.1]]",
+                                 "--alpha-star", "1e-300", "--domain=-2,2",
+                                 "--step", "0.01"],
     "bump-negative-width": ["energy", "--alpha", "0.5", "--function",
                             "bump:0,-1"],
     "bump-zero-width": ["energy", "--alpha", "0.5", "--function", "bump:0,0"],

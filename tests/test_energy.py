@@ -380,7 +380,7 @@ class TestFourierEnergy:
 
     def test_calibration_stores_measured_ratio(self):
         from fracform.energy import calibrate_c_of_alpha
-        p = calibrate_c_of_alpha(EnergyParams(alpha=0.5))
+        p = calibrate_c_of_alpha(EnergyParams(alpha=0.5), sample_bump())
         assert p.c_of_alpha is not None and p.c_of_alpha > 0
         f = sample_bump(0.2, 0.9, 1.3, step=1.0 / 256.0)
         measured = fourier_gagliardo_ratio(f, p, xi_max=800.0, n_freq=16001)

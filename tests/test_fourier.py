@@ -130,20 +130,6 @@ class TestKeptTable:
         # functions built inside the loop
         assert sums == [8192] * 5
 
-    def test_default_calibrations_share_one_bump(self, monkeypatch):
-        from fracform.energy import (EnergyParams, _reference_bump,
-                                     calibrate_c_of_alpha)
-        assert _reference_bump() is _reference_bump()
-        calibrate_c_of_alpha(EnergyParams(0.5))
-        sums = []
-        grid_sum = fourier._grid_sum
-        monkeypatch.setattr(fourier, "_grid_sum",
-                            lambda g, plan: (sums.append(plan.hat.size),
-                                             grid_sum(g, plan))[1])
-        for a in (0.25, 1.5):
-            calibrate_c_of_alpha(EnergyParams(a))
-        assert sums == []
-
     @pytest.mark.parametrize("call", [
         lambda f: discrete_fourier(f, 0.0, 513),
         lambda f: discrete_fourier(f, math.nan, 513),

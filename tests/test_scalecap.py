@@ -428,33 +428,66 @@ class TestCapacity:
         col[nfft - n + 1:] = row[:0:-1]
         eig = np.fft.fft(col).real
         assert eig.min() > 0.0
-        _, solve_circulant = scalecap._e1_operator(n, h, alpha_star)
+        spectrum = scalecap._e1_spectrum(n, h, alpha_star)
+        assert spectrum.size == nfft // 2 + 1
         u = rng.standard_normal(n)
         want = np.fft.ifft(np.fft.fft(u, nfft) / eig).real[:n]
-        got = solve_circulant(u)
+        got = np.fft.irfft(np.fft.rfft(u, nfft) / spectrum, nfft)[:n]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("alpha_star", [0.3, 1.0])
-    def test_equilibrium_matches_dense_solve(self, alpha_star):
-        # 257 nodes, pinned on [-0.25, 0.25]: solve the Toeplitz stiffness
-        # plus hat mass system for the free nodes directly
+    @pytest.mark.parametrize("alpha_star, pieces", [
+        pytest.param(0.3, ((-0.25, 0.25),), id="0.3"),
+        pytest.param(1.0, ((-0.25, 0.25),), id="1.0"),
+        # the E1 matrix is not a Z-matrix here: u leaves [0, 1] and is
+        # clipped
+        pytest.param(0.1, ((-0.5, -0.3), (-0.05, 0.05), (0.2, 0.45)),
+                     id="islands-0.1")])
+    def test_equilibrium_matches_dense_solve(self, alpha_star, pieces):
+        # 257 nodes: solve the Toeplitz stiffness plus hat mass system for
+        # the free nodes directly
         lo, hi, n = -2.0, 2.0, 257
-        est = capacity_estimate(IntervalSet.of((-0.25, 0.25)), alpha_star,
-                                (lo, hi), (hi - lo) / (n - 1))
+        est = capacity_estimate(IntervalSet(pieces), alpha_star, (lo, hi),
+                                (hi - lo) / (n - 1))
         h = est.resolution
         x = lo + h * np.arange(n)
         row = hat_energy_row(n, h, alpha_star)
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         a = row[lag] + np.where(lag == 0, 2.0 * h / 3.0,
                                 np.where(lag == 1, h / 6.0, 0.0))
-        pinned = np.abs(x) <= 0.25 + 1e-9 * h
+        pinned = np.zeros(n, dtype=bool)
+        for p, q in pieces:
+            pinned |= (x >= p - 1e-9 * h) & (x <= q + 1e-9 * h)
         free = ~pinned
         u = pinned.astype(float)
         u[free] = np.linalg.solve(a[np.ix_(free, free)],
                                   -a[np.ix_(free, pinned)].sum(axis=1))
         got = est.equilibrium.values[1:-1]
-        assert np.max(np.abs(got - u)) <= 1e-10
+        assert np.all(got[pinned] == 1.0)
+        assert np.max(np.abs(got - np.clip(u, 0.0, 1.0))) <= 1e-10
+        violation = max(0.0, -u.min(), u.max() - 1.0)
+        assert est.clamp_violation == pytest.approx(violation, abs=1e-10)
+        assert (est.clamp_violation > 0.0) == (alpha_star <= 0.25)
+
+    def test_all_pinned_target(self):
+        # the target is the whole domain: nothing is free, so nothing is
+        # solved and the equilibrium is the indicator of the grid
+        est = capacity_estimate(IntervalSet.of((-1.0, 1.0)), 0.5,
+                                (-1.0, 1.0), 0.01)
+        assert est.value == 23.83723664203578
+        assert est.residual == 0.0
+        assert est.residual_history == ()
         assert est.clamp_violation == 0.0
+        assert np.all(est.equilibrium.values[1:-1] == 1.0)
+
+    def test_tiny_exponent_overflow_refused(self):
+        # from alpha_star ~ 1e-157 down, ||b||^2 overflows float64 and CG's
+        # stopping rule would compare against inf
+        args = (IntervalSet.of((-0.1, 0.1)), (-2.0, 2.0), 0.01)
+        for alpha_star in (1e-160, 1e-300):
+            with pytest.raises(ValueError, match="overflows float64"):
+                capacity_estimate(args[0], alpha_star, *args[1:])
+        est = capacity_estimate(args[0], 1e-100, *args[1:])
+        assert est.value == pytest.approx(8.26943012562e+99, rel=1e-11)
 
 
 class TestConcentration:
