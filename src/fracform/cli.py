@@ -18,7 +18,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -81,21 +80,15 @@ def parse_function_literal(text: str, step: float):
     raise ValueError(f"unknown function literal {text!r}")
 
 
-# a finite decimal literal as float() reads it, PEP 515 underscores and
-# surrounding whitespace included; "inf", "nan" and other text do not match
-_DECIMAL = re.compile(r"\s*[-+]?(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?"
-                      r"|\.\d(?:_?\d)*)(?:[eE][-+]?\d(?:_?\d)*)?\s*")
-
-
 def _pair(option: str, text: str, ends: str) -> tuple:
-    """The two finite numbers lo < hi of an option's "lo,hi"; anything else
-    is one ValueError that names the option and repeats its text."""
-    nums = [float(t) if _DECIMAL.fullmatch(t) else math.nan
-            for t in text.split(",")]
-    if len(nums) != 2 or not -math.inf < nums[0] < nums[1] < math.inf:
+    """The two finite numbers lo < hi that float() and the window gate read
+    from an option's "lo,hi"; anything else is one ValueError that names the
+    option and repeats its text."""
+    try:
+        return window(option, [float(t) for t in text.split(",")])
+    except ValueError:
         raise ValueError(f"{option} needs two finite numbers {ends}, got "
-                         f"{text!r}")
-    return nums[0], nums[1]
+                         f"{text!r}") from None
 
 
 def _read_json(path):

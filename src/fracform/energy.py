@@ -175,6 +175,8 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
 
     if not isinstance(f, StepFunction):
         raise TypeError(f"unsupported function type {type(f).__name__}")
+    if not np.all(np.isfinite(f.levels)):
+        raise ValueError("step levels must be finite")
     if f.is_zero:
         return EnergyReport(value=0.0, l2_norm_sq=0.0,
                             refinement_trace=((0, 0.0),))

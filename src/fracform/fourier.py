@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import MAX_GRID_NODES, GridFunction, count, real_number
+from .grids import MAX_GRID_NODES, GridFunction, _frozen_array, _rebuilt, \
+    count, real_number
 
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
@@ -68,20 +69,18 @@ _PLAN_FREQS = 1 << 11
 _KEPT_PLANS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierTable:
     """Sampled Fourier transform: frequencies and complex amplitudes."""
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
-        fr = np.asarray(self.frequencies, dtype=float)
-        am = np.asarray(self.amplitudes, dtype=complex)
-        fr.flags.writeable = False
-        am.flags.writeable = False
-        object.__setattr__(self, "frequencies", fr)
-        object.__setattr__(self, "amplitudes", am)
+        object.__setattr__(self, "frequencies", _frozen_array(self.frequencies))
+        object.__setattr__(self, "amplitudes",
+                           _frozen_array(self.amplitudes, complex))
 
 
 class _FrequencyPlan:

@@ -4,7 +4,10 @@ Functions are piecewise linear between uniformly spaced nodes and identically
 zero outside the sampled window; this keeps fractional energies finite and
 makes total-variation bookkeeping exact.  Every object here is an immutable
 value: transforms return new objects, so everything is safe to share across
-threads and to map over parameter grids.
+threads and to map over parameter grids.  In the whole package, a value that
+holds arrays holds read-only copies, no ``==`` reads them (``==`` and
+``hash`` are by identity unless other fields decide), and a pickle rebuilds
+it with read-only arrays again.
 
 The README's "Caches" paragraph lists every cache, its key and its bound.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 import io
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -148,10 +151,19 @@ def _json_float(name: str, v) -> float:
     return float(v) if isinstance(v, str) else real_number(name, v)
 
 
-def _frozen_array(data) -> np.ndarray:
-    arr = np.array(data, dtype=float, copy=True)
+def _frozen_array(data, dtype=float) -> np.ndarray:
+    """A read-only copy of ``data`` as a ``dtype`` array; the caller's
+    array is left as it was."""
+    arr = np.array(data, dtype=dtype, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _rebuilt(value):
+    """The ``__reduce__`` of a value that holds arrays: rebuilt through the
+    constructor from its init fields, as read-only copies."""
+    return type(value), tuple(getattr(value, f.name) for f in fields(value)
+                              if f.init)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +183,6 @@ class GridFunction:
     and every derived function starts without them.  A pickle or copy
     carries the grid and the samples only and rebuilds through ``_made``:
     its samples are read-only again and every cache starts afresh.
-
-    ``==`` and ``hash`` are by identity: two functions with equal samples
-    are still two objects.
     """
 
     origin: float
@@ -301,9 +310,6 @@ class GridFunction:
     def _l2_norm_sq(self) -> float:
         return l2_norm_sq_of_samples(self.values, self.step)
 
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def total_variation(self) -> float:
         return float(np.sum(np.abs(np.diff(self.values))))
 
@@ -424,7 +430,7 @@ def epsilon_contraction(h: GridFunction, eps: float) -> GridFunction:
     return h.with_values(np.sign(v) * np.maximum(np.abs(v) - eps, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Right-continuous-from-the-left step function: value c_i on (a_{i-1}, a_i].
 
@@ -434,13 +440,17 @@ class StepFunction:
 
     breakpoints: np.ndarray
     levels: np.ndarray
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         bp = _frozen_array(self.breakpoints)
         lv = _frozen_array(self.levels)
+        if bp.ndim != 1 or lv.ndim != 1:
+            raise ValueError("breakpoints and levels must be 1-d arrays")
         if bp.size != lv.size + 1 and not (bp.size == 0 and lv.size == 0):
             raise ValueError("need K+1 breakpoints for K levels")
-        if bp.size and np.any(bp[1:] <= bp[:-1]):
+        # NaN fails the comparison, so a NaN breakpoint is refused too
+        if bp.size and not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if bp.size and not math.isfinite(float(bp[-1]) - float(bp[0])):
             raise ValueError("breakpoints must span a finite length")

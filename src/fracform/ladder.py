@@ -329,7 +329,7 @@ class LadderTree:
         idx = np.arange(int(length.sum())) + np.repeat(
             lo - (np.cumsum(length) - length), length)
         out = self.source.values.copy()
-        out[idx] = np.minimum(out[idx], np.repeat(base[cut], length))
+        out[idx] = np.repeat(base[cut], length)  # f exceeds it on the run
         return out
 
     @cached_property

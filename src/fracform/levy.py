@@ -22,9 +22,9 @@ import numpy as np
 
 from .energy import DIVERGENT, EnergyReport, _require_compact, \
     _without_overflow
-from .grids import (GridFunction, PlateauSpec, _json_float, kernel_exponent,
-                    make_plateau, nonnegative_number, positive_number,
-                    real_number)
+from .grids import (GridFunction, PlateauSpec, _frozen_array, _json_float,
+                    _rebuilt, kernel_exponent, make_plateau,
+                    nonnegative_number, positive_number, real_number)
 from .quadcells import _increment_form, rho_profile
 
 __all__ = [
@@ -128,20 +128,17 @@ class LevyTriplet:
                    density=density)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolCurve:
     """Characteristic exponent sampled on a frequency grid."""
 
     xi_grid: np.ndarray
     psi_values: np.ndarray
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
-        xg = np.asarray(self.xi_grid, dtype=float)
-        pv = np.asarray(self.psi_values, dtype=float)
-        xg.flags.writeable = False
-        pv.flags.writeable = False
-        object.__setattr__(self, "xi_grid", xg)
-        object.__setattr__(self, "psi_values", pv)
+        object.__setattr__(self, "xi_grid", _frozen_array(self.xi_grid))
+        object.__setattr__(self, "psi_values", _frozen_array(self.psi_values))
 
 
 def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:

@@ -57,6 +57,7 @@ whole-array passes remain of thirty.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -211,42 +212,6 @@ def _kept_lag_weights(alpha: float, order: int) -> np.ndarray:
     return w
 
 
-def _series(start: int, stop: int, alpha: float, order: int):
-    """(ln k, k^(1-alpha), tail) at the lags k = start .. stop-1, all at
-    least 2 order, where tail is the part of delta^order k^(3-alpha) beyond
-    its first two series terms (below).
-
-    delta^(order) k^p = sum over even j of C(p, j) M_j k^(p-j), with the
-    stencil moments M_j = sum_i c_i i^j: M_j = 2 for delta^2, and
-    2^(j+1) - 8 for delta^4 (M_2 = 0).  From j = 4 on, C(p, j) carries the
-    factor p - 2 = 1 - alpha, divided out in b, and each p - i is formed as
-    (3 - i) - alpha, exact for small alpha; the sum runs by Horner's rule
-    in 1/k^2.  Every lag is computed on its own, so a block of lags equals
-    the same lags of a longer run bit for bit.
-    """
-    k = np.arange(start, stop, dtype=float)
-    lnk = np.log(k)
-    x = 1.0 / (k * k)
-    b = (3.0 - alpha) * (2.0 - alpha) * -alpha / 24.0      # C(p, 4) / q
-    coefs = []
-    for j in range(4, 2 * _SERIES_TERMS + 4, 2):
-        coefs.append(b * (2.0 if order == 2 else 2.0 ** (j + 1) - 8.0))
-        b *= ((3.0 - j) - alpha) * ((2.0 - j) - alpha) / ((j + 1.0) * (j + 2.0))
-    m = min(max(_TWO_TERM_LAG - start, 0), k.size)   # lags below it
-    tail = np.empty(k.size)
-    head, x_head = tail[:m], x[:m]
-    head.fill(coefs[-1])
-    for c in reversed(coefs[1:-1]):
-        head *= x_head
-        head += c
-    tail[m:] = coefs[1]
-    tail *= x
-    tail += coefs[0]
-    kq = np.exp((1.0 - alpha) * lnk)
-    tail *= x * kq
-    return lnk, kq, tail
-
-
 def _lag_weight_table(alpha: float, order: int, lo: int,
                       hi: int) -> np.ndarray:
     """Central difference delta^order W(k) of the regularised power W at the
@@ -276,7 +241,31 @@ def _lag_weight_table(alpha: float, order: int, lo: int,
         f = np.concatenate([f[1:2], f])  # f is even: lag -1 mirrors lag 1
         d = f[2:] - 2.0 * f[1:-1] + f[:-2]
         out[:cut - lo] = d[lo:cut]
-    lnk, kq, tail = _series(cut, hi, alpha, order)
+    # From lag 2 order on, delta^order k^p = sum over even j of C(p, j) M_j
+    # k^(p-j), with the stencil moments M_j = 2 for delta^2 and 2^(j+1) - 8
+    # for delta^4 (M_2 = 0).  C(p, j), j >= 4, carries p - 2 = q, divided
+    # out in b; each p - i is (3 - i) - alpha, exact for small alpha.  The
+    # tail, the terms from j = 4 on, is summed by Horner's rule in 1/k^2.
+    k = np.arange(cut, hi, dtype=float)
+    lnk = np.log(k)
+    x = 1.0 / (k * k)
+    b = (3.0 - alpha) * (2.0 - alpha) * -alpha / 24.0      # C(p, 4) / q
+    coefs = []
+    for j in range(4, 2 * _SERIES_TERMS + 4, 2):
+        coefs.append(b * (2.0 if order == 2 else 2.0 ** (j + 1) - 8.0))
+        b *= ((3.0 - j) - alpha) * ((2.0 - j) - alpha) / ((j + 1.0) * (j + 2.0))
+    m = min(max(_TWO_TERM_LAG - cut, 0), k.size)     # lags below it
+    tail = np.empty(k.size)
+    full, x_full = tail[:m], x[:m]      # every term; beyond, two
+    full.fill(coefs[-1])
+    for c in reversed(coefs[1:-1]):
+        full *= x_full
+        full += c
+    tail[m:] = coefs[1]
+    tail *= x
+    tail += coefs[0]
+    kq = np.exp(q * lnk)
+    tail *= x * kq
     if order == 4:
         out[cut - lo:] = tail
         return out
@@ -296,9 +285,14 @@ def _lag_weight_table(alpha: float, order: int, lo: int,
 
 
 def _form_scale(h: float, alpha: float) -> float:
-    """C h^(1-alpha) with C = 2 / (alpha (2-alpha) (3-alpha))."""
+    """C h^(1-alpha) with C = 2 / (alpha (2-alpha) (3-alpha)); refused with
+    ValueError where it overflows, as alpha falls to the subnormals."""
     alpha = grids.kernel_exponent(alpha)
-    return 2.0 * h ** (1.0 - alpha) / (alpha * (2.0 - alpha) * (3.0 - alpha))
+    scale = 2.0 * h ** (1.0 - alpha) / (alpha * (2.0 - alpha) * (3.0 - alpha))
+    if not math.isfinite(scale):
+        raise ValueError(f"the form scale at alpha={alpha!r}, h={h!r} "
+                         f"overflows float64")
+    return scale
 
 
 def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:

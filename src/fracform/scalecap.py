@@ -71,6 +71,7 @@ class ScaleFunction:
     strictly_increasing: bool = False
     breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
     cumulative: np.ndarray = field(init=False, repr=False, compare=False)
+    __reduce__ = grids._rebuilt
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", real_number("anchor", self.anchor))
@@ -262,6 +263,12 @@ class SignedMeasure:
     lo: np.ndarray
     hi: np.ndarray
     density: np.ndarray
+    __reduce__ = grids._rebuilt
+
+    def __post_init__(self):
+        for name in ("lo", "hi", "density"):
+            object.__setattr__(self, name,
+                               grids._frozen_array(getattr(self, name)))
 
     def integrate(self, phi: GridFunction) -> float:
         """Exact integral of the interpolant of phi against the measure: the
@@ -270,15 +277,6 @@ class SignedMeasure:
         ends = _antiderivative(phi, np.concatenate([self.lo, self.hi]))
         k = self.density.size
         return float(np.sum(self.density * (ends[k:] - ends[:k])))
-
-    def _masses(self) -> np.ndarray:
-        return self.density * (self.hi - self.lo)
-
-    def positive_mass(self) -> float:
-        return float(np.sum(np.maximum(self._masses(), 0.0)))
-
-    def total_variation_mass(self) -> float:
-        return float(np.sum(np.abs(self._masses())))
 
 
 def _antiderivative(phi: GridFunction, x: np.ndarray) -> np.ndarray:

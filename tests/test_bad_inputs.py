@@ -281,6 +281,20 @@ CALLS = {
     "ladder_decompose-max_nodes": (
         counts("ladder_decompose-max_nodes"),
         lambda v: ladder_decompose(_bump(), max_nodes=v)),
+    # a NaN interior breakpoint was accepted, and a 2-d pair ended in a
+    # TypeError traceback or was stored
+    "StepFunction-breakpoints": (
+        {"nan-interior": ([0.0, math.nan, 1.0], [1.0, 2.0]),
+         "two-d": ([[0.0, 1.0]], [1.0])}, lambda v: StepFunction(*v)),
+    "StepFunction-levels": ({"two-d": ([0.0, 1.0, 2.0], [[1.0, 2.0]])},
+                            lambda v: StepFunction(*v)),
+    # (level, alpha): a non-finite level was reported as an overflow, or
+    # as DIVERGENT for alpha >= 1
+    "gagliardo_energy-step-levels": (
+        {"nan": (math.nan, 0.5), "inf": (math.inf, 0.5),
+         "inf-alpha-1.5": (math.inf, 1.5)},
+        lambda v: gagliardo_energy(StepFunction([0.0, 1.0, 2.0], [1.0, v[0]]),
+                                   EnergyParams(alpha=v[1]))),
     "gagliardo_energy-refine_levels": (
         counts("gagliardo_energy-refine_levels"),
         lambda v: gagliardo_energy(StepFunction([0.0, 1.0], [1.0]),
@@ -388,6 +402,17 @@ def test_bad_value_raises_value_error(case, capped_outcomes):
         assert f"{param} must be an integer" in outcome, outcome
     if WINDOWS.keys() <= values.keys():
         assert f"ValueError: {param} " in outcome, outcome
+
+
+def test_step_function_refusals_state_the_rule(capped_outcomes):
+    want = {"StepFunction-breakpoints[nan-interior]": "strictly increasing",
+            "StepFunction-breakpoints[two-d]": "must be 1-d arrays",
+            "StepFunction-levels[two-d]": "must be 1-d arrays",
+            **{f"gagliardo_energy-step-levels[{label}]":
+               "step levels must be finite"
+               for label in CALLS["gagliardo_energy-step-levels"][0]}}
+    assert {case: rule for case, rule in want.items()
+            if rule not in capped_outcomes[case]} == {}
 
 
 def _annotations(obj) -> list:

@@ -44,7 +44,7 @@ class TestFunctionLiterals:
 
     def test_bump(self):
         f = parse_function_literal("bump:0.5,0.25", 1.0 / 64.0)
-        assert f.linf() == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(f.values)) == pytest.approx(1.0, abs=1e-9)
 
     def test_csv_roundtrip(self, tmp_path):
         f = parse_function_literal("bump:0,1", 1.0 / 32.0)

@@ -420,6 +420,16 @@ def test_untapered_samples_rejected(ends):
         rho_profile(vals, 0.1, [0.3])
 
 
+def test_overflowing_form_scale_refused():
+    # at the smallest subnormal alpha, C = 2 / (alpha (2-alpha) (3-alpha))
+    # overflows: the row was NaN with a RuntimeWarning and the form inf
+    with pytest.raises(ValueError, match="overflows float64"):
+        hat_energy_row(8, 0.01, 5e-324)
+    with pytest.raises(ValueError, match="overflows float64"):
+        gagliardo_of_values(np.array([0.0, 1.0, 0.0]), 0.01, 5e-324)
+    assert math.isfinite(quadcells._form_scale(0.01, 1e-300))
+
+
 def test_rho_profile_matches_brute_correlation(rng):
     # against the defining integral, exact by Simpson's rule per piece: on-
     # and off-grid lags, lags at and beyond the span (rho = 2 ||u||^2), the

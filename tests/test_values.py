@@ -1,0 +1,210 @@
+"""The value rule of the library's types, and the inputs of its calls.
+
+Every type that holds arrays holds read-only copies of them, a pickle
+rebuilds it through its constructor, and no array field takes part in
+``==``: a type with an array field compares and hashes by identity
+(``eq=False``), or leaves the field out of ``==``.  No public call writes to
+an array it is given or freezes it.  The sweeps walk the package's exported
+names and the public functions of ``quadcells`` and fail when a type or an
+array parameter is missing from the tables here.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pickle
+import pkgutil
+
+import numpy as np
+import pytest
+
+import fracform
+from fracform import (FourierTable, GridFunction, IntervalSet, LevyTriplet,
+                      PowerLawDensity, ScaleFunction, SignedMeasure,
+                      StepFunction, SymbolCurve, bv_fourier_bound_check,
+                      discrete_fourier, levy_symbol, make_plateau,
+                      pushforward_measure, scale_from_open_set, transform_at)
+from fracform import quadcells
+from fracform.grids import PlateauSpec
+
+# the names of the unannotated parameters that take an array
+ARRAY_NAMES = {"x", "y", "xi", "xi_grid", "tau", "values"}
+
+TENT = GridFunction(0.0, 0.25, [0.0, 1.0, 1.0, 0.0])
+STEP = StepFunction([0.0, 0.5, 1.0], [1.0, -2.0])
+SCALE = scale_from_open_set(IntervalSet.of((0.0, 1.0), (2.0, 3.0)))
+DENSITY = LevyTriplet(density=PowerLawDensity(1.5))
+
+
+def _plateau():
+    return make_plateau(PlateauSpec(0.0, 1.0, 0.5), 0.125)
+
+
+def _tapered():
+    return np.array([0.0, 0.25, 1.0, 0.5, 0.0])
+
+
+def _increasing():
+    return np.array([-0.5, 0.0, 0.75, 1.5])
+
+
+def _frequencies():
+    return np.linspace(-3.0, 3.0, 7)
+
+
+# "callable(parameter)" -> (a fresh array for the parameter, a call on it)
+CALLS = {
+    "GridFunction(values)": (_tapered, lambda a: GridFunction(0.0, 0.25, a)),
+    "GridFunction.__call__(x)": (_increasing, lambda a: TENT(a)),
+    "GridFunction.with_values(values)": (_tapered,
+                                         lambda a: TENT.with_values(a[:4])),
+    "StepFunction(breakpoints)": (_increasing, lambda a: StepFunction(
+        a, [1.0, 2.0, 3.0])),
+    "StepFunction(levels)": (_increasing, lambda a: StepFunction(
+        [0.0, 1.0, 2.0, 3.0, 4.0], a)),
+    "StepFunction.__call__(x)": (_increasing, lambda a: STEP(a)),
+    "IntervalSet.measure_between(x)": (
+        _increasing, lambda a: SCALE.g_set.measure_between(a, 2.5)),
+    "IntervalSet.measure_between(y)": (
+        _increasing, lambda a: SCALE.g_set.measure_between(0.5, a)),
+    "ScaleFunction.__call__(x)": (_increasing, lambda a: SCALE(a)),
+    "FourierTable(frequencies)": (_frequencies, lambda a: FourierTable(
+        a, np.ones(a.size, dtype=complex))),
+    "FourierTable(amplitudes)": (
+        lambda: np.linspace(1.0, 2.0, 7) + 0.5j,
+        lambda a: FourierTable(_frequencies(), a)),
+    "transform_at(xi)": (_frequencies, lambda a: transform_at(TENT, a)),
+    "bv_fourier_bound_check(xi_grid)": (
+        _frequencies, lambda a: bv_fourier_bound_check(_plateau(), a)),
+    "levy_symbol(xi_grid)": (_frequencies, lambda a: levy_symbol(DENSITY, a)),
+    "SymbolCurve(xi_grid)": (_frequencies, lambda a: SymbolCurve(
+        a, np.ones(a.size))),
+    "SymbolCurve(psi_values)": (_frequencies, lambda a: SymbolCurve(
+        np.arange(7.0), a)),
+    "SignedMeasure(lo)": (_increasing, lambda a: SignedMeasure(
+        a, a + 0.25, np.ones(a.size))),
+    "SignedMeasure(hi)": (_increasing, lambda a: SignedMeasure(
+        a - 0.25, a, np.ones(a.size))),
+    "SignedMeasure(density)": (_increasing, lambda a: SignedMeasure(
+        np.arange(4.0), np.arange(4.0) + 0.5, a)),
+    "rho_profile(values)": (_tapered, lambda a: quadcells.rho_profile(
+        a, 0.25, [0.1, 0.7])),
+    "rho_profile(tau)": (_increasing, lambda a: quadcells.rho_profile(
+        _tapered(), 0.25, a)),
+    "increment_autocorr(values)": (_tapered,
+                                   quadcells.increment_autocorr),
+    "gagliardo_of_values(values)": (
+        _tapered, lambda a: quadcells.gagliardo_of_values(a, 0.25, 0.5)),
+}
+
+
+def _members(name, obj):
+    """qualified name -> callable: a function, or a class's public methods,
+    its ``__call__`` and the class itself (its dataclass fields or its own
+    ``__init__``)."""
+    if not inspect.isclass(obj):
+        return {name: obj}
+    members = {f"{name}.{attr}": getattr(obj, attr)
+               for attr, v in vars(obj).items()
+               if (not attr.startswith("_") or attr == "__call__")
+               and (inspect.isfunction(v)
+                    or isinstance(v, (classmethod, staticmethod)))}
+    if dataclasses.is_dataclass(obj) or "__init__" in vars(obj):
+        members[name] = obj
+    return members
+
+
+def _array_parameters() -> set:
+    """"callable(parameter)" of every parameter of the exported names and of
+    ``quadcells.__all__`` that is annotated ``np.ndarray`` or is named in
+    ARRAY_NAMES."""
+    exported = [(n, v) for n, v in vars(fracform).items()
+                if not n.startswith("_")
+                and (inspect.isclass(v) or inspect.isfunction(v))]
+    exported += [(n, getattr(quadcells, n)) for n in quadcells.__all__]
+    found = set()
+    for name, obj in exported:
+        for qual, fn in _members(name, obj).items():
+            if dataclasses.is_dataclass(fn):
+                params = [(f.name, f.type) for f in dataclasses.fields(fn)
+                          if f.init]
+            else:
+                params = [(p.name, p.annotation) for p in
+                          inspect.signature(fn).parameters.values()]
+            for param, annotation in params:
+                if (param in ARRAY_NAMES
+                        or "np.ndarray" in str(annotation).split(" | ")):
+                    found.add(f"{qual}({param})")
+    return found
+
+
+def test_every_array_parameter_is_swept():
+    assert _array_parameters() == CALLS.keys()
+
+
+@pytest.mark.parametrize("case", sorted(CALLS))
+def test_no_input_mutation(case):
+    make, call = CALLS[case]
+    a = make()
+    before = a.tobytes()
+    call(a)
+    assert a.tobytes() == before and a.flags.writeable
+
+
+def _dataclasses():
+    """Every dataclass defined in a module of the package."""
+    for info in pkgutil.iter_modules(fracform.__path__):
+        module = importlib.import_module(f"fracform.{info.name}")
+        for obj in vars(module).values():
+            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
+def _array_fields(cls) -> list:
+    return [f for f in dataclasses.fields(cls)
+            if "np.ndarray" in str(f.type).split(" | ")]
+
+
+def test_no_dataclass_compares_arrays_by_value():
+    by_value = [f"{cls.__name__}.{f.name}" for cls in _dataclasses()
+                if cls.__dataclass_params__.eq
+                for f in _array_fields(cls) if f.compare]
+    assert by_value == []
+
+
+# every type with an array field -> a value of it
+VALUES = {
+    GridFunction: lambda: TENT,
+    StepFunction: lambda: STEP,
+    FourierTable: lambda: discrete_fourier(TENT, 4.0, 9),
+    SymbolCurve: lambda: levy_symbol(DENSITY, _frequencies()),
+    ScaleFunction: lambda: SCALE,
+    SignedMeasure: lambda: pushforward_measure(TENT),
+}
+
+
+def test_every_array_holder_is_pickled():
+    assert {cls for cls in _dataclasses() if _array_fields(cls)} == \
+        VALUES.keys()
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_pickle_returns_read_only_copies(cls):
+    value = VALUES[cls]()
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls
+    for f in _array_fields(cls):
+        got, want = getattr(copy, f.name), getattr(value, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_equality_and_hash_do_not_read_arrays(cls):
+    value = VALUES[cls]()
+    copy = pickle.loads(pickle.dumps(value))
+    assert value == value and len({value, value}) == 1
+    # by identity, or by the fields that hold no array
+    assert (value == copy) is cls.__dataclass_params__.eq
+    assert len({value, copy}) == (1 if cls.__dataclass_params__.eq else 2)
