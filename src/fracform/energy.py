@@ -79,11 +79,6 @@ class EnergyParams:
             object.__setattr__(self, "c_of_alpha",
                                positive_number("c_of_alpha", self.c_of_alpha))
 
-    @property
-    def alpha_star(self) -> float:
-        """The dual exponent 2 - alpha (derived, never stored)."""
-        return 2.0 - self.alpha
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -125,8 +120,8 @@ class ErasedPreconditionError(ValueError):
 
 
 def _require_compact(f: GridFunction):
-    if not f.finite():
-        raise ValueError("samples must be finite")
+    """Refuse f unless it tapers to exact zero inside its window; its
+    samples are finite by construction."""
     if not f.has_compact_support():
         raise ValueError("function must taper to exact zero inside its window")
 
@@ -175,8 +170,6 @@ def gagliardo_energy(f: Union[GridFunction, StepFunction], p: EnergyParams,
 
     if not isinstance(f, StepFunction):
         raise TypeError(f"unsupported function type {type(f).__name__}")
-    if not np.all(np.isfinite(f.levels)):
-        raise ValueError("step levels must be finite")
     if f.is_zero:
         return EnergyReport(value=0.0, l2_norm_sq=0.0,
                             refinement_trace=((0, 0.0),))

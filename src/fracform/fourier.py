@@ -175,11 +175,8 @@ def _grid_sum(g: GridFunction, plan: _FrequencyPlan) -> np.ndarray:
 
 
 def _checked_frequencies(f: GridFunction, xi) -> np.ndarray:
-    """xi as a float array, after the guards every transform shares: finite
-    samples, and finite frequencies whose phases xi x on the grid are
-    finite too."""
-    if not f.finite():
-        raise ValueError("samples must be finite")
+    """xi as a float array, after the guard every transform shares: finite
+    frequencies whose phases xi x on f's grid are finite too."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     reach = max(abs(f.origin), abs(f.origin + f.step * (f.n_nodes - 1)),
                 f.step)

@@ -7,7 +7,9 @@ value: transforms return new objects, so everything is safe to share across
 threads and to map over parameter grids.  In the whole package, a value that
 holds arrays holds read-only copies, no ``==`` reads them (``==`` and
 ``hash`` are by identity unless other fields decide), and a pickle rebuilds
-it with read-only arrays again.
+it with read-only arrays again.  Samples and step levels must be finite:
+the constructors of ``GridFunction`` and ``StepFunction`` refuse anything
+else, so no later routine checks it again.
 
 The README's "Caches" paragraph lists every cache, its key and its bound.
 """
@@ -175,9 +177,9 @@ class GridFunction:
     function); samples outside that range are exactly 0.  They are read from
     the samples on first use.
 
-    ``increment_autocorr`` (8 bytes per support node), ``l2_norm_sq()`` and
-    ``finite()`` are computed on first use and kept with the function for
-    as long as it lives, and so are the support ends and the last table of
+    ``increment_autocorr`` (8 bytes per support node) and ``l2_norm_sq()``
+    are computed on first use and kept with the function for as long as it
+    lives, and so are the support ends and the last table of
     ``discrete_fourier`` (n_freq x 24 bytes, one (xi_max, n_freq) window per
     function); the samples are a read-only copy, so they cannot go stale,
     and every derived function starts without them.  A pickle or copy
@@ -197,6 +199,8 @@ class GridFunction:
         vals = _frozen_array(self.values)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("a grid function needs a 1-d array of at least 2 samples")
+        if not np.isfinite(vals).all():
+            raise ValueError("samples must be finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -204,9 +208,10 @@ class GridFunction:
               values: np.ndarray) -> "GridFunction":
         """A function on the grid of an existing one, which adopts
         ``values``: a fresh 1-d float64 array of at least 2 samples that the
-        caller gives up.  It is made read-only in place, not copied, and the
-        origin and step are not gated again; only a non-finite origin, which
-        a shifted window can reach, is refused as by the constructor."""
+        caller gives up, selected or subtracted from finite samples.  It is
+        made read-only in place, not copied, and neither the samples nor the
+        step are gated again; only a non-finite origin, which a shifted
+        window can reach, is refused as by the constructor."""
         if values.dtype != np.float64 or values.ndim != 1 or values.size < 2:
             raise ValueError("a grid function needs a 1-d array of at least 2 samples")
         if not math.isfinite(origin):
@@ -285,13 +290,6 @@ class GridFunction:
         return self.is_zero or (self.support_lo > 0
                                 and self.support_hi < self.values.size - 1)
 
-    def finite(self) -> bool:
-        return self._finite
-
-    @cached_property
-    def _finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
     @cached_property
     def increment_autocorr(self) -> np.ndarray:
         """Read-only c_k = sum_i d_i d_(i+k) of the node increments of
@@ -321,12 +319,6 @@ class GridFunction:
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.origin, self.step, values)
 
-    def scaled(self, c: float) -> "GridFunction":
-        c = real_number("c", c)
-        if not math.isfinite(c):
-            raise ValueError(f"c must be finite, got {c}")
-        return self.with_values(c * self.values)
-
     def _support_range(self, margin: int) -> slice:
         """The samples of the support plus ``margin`` zeros per side, at
         least 2 nodes (the first two for the zero function)."""
@@ -343,8 +335,8 @@ class GridFunction:
     def trimmed(self, margin: int = 2) -> "GridFunction":
         """Restrict to the support plus ``margin`` zeros per side (>= 2 nodes)."""
         r = self._support_range(margin)
-        return GridFunction(self.origin + r.start * self.step, self.step,
-                            self.values[r])
+        return GridFunction._made(self.origin + r.start * self.step,
+                                  self.step, self.values[r].copy())
 
     # -- grid compatibility --------------------------------------------------
 
@@ -367,18 +359,8 @@ class GridFunction:
         a[-lo:self.values.size - lo] = self.values
         b[off - lo:off - lo + other.values.size] = other.values
         origin = self.origin + lo * self.step
-        return (GridFunction(origin, self.step, a),
-                GridFunction(origin, self.step, b))
-
-    def _binary(self, other, op) -> "GridFunction":
-        a, b = self.aligned_with(other)
-        return GridFunction(a.origin, a.step, op(a.values, b.values))
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        return self._binary(other, np.add)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return self._binary(other, np.subtract)
+        return (GridFunction._made(origin, self.step, a),
+                GridFunction._made(origin, self.step, b))
 
     # -- serialization --------------------------------------------------------
 
@@ -454,6 +436,8 @@ class StepFunction:
             raise ValueError("breakpoints must be strictly increasing")
         if bp.size and not math.isfinite(float(bp[-1]) - float(bp[0])):
             raise ValueError("breakpoints must span a finite length")
+        if not np.isfinite(lv).all():
+            raise ValueError("step levels must be finite")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
@@ -478,13 +462,6 @@ class StepFunction:
 
     def l2_norm_sq(self) -> float:
         return float(np.sum(self.levels ** 2 * np.diff(self.breakpoints)))
-
-    def total_variation(self) -> float:
-        if self.levels.size == 0:
-            return 0.0
-        jumps = np.concatenate([[self.levels[0]], np.diff(self.levels),
-                                [-self.levels[-1]]])
-        return float(np.sum(np.abs(jumps)))
 
     def sample(self, step: float) -> GridFunction:
         """Sample from the first breakpoint on, with four zero nodes per

@@ -140,8 +140,6 @@ def _star_values(w: np.ndarray):
 def ladder_star(f: GridFunction):
     """The ladder-like envelope of f: running infimum toward the first point
     attaining the maximum.  Returns (star, peak_point)."""
-    if not f.finite():
-        raise ValueError("samples must be finite")
     if np.any(f.values < 0):
         raise ValueError("ladder star needs a non-negative function")
     if f.is_zero:
@@ -550,8 +548,6 @@ def ladder_decompose(f: GridFunction, max_nodes: int = 256,
     converged=False rather than raising (infinitely branching inputs are
     legitimate).
     """
-    if not f.finite():
-        raise ValueError("samples must be finite")
     if np.any(f.values < 0):
         raise ValueError("decomposition needs a non-negative function")
     if not f.has_compact_support():
@@ -593,8 +589,6 @@ def arm_split(h: GridFunction):
     and left - right recovers h at every node (up to one ulp at nodes where
     the subtraction rounds).
     """
-    if not h.finite():
-        raise ValueError("samples must be finite")
     v = h.values
     if np.any(v < 0):
         raise ValueError("ladder-like input must be non-negative")

@@ -96,15 +96,6 @@ class LevyTriplet:
             total += 2.0 * c * lam ** (1.0 - a) / (a * (1.0 - a))
         return total
 
-    def to_json_dict(self) -> dict:
-        dens = None
-        if self.density is not None:
-            dens = {"type": "power", "alpha": self.density.alpha,
-                    "coefficient": self.density.coefficient}
-        return {"sigma": self.sigma,
-                "atoms": [[x, m] for x, m in self.atoms],
-                "density": dens}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "LevyTriplet":
         if not isinstance(d, dict):

@@ -3,7 +3,10 @@
 Every exported callable that takes a step, size, count or depth refuses a
 bad value with ValueError before it allocates; the transforms refuse a
 frequency that is not finite, or whose phase xi x on the grid is not; the
-scale anchor and the contraction level refuse NaN and infinities.  Each
+scale anchor and the contraction level refuse NaN and infinities.  Grid
+samples and step levels must be finite: the ``GridFunction`` and
+``StepFunction`` constructors refuse anything else, and every way in reaches
+one of them, so no later routine checks it again.  Each
 kind of parameter has one gate in ``grids``, which names the parameter in
 its ValueError:
 
@@ -30,8 +33,10 @@ Every builder takes its nodes from ``grids.grid_nodes``; the pins below fix
 each one's node count and first and last node on fixed inputs.
 """
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
@@ -52,7 +57,8 @@ from fracform import (FatCantorSpec, GridFunction, IntervalSet, LevyTriplet,
                       epsilon_contraction, fourier_energy,
                       fourier_gagliardo_ratio, gagliardo_energy,
                       growth_exponent_fit, hardy_boundary_identity,
-                      indicator_energy_closed_form, ladder_decompose,
+                      indicator_energy_closed_form, is_erased_function,
+                      ladder_decompose,
                       levy_indicator_energy, levy_symbol, make_plateau,
                       plateau_energy_bound_check,
                       scale_from_open_set, skorokhod_star,
@@ -202,9 +208,6 @@ CALLS = {
         v, 0.25, [0.0, 1.0, 0.0])),
     "GridFunction-step": (NON_SCALARS, lambda v: GridFunction(
         0.0, v, [0.0, 1.0, 0.0])),
-    # NaN gave NaN samples and inf NaN at the zero samples, with warnings
-    "GridFunction.scaled-c": ({**FREQUENCIES, **NON_SCALARS},
-                              lambda v: TENT.scaled(v)),
     "IntervalSet-end": (NON_SCALARS, lambda v: IntervalSet.of((v, 2.0))),
     "PlateauSpec-a": (NON_SCALARS, lambda v: PlateauSpec(v, 2.0, 0.5)),
     "PlateauSpec-b": (NON_SCALARS, lambda v: PlateauSpec(0.0, v, 0.5)),
@@ -413,6 +416,58 @@ def test_step_function_refusals_state_the_rule(capped_outcomes):
                for label in CALLS["gagliardo_energy-step-levels"][0]}}
     assert {case: rule for case, rule in want.items()
             if rule not in capped_outcomes[case]} == {}
+
+
+# site -> (call taking a non-finite value and a scratch directory, the rule
+# its one error states); the NaN erased pair returned (True, ...), and the
+# other sites were refused only later, by some routines but not all
+NON_FINITE = {
+    "GridFunction": (lambda v, _: GridFunction(0.0, 0.25, [0.0, v, 0.0]),
+                     "samples must be finite"),
+    "from_callable": (lambda v, _: GridFunction.from_callable(
+        lambda x: np.where(x == 0.5, v, 0.0), 0.0, 1.0, 0.25),
+        "samples must be finite"),
+    "with_values": (lambda v, _: TENT.with_values([0.0, 1.0, v, 0.0]),
+                    "samples must be finite"),
+    "from_json_dict": (lambda v, _: GridFunction.from_json_dict(
+        {"origin": 0.0, "step": 0.25, "values": [0.0, v, 0.0]}),
+        "samples must be finite"),
+    "from_csv": (lambda v, _: GridFunction.from_csv(f"0,0\n0.25,{v}\n0.5,0\n"),
+                 "samples must be finite"),
+    "cli-energy-json": (lambda v, tmp: _cli_energy_json(v, tmp),
+                        "samples must be finite"),
+    "StepFunction-levels": (lambda v, _: StepFunction([0.0, 1.0, 2.0],
+                                                      [1.0, v]),
+                            "step levels must be finite"),
+    "is_erased_function": (lambda v, _: is_erased_function(
+        GridFunction(0.0, 0.25, [0.0, 1.0, v, 1.0, 0.0]),
+        GridFunction(0.0, 0.25, [0.0, 1.0, 2.0, 1.0, 0.0])),
+        "samples must be finite"),
+}
+
+
+def _cli_energy_json(v, tmp_path):
+    """``energy --function json:`` on a file holding v: the error line the
+    CLI ends in, raised as the ValueError it came from."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"origin": 0.0, "step": 0.25,
+                                "values": [0.0, v, 0.0]}), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["energy", "--alpha", "0.5", "--function",
+                       f"json:{path}", "--out-dir", str(tmp_path)])
+    lines = err.getvalue().splitlines()
+    assert status == 1 and len(lines) == 1, (status, lines)
+    raise ValueError(lines[0].removeprefix("error: "))
+
+
+@pytest.mark.parametrize("label", FREQUENCIES)
+@pytest.mark.parametrize("site", NON_FINITE)
+def test_non_finite_data_is_refused_at_construction(site, label, tmp_path):
+    call, rule = NON_FINITE[site]
+    with pytest.raises(ValueError) as exc:
+        call(FREQUENCIES[label], tmp_path)
+    assert str(exc.value) == rule
 
 
 def _annotations(obj) -> list:

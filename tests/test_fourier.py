@@ -45,12 +45,6 @@ def test_plancherel_within_one_percent():
     assert l2 == pytest.approx(f.l2_norm_sq(), rel=0.01)
 
 
-def test_nonfinite_samples_rejected():
-    f = GridFunction(0.0, 1.0, [0.0, np.nan, 0.0])
-    with pytest.raises(ValueError):
-        discrete_fourier(f, 1.0, 16)
-
-
 def test_grid_validation():
     f = sample_bump()
     with pytest.raises(ValueError):
@@ -93,7 +87,7 @@ class TestKeptTable:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
         # derived functions start without it
-        assert "_fourier_table" not in vars(f.scaled(1.0))
+        assert "_fourier_table" not in vars(f.with_values(f.values))
 
     def test_another_window_replaces_it(self):
         f = sample_bump(step=1.0 / 128.0)

