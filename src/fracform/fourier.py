@@ -10,40 +10,47 @@ those of the interpolant at every frequency, up to the phase sum's stated
 error -- there is no binning and no error near xi = 0.
 
 The phase sum S_k = sum_j f_j e^(i xi_k x_j) over M frequencies and N nodes
-is evaluated by Gaussian gridding (a type-2 nonuniform FFT; Dutt and
-Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard and Lee, SIAM Review 46,
-2004) at any frequencies, uniform grids included.  With j' = j - N // 2 and
+is evaluated by gridding (a type-2 nonuniform FFT; Dutt and Rokhlin, SIAM
+J. Sci. Comput. 14, 1993; Greengard and Lee, SIAM Review 46, 2004) on the
+"exponential of semicircle" kernel phi(z) = exp(beta (sqrt(1 - z^2) - 1))
+of Barnett, Magland and af Klinteberg (SIAM J. Sci. Comput. 41, 2019), at
+any frequencies, uniform grids included.  With j' = j - N // 2 and
 x_c = x_(N // 2), S_k = e^(i xi_k x_c) F(xi_k h mod 2 pi) for
-F(t) = sum_j' f_j' e^(i j' t).  The samples are divided by the Fourier
-coefficients sqrt(tau / pi) e^(-tau j'^2) of the periodic Gaussian
-exp(-t^2 / (4 tau)), one FFT samples the quotient at the K points
-2 pi m / K, and convolving with the Gaussian, by the trapezoid sum over the
-``_TAPS`` = 24 points nearest each t_k, gives F(t_k) back.  K is the
-smallest power of two >= max(3 N, 2 * _TAPS), so at least 3x oversampling.
-With tau = 24 pi / (K (2K - N)) the aliased spectrum and the omitted taps,
-12 or more grid steps away, both weigh e^(-12 pi (K - N) / (K - N / 2)) <=
-e^(-9.6 pi) ~ 8e-14 of sum |f_j|; at exactly 2x (K = 2N) 24 taps reach only
-~1e-11.  Measured against the explicit sum, max |difference| / sum |f_j| is
-~1e-15 on the benchmark's sweep shapes and at most ~3e-13 at its 4097-node
-x 32769-frequency solve and for |xi x| <= 2000, the order of one phase's
-rounding, eps |xi x|.  It takes O(K log K + 24 M) time and O(K + M) memory.
+F(t) = sum_j' f_j' e^(i j' t).  K is the smallest power of two
+>= max(3 N, 2 * _TAPS), so at least 3x oversampling, and the kernel
+psi(t) = phi(t / a), a = 7 * 2 pi / K, spans the ``_TAPS`` = 14 grid steps
+around t.  The samples are divided by its Fourier coefficients
+(a / 2 pi) Phi(j' a), Phi(u) = int_-1^1 phi(z) cos(u z) dz, one FFT samples
+the quotient at the K points 2 pi m / K, and the trapezoid sum of psi over
+the 14 points nearest each t_k gives F(t_k) back.  Phi has no closed form:
+it is a Gauss-Legendre sum, kept once as a table at the points of a 2^15-
+point grid, which every smaller K reads at a stride.  beta = 0.97 pi 14
+(1 - 1/6) is set for 3x oversampling; more only helps.  The error of ES
+gridding is estimated, asymptotically and not as a bound, at
+e^(-pi w sqrt(1 - 1/sigma)) of sum |f_j| for w = 14 taps and oversampling
+sigma = K / N: ~2e-16 at sigma = 3.  Measured against the explicit sum,
+max |difference| / sum |f_j| is 0.6-1.8e-15 on the benchmark's geometric
+2048-frequency sets at N = 257-1366 (sigma 3.0-6.0), and at most ~3e-13 at
+its 4097-node x 32769-frequency solve and for |xi x| <= 2000, the order of
+one phase's rounding, eps |xi x| -- the same as the 24-tap Gaussian kernel
+this one replaced.  It takes O(K log K + 14 M) time and O(K + M) memory.
 Every frequency's value is computed elementwise from the same K-point grid,
 so it does not depend on which other frequencies are requested or in what
 order.
 
 Everything but the deconvolution, the FFT and the tap loop depends on the
-trimmed grid and the frequencies only, not on the samples: K, tau, each
+trimmed grid and the frequencies only, not on the samples: K, each
 frequency's first tap, its phase e^(i xi x_c) and hat factor
-(h / sqrt(2 pi)) sinc^2(xi h / 2), and the 24 M tap weights.  Together they
+(h / sqrt(2 pi)) sinc^2(xi h / 2), and the 14 M tap weights.  Together they
 make a frequency plan.  Plans of sets of at most 2^11 frequencies are kept
 in a plain least-recently-used cache of 16 plans, keyed by (trimmed node
-count, step, origin, frequency shape and bytes): 232 bytes per frequency
-with the weight rows, ~0.45 MiB per plan and 7.25 MiB at most.  A larger
+count, step, origin, frequency shape and bytes): 152 bytes per frequency
+with the weight rows, ~0.3 MiB per plan and 4.75 MiB at most.  A larger
 set gets a plan for its one call without weight rows, and its tap loop
 computes each tap's weights into one M-sized buffer.  On a 2-core x86-64
-machine a 2048-frequency call on 257-1025 nodes takes ~0.25-0.4 ms from a
-kept plan and ~0.5-0.8 ms without one; the results are the same bits
-either way.
+machine a 2048-frequency call on 257-1025 nodes takes ~0.15-0.2 ms from a
+kept plan (~0.22-0.28 ms with the Gaussian kernel); the results are the
+same bits with or without one.
 """
 
 from __future__ import annotations
@@ -60,11 +67,16 @@ from .grids import MAX_GRID_NODES, GridFunction, _frozen_array, _rebuilt, \
 
 __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 
-_TAPS = 24  # Gaussian gridding taps per frequency
+_TAPS = 14  # gridding taps per frequency
+# the ES kernel's shape parameter, set for 3x oversampling; more only helps
+_BETA = 0.97 * math.pi * _TAPS * (1.0 - 1.0 / 6.0)
+# Phi is kept at the grid points of this K; a smaller power of two reads
+# every (2^15 / K)th entry
+_TABLE_SIZE = 1 << 15
 
-# Plans of up to _PLAN_FREQS frequencies are kept, at most _KEPT_PLANS: 232
-# bytes per frequency (24 weight rows, tap starts, hat factors and the key's
-# frequency bytes of 8 bytes, phases of 16), so 7.25 MiB in the worst case.
+# Plans of up to _PLAN_FREQS frequencies are kept, at most _KEPT_PLANS: 152
+# bytes per frequency (14 weight rows, tap starts, hat factors and the key's
+# frequency bytes of 8 bytes, phases of 16), so 4.75 MiB in the worst case.
 _PLAN_FREQS = 1 << 11
 _KEPT_PLANS = 16
 
@@ -83,11 +95,48 @@ class FourierTable:
                            _frozen_array(self.amplitudes, complex))
 
 
+def _es_integral(u: np.ndarray) -> np.ndarray:
+    """Phi(u) = int_-1^1 phi(z) cos(u z) dz of the ES kernel phi(z) =
+    exp(beta (sqrt(1 - z^2) - 1)), by 16-point Gauss-Legendre rules on
+    three panels of [0, 1] (the integrand is even).  Each entry is summed
+    node by node, so it is the same bits whatever else is in ``u``."""
+    t, w = np.polynomial.legendre.leggauss(16)
+    z = np.concatenate([(t + 2 * p + 1) / 6.0 for p in range(3)])
+    weight = np.tile(w / 3.0, 3) * np.exp(
+        _BETA * (np.sqrt(1.0 - z * z) - 1.0))
+    total = np.zeros(np.shape(u))
+    for zq, wq in zip(z.tolist(), weight.tolist()):
+        total += wq * np.cos(u * zq)
+    return total
+
+
+@functools.cache
+def _kept_es_integrals() -> np.ndarray:
+    """Phi at u = i a for a = _TAPS pi / 2^15 and every i <= 2^15 / 6, the
+    largest |j| a grid of 2^15 points reads (n <= K / 3); read-only."""
+    table = _es_integral(np.arange(_TABLE_SIZE // 6 + 1)
+                         * (_TAPS * math.pi / _TABLE_SIZE))
+    table.flags.writeable = False
+    return table
+
+
+def _es_coefficients(size: int, j: np.ndarray) -> np.ndarray:
+    """Phi(|j| a) for a = _TAPS pi / K on a grid of K = ``size`` points:
+    for K <= 2^15 the kept table read at stride 2^15 / K, whose u are the
+    same products i a bit for bit; for a larger K the same formula at its
+    own u, once per |j|."""
+    m = np.abs(j)
+    if size <= _TABLE_SIZE:
+        return _kept_es_integrals()[::_TABLE_SIZE // size][m]
+    return _es_integral(np.arange(m.max() + 1)
+                        * (_TAPS * math.pi / size))[m]
+
+
 class _FrequencyPlan:
     """The frequency side of the gridding sum for one frequency array and
     one trimmed grid of n nodes from ``origin`` with ``step`` h (module
-    notes): the FFT size K and Gaussian width tau, the first tap's grid
-    point floor(xi h mod 2 pi * K / 2 pi) - 11 mod K, the phase and the hat
+    notes): the FFT size K, the first tap's grid point
+    floor(xi h mod 2 pi * K / 2 pi) - 6 mod K, the phase and the hat
     factor.  A kept plan also holds the ``_TAPS`` weight rows; any other
     computes each tap's row when the tap loop reaches it.  Every array is
     read-only."""
@@ -96,14 +145,11 @@ class _FrequencyPlan:
                  keep: bool):
         j0 = n // 2
         self.size = 1 << (max(3 * n, 2 * _TAPS) - 1).bit_length()
-        self.tau = _TAPS * math.pi / (self.size * (2 * self.size - n))
         # xi h is reduced before the floor, so no finite xi overflows the index
         pos = np.mod(xi * step, 2.0 * math.pi) * (self.size
                                                    / (2.0 * math.pi))
         cell = np.floor(pos)
         self._frac = pos - cell
-        # (2 pi / K)^2 / (4 tau)
-        self._c = math.pi ** 2 / (self.size * self.size * self.tau)
         self.start = (cell.astype(np.intp) - (_TAPS // 2 - 1)) % self.size
         self.phase = np.exp(1j * (xi * (origin + j0 * step)))
         self.hat = (step / math.sqrt(2.0 * math.pi)) * np.sinc(
@@ -119,12 +165,20 @@ class _FrequencyPlan:
                 a.flags.writeable = False
 
     def _weights(self, rows):
-        """Write the Gaussian weights e^(-c (frac - t)^2) of each tap t in
-        turn into the next of ``rows``, and yield them."""
-        for w, t in zip(rows, range(1 - _TAPS // 2, _TAPS // 2 + 1)):
+        """Write the ES weights phi(d / 7) of each tap t, d = frac - t, in
+        turn into the next of ``rows``, and yield them.  The exponent is
+        taken as -(beta / 7) d^2 / (7 + sqrt(49 - d^2)): beta (sqrt(1 -
+        z^2) - 1) cancels near z = 0 and leaves ~4e-15 relative errors."""
+        half = _TAPS // 2
+        root = np.empty(self._frac.shape)
+        for w, t in zip(rows, range(1 - half, half + 1)):
             np.subtract(self._frac, t, out=w)
             w *= w
-            w *= -self._c
+            np.subtract(half * half, w, out=root)
+            np.sqrt(root, out=root)
+            root += half
+            w /= root
+            w *= -_BETA / half
             np.exp(w, out=w)
             yield w
 
@@ -148,15 +202,16 @@ def _kept_plan(n: int, step: float, origin: float, shape: tuple,
 
 
 def _grid_sum(g: GridFunction, plan: _FrequencyPlan) -> np.ndarray:
-    """sum_j v_j e^(i xi_k x_j) at the plan's frequencies by Gaussian
-    gridding (module notes): deconvolve, one FFT of K >= 3 N points, then
-    the ``_TAPS`` nearest of those to each xi_k h mod 2 pi."""
+    """sum_j v_j e^(i xi_k x_j) at the plan's frequencies by ES gridding
+    (module notes): deconvolve, one FFT of K >= 3 N points, then the
+    ``_TAPS`` nearest of those to each xi_k h mod 2 pi."""
     n = g.values.size
     j0 = n // 2
     j = np.arange(-j0, n - j0)
     fine = np.zeros(plan.size)
-    fine[j % plan.size] = g.values * np.exp(plan.tau * j * j)
-    grid = np.fft.ifft(fine) * math.sqrt(math.pi / plan.tau)
+    fine[j % plan.size] = g.values / _es_coefficients(plan.size, j)
+    # the kernel's Fourier coefficients are (a / 2 pi) Phi(j a), a = 7 2pi/K
+    grid = np.fft.ifft(fine) * (plan.size / (_TAPS // 2))
     # one tap buffer for the whole loop (and one weight buffer in a plan
     # without rows): fresh M-sized temporaries per tap are returned to the
     # system and faulted back in (4097 nodes x 32769 frequencies, fresh
@@ -189,7 +244,7 @@ def _checked_frequencies(f: GridFunction, xi) -> np.ndarray:
 
 
 def transform_at(f: GridFunction, xi) -> np.ndarray:
-    """Transform of the interpolant at arbitrary frequencies, by Gaussian
+    """Transform of the interpolant at arbitrary frequencies, by ES
     gridding (module notes)."""
     xi = _checked_frequencies(f, xi)
     if f.is_zero:

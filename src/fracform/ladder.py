@@ -78,7 +78,11 @@ def is_erased_function(f: GridFunction, g: GridFunction):
     n = strict.size
     xl = np.where(lo > 0, x[np.maximum(lo - 1, 0)], x[0] - fa.step)
     xr = np.where(hi + 1 < n, x[np.minimum(hi + 1, n - 1)], x[-1] + fa.step)
-    return ok, IntervalSet(tuple(zip(xl.tolist(), xr.tolist())))
+    # the components come sorted, disjoint (at most touching), finite and
+    # non-empty: the constructor's gates, sort and merge would keep them
+    witness = object.__new__(IntervalSet)
+    vars(witness)["intervals"] = tuple(zip(xl.tolist(), xr.tolist()))
+    return ok, witness
 
 
 def _erasure(f: GridFunction, g: GridFunction):

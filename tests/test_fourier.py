@@ -214,9 +214,9 @@ def _kept_plans():
             if isinstance(o, fourier._FrequencyPlan)]
 
 
-# 24 weight rows, tap starts, hat factors and the key's frequency bytes of 8
+# 14 weight rows, tap starts, hat factors and the key's frequency bytes of 8
 # bytes, phases of 16, per frequency; 16 plans of at most 2^11 frequencies
-PLAN_BYTES_PER_FREQ = 24 * 8 + 8 + 16 + 8 + 8
+PLAN_BYTES_PER_FREQ = 14 * 8 + 8 + 16 + 8 + 8
 KEPT_PLAN_BOUND = 16 * (1 << 11) * PLAN_BYTES_PER_FREQ
 
 
@@ -263,7 +263,7 @@ class TestKeptPlan:
         assert plans.cache_info().currsize == 16
 
     def test_kept_plans_stay_within_their_bound(self, plans):
-        assert KEPT_PLAN_BOUND <= 7.25 * 2 ** 20
+        assert KEPT_PLAN_BOUND <= 4.75 * 2 ** 20
         f = sample_bump(step=1.0 / 32.0)
         grid = np.linspace(-20.0, 20.0, 1 << 11)
         for i in range(40):
@@ -322,7 +322,7 @@ class TestKeptPlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 24 weight rows alone would be 192 bytes per frequency; the
+        # the 14 weight rows alone would be 112 bytes per frequency; the
         # call measures ~118 (FFT grid, buffers, plan and result)
         assert peak <= 150 * xi.size
         assert plans.cache_info() == (0, 0, 16, 0)
@@ -406,7 +406,7 @@ def _scattered(rng, m, f, bound=2000.0):
     return rng.uniform(-1.0, 1.0, m) * (bound / reach)
 
 
-# The phase sum, Gaussian gridding (``_grid_sum``), against the explicit
+# The phase sum, ES gridding (``_grid_sum``), against the explicit
 # sum.  In the test names, ``dense`` means the explicit sum and ``chirp`` a
 # uniform frequency grid.
 
@@ -478,6 +478,59 @@ def test_dense_on_benchmark_shapes(n):
     xi = np.geomspace(0.5, 200.0, 2048)
     got = _phase_sum(f, xi)
     assert _relative_gap(got, _explicit_sum(f, xi), f) <= 1e-14
+
+
+@pytest.mark.parametrize("n, size", [(341, 1024), (1365, 4096),
+                                     (342, 2048), (1366, 8192)])
+def test_dense_at_the_ends_of_the_oversampling(n, size):
+    # K / n just above 3 and just below 6: the kernel's beta is fixed at its
+    # value for 3x oversampling, the least K >= 3 n gives
+    f = GridFunction(0.0, 1.0 / (n - 1),
+                     np.random.default_rng(n).standard_normal(n))
+    xi = np.geomspace(0.5, 200.0, 2048)
+    assert fourier._FrequencyPlan(n, f.step, f.origin, xi,
+                                  keep=False).size == size
+    assert _relative_gap(_phase_sum(f, xi), _explicit_sum(f, xi), f) <= 1e-14
+    rng = np.random.default_rng([n, size])
+    g = _random_grid_function(n, rng)
+    xi = _scattered(rng, 2048, g, bound=2000.0)
+    assert _relative_gap(_phase_sum(g, xi), _explicit_sum(g, xi), g) <= 1e-12
+
+
+@pytest.mark.parametrize("where", ["zero", "middle", "last"])
+def test_kernel_integral_table_against_mpmath(where):
+    # Phi(u) = int_-1^1 exp(beta (sqrt(1 - z^2) - 1)) cos(u z) dz by
+    # mpmath's tanh-sinh quadrature at 50 digits, a route that shares no
+    # code with the Gauss-Legendre sums of the table
+    import mpmath
+    table = fourier._kept_es_integrals()
+    i = {"zero": 0, "middle": table.size // 2, "last": table.size - 1}[where]
+    u = i * (fourier._TAPS * math.pi / fourier._TABLE_SIZE)
+    with mpmath.workdps(50):
+        beta, u = mpmath.mpf(fourier._BETA), mpmath.mpf(u)
+        want = 2 * mpmath.quad(
+            lambda z: mpmath.exp(beta * (mpmath.sqrt(1 - z * z) - 1))
+            * mpmath.cos(u * z), [0, 0.5, 1])
+        assert abs(table[i] - want) <= 2e-15 * want
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("size", [1 << 13, 1 << 16])
+def test_kernel_coefficients_equal_a_direct_evaluation(size):
+    # a grid below 2^15 points reads the kept table at a stride, and the
+    # products i a are the same bits as the direct |j| a; a larger grid
+    # evaluates its own, which at even j are the kept table's points
+    n = size // 3
+    j = np.arange(-(n // 2), n - n // 2)
+    got = fourier._es_coefficients(size, j)
+    direct = fourier._es_integral(np.abs(j)
+                                  * (fourier._TAPS * math.pi / size))
+    assert _same_bits(got, direct)
+    stride = fourier._TABLE_SIZE / size
+    on_table = np.abs(j) * stride == np.floor(np.abs(j) * stride)
+    table = fourier._kept_es_integrals()
+    assert _same_bits(got[on_table],
+                      table[(np.abs(j[on_table]) * stride).astype(int)])
 
 
 def _cellwise_transform(f, xi):
