@@ -1,7 +1,7 @@
 """The parts of ``tools/bench_pairs.py`` that a record's comparisons rest
 on: the line pairing recorded when the two sides' outputs differ, the
-README command lines both sides run, the runtime mask of verdict CSVs and
-the per-check runtimes read from them."""
+README command lines both sides run and their timed runs, the runtime mask
+of verdict CSVs and the per-check runtimes read from them."""
 
 from pathlib import Path
 
@@ -11,6 +11,7 @@ from fracform.verify import VerdictRecord
 
 bench_pairs = load_tool("bench_pairs")
 check_runtimes = bench_pairs.check_runtimes
+cli_runs = bench_pairs.cli_runs
 differing_lines = bench_pairs.differing_lines
 mask_runtimes = bench_pairs.mask_runtimes
 readme_examples = bench_pairs.readme_examples
@@ -105,3 +106,45 @@ def test_check_runtimes_read_the_verdict_table(tmp_path):
         "step-approximation-rate": 0}
     assert check_runtimes(b"check_id,status,measured,tolerance,runtime_ms\n"
                           b"a,PASS,1;2,0.1,3.25\n") == {"a": 3.25}
+
+
+# a stand-in ``fracform.cli`` that logs each run's working directory in its
+# checkout, then prints what it found there and writes one file
+_FAKE_CLI = """import os, sys
+from pathlib import Path
+with open(Path(__file__).resolve().parents[2] / "runs.log", "a") as log:
+    log.write(os.getcwd() + "\\n")
+print(sorted(os.listdir()), sys.argv[1:], {tag!r})
+Path("out.txt").write_text("written")
+"""
+
+
+def _fake_checkout(root, tag):
+    pkg = root / "src" / "fracform"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(_FAKE_CLI.format(tag=tag))
+    (root / "README.md").write_text(_DOC)
+    return root
+
+
+def test_cli_lines_are_timed_in_three_fresh_processes(tmp_path):
+    dirs = {"parent": _fake_checkout(tmp_path / "parent", "old"),
+            "change": _fake_checkout(tmp_path / "change", "new")}
+    record = cli_runs(dirs)
+    lines = ["fracform energy --alpha 0.5 --function indicator:0,1",
+             "fracform verify --list"]
+    for side, root in dirs.items():
+        assert list(record[side]) == lines
+        for line in lines:
+            entry = record[side][line]
+            assert isinstance(entry["wall_s"], float) and entry["wall_s"] > 0
+            assert entry["exit_code"] == 0 and entry["files"] == ["out.txt"]
+            assert entry["identical"] == {"exit_code": True, "stdout": False,
+                                          "stderr": True, "files": True}
+        # three runs per line, each in a working directory of its own
+        cwds = (root / "runs.log").read_text().splitlines()
+        assert len(cwds) == 3 * len(lines) == len(set(cwds))
+    moved = record["change"][lines[1]]["differing_lines"]
+    assert moved == {"stdout": [["[] ['verify', '--list'] old",
+                                 "[] ['verify', '--list'] new"]]}

@@ -208,3 +208,57 @@ def test_equality_and_hash_do_not_read_arrays(cls):
     # by identity, or by the fields that hold no array
     assert (value == copy) is cls.__dataclass_params__.eq
     assert len({value, copy}) == (1 if cls.__dataclass_params__.eq else 2)
+
+
+# every type with an array field -> (a fresh value, the outputs a copy must
+# repeat; the first call fills the value's caches)
+WARMED = {
+    GridFunction: (
+        lambda: GridFunction(0.0, 0.25, _tapered()),
+        lambda f: (f.increment_autocorr, f.l2_norm_sq(), f.support_interval(),
+                   f.total_variation(), f.trimmed().values,
+                   discrete_fourier(f, 4.0, 9).amplitudes,
+                   transform_at(f, _frequencies()))),
+    StepFunction: (
+        lambda: StepFunction([0.0, 0.5, 1.0], [1.0, -2.0]),
+        lambda s: (s(_increasing()), s.l2_norm_sq(), s.span(),
+                   s.sample(0.25).values)),
+    FourierTable: (
+        lambda: discrete_fourier(GridFunction(0.0, 0.25, _tapered()), 4.0, 9),
+        lambda t: (t.frequencies, t.amplitudes)),
+    SymbolCurve: (
+        lambda: levy_symbol(DENSITY, _frequencies()),
+        lambda c: (c.xi_grid, c.psi_values)),
+    ScaleFunction: (
+        lambda: scale_from_open_set(IntervalSet.of((0.0, 1.0), (2.0, 3.0))),
+        lambda s: (s(_increasing()), s.breakpoints, s.cumulative)),
+    SignedMeasure: (
+        lambda: pushforward_measure(GridFunction(0.0, 0.25, _tapered())),
+        lambda m: (m.integrate(TENT), m.lo, m.hi, m.density)),
+}
+
+
+def _same_outputs(a, b) -> bool:
+    """Equal outputs, arrays by dtype, shape and bytes."""
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(map(_same_outputs, a, b)))
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_every_array_holder_is_warmed():
+    assert WARMED.keys() == VALUES.keys()
+
+
+@pytest.mark.parametrize("cls", WARMED, ids=lambda cls: cls.__name__)
+def test_warm_pickle_is_no_larger_and_repeats_the_outputs(cls):
+    make, outputs = WARMED[cls]
+    cold = pickle.dumps(make())
+    value = make()
+    want = outputs(value)
+    assert _same_outputs(outputs(value), want)      # the warm calls agree
+    warm = pickle.dumps(value)
+    assert len(warm) <= len(cold)
+    assert _same_outputs(outputs(pickle.loads(warm)), want)

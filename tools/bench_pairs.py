@@ -27,12 +27,14 @@ CSV in a temporary output directory, whether each seed's stdout is
 byte-identical between the sides and, for a seed where it is not, the
 pairs of lines that differ, so a record shows which printed value moved.
 Each side then runs every ``fracform`` line of the ``sh`` block under the
-change's README heading "Command line" as ``python -m fracform.cli``, each
-in a fresh temporary working directory; its ``info.cli`` records, per
-line, the exit code, whether the exit code, stdout, stderr and every
-written file are byte-identical between the sides (the ``runtime_ms``
-column of verdict CSVs masked) and the differing line pairs of each output
-that is not.  Last, each side runs a cold
+change's README heading "Command line" as ``python -m fracform.cli``
+three times, the sides alternating, each run a fresh process in a fresh
+temporary working directory; its ``info.cli`` records, per line, the
+median wall time of the three runs, and from the first run the exit code,
+whether the exit code, stdout, stderr and every written file are
+byte-identical between the sides (the ``runtime_ms`` column of verdict
+CSVs masked) and the differing line pairs of each output that is not.
+Last, each side runs a cold
 ``python -c "import fracform"`` five times, the sides alternating, and its
 ``info.import`` records the median wall time.  All three are reported,
 never gated.  Every run leaves ``FSL_OUT_DIR`` unset.  Standard library
@@ -70,6 +72,7 @@ CLI = ["-m", "fracform.cli"]
 VERIFY = [*CLI, "verify", "--suite", "all", "--seed"]
 VERIFY_SEEDS = (0, 7)
 VERIFY_TIMED_RUNS = 3  # at the first seed
+CLI_TIMED_RUNS = 3    # per README command line
 IMPORT = ["-c", "import fracform"]
 IMPORT_RUNS = 5
 
@@ -222,26 +225,32 @@ def mask_runtimes(data: bytes) -> bytes:
 
 
 def cli_outputs(checkout: Path, args: list) -> dict:
-    """Exit code, stdout, stderr and written files (relative path ->
-    bytes, runtimes masked) of ``python -m fracform.cli args`` on
-    ``checkout``'s ``src``, in a fresh temporary working directory."""
+    """Exit code, stdout, stderr, written files (relative path -> bytes,
+    runtimes masked) and wall time in seconds of ``python -m fracform.cli
+    args`` on ``checkout``'s ``src``, in a fresh temporary working
+    directory."""
     with tempfile.TemporaryDirectory(prefix="cli-") as cwd:
-        proc, _ = run_python(checkout, [*CLI, *args], text=False, cwd=cwd)
+        proc, wall = run_python(checkout, [*CLI, *args], text=False, cwd=cwd)
         files = {str(p.relative_to(cwd)): mask_runtimes(p.read_bytes())
                  for p in sorted(Path(cwd).rglob("*")) if p.is_file()}
     return {"exit_code": proc.returncode, "stdout": proc.stdout,
-            "stderr": proc.stderr, "files": files}
+            "stderr": proc.stderr, "files": files, "wall_s": wall}
 
 
 def cli_runs(dirs: dict) -> dict:
-    """Per side and README example line, the exit code, the files written,
-    whether each output is byte-identical between the sides and the
-    differing line pairs of each output that is not."""
+    """Per side and README example line, the median wall time of
+    CLI_TIMED_RUNS runs, the sides alternating, and from the first run the
+    exit code, the files written, whether each output is byte-identical
+    between the sides and the differing line pairs of each output that is
+    not."""
     readme = (dirs["change"] / "README.md").read_text(encoding="utf-8")
     out = {side: {} for side in SIDES}
     for argv in readme_examples(readme):
-        res = {side: cli_outputs(dirs[side], argv[1:]) for side in SIDES}
-        p, c = res["parent"], res["change"]
+        runs = {side: [] for side in SIDES}
+        for i in range(CLI_TIMED_RUNS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                runs[side].append(cli_outputs(dirs[side], argv[1:]))
+        p, c = runs["parent"][0], runs["change"][0]
         names = sorted(set(p["files"]) | set(c["files"]))
         outputs = {"stdout": (p["stdout"], c["stdout"]),
                    "stderr": (p["stderr"], c["stderr"]),
@@ -256,8 +265,10 @@ def cli_runs(dirs: dict) -> dict:
                      "files": not set(moved) - {"stdout", "stderr"}}
         for side in SIDES:
             out[side][shlex.join(argv)] = {
-                "exit_code": res[side]["exit_code"],
-                "files": sorted(res[side]["files"]),
+                "wall_s": round(statistics.median(
+                    r["wall_s"] for r in runs[side]), 3),
+                "exit_code": runs[side][0]["exit_code"],
+                "files": sorted(runs[side][0]["files"]),
                 "identical": identical, "differing_lines": moved}
     return out
 
