@@ -18,25 +18,23 @@ any frequencies, uniform grids included.  With j' = j - N // 2 and
 x_c = x_(N // 2), S_k = e^(i xi_k x_c) F(xi_k h mod 2 pi) for
 F(t) = sum_j' f_j' e^(i j' t).  K is the smallest power of two
 >= max(3 N, 2 * _TAPS), so at least 3x oversampling, and the kernel
-psi(t) = phi(t / a), a = 7 * 2 pi / K, spans the ``_TAPS`` = 14 grid steps
-around t.  The samples are divided by its Fourier coefficients
+psi(t) = phi(t / a), a = 14 pi / K, spans the ``_TAPS`` = 14 grid points
+nearest t.  The samples are divided by its Fourier coefficients
 (a / 2 pi) Phi(j' a), Phi(u) = int_-1^1 phi(z) cos(u z) dz, one FFT samples
 the quotient at the K points 2 pi m / K, and the trapezoid sum of psi over
-the 14 points nearest each t_k gives F(t_k) back.  Phi has no closed form:
-it is a Gauss-Legendre sum, kept once as a table at the points of a 2^15-
-point grid, which every smaller K reads at a stride.  beta = 0.97 pi 14
-(1 - 1/6) is set for 3x oversampling; more only helps.  The error of ES
-gridding is estimated, asymptotically and not as a bound, at
-e^(-pi w sqrt(1 - 1/sigma)) of sum |f_j| for w = 14 taps and oversampling
+those 14 points gives F(t_k) back.  Phi has no closed form; a
+Gauss-Legendre sum gives it once, as a table that every K <= 2^15 reads at
+a stride.  beta = 0.97 pi 14 (1 - 1/6) is set for 3x oversampling, and
+more only helps.  The ES error is estimated, asymptotically and not as a
+bound, at e^(-pi w sqrt(1 - 1/sigma)) of sum |f_j| for w = 14 taps and
 sigma = K / N: ~2e-16 at sigma = 3.  Measured against the explicit sum,
 max |difference| / sum |f_j| is 0.6-1.8e-15 on the benchmark's geometric
-2048-frequency sets at N = 257-1366 (sigma 3.0-6.0), and at most ~3e-13 at
-its 4097-node x 32769-frequency solve and for |xi x| <= 2000, the order of
-one phase's rounding, eps |xi x| -- the same as the 24-tap Gaussian kernel
-this one replaced.  It takes O(K log K + 14 M) time and O(K + M) memory.
-Every frequency's value is computed elementwise from the same K-point grid,
-so it does not depend on which other frequencies are requested or in what
-order.
+2048-frequency sets at N = 257-1366 (sigma 3-6), and at most ~3e-13 at its
+4097-node x 32769-frequency solve and for |xi x| <= 2000, the order of one
+phase's rounding, eps |xi x|.  It takes O(K log K + 14 M) time and
+O(K + M) memory.  Every frequency's value is computed elementwise from the
+same K-point grid, so it does not depend on which other frequencies are
+requested or in what order.
 
 Everything but the deconvolution, the FFT and the tap loop depends on the
 trimmed grid and the frequencies only, not on the samples: K, each
@@ -49,8 +47,7 @@ with the weight rows, ~0.3 MiB per plan and 4.75 MiB at most.  A larger
 set gets a plan for its one call without weight rows, and its tap loop
 computes each tap's weights into one M-sized buffer.  On a 2-core x86-64
 machine a 2048-frequency call on 257-1025 nodes takes ~0.15-0.2 ms from a
-kept plan (~0.22-0.28 ms with the Gaussian kernel); the results are the
-same bits with or without one.
+kept plan; the results are the same bits with or without one.
 """
 
 from __future__ import annotations
@@ -210,9 +207,9 @@ def _grid_sum(g: GridFunction, plan: _FrequencyPlan) -> np.ndarray:
     j = np.arange(-j0, n - j0)
     fine = np.zeros(plan.size)
     fine[j % plan.size] = g.values / _es_coefficients(plan.size, j)
-    # the kernel's Fourier coefficients are (a / 2 pi) Phi(j a), a = 7 2pi/K
+    # divided by the coefficients (a / 2 pi) Phi(j a): 2 pi / a = K / 7
     grid = np.fft.ifft(fine) * (plan.size / (_TAPS // 2))
-    # one tap buffer for the whole loop (and one weight buffer in a plan
+    # one tap buffer for the whole loop (and two weight buffers in a plan
     # without rows): fresh M-sized temporaries per tap are returned to the
     # system and faulted back in (4097 nodes x 32769 frequencies, fresh
     # process: ~6400 minor faults and ~15 ms per call, against ~1200 and

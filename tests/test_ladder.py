@@ -275,29 +275,21 @@ class TestIsErased:
         assert witness.intervals == ref_witness.intervals
         assert witness.intervals == IntervalSet(witness.intervals).intervals
 
-    @pytest.mark.parametrize("case", ["identity", "zero", "flattened",
-                                      "rough-walk"])
-    def test_witness_is_what_the_constructor_builds(self, case):
-        # the witness skips the constructor's gates, sort and merge; on the
-        # pairs above and on a 2048-sample walk's partial sums it holds the
-        # intervals the constructor makes of its pieces
-        g = two_bump() if case != "rough-walk" else rough_walk(2048, 3)
-        if case == "rough-walk":
-            tree = ladder_decompose(g, g.n_nodes, 0.0)
-            fs = [tree.partial_sum(k) for k in
-                  (1, tree.n_nodes // 4, tree.n_nodes // 2, tree.n_nodes)]
-        else:
-            fs = [{"identity": g,
-                   "zero": g.with_values(np.zeros_like(g.values)),
-                   "flattened": g.with_values(
-                       np.where(g.x > 1.0, 0.0, g.values))}[case]]
-        for f in fs:
+    def test_witness_is_what_the_constructor_builds_on_a_rough_walk(self):
+        # the witness skips the constructor's gates, sort and merge; on a
+        # 2048-sample walk's partial sums, with up to hundreds of
+        # components, it holds the intervals the constructor makes of them
+        g = rough_walk(2048, 3)
+        tree = ladder_decompose(g, g.n_nodes, 0.0)
+        sizes = []
+        for k in (1, tree.n_nodes // 4, tree.n_nodes // 2, tree.n_nodes):
+            f = tree.partial_sum(k)
             ok, witness = is_erased_function(f, g)
             assert ok and type(witness) is IntervalSet
             assert witness.intervals == IntervalSet(witness.intervals).intervals
             assert witness.intervals == _reference_is_erased(f, g)[1].intervals
-        assert case != "rough-walk" or len(
-            is_erased_function(fs[1], g)[1]) > 100
+            sizes.append(len(witness))
+        assert max(sizes) > 100
 
 
 def admissible_plateau(rng, a=0.0, b=1.0, rho=0.5, step=1.0 / 32.0):

@@ -173,46 +173,9 @@ def test_no_dataclass_compares_arrays_by_value():
     assert by_value == []
 
 
-# every type with an array field -> a value of it
+# every type with an array field -> (a fresh value, the outputs a copy of it
+# must repeat; the first call fills the value's caches)
 VALUES = {
-    GridFunction: lambda: TENT,
-    StepFunction: lambda: STEP,
-    FourierTable: lambda: discrete_fourier(TENT, 4.0, 9),
-    SymbolCurve: lambda: levy_symbol(DENSITY, _frequencies()),
-    ScaleFunction: lambda: SCALE,
-    SignedMeasure: lambda: pushforward_measure(TENT),
-}
-
-
-def test_every_array_holder_is_pickled():
-    assert {cls for cls in _dataclasses() if _array_fields(cls)} == \
-        VALUES.keys()
-
-
-@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
-def test_pickle_returns_read_only_copies(cls):
-    value = VALUES[cls]()
-    copy = pickle.loads(pickle.dumps(value))
-    assert type(copy) is cls
-    for f in _array_fields(cls):
-        got, want = getattr(copy, f.name), getattr(value, f.name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert not got.flags.writeable and not want.flags.writeable
-
-
-@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
-def test_equality_and_hash_do_not_read_arrays(cls):
-    value = VALUES[cls]()
-    copy = pickle.loads(pickle.dumps(value))
-    assert value == value and len({value, value}) == 1
-    # by identity, or by the fields that hold no array
-    assert (value == copy) is cls.__dataclass_params__.eq
-    assert len({value, copy}) == (1 if cls.__dataclass_params__.eq else 2)
-
-
-# every type with an array field -> (a fresh value, the outputs a copy must
-# repeat; the first call fills the value's caches)
-WARMED = {
     GridFunction: (
         lambda: GridFunction(0.0, 0.25, _tapered()),
         lambda f: (f.increment_autocorr, f.l2_norm_sq(), f.support_interval(),
@@ -238,6 +201,32 @@ WARMED = {
 }
 
 
+def test_every_array_holder_is_pickled():
+    assert {cls for cls in _dataclasses() if _array_fields(cls)} == \
+        VALUES.keys()
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_pickle_returns_read_only_copies(cls):
+    value = VALUES[cls][0]()
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls
+    for f in _array_fields(cls):
+        got, want = getattr(copy, f.name), getattr(value, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_equality_and_hash_do_not_read_arrays(cls):
+    value = VALUES[cls][0]()
+    copy = pickle.loads(pickle.dumps(value))
+    assert value == value and len({value, value}) == 1
+    # by identity, or by the fields that hold no array
+    assert (value == copy) is cls.__dataclass_params__.eq
+    assert len({value, copy}) == (1 if cls.__dataclass_params__.eq else 2)
+
+
 def _same_outputs(a, b) -> bool:
     """Equal outputs, arrays by dtype, shape and bytes."""
     if isinstance(a, tuple):
@@ -248,13 +237,9 @@ def _same_outputs(a, b) -> bool:
             and a.tobytes() == b.tobytes())
 
 
-def test_every_array_holder_is_warmed():
-    assert WARMED.keys() == VALUES.keys()
-
-
-@pytest.mark.parametrize("cls", WARMED, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
 def test_warm_pickle_is_no_larger_and_repeats_the_outputs(cls):
-    make, outputs = WARMED[cls]
+    make, outputs = VALUES[cls]
     cold = pickle.dumps(make())
     value = make()
     want = outputs(value)
