@@ -298,7 +298,6 @@ def _build_parser() -> _Parser:
                      description="fractional energies, excursion ladders, "
                                  "scale functions, capacities, jump forms")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=None,
                         help="output directory (default: $FSL_OUT_DIR or .)")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -350,6 +349,7 @@ def _build_parser() -> _Parser:
     pv.add_argument("--symbol-out", default=None)
 
     pf = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--suite", choices=sorted(SUITES), default="core")
     pf.add_argument("--list", action="store_true")
     pf.add_argument("--table-out", default="verdicts.csv")

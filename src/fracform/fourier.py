@@ -23,11 +23,12 @@ nearest t.  The samples are divided by its Fourier coefficients
 (a / 2 pi) Phi(j' a), Phi(u) = int_-1^1 phi(z) cos(u z) dz, one FFT samples
 the quotient at the K points 2 pi m / K, and the trapezoid sum of psi over
 those 14 points gives F(t_k) back.  Phi has no closed form; a
-Gauss-Legendre sum gives it once, as a table that every K <= 2^15 reads at
-a stride.  beta = 0.97 pi 14 (1 - 1/6) is set for 3x oversampling, and
-more only helps.  The ES error is estimated, asymptotically and not as a
-bound, at e^(-pi w sqrt(1 - 1/sigma)) of sum |f_j| for w = 14 taps and
-sigma = K / N: ~2e-16 at sigma = 3.  Measured against the explicit sum,
+Gauss-Legendre sum gives it once per top = max(K, 2^15), as a table that
+K reads at stride top / K, so every K <= 2^15 reads the same one.  beta =
+0.97 pi 14 (1 - 1/6) is set for 3x oversampling, and more only helps.  The
+ES error is estimated, asymptotically and not as a bound, at
+e^(-pi w sqrt(1 - 1/sigma)) of sum |f_j| for w = 14 taps and sigma = K / N:
+~2e-16 at sigma = 3.  Measured against the explicit sum,
 max |difference| / sum |f_j| is 0.6-1.8e-15 on the benchmark's geometric
 2048-frequency sets at N = 257-1366 (sigma 3-6), and at most ~3e-13 at its
 4097-node x 32769-frequency solve and for |xi x| <= 2000, the order of one
@@ -67,8 +68,7 @@ __all__ = ["FourierTable", "discrete_fourier", "transform_at"]
 _TAPS = 14  # gridding taps per frequency
 # the ES kernel's shape parameter, set for 3x oversampling; more only helps
 _BETA = 0.97 * math.pi * _TAPS * (1.0 - 1.0 / 6.0)
-# Phi is kept at the grid points of this K; a smaller power of two reads
-# every (2^15 / K)th entry
+# the least table top: every K <= 2^15 reads that table at stride 2^15 / K
 _TABLE_SIZE = 1 << 15
 
 # Plans of up to _PLAN_FREQS frequencies are kept, at most _KEPT_PLANS: 152
@@ -108,25 +108,19 @@ def _es_integral(u: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _kept_es_integrals() -> np.ndarray:
-    """Phi at u = i a for a = _TAPS pi / 2^15 and every i <= 2^15 / 6, the
-    largest |j| a grid of 2^15 points reads (n <= K / 3); read-only."""
-    table = _es_integral(np.arange(_TABLE_SIZE // 6 + 1)
-                         * (_TAPS * math.pi / _TABLE_SIZE))
+def _es_table(top: int) -> np.ndarray:
+    """Phi at u = i a for a = _TAPS pi / top and every i <= top / 6, the
+    largest |j| a grid of top points reads (n <= top / 3); read-only."""
+    table = _es_integral(np.arange(top // 6 + 1) * (_TAPS * math.pi / top))
     table.flags.writeable = False
     return table
 
 
 def _es_coefficients(size: int, j: np.ndarray) -> np.ndarray:
     """Phi(|j| a) for a = _TAPS pi / K on a grid of K = ``size`` points:
-    for K <= 2^15 the kept table read at stride 2^15 / K, whose u are the
-    same products i a bit for bit; for a larger K the same formula at its
-    own u, once per |j|."""
-    m = np.abs(j)
-    if size <= _TABLE_SIZE:
-        return _kept_es_integrals()[::_TABLE_SIZE // size][m]
-    return _es_integral(np.arange(m.max() + 1)
-                        * (_TAPS * math.pi / size))[m]
+    the table of top = max(K, 2^15) at stride top / K, the same u bits."""
+    top = max(size, _TABLE_SIZE)
+    return _es_table(top)[::top // size][np.abs(j)]
 
 
 class _FrequencyPlan:

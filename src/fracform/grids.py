@@ -565,20 +565,13 @@ class IntervalSet:
 
     # -- set algebra --------------------------------------------------------------
 
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        pieces = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo < hi:
-                    pieces.append((lo, hi))
-        return IntervalSet(tuple(pieces))
-
     _window = staticmethod(window)    # the methods' parameter shadows it
 
     def intersect_window(self, window: tuple[float, float]) -> "IntervalSet":
-        return self.intersect(IntervalSet.of(
-            self._window("window", window, finite=False)))
+        """The pieces cut to the window; the constructor drops empty ones."""
+        a, b = self._window("window", window, finite=False)
+        return IntervalSet(tuple((max(lo, a), min(hi, b))
+                                 for lo, hi in self.intervals))
 
     def complement_within(self, window: tuple[float, float]) -> "IntervalSet":
         """Open gaps of the set inside the open window (a, b): between a, the

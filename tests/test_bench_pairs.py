@@ -69,12 +69,12 @@ def test_extractor_joins_continuations_and_drops_comments():
         ["fracform", "verify", "--list"]]
 
 
-def test_extractor_reads_the_readmes_twelve_lines_as_eleven_commands():
+def test_extractor_reads_the_readmes_thirteen_lines_as_twelve_commands():
     # the capacity example is continued on a second line
     lines = readme_examples(README.read_text(encoding="utf-8"))
     assert [argv[1] for argv in lines] == [
         "energy", "energy", "ladder", "scale", "capacity", "levy", "verify",
-        "verify", "verify", "energy", "levy"]
+        "verify", "verify", "energy", "levy", "energy"]
     assert lines[4] == ["fracform", "capacity", "--target", "[[-0.1, 0.1]]",
                         "--alpha-star", "0.5", "--domain=-2,2", "--step",
                         "0.002", "--out", "cap.json"]

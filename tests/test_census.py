@@ -27,7 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 UNREACHED = {
     "cli._Parser.error": "error path",
     "cli._read_json": "input path",                     # json: and --triplet
-    "energy.EnergyReport.to_json_dict": "input path",   # energy --out
     "energy.calibrate_c_of_alpha": "perfbench: spectral",
     "energy.fourier_energy": "perfbench: spectral",
     "energy.fourier_gagliardo_ratio": "perfbench: spectral",

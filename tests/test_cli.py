@@ -280,6 +280,26 @@ def test_unusable_out_dir_is_one_error_line(where, tmp_path, monkeypatch):
     assert plain.read_text(encoding="utf-8") == "x"
 
 
+@pytest.mark.parametrize("args", [
+    ["energy", "--alpha", "0.5", "--function", "bump:0,1", "--out", "e.json"],
+    ["ladder", "--function", "bump:0,1"],
+    ["scale"],
+    ["capacity", "--target", "[[0, 1]]", "--alpha-star", "0.5",
+     "--domain=-2,2", "--step", "0.01", "--out", "c.json"],
+    ["levy", "--sigma", "1", "--symbol-out", "s.csv"],
+], ids=lambda args: args[0])
+def test_seed_is_a_verify_option_only(args, tmp_path, monkeypatch):
+    # the other subcommands draw nothing at random, so they take no seed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FSL_OUT_DIR", raising=False)
+    code, stdout, stderr, escaped = _run_main(args + ["--seed", "1"])
+    assert (code, escaped, stdout) == (1, None, "")
+    errors = [line for line in stderr.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: unrecognized arguments: --seed 1"], stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def _readme_example(argv):
     if argv[1:4] == ["verify", "--suite", "all"]:
         return pytest.param(argv, marks=pytest.mark.xfail(

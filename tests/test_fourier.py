@@ -503,9 +503,9 @@ def test_kernel_integral_table_against_mpmath(where):
     # mpmath's tanh-sinh quadrature at 50 digits, a route that shares no
     # code with the Gauss-Legendre sums of the table
     import mpmath
-    table = fourier._kept_es_integrals()
+    table = fourier._es_table(1 << 15)
     i = {"zero": 0, "middle": table.size // 2, "last": table.size - 1}[where]
-    u = i * (fourier._TAPS * math.pi / fourier._TABLE_SIZE)
+    u = i * (fourier._TAPS * math.pi / (1 << 15))
     with mpmath.workdps(50):
         beta, u = mpmath.mpf(fourier._BETA), mpmath.mpf(u)
         want = 2 * mpmath.quad(
@@ -517,20 +517,32 @@ def test_kernel_integral_table_against_mpmath(where):
 
 @pytest.mark.parametrize("size", [1 << 13, 1 << 16])
 def test_kernel_coefficients_equal_a_direct_evaluation(size):
-    # a grid below 2^15 points reads the kept table at a stride, and the
-    # products i a are the same bits as the direct |j| a; a larger grid
-    # evaluates its own, which at even j are the kept table's points
+    # a grid below 2^15 points reads the 2^15-point table at a stride, a
+    # larger one its own table; either way the products i a are the same
+    # bits as the direct |j| a
     n = size // 3
     j = np.arange(-(n // 2), n - n // 2)
-    got = fourier._es_coefficients(size, j)
     direct = fourier._es_integral(np.abs(j)
                                   * (fourier._TAPS * math.pi / size))
-    assert _same_bits(got, direct)
-    stride = fourier._TABLE_SIZE / size
-    on_table = np.abs(j) * stride == np.floor(np.abs(j) * stride)
-    table = fourier._kept_es_integrals()
-    assert _same_bits(got[on_table],
-                      table[(np.abs(j[on_table]) * stride).astype(int)])
+    assert _same_bits(fourier._es_coefficients(size, j), direct)
+
+
+def test_a_large_grid_builds_its_table_once(monkeypatch):
+    # 16385 nodes need K = 2^16 points: the first call may build that
+    # table, a repeat reads it, with no quadrature, and gives the same bits
+    f = GridFunction(0.0, 1.0 / 16384,
+                     np.random.default_rng(16385).standard_normal(16385))
+    xi = np.geomspace(0.5, 200.0, 2048)
+    first = transform_at(f, xi)
+    misses = fourier._es_table.cache_info().misses
+
+    def refused(u):
+        raise AssertionError("Phi evaluated again")
+    monkeypatch.setattr(fourier, "_es_integral", refused)
+    assert _same_bits(transform_at(f, xi), first)
+    assert fourier._es_table.cache_info().misses == misses
+    for top in (1 << 15, 1 << 16):
+        assert not fourier._es_table(top).flags.writeable
 
 
 def _cellwise_transform(f, xi):

@@ -468,9 +468,10 @@ class TestIntervalSet:
         assert s.intersect_window((0.3, 0.3)).is_empty
 
     def test_intersect(self):
-        a = IntervalSet.of((0.0, 2.0), (3.0, 4.0))
-        b = IntervalSet.of((1.0, 3.5))
-        assert a.intersect(b).intervals == ((1.0, 2.0), (3.0, 3.5))
+        a = IntervalSet.of((0.0, 2.0), (3.0, 4.0), (5.0, 6.0))
+        assert a.intersect_window((1.0, 3.5)).intervals == \
+            ((1.0, 2.0), (3.0, 3.5))
+        assert a.intersect_window((2.0, 3.0)).is_empty
 
     def test_json_sentinels(self):
         s = IntervalSet.of((-math.inf, -1.0), (0.0, 1.0), (2.0, math.inf))
