@@ -23,12 +23,15 @@ rho_profile), and h B(0), h B(1) are the capacity operator's Gram row.
 
 The form splits in two.  increment_autocorr gives c_k = sum_i d_i d_(i+k),
 which does not depend on alpha; _increment_form dots c with one alpha's
-lag weights.  Up to 2^13 increments c is one zero-padded real FFT, its
-power spectrum squared in place.  Beyond, it is correlated by halves
-(Stockham's sectioned correlation, AFIPS 1966): the two halves' FFTs of
-half the size run side by side, one on a helper thread started and joined
-within the call (numpy's FFT releases the GIL), or both on the caller's
-thread when no thread can be started; the bits are the same either way.
+lag weights.  Up to 2^13 increments c is one real FFT of m increments
+zero-padded to the least power of two N >= 2m - 2, its power spectrum
+squared in place; at N = 2m - 2 lag m - 1 meets its mirror image, so
+c_(m-1) is written directly as d_0 d_(m-1).  Beyond, it is correlated by
+halves (Stockham's sectioned correlation, AFIPS 1966): the two halves'
+FFTs of half the size run side by side, one on a helper thread started
+and joined within the call (numpy's FFT releases the GIL), or both on the
+caller's thread when no thread can be started; the bits are the same
+either way.
 GridFunction.increment_autocorr keeps c, so a function evaluated at
 several exponents correlates once.  The lag weights
 depend only on alpha and the order, not on the data, and a table of n lags
@@ -40,8 +43,9 @@ never kept: the form takes them in blocks of 2^13 lags (64 KiB), each
 computed and dotted with its slice of c while it sits in cache, so an
 energy at a new alpha allocates a few blocks beyond c.  A first energy
 of n support nodes peaks at about 40 bytes per node above the samples
-(the increments, the FFT buffers and their spectra: one 2n-point buffer,
-or two n-point ones for the halves), and c keeps 8.
+(the increments, the FFT buffers and their spectra: one buffer of the
+least power of two >= 2n - 4 points, or two of >= n - 2 points for the
+halves), and c keeps 8.
 Only hat_energy_row, whose capacity solve needs the whole row, builds a
 long table whole.
 
@@ -101,7 +105,7 @@ def _slope_autocorr(s: np.ndarray) -> np.ndarray:
         return np.zeros(1)
     # the zero padding is written here, so numpy makes no padded copy; the
     # power spectrum is formed in place and transformed back into the buffer
-    nfft = 1 << (2 * s.size - 2).bit_length()
+    nfft = _circular_size(2 * s.size - 2)
     buf = np.zeros(nfft)
     buf[:s.size] = s
     spec = np.fft.rfft(buf)
@@ -114,28 +118,42 @@ def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     # the spectrum goes before the copy, so the copy does not raise the peak
     # of buffer and spectrum; the copy does not keep the buffer alive
     del spec, re, im
+    if nfft == 2 * s.size - 2:          # lag m - 1 wrapped onto itself
+        buf[s.size - 1] = s[0] * s[-1]
     return buf[:s.size].copy()
+
+
+def _circular_size(least: int) -> int:
+    """The least power of two >= least that a circular correlation or
+    Toeplitz product is embedded in.  Lags 0 .. m-1 of m samples need
+    N >= 2m - 2: at N = 2m - 2 only lag m - 1 meets its mirror image,
+    lag -(m-1), at one index, and a symmetric Toeplitz row's last entry
+    belongs there once (the minimal circulant embedding; Dietrich and
+    Newsam, SIAM J. Sci. Comput. 18, 1997)."""
+    return 1 << max(least - 1, 0).bit_length()
 
 
 def _split_autocorr(s: np.ndarray) -> np.ndarray:
     """_slope_autocorr from the halves s1 = s[:h] and s2 = s[h:],
-    h = ceil(m/2) of m slopes, each zero-padded to N = 2^ceil(log2(2h-1))
-    points, half the size of one whole transform (Stockham's sectioned
-    correlation).  With S1, S2 their spectra, irfft(|S1|^2 + |S2|^2) is the
-    halves' autocorrelations summed, a_k at lags 0 .. h-1, and
-    irfft(conj(S1) S2) holds x_j = sum_i s1_i s2_(i+j) at index j mod N for
-    -(h-1) <= j <= m-h-1, which N >= m - 1 keeps from wrapping; so
-    c_k = a_k + x_(k-h).  The halves' forward transforms run side by side,
-    and so do their inverses.
+    h = ceil(m/2) of m slopes, each zero-padded to the least power of two
+    N >= m - 1, which is >= 2h - 2, half the size of one whole transform
+    (Stockham's sectioned correlation).  With S1, S2 their spectra,
+    irfft(|S1|^2 + |S2|^2) is the halves' autocorrelations summed, a_k at
+    lags 0 .. h-1, and irfft(conj(S1) S2) holds x_j = sum_i s1_i s2_(i+j)
+    at index j mod N for -(h-1) <= j <= m-h-1, which N >= m - 1 keeps from
+    wrapping; so c_k = a_k + x_(k-h).  At N = 2h - 2 (m = 2^k + 1, when
+    s2 has h - 1 slopes) the halves' lag h - 1 wraps onto itself and is
+    written directly, as s1_0 s1_(h-1).  The halves' forward transforms run
+    side by side, and so do their inverses.
 
     Every buffer is allocated on this thread.  The pads hold the power
     spectrum's scratch and then the inverses, so the peak is the two pads
     and two spectra, as large as one whole transform's buffer and spectrum:
-    32 bytes per slope at m = 2^k - 1, 64 just above 2^k.
+    32 bytes per slope from m = 2^k - 1 to 2^k + 1, 64 just above.
     """
     m = s.size
     h = (m + 1) // 2
-    nfft = 1 << (2 * h - 2).bit_length()
+    nfft = _circular_size(m - 1)
     pads = np.zeros((2, nfft))
     pads[0, :h] = s[:h]
     pads[1, :m - h] = s[h:]
@@ -157,11 +175,15 @@ def _split_autocorr(s: np.ndarray) -> np.ndarray:
     im[:] = 0.0
     _side_by_side(functools.partial(np.fft.irfft, s1, nfft, out=pads[0]),
                   functools.partial(np.fft.irfft, s2, nfft, out=pads[1]))
-    del specs, s1, s2, re, im           # so the copy does not raise the peak
+    del specs, s1, s2, re, im           # so c does not raise the peak
     a, x = pads
-    a[h:m] = x[:m - h]
-    a[1:h] += x[nfft - h + 1:]
-    return a[:m].copy()
+    c = np.empty(m)                     # N = m - 1 leaves no room in a pad
+    c[:h] = a[:h]
+    if nfft == 2 * h - 2:               # lag h - 1 wrapped onto itself
+        c[h - 1] = s[0] * s[h - 1]
+    c[h:] = x[:m - h]
+    c[1:h] += x[nfft - h + 1:]
+    return c
 
 
 def _side_by_side(first, second):

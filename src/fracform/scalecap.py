@@ -21,6 +21,7 @@ and Ng, SIAM Review 1996).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,8 @@ import numpy as np
 from . import grids
 from .grids import (GridFunction, IntervalSet, grid_nodes, grid_size,
                     positive_number, real_number)
-from .quadcells import gagliardo_of_values, hat_energy_row
+from .quadcells import (_KEPT_LAGS, _circular_size, gagliardo_of_values,
+                        hat_energy_row)
 
 __all__ = [
     "ScaleFunction",
@@ -359,15 +361,42 @@ class CapacityEstimate:
 
 def _e1_spectrum(n: int, h: float, alpha_star: float) -> np.ndarray:
     # K[i, j] = row[|i - j|] for the stiffness plus the hat Gram row
-    # (2h/3, h/6), embedded in the circulant of power-of-two length whose
-    # first column is row[|k|], k = -(n-1) .. n-1, zero-padded: an even
-    # sequence, so its eigenvalues are real; hfft gives the nfft // 2 + 1 of
-    # them that an rfft product reads.  They are at least the truncated row
-    # sum of the stiffness, which is positive, plus h/3 from the mass.
+    # (2h/3, h/6), embedded in the circulant of the least power-of-two
+    # length N >= 2n - 2 whose first column is row[|k|],
+    # k = -(n-1) .. n-1, zero-padded; at N = 2n - 2 (the minimal embedding)
+    # lags n - 1 and -(n-1) share one entry, row[n-1], once.  The column is
+    # even, so the eigenvalues are real; hfft gives the N // 2 + 1 of them
+    # that an rfft product reads.  Where the stiffness row is negative off
+    # lag 0, its circulant's eigenvalues are at least its column sum, which
+    # counts row[n-1] once at N = 2n - 2 and twice above, so at least the
+    # truncated row sum over |k| < n, positive as the tail it leaves out is
+    # negative.  The mass adds at least h/3.
     row = hat_energy_row(n, h, alpha_star)
     row[:2] += (2.0 * h / 3.0, h / 6.0)
-    nfft = 1 << (2 * n - 2).bit_length()
+    nfft = _circular_size(2 * n - 2)
     return np.fft.hfft(row, nfft)[:nfft // 2 + 1]
+
+
+def _e1_operator(n: int, h: float, alpha_star: float) -> tuple:
+    """The E1 spectrum and its inverse, the preconditioner's, both
+    read-only; where alpha_star is tiny the spectrum overflows, and the
+    caller refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = _e1_spectrum(n, h, alpha_star)
+    inverse = 1.0 / spectrum
+    spectrum.flags.writeable = False
+    inverse.flags.writeable = False
+    return spectrum, inverse
+
+
+# Grids of at most _KEPT_LAGS nodes keep their operator, N <= 2^14: a
+# spectrum and an inverse of 2^13 + 1 entries, 128 KiB, and 2 MiB for all.
+_KEPT_OPERATORS = 16
+
+
+@functools.lru_cache(maxsize=_KEPT_OPERATORS)
+def _kept_e1_operator(n: int, h: float, alpha_star: float) -> tuple:
+    return _e1_operator(n, h, alpha_star)
 
 
 _CG_RTOL = 1e-12               # CG stops once ||r|| < _CG_RTOL ||b||
@@ -444,9 +473,10 @@ def capacity_estimate(target: IntervalSet, alpha_star: float,
         v[mask] = 0.0
         return v
 
+    spectrum, inverse = (_kept_e1_operator if n <= _KEPT_LAGS
+                         else _e1_operator)(n, h, alpha_star)
     uc = mask.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = _e1_spectrum(n, h, alpha_star)
         b_rhs = -apply(uc, spectrum)
         b_norm_sq = np.dot(b_rhs, b_rhs)
     # CG's stopping rule compares against ||b||, read from ||b||^2, which
@@ -454,7 +484,6 @@ def capacity_estimate(target: IntervalSet, alpha_star: float,
     if not (np.isfinite(spectrum).all() and math.isfinite(b_norm_sq)):
         raise ValueError(f"the E1 system at alpha_star={alpha_star!r} "
                          f"overflows float64")
-    inverse = 1.0 / spectrum
 
     z, history = _cg(lambda p: apply(p, spectrum), b_rhs,
                      _CG_ITERATIONS_PER_NODE * n, lambda r: apply(r, inverse))
@@ -469,7 +498,9 @@ def capacity_estimate(target: IntervalSet, alpha_star: float,
     clamp_violation = float(max(0.0, -u.min(), u.max() - 1.0))
     u = np.clip(u, 0.0, 1.0)
     padded = np.concatenate([[0.0], u, [0.0]])
-    eq = GridFunction(lo - h, h, padded)
+    # finite: a non-finite iterate leaves a non-finite residual norm, and
+    # the solve has failed above
+    eq = GridFunction._made(lo - h, h, padded)
     value = gagliardo_of_values(padded, h, alpha_star) + eq.l2_norm_sq()
     return CapacityEstimate(value, eq, residual, h, clamp_violation, history)
 

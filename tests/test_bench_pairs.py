@@ -1,7 +1,8 @@
 """The parts of ``tools/bench_pairs.py`` that a record's comparisons rest
 on: the line pairing recorded when the two sides' outputs differ, the
 README command lines both sides run and their timed runs, the runtime mask
-of verdict CSVs and the per-check runtimes read from them."""
+of verdict CSVs, the per-check runtimes read from them and the census of
+unreached functions."""
 
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from fracform.cli import emit_table
 from fracform.verify import VerdictRecord
 
 bench_pairs = load_tool("bench_pairs")
+census_runs = bench_pairs.census_runs
 check_runtimes = bench_pairs.check_runtimes
 cli_runs = bench_pairs.cli_runs
 differing_lines = bench_pairs.differing_lines
@@ -148,3 +150,37 @@ def test_cli_lines_are_timed_in_three_fresh_processes(tmp_path):
     moved = record["change"][lines[1]]["differing_lines"]
     assert moved == {"stdout": [["[] ['verify', '--list'] old",
                                  "[] ['verify', '--list'] new"]]}
+
+
+# a stand-in ``tools/census.py`` that prints a fixed reachability map
+_FAKE_CENSUS = """import json, sys
+print(json.dumps({reached!r}))
+sys.exit({code})
+"""
+
+
+def _census_checkout(root, reached, code=0):
+    (root / "tools").mkdir(parents=True)
+    (root / "tools" / "census.py").write_text(
+        _FAKE_CENSUS.format(reached=reached, code=code))
+    return root
+
+
+def test_census_records_each_sides_unreached_functions(tmp_path):
+    dirs = {"parent": _census_checkout(
+                tmp_path / "parent",
+                {"m.b": [], "m.a": [], "m.c": ["fracform verify --list"]}),
+            "change": _census_checkout(
+                tmp_path / "change", {"m.a": ["fracform verify --list"]})}
+    assert census_runs(dirs) == {
+        "parent": {"exit_code": 0, "unreached": ["m.a", "m.b"]},
+        "change": {"exit_code": 0, "unreached": []}}
+
+
+def test_a_failed_census_is_recorded_not_raised(tmp_path):
+    dirs = {"parent": _census_checkout(tmp_path / "parent", {}, code=1),
+            "change": tmp_path / "change"}       # no census at all
+    (tmp_path / "change").mkdir()
+    assert census_runs(dirs) == {
+        "parent": {"exit_code": 1, "unreached": None},
+        "change": {"exit_code": 2, "unreached": None}}

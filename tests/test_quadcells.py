@@ -330,6 +330,34 @@ def test_split_autocorrelation_matches_direct(m):
     assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
 
 
+def _oracle_sizes():
+    return [m for j in range(4, 16) for m in (2 ** j - 1, 2 ** j, 2 ** j + 1)]
+
+
+@pytest.mark.parametrize("route", ["_slope_autocorr", "_split_autocorr"])
+@pytest.mark.parametrize("m", _oracle_sizes())
+def test_correlation_of_integer_slopes_is_exact(route, m):
+    # integer slopes correlate exactly in float64, so the rounded FFT
+    # correlation is the int64 one; m = 2^j + 1 runs at N = 2m - 2 (and the
+    # halves at N = 2h - 2), where the last lag (the halves' lag h - 1) is
+    # written directly.  _slope_autocorr takes the halves above SPLIT.
+    rng = np.random.default_rng(m)
+    s = rng.integers(-1024, 1025, m)
+    got = getattr(quadcells, route)(s.astype(float))
+    assert got.shape == (m,)
+    if m <= 1025:
+        lags = np.arange(m)
+        want = np.correlate(s, s, mode="full")[m - 1:]
+    else:
+        h = (m + 1) // 2
+        lags = np.unique(np.concatenate([[0, 1, h - 1, h, m - 1],
+                                         rng.integers(0, m, 6)]))
+        want = np.array([s[:m - k] @ s[k:] for k in lags])
+    got = got[lags]
+    assert np.array_equal(np.rint(got), want)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+
+
 def test_split_starts_above_its_threshold(monkeypatch):
     split = quadcells._split_autocorr
     sizes = []

@@ -392,6 +392,24 @@ class TestCapacity:
                 capacity_estimate(*args)
             assert err.value.residual_trace == history[:k + 1]
 
+    def test_a_non_finite_iterate_ends_in_the_solver_error(self,
+                                                            monkeypatch):
+        # the equilibrium adopts its samples without the constructor's
+        # finite gate: a NaN iterate cannot reach them, as its residual norm
+        # is NaN and the solve fails first
+        def poisoned(n, h, alpha_star):
+            spectrum, inverse = scalecap._e1_operator(n, h, alpha_star)
+            inverse = inverse.copy()
+            inverse[3] = np.nan
+            return spectrum, inverse
+
+        monkeypatch.setattr(scalecap, "_kept_e1_operator", poisoned)
+        with pytest.raises(CapacitySolverError) as err:
+            capacity_estimate(IntervalSet.of((-0.1, 0.1)), 0.5, (-1.0, 1.0),
+                              1.0 / 16.0)
+        trace = err.value.residual_trace
+        assert math.isfinite(trace[0]) and math.isnan(trace[-1])
+
     def test_residual_history_reaches_tolerance(self):
         est = capacity_estimate(IntervalSet.of((-0.3, 0.1), (0.5, 0.6)), 0.9,
                                 (-2.0, 2.0), 1.0 / 128.0)
@@ -419,12 +437,13 @@ class TestCapacity:
     @pytest.mark.parametrize("alpha_star", [0.01, 0.25, 0.5, 0.9, 1.0])
     def test_preconditioner_inverts_a_positive_circulant(self, n, alpha_star,
                                                          rng):
-        # the circulant of power-of-two length whose leading block is the
-        # stiffness plus hat mass matrix, diagonalised by a complex FFT
+        # the circulant of the least power-of-two length >= 2n - 2 (2n - 2
+        # itself at n = 9, 257) whose leading block is the stiffness plus
+        # hat mass matrix, diagonalised by a complex FFT
         h = 4.0 / (n - 1)
         row = hat_energy_row(n, h, alpha_star)
         row[:2] += (2.0 * h / 3.0, h / 6.0)
-        nfft = 1 << (2 * n - 2).bit_length()
+        nfft = 1 << (2 * n - 3).bit_length()
         col = np.zeros(nfft)
         col[:n] = row
         col[nfft - n + 1:] = row[:0:-1]
@@ -436,6 +455,33 @@ class TestCapacity:
         want = np.fft.ifft(np.fft.fft(u, nfft) / eig).real[:n]
         got = np.fft.irfft(np.fft.rfft(u, nfft) / spectrum, nfft)[:n]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("j", [3, 6, 10])
+    @pytest.mark.parametrize("alpha_star", [0.1, 0.5, 1.0])
+    def test_minimal_embedding_is_the_toeplitz_product(self, j, alpha_star,
+                                                        rng):
+        # n = 2^j + 1 nodes embed in N = 2n - 2 points, where lags n - 1
+        # and -(n-1) share row[n-1]; the product against the dense matrix
+        n = 2 ** j + 1
+        h = 4.0 / (n - 1)
+        row = hat_energy_row(n, h, alpha_star)
+        row[:2] += (2.0 * h / 3.0, h / 6.0)
+        dense = row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        spectrum = scalecap._e1_spectrum(n, h, alpha_star)
+        assert spectrum.size == n
+        u = rng.standard_normal(n)
+        want = dense @ u
+        got = np.fft.irfft(np.fft.rfft(u, 2 * n - 2) * spectrum,
+                           2 * n - 2)[:n]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("h", [1e-4, 1.0, 100.0])
+    @pytest.mark.parametrize("n", [9, 17, 1025, 4001])
+    @pytest.mark.parametrize("alpha_star", [1e-6, 0.1, 0.4, 1.0])
+    def test_spectrum_stays_positive(self, alpha_star, n, h):
+        # below alpha_star ~ 0.47 the stiffness row is positive at lag 1, so
+        # the row-sum bound does not hold; the eigenvalues stay positive
+        assert scalecap._e1_spectrum(n, h, alpha_star).min() > 0.0
 
     @pytest.mark.parametrize("alpha_star, pieces", [
         pytest.param(0.3, ((-0.25, 0.25),), id="0.3"),

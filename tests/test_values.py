@@ -24,7 +24,7 @@ from fracform import (FourierTable, GridFunction, IntervalSet, LevyTriplet,
                       StepFunction, SymbolCurve, bv_fourier_bound_check,
                       discrete_fourier, levy_symbol, make_plateau,
                       pushforward_measure, scale_from_open_set, transform_at)
-from fracform import quadcells
+from fracform import fourier, quadcells, scalecap
 from fracform.grids import PlateauSpec
 
 # the names of the unannotated parameters that take an array
@@ -247,3 +247,30 @@ def test_warm_pickle_is_no_larger_and_repeats_the_outputs(cls):
     warm = pickle.dumps(value)
     assert len(warm) <= len(cold)
     assert _same_outputs(outputs(pickle.loads(warm)), want)
+
+
+def _capacity_outputs(est) -> tuple:
+    return (est.value, est.residual_history, est.clamp_violation,
+            est.residual, est.equilibrium.values)
+
+
+def test_capacity_cold_equals_warm():
+    # the capacity layer's module caches, cleared, give the bits of the
+    # same calls served from them
+    solve = (IntervalSet.of((-0.3, 0.1), (0.5, 0.6)), 0.5, (-2.0, 2.0),
+             4.0 / 256)
+    test = (IntervalSet.of((-0.9, -0.5), (0.2, 0.3)), 0.25, (-1.0, 1.0),
+            8.0 / 256)
+    kept = scalecap._kept_e1_operator
+    for cache in (kept, quadcells._kept_lag_weights, fourier._es_table):
+        cache.cache_clear()
+    cold = (_capacity_outputs(scalecap.capacity_estimate(*solve)),
+            scalecap.concentration_test(*test))
+    assert kept.cache_info()[:2] == (1, 2)      # hits, misses
+    warm = (_capacity_outputs(scalecap.capacity_estimate(*solve)),
+            scalecap.concentration_test(*test))
+    assert kept.cache_info()[:2] == (4, 2)
+    assert _same_outputs(cold, warm)
+    for array in kept(257, 4.0 / 256, 0.5) + kept(257, 8.0 / 256, 0.25):
+        assert not array.flags.writeable
+    assert kept.cache_info()[:2] == (6, 2)

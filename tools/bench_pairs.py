@@ -34,10 +34,13 @@ median wall time of the three runs, and from the first run the exit code,
 whether the exit code, stdout, stderr and every written file are
 byte-identical between the sides (the ``runtime_ms`` column of verdict
 CSVs masked) and the differing line pairs of each output that is not.
-Last, each side runs a cold
+Each side then runs a cold
 ``python -c "import fracform"`` five times, the sides alternating, and its
-``info.import`` records the median wall time.  All three are reported,
-never gated.  Every run leaves ``FSL_OUT_DIR`` unset.  Standard library
+``info.import`` records the median wall time.  Last, each side runs
+``tools/census.py --json`` in its checkout once, and its ``info.census``
+records the exit code and the ``src/`` functions that no README command
+line or ``verify`` run reaches (None where the census did not run).  All
+four are reported, never gated.  Every run leaves ``FSL_OUT_DIR`` unset.  Standard library
 only; nothing under ``perfbench/`` is touched.
 """
 
@@ -75,6 +78,7 @@ VERIFY_TIMED_RUNS = 3  # at the first seed
 CLI_TIMED_RUNS = 3    # per README command line
 IMPORT = ["-c", "import fracform"]
 IMPORT_RUNS = 5
+CENSUS = ["tools/census.py", "--json"]
 
 
 def git(*args) -> bytes:
@@ -289,6 +293,22 @@ def import_runs(dirs: dict) -> dict:
             for side in SIDES}
 
 
+def census_runs(dirs: dict) -> dict:
+    """Per side, the exit code of one ``tools/census.py --json`` run in its
+    checkout and the sorted names of the functions it found unreached, or
+    None where it exited with an error."""
+    out = {}
+    for side in SIDES:
+        proc, _ = run_python(dirs[side], CENSUS)
+        unreached = None
+        if proc.returncode == 0:
+            unreached = sorted(name for name, entries
+                               in json.loads(proc.stdout).items()
+                               if not entries)
+        out[side] = {"exit_code": proc.returncode, "unreached": unreached}
+    return out
+
+
 def summary(values: list) -> dict:
     """Median and quartiles (inclusive method) of the runs, in run order."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -324,6 +344,7 @@ def main(argv=None) -> int:
         verify_info = verify_runs(dirs)
         cli_info = cli_runs(dirs)
         import_info = import_runs(dirs)
+        census_info = census_runs(dirs)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -335,7 +356,8 @@ def main(argv=None) -> int:
                         "tier1": tier1_runs[side],
                         "verify": verify_info[side],
                         "cli": cli_info[side],
-                        "import": import_info[side]},
+                        "import": import_info[side],
+                        "census": census_info[side]},
                "workloads": {}}
         out["src_loc"] = out["info"]["src_loc"]
         for w in workloads:
