@@ -40,8 +40,8 @@ Each side then runs a cold
 ``tools/census.py --json`` in its checkout once, and its ``info.census``
 records the exit code and the ``src/`` functions that no README command
 line or ``verify`` run reaches (None where the census did not run).  All
-four are reported, never gated.  Every run leaves ``FSL_OUT_DIR`` unset.  Standard library
-only; nothing under ``perfbench/`` is touched.
+four are reported, never gated.  Every run leaves ``FSL_OUT_DIR`` unset.
+Standard library only; nothing under ``perfbench/`` is touched.
 """
 
 from __future__ import annotations
