@@ -365,16 +365,17 @@ def _e1_spectrum(n: int, h: float, alpha_star: float) -> np.ndarray:
     # length N >= 2n - 2 whose first column is row[|k|],
     # k = -(n-1) .. n-1, zero-padded; at N = 2n - 2 (the minimal embedding)
     # lags n - 1 and -(n-1) share one entry, row[n-1], once.  The column is
-    # even, so the eigenvalues are real; hfft gives the N // 2 + 1 of them
-    # that an rfft product reads.  Where the stiffness row is negative off
-    # lag 0, its circulant's eigenvalues are at least its column sum, which
-    # counts row[n-1] once at N = 2n - 2 and twice above, so at least the
+    # even, so the eigenvalues are real; hfft gives them, and the N // 2 + 1
+    # that an rfft product reads are copied out, so a kept spectrum does not
+    # hold all N.  Where the stiffness row is negative off lag 0, its
+    # circulant's eigenvalues are at least its column sum, which counts
+    # row[n-1] once at N = 2n - 2 and twice above, so at least the
     # truncated row sum over |k| < n, positive as the tail it leaves out is
     # negative.  The mass adds at least h/3.
     row = hat_energy_row(n, h, alpha_star)
     row[:2] += (2.0 * h / 3.0, h / 6.0)
     nfft = _circular_size(2 * n - 2)
-    return np.fft.hfft(row, nfft)[:nfft // 2 + 1]
+    return np.fft.hfft(row, nfft)[:nfft // 2 + 1].copy()
 
 
 def _e1_operator(n: int, h: float, alpha_star: float) -> tuple:
