@@ -409,8 +409,15 @@ def _cg(matvec, b: np.ndarray, maxiter: int, precond):
     A x = b from x = 0, with ``precond`` applying an SPD approximation of
     A^-1; returns x and the residual norm ||r|| of every iterate, ||b|| first
     (the stopping rule reads ||r||, never the preconditioned r.z).  A zero b
-    is solved by x = 0 with no iterate: the history is empty."""
-    x, p, r = np.zeros_like(b), np.zeros_like(b), b.copy()
+    is solved by x = 0 with no iterate: the history is empty.
+
+    x, p, r and a scratch row for step * p and step * q share one block, so
+    an iteration allocates only what matvec and precond return.  At 2^15
+    nodes the block is 1 MiB; glibc raises its trim threshold when it
+    releases a block that large, so later solves keep the FFTs' per-call
+    scratch in the heap rather than fault it in afresh on every call."""
+    x, p, r, scratch = np.zeros((4, b.size))
+    r[:] = b
     if not r.any():
         return x, ()
     rho = math.inf                            # beta = 0: p = z on step one
@@ -424,8 +431,8 @@ def _cg(matvec, b: np.ndarray, maxiter: int, precond):
         p += z
         q = matvec(p)
         step = rho / np.dot(p, q)
-        x += step * p
-        r -= step * q
+        x += np.multiply(step, p, out=scratch)
+        r -= np.multiply(step, q, out=scratch)
         history.append(math.sqrt(np.dot(r, r)))
     return x, tuple(history)
 

@@ -271,6 +271,8 @@ def test_capacity_cold_equals_warm():
             scalecap.concentration_test(*test))
     assert kept.cache_info()[:2] == (4, 2)
     assert _same_outputs(cold, warm)
+    # read-only, and no view of the 512-point transform: 257 = N // 2 + 1
     for array in kept(257, 4.0 / 256, 0.5) + kept(257, 8.0 / 256, 0.25):
         assert not array.flags.writeable
+        assert array.base is None and array.shape == (257,)
     assert kept.cache_info()[:2] == (6, 2)
