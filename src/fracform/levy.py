@@ -191,12 +191,30 @@ def levy_indicator_energy(a: float, b: float, t: LevyTriplet) -> float:
     return 2.0 * mass
 
 
+def _rho_at_atoms(f: GridFunction, x: np.ndarray) -> np.ndarray:
+    """Read-only rho(x) of f at the atom positions x, kept with f."""
+    key = x.tobytes()
+    kept = f.__dict__.get("_atom_rho")  # one read: a thread may replace it
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    rho = rho_profile(f.support_values(margin=1), f.step, x)
+    rho.flags.writeable = False
+    # the function is frozen; like cached_property, fill its __dict__
+    f.__dict__["_atom_rho"] = (key, rho)
+    return rho
+
+
 def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
     """The jump-form energy of a grid function (no 1/2 prefactor).
 
     Atoms contribute 2 m rho(x) through the exact increment correlation of
     the interpolant; a density c x^(-1-alpha) adds c times the exact
-    fractional seminorm.  Consistent with 2 int |fhat|^2 psi dxi."""
+    fractional seminorm.  Consistent with 2 int |fhat|^2 psi dxi.
+
+    rho at the atoms does not depend on the masses or the density: it is
+    kept with ``f`` under the atom positions, one set per function, so
+    triplets that share their atoms on one f compute it once; a different
+    set replaces it."""
     if t.sigma > 0:
         raise ValueError("the jump form needs sigma = 0")
     _require_compact(f)
@@ -204,8 +222,7 @@ def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
     with np.errstate(over="ignore", invalid="ignore"):
         if t.atoms:
             x, m = np.array(t.atoms).T
-            value += 2.0 * float(m @ rho_profile(f.support_values(margin=1),
-                                                 f.step, x))
+            value += 2.0 * float(m @ _rho_at_atoms(f, x))
         if t.density is not None:
             value += t.density.coefficient * _increment_form(
                 f.increment_autocorr, f.step, t.density.alpha)

@@ -1,10 +1,13 @@
 """The parts of ``tools/bench_pairs.py`` that a record's comparisons rest
 on: the line pairing recorded when the two sides' outputs differ, the
 README command lines both sides run and their timed runs, the runtime mask
-of verdict CSVs, the per-check runtimes read from them and the census of
-unreached functions."""
+of verdict CSVs, the per-check runtimes read from them, the census of
+unreached functions and the paired-ratio interval."""
 
+import math
 from pathlib import Path
+
+import pytest
 
 from conftest import load_tool
 from fracform.cli import emit_table
@@ -16,6 +19,7 @@ check_runtimes = bench_pairs.check_runtimes
 cli_runs = bench_pairs.cli_runs
 differing_lines = bench_pairs.differing_lines
 mask_runtimes = bench_pairs.mask_runtimes
+paired_ratios = bench_pairs.paired_ratios
 readme_examples = bench_pairs.readme_examples
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -184,3 +188,25 @@ def test_a_failed_census_is_recorded_not_raised(tmp_path):
     assert census_runs(dirs) == {
         "parent": {"exit_code": 1, "unreached": None},
         "change": {"exit_code": 2, "unreached": None}}
+
+
+def test_ten_pairs_give_the_third_and_eighth_ratios():
+    # change/parent = 2^(i - 5) for i = 0..9, given out of order: the log
+    # ratios sorted are (i - 5) log 2
+    parent = [1.0, 2.0, 4.0, 0.5, 3.0, 1.5, 8.0, 1.0, 2.0, 0.25]
+    order = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
+    change = [p * 2.0 ** (i - 5) for p, i in zip(parent, order)]
+    out = paired_ratios(parent, change)
+    log2 = math.log(2.0)
+    assert out["median_log"] == pytest.approx(-0.5 * log2)
+    assert out["lo_log"] == pytest.approx(-3.0 * log2)
+    assert out["hi_log"] == pytest.approx(2.0 * log2)
+    # 1 - 2 (1 + 10 + 45) / 2^10, the sign test's coverage at k = 3
+    assert out["coverage"] == 1.0 - 112.0 / 1024.0
+
+
+def test_equal_runs_give_a_point_interval_and_no_log_of_zero():
+    out = paired_ratios([3.0] * 10, [3.0] * 10)
+    assert (out["median_log"], out["lo_log"], out["hi_log"]) == (0.0,) * 3
+    assert paired_ratios([1.0, 0.0], [1.0, 1.0]) is None
+    assert paired_ratios([1.0, 2.0], [1.0, -1.0]) is None

@@ -51,10 +51,11 @@ def test_every_cache_is_in_the_readme():
     names = set().union(*(cache_names(path.read_text(encoding="utf-8"))
                           for path in sorted((ROOT / "src").rglob("*.py"))))
     # one of each kind the scan must find: an lru_cache (the kept lag
-    # tables, and the kept E1 operators of a second module), a __dict__
-    # key and a cached_property
-    assert {"_kept_lag_weights", "_kept_e1_operator", "_fourier_table",
-            "increment_autocorr"} <= names
+    # tables, and the kept E1 operators and Hardy rules of other modules),
+    # a __dict__ key (the Fourier table, and the Levy atoms' rho) and a
+    # cached_property
+    assert {"_kept_lag_weights", "_kept_e1_operator", "_kept_hardy_rule",
+            "_fourier_table", "_atom_rho", "increment_autocorr"} <= names
     missing = sorted(name for name in names if not re.search(
         rf"`(\w+\.)?{re.escape(name)}`", paragraph))
     assert missing == []

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from fracform.energy import (DIVERGENT, EnergyParams, EnergyReport,
                              dirichlet_energy, fourier_energy,
                              fourier_gagliardo_ratio, gagliardo_energy,
                              hardy_boundary_identity, _gauss_segments,
+                             _KEPT_PANELS, _kept_hardy_rule,
                              indicator_energy_closed_form)
-from fracform import quadcells
+from fracform import levy, quadcells
 from fracform.grids import GridFunction, PlateauSpec, StepFunction, \
     make_plateau
 from fracform.levy import LevyTriplet, PowerLawDensity, levy_gagliardo_energy
@@ -504,6 +507,103 @@ class TestHardyIdentity:
         for a, b in ((0.12, 1.0), (0.0, 0.38)):
             with pytest.raises(ValueError, match="support"):
                 hardy_boundary_identity(f, a, b, 0.5)
+
+
+class TestKeptHalves:
+    """The data-free halves that repeated calls read: the Hardy rule, kept
+    per (support ends, panels, a, b, alpha), and rho at the atoms, kept
+    with the function."""
+
+    @staticmethod
+    def _on_one_grid(rng, n=257):
+        # nonzero at every interior node, so every draw has one support
+        v = rng.uniform(0.5, 2.0, n)
+        v[0] = v[-1] = 0.0
+        return GridFunction(0.0, 1.0 / (n - 1), v)
+
+    def test_twenty_sample_sets_build_one_rule(self):
+        rng = np.random.default_rng(3)
+        functions = [self._on_one_grid(rng) for _ in range(20)]
+        _kept_hardy_rule.cache_clear()
+        warm = [hardy_boundary_identity(f, 0.0, 1.0, 0.7) for f in functions]
+        assert _kept_hardy_rule.cache_info()[:2] == (19, 1)   # hits, misses
+        for f, pair in zip(functions, warm):
+            _kept_hardy_rule.cache_clear()
+            assert hardy_boundary_identity(f, 0.0, 1.0, 0.7) == pair
+
+    def test_each_key_part_misses(self):
+        # 64 panels for every support below 62 nodes, so moving one support
+        # end moves only that end of the key
+        base = np.zeros(40)
+        base[10:20] = 1.0
+        f = GridFunction(0.0, 0.025, base)
+        lower = f.with_values(np.roll(base, -1) + base)   # one node further
+        upper = f.with_values(np.roll(base, 1) + base)
+        _kept_hardy_rule.cache_clear()
+        calls = [(f, 0.0, 1.0, 0.5), (lower, 0.0, 1.0, 0.5),
+                 (upper, 0.0, 1.0, 0.5), (f, -0.1, 1.0, 0.5),
+                 (f, 0.0, 1.1, 0.5), (f, 0.0, 1.0, 0.6)]
+        for i, call in enumerate(calls, 1):
+            hardy_boundary_identity(*call)
+            assert _kept_hardy_rule.cache_info()[:2] == (0, i)
+        assert len({g.support_interval() for g in (f, lower, upper)}) == 3
+
+    def test_a_support_past_the_bound_is_not_kept(self):
+        f = sample_bump(center=0.5, width=0.3, step=1.0 / 8192.0)
+        assert f.support_hi - f.support_lo + 2 > _KEPT_PANELS
+        _kept_hardy_rule.cache_clear()
+        lhs, rhs = hardy_boundary_identity(f, 0.0, 1.0, 0.5)
+        assert _kept_hardy_rule.cache_info()[:2] == (0, 0)
+        assert _kept_hardy_rule.cache_info().currsize == 0
+        assert lhs == pytest.approx(rhs, rel=1e-6)
+
+    def test_the_kept_rule_is_read_only(self):
+        rule = _kept_hardy_rule(0.2, 0.8, 64, 0.0, 1.0, 0.5)
+        assert len(rule) == 4
+        for array in rule:
+            assert array.shape == (64 * 12,) and not array.flags.writeable
+        with pytest.raises(ValueError):
+            rule[0][0] = 0.0
+
+    def test_one_rho_for_densities_sharing_their_atoms(self, monkeypatch):
+        calls = []
+        profile = levy.rho_profile
+
+        def counted(values, h, tau):
+            calls.append(np.asarray(tau).size)
+            return profile(values, h, tau)
+
+        monkeypatch.setattr(levy, "rho_profile", counted)
+        f = sample_bump(step=1.0 / 256.0)
+        atoms = ((3.0 * f.step, 0.5), (40.0 * f.step, 1.5))
+        values = [levy_gagliardo_energy(f, LevyTriplet(
+            atoms=atoms, density=PowerLawDensity(a, 1.3))).value
+            for a in (0.6, 1.4)]
+        assert calls == [2]
+        assert not f.__dict__["_atom_rho"][1].flags.writeable
+        # other masses on the same positions read the same rho
+        levy_gagliardo_energy(f, LevyTriplet(
+            atoms=((3.0 * f.step, 2.0), (40.0 * f.step, 0.1))))
+        assert calls == [2]
+        # a new atom set computes rho again and replaces the kept one
+        moved = ((5.0 * f.step, 0.5), (40.0 * f.step, 1.5))
+        levy_gagliardo_energy(f, LevyTriplet(atoms=moved))
+        assert calls == [2, 2]
+        levy_gagliardo_energy(f, LevyTriplet(atoms=atoms))
+        assert calls == [2, 2, 2]
+        # the kept rho gives the bits of a fresh function's
+        for a, value in zip((0.6, 1.4), values):
+            fresh = GridFunction(f.origin, f.step, f.values)
+            assert value == levy_gagliardo_energy(fresh, LevyTriplet(
+                atoms=atoms, density=PowerLawDensity(a, 1.3))).value
+
+    def test_copies_drop_the_kept_rho(self):
+        f = sample_bump(step=1.0 / 64.0)
+        levy_gagliardo_energy(f, LevyTriplet(atoms=((0.25, 1.0),)))
+        assert "_atom_rho" in f.__dict__
+        for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f),
+                      copy.deepcopy(f)):
+            assert "_atom_rho" not in clone.__dict__
 
 
 class TestErasedBound:

@@ -14,6 +14,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ import fracform
 from fracform import (FourierTable, GridFunction, IntervalSet, LevyTriplet,
                       PowerLawDensity, ScaleFunction, SignedMeasure,
                       StepFunction, SymbolCurve, bv_fourier_bound_check,
-                      discrete_fourier, levy_symbol, make_plateau,
-                      pushforward_measure, scale_from_open_set, transform_at)
-from fracform import fourier, quadcells, scalecap
+                      discrete_fourier, levy_gagliardo_energy, levy_symbol,
+                      make_plateau, pushforward_measure, scale_from_open_set,
+                      transform_at)
+from fracform import energy, fourier, quadcells, scalecap
 from fracform.grids import PlateauSpec
 
 # the names of the unannotated parameters that take an array
@@ -276,3 +278,59 @@ def test_capacity_cold_equals_warm():
         assert not array.flags.writeable
         assert array.base is None and array.shape == (257,)
     assert kept.cache_info()[:2] == (6, 2)
+
+
+def _energy_inputs() -> tuple:
+    """Fresh inputs of the energy and Levy layers: a 257-node grid bump
+    and a step function."""
+    x = np.linspace(0.0, 1.0, 257)
+    values = np.sin(np.pi * x) ** 2 * (1.0 + 0.5 * np.cos(7.0 * x))
+    values[[0, 1, -2, -1]] = 0.0
+    return (GridFunction(-0.5, 1.0 / 128.0, values),
+            StepFunction([0.0, 0.3, 0.8, 1.1], [0.5, -1.0, 0.75]))
+
+
+def _report(rep) -> tuple:
+    return (rep.value, rep.l2_norm_sq, rep.refinement_trace)
+
+
+_ATOMS = ((3.0 / 128.0, 0.5), (40.0 / 128.0, 1.5))
+# one call per (layer, parameter), each on the inputs of _energy_inputs
+ENERGY_CALLS = (
+    *(lambda g, s, a=a: _report(energy.gagliardo_energy(
+        g, energy.EnergyParams(a))) for a in (0.3, 1.5)),
+    lambda g, s: _report(energy.gagliardo_energy(
+        s, energy.EnergyParams(0.4), refine_levels=3)),
+    *(lambda g, s, a=a: energy.hardy_boundary_identity(g, -0.6, 1.6, a)
+      for a in (0.3, 1.5)),
+    *(lambda g, s, a=a: _report(levy_gagliardo_energy(g, LevyTriplet(
+        atoms=_ATOMS, density=PowerLawDensity(a, 1.3)))) for a in (0.6, 1.4)),
+)
+ENERGY_CACHES = (energy._kept_hardy_rule, energy._gauss_legendre,
+                 quadcells._kept_lag_weights)
+
+
+def test_energy_and_levy_cold_equals_warm():
+    # the energy and Levy layers' module caches cleared and the functions
+    # fresh give the bits of the same calls served from both
+    for cache in ENERGY_CACHES:
+        cache.cache_clear()
+    inputs = _energy_inputs()
+    cold = tuple(call(*inputs) for call in ENERGY_CALLS)
+    assert energy._kept_hardy_rule.cache_info()[:2] == (0, 2)
+    assert "_atom_rho" in inputs[0].__dict__
+    warm = tuple(call(*inputs) for call in ENERGY_CALLS)
+    assert energy._kept_hardy_rule.cache_info()[:2] == (2, 2)
+    assert _same_outputs(cold, warm)
+
+
+def test_energy_and_levy_in_threads_equal_serial():
+    serial = tuple(call(*_energy_inputs()) for call in ENERGY_CALLS)
+    for cache in ENERGY_CACHES:
+        cache.cache_clear()
+    # four threads race on the cold caches and on one set of inputs
+    inputs = _energy_inputs()
+    with ThreadPoolExecutor(4) as pool:
+        threaded = list(pool.map(lambda call: call(*inputs),
+                                 ENERGY_CALLS * 4))
+    assert _same_outputs(tuple(threaded), serial * 4)

@@ -13,7 +13,11 @@ writes ``BENCH_<n>.json`` at the repository root with, per side and
 workload, the median and quartiles of every end-to-end metric, the failed
 share of the operations, the ``info:`` machine line and the ``src/`` line
 count, and per workload the number of pairs each metric won for the
-change.  Each side also records the git tree ids of its ``src`` and
+change.  Beside the wins, ``ratios`` holds per workload and metric the
+median of the ten paired log ratios log(change / parent) and a
+distribution-free ~90% interval for it from their order statistics (a
+sign-test interval), with its exact coverage; it is reported, never
+gated.  Each side also records the git tree ids of its ``src`` and
 ``perfbench`` directories, which stay the same when only documents change,
 so a record can be checked against a later commit.  After the pairs, each
 side runs the tier-1 test suite once in its checkout, and its ``info``
@@ -52,6 +56,7 @@ import difflib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -315,6 +320,27 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def paired_ratios(parent: list, change: list, level: float = 0.9) -> dict:
+    """Median of the paired log ratios log(change / parent) and the
+    interval [x_(k), x_(n+1-k)] of their order statistics whose coverage
+    1 - 2 P(B < k), B ~ Binomial(n, 1/2), is nearest to ``level``: the
+    sign-test interval for the median ratio, which assumes nothing of the
+    ratios' distribution.  None where a pair holds a value that is not
+    positive, whose log ratio does not exist."""
+    if not all(a > 0.0 and b > 0.0 for a, b in zip(parent, change)):
+        return None
+    x = sorted(math.log(b / a) for a, b in zip(parent, change))
+    n = len(x)
+
+    def coverage(k):
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2.0 ** n
+
+    k = min(range(1, (n + 1) // 2 + 1),
+            key=lambda k: abs(coverage(k) - level))
+    return {"median_log": statistics.median(x), "lo_log": x[k - 1],
+            "hi_log": x[n - k], "coverage": coverage(k)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
@@ -376,15 +402,17 @@ def main(argv=None) -> int:
 
     record = {"pairs": PAIRS, "seconds": spec["run_seconds"],
               "seeds": [args.first_seed + i for i in range(PAIRS)],
-              **{side: side_record(side) for side in SIDES}, "wins": {}}
+              **{side: side_record(side) for side in SIDES}, "wins": {},
+              "ratios": {}}
     for w in workloads:
-        record["wins"][w] = {}
+        record["wins"][w], record["ratios"][w] = {}, {}
         for name, m in metrics.items():
             p, c = (record[side]["workloads"][w]["metrics"][name]["runs"]
                     for side in SIDES)
             sign = 1.0 if m["better"] == "lower" else -1.0
             record["wins"][w][name] = sum(sign * (a - b) > 0.0
                                           for a, b in zip(p, c))
+            record["ratios"][w][name] = paired_ratios(p, c)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)
