@@ -14,6 +14,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -305,6 +306,9 @@ ENERGY_CALLS = (
       for a in (0.3, 1.5)),
     *(lambda g, s, a=a: _report(levy_gagliardo_energy(g, LevyTriplet(
         atoms=_ATOMS, density=PowerLawDensity(a, 1.3)))) for a in (0.6, 1.4)),
+    # another atom set, which replaces the kept rho of the function
+    lambda g, s: _report(levy_gagliardo_energy(g, LevyTriplet(
+        atoms=_ATOMS[1:]))),
 )
 ENERGY_CACHES = (energy._kept_hardy_rule, energy._gauss_legendre,
                  quadcells._kept_lag_weights)
@@ -318,7 +322,6 @@ def test_energy_and_levy_cold_equals_warm():
     inputs = _energy_inputs()
     cold = tuple(call(*inputs) for call in ENERGY_CALLS)
     assert energy._kept_hardy_rule.cache_info()[:2] == (0, 2)
-    assert "_atom_rho" in inputs[0].__dict__
     warm = tuple(call(*inputs) for call in ENERGY_CALLS)
     assert energy._kept_hardy_rule.cache_info()[:2] == (2, 2)
     assert _same_outputs(cold, warm)
@@ -328,9 +331,15 @@ def test_energy_and_levy_in_threads_equal_serial():
     serial = tuple(call(*_energy_inputs()) for call in ENERGY_CALLS)
     for cache in ENERGY_CACHES:
         cache.cache_clear()
-    # four threads race on the cold caches and on one set of inputs
+    # four threads race on the cold caches and on one set of inputs, whose
+    # kept rho two atom sets keep replacing
     inputs = _energy_inputs()
-    with ThreadPoolExecutor(4) as pool:
-        threaded = list(pool.map(lambda call: call(*inputs),
-                                 ENERGY_CALLS * 4))
-    assert _same_outputs(tuple(threaded), serial * 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda call: call(*inputs),
+                                     ENERGY_CALLS * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _same_outputs(tuple(threaded), serial * 8)
