@@ -74,6 +74,7 @@ SIDES = ("parent", "change")
 # A gain is claimed only when the change wins at least nine of ten pairs.
 PAIRS = 10
 MEASURED = ("src", "perfbench")
+RATIO_LEVEL = 0.9  # the coverage sought for the paired-ratio interval
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 CLI = ["-m", "fracform.cli"]
@@ -320,10 +321,10 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def paired_ratios(parent: list, change: list, level: float = 0.9) -> dict:
+def paired_ratios(parent: list, change: list) -> dict | None:
     """Median of the paired log ratios log(change / parent) and the
     interval [x_(k), x_(n+1-k)] of their order statistics whose coverage
-    1 - 2 P(B < k), B ~ Binomial(n, 1/2), is nearest to ``level``: the
+    1 - 2 P(B < k), B ~ Binomial(n, 1/2), is nearest to RATIO_LEVEL: the
     sign-test interval for the median ratio, which assumes nothing of the
     ratios' distribution.  None where a pair holds a value that is not
     positive, whose log ratio does not exist."""
@@ -336,7 +337,7 @@ def paired_ratios(parent: list, change: list, level: float = 0.9) -> dict:
         return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2.0 ** n
 
     k = min(range(1, (n + 1) // 2 + 1),
-            key=lambda k: abs(coverage(k) - level))
+            key=lambda k: abs(coverage(k) - RATIO_LEVEL))
     return {"median_log": statistics.median(x), "lo_log": x[k - 1],
             "hi_log": x[n - k], "coverage": coverage(k)}
 
