@@ -45,11 +45,11 @@ _INF = float("inf")
 # solve, ``step_rate_experiment`` and the CLI's scale grid take their nodes
 # from ``grid_nodes``, and ``discrete_fourier`` caps its frequency count here.
 # The capacity solve holds about ten float64 arrays of n entries and complex
-# spectra of 2n, ~0.5 GiB at 2^22.  A first grid energy peaks at ~40 bytes
-# per support node above the samples (the increments, and the FFT buffers
-# of the two halves of the increments, n points each, with their spectra),
-# ~0.16 GiB at 2^22, and keeps 8 bytes per node; a later exponent adds
-# ~0.6 MiB of lag-weight blocks at any size.
+# spectra of 2n, ~0.5 GiB at 2^22.  A first grid energy peaks at ~32 bytes
+# per support node above the samples (the FFT buffers of the two halves of
+# the increments, n points each, with their spectra), ~0.13 GiB at 2^22,
+# and keeps 8 bytes per node; a later exponent adds ~0.6 MiB of lag-weight
+# blocks at any size.
 MAX_GRID_NODES = 1 << 22
 
 
@@ -144,7 +144,12 @@ def grid_nodes(lo: float, hi: float, step: float) -> np.ndarray:
 
 def l2_norm_sq_of_samples(v: np.ndarray, step: float) -> float:
     """Squared L2 norm of the piecewise-linear interpolant of samples v."""
-    seg = v[:-1] * v[:-1] + v[:-1] * v[1:] + v[1:] * v[1:]
+    a, b = v[:-1], v[1:]
+    seg = a * a
+    tmp = a * b
+    seg += tmp
+    np.multiply(b, b, out=tmp)
+    seg += tmp                          # (a a + a b) + b b
     return float(step * np.sum(seg) / 3.0)
 
 
@@ -179,9 +184,12 @@ class GridFunction:
 
     ``increment_autocorr`` (8 bytes per support node) and ``l2_norm_sq()``
     are computed on first use and kept with the function for as long as it
-    lives, and so are the support ends and the last table of
-    ``discrete_fourier`` (n_freq x 24 bytes, one (xi_max, n_freq) window per
-    function); the samples are a read-only copy, so they cannot go stale,
+    lives.  They are the overflow-prone part of a grid energy and run under
+    ``np.errstate``: samples too large for float64 give inf or NaN there
+    without a warning, and the energies refuse that result.  The support
+    ends are kept too, and so is the last table of ``discrete_fourier``
+    (n_freq x 24 bytes, one (xi_max, n_freq) window per function); the
+    samples are a read-only copy, so they cannot go stale,
     and every derived function starts without them.  A pickle or copy
     carries the grid and the samples only and rebuilds through ``_made``:
     its samples are read-only again and every cache starts afresh.
@@ -295,7 +303,8 @@ class GridFunction:
         """Read-only c_k = sum_i d_i d_(i+k) of the node increments of
         ``support_values(margin=1)``: the part of the fractional form that
         is the same for every exponent."""
-        c = quadcells.increment_autocorr(self.support_values(margin=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = quadcells.increment_autocorr(self.support_values(margin=1))
         c.flags.writeable = False
         return c
 
@@ -306,7 +315,8 @@ class GridFunction:
 
     @cached_property
     def _l2_norm_sq(self) -> float:
-        return l2_norm_sq_of_samples(self.values, self.step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return l2_norm_sq_of_samples(self.values, self.step)
 
     def total_variation(self) -> float:
         return float(np.sum(np.abs(np.diff(self.values))))

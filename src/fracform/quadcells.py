@@ -23,17 +23,22 @@ rho_profile), and h B(0), h B(1) are the capacity operator's Gram row.
 
 The form splits in two.  increment_autocorr gives c_k = sum_i d_i d_(i+k),
 which does not depend on alpha; _increment_form dots c with one alpha's
-lag weights.  Up to 2^13 increments c is one real FFT of m increments
-zero-padded to the least power of two N >= 2m - 2, its power spectrum
-squared in place; at N = 2m - 2 lag m - 1 meets its mirror image, so
-c_(m-1) is written directly as d_0 d_(m-1).  Beyond, it is correlated by
+lag weights.  The increments are written once, by one subtraction of
+the samples straight into the zero-padded FFT buffer.  Up to 2^13
+increments c is one real FFT of the m increments padded to the least
+power of two N >= 2m - 2, its power spectrum squared in place; at
+N = 2m - 2 lag m - 1 meets its mirror image, so c_(m-1) is written
+directly as d_0 d_(m-1).  Beyond, it is correlated by
 halves (Stockham's sectioned correlation, AFIPS 1966): the two halves'
 FFTs of half the size run side by side, one on a helper thread started
 and joined within the call (numpy's FFT releases the GIL), or both on the
 caller's thread when no thread can be started; the bits are the same
 either way.
 GridFunction.increment_autocorr keeps c, so a function evaluated at
-several exponents correlates once.  The lag weights
+several exponents correlates once, and up to 2^13 lags a later exponent's
+form is one dot of c with a view of the kept table (a warm grid energy at
+2049 nodes: ~5 us in process on a quiet core, ~3/4 of its cost when every
+call entered np.errstate and looped over blocks).  The lag weights
 depend only on alpha and the order, not on the data, and a table of n lags
 is the first n lags of any longer one.  One read-only table of 2^13 lags is
 kept per (alpha, order), in a least-recently-used cache of 128 tables (at
@@ -42,10 +47,10 @@ of it, so functions of any size at one alpha share it.  Lags beyond are
 never kept: the form takes them in blocks of 2^13 lags (64 KiB), each
 computed and dotted with its slice of c while it sits in cache, so an
 energy at a new alpha allocates a few blocks beyond c.  A first energy
-of n support nodes peaks at about 40 bytes per node above the samples
-(the increments, the FFT buffers and their spectra: one buffer of the
-least power of two >= 2n - 4 points, or two of >= n - 2 points for the
-halves), and c keeps 8.
+of n support nodes peaks at about 32 bytes per node above the samples
+(the FFT buffers and their spectra: one buffer of the least power of two
+>= 2n - 4 points, or two of >= n - 2 points for the halves; 56 bytes
+just above a power of two), and c keeps 8.
 Only hat_energy_row, whose capacity solve needs the whole row, builds a
 long table whole.
 
@@ -60,6 +65,7 @@ whole-array passes remain of thirty.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import threading
@@ -86,6 +92,13 @@ _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 _KEPT_LAGS = 1 << 13
 _KEPT_TABLES = 128
 
+# The kept order-2 tables stay below this in magnitude at every alpha
+# (about 6 * 8191 at most, as alpha falls to 0), and a dot whose terms sum below
+# _QUIET_BOUND in magnitude cannot overflow: so the dot of c, |c_k| <= c_0,
+# with a kept table is quiet while c_0 stays below 2^(1000 - 13 - 16).
+_KEPT_WEIGHT_BOUND = 2.0 ** 16
+_QUIET_BOUND = 2.0 ** 1000
+
 # For alpha > 1 the second differences are shifted by the regular part of
 # their value at this lag, the kept table's last; see _lag_weight_table.
 _REF_LAG = _KEPT_LAGS - 1
@@ -97,17 +110,21 @@ _REF_LAG = _KEPT_LAGS - 1
 _SPLIT_SLOPES = 1 << 13
 
 
-def _slope_autocorr(s: np.ndarray) -> np.ndarray:
-    """c_k = sum_i s_i s_{i+k} for k = 0 .. len(s)-1."""
-    if s.size > _SPLIT_SLOPES:
-        return _split_autocorr(s)
-    if s.size == 0:
+def _slope_autocorr(v: np.ndarray) -> np.ndarray:
+    """c_k = sum_i d_i d_(i+k), k = 0 .. m-1, of the m = len(v) - 1
+    slopes (node increments) d_i = v_(i+1) - v_i of the samples v, written
+    once, straight into the zero-padded transform buffer."""
+    m = v.size - 1
+    if m > _SPLIT_SLOPES:
+        return _split_autocorr(v)
+    if m < 1:
         return np.zeros(1)
     # the zero padding is written here, so numpy makes no padded copy; the
     # power spectrum is formed in place and transformed back into the buffer
-    nfft = _circular_size(2 * s.size - 2)
+    nfft = _circular_size(2 * m - 2)
     buf = np.zeros(nfft)
-    buf[:s.size] = s
+    np.subtract(v[1:], v[:-1], out=buf[:m])
+    first, last = buf[0], buf[m - 1]    # the inverse overwrites them
     spec = np.fft.rfft(buf)
     re, im = spec.real, spec.imag
     re *= re
@@ -118,9 +135,9 @@ def _slope_autocorr(s: np.ndarray) -> np.ndarray:
     # the spectrum goes before the copy, so the copy does not raise the peak
     # of buffer and spectrum; the copy does not keep the buffer alive
     del spec, re, im
-    if nfft == 2 * s.size - 2:          # lag m - 1 wrapped onto itself
-        buf[s.size - 1] = s[0] * s[-1]
-    return buf[:s.size].copy()
+    if nfft == 2 * m - 2:               # lag m - 1 wrapped onto itself
+        buf[m - 1] = first * last
+    return buf[:m].copy()
 
 
 def _circular_size(least: int) -> int:
@@ -133,11 +150,12 @@ def _circular_size(least: int) -> int:
     return 1 << max(least - 1, 0).bit_length()
 
 
-def _split_autocorr(s: np.ndarray) -> np.ndarray:
-    """_slope_autocorr from the halves s1 = s[:h] and s2 = s[h:],
-    h = ceil(m/2) of m slopes, each zero-padded to the least power of two
-    N >= m - 1, which is >= 2h - 2, half the size of one whole transform
-    (Stockham's sectioned correlation).  With S1, S2 their spectra,
+def _split_autocorr(v: np.ndarray) -> np.ndarray:
+    """_slope_autocorr from the halves s1 = s[:h] and s2 = s[h:] of the
+    m = len(v) - 1 increments s, h = ceil(m/2), each written into its own
+    pad, zero-padded to the least power of two N >= m - 1, which is
+    >= 2h - 2, half the size of one whole transform (Stockham's sectioned
+    correlation).  With S1, S2 their spectra,
     irfft(|S1|^2 + |S2|^2) is the halves' autocorrelations summed, a_k at
     lags 0 .. h-1, and irfft(conj(S1) S2) holds x_j = sum_i s1_i s2_(i+j)
     at index j mod N for -(h-1) <= j <= m-h-1, which N >= m - 1 keeps from
@@ -151,12 +169,13 @@ def _split_autocorr(s: np.ndarray) -> np.ndarray:
     and two spectra, as large as one whole transform's buffer and spectrum:
     32 bytes per slope from m = 2^k - 1 to 2^k + 1, 64 just above.
     """
-    m = s.size
+    m = v.size - 1
     h = (m + 1) // 2
     nfft = _circular_size(m - 1)
     pads = np.zeros((2, nfft))
-    pads[0, :h] = s[:h]
-    pads[1, :m - h] = s[h:]
+    np.subtract(v[1:h + 1], v[:h], out=pads[0, :h])
+    np.subtract(v[h + 1:], v[h:m], out=pads[1, :m - h])
+    first, middle = pads[0, 0], pads[0, h - 1]  # the scratch overwrites them
     specs = np.empty((2, nfft // 2 + 1), dtype=complex)
     _side_by_side(functools.partial(np.fft.rfft, pads[0], out=specs[0]),
                   functools.partial(np.fft.rfft, pads[1], out=specs[1]))
@@ -180,7 +199,7 @@ def _split_autocorr(s: np.ndarray) -> np.ndarray:
     c = np.empty(m)                     # N = m - 1 leaves no room in a pad
     c[:h] = a[:h]
     if nfft == 2 * h - 2:               # lag h - 1 wrapped onto itself
-        c[h - 1] = s[0] * s[h - 1]
+        c[h - 1] = first * middle
     c[h:] = x[:m - h]
     c[1:h] += x[nfft - h + 1:]
     return c
@@ -189,13 +208,15 @@ def _split_autocorr(s: np.ndarray) -> np.ndarray:
 def _side_by_side(first, second):
     """Run first() on a helper thread while this thread runs second().  The
     helper is joined, and an exception it raised is raised here, before this
-    returns.  When no thread can be started (a process or address-space
-    limit), both run here, with the same bits."""
+    returns.  The helper runs in a copy of this thread's context, so the
+    caller's np.errstate holds there too.  When no thread can be started (a
+    process or address-space limit), both run here, with the same bits."""
     failed = []
+    context = contextvars.copy_context()
 
     def helper():
         try:
-            first()
+            context.run(first)
         except BaseException as exc:    # noqa: BLE001 - raised on the caller
             failed.append(exc)
 
@@ -317,23 +338,38 @@ def _form_scale(h: float, alpha: float) -> float:
     return scale
 
 
+def _quiet_dot(a: np.ndarray, b: np.ndarray, bound: float) -> float:
+    """float(np.dot(a, b)) for a bound >= sum_i |a_i b_i|.  Below
+    _QUIET_BOUND no partial sum can overflow, so np.errstate is entered
+    only for a larger bound, or a NaN one."""
+    if bound < _QUIET_BOUND:
+        return float(np.dot(a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(a, b))
+
+
 def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
     """E = C h^(1-alpha) sum_(i,j) d_i d_j (-delta^2 W)(i - j) from the
     increment autocorrelation c_k, k >= 0, which counts each lag k > 0
     once for each sign.
 
-    The lag weights come in blocks of _KEPT_LAGS lags, each dotted with its
-    slice of c: the first is a view of the kept table, and no longer table
-    is built whole."""
+    Up to _KEPT_LAGS lags the form is one dot of c with a view of the kept
+    table.  Beyond, the lag weights come in blocks of _KEPT_LAGS lags, each
+    dotted with its slice of c, under np.errstate, and no longer table is
+    built whole.  The result is combined in Python floats, so a form that
+    overflows is returned as inf or NaN without a warning."""
     scale = _form_scale(h, alpha)
-    dot = -0.0                          # x + -0.0 is x, so one block is its dot
-    for lo in range(0, c.size, _KEPT_LAGS):
-        hi = min(lo + _KEPT_LAGS, c.size)
-        w = _lag_weights(alpha, 2, lo, hi)
-        if lo == 0:
-            w0 = w[0]
-        dot += float(np.dot(c[lo:hi], w))
-    return -scale * (2.0 * dot - c[0] * w0)
+    kept = _kept_lag_weights(alpha, 2)
+    c0 = float(c[0])                    # |c_k| <= c_0, by Cauchy-Schwarz
+    if c.size <= _KEPT_LAGS:
+        dot = _quiet_dot(c, kept[:c.size], c0 * c.size * _KEPT_WEIGHT_BOUND)
+    else:
+        dot = -0.0                      # x + -0.0 is x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, c.size, _KEPT_LAGS):
+                hi = min(lo + _KEPT_LAGS, c.size)
+                dot += float(np.dot(c[lo:hi], _lag_weights(alpha, 2, lo, hi)))
+    return -scale * (2.0 * dot - c0 * float(kept[0]))
 
 
 def _cubic_bspline(t: np.ndarray) -> np.ndarray:
@@ -383,7 +419,7 @@ def increment_autocorr(values: np.ndarray) -> np.ndarray:
     alpha."""
     v = np.asarray(values, dtype=float)
     _require_tapered(v)
-    return _slope_autocorr(np.diff(v))
+    return _slope_autocorr(v)
 
 
 def gagliardo_of_values(values: np.ndarray, h: float, alpha: float) -> float:

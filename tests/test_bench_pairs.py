@@ -2,9 +2,11 @@
 on: the line pairing recorded when the two sides' outputs differ, the
 README command lines both sides run and their timed runs, the runtime mask
 of verdict CSVs, the per-check runtimes read from them, the census of
-unreached functions and the paired-ratio interval."""
+unreached functions, the paired-ratio interval and the minor page faults
+of a benchmark run."""
 
 import math
+import resource
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ differing_lines = bench_pairs.differing_lines
 mask_runtimes = bench_pairs.mask_runtimes
 paired_ratios = bench_pairs.paired_ratios
 readme_examples = bench_pairs.readme_examples
+run_once = bench_pairs.run_once
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -210,3 +213,30 @@ def test_equal_runs_give_a_point_interval_and_no_log_of_zero():
     assert (out["median_log"], out["lo_log"], out["hi_log"]) == (0.0,) * 3
     assert paired_ratios([1.0, 0.0], [1.0, 1.0]) is None
     assert paired_ratios([1.0, 2.0], [1.0, -1.0]) is None
+
+
+# a stand-in ``perfbench/run.py`` that writes {mib} MiB, then prints an info
+# line and a result
+_FAKE_RUN = """import json
+data = b"x" * ({mib} << 20)
+print("info: " + json.dumps({{"machine": "stand-in"}}))
+print(json.dumps({{"failed": 0, "attempted": 1, "correct": True}}))
+"""
+
+
+def _run_checkout(root, mib):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(_FAKE_RUN.format(mib=mib))
+    return root
+
+
+def test_a_run_counts_the_minor_faults_of_its_process(tmp_path):
+    runs = [run_once(_run_checkout(tmp_path / str(mib), mib), "energies", 1,
+                     1) for mib in (0, 16)]
+    assert [r["info"] for r in runs] == [{"machine": "stand-in"}] * 2
+    assert runs[0]["result"] == {"failed": 0, "attempted": 1,
+                                 "correct": True}
+    # writing 16 MiB faults in at least most of its pages
+    pages = (16 << 20) // resource.getpagesize()
+    assert runs[0]["faults"] > 0
+    assert runs[1]["faults"] - runs[0]["faults"] >= pages // 2

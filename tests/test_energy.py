@@ -12,9 +12,10 @@ from fracform.energy import (DIVERGENT, EnergyParams, EnergyReport,
                              dirichlet_energy, fourier_energy,
                              fourier_gagliardo_ratio, gagliardo_energy,
                              hardy_boundary_identity, _gauss_segments,
-                             _KEPT_PANELS, _kept_hardy_rule,
+                             _KEPT_PANELS, _at_nodes, _grid_cells,
+                             _hardy_rule, _kept_hardy_rule,
                              indicator_energy_closed_form)
-from fracform import levy, quadcells
+from fracform import energy, levy, quadcells
 from fracform.grids import GridFunction, PlateauSpec, StepFunction, \
     make_plateau
 from fracform.levy import LevyTriplet, PowerLawDensity, levy_gagliardo_energy
@@ -511,8 +512,8 @@ class TestHardyIdentity:
 
 class TestKeptHalves:
     """The data-free halves that repeated calls read: the Hardy rule, kept
-    per (support ends, panels, a, b, alpha), and rho at the atoms, kept
-    with the function."""
+    per (support ends, panels, a, b, alpha, grid origin and step), and rho
+    at the atoms, kept with the function."""
 
     @staticmethod
     def _on_one_grid(rng, n=257):
@@ -558,12 +559,76 @@ class TestKeptHalves:
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_the_kept_rule_is_read_only(self):
-        rule = _kept_hardy_rule(0.2, 0.8, 64, 0.0, 1.0, 0.5)
-        assert len(rule) == 4
-        for array in rule:
+        rule = _kept_hardy_rule(0.2, 0.8, 64, 0.0, 1.0, 0.5, 0.0, 0.025)
+        assert len(rule) == 5
+        for array in rule[:4]:
             assert array.shape == (64 * 12,) and not array.flags.writeable
         with pytest.raises(ValueError):
             rule[0][0] = 0.0
+
+    def test_a_rules_second_call_keeps_its_cells(self, monkeypatch):
+        # (0.2, 0.8) is the support of f, up to rounding; 24 cells of the
+        # grid 0.025 j from cell 8 on
+        f = GridFunction(0.0, 0.025, np.r_[np.zeros(9), np.ones(23),
+                                             np.zeros(9)])
+        located = []
+        monkeypatch.setattr(energy, "_grid_cells", lambda *args: (
+            located.append(args) or _grid_cells(*args)))
+        _kept_hardy_rule.cache_clear()
+        pairs = [hardy_boundary_identity(f, 0.0, 1.0, 0.5) for _ in range(4)]
+        assert len(located) == 1 and len(set(pairs)) == 1
+        lo, hi = f.support_interval()
+        found = _kept_hardy_rule(lo - f.step, hi + f.step, 64, 0.0, 1.0, 0.5,
+                                 0.0, 0.025)[4]
+        assert _kept_hardy_rule.cache_info()[:2] == (4, 1)
+        first, k, offset, width = found[-1]
+        assert len(found) == 2 and found[0] is None
+        assert first == 8 and width.shape == (24,)
+        assert k.shape == offset.shape == (64 * 12,)
+        for array in (k, offset, width):
+            assert not array.flags.writeable
+
+    def test_kept_cells_give_the_bits_of_np_interp(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(8, 600))
+            v = rng.standard_normal(n)
+            v[:2] = v[-2:] = 0.0
+            f = GridFunction(float(rng.uniform(-5.0, 5.0)),
+                             float(rng.uniform(1e-3, 1.0)), v)
+            lo, hi = f.support_interval()
+            panels = max(64, f.support_hi - f.support_lo + 2)
+            xq = _hardy_rule(lo - f.step, hi + f.step, panels,
+                             lo - 2.0 * f.step, hi + 2.0 * f.step, 0.5)[0]
+            cells = _grid_cells(xq, f.origin, f.step)
+            assert cells is not None
+            assert _at_nodes(f, xq, cells).tobytes() == f(xq).tobytes()
+            # cells past the samples of another function: np.interp
+            short = GridFunction(f.origin, f.step, v[:n // 2])
+            assert _at_nodes(short, xq, cells).tobytes() == \
+                short(xq).tobytes()
+
+    def test_cells_that_may_not_be_np_interps_are_not_kept(self):
+        # at 1e17 grid nodes 0.5 apart round onto each other, 16 apart
+        assert _grid_cells(np.array([1e17 + 32.0, 1e17 + 64.0]), 1e17,
+                           0.5) is None
+        # a node on a grid node, and a grid too fine to count in float64
+        assert _grid_cells(np.array([0.25, 0.5]), 0.0, 0.25) is None
+        assert _grid_cells(np.array([0.3]), 0.0, 1e-320) is None
+
+    def test_the_grid_is_part_of_the_key(self):
+        # the same support on grids one node apart: the ends agree, the
+        # cells do not
+        base = np.zeros(40)
+        base[10:20] = 1.0
+        f = GridFunction(0.0, 0.025, base)
+        shifted = GridFunction(-0.025, 0.025, np.roll(base, 1))
+        finer = GridFunction(0.0, 0.0125, np.repeat(base, 2)[:-1])
+        _kept_hardy_rule.cache_clear()
+        pairs = [hardy_boundary_identity(g, 0.0, 1.0, 0.5)
+                 for g in (f, shifted, finer)]
+        assert _kept_hardy_rule.cache_info()[:2] == (0, 3)
+        assert pairs[1] == pytest.approx(pairs[0], rel=1e-12)
 
     def test_one_rho_for_densities_sharing_their_atoms(self, monkeypatch):
         calls = []
@@ -604,6 +669,125 @@ class TestKeptHalves:
         for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f),
                       copy.deepcopy(f)):
             assert "_atom_rho" not in clone.__dict__
+
+
+class TestWarmPath:
+    """A call on a function that keeps its correlation, L2 norm and rho at
+    the atoms does only the exponent's work: the same bits and type as the
+    first call, no transform, no lag-weight build and no np.errstate while
+    no dot can overflow."""
+
+    ALPHAS = (0.05, 0.5, 1.0, 1.5, 1.95)
+
+    @staticmethod
+    def _levy(f, alpha):
+        return LevyTriplet(atoms=((3.0 * f.step, 0.5), (40.0 * f.step, 1.5)),
+                           density=PowerLawDensity(alpha, 1.3))
+
+    @pytest.mark.parametrize("step", [1.0 / 64.0, 1.0 / 8192.0])
+    def test_cold_and_warm_give_the_same_bits_and_type(self, step):
+        # 1/8192 puts 2^14 lags beyond the kept table, the block path
+        f = sample_bump(step=step)
+        for a in self.ALPHAS:
+            p = EnergyParams(a)
+            grid = [gagliardo_energy(f, p) for _ in range(2)]
+            fresh = gagliardo_energy(GridFunction(f.origin, f.step,
+                                                  f.values), p)
+            levies = [levy_gagliardo_energy(f, self._levy(f, min(a, 1.9)))
+                      for _ in range(2)]
+            for reps in (grid + [fresh], levies):
+                assert {type(r.value) for r in reps} == {float}
+                assert len({(r.value, r.l2_norm_sq) for r in reps}) == 1
+        s = StepFunction([0.0, 0.3, 0.8, 1.1], [0.5, -1.0, 0.75])
+        for a in (0.3, 0.7, 1.5):
+            reps = [gagliardo_energy(s, EnergyParams(a), refine_levels=2)
+                    for _ in range(2)]
+            assert {type(r.value) for r in reps} == {float}
+            assert reps[0].value == reps[1].value
+            assert reps[0].refinement_trace == reps[1].refinement_trace
+
+    def test_zero_function_gives_zero_both_ways(self):
+        f = GridFunction(0.0, 0.1, np.zeros(12))
+        for _ in range(2):
+            rep = gagliardo_energy(f, EnergyParams(0.5))
+            assert rep.value == 0.0 and type(rep.value) is float
+            assert rep.l2_norm_sq == 0.0
+
+    @pytest.mark.parametrize("n, height", [
+        (300, 1e160), (300, 1.7e308), (9000, 1e160),    # c_0 overflows
+        (9, 1e152),         # c_0 finite past the quiet bound, E finite
+        (300, 1e153)])      # c_0 finite past the quiet bound, E overflows
+    def test_overflow_raises_the_same_error_twice_without_warning(
+            self, n, height, recwarn):
+        v = np.zeros(n)
+        v[2:-2] = height * np.sin(np.arange(n - 4.0))
+        f = GridFunction(0.0, 1e-3, v)
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(gagliardo_energy(f, EnergyParams(0.05)).value)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            with pytest.raises(ValueError, match="overflows float64"):
+                levy_gagliardo_energy(f, LevyTriplet(
+                    atoms=((3e-3, 1e300),), density=PowerLawDensity(0.5)))
+        assert outcomes[0] == outcomes[1]
+        if (n, height) == (9, 1e152):
+            assert math.isfinite(outcomes[0])
+        else:
+            assert outcomes[0] == "the energy of these samples overflows float64"
+        assert [w.category for w in recwarn] == []
+
+    def test_atom_masses_that_overflow_raise_twice_without_warning(
+            self, recwarn):
+        # rho is modest (2 ||f||^2 at atoms past the support); the masses'
+        # dot with it is not
+        f = sample_bump(step=1.0 / 64.0)
+        heavy = LevyTriplet(atoms=((2.0, 1e308), (3.0, 1e308), (4.0, 1e308)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overflows float64"):
+                levy_gagliardo_energy(f, heavy)
+        assert [w.category for w in recwarn] == []
+
+    def test_warm_calls_transform_build_and_silence_nothing(self,
+                                                            monkeypatch):
+        counts = {"fft": 0, "table": 0, "errstate": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted("fft",
+                                                      getattr(np.fft, name)))
+        monkeypatch.setattr(quadcells, "_lag_weight_table", counted(
+            "table", quadcells._lag_weight_table))
+        monkeypatch.setattr(np, "errstate", counted("errstate", np.errstate))
+        f = sample_bump(step=1.0 / 512.0)
+        g = sample_bump(step=1.0 / 512.0)
+        first = [gagliardo_energy(f, EnergyParams(a)) for a in self.ALPHAS]
+        levy_gagliardo_energy(f, self._levy(f, 0.6))
+        check_erased_bound(f, f, EnergyParams(0.5))
+        assert counts["fft"] == 2 and counts["errstate"] == 3
+        counts.update(fft=0, table=0, errstate=0)
+        warm = [gagliardo_energy(f, EnergyParams(a)) for a in self.ALPHAS]
+        levy_gagliardo_energy(f, self._levy(f, 1.5))
+        check_erased_bound(f, f, EnergyParams(1.95))
+        assert counts == {"fft": 0, "table": 0, "errstate": 0}
+        assert [r.value for r in warm] == [r.value for r in first]
+        # a new function correlates again, under np.errstate, and reads the
+        # kept tables
+        gagliardo_energy(g, EnergyParams(0.5))
+        assert counts == {"fft": 2, "table": 0, "errstate": 2}
+
+    def test_kept_tables_stay_inside_the_quiet_bound(self):
+        # the bound that lets a dot with a kept table skip np.errstate
+        for alpha in (1e-300, 1e-9, 0.05, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+                      1.5, 2.0 - 1e-12):
+            w = quadcells._lag_weight_table(alpha, 2, 0, quadcells._KEPT_LAGS)
+            assert np.abs(w).max() < quadcells._KEPT_WEIGHT_BOUND, alpha
 
 
 class TestErasedBound:

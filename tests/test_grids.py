@@ -117,6 +117,15 @@ class TestGridFunction:
         assert f.l2_norm_sq() == l2_norm_sq_of_samples(vals, 0.01)
         assert "_l2_norm_sq" in vars(f)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 40001])
+    def test_l2_sums_its_products_in_one_order(self, n, rng):
+        # (v_i^2 + v_i v_(i+1)) + v_(i+1)^2 per cell, whatever the
+        # temporaries: the written-out expression gives the same bits
+        v = rng.normal(size=n) * rng.uniform(0.1, 10.0, n)
+        seg = v[:-1] * v[:-1] + v[:-1] * v[1:] + v[1:] * v[1:]
+        assert l2_norm_sq_of_samples(v, 0.37) == float(
+            0.37 * np.sum(seg) / 3.0)
+
 
 def _eager_support(origin, step, vals):
     """The support queries from one np.nonzero scan of the samples."""

@@ -264,10 +264,11 @@ def test_blocked_form_matches_one_table_dot(alpha):
 
 
 def test_energy_peak_memory_per_node():
-    """A first exponent peaks at most 56 bytes per node above the samples
-    (88 when the whole lag-weight table and the padded FFT copies were
-    built); a second adds lag-weight blocks only, at most 2 MiB (20 MiB
-    when it rebuilt the whole table)."""
+    """A first exponent peaks at most 36 bytes per node above the samples
+    (40 when the increments were copied into the FFT pads, 88 when the
+    whole lag-weight table and the padded FFT copies were built); a second
+    adds lag-weight blocks only, at most 2 MiB (20 MiB when it rebuilt the
+    whole table)."""
     import tracemalloc
 
     from fracform.energy import EnergyParams, gagliardo_energy
@@ -285,7 +286,7 @@ def test_energy_peak_memory_per_node():
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    assert peaks[0] <= 56 * n, peaks[0] / n
+    assert peaks[0] <= 36 * n, peaks[0] / n
     assert peaks[1] <= 2 << 20, peaks[1]
 
 
@@ -298,6 +299,13 @@ def test_energy_continuous_through_alpha_one(rng):
         assert got == pytest.approx(at_one, rel=1e-8)
 
 
+def _of_slopes(route, s):
+    """``route``'s correlation of the slopes of the samples v that sum s
+    from 0, and those slopes: s up to rounding, exactly s for integers."""
+    v = np.concatenate([[0.0], np.cumsum(s)])
+    return getattr(quadcells, route)(v), np.diff(v)
+
+
 @pytest.mark.parametrize("size", [1, 2, 399, 400, 401, 1023, 1024, 1025,
                                   "random"])
 def test_direct_and_fft_autocorrelation_agree(size):
@@ -305,9 +313,8 @@ def test_direct_and_fft_autocorrelation_agree(size):
     rng = np.random.default_rng(7 if size == "random" else size)
     sizes = rng.integers(1, 3000, 6) if size == "random" else [size]
     for m in sizes:
-        s = rng.standard_normal(m)
+        got, s = _of_slopes("_slope_autocorr", rng.standard_normal(m))
         direct = np.correlate(s, s, mode="full")[m - 1:]
-        got = quadcells._slope_autocorr(s)
         assert got.shape == direct.shape == (m,)
         assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
 
@@ -323,9 +330,9 @@ def _split_sizes():
 def test_split_autocorrelation_matches_direct(m):
     # above SPLIT slopes the halves' correlations are added; at SPLIT the one
     # whole transform runs, so the boundary is pinned from both sides
-    s = np.random.default_rng(m).standard_normal(m)
+    got, s = _of_slopes("_slope_autocorr",
+                        np.random.default_rng(m).standard_normal(m))
     direct = np.correlate(s, s, mode="full")[m - 1:]
-    got = quadcells._slope_autocorr(s)
     assert got.shape == direct.shape == (m,)
     assert np.max(np.abs(got - direct)) <= 1e-12 * direct[0]
 
@@ -343,7 +350,8 @@ def test_correlation_of_integer_slopes_is_exact(route, m):
     # written directly.  _slope_autocorr takes the halves above SPLIT.
     rng = np.random.default_rng(m)
     s = rng.integers(-1024, 1025, m)
-    got = getattr(quadcells, route)(s.astype(float))
+    got, slopes = _of_slopes(route, s)
+    assert np.array_equal(slopes, s)
     assert got.shape == (m,)
     if m <= 1025:
         lags = np.arange(m)
@@ -362,13 +370,13 @@ def test_split_starts_above_its_threshold(monkeypatch):
     split = quadcells._split_autocorr
     sizes = []
 
-    def spy(s):
-        sizes.append(s.size)
-        return split(s)
+    def spy(v):
+        sizes.append(v.size - 1)
+        return split(v)
 
     monkeypatch.setattr(quadcells, "_split_autocorr", spy)
     for m in (1, SPLIT - 1, SPLIT, SPLIT + 1):
-        quadcells._slope_autocorr(np.ones(m))
+        quadcells._slope_autocorr(np.arange(m + 1.0))
     assert sizes == [SPLIT + 1]
 
 
@@ -378,11 +386,11 @@ def _no_thread_starts(self):
 
 @pytest.mark.parametrize("m", [SPLIT + 1, 2 * SPLIT + 3])
 def test_split_is_the_same_bits_when_no_thread_starts(m, monkeypatch):
-    s = np.random.default_rng(3).standard_normal(m)
-    threaded = quadcells._slope_autocorr(s)
+    v = np.random.default_rng(3).standard_normal(m + 1)
+    threaded = quadcells._slope_autocorr(v)
     before = threading.active_count()
     monkeypatch.setattr(threading.Thread, "start", _no_thread_starts)
-    inline = quadcells._slope_autocorr(s)
+    inline = quadcells._slope_autocorr(v)
     assert threading.active_count() == before
     assert np.array_equal(threaded.view(np.int64), inline.view(np.int64))
 
@@ -390,13 +398,13 @@ def test_split_is_the_same_bits_when_no_thread_starts(m, monkeypatch):
 def test_split_from_concurrent_callers():
     # more callers than cores, each with its own helper: every call's halves
     # write only its own buffers, so each gets the one-caller bits
-    s = np.random.default_rng(4).standard_normal(SPLIT + 5)
-    want = quadcells._slope_autocorr(s)
+    v = np.random.default_rng(4).standard_normal(SPLIT + 6)
+    want = quadcells._slope_autocorr(v)
     got = [None] * 6
 
     def call(i):
         for _ in range(5):
-            got[i] = quadcells._slope_autocorr(s)
+            got[i] = quadcells._slope_autocorr(v)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -434,7 +442,7 @@ def test_split_raises_a_failed_half_and_leaves_no_thread(on_helper,
     monkeypatch.setattr(np.fft, "rfft", failing)
     before = threading.active_count()
     with pytest.raises(_HalfFailed):
-        quadcells._slope_autocorr(np.ones(SPLIT + 1))
+        quadcells._slope_autocorr(np.arange(SPLIT + 2.0))
     assert threading.active_count() == before
     assert len(raised) == 1
 

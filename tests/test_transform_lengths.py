@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from fracform import scalecap
-from fracform.grids import IntervalSet
+from fracform.energy import EnergyParams, gagliardo_energy
+from fracform.grids import GridFunction, IntervalSet
+from fracform.levy import LevyTriplet, PowerLawDensity, levy_gagliardo_energy
 from fracform.quadcells import gagliardo_of_values
 from fracform.scalecap import capacity_estimate, concentration_test
 
@@ -91,4 +93,20 @@ def test_gagliardo_of_values(lengths, samples, counts):
     v = np.sin(np.linspace(0.0, np.pi, samples)) ** 2
     v[0] = v[-1] = 0.0
     gagliardo_of_values(v, 1.0 / samples, 0.5)
+    assert calls == Counter(counts)
+
+
+@pytest.mark.parametrize("samples, counts", [
+    (2050, {("rfft", 4096): 1, ("irfft", 4096): 1}),
+    (32770, {("rfft", 32768): 2, ("irfft", 32768): 2})])
+def test_first_energy_transforms_once_and_warm_ones_never(lengths, samples,
+                                                          counts):
+    calls, _ = lengths
+    v = np.sin(np.linspace(0.0, np.pi, samples)) ** 2
+    v[0] = v[-1] = 0.0
+    f = GridFunction(0.0, 1.0 / samples, v)
+    gagliardo_energy(f, EnergyParams(0.5))
+    assert calls == Counter(counts)
+    gagliardo_energy(f, EnergyParams(1.5))
+    levy_gagliardo_energy(f, LevyTriplet(density=PowerLawDensity(0.7)))
     assert calls == Counter(counts)

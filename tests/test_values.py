@@ -24,7 +24,8 @@ import fracform
 from fracform import (FourierTable, GridFunction, IntervalSet, LevyTriplet,
                       PowerLawDensity, ScaleFunction, SignedMeasure,
                       StepFunction, SymbolCurve, bv_fourier_bound_check,
-                      discrete_fourier, levy_gagliardo_energy, levy_symbol,
+                      compose_scale, discrete_fourier, duality_pairing_check,
+                      ladder_decompose, levy_gagliardo_energy, levy_symbol,
                       make_plateau, pushforward_measure, scale_from_open_set,
                       transform_at)
 from fracform import energy, fourier, quadcells, scalecap
@@ -314,9 +315,15 @@ ENERGY_CACHES = (energy._kept_hardy_rule, energy._gauss_legendre,
                  quadcells._kept_lag_weights)
 
 
+def _types(a) -> list:
+    return ([t for x in a for t in _types(x)] if isinstance(a, tuple)
+            else [type(a)])
+
+
 def test_energy_and_levy_cold_equals_warm():
     # the energy and Levy layers' module caches cleared and the functions
-    # fresh give the bits of the same calls served from both
+    # fresh give the bits of the same calls served from both, and the
+    # same types
     for cache in ENERGY_CACHES:
         cache.cache_clear()
     inputs = _energy_inputs()
@@ -325,6 +332,8 @@ def test_energy_and_levy_cold_equals_warm():
     warm = tuple(call(*inputs) for call in ENERGY_CALLS)
     assert energy._kept_hardy_rule.cache_info()[:2] == (2, 2)
     assert _same_outputs(cold, warm)
+    assert _types(cold) == _types(warm)
+    assert {type(rep[0]) for rep in cold if len(rep) == 3} == {float}
 
 
 def test_energy_and_levy_in_threads_equal_serial():
@@ -340,6 +349,96 @@ def test_energy_and_levy_in_threads_equal_serial():
         with ThreadPoolExecutor(4) as pool:
             threaded = list(pool.map(lambda call: call(*inputs),
                                      ENERGY_CALLS * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _same_outputs(tuple(threaded), serial * 8)
+
+
+def _bump(n=257, origin=-0.5, span=1.0):
+    x = np.linspace(0.0, 1.0, n)
+    values = np.sin(np.pi * x) ** 2 * (1.0 + 0.5 * np.cos(7.0 * x))
+    values[[0, 1, -2, -1]] = 0.0
+    return GridFunction(origin, span / (n - 1), values)
+
+
+_UNIFORM = np.linspace(-60.0, 60.0, 241)
+_SCATTERED = np.random.default_rng(5).uniform(-90.0, 90.0, 333)
+
+
+def test_transform_kept_plan_equals_a_fresh_one():
+    f = _bump()
+    for cache in (fourier._kept_plan, fourier._es_table):
+        cache.cache_clear()
+    cold = (transform_at(f, _UNIFORM), transform_at(f, _SCATTERED))
+    assert fourier._kept_plan.cache_info()[:2] == (0, 2)
+    warm = (transform_at(f, _UNIFORM), transform_at(f, _SCATTERED))
+    assert fourier._kept_plan.cache_info()[:2] == (2, 2)
+    assert _same_outputs(cold, warm)
+
+
+def _walk(n=2049, seed=8):
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(n))
+    v = (walk - walk.min() + 1.0) * np.sin(np.pi * np.arange(n) / (n - 1))
+    v[0] = v[-1] = 0.0
+    return GridFunction(0.0, 1.0 / (n - 1), v)
+
+
+def test_ladder_stepped_sums_equal_rebuilt_ones():
+    tree = ladder_decompose(_walk(), max_nodes=200, sup_tol=0.0)
+    ks = range(1, tree.n_nodes + 1)
+    stepped = tuple(tree.partial_sum(k).values for k in ks)
+    rebuilt = []
+    for k in ks:
+        tree._kept = None
+        rebuilt.append(tree.partial_sum(k).values)
+    assert tree.n_nodes > 100
+    assert _same_outputs(stepped, tuple(rebuilt))
+
+
+_G = IntervalSet.of((-0.9, -0.5), (-0.2, 0.3), (0.6, 0.7))
+
+
+def _scale_outputs() -> tuple:
+    s = scale_from_open_set(_G, anchor=0.1, density_window=(-1.0, 1.0))
+    # s maps (-2, 2) onto (-0.7, 0.3)
+    comp = compose_scale(_bump(origin=-0.4, span=0.5), s, (-2.0, 2.0),
+                         step=1.0 / 128)
+    phi = _bump(n=129, origin=-1.0)
+    return (s.breakpoints, s.cumulative, s(_UNIFORM / 30.0),
+            (s.density_depth, s.strictly_increasing), comp.function.values,
+            comp.lipschitz, duality_pairing_check(comp.function, s, phi))
+
+
+def test_scale_layer_cold_equals_warm():
+    assert _same_outputs(_scale_outputs(), _scale_outputs())
+
+
+# one call per layer and input, each served from a kept value after its
+# first run: plans, partial sums stepped from the kept one, scale functions
+def _layer_calls(tree):
+    f = _bump()
+    return (lambda: transform_at(f, _UNIFORM),
+            lambda: transform_at(f, _SCATTERED),
+            *(lambda k=k: tree.partial_sum(k).values
+              for k in (3, 9, 10, 40, 41, 120)),
+            _scale_outputs)
+
+
+def test_transform_ladder_and_scale_in_threads_equal_serial():
+    serial = tuple(call() for call in _layer_calls(
+        ladder_decompose(_walk(), max_nodes=200, sup_tol=0.0)))
+    for cache in (fourier._kept_plan, fourier._es_table):
+        cache.cache_clear()
+    # four threads race on the cold plans and on one tree, whose kept sum
+    # every partial_sum replaces
+    calls = _layer_calls(ladder_decompose(_walk(), max_nodes=200,
+                                          sup_tol=0.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda call: call(), calls * 8,
+                                     timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert _same_outputs(tuple(threaded), serial * 8)

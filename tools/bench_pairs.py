@@ -11,8 +11,9 @@ pairs and the change first on even ones; pair i uses seed S + i - 1 on both
 sides.  Choose seeds that were not used while writing the change.  It
 writes ``BENCH_<n>.json`` at the repository root with, per side and
 workload, the median and quartiles of every end-to-end metric, the failed
-share of the operations, the ``info:`` machine line and the ``src/`` line
-count, and per workload the number of pairs each metric won for the
+share of the operations, under ``faults`` the median and quartiles of the
+runs' minor page faults (reported, never gated), the ``info:`` machine
+line and the ``src/`` line count, and per workload the number of pairs each metric won for the
 change.  Beside the wins, ``ratios`` holds per workload and metric the
 median of the ten paired log ratios log(change / parent) and a
 distribution-free ~90% interval for it from their order statistics (a
@@ -59,6 +60,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import shutil
 import statistics
@@ -102,17 +104,23 @@ def export(ref: str, dest: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The ``info`` line and the result of one ``perfbench/run.py`` run,
+    and its minor page faults: the growth of this process's
+    ``RUSAGE_CHILDREN`` count over the run, which takes in the run and
+    every process it waited for."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     if proc.returncode != 0:
         raise SystemExit(f"error: {workload} seed {seed} in {checkout} "
                          f"exited {proc.returncode}\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     info = next(json.loads(line[len("info: "):]) for line in lines
                 if line.startswith("info: "))
-    return {"info": info, "result": json.loads(lines[-1])}
+    return {"info": info, "result": json.loads(lines[-1]), "faults": faults}
 
 
 def run_python(checkout: Path, args: list, text: bool = True, cwd=None):
@@ -397,6 +405,7 @@ def main(argv=None) -> int:
                     for name in metrics},
                 "failed_share": sum(r["failed"] for r in res)
                 / sum(r["attempted"] for r in res),
+                "faults": summary([r["faults"] for r in runs[side][w]]),
                 "all_correct": all(r["correct"] for r in res),
             }
         return out
