@@ -21,12 +21,12 @@ Floating-point overflow.  Finite samples can still have a form beyond
 float64; every energy then raises ValueError, never a numpy warning.  Of a
 grid energy, the work that can overflow is what a ``GridFunction`` keeps:
 its increment autocorrelation, its L2 norm and (for a Levy form) rho at the
-atoms, each built once under ``np.errstate``.  A later call on the same
-function runs no ``np.errstate`` unless its exponent's dot could overflow,
-which a bound from the kept values decides (``quadcells._quiet_dot``), and
-combines the result in Python floats, which overflow to inf silently.
-Step-function energies, which keep nothing, run their pair sums under
-``np.errstate`` on every call.
+atoms, each built once under ``np.errstate``.  A call then dots the kept
+values with ``np.vdot``, which checks no floating-point flag, and combines
+the result in Python floats, which overflow to inf silently; so no call on
+a function that keeps them enters ``np.errstate``.  Step-function energies,
+which keep nothing, run their pair sums under ``np.errstate`` on every
+call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .fourier import discrete_fourier
 from .grids import (MAX_GRID_NODES, GridFunction, StepFunction, count,
                     kernel_exponent, positive_number, real_number, window)
 from .ladder import _erasure
-from .quadcells import _increment_form
+from .quadcells import _increment_form, _without_overflow
 
 __all__ = [
     "DIVERGENT",
@@ -135,14 +135,6 @@ def _require_compact(f: GridFunction):
     samples are finite by construction."""
     if not f.has_compact_support():
         raise ValueError("function must taper to exact zero inside its window")
-
-
-def _without_overflow(value: float) -> float:
-    """Finite samples have a finite form, so a form that is not finite has
-    overflowed float64."""
-    if not math.isfinite(value):
-        raise ValueError("the energy of these samples overflows float64")
-    return value
 
 
 def _grid_energy(f: GridFunction, p: EnergyParams) -> float:
@@ -278,33 +270,6 @@ def _gauss_segments(edges):
     return x, w
 
 
-def _grid_cells(xq: np.ndarray, origin: float, step: float):
-    """Where np.interp finds each node xq on the grid origin + j step: the
-    first cell j0, each node's cell j0 + k, its offset xq - x_j and the
-    widths x_(j+1) - x_j of the cells j0 .. j0 + K - 1, read-only, with
-    x_j = origin + j step to the bits of ``GridFunction.x``.  The grid is
-    non-decreasing, so the cell is that of the last node x_j <= xq.  None
-    where the cells may not be np.interp's: a node on a grid node (offset
-    0), cells left of x_0 or not bracketing the nodes, as where the grid's
-    spacing rounds away, and indices past 2^52, where j step is inexact."""
-    ends = ((float(xq[0]) - origin) / step, (float(xq[-1]) - origin) / step)
-    if not all(abs(end) < 2.0 ** 52 for end in ends):     # NaN too
-        return None
-    first = max(math.floor(ends[0]) - 1, 0)
-    x = origin + step * np.arange(first, math.floor(ends[1]) + 3)
-    j = np.searchsorted(x, xq, side="right") - 1
-    lo, hi = int(j[0]), int(j[-1])      # xq is increasing, and so is j
-    if lo < 0 or hi >= x.size - 1:
-        return None
-    offset = xq - x[j]
-    if not offset.min() > 0.0:
-        return None
-    cells = (first + lo, j - lo, offset, x[lo + 1:hi + 2] - x[lo:hi + 1])
-    for array in cells[1:]:
-        array.flags.writeable = False
-    return cells
-
-
 def _hardy_rule(lo: float, hi: float, panels: int, a: float, b: float,
                 alpha: float) -> tuple:
     """The data-free half of the Hardy identity on (lo, hi): read-only
@@ -326,38 +291,16 @@ def _hardy_rule(lo: float, hi: float, panels: int, a: float, b: float,
     return rule
 
 
-# Supports of at most _KEPT_PANELS panels keep their rule: 4 arrays of 12
-# float64 per panel, and the cells' index and offset at 12 nodes and one
-# cell width, 584 bytes per panel; 1.14 MiB each, 9.1 MiB for all
-# _KEPT_RULES.
+# Supports of at most _KEPT_PANELS panels keep their rule, 4 arrays of 12
+# float64 per panel: 768 KiB each, 6 MiB for all _KEPT_RULES.
 _KEPT_PANELS = 1 << 11
 _KEPT_RULES = 8
 
 
 @functools.lru_cache(maxsize=_KEPT_RULES)
 def _kept_hardy_rule(lo: float, hi: float, panels: int, a: float, b: float,
-                     alpha: float, origin: float, step: float) -> tuple:
-    """_hardy_rule and a list its calls fill: the first appends None, the
-    second the nodes' cells on the grid origin + j step (``_grid_cells``),
-    which later calls read in place of np.interp's search.  Locating the
-    cells costs about two searches, so a rule read once pays none."""
-    return (*_hardy_rule(lo, hi, panels, a, b, alpha), [])
-
-
-def _at_nodes(f: GridFunction, xq: np.ndarray, cells) -> np.ndarray:
-    """f(xq) by np.interp's own formula, (v_(j+1) - v_j) / (x_(j+1) - x_j)
-    (xq - x_j) + v_j, on the kept cells, which give its bits, and as
-    silently as np.interp where a slope overflows; f(xq) where no cells are
-    kept or they run past f's samples."""
-    if cells is None or cells[0] + cells[3].size >= f.values.size:
-        return f(xq)
-    first, k, offset, width = cells
-    v = f.values[first:first + width.size + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = ((v[1:] - v[:-1]) / width)[k]
-        out *= offset
-        out += v[k]
-    return out
+                     alpha: float) -> tuple:
+    return _hardy_rule(lo, hi, panels, a, b, alpha)
 
 
 def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
@@ -373,12 +316,11 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     f^2, so the defect measures only the panel rule: it is not an
     independent route to the identity.
 
-    The rule (the nodes, weights, both kernels at the nodes and the grid
-    cell of each node) depends on the support ends, the panel count, a, b,
-    alpha and the grid's origin and step alone.  Supports of at most 2^11
-    panels keep it in an LRU of 8 rules, so repeated calls on one grid and
-    window pay only for f at the nodes, from the cells kept since the
-    rule's second call, and the two sums.
+    The rule (the nodes, weights and both kernels at the nodes) depends on
+    the support ends, the panel count, a, b and alpha alone.  Supports of
+    at most 2^11 panels keep it in an LRU of 8 rules, so repeated calls on
+    one grid and window pay only for f at the nodes (np.interp's search of
+    the grid) and the two sums.
     """
     a, b = real_number("a", a), real_number("b", b)
     window("the window (a, b)", (a, b))
@@ -395,17 +337,10 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
         raise ValueError("support must lie inside (a, b)")
 
     panels = max(64, f.support_hi - f.support_lo + 2)
-    key = (float(lo), float(hi), panels, a, b, alpha)
-    if panels <= _KEPT_PANELS:
-        xq, wq, rhs_kernel, lhs_kernel, found = _kept_hardy_rule(
-            *key, f.origin, f.step)
-        # racing threads may append twice; each entry is None or the cells
-        if len(found) < 2:
-            found.append(_grid_cells(xq, f.origin, f.step) if found else None)
-        cells = found[-1]
-    else:
-        (xq, wq, rhs_kernel, lhs_kernel), cells = _hardy_rule(*key), None
-    w2 = wq * _at_nodes(f, xq, cells) ** 2
+    xq, wq, rhs_kernel, lhs_kernel = (
+        _kept_hardy_rule if panels <= _KEPT_PANELS else _hardy_rule)(
+            float(lo), float(hi), panels, a, b, alpha)
+    w2 = wq * f(xq) ** 2
     return (float(np.sum(w2 * lhs_kernel)), float(np.sum(w2 * rhs_kernel)))
 
 

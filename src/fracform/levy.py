@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DIVERGENT, EnergyReport, _require_compact, \
-    _without_overflow
+from .energy import DIVERGENT, EnergyReport, _require_compact
 from .grids import (GridFunction, PlateauSpec, _frozen_array, _json_float,
                     _rebuilt, kernel_exponent, make_plateau,
                     nonnegative_number, positive_number, real_number)
-from .quadcells import _increment_form, _quiet_dot, rho_profile
+from .quadcells import _increment_form, _without_overflow, rho_profile
 
 __all__ = [
     "PowerLawDensity",
@@ -191,20 +190,18 @@ def levy_indicator_energy(a: float, b: float, t: LevyTriplet) -> float:
     return 2.0 * mass
 
 
-def _rho_at_atoms(f: GridFunction, x: np.ndarray) -> tuple:
-    """Read-only rho(x) of f at the atom positions x and the largest
-    |rho(x)|, kept with f."""
+def _rho_at_atoms(f: GridFunction, x: np.ndarray) -> np.ndarray:
+    """Read-only rho(x) of f at the atom positions x, kept with f."""
     key = x.tobytes()
     kept = f.__dict__.get("_atom_rho")  # one read: a thread may replace it
     if kept is not None and kept[0] == key:
-        return kept[1:]
+        return kept[1]
     with np.errstate(over="ignore", invalid="ignore"):
         rho = rho_profile(f.support_values(margin=1), f.step, x)
-        top = float(np.max(np.abs(rho)))
     rho.flags.writeable = False
     # the function is frozen; like cached_property, fill its __dict__
-    f.__dict__["_atom_rho"] = (key, rho, top)
-    return rho, top
+    f.__dict__["_atom_rho"] = (key, rho)
+    return rho
 
 
 def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
@@ -218,18 +215,15 @@ def levy_gagliardo_energy(f: GridFunction, t: LevyTriplet) -> EnergyReport:
     kept with ``f`` under the atom positions, one set per function, so
     triplets that share their atoms on one f compute it once; a different
     set replaces it.  As for ``gagliardo_energy``, np.errstate covers only
-    the work kept with ``f`` (rho, the correlation and the L2 norm) and a
-    dot whose bound does not rule out overflow."""
+    the work kept with ``f`` (rho, the correlation and the L2 norm); the
+    dots with it are ``np.vdot``, which stays silent where they overflow."""
     if t.sigma > 0:
         raise ValueError("the jump form needs sigma = 0")
     _require_compact(f)
     value = 0.0
     if t.atoms:
         x, m = np.array(t.atoms).T
-        rho, top = _rho_at_atoms(f, x)
-        # the masses are >= 0, so their sum times max |rho| bounds the dot
-        bound = sum(mass for _, mass in t.atoms) * top
-        value += 2.0 * _quiet_dot(m, rho, bound)
+        value += 2.0 * float(np.vdot(m, _rho_at_atoms(f, x)))
     if t.density is not None:
         value += t.density.coefficient * _increment_form(
             f.increment_autocorr, f.step, t.density.alpha)

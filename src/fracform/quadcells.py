@@ -37,8 +37,9 @@ either way.
 GridFunction.increment_autocorr keeps c, so a function evaluated at
 several exponents correlates once, and up to 2^13 lags a later exponent's
 form is one dot of c with a view of the kept table (a warm grid energy at
-2049 nodes: ~5 us in process on a quiet core, ~3/4 of its cost when every
-call entered np.errstate and looped over blocks).  The lag weights
+2049 nodes: ~5 us in process on a quiet core).  Every dot is np.vdot,
+which leaves the floating-point flags alone, so a form too large for
+float64 comes back inf or NaN without np.errstate.  The lag weights
 depend only on alpha and the order, not on the data, and a table of n lags
 is the first n lags of any longer one.  One read-only table of 2^13 lags is
 kept per (alpha, order), in a least-recently-used cache of 128 tables (at
@@ -91,13 +92,6 @@ _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 # the lags beyond in blocks of _KEPT_LAGS lags.
 _KEPT_LAGS = 1 << 13
 _KEPT_TABLES = 128
-
-# The kept order-2 tables stay below this in magnitude at every alpha
-# (about 6 * 8191 at most, as alpha falls to 0), and a dot whose terms sum below
-# _QUIET_BOUND in magnitude cannot overflow: so the dot of c, |c_k| <= c_0,
-# with a kept table is quiet while c_0 stays below 2^(1000 - 13 - 16).
-_KEPT_WEIGHT_BOUND = 2.0 ** 16
-_QUIET_BOUND = 2.0 ** 1000
 
 # For alpha > 1 the second differences are shifted by the regular part of
 # their value at this lag, the kept table's last; see _lag_weight_table.
@@ -338,14 +332,12 @@ def _form_scale(h: float, alpha: float) -> float:
     return scale
 
 
-def _quiet_dot(a: np.ndarray, b: np.ndarray, bound: float) -> float:
-    """float(np.dot(a, b)) for a bound >= sum_i |a_i b_i|.  Below
-    _QUIET_BOUND no partial sum can overflow, so np.errstate is entered
-    only for a larger bound, or a NaN one."""
-    if bound < _QUIET_BOUND:
-        return float(np.dot(a, b))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.dot(a, b))
+def _without_overflow(value: float) -> float:
+    """Finite samples have a finite form, so a form that is not finite has
+    overflowed float64."""
+    if not math.isfinite(value):
+        raise ValueError("the energy of these samples overflows float64")
+    return value
 
 
 def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
@@ -355,21 +347,21 @@ def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
 
     Up to _KEPT_LAGS lags the form is one dot of c with a view of the kept
     table.  Beyond, the lag weights come in blocks of _KEPT_LAGS lags, each
-    dotted with its slice of c, under np.errstate, and no longer table is
-    built whole.  The result is combined in Python floats, so a form that
-    overflows is returned as inf or NaN without a warning."""
+    dotted with its slice of c, and no longer table is built whole.  np.vdot
+    runs np.dot's BLAS dot without checking the floating-point flags, and
+    the result is combined in Python floats, so a form that overflows is
+    returned as inf or NaN without a warning, even under a caller's
+    np.errstate."""
     scale = _form_scale(h, alpha)
     kept = _kept_lag_weights(alpha, 2)
-    c0 = float(c[0])                    # |c_k| <= c_0, by Cauchy-Schwarz
     if c.size <= _KEPT_LAGS:
-        dot = _quiet_dot(c, kept[:c.size], c0 * c.size * _KEPT_WEIGHT_BOUND)
+        dot = float(np.vdot(c, kept[:c.size]))
     else:
         dot = -0.0                      # x + -0.0 is x
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, c.size, _KEPT_LAGS):
-                hi = min(lo + _KEPT_LAGS, c.size)
-                dot += float(np.dot(c[lo:hi], _lag_weights(alpha, 2, lo, hi)))
-    return -scale * (2.0 * dot - c0 * float(kept[0]))
+        for lo in range(0, c.size, _KEPT_LAGS):
+            hi = min(lo + _KEPT_LAGS, c.size)
+            dot += float(np.vdot(c[lo:hi], _lag_weights(alpha, 2, lo, hi)))
+    return -scale * (2.0 * dot - float(c[0]) * float(kept[0]))
 
 
 def _cubic_bspline(t: np.ndarray) -> np.ndarray:
@@ -424,8 +416,12 @@ def increment_autocorr(values: np.ndarray) -> np.ndarray:
 
 def gagliardo_of_values(values: np.ndarray, h: float, alpha: float) -> float:
     """Exact fractional seminorm (no prefactor) of the interpolant of
-    ``values``; the samples must taper to exact 0 at both array ends."""
-    return _increment_form(increment_autocorr(values), h, alpha)
+    ``values``; the samples must taper to exact 0 at both array ends.
+    Raises ValueError, without a numpy warning, where the form overflows
+    float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = increment_autocorr(values)
+    return _without_overflow(_increment_form(c, h, alpha))
 
 
 def hat_energy_row(n: int, h: float, alpha: float) -> np.ndarray:

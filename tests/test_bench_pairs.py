@@ -2,8 +2,8 @@
 on: the line pairing recorded when the two sides' outputs differ, the
 README command lines both sides run and their timed runs, the runtime mask
 of verdict CSVs, the per-check runtimes read from them, the census of
-unreached functions, the paired-ratio interval and the minor page faults
-of a benchmark run."""
+unreached functions, the paired-ratio interval, the minor page faults
+of a benchmark run and the A/A pairs of the parent against itself."""
 
 import math
 import resource
@@ -16,6 +16,7 @@ from fracform.cli import emit_table
 from fracform.verify import VerdictRecord
 
 bench_pairs = load_tool("bench_pairs")
+aa_ratios = bench_pairs.aa_ratios
 census_runs = bench_pairs.census_runs
 check_runtimes = bench_pairs.check_runtimes
 cli_runs = bench_pairs.cli_runs
@@ -240,3 +241,38 @@ def test_a_run_counts_the_minor_faults_of_its_process(tmp_path):
     pages = (16 << 20) // resource.getpagesize()
     assert runs[0]["faults"] > 0
     assert runs[1]["faults"] - runs[0]["faults"] >= pages // 2
+
+
+# a stand-in ``perfbench/run.py`` that logs its checkout, workload and seed,
+# then reports the seed to the power {power} as its one metric
+_SEEDED_RUN = """import json, sys
+from pathlib import Path
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+workload = sys.argv[sys.argv.index("--workload") + 1]
+with open(Path(__file__).resolve().parents[2] / "runs.log", "a") as log:
+    log.write(f"{tag} {{workload}} {{seed}}\\n")
+print("info: {{}}")
+print(json.dumps({{"metrics": {{"m": {{"value": seed ** {power}}}}}}}))
+"""
+
+
+def test_aa_pairs_alternate_and_give_the_outer_ratios(tmp_path):
+    checkouts = []
+    for tag, power in (("parent", 1), ("copy", 2)):
+        (tmp_path / tag / "perfbench").mkdir(parents=True)
+        (tmp_path / tag / "perfbench" / "run.py").write_text(
+            _SEEDED_RUN.format(tag=tag, power=power))
+        checkouts.append(tmp_path / tag)
+    out = aa_ratios(*checkouts, ["w1", "w2"], {"m": {}}, 1, 1)
+    # four pairs, each workload's runs alternating which side goes first
+    assert (tmp_path / "runs.log").read_text().splitlines() == [
+        f"{tag} {w} {seed}" for seed in range(1, 5) for w in ("w1", "w2")
+        for tag in (("parent", "copy") if seed % 2 else ("copy", "parent"))]
+    # copy / parent = seed: the log ratios are log 1 .. log 4, and four
+    # pairs give the interval from the least to the greatest
+    for w in ("w1", "w2"):
+        ratio = out[w]["m"]
+        assert ratio["lo_log"] == 0.0
+        assert ratio["hi_log"] == pytest.approx(math.log(4.0))
+        assert ratio["median_log"] == pytest.approx(math.log(6.0) / 2.0)
+        assert ratio["coverage"] == 0.875

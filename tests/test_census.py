@@ -27,8 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 UNREACHED = {
     "cli._Parser.error": "error path",
     "cli._read_json": "input path",                     # json: and --triplet
-    # a kept Hardy rule's second call; verify's Hardy calls each miss
-    "energy._grid_cells": "perfbench: energies",
     "energy.calibrate_c_of_alpha": "perfbench: spectral",
     "energy.fourier_energy": "perfbench: spectral",
     "energy.fourier_gagliardo_ratio": "perfbench: spectral",

@@ -466,6 +466,15 @@ def test_overflowing_form_scale_refused():
     assert math.isfinite(quadcells._form_scale(0.01, 1e-300))
 
 
+def test_overflowing_form_of_values_refused_without_warning(recwarn):
+    # finite samples whose correlation overflows: the capacity value's form
+    v = np.zeros(300)
+    v[2:-2] = 1e160 * np.sin(np.arange(296.0))
+    with pytest.raises(ValueError, match="overflows float64"):
+        gagliardo_of_values(v, 1e-3, 0.05)
+    assert [w.category for w in recwarn] == []
+
+
 def test_rho_profile_matches_brute_correlation(rng):
     # against the defining integral, exact by Simpson's rule per piece: on-
     # and off-grid lags, lags at and beyond the span (rho = 2 ||u||^2), the

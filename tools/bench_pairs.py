@@ -18,7 +18,13 @@ change.  Beside the wins, ``ratios`` holds per workload and metric the
 median of the ten paired log ratios log(change / parent) and a
 distribution-free ~90% interval for it from their order statistics (a
 sign-test interval), with its exact coverage; it is reported, never
-gated.  Each side also records the git tree ids of its ``src`` and
+gated.  After the ten pairs the parent runs AA_PAIRS = 4 more alternating
+pairs per workload against a second export of itself, at seeds S .. S + 3,
+and ``ratios_aa`` holds per workload and metric the same paired-ratio
+summary of those runs, copy against parent: an interval a code change
+cannot have moved, which at n = 4 is [x_(1), x_(4)] with 87.5% coverage,
+to read each change ratio against.  It too is reported, never gated.
+Each side also records the git tree ids of its ``src`` and
 ``perfbench`` directories, which stay the same when only documents change,
 so a record can be checked against a later commit.  After the pairs, each
 side runs the tier-1 test suite once in its checkout, and its ``info``
@@ -77,6 +83,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 MEASURED = ("src", "perfbench")
 RATIO_LEVEL = 0.9  # the coverage sought for the paired-ratio interval
+AA_PAIRS = 4  # parent against a second export of itself, per workload
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 CLI = ["-m", "fracform.cli"]
@@ -121,6 +128,43 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     info = next(json.loads(line[len("info: "):]) for line in lines
                 if line.startswith("info: "))
     return {"info": info, "result": json.loads(lines[-1]), "faults": faults}
+
+
+def alternating_pairs(dirs: dict, workloads: list, pairs: int,
+                      first_seed: int, seconds: int) -> dict:
+    """Per side of ``dirs`` (two sides, in order) and workload, the
+    ``run_once`` results of ``pairs`` alternating pairs: the first side
+    runs first on odd pairs and the second on even ones, and pair i uses
+    seed first_seed + i - 1 on both sides."""
+    sides = list(dirs)
+    runs = {side: {w: [] for w in workloads} for side in sides}
+    for i in range(1, pairs + 1):
+        order = sides if i % 2 else sides[::-1]
+        for w in workloads:
+            for side in order:
+                runs[side][w].append(run_once(dirs[side], w,
+                                              first_seed + i - 1, seconds))
+            print(f"{' / '.join(sides)} pair {i}/{pairs} {w} done",
+                  file=sys.stderr, flush=True)
+    return runs
+
+
+def metric_values(runs: list, name: str) -> list:
+    """The value of end-to-end metric ``name`` in each ``run_once`` result,
+    in run order."""
+    return [r["result"]["metrics"][name]["value"] for r in runs]
+
+
+def aa_ratios(parent: Path, copy: Path, workloads: list, metrics,
+              first_seed: int, seconds: int) -> dict:
+    """Per workload and metric, ``paired_ratios`` of AA_PAIRS alternating
+    pairs of two checkouts of one commit, ``copy`` against ``parent``."""
+    runs = alternating_pairs({"parent": parent, "copy": copy}, workloads,
+                             AA_PAIRS, first_seed, seconds)
+    return {w: {name: paired_ratios(metric_values(runs["parent"][w], name),
+                                    metric_values(runs["copy"][w], name))
+                for name in metrics}
+            for w in workloads}
 
 
 def run_python(checkout: Path, args: list, text: bool = True, cwd=None):
@@ -365,16 +409,12 @@ def main(argv=None) -> int:
     try:
         dirs = {side: work / side for side in SIDES}
         commits = {side: export(refs[side], dirs[side]) for side in SIDES}
-        runs = {side: {w: [] for w in workloads} for side in SIDES}
-        for i in range(1, PAIRS + 1):
-            order = SIDES if i % 2 else SIDES[::-1]
-            for w in workloads:
-                for side in order:
-                    runs[side][w].append(run_once(
-                        dirs[side], w, args.first_seed + i - 1,
-                        spec["run_seconds"]))
-                print(f"pair {i}/{PAIRS} {w} done", file=sys.stderr,
-                      flush=True)
+        runs = alternating_pairs(dirs, workloads, PAIRS, args.first_seed,
+                                 spec["run_seconds"])
+        export(refs["parent"], work / "parent-copy")
+        ratios_aa = aa_ratios(dirs["parent"], work / "parent-copy",
+                              workloads, metrics, args.first_seed,
+                              spec["run_seconds"])
         tier1_runs = {side: tier1(dirs[side]) for side in SIDES}
         verify_info = verify_runs(dirs)
         cli_info = cli_runs(dirs)
@@ -399,8 +439,7 @@ def main(argv=None) -> int:
             res = [r["result"] for r in runs[side][w]]
             out["workloads"][w] = {
                 "metrics": {
-                    name: dict(summary([r["metrics"][name]["value"]
-                                        for r in res]),
+                    name: dict(summary(metric_values(runs[side][w], name)),
                                unit=metrics[name]["unit"])
                     for name in metrics},
                 "failed_share": sum(r["failed"] for r in res)
@@ -413,7 +452,7 @@ def main(argv=None) -> int:
     record = {"pairs": PAIRS, "seconds": spec["run_seconds"],
               "seeds": [args.first_seed + i for i in range(PAIRS)],
               **{side: side_record(side) for side in SIDES}, "wins": {},
-              "ratios": {}}
+              "ratios": {}, "ratios_aa": ratios_aa}
     for w in workloads:
         record["wins"][w], record["ratios"][w] = {}, {}
         for name, m in metrics.items():
