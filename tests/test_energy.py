@@ -548,12 +548,21 @@ class TestKeptHalves:
             hardy_boundary_identity(*call)
             assert _kept_hardy_rule.cache_info()[:2] == (0, i)
         assert len({g.support_interval() for g in (f, lower, upper)}) == 3
-        # the grid is not part of the key: the same support on a grid one
-        # node over reads f's rule
+
+    def test_the_grid_is_part_of_the_key(self):
+        # the grid enters the key only through the support ends and the
+        # panel count: the same support on a grid one node over reads f's
+        # rule, a finer grid moves the upper end and builds its own
+        base = np.zeros(40)
+        base[10:20] = 1.0
+        f = GridFunction(0.0, 0.025, base)
         shifted = GridFunction(-0.025, 0.025, np.roll(base, 1))
-        assert hardy_boundary_identity(shifted, 0.0, 1.0, 0.5) == \
-            pytest.approx(hardy_boundary_identity(f, 0.0, 1.0, 0.5), rel=1e-12)
-        assert _kept_hardy_rule.cache_info()[:2] == (2, len(calls))
+        finer = GridFunction(0.0, 0.0125, np.repeat(base, 2)[:-1])
+        _kept_hardy_rule.cache_clear()
+        pairs = [hardy_boundary_identity(g, 0.0, 1.0, 0.5)
+                 for g in (f, shifted, finer)]
+        assert _kept_hardy_rule.cache_info()[:2] == (1, 2)
+        assert pairs[1] == pytest.approx(pairs[0], rel=1e-12)
 
     def test_a_support_past_the_bound_is_not_kept(self):
         f = sample_bump(center=0.5, width=0.3, step=1.0 / 8192.0)
