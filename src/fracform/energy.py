@@ -320,7 +320,7 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     the support ends, the panel count, a, b and alpha alone.  Supports of
     at most 2^11 panels keep it in an LRU of 8 rules, so repeated calls on
     one grid and window pay only for f at the nodes (np.interp's search of
-    the grid) and the two sums.
+    the grid) and the two sums, which raise ValueError where they overflow.
     """
     a, b = real_number("a", a), real_number("b", b)
     window("the window (a, b)", (a, b))
@@ -340,8 +340,10 @@ def hardy_boundary_identity(f: GridFunction, a: float, b: float, alpha: float
     xq, wq, rhs_kernel, lhs_kernel = (
         _kept_hardy_rule if panels <= _KEPT_PANELS else _hardy_rule)(
             float(lo), float(hi), panels, a, b, alpha)
-    w2 = wq * f(xq) ** 2
-    return (float(np.sum(w2 * lhs_kernel)), float(np.sum(w2 * rhs_kernel)))
+    with np.errstate(over="ignore"):  # every term is >= 0: refused below
+        w2 = wq * f(xq) ** 2
+        sides = float(np.sum(w2 * lhs_kernel)), float(np.sum(w2 * rhs_kernel))
+    return _without_overflow(sides[0]), _without_overflow(sides[1])
 
 
 def check_erased_bound(f: GridFunction, g: GridFunction, p: EnergyParams

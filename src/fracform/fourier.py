@@ -44,17 +44,16 @@ frequency's first tap, its phase e^(i xi x_c) and hat factor
 make a frequency plan.  Plans of sets of at most 2^11 frequencies are kept
 in a plain least-recently-used cache of 16 plans, keyed by (trimmed node
 count, step, origin, frequency shape and bytes): 152 bytes per frequency
-with the weight rows, ~0.3 MiB per plan and 4.75 MiB at most.  A larger
-set gets a plan for its one call without weight rows, and its tap loop
-computes each tap's weights into one M-sized buffer.  On a 2-core x86-64
-machine a 2048-frequency call on 257-1025 nodes takes ~0.15-0.2 ms from a
-kept plan; the results are the same bits with or without one.
+with the weight rows, built in one pass, ~0.3 MiB per plan and 4.75 MiB at
+most.  A larger set gets a plan for its one call without rows, and its tap
+loop computes each tap's row by the same formula into one M-sized buffer.
+A kept-plan 2048-frequency call on 257-1025 nodes takes ~0.15-0.2 ms on a
+2-core x86-64 machine; the results are the same bits with or without one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,9 +127,9 @@ class _FrequencyPlan:
     one trimmed grid of n nodes from ``origin`` with ``step`` h (module
     notes): the FFT size K, the first tap's grid point
     floor(xi h mod 2 pi * K / 2 pi) - 6 mod K, the phase and the hat
-    factor.  A kept plan also holds the ``_TAPS`` weight rows; any other
-    computes each tap's row when the tap loop reaches it.  Every array is
-    read-only."""
+    factor.  A kept plan also holds the ``_TAPS`` weight rows, built in one
+    pass; any other computes each tap's row into one buffer when the tap
+    loop reaches it.  Every array is read-only."""
 
     def __init__(self, n: int, step: float, origin: float, xi: np.ndarray,
                  keep: bool):
@@ -146,40 +145,38 @@ class _FrequencyPlan:
         self.hat = (step / math.sqrt(2.0 * math.pi)) * np.sinc(
             xi * step / (2.0 * math.pi)) ** 2
         self.rows = None
-        if keep:
-            self.rows = np.empty((_TAPS,) + xi.shape)
-            for _ in self._weights(self.rows):  # fills the rows
-                pass
+        if keep:  # one pass: all 14 offsets, as a column, at once
+            taps = np.arange(1.0 - _TAPS // 2, _TAPS // 2 + 1.0)
+            self.rows = self._weights(taps.reshape((-1,) + (1,) * xi.ndim))
             self._frac = None
         for a in (self.start, self.phase, self.hat, self.rows):
             if a is not None:
                 a.flags.writeable = False
 
-    def _weights(self, rows):
-        """Write the ES weights phi(d / 7) of each tap t, d = frac - t, in
-        turn into the next of ``rows``, and yield them.  The exponent is
-        taken as -(beta / 7) d^2 / (7 + sqrt(49 - d^2)): beta (sqrt(1 -
-        z^2) - 1) cancels near z = 0 and leaves ~4e-15 relative errors."""
+    def _weights(self, taps, w=None, root=None):
+        """The ES weights phi(d / 7), d = frac - t, of the tap offsets
+        ``taps`` (one, or a column of several, a row each), written into
+        ``w`` with ``root`` as scratch when they are given.  The exponent is
+        taken as -(beta / 7) d^2 / (7 + sqrt(49 - d^2)): beta (sqrt(1 - z^2)
+        - 1) cancels near z = 0 and leaves ~4e-15 relative errors."""
         half = _TAPS // 2
-        root = np.empty(self._frac.shape)
-        for w, t in zip(rows, range(1 - half, half + 1)):
-            np.subtract(self._frac, t, out=w)
-            w *= w
-            np.subtract(half * half, w, out=root)
-            np.sqrt(root, out=root)
-            root += half
-            w /= root
-            w *= -_BETA / half
-            np.exp(w, out=w)
-            yield w
+        w = np.subtract(self._frac, taps, out=w)
+        w *= w
+        root = np.subtract(half * half, w, out=root)
+        np.sqrt(root, out=root)
+        root += half
+        w /= root
+        w *= -_BETA / half
+        return np.exp(w, out=w)
 
     def tap_weights(self):
         """Each tap's weight row in turn: the kept rows, or rows computed
         into one buffer that the next tap overwrites."""
         if self.rows is not None:
-            return iter(self.rows)
-        return self._weights(itertools.repeat(np.empty(self._frac.shape),
-                                              _TAPS))
+            return self.rows
+        w, root = np.empty((2,) + self._frac.shape)
+        return (self._weights(t, w, root)
+                for t in range(1 - _TAPS // 2, _TAPS // 2 + 1))
 
 
 @functools.lru_cache(maxsize=_KEPT_PLANS)

@@ -269,19 +269,25 @@ class GrowthFit:
 
 def growth_exponent_fit(curve: SymbolCurve, xi_min: float) -> GrowthFit:
     """Least-squares fit of log psi against log |xi| on the tail |xi| >=
-    xi_min; at least 10 tail points are required and psi must be positive
-    there."""
+    xi_min, in closed form about the means; at least 10 tail points at more
+    than one |xi| are required (compared as values: a mean of equal values
+    can miss them by an ulp), and psi must be positive there."""
     mask = np.abs(curve.xi_grid) >= real_number("xi_min", xi_min)
-    if int(mask.sum()) < 10:
+    if np.count_nonzero(mask) < 10:
         raise ValueError("need at least 10 tail points with |xi| >= xi_min")
     psi = curve.psi_values[mask]
     if np.any(psi <= 0):
         raise ValueError("tail fit needs strictly positive symbol values")
     lx = np.log(np.abs(curve.xi_grid[mask]))
     ly = np.log(psi)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    if lx.min() == lx.max():
+        raise ValueError("tail fit needs more than one |xi| value")
+    x_bar, y_bar = lx.sum() / lx.size, ly.sum() / ly.size
+    dx, dy = lx - x_bar, ly - y_bar
+    slope = np.dot(dx, dy) / np.dot(dx, dx)
+    intercept = y_bar - slope * x_bar
     pred = slope * lx + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    ss_tot = float(np.sum(dy ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return GrowthFit(float(slope), float(math.exp(intercept)), float(r2))

@@ -500,6 +500,19 @@ class TestHardyIdentity:
             hardy_boundary_identity(f.with_values(np.zeros_like(f.values)),
                                     a, b, 0.5)
 
+    def test_overflowing_samples_refused_without_warning(self, recwarn):
+        # finite samples whose squares overflow: the energies' error, and no
+        # numpy warning, also inside a caller's np.errstate that raises
+        v = np.zeros(300)
+        v[2:-2] = 1e160 * np.sin(np.arange(296.0))
+        f = GridFunction(0.0, 1e-3, v)
+        for caller in (contextlib.nullcontext(), np.errstate(over="raise")):
+            with caller, pytest.raises(ValueError, match="overflows float64"):
+                hardy_boundary_identity(f, -1.0, 10.0, 0.5)
+        with pytest.raises(ValueError, match="overflows float64"):
+            gagliardo_energy(f, EnergyParams(0.5))
+        assert [w.category for w in recwarn] == []
+
     def test_support_touching_the_edge(self):
         # the interpolant of these samples is nonzero on (0.1, 0.4)
         f = GridFunction(0.0, 0.1, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])

@@ -224,11 +224,16 @@ class TestKeptPlan:
     """transform_at keeps the frequency side of the gridding sum of a
     (trimmed grid, frequency set) pair in a least-recently-used cache."""
 
-    @pytest.mark.parametrize("n", [257, 513, 1025])
-    def test_calls_are_bit_identical_kept_or_not(self, plans, n):
+    # frequency counts off the SIMD widths too: kept rows come from one
+    # pass over all taps, row-less ones from one tap at a time
+    @pytest.mark.parametrize("n, m", [
+        *(pytest.param(n, 2048, id=str(n)) for n in (257, 513, 1025)),
+        *(pytest.param(n, m, id=f"{n}-{m}") for n in (257, 1025)
+          for m in (1, 3, 7, 400, 2047))])
+    def test_calls_are_bit_identical_kept_or_not(self, plans, n, m):
         f = _random_grid_function(n, np.random.default_rng(n))
-        for xi in (np.linspace(-200.0, 200.0, 2048),
-                   np.geomspace(0.5, 200.0, 2048)):
+        for xi in (np.linspace(-200.0, 200.0, m),
+                   np.geomspace(0.5, 200.0, m)):
             plans.cache_clear()
             first = transform_at(f, xi)         # kept, rows built
             second = transform_at(f, xi)        # read from the kept plan

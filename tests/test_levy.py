@@ -357,6 +357,37 @@ class TestGrowthFit:
         with pytest.raises(ValueError):
             growth_exponent_fit(curve, 1.0)
 
+    def test_one_repeated_frequency_rejected(self, recwarn):
+        # twelve tail points at one |xi|: no slope to fit, and no warning
+        for xi in (np.full(12, 2.0), np.full(12, -7.3), [3.0, -3.0] * 6):
+            curve = levy_symbol(LevyTriplet(density=PowerLawDensity(1.5)), xi)
+            with pytest.raises(ValueError, match="more than one"):
+                growth_exponent_fit(curve, 1.0)
+        assert [w.category for w in recwarn] == []
+
+    def test_closed_form_matches_polyfit(self):
+        # np.polyfit's least squares as the reference, with the same r^2
+        curves = [(levy_symbol(LevyTriplet(
+            density=PowerLawDensity(alpha, coef)),
+            np.geomspace(1.0, 200.0, count)), 1.0)
+            for alpha in (0.3, 0.5, 1.0, 1.5, 1.9)
+            for count in (50, 60, 150, 1000, 4001) for coef in (0.7, 1.9)]
+        curves += [
+            (levy_symbol(LevyTriplet(sigma=2.0, atoms=((1.0, 1.0),)),
+                         np.geomspace(5.0, 500.0, 40)), 5.0),
+            (levy_symbol(TWO_ATOM, np.geomspace(1.0, 300.0, 120)), 1.0)]
+        for curve, xi_min in curves:
+            fit = growth_exponent_fit(curve, xi_min)
+            lx = np.log(np.abs(curve.xi_grid))
+            ly = np.log(curve.psi_values)
+            slope, intercept = np.polyfit(lx, ly, 1)
+            ss_res = np.sum((ly - slope * lx - intercept) ** 2)
+            r2 = 1.0 - ss_res / np.sum((ly - np.mean(ly)) ** 2)
+            assert fit.alpha_hat == pytest.approx(slope, rel=1e-12, abs=0)
+            assert fit.c_hat == pytest.approx(math.exp(intercept),
+                                              rel=1e-12, abs=0)
+            assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=0)
+
 
 class TestTripletValidation:
     def test_rejects_bad_atoms(self):
