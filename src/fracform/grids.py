@@ -9,7 +9,13 @@ holds arrays holds read-only copies, no ``==`` reads them (``==`` and
 ``hash`` are by identity unless other fields decide), and a pickle rebuilds
 it with read-only arrays again.  Samples and step levels must be finite:
 the constructors of ``GridFunction`` and ``StepFunction`` refuse anything
-else, so no later routine checks it again.
+else, so no later routine checks it again.  A dot over a long grid is
+``np.einsum`` in numpy's own loop, not BLAS's ``ddot``, which splits a long
+vector across its threads and so orders the sum by the thread count: the
+capacity solve's dots and norms give the same bits on any count.  The
+energies' and the tail fit's dots stay BLAS dots, whose bits einsum would
+move; the grid energies' come in blocks of at most 8192 entries, below
+that split, but a step energy's dot over one lag is not blocked.
 
 The README's "Caches" paragraph lists every cache, its key and its bound.
 """

@@ -27,9 +27,10 @@ first, and nodes and stars are built on access.
 A tree keeps its last partial sum and steps forward from it, writing only
 the runs of the newly processed nodes and of their pending children, so
 walking k = 1..K no longer reads every edge per call; other calls rebuild
-the sum from all the edges, with the same bits.  A step reads each rank's
-run and child edges as Python numbers, converted 64 ranks at a time on
-first use.
+the sum from all the edges, as f capped by inf on the gaps between the
+pending runs and by each run's base on it, with the same bits.  A step
+reads each rank's run and child edges as Python numbers, converted 64
+ranks at a time on first use.
 """
 
 from __future__ import annotations
@@ -247,9 +248,10 @@ class LadderTree:
 
     # nodes plus child edges of the longest forward step.  On tapered
     # random walks (2-core x86-64, numpy 2.4, three seeds) a step with its
-    # ranks converted costs 3-18 us plus 0.4-0.8 us per node or edge, the
-    # slice writes, and breaks even with the rebuild at 8-81 on 2^10-2^12
-    # samples and at 100-630 on 2^14-2^15
+    # ranks converted costs 3-23 us plus 0.4-0.5 us per node or edge, the
+    # slice writes, and breaks even with the segment rebuild at 18-45 on
+    # 2^10-2^12 samples and at 145-560 on 2^14-2^15 (the scatter it
+    # replaced: 18-48 and 143-502 in the same runs)
     _STEP_BUDGET = 64
 
     def __init__(self, source, excursions, rank, gaps, converged,
@@ -328,11 +330,15 @@ class LadderTree:
         parent, child, lo, length, base = self.edges
         cut = (parent < k) & (k <= child)
         lo, length = lo[cut], length[cut]
-        idx = np.arange(int(length.sum())) + np.repeat(
-            lo - (np.cumsum(length) - length), length)
-        out = self.source.values.copy()
-        out[idx] = np.repeat(base[cut], length)  # f exceeds it on the run
-        return out
+        fv = self.source.values
+        # the runs are disjoint and in position order: f capped by inf on
+        # the gaps around them and by the base on each run (f exceeds it)
+        ends = np.empty(2 * lo.size + 2, dtype=lo.dtype)
+        ends[0], ends[-1] = 0, fv.size
+        ends[1:-1:2], ends[2:-1:2] = lo, lo + length
+        levels = np.full(ends.size - 1, np.inf)
+        levels[1::2] = base[cut]
+        return np.minimum(fv, np.repeat(levels, np.diff(ends)))
 
     @cached_property
     def _first_edge(self):
@@ -419,10 +425,10 @@ class LadderTree:
 
 # peaks times samples at or below which the walks compare every sample with
 # every peak instead of searching the sparse tables.  On tapered random
-# walks (2-core x86-64, numpy 2.4) the comparisons took 0.5-0.8 of the
-# tables' time up to P n = 13500 and 1.1 of it at 22000; with 1-4 peaks
-# on 1000-16000 samples, where the tables cost more per peak, 0.4-0.5 of
-# it up to P n = 48000
+# walks (2-core x86-64, numpy 2.4) the comparisons took 0.5-0.9 of the
+# tables' time up to P n = 10000 and 0.9-1.2 of it from there to 16500;
+# with 1-3 peaks on 1000-16000 samples, where the tables cost more per
+# peak, 0.4-0.66 of it up to P n = 48000
 _FEW_PEAKS = 1 << 14
 
 
@@ -444,23 +450,24 @@ def _walk(table, pos, x, skip, left: bool) -> np.ndarray:
     index; rightward, pos is the first index tried and the result is the
     first index not skipped (the length when all are).  The table's last
     sample is a pad that no walk skips: every block past the end holds it,
-    and a block before the start reads it at index -1."""
+    and a block before the start reads it at index -1.  The caller's pos
+    is left as it was."""
+    pos = pos.copy()
     for k in range(table.shape[0] - 1, -1, -1):
         h = 1 << k
         if left:
-            cand = pos - h
-            ok = skip(table[k, np.maximum(cand, -1)], x)
+            pos -= h * skip(table[k].take(np.maximum(pos - h, -1)), x)
         else:
-            cand = pos + h
-            ok = skip(table[k, pos], x)
-        pos = np.where(ok, cand, pos)
+            pos += h * skip(table[k].take(pos), x)
     return pos
 
 
 def _span(table, a, b, op) -> np.ndarray:
     """op over the samples a..b (a <= b) from two overlapping blocks."""
     k = np.frexp(b - a + 1)[1] - 1
-    return op(table[k, a], table[k, b - (1 << k) + 1])
+    row = k * table.shape[1]
+    flat = table.ravel()
+    return op(flat.take(row + a), flat.take(row + b - (1 << k) + 1))
 
 
 def _scan(padded, pos, x, skip, left: bool) -> np.ndarray:

@@ -120,15 +120,20 @@ class LevyTriplet:
 
 @dataclass(frozen=True, eq=False)
 class SymbolCurve:
-    """Characteristic exponent sampled on a frequency grid."""
+    """Characteristic exponent sampled on a frequency grid.  Frequencies
+    and symbol values must be finite: anything else raises ValueError
+    naming the field."""
 
     xi_grid: np.ndarray
     psi_values: np.ndarray
     __reduce__ = _rebuilt
 
     def __post_init__(self):
-        object.__setattr__(self, "xi_grid", _frozen_array(self.xi_grid))
-        object.__setattr__(self, "psi_values", _frozen_array(self.psi_values))
+        for name in ("xi_grid", "psi_values"):
+            arr = _frozen_array(getattr(self, name))
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
 
 
 def levy_symbol(t: LevyTriplet, xi_grid) -> SymbolCurve:

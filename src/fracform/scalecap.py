@@ -404,6 +404,13 @@ _CG_RTOL = 1e-12               # CG stops once ||r|| < _CG_RTOL ||b||
 _CG_ITERATIONS_PER_NODE = 20   # a solve needing more counts as failed
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """a . b in numpy's own loop rather than BLAS, whose ``ddot`` splits a
+    long vector across its threads: the same bits on any BLAS thread
+    count (the rule in ``grids``)."""
+    return np.einsum("i,i", a, b)
+
+
 def _cg(matvec, b: np.ndarray, maxiter: int, precond):
     """Preconditioned conjugate gradient (Hestenes and Stiefel, 1952) for
     A x = b from x = 0, with ``precond`` applying an SPD approximation of
@@ -421,19 +428,19 @@ def _cg(matvec, b: np.ndarray, maxiter: int, precond):
     if not r.any():
         return x, ()
     rho = math.inf                            # beta = 0: p = z on step one
-    history = [math.sqrt(np.dot(r, r))]
+    history = [math.sqrt(_dot(r, r))]
     for _ in range(maxiter):
         if history[-1] < _CG_RTOL * history[0]:
             break
         z = precond(r)
-        rho_prev, rho = rho, np.dot(r, z)
+        rho_prev, rho = rho, _dot(r, z)
         p *= rho / rho_prev
         p += z
         q = matvec(p)
-        step = rho / np.dot(p, q)
+        step = rho / _dot(p, q)
         x += np.multiply(step, p, out=scratch)
         r -= np.multiply(step, q, out=scratch)
-        history.append(math.sqrt(np.dot(r, r)))
+        history.append(math.sqrt(_dot(r, r)))
     return x, tuple(history)
 
 
@@ -486,7 +493,7 @@ def capacity_estimate(target: IntervalSet, alpha_star: float,
     uc = mask.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         b_rhs = -apply(uc, spectrum)
-        b_norm_sq = np.dot(b_rhs, b_rhs)
+        b_norm_sq = _dot(b_rhs, b_rhs)
     # CG's stopping rule compares against ||b||, read from ||b||^2, which
     # overflows from alpha_star ~ 1e-157 down
     if not (np.isfinite(spectrum).all() and math.isfinite(b_norm_sq)):
@@ -495,8 +502,8 @@ def capacity_estimate(target: IntervalSet, alpha_star: float,
 
     z, history = _cg(lambda p: apply(p, spectrum), b_rhs,
                      _CG_ITERATIONS_PER_NODE * n, lambda r: apply(r, inverse))
-    residual = float(np.linalg.norm(apply(z, spectrum) - b_rhs)
-                     / max(1.0, math.sqrt(b_norm_sq)))
+    r = apply(z, spectrum) - b_rhs
+    residual = math.sqrt(_dot(r, r)) / max(1.0, math.sqrt(b_norm_sq))
     if history and not history[-1] < _CG_RTOL * history[0]:
         raise CapacitySolverError(
             f"conjugate gradient stopped after {len(history) - 1} "

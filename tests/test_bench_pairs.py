@@ -1,9 +1,10 @@
 """The parts of ``tools/bench_pairs.py`` that a record's comparisons rest
 on: the line pairing recorded when the two sides' outputs differ, the
 README command lines both sides run and their timed runs, the runtime mask
-of verdict CSVs, the per-check runtimes read from them, the census of
-unreached functions, the paired-ratio interval, the minor page faults
-of a benchmark run and the A/A pairs of the parent against itself."""
+of verdict CSVs, the per-check runtimes read from them over alternating
+``verify`` runs, the census of unreached functions, the paired-ratio
+interval, the minor page faults of a benchmark run and the A/A pairs of
+the parent against itself."""
 
 import math
 import resource
@@ -25,6 +26,7 @@ mask_runtimes = bench_pairs.mask_runtimes
 paired_ratios = bench_pairs.paired_ratios
 readme_examples = bench_pairs.readme_examples
 run_once = bench_pairs.run_once
+verify_runs = bench_pairs.verify_runs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -116,6 +118,57 @@ def test_check_runtimes_read_the_verdict_table(tmp_path):
         "step-approximation-rate": 0}
     assert check_runtimes(b"check_id,status,measured,tolerance,runtime_ms\n"
                           b"a,PASS,1;2,0.1,3.25\n") == {"a": 3.25}
+
+
+# a stand-in ``fracform.cli`` for ``verify``: it logs its side and seed in
+# one log for both checkouts, then writes a verdict table whose runtimes
+# are the run's place in that log (check b's ten times it) and prints the
+# seed, and at seed 7 its side too
+_FAKE_VERIFY = """import sys
+from pathlib import Path
+args = sys.argv[1:]
+seed = args[args.index("--seed") + 1]
+log = Path(__file__).resolve().parents[3] / "runs.log"
+with open(log, "a") as f:
+    f.write("{tag} " + seed + "\\n")
+n = len(log.read_text().splitlines())
+Path(args[args.index("--out-dir") + 1], "verdicts.csv").write_text(
+    "check_id,status,measured,tolerance,runtime_ms\\n"
+    f"a,PASS,1,0.1,{{n}}\\nb,PASS,2,0.1,{{10 * n}}\\n")
+print("seed", seed, *(["{tag}"] if seed == "7" else []))
+"""
+
+
+def test_verify_checks_are_timed_in_five_alternating_runs(tmp_path):
+    dirs = {}
+    for tag in ("parent", "change"):
+        pkg = tmp_path / tag / "src" / "fracform"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "cli.py").write_text(_FAKE_VERIFY.format(tag=tag))
+        dirs[tag] = tmp_path / tag
+    record = verify_runs(dirs)
+    # five seed-0 runs and one at seed 7, the side that goes first
+    # alternating
+    assert (tmp_path / "runs.log").read_text().splitlines() == [
+        f"{side} {seed}" for i, seed in enumerate([0] * 5 + [7])
+        for side in (("parent", "change") if i % 2 == 0
+                     else ("change", "parent"))]
+    # the parent's timed runs are the 1st, 4th, 5th, 8th and 9th in the
+    # log, the change's the 2nd, 3rd, 6th, 7th and 10th
+    parent, change = record["parent"], record["change"]
+    assert parent["check_runtime_ms"] == {"a": 5.0, "b": 50.0}
+    assert parent["check_runtime_range_ms"] == {"a": [1.0, 9.0],
+                                                "b": [10.0, 90.0]}
+    assert change["check_runtime_ms"] == {"a": 6.0, "b": 60.0}
+    assert change["check_runtime_range_ms"] == {"a": [2.0, 10.0],
+                                                "b": [20.0, 100.0]}
+    for side in record.values():
+        assert [r["seed"] for r in side["runs"]] == [0] * 5 + [7]
+        assert all(r["exit_code"] == 0 for r in side["runs"])
+        assert side["stdout_identical"] == {"0": True, "7": False}
+        assert side["differing_lines"] == {
+            "7": [["seed 7 parent", "seed 7 change"]]}
 
 
 # a stand-in ``fracform.cli`` that logs each run's working directory in its

@@ -539,6 +539,74 @@ class TestAgainstReference:
         f = GridFunction(-0.25, 0.5, [0.0] + values + [0.0])
         assert_matches_reference(f, budget or f.n_nodes, sup_tol)
 
+    def test_rough_walk_at_the_solve_size(self):
+        # the benchmark's solve trees have 2^14-2^15 samples; a small budget
+        # keeps the per-node reference cheap, and every k is also rebuilt
+        f = rough_walk(1 << 14, 14)
+        assert_matches_reference(f, 24, 0.0)
+        order = _reference_decompose(f, 24, 0.0)[0]
+        tree = ladder_decompose(f, 24, 0.0)
+        for k in range(1, 25):
+            assert tree._rebuild(k).tobytes() == \
+                _reference_partial_sum(f, order, k).tobytes(), k
+
+
+def _pending_runs(tree, k):
+    """The (first, last) samples of the runs still pending after k steps."""
+    parent, child, lo, length, _ = tree.edges
+    cut = (parent < k) & (k <= child)
+    return list(zip(lo[cut].tolist(), (lo + length - 1)[cut].tolist()))
+
+
+class TestRebuildEdges:
+    """The rebuild, with no kept sum to step from, against the per-node
+    reference at the edges of its gap and run segments: a run at either end
+    of the support, no run at all, the zero function and runs apart."""
+
+    @staticmethod
+    def assert_rebuilds(f, budget=None):
+        tree = ladder_decompose(f, budget or f.n_nodes, 0.0)
+        order = _reference_decompose(f, budget or f.n_nodes, 0.0)[0]
+        runs = {}
+        for k in range(1, tree.n_nodes + 1):
+            want = _reference_partial_sum(f, order, k).tobytes()
+            tree._kept = None
+            assert tree.partial_sum(k).values.tobytes() == want, k
+            assert tree._rebuild(k).tobytes() == want, k
+            runs[k] = _pending_runs(tree, k)
+        return tree, runs
+
+    @pytest.mark.parametrize("samples", [[2, 1, 3], [2, 1, 3, 1, 2],
+                                         [4, 1, 3, 2, 3, 1, 9, 1, 5, 2, 4]])
+    def test_a_run_at_the_first_sample(self, samples):
+        f = GridFunction(0.0, 0.5, [0.0, *samples, 0.0])
+        _, runs = self.assert_rebuilds(f)
+        assert any(lo == f.support_lo for r in runs.values() for lo, _ in r)
+
+    @pytest.mark.parametrize("samples", [[3, 1, 2], [2, 1, 3, 1, 2],
+                                         [4, 1, 3, 2, 3, 1, 9, 1, 5, 2, 4]])
+    def test_a_run_at_the_last_sample(self, samples):
+        f = GridFunction(0.0, 0.5, [0.0, *samples, 0.0])
+        _, runs = self.assert_rebuilds(f)
+        assert any(hi == f.support_hi for r in runs.values() for _, hi in r)
+
+    def test_no_run_pending_gives_f(self):
+        f = rough_walk(300, 4)
+        tree, runs = self.assert_rebuilds(f)
+        assert tree.converged and runs[tree.n_nodes] == []
+        assert tree._rebuild(tree.n_nodes).tobytes() == f.values.tobytes()
+
+    def test_the_zero_function(self):
+        f = GridFunction(0.0, 0.25, np.zeros(7))
+        tree, runs = self.assert_rebuilds(f)
+        assert tree.n_nodes == 1 and runs == {1: []}
+        assert tree._rebuild(1).tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("budget", [None, 30])
+    def test_separated_walks(self, budget):
+        # the second walk's excursion has base 0: early sums lose it whole
+        self.assert_rebuilds(_separated_walks(), budget)
+
 
 class TestAgainstFloatChain:
     """Against the earlier float chain, whose bases and heights carry the

@@ -357,6 +357,16 @@ class TestGrowthFit:
         with pytest.raises(ValueError):
             growth_exponent_fit(curve, 1.0)
 
+    @pytest.mark.parametrize("field", ["xi_grid", "psi_values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_curve_refused(self, field, bad):
+        # a NaN symbol value once gave the fit a NaN slope and no error
+        data = {"xi_grid": np.linspace(1.0, 20.0, 20),
+                "psi_values": np.linspace(1.0, 20.0, 20) ** 1.5}
+        data[field][3] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            SymbolCurve(**data)
+
     def test_one_repeated_frequency_rejected(self, recwarn):
         # twelve tail points at one |xi|: no slope to fit, and no warning
         for xi in (np.full(12, 2.0), np.full(12, -7.3), [3.0, -3.0] * 6):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -416,6 +419,27 @@ class TestCapacity:
         hist = est.residual_history
         assert len(hist) > 2 and hist[-1] < 1e-12 * hist[0]
         assert est.to_json_dict()["residual_history"] == list(hist)
+
+    def test_the_same_bits_on_one_and_two_blas_threads(self):
+        # 20001 nodes: long enough that OpenBLAS splits a ddot across its
+        # threads, which gave another residual at 2 threads than at 1
+        code = ("from fracform.grids import IntervalSet\n"
+                "from fracform.scalecap import capacity_estimate\n"
+                "est = capacity_estimate(IntervalSet.of((-0.1, 0.1), "
+                "(0.3, 0.35)), 0.5, (-2.0, 2.0), 0.0002)\n"
+                "print(est.equilibrium.values.size, est.value.hex(), "
+                "est.residual.hex(),\n"
+                "      *(r.hex() for r in est.residual_history))\n")
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            out.append(proc.stdout.split())
+        assert int(out[0][0]) == 20001 + 2 and len(out[0]) > 4
+        assert out[0] == out[1]
 
     @pytest.mark.parametrize("alpha_star", [0.5, 0.9, 1.0])
     def test_preconditioned_iterations_bounded(self, alpha_star):

@@ -30,13 +30,16 @@ so a record can be checked against a later commit.  After the pairs, each
 side runs the tier-1 test suite once in its checkout, and its ``info``
 records that run's wall time and its passed, failed and xfailed counts:
 one run per side is too noisy for a bound, so this is reported and never
-compared.  Each side then runs ``fracform verify --suite all`` three times
+compared.  Each side then runs ``fracform verify --suite all`` five times
 at seed 0, the sides alternating, and once at seed 7; its ``info.verify``
 records the median wall time of the seed-0 runs, each check's median
-in-process ``runtime_ms`` over those runs, read from each run's verdict
-CSV in a temporary output directory, whether each seed's stdout is
-byte-identical between the sides and, for a seed where it is not, the
-pairs of lines that differ, so a record shows which printed value moved.
+in-process ``runtime_ms`` over those runs and their range (least and
+greatest), read from each run's verdict CSV in a temporary output
+directory, so a check's median can be read against the spread of its own
+runs; all of it is reported, never gated.  It also records whether each
+seed's stdout is byte-identical between the sides and, for a seed where it
+is not, the pairs of lines that differ, so a record shows which printed
+value moved.
 Each side then runs every ``fracform`` line of the ``sh`` block under the
 change's README heading "Command line" as ``python -m fracform.cli``
 three times, the sides alternating, each run a fresh process in a fresh
@@ -89,7 +92,7 @@ TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
 CLI = ["-m", "fracform.cli"]
 VERIFY = [*CLI, "verify", "--suite", "all", "--seed"]
 VERIFY_SEEDS = (0, 7)
-VERIFY_TIMED_RUNS = 3  # at the first seed
+VERIFY_TIMED_RUNS = 5  # at the first seed
 CLI_TIMED_RUNS = 3    # per README command line
 IMPORT = ["-c", "import fracform"]
 IMPORT_RUNS = 5
@@ -221,9 +224,9 @@ def verify_runs(dirs: dict) -> dict:
     """Per side, the wall times and exit codes of ``verify --suite all``:
     VERIFY_TIMED_RUNS runs at the first seed, the sides alternating, then
     one at each other seed, with each check's median ``runtime_ms`` over
-    the timed runs, whether each seed's stdout is byte-identical between
-    the sides and the differing line pairs of each seed whose stdout is
-    not."""
+    the timed runs and its [least, greatest] range, whether each seed's
+    stdout is byte-identical between the sides and the differing line
+    pairs of each seed whose stdout is not."""
     runs = {side: [] for side in SIDES}
     stdout = {side: {} for side in SIDES}
     checks = {side: {} for side in SIDES}  # check id -> timed runtimes
@@ -249,6 +252,9 @@ def verify_runs(dirs: dict) -> dict:
                        w for _, w, _ in runs[side][:VERIFY_TIMED_RUNS]),
                    "check_runtime_ms": {
                        cid: statistics.median(ms)
+                       for cid, ms in checks[side].items()},
+                   "check_runtime_range_ms": {
+                       cid: [min(ms), max(ms)]
                        for cid, ms in checks[side].items()},
                    "stdout_identical": same,
                    "differing_lines": moved,
