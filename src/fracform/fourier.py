@@ -69,6 +69,10 @@ _TAPS = 14  # gridding taps per frequency
 _BETA = 0.97 * math.pi * _TAPS * (1.0 - 1.0 / 6.0)
 # the least table top: every K <= 2^15 reads that table at stride 2^15 / K
 _TABLE_SIZE = 1 << 15
+# At most this many tables are kept, the least recently read dropped first:
+# the 2^15 one and one larger, at most 2^24/6 + 2^23/6 + 2 floats (about
+# 32 MiB) at the grid-size limit, where K reaches 2^24.
+_KEPT_TABLES = 2
 
 # Plans of up to _PLAN_FREQS frequencies are kept, at most _KEPT_PLANS: 152
 # bytes per frequency (14 weight rows, tap starts, hat factors and the key's
@@ -106,7 +110,7 @@ def _es_integral(u: np.ndarray) -> np.ndarray:
     return total
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_KEPT_TABLES)
 def _es_table(top: int) -> np.ndarray:
     """Phi at u = i a for a = _TAPS pi / top and every i <= top / 6, the
     largest |j| a grid of top points reads (n <= top / 3); read-only."""

@@ -54,8 +54,8 @@ _INF = float("inf")
 # spectra of 2n, ~0.5 GiB at 2^22.  A first grid energy peaks at ~32 bytes
 # per support node above the samples (the FFT buffers of the two halves of
 # the increments, n points each, with their spectra), ~0.13 GiB at 2^22,
-# and keeps 8 bytes per node; a later exponent adds ~0.6 MiB of lag-weight
-# blocks at any size.
+# and keeps 8 bytes per node; a later exponent adds at most ~1.8 MiB of
+# lag-weight blocks at any size (two threads' rows, 1.75 MiB).
 MAX_GRID_NODES = 1 << 22
 
 

@@ -331,6 +331,8 @@ class LadderTree:
         cut = (parent < k) & (k <= child)
         lo, length = lo[cut], length[cut]
         fv = self.source.values
+        if not lo.size:                 # no run pending: the sum is f
+            return fv.copy()
         # the runs are disjoint and in position order: f capped by inf on
         # the gaps around them and by the base on each run (f exceeds it)
         ends = np.empty(2 * lo.size + 2, dtype=lo.dtype)

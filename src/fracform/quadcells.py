@@ -32,8 +32,9 @@ directly as d_0 d_(m-1).  Beyond, it is correlated by
 halves (Stockham's sectioned correlation, AFIPS 1966): the two halves'
 FFTs of half the size run side by side, one on a helper thread started
 and joined within the call (numpy's FFT releases the GIL), or both on the
-caller's thread when no thread can be started; the bits are the same
-either way.
+caller's thread when no thread can be started; from 2^16 + 1 frequency
+bins on, so does the elementwise combine of their spectra, in two parts
+of the bins.  The bits are the same either way.
 GridFunction.increment_autocorr keeps c, so a function evaluated at
 several exponents correlates once, and up to 2^13 lags a later exponent's
 form is one dot of c with a view of the kept table (a warm grid energy at
@@ -45,9 +46,13 @@ is the first n lags of any longer one.  One read-only table of 2^13 lags is
 kept per (alpha, order), in a least-recently-used cache of 128 tables (at
 most 128 * 2^13 * 8 bytes = 8 MiB), and up to 2^13 lags are read as a view
 of it, so functions of any size at one alpha share it.  Lags beyond are
-never kept: the form takes them in blocks of 2^13 lags (64 KiB), each
-computed and dotted with its slice of c while it sits in cache, so an
-energy at a new alpha allocates a few blocks beyond c.  A first energy
+never kept: the form writes them in blocks of 2^15 lags, in place in three
+rows reused from block to block, and dots each block with c in slices of
+2^13 lags.  From four blocks on a helper thread takes blocks too, into
+its own rows, and the slice dots are added in lag order afterwards, so
+the bits are the same whichever thread took a block and whether or not a
+thread started.  An energy at a new alpha allocates 7 * 2^15 floats
+(1.75 MiB) of blocks beyond c.  A first energy
 of n support nodes peaks at about 32 bytes per node above the samples
 (the FFT buffers and their spectra: one buffer of the least power of two
 >= 2n - 4 points, or two of >= n - 2 points for the halves; 56 bytes
@@ -93,8 +98,19 @@ _TWO_TERM_LAG = 23171                   # ceil(2^14.5)
 _KEPT_LAGS = 1 << 13
 _KEPT_TABLES = 128
 
+# The form writes the lags beyond the kept table in blocks of _BLOCK_LAGS,
+# a multiple of _KEPT_LAGS, and shares them with a helper thread from
+# _HELPER_BLOCKS blocks on; see _tail_dots.  Shorter blocks make more,
+# shorter numpy calls, and the two threads then wait on each other for the
+# interpreter lock: at 2^20 lags two threads took 1.6x the serial time with
+# blocks of 2^13 lags, 1.1x with 2^14, 0.8x with 2^15.  Longer blocks would
+# take a second exponent at 2^18 nodes past 2 MiB.  Up to 3 blocks the
+# helper did not pay for its start (2-core x86-64, in process, medians).
+_BLOCK_LAGS = 1 << 15
+_HELPER_BLOCKS = 4
+
 # For alpha > 1 the second differences are shifted by the regular part of
-# their value at this lag, the kept table's last; see _lag_weight_table.
+# their value at this lag, the kept table's last; see _write_lag_weights.
 _REF_LAG = _KEPT_LAGS - 1
 
 # More slopes than this are correlated by halves (_split_autocorr).  The
@@ -102,6 +118,13 @@ _REF_LAG = _KEPT_LAGS - 1
 # above every sweep-size energy, capacity sweep value and verify output, so
 # those keep the single transform's bits.
 _SPLIT_SLOPES = 1 << 13
+
+# From this many frequency bins on, _split_autocorr combines the halves'
+# spectra in two parts side by side.  Below, the thread's start and join
+# (~0.15 ms) ate the gain: 2^15 bins whole took 0.36 ms, in two parts 0.52
+# ms; 2^16 bins took 0.87 and 0.76 ms, 2^19 13.8 and 7.2 ms (2-core x86-64,
+# in process, medians).
+_COMBINE_SPLIT_BINS = 1 << 16
 
 
 def _slope_autocorr(v: np.ndarray) -> np.ndarray:
@@ -156,7 +179,9 @@ def _split_autocorr(v: np.ndarray) -> np.ndarray:
     wrapping; so c_k = a_k + x_(k-h).  At N = 2h - 2 (m = 2^k + 1, when
     s2 has h - 1 slopes) the halves' lag h - 1 wraps onto itself and is
     written directly, as s1_0 s1_(h-1).  The halves' forward transforms run
-    side by side, and so do their inverses.
+    side by side, and so do their inverses; from _COMBINE_SPLIT_BINS bins
+    on, the combine of the spectra between them runs as two parts of the
+    bins side by side (_combine_spectra), with the bits of one whole pass.
 
     Every buffer is allocated on this thread.  The pads hold the power
     spectrum's scratch and then the inverses, so the peak is the two pads
@@ -173,8 +198,36 @@ def _split_autocorr(v: np.ndarray) -> np.ndarray:
     specs = np.empty((2, nfft // 2 + 1), dtype=complex)
     _side_by_side(functools.partial(np.fft.rfft, pads[0], out=specs[0]),
                   functools.partial(np.fft.rfft, pads[1], out=specs[1]))
+    bins = specs.shape[1]
+    if bins < _COMBINE_SPLIT_BINS:
+        _combine_spectra(specs, pads, 0, bins)
+    else:
+        mid = bins // 2
+        _side_by_side(
+            functools.partial(_combine_spectra, specs, pads, 0, mid),
+            functools.partial(_combine_spectra, specs, pads, mid, bins))
     s1, s2 = specs
-    sq, tmp = pads[:, :s1.size]
+    _side_by_side(functools.partial(np.fft.irfft, s1, nfft, out=pads[0]),
+                  functools.partial(np.fft.irfft, s2, nfft, out=pads[1]))
+    del specs, s1, s2                   # so c does not raise the peak
+    a, x = pads
+    c = np.empty(m)                     # N = m - 1 leaves no room in a pad
+    c[:h] = a[:h]
+    if nfft == 2 * h - 2:               # lag h - 1 wrapped onto itself
+        c[h - 1] = first * middle
+    c[h:] = x[:m - h]
+    c[1:h] += x[nfft - h + 1:]
+    return c
+
+
+def _combine_spectra(specs: np.ndarray, pads: np.ndarray, lo: int, hi: int):
+    """Bins lo .. hi-1 of the halves' spectra S1, S2 (the rows of specs)
+    become |S1|^2 + |S2|^2 (real) and conj(S1) S2, with the same bins of the
+    pads as scratch.  Each bin is computed on its own, so parts of two or
+    more bins give the bits of the whole; numpy's in-place complex product
+    of one element alone takes another loop, which can round otherwise."""
+    s1, s2 = specs[:, lo:hi]
+    sq, tmp = pads[:, lo:hi]
     np.multiply(s2.real, s2.real, out=sq)
     np.multiply(s2.imag, s2.imag, out=tmp)
     sq += tmp
@@ -186,17 +239,6 @@ def _split_autocorr(v: np.ndarray) -> np.ndarray:
     re += im
     re += sq                            # |S1|^2 + |S2|^2
     im[:] = 0.0
-    _side_by_side(functools.partial(np.fft.irfft, s1, nfft, out=pads[0]),
-                  functools.partial(np.fft.irfft, s2, nfft, out=pads[1]))
-    del specs, s1, s2, re, im           # so c does not raise the peak
-    a, x = pads
-    c = np.empty(m)                     # N = m - 1 leaves no room in a pad
-    c[:h] = a[:h]
-    if nfft == 2 * h - 2:               # lag h - 1 wrapped onto itself
-        c[h - 1] = first * middle
-    c[h:] = x[:m - h]
-    c[1:h] += x[nfft - h + 1:]
-    return c
 
 
 def _side_by_side(first, second):
@@ -251,10 +293,22 @@ def _kept_lag_weights(alpha: float, order: int) -> np.ndarray:
 
 def _lag_weight_table(alpha: float, order: int, lo: int,
                       hi: int) -> np.ndarray:
+    """A fresh array of the lag weights at the lags lo .. hi-1; see
+    _write_lag_weights."""
+    out = np.empty(hi - lo)
+    _write_lag_weights(out, np.empty((2, hi - lo)),
+                       np.arange(hi - lo, dtype=float), alpha, order, lo)
+    return out
+
+
+def _write_lag_weights(out: np.ndarray, work: np.ndarray, index: np.ndarray,
+                       alpha: float, order: int, lo: int):
     """Central difference delta^order W(k) of the regularised power W at the
-    lags k = lo .. hi-1, for order 2 or 4.  Every lag is computed on its
-    own, so any block of lags equals the same lags of a longer table bit
-    for bit.
+    lags k = lo .. lo + out.size - 1, for order 2 or 4, written into out.
+    work holds two rows of scratch and index the floats 0, 1, 2, ..., each
+    at least out.size long; index is only read.  Every lag is computed on
+    its own, so any block of lags equals the same lags of a longer table
+    bit for bit.  The whole-array passes run in place, within out and work.
 
     For alpha > 1 the second differences tend to the constant 2/(alpha-1);
     they are returned minus the regular part of their value at the fixed
@@ -265,8 +319,7 @@ def _lag_weight_table(alpha: float, order: int, lo: int,
     """
     q = 1.0 - alpha                     # p - 2 for the power p = 3 - alpha
     near = 2 * order                    # lags below it are differenced
-    cut = min(max(lo, near), hi)        # the block's first series lag
-    out = np.empty(hi - lo)
+    cut = min(max(lo, near), lo + out.size)   # the block's first series lag
     if lo < near:
         if order == 4:
             # delta^4 = delta^2 delta^2 keeps the small lags accurate where
@@ -283,42 +336,63 @@ def _lag_weight_table(alpha: float, order: int, lo: int,
     # for delta^4 (M_2 = 0).  C(p, j), j >= 4, carries p - 2 = q, divided
     # out in b; each p - i is (3 - i) - alpha, exact for small alpha.  The
     # tail, the terms from j = 4 on, is summed by Horner's rule in 1/k^2.
-    k = np.arange(cut, hi, dtype=float)
-    lnk = np.log(k)
-    x = 1.0 / (k * k)
+    # Three rows hold the series lags: the tail, k^q (ln k before it) and
+    # 1/k^2 (for order 2 then the ratio below).  The row that ends as the
+    # result is out's: the tail for order 4, k^q for order 2.
+    series = out[cut - lo:]
+    n = series.size
+    x = work[1, :n]
+    tail, kq = (series, work[0, :n]) if order == 4 else (work[0, :n], series)
+    k = index[:n]
+    np.add(k, cut, out=x)
+    np.log(x, out=kq)                   # ln k, until k^q
+    x *= x
+    np.divide(1.0, x, out=x)            # 1 / k^2
+    m = min(max(_TWO_TERM_LAG - cut, 0), n)          # lags below it
     b = (3.0 - alpha) * (2.0 - alpha) * -alpha / 24.0      # C(p, 4) / q
     coefs = []
-    for j in range(4, 2 * _SERIES_TERMS + 4, 2):
+    for j in range(4, 2 * (_SERIES_TERMS if m else 2) + 4, 2):
         coefs.append(b * (2.0 if order == 2 else 2.0 ** (j + 1) - 8.0))
         b *= ((3.0 - j) - alpha) * ((2.0 - j) - alpha) / ((j + 1.0) * (j + 2.0))
-    m = min(max(_TWO_TERM_LAG - cut, 0), k.size)     # lags below it
-    tail = np.empty(k.size)
-    full, x_full = tail[:m], x[:m]      # every term; beyond, two
-    full.fill(coefs[-1])
-    for c in reversed(coefs[1:-1]):
+    if m:                               # every term; beyond, two
+        full, x_full = tail[:m], x[:m]
+        full.fill(coefs[-1])
+        for c in reversed(coefs[1:-1]):
+            full *= x_full
+            full += c
         full *= x_full
-        full += c
-    tail[m:] = coefs[1]
-    tail *= x
+    np.multiply(x[m:], coefs[1], out=tail[m:])
     tail += coefs[0]
-    kq = np.exp(q * lnk)
-    tail *= x * kq
+    kq *= q
+    np.exp(kq, out=kq)
+    x *= kq
+    tail *= x                           # the tail times k^q / k^2
     if order == 4:
-        out[cut - lo:] = tail
-        return out
+        return
 
     # The j = 2 term and the k^2 of W combine to
     # p (p-1) (k^q - 1) / q + p + 1, regular at alpha = 1.  For alpha > 1
     # the reference lag 1 becomes R = _REF_LAG and the constant p + 1 drops
     # out: p (p-1) (k^q - R^q) / q + tail(k).
     head = (3.0 - alpha) * (2.0 - alpha)
-    const, ln_ref = 4.0 - alpha, 0.0
-    if alpha > 1.0:
-        ln_ref = np.log(_REF_LAG)
-        out[:cut - lo] -= head * _expm1_ratio(q, ln_ref) + const
-        const = 0.0
-    out[cut - lo:] = -head * kq * _expm1_ratio(q, ln_ref - lnk) + const + tail
-    return out
+    ln_ref = np.log(_REF_LAG) if alpha > 1.0 else 0.0
+    if alpha > 1.0 and cut > lo:
+        out[:cut - lo] -= head * _expm1_ratio(q, ln_ref) + (4.0 - alpha)
+    ratio = x                           # expm1(q ln(R/k)) / q
+    np.add(k, cut, out=ratio)
+    np.log(ratio, out=ratio)
+    np.subtract(ln_ref, ratio, out=ratio)
+    if q != 0.0:
+        ratio *= q
+        np.expm1(ratio, out=ratio)
+        ratio /= q
+    kq *= -head
+    kq *= ratio
+    # p + 1, left out for alpha > 1: adding 0.0 could change only a -0.0,
+    # and the tail added next is never 0
+    if alpha <= 1.0:
+        kq += 4.0 - alpha
+    kq += tail
 
 
 def _form_scale(h: float, alpha: float) -> float:
@@ -346,8 +420,8 @@ def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
     once for each sign.
 
     Up to _KEPT_LAGS lags the form is one dot of c with a view of the kept
-    table.  Beyond, the lag weights come in blocks of _KEPT_LAGS lags, each
-    dotted with its slice of c, and no longer table is built whole.  np.vdot
+    table.  Beyond, _tail_dots dots each further slice of _KEPT_LAGS lags
+    with its weights, and the slice dots are added in lag order.  np.vdot
     runs np.dot's BLAS dot without checking the floating-point flags, and
     the result is combined in Python floats, so a form that overflows is
     returned as inf or NaN without a warning, even under a caller's
@@ -357,11 +431,50 @@ def _increment_form(c: np.ndarray, h: float, alpha: float) -> float:
     if c.size <= _KEPT_LAGS:
         dot = float(np.vdot(c, kept[:c.size]))
     else:
-        dot = -0.0                      # x + -0.0 is x
-        for lo in range(0, c.size, _KEPT_LAGS):
-            hi = min(lo + _KEPT_LAGS, c.size)
-            dot += float(np.vdot(c[lo:hi], _lag_weights(alpha, 2, lo, hi)))
+        dot = float(np.vdot(c[:_KEPT_LAGS], kept))
+        for d in _tail_dots(c, alpha).tolist():
+            dot += d
     return -scale * (2.0 * dot - float(c[0]) * float(kept[0]))
+
+
+def _tail_dots(c: np.ndarray, alpha: float) -> np.ndarray:
+    """The dots of c's slices of _KEPT_LAGS lags beyond the first with their
+    order-2 lag weights, in lag order.
+
+    The weights are never kept: they are written in blocks of _BLOCK_LAGS
+    lags, and each block is dotted slice by slice, so every dot is the one
+    a whole table would give.  With at least _HELPER_BLOCKS blocks, they
+    are shared between this thread and a helper (_side_by_side): each takes
+    the next block left and writes it into its own three rows, reused from
+    block to block, and both read one index row: at most 7 * _BLOCK_LAGS
+    floats (1.75 MiB) per call, 4 rows when one thread takes every block.
+    Every dot has its own place, so the bits do not depend on which thread
+    took a block, nor on whether a thread started."""
+    dots = np.empty((c.size - 1) // _KEPT_LAGS)
+    todo = list(range(_KEPT_LAGS, c.size, _BLOCK_LAGS))[::-1]
+    index = np.arange(min(_BLOCK_LAGS, c.size - _KEPT_LAGS), dtype=float)
+
+    def take_blocks():
+        rows = None
+        while True:
+            try:
+                lo = todo.pop()         # atomic: one thread gets each block
+            except IndexError:
+                return
+            if rows is None:
+                rows = np.empty((3, index.size))
+            w = rows[0, :min(_BLOCK_LAGS, c.size - lo)]
+            _write_lag_weights(w, rows[1:], index, alpha, 2, lo)
+            cw = c[lo:lo + w.size]
+            for at in range(0, w.size, _KEPT_LAGS):
+                dots[(lo + at) // _KEPT_LAGS - 1] = np.vdot(
+                    cw[at:at + _KEPT_LAGS], w[at:at + _KEPT_LAGS])
+
+    if len(todo) >= _HELPER_BLOCKS:
+        _side_by_side(take_blocks, take_blocks)
+    else:
+        take_blocks()
+    return dots
 
 
 def _cubic_bspline(t: np.ndarray) -> np.ndarray:

@@ -59,3 +59,24 @@ def test_every_cache_is_in_the_readme():
     missing = sorted(name for name in names if not re.search(
         rf"`(\w+\.)?{re.escape(name)}`", paragraph))
     assert missing == []
+
+
+def test_the_kernel_tables_are_bounded():
+    # two tables: the 2^15 one every K <= 2^15 reads, and one larger; the
+    # two largest, at K = 2^24 and 2^23, hold about 32 MiB
+    from fracform import fourier
+
+    kept = fourier._es_table
+    tables = kept.cache_parameters()["maxsize"]
+    assert tables == 2
+    worst = sum((top // 6 + 1) * 8 for top in (1 << 24, 1 << 23))
+    assert worst / 2 ** 20 < 32.001
+    kept.cache_clear()
+    small = kept(fourier._TABLE_SIZE)
+    for top in (1 << 16, fourier._TABLE_SIZE, 1 << 16, fourier._TABLE_SIZE):
+        kept(top)
+    assert kept.cache_info()[:2] == (3, 2)      # hits, misses
+    assert kept(fourier._TABLE_SIZE) is small
+    kept(1 << 17)                               # drops the 2^16 table
+    assert kept.cache_info().currsize == tables
+    assert kept(fourier._TABLE_SIZE) is small

@@ -50,9 +50,13 @@ UNREACHED = {
     "ladder.skorokhod_star": "kept: paper construction",
     "levy.LevyTriplet.from_json_dict": "input path",    # levy --triplet
     # the split correlation of more than 2^13 slopes
+    "quadcells._combine_spectra": "perfbench: energies",
     "quadcells._side_by_side": "perfbench: energies",
     "quadcells._side_by_side.<locals>.helper": "perfbench: energies",
     "quadcells._split_autocorr": "perfbench: energies",
+    # the form's lags beyond the kept 2^13
+    "quadcells._tail_dots": "perfbench: energies",
+    "quadcells._tail_dots.<locals>.take_blocks": "perfbench: energies",
     "scalecap.CapacitySolverError.__init__": "error path",
 }
 

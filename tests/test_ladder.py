@@ -596,6 +596,23 @@ class TestRebuildEdges:
         assert tree.converged and runs[tree.n_nodes] == []
         assert tree._rebuild(tree.n_nodes).tobytes() == f.values.tobytes()
 
+    @pytest.mark.parametrize("route", ["stepped", "rebuilt"])
+    def test_the_last_sum_is_a_copy_of_f(self, route):
+        # with no run pending the sum is f's samples, bit for bit, in an
+        # array of its own, whether stepped from the kept sum or rebuilt
+        f = rough_walk(300, 4)
+        tree = ladder_decompose(f, f.n_nodes, 0.0)
+        last = tree.n_nodes
+        assert tree.converged and _pending_runs(tree, last) == []
+        tree.partial_sum(last - 1)
+        if route == "rebuilt":
+            tree._kept = None
+        assert (tree._step_forward(last) is None) == (route == "rebuilt")
+        got = tree.partial_sum(last).values
+        assert got.tobytes() == f.values.tobytes()
+        assert not np.shares_memory(got, f.values)
+        assert tree._kept[0] == last and tree._kept[1] is not f.values
+
     def test_the_zero_function(self):
         f = GridFunction(0.0, 0.25, np.zeros(7))
         tree, runs = self.assert_rebuilds(f)

@@ -263,6 +263,118 @@ def test_blocked_form_matches_one_table_dot(alpha):
         whole, rel=1e-13, abs=0.0)
 
 
+BLOCK = quadcells._BLOCK_LAGS
+HELPER = quadcells._HELPER_BLOCKS
+
+
+def _tail_sizes():
+    # 2^13 + 1 lags, each block boundary below 2^17 lags with one lag less
+    # and one more (the helper's threshold among them), and 2^17
+    ends = range(KEPT + BLOCK, 1 << 17, BLOCK)
+    return [KEPT + 1, *(e + d for e in ends for d in (-1, 0, 1)), 1 << 17]
+
+
+def _serial_form(c, h, alpha, w):
+    """The form as one thread sums it, here: the dots of c's slices of 2^13
+    lags with the same lags of the table w, added in lag order."""
+    dot = -0.0
+    for lo in range(0, c.size, KEPT):
+        hi = min(lo + KEPT, c.size)
+        dot += float(np.vdot(c[lo:hi], w[lo:hi]))
+    scale = quadcells._form_scale(h, alpha)
+    return -scale * (2.0 * dot - float(c[0]) * float(w[0]))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95])
+def test_threaded_form_is_the_serial_sum(alpha, monkeypatch):
+    # the blocks shared with a helper, taken all by this thread when no
+    # thread starts, and the serial sum give the same bits
+    c = np.random.default_rng(11).standard_normal(1 << 17)
+    h = 1.0 / (1 << 17)
+    w = _lag_weight_table(alpha, 2, 0, c.size)
+    threaded = {n: quadcells._increment_form(c[:n], h, alpha)
+                for n in _tail_sizes()}
+    monkeypatch.setattr(threading.Thread, "start", _no_thread_starts)
+    for n in _tail_sizes():
+        inline = quadcells._increment_form(c[:n], h, alpha)
+        serial = _serial_form(c[:n], h, alpha, w)
+        assert threaded[n].hex() == inline.hex() == serial.hex(), n
+
+
+def test_form_starts_a_helper_from_its_threshold(monkeypatch):
+    calls = []
+    side_by_side = quadcells._side_by_side
+
+    def spy(first, second):
+        calls.append(c.size)
+        side_by_side(first, second)
+
+    monkeypatch.setattr(quadcells, "_side_by_side", spy)
+    sizes = [KEPT + 1, KEPT + (HELPER - 1) * BLOCK,
+             KEPT + (HELPER - 1) * BLOCK + 1]
+    for n in sizes:
+        c = np.ones(n)
+        quadcells._increment_form(c, 1.0, 0.5)
+    assert calls == sizes[2:]
+
+
+def test_form_from_concurrent_callers():
+    # more callers than cores, each with its own helper: each call's blocks
+    # write only its own dots, so each gets the one-caller bits
+    c = np.random.default_rng(12).standard_normal(KEPT + HELPER * BLOCK)
+    want = quadcells._increment_form(c, 0.01, 1.5)
+    got = [None] * 6
+
+    def call(i):
+        for _ in range(3):
+            got[i] = quadcells._increment_form(c, 0.01, 1.5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [g.hex() for g in got] == [want.hex()] * len(got)
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_helper", [True, False])
+def test_form_raises_a_failed_block_and_leaves_no_thread(on_helper,
+                                                         monkeypatch):
+    write = quadcells._write_lag_weights
+    raised = []
+    helper_took = threading.Event()
+
+    def failing(*args):
+        here = threading.current_thread() is threading.main_thread()
+        if not here:
+            helper_took.set()
+        elif on_helper:                 # let the helper take a block
+            assert helper_took.wait(timeout=30.0)
+        if here != on_helper:
+            raised.append(threading.current_thread().name)
+            raise _BlockFailed
+        return write(*args)
+
+    quadcells._kept_lag_weights(0.5, 2)     # so only blocks reach the spy
+    monkeypatch.setattr(quadcells, "_write_lag_weights", failing)
+    before = threading.active_count()
+    with pytest.raises(_BlockFailed):
+        quadcells._increment_form(np.ones(KEPT + HELPER * BLOCK), 1.0, 0.5)
+    assert threading.active_count() == before
+    assert len(raised) == 1
+
+
 def test_energy_peak_memory_per_node():
     """A first exponent peaks at most 36 bytes per node above the samples
     (40 when the increments were copied into the FFT pads, 88 when the
@@ -384,7 +496,8 @@ def _no_thread_starts(self):
     raise RuntimeError("can't start new thread")
 
 
-@pytest.mark.parametrize("m", [SPLIT + 1, 2 * SPLIT + 3])
+@pytest.mark.parametrize("m", [SPLIT + 1, 2 * SPLIT + 3, (1 << 16) + 2,
+                               (1 << 17) + 1])
 def test_split_is_the_same_bits_when_no_thread_starts(m, monkeypatch):
     v = np.random.default_rng(3).standard_normal(m + 1)
     threaded = quadcells._slope_autocorr(v)
@@ -424,6 +537,39 @@ def test_split_from_concurrent_callers():
 
 class _HalfFailed(Exception):
     pass
+
+
+@pytest.mark.parametrize("bins", [4097, 4098])
+def test_combine_in_parts_is_the_same_bits(bins):
+    # an odd and an even bin count (the halves' spectra have an odd one),
+    # cut where _split_autocorr cuts, at an odd bin and two bins from either
+    # end; random magnitudes over 2^+-40 reach every exponent of a product
+    rng = np.random.default_rng(bins)
+    specs = (rng.standard_normal((2, bins)) + 1j * rng.standard_normal(
+        (2, bins))) * np.exp(rng.uniform(-28.0, 28.0, (2, bins)))
+    whole, pads = specs.copy(), np.empty((2, 2 * bins))
+    quadcells._combine_spectra(whole, pads, 0, bins)
+    for mid in (bins // 2, bins // 2 | 1, 2, bins - 2):
+        parts = specs.copy()
+        quadcells._combine_spectra(parts, pads, 0, mid)
+        quadcells._combine_spectra(parts, pads, mid, bins)
+        assert np.array_equal(parts.view(np.int64), whole.view(np.int64)), mid
+    assert np.all(whole[0].imag == 0.0)
+
+
+def test_combine_splits_from_its_threshold(monkeypatch):
+    parts = []
+    combine = quadcells._combine_spectra
+
+    def spy(specs, pads, lo, hi):
+        parts.append(hi - lo)
+        combine(specs, pads, lo, hi)
+
+    monkeypatch.setattr(quadcells, "_combine_spectra", spy)
+    bins = quadcells._COMBINE_SPLIT_BINS
+    for m in (bins + 1, bins + 2):      # transforms of 2 bins and 4 bins
+        quadcells._slope_autocorr(np.arange(m + 1.0))
+    assert parts == [bins // 2 + 1, bins // 2, bins // 2 + 1]
 
 
 @pytest.mark.parametrize("on_helper", [True, False])
